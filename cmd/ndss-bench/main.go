@@ -14,15 +14,8 @@
 //
 //	ndss-bench -list
 //
-// Emit a machine-readable benchmark report (the BENCH.json artifact CI
-// uploads per commit: git SHA, timestamp, ns/op, B/op, and the
-// per-stage latency split of the query path):
-//
-//	ndss-bench -json BENCH.json
-//
-// Validate an existing report against the schema:
-//
-//	ndss-bench -check BENCH.json
+// Performance tracking is not this command's job: the repo benchmark
+// (BENCHMARK.json, bash benchmark/run.sh) is the one harness for that.
 package main
 
 import (
@@ -40,8 +33,6 @@ func main() {
 	workDir := flag.String("workdir", "", "working directory for indexes (default: temp dir)")
 	scale := flag.Int("scale", 1, "corpus scale multiplier")
 	keep := flag.Bool("keep", false, "keep the working directory")
-	jsonPath := flag.String("json", "", "run the query benchmark suite and write a BENCH.json report here")
-	checkPath := flag.String("check", "", "validate an existing BENCH.json report and exit")
 	flag.Parse()
 
 	if *list {
@@ -50,20 +41,8 @@ func main() {
 		}
 		return
 	}
-	if *checkPath != "" {
-		data, err := os.ReadFile(*checkPath)
-		if err == nil {
-			err = experiments.ValidateBenchReport(data)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ndss-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: valid bench report\n", *checkPath)
-		return
-	}
-	if *run == "" && *jsonPath == "" {
-		fmt.Fprintln(os.Stderr, "ndss-bench: -run <id|all>, -json <path>, -check <path> or -list required")
+	if *run == "" {
+		fmt.Fprintln(os.Stderr, "ndss-bench: -run <id|all> or -list required")
 		os.Exit(2)
 	}
 	dir := *workDir
@@ -84,25 +63,6 @@ func main() {
 
 	env := experiments.NewEnv(dir, *scale, os.Stdout)
 	defer env.Close()
-
-	if *jsonPath != "" {
-		start := time.Now()
-		fmt.Println("=== bench: query-path benchmark suite ===")
-		report, err := env.RunBenchSuite()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ndss-bench: bench suite failed:", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteBenchReport(*jsonPath, report); err != nil {
-			fmt.Fprintln(os.Stderr, "ndss-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("--- wrote %s (%d series, commit %s) in %v ---\n\n",
-			*jsonPath, len(report.Results), report.GitSHA, time.Since(start).Round(time.Millisecond))
-		if *run == "" {
-			return
-		}
-	}
 
 	var toRun []experiments.Experiment
 	if *run == "all" {

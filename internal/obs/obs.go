@@ -15,8 +15,9 @@
 //     that Start drops the span (and counts the drop) rather than
 //     growing without limit on pathological queries.
 //
-// The package depends only on "time" and is usable from any layer
-// (search pipeline, server, CLIs) without import cycles.
+// The package depends only on the standard library and is usable from
+// any layer (search pipeline, server, CLIs) without import cycles. It
+// also holds the serving tier's one latency histogram (histogram.go).
 package obs
 
 import "time"

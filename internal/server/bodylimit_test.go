@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"ndss/internal/wire"
 )
 
 // Over-limit body regression tests: the request-body caps must answer
@@ -43,11 +45,11 @@ func TestQueryBodyLimitAnswers413(t *testing.T) {
 
 	for _, path := range []string{"/search", "/search/topk", "/explain"} {
 		resp, body := postJSON(t, ts.Client(), ts.URL+path,
-			searchRequest{Tokens: oversizedTokens(512), Theta: 0.5, N: 3})
+			wire.Request{Tokens: oversizedTokens(512), Theta: 0.5, N: 3})
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s oversized body: %d (%s), want 413", path, resp.StatusCode, body)
 		}
-		var er errorResponse
+		var er wire.Error
 		if err := json.Unmarshal(body, &er); err != nil {
 			t.Fatalf("%s: 413 body is not the error shape: %v (%s)", path, err, body)
 		}
@@ -60,7 +62,7 @@ func TestQueryBodyLimitAnswers413(t *testing.T) {
 		// nil-ResponseWriter bug, MaxBytesReader could not ask the server
 		// to close the connection, and the unread body bytes of the
 		// rejected request desynced exactly this follow-up.)
-		resp, body = postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+		resp, body = postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("follow-up after 413 on %s: %d (%s), want 200", path, resp.StatusCode, body)
 		}
@@ -108,7 +110,7 @@ func TestIngestBodyLimitAnswers413(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized ingest: %d (%s), want 413", resp.StatusCode, body)
 	}
-	var er errorResponse
+	var er wire.Error
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatalf("413 body is not the error shape: %v (%s)", err, body)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"ndss/internal/search"
+	"ndss/internal/wire"
 )
 
 // resultCache is a mutex-guarded LRU of fully computed query results,
@@ -23,13 +24,13 @@ type resultCache struct {
 	m   map[string]*list.Element // guarded by mu
 }
 
-// cacheEntry is one cached result. Matches and Stats are shared between
-// the cache and every response served from it and must be treated as
-// immutable.
+// cacheEntry is one cached result: the response as first served, minus
+// the span list (a hit never ships one, so the cache must not pin it).
+// Its slices are shared between the cache and every response served
+// from it and must be treated as immutable.
 type cacheEntry struct {
-	key     string
-	matches []search.Match
-	stats   search.Stats
+	key  string
+	resp wire.Response
 }
 
 func newResultCache(max int) *resultCache {

@@ -14,6 +14,7 @@ import (
 	"ndss/internal/core"
 	"ndss/internal/corpus"
 	"ndss/internal/index"
+	"ndss/internal/wire"
 )
 
 // Live-ingest tests: POST /ingest must append texts as a new segment
@@ -56,13 +57,13 @@ func snippet(seed, n int) []uint32 {
 	return out
 }
 
-func searchMatches(t *testing.T, ts *httptest.Server, q []uint32, theta float64) []matchJSON {
+func searchMatches(t *testing.T, ts *httptest.Server, q []uint32, theta float64) []wire.Match {
 	t.Helper()
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: theta})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: theta})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search: %d (%s)", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr wire.Response
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestIngestZeroFailedRequests(t *testing.T) {
 			defer wg.Done()
 			for !stop.Load() {
 				resp, body := postJSON(t, ts.Client(), ts.URL+"/search",
-					searchRequest{Tokens: hammerQ, Theta: 0.5})
+					wire.Request{Tokens: hammerQ, Theta: 0.5})
 				requests.Add(1)
 				if resp.StatusCode != http.StatusOK {
 					failures.Add(1)

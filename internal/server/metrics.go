@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ndss/internal/obs"
 	"ndss/internal/search"
 	"ndss/internal/shard"
 )
@@ -66,39 +67,6 @@ func (o outcome) String() string {
 	return "unknown"
 }
 
-// latencyBucketsMS are the upper bounds (milliseconds) of the request
-// latency histograms; the implicit last bucket is +Inf. A value exactly
-// equal to an upper bound lands in that bound's bucket (Prometheus `le`
-// semantics).
-var latencyBucketsMS = [...]float64{0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000}
-
-type histogram struct {
-	counts [len(latencyBucketsMS) + 1]atomic.Int64
-	sumNS  atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	i := 0
-	for i < len(latencyBucketsMS) && ms > latencyBucketsMS[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(int64(d))
-}
-
-// load reads the histogram's per-bucket counts and derives the total
-// from their sum, so count always equals the buckets even while other
-// goroutines observe concurrently (the count is simply the state of the
-// buckets at their individual load instants).
-func (h *histogram) load() (buckets [len(latencyBucketsMS) + 1]int64, count, sumNS int64) {
-	for i := range h.counts {
-		buckets[i] = h.counts[i].Load()
-		count += buckets[i]
-	}
-	return buckets, count, h.sumNS.Load()
-}
-
 // metrics is the server's counter surface, exposed by /metrics as
 // Prometheus text exposition (default) or JSON (content negotiation).
 // Everything is atomic; there is no lock on the request path.
@@ -144,17 +112,17 @@ type metrics struct {
 
 	// latency holds one histogram per (endpoint, outcome) cell: every
 	// admitted request lands in exactly one.
-	latency [numEndpoints][numOutcomes]histogram
+	latency [numEndpoints][numOutcomes]obs.Histogram
 
 	// stages holds one histogram per pipeline stage, observed from each
 	// executed query's StageTimes (cache hits and errors excluded: only
 	// queries that ran the pipeline have a decomposition).
-	stages [search.NumStages]histogram
+	stages [search.NumStages]obs.Histogram
 }
 
 // observe records the single per-request latency observation.
 func (m *metrics) observe(ep endpoint, out outcome, d time.Duration) {
-	m.latency[ep][out].observe(d)
+	m.latency[ep][out].Observe(d)
 }
 
 // traceReasons enumerates the trace-store retention reasons; the
@@ -191,17 +159,17 @@ func (m *metrics) recordStats(st *search.Stats) {
 	m.ioTimeNS.Add(int64(st.IOTime))
 	m.cpuTimeNS.Add(int64(st.CPUTime))
 	for i, d := range st.StageTimes.Durations() {
-		m.stages[i].observe(d)
+		m.stages[i].Observe(d)
 	}
 }
 
 // aggregateLatency folds every (endpoint, outcome) histogram into one,
 // preserving the pre-observability JSON schema where "latency" was a
 // single request histogram.
-func (m *metrics) aggregateLatency() (buckets [len(latencyBucketsMS) + 1]int64, count, sumNS int64) {
+func (m *metrics) aggregateLatency() (buckets [len(obs.LatencyBucketsMS) + 1]int64, count, sumNS int64) {
 	for e := 0; e < int(numEndpoints); e++ {
 		for o := 0; o < int(numOutcomes); o++ {
-			b, c, s := m.latency[e][o].load()
+			b, c, s := m.latency[e][o].Load()
 			for i := range buckets {
 				buckets[i] += b[i]
 			}
@@ -245,11 +213,11 @@ func (m *metrics) snapshot(cacheLen, cacheCap int, ix indexSnapshot, sm *shard.M
 		hitRate = float64(hits) / float64(hits+misses)
 	}
 	aggBuckets, count, sumNS := m.aggregateLatency()
-	buckets := make(map[string]int64, len(latencyBucketsMS)+1)
-	for i, ub := range latencyBucketsMS {
+	buckets := make(map[string]int64, len(obs.LatencyBucketsMS)+1)
+	for i, ub := range obs.LatencyBucketsMS {
 		buckets[formatMS(ub)] = aggBuckets[i]
 	}
-	buckets["+Inf"] = aggBuckets[len(latencyBucketsMS)]
+	buckets["+Inf"] = aggBuckets[len(obs.LatencyBucketsMS)]
 	meanMS := 0.0
 	if count > 0 {
 		meanMS = float64(sumNS) / float64(count) / float64(time.Millisecond)
@@ -259,7 +227,7 @@ func (m *metrics) snapshot(cacheLen, cacheCap int, ix indexSnapshot, sm *shard.M
 	for e := endpoint(0); e < numEndpoints; e++ {
 		outs := make(map[string]any, numOutcomes)
 		for o := outcome(0); o < numOutcomes; o++ {
-			_, c, s := m.latency[e][o].load()
+			_, c, s := m.latency[e][o].Load()
 			if c == 0 {
 				continue
 			}
@@ -269,7 +237,7 @@ func (m *metrics) snapshot(cacheLen, cacheCap int, ix indexSnapshot, sm *shard.M
 	}
 	stages := make(map[string]any, search.NumStages)
 	for i, name := range search.StageNames {
-		_, c, s := m.stages[i].load()
+		_, c, s := m.stages[i].Load()
 		stages[name] = map[string]int64{"count": c, "sum_ns": s}
 	}
 

@@ -16,6 +16,7 @@ import (
 	"ndss/internal/corpus"
 	"ndss/internal/index"
 	"ndss/internal/search"
+	"ndss/internal/wire"
 )
 
 // latencyCells flattens the (endpoint, outcome) histogram matrix into
@@ -24,7 +25,7 @@ func latencyCells(m *metrics) (cells map[string]int64, total int64) {
 	cells = map[string]int64{}
 	for e := endpoint(0); e < numEndpoints; e++ {
 		for o := outcome(0); o < numOutcomes; o++ {
-			_, c, _ := m.latency[e][o].load()
+			_, c, _ := m.latency[e][o].Load()
 			if c > 0 {
 				cells[e.String()+"/"+o.String()] = c
 			}
@@ -92,22 +93,22 @@ func TestLatencyAccounting(t *testing.T) {
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 
-		post := func(path string, req searchRequest, wantStatus int) {
+		post := func(path string, req wire.Request, wantStatus int) {
 			t.Helper()
 			resp, body := postJSON(t, ts.Client(), ts.URL+path, req)
 			if resp.StatusCode != wantStatus {
 				t.Fatalf("%s: status %d, want %d (%s)", path, resp.StatusCode, wantStatus, body)
 			}
 		}
-		post("/search", searchRequest{Tokens: q, Theta: 0.5}, http.StatusOK)
-		post("/search", searchRequest{Tokens: q, Theta: 0.5}, http.StatusOK) // cache hit
-		post("/search/topk", searchRequest{Tokens: q, N: 3}, http.StatusOK)
-		post("/explain", searchRequest{Tokens: q, Theta: 0.5}, http.StatusOK)
+		post("/search", wire.Request{Tokens: q, Theta: 0.5}, http.StatusOK)
+		post("/search", wire.Request{Tokens: q, Theta: 0.5}, http.StatusOK) // cache hit
+		post("/search/topk", wire.Request{Tokens: q, N: 3}, http.StatusOK)
+		post("/explain", wire.Request{Tokens: q, Theta: 0.5}, http.StatusOK)
 
 		// None of these are admitted, so none may observe latency.
-		post("/search", searchRequest{Theta: 0.5}, http.StatusBadRequest)            // no tokens
-		post("/search", searchRequest{Tokens: q, Theta: 1.5}, http.StatusBadRequest) // bad theta
-		post("/search/topk", searchRequest{Tokens: q}, http.StatusBadRequest)        // missing n
+		post("/search", wire.Request{Theta: 0.5}, http.StatusBadRequest)            // no tokens
+		post("/search", wire.Request{Tokens: q, Theta: 1.5}, http.StatusBadRequest) // bad theta
+		post("/search/topk", wire.Request{Tokens: q}, http.StatusBadRequest)        // missing n
 		if resp, err := ts.Client().Get(ts.URL + "/search"); err != nil {
 			t.Fatal(err)
 		} else {
@@ -129,7 +130,7 @@ func TestLatencyAccounting(t *testing.T) {
 		defer ts.Close()
 
 		resp, _ := postJSON(t, ts.Client(), ts.URL+"/search",
-			searchRequest{Tokens: q, Theta: 0.5, TimeoutMS: 30})
+			wire.Request{Tokens: q, Theta: 0.5, TimeoutMS: 30})
 		if resp.StatusCode != http.StatusGatewayTimeout {
 			t.Fatalf("status %d, want 504", resp.StatusCode)
 		}
@@ -144,7 +145,7 @@ func TestLatencyAccounting(t *testing.T) {
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
 
-		resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+		resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status %d, want 400", resp.StatusCode)
 		}
@@ -160,13 +161,13 @@ func TestLatencyAccounting(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+			resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("blocked search finished with %d", resp.StatusCode)
 			}
 		}()
 		<-br.entered
-		resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.9})
+		resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.9})
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("saturated status %d, want 429", resp.StatusCode)
 		}
@@ -213,14 +214,14 @@ func TestSlowlogFlightRecorder(t *testing.T) {
 
 	for _, theta := range []float64{0.4, 0.5, 0.6} {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/search",
-			searchRequest{Tokens: q, Theta: theta, PrefixFilter: true, Verify: true})
+			wire.Request{Tokens: q, Theta: theta, PrefixFilter: true, Verify: true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("search theta=%v: %d (%s)", theta, resp.StatusCode, body)
 		}
 	}
 	// A cache hit does not execute the pipeline and must not add a trace.
 	resp, _ := postJSON(t, ts.Client(), ts.URL+"/search",
-		searchRequest{Tokens: q, Theta: 0.5, PrefixFilter: true, Verify: true})
+		wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true, Verify: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatal("repeat search failed")
 	}
@@ -242,7 +243,7 @@ func TestSlowlogFlightRecorder(t *testing.T) {
 		if e.Stats == nil {
 			t.Fatalf("entry %d has no stats", i)
 		}
-		if e.Stats.Stages.SketchNS <= 0 || e.Stats.Stages.GatherNS <= 0 {
+		if e.Stats.Stages.Sketch <= 0 || e.Stats.Stages.Gather <= 0 {
 			t.Errorf("entry %d stage times not populated: %+v", i, e.Stats.Stages)
 		}
 		names := map[string]bool{}
@@ -303,12 +304,12 @@ func TestRequestID(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+	resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 	if id := resp.Header.Get("X-Request-ID"); id == "" {
 		t.Error("no generated X-Request-ID on response")
 	}
 
-	do := func(clientID string, req searchRequest) (*http.Response, errorResponse) {
+	do := func(clientID string, req wire.Request) (*http.Response, wire.Error) {
 		t.Helper()
 		data, _ := json.Marshal(req)
 		hr, _ := http.NewRequest(http.MethodPost, ts.URL+"/search", bytes.NewReader(data))
@@ -320,13 +321,13 @@ func TestRequestID(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var er errorResponse
+		var er wire.Error
 		json.NewDecoder(resp.Body).Decode(&er)
 		return resp, er
 	}
 
 	// A sane client id is honored and attached to the error body.
-	resp, er := do("client-id-42", searchRequest{Theta: 0.5})
+	resp, er := do("client-id-42", wire.Request{Theta: 0.5})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -383,7 +384,7 @@ func TestSlowQueryLogging(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+	resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 	id := resp.Header.Get("X-Request-ID")
 
 	out := buf.String()
@@ -424,7 +425,7 @@ func TestStatsWireFormatGolden(t *testing.T) {
 	}
 
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/search",
-		searchRequest{Tokens: q, Theta: 0.5, PrefixFilter: true, Verify: true})
+		wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true, Verify: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search: %d (%s)", resp.StatusCode, body)
 	}
@@ -466,7 +467,7 @@ func TestStatsWireFormatGolden(t *testing.T) {
 		t.Error("stage times all zero after an executed query")
 	}
 
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/explain", searchRequest{Tokens: q, Theta: 0.5})
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/explain", wire.Request{Tokens: q, Theta: 0.5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explain: %d (%s)", resp.StatusCode, body)
 	}

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"ndss/internal/obs"
 	"ndss/internal/search"
 	"ndss/internal/shard"
 )
@@ -49,13 +50,13 @@ func (p *promWriter) sample(name, labels string, value float64) {
 
 // histogramSamples writes the cumulative bucket series plus _sum and
 // _count for one histogram. extraLabels tags every line (may be empty).
-func (p *promWriter) histogramSamples(name, extraLabels string, buckets [len(latencyBucketsMS) + 1]int64, count, sumNS int64) {
+func (p *promWriter) histogramSamples(name, extraLabels string, buckets [len(obs.LatencyBucketsMS) + 1]int64, count, sumNS int64) {
 	cum := int64(0)
-	for i, ub := range latencyBucketsMS {
+	for i, ub := range obs.LatencyBucketsMS {
 		cum += buckets[i]
 		p.sample(name+"_bucket", joinLabels(extraLabels, `le="`+formatPromValue(ub/1000)+`"`), float64(cum))
 	}
-	cum += buckets[len(latencyBucketsMS)]
+	cum += buckets[len(obs.LatencyBucketsMS)]
 	p.sample(name+"_bucket", joinLabels(extraLabels, `le="+Inf"`), float64(cum))
 	p.sample(name+"_sum", extraLabels, float64(sumNS)/float64(time.Second))
 	p.sample(name+"_count", extraLabels, float64(count))
@@ -91,7 +92,7 @@ func (m *metrics) writePrometheus(w io.Writer, cacheLen, cacheCap int, ix indexS
 	p.header("ndss_requests_total", "Admitted query requests by endpoint and outcome.", "counter")
 	for e := endpoint(0); e < numEndpoints; e++ {
 		for o := outcome(0); o < numOutcomes; o++ {
-			_, c, _ := m.latency[e][o].load()
+			_, c, _ := m.latency[e][o].Load()
 			p.sample("ndss_requests_total",
 				fmt.Sprintf(`endpoint=%q,outcome=%q`, e.String(), o.String()), float64(c))
 		}
@@ -106,7 +107,7 @@ func (m *metrics) writePrometheus(w io.Writer, cacheLen, cacheCap int, ix indexS
 	p.header("ndss_request_duration_seconds", "Admitted request latency by endpoint and outcome.", "histogram")
 	for e := endpoint(0); e < numEndpoints; e++ {
 		for o := outcome(0); o < numOutcomes; o++ {
-			b, c, s := m.latency[e][o].load()
+			b, c, s := m.latency[e][o].Load()
 			if c == 0 {
 				continue // keep the exposition compact: only cells that fired
 			}
@@ -117,7 +118,7 @@ func (m *metrics) writePrometheus(w io.Writer, cacheLen, cacheCap int, ix indexS
 
 	p.header("ndss_stage_duration_seconds", "Per-query pipeline stage latency (executed queries).", "histogram")
 	for i, name := range search.StageNames {
-		b, c, s := m.stages[i].load()
+		b, c, s := m.stages[i].Load()
 		p.histogramSamples("ndss_stage_duration_seconds", fmt.Sprintf(`stage=%q`, name), b, c, s)
 	}
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ndss/internal/search"
+	"ndss/internal/wire"
 )
 
 // promMetricName matches valid exposition metric names.
@@ -252,23 +253,23 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	// a top-k, and an explain.
 	for i := 0; i < 2; i++ {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/search",
-			searchRequest{Tokens: q, Theta: 0.5, PrefixFilter: true})
+			wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("search %d: %d (%s)", i, resp.StatusCode, body)
 		}
 	}
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/search",
-		searchRequest{Tokens: q, Theta: 0.5, PrefixFilter: true, Verify: true})
+		wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true, Verify: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("verified search: %d (%s)", resp.StatusCode, body)
 	}
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/search/topk",
-		searchRequest{Tokens: q, N: 3, FloorTheta: 0.5})
+		wire.Request{Tokens: q, N: 3, FloorTheta: 0.5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("topk: %d (%s)", resp.StatusCode, body)
 	}
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/explain",
-		searchRequest{Tokens: q, Theta: 0.5})
+		wire.Request{Tokens: q, Theta: 0.5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explain: %d (%s)", resp.StatusCode, body)
 	}
@@ -346,40 +347,11 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	}
 }
 
-// TestHistogramBucketEdges pins the observe semantics: a value exactly
-// equal to a bucket's upper bound lands in that bucket (Prometheus le
-// semantics), and values beyond the last bound land in +Inf.
-func TestHistogramBucketEdges(t *testing.T) {
-	for i, ub := range latencyBucketsMS {
-		var h histogram
-		h.observe(time.Duration(ub * float64(time.Millisecond)))
-		buckets, count, _ := h.load()
-		if count != 1 {
-			t.Fatalf("bound %v: count = %d", ub, count)
-		}
-		if buckets[i] != 1 {
-			t.Errorf("value == bound %vms landed in bucket %v, want bucket %d (le=%v)", ub, buckets, i, ub)
-		}
-	}
-
-	var h histogram
-	h.observe(time.Duration(latencyBucketsMS[len(latencyBucketsMS)-1]*float64(time.Millisecond)) * 2)
-	buckets, _, _ := h.load()
-	if buckets[len(latencyBucketsMS)] != 1 {
-		t.Errorf("overflow value landed in %v, want +Inf bucket", buckets)
-	}
-
-	var h2 histogram
-	h2.observe(time.Duration(latencyBucketsMS[0] * float64(time.Millisecond) / 2))
-	buckets, _, _ = h2.load()
-	if buckets[0] != 1 {
-		t.Errorf("small value landed in %v, want bucket 0", buckets)
-	}
-}
-
-// TestHistogramConcurrentConsistency hammers one histogram and the full
-// metrics snapshot from concurrent observers while readers load them;
-// run under -race in CI. The count must always equal the bucket sum.
+// TestHistogramConcurrentConsistency hammers one latency cell and the
+// full metrics snapshot from concurrent observers while readers load
+// them; run under -race in CI. The count must always equal the bucket
+// sum. (The histogram's own edge and consistency tests live with it in
+// internal/obs.)
 func TestHistogramConcurrentConsistency(t *testing.T) {
 	var m metrics
 	m.start = time.Now()
@@ -395,7 +367,7 @@ func TestHistogramConcurrentConsistency(t *testing.T) {
 				return
 			default:
 			}
-			buckets, count, _ := m.latency[epSearch][outOK].load()
+			buckets, count, _ := m.latency[epSearch][outOK].Load()
 			var sum int64
 			for _, b := range buckets {
 				sum += b
@@ -434,11 +406,11 @@ func TestHistogramConcurrentConsistency(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	_, count, _ := m.latency[epSearch][outOK].load()
+	_, count, _ := m.latency[epSearch][outOK].Load()
 	if want := int64(writers * perWriter); count != want {
 		t.Fatalf("final count %d, want %d", count, want)
 	}
-	_, scount, _ := m.stages[0].load()
+	_, scount, _ := m.stages[0].Load()
 	if want := int64(writers * perWriter); scount != want {
 		t.Fatalf("final stage count %d, want %d", scount, want)
 	}

@@ -15,6 +15,7 @@ import (
 	"ndss/internal/hash"
 	"ndss/internal/index"
 	"ndss/internal/search"
+	"ndss/internal/wire"
 )
 
 // Hot-reload tests: POST /admin/reload must swap to a freshly opened
@@ -100,7 +101,7 @@ func TestReloadSwapsBuild(t *testing.T) {
 	}
 
 	// Queries run against the new index (c2 has more texts).
-	resp, body = postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search after reload: %d (%s)", resp.StatusCode, body)
 	}
@@ -143,7 +144,7 @@ func TestReloadZeroFailedRequests(t *testing.T) {
 			defer wg.Done()
 			for !stop.Load() {
 				resp, body := postJSON(t, ts.Client(), ts.URL+"/search",
-					searchRequest{Tokens: q, Theta: 0.5})
+					wire.Request{Tokens: q, Theta: 0.5})
 				requests.Add(1)
 				if resp.StatusCode != http.StatusOK {
 					failures.Add(1)
@@ -246,7 +247,7 @@ func TestReloadDrainsInFlight(t *testing.T) {
 	q := []uint32{1, 2, 3, 4, 5}
 	inFlight := make(chan int, 1)
 	go func() {
-		resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+		resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 		inFlight <- resp.StatusCode
 	}()
 	<-oldB.entered // the query is executing inside the old backend
@@ -269,7 +270,7 @@ func TestReloadDrainsInFlight(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query on new backend during drain: %d (%s)", resp.StatusCode, body)
 	}
@@ -313,9 +314,9 @@ func TestReloadFlushesCache(t *testing.T) {
 	q := []uint32{1, 2, 3, 4, 5}
 	// Decode into a fresh struct each time: "cached" is omitempty, so
 	// reusing one target would leak a stale true across responses.
-	search1 := func() searchResponse {
-		var sr searchResponse
-		_, body := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+	search1 := func() wire.Response {
+		var sr wire.Response
+		_, body := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +373,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 		t.Fatalf("backend changed by failed reload: %q", got)
 	}
 	q := []uint32{1, 2, 3, 4, 5}
-	sresp, body := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+	sresp, body := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 	if sresp.StatusCode != http.StatusOK {
 		t.Fatalf("search after failed reload: %d (%s)", sresp.StatusCode, body)
 	}

@@ -9,7 +9,6 @@ package server
 // through the access log into its stage trace.
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -56,14 +55,6 @@ func printableASCII(s string) bool {
 		}
 	}
 	return true
-}
-
-// RequestIDFromContext returns the request id the server middleware
-// stored, or "" outside a request. The id lives in the obs package's
-// context slot so the shard layer can forward it on outbound calls
-// without importing the server.
-func RequestIDFromContext(ctx context.Context) string {
-	return obs.RequestIDFromContext(ctx)
 }
 
 // statusWriter captures the response status for the access log.

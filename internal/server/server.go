@@ -58,27 +58,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ndss/internal/hash"
-	"ndss/internal/index"
 	"ndss/internal/obs"
 	"ndss/internal/search"
 	"ndss/internal/shard"
+	"ndss/internal/wire"
 )
 
-// Backend is the query surface the server needs. *core.Engine satisfies
-// it; tests substitute slow or failing implementations. A Backend that
-// also implements io.Closer is closed when a reload replaces it.
-type Backend interface {
-	SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error)
-	SearchTopKContext(ctx context.Context, query []uint32, opts search.TopKOptions) ([]search.Match, *search.Stats, error)
-	Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error)
-	Meta() index.Meta
-	Family() *hash.Family
-	IOStats() index.IOStats
-	// BuildID identifies the index build behind this backend, surfaced
-	// in /healthz and /metrics so operators can confirm a reload took.
-	BuildID() string
-}
+// Backend is the query surface the server serves: shard.Backend, the
+// tier's single definition (a shard coordinator is itself one). The
+// alias exists only because the benchmark module names server.Backend.
+type Backend = shard.Backend
 
 // Config tunes the service. Zero values select the defaults.
 type Config struct {
@@ -502,7 +491,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			"error":              swapErr.Error(),
 			"status":             "committed_swap_failed",
 			"committed_build_id": swapErr.CommittedBuildID,
-			"request_id":         RequestIDFromContext(r.Context()),
+			"request_id":         obs.RequestIDFromContext(r.Context()),
 		})
 	case err != nil:
 		s.writeError(w, r, http.StatusInternalServerError, err.Error())
@@ -580,124 +569,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // with http.Server.Shutdown, which waits for the in-flight ones.
 func (s *Server) BeginShutdown() { s.closing.Store(true) }
 
-// searchRequest is the JSON body of /search, /search/topk and /explain.
-type searchRequest struct {
-	Tokens []uint32 `json:"tokens"`
-	Theta  float64  `json:"theta"`
-
-	MinLength         int  `json:"min_length,omitempty"`
-	PrefixFilter      bool `json:"prefix_filter,omitempty"`
-	LongListThreshold int  `json:"long_list_threshold,omitempty"`
-	CostBased         bool `json:"cost_based,omitempty"`
-	Verify            bool `json:"verify,omitempty"`
-
-	// TimeoutMS bounds this request's execution; 0 selects the server
-	// default.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-
-	// Top-k only.
-	N          int     `json:"n,omitempty"`
-	FloorTheta float64 `json:"floor_theta,omitempty"`
-}
-
-func (r searchRequest) options() search.Options {
-	return search.Options{
-		Theta:             r.Theta,
-		MinLength:         r.MinLength,
-		PrefixFilter:      r.PrefixFilter,
-		LongListThreshold: r.LongListThreshold,
-		CostBasedPrefix:   r.CostBased,
-		Verify:            r.Verify,
-	}
-}
-
-type matchJSON struct {
-	TextID     uint32  `json:"text_id"`
-	Start      int32   `json:"start"`
-	End        int32   `json:"end"`
-	Collisions int     `json:"collisions"`
-	EstJaccard float64 `json:"est_jaccard"`
-	Jaccard    float64 `json:"jaccard,omitempty"`
-}
-
-// stageTimesJSON is the stable wire shape of search.StageTimes inside
-// /search's stats. Field names are pinned by TestStatsWireFormatGolden.
-type stageTimesJSON struct {
-	SketchNS int64 `json:"sketch_ns"`
-	PlanNS   int64 `json:"plan_ns"`
-	GatherNS int64 `json:"gather_ns"`
-	CountNS  int64 `json:"count_ns"`
-	MergeNS  int64 `json:"merge_ns"`
-	VerifyNS int64 `json:"verify_ns"`
-}
-
-type statsJSON struct {
-	K          int            `json:"k"`
-	Beta       int            `json:"beta"`
-	ShortLists int            `json:"short_lists"`
-	LongLists  int            `json:"long_lists"`
-	Candidates int            `json:"candidates"`
-	Probed     int            `json:"probed"`
-	Matches    int            `json:"matches"`
-	IOBytes    int64          `json:"io_bytes"`
-	IOTimeNS   int64          `json:"io_time_ns"`
-	CPUTimeNS  int64          `json:"cpu_time_ns"`
-	TotalNS    int64          `json:"total_ns"`
-	Stages     stageTimesJSON `json:"stages"`
-
-	// Scatter–gather attribution, present only for sharded backends.
-	// shards_answered < shards_total flags a partial result.
-	ShardsTotal    int                 `json:"shards_total,omitempty"`
-	ShardsAnswered int                 `json:"shards_answered,omitempty"`
-	PerShard       []search.ShardStats `json:"per_shard,omitempty"`
-
-	// Spans is this process's own span list, present only when the
-	// request's trace context carried the sampling bit — it is how a
-	// shard ships its stage spans (io_bytes attrs included) back to
-	// the coordinator for flight assembly.
-	Spans []obs.Span `json:"spans,omitempty"`
-}
-
-type searchResponse struct {
-	Matches []matchJSON `json:"matches"`
-	Stats   statsJSON   `json:"stats"`
-	Cached  bool        `json:"cached,omitempty"`
-}
-
-type errorResponse struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-func toMatchJSON(ms []search.Match) []matchJSON {
-	out := make([]matchJSON, len(ms))
-	for i, m := range ms {
-		out[i] = matchJSON{
-			TextID: m.TextID, Start: m.Start, End: m.End,
-			Collisions: m.Collisions, EstJaccard: m.EstJaccard, Jaccard: m.Jaccard,
-		}
-	}
-	return out
-}
-
-func toStageTimesJSON(t search.StageTimes) stageTimesJSON {
-	return stageTimesJSON{
-		SketchNS: int64(t.Sketch), PlanNS: int64(t.Plan), GatherNS: int64(t.Gather),
-		CountNS: int64(t.Count), MergeNS: int64(t.Merge), VerifyNS: int64(t.Verify),
-	}
-}
-
-func toStatsJSON(st search.Stats) statsJSON {
-	return statsJSON{
-		K: st.K, Beta: st.Beta, ShortLists: st.ShortLists, LongLists: st.LongLists,
-		Candidates: st.Candidates, Probed: st.Probed, Matches: st.Matches,
-		IOBytes: st.IOBytes, IOTimeNS: int64(st.IOTime), CPUTimeNS: int64(st.CPUTime),
-		TotalNS: int64(st.Total), Stages: toStageTimesJSON(st.StageTimes),
-		ShardsTotal: st.ShardsTotal, ShardsAnswered: st.ShardsAnswered,
-		PerShard: st.PerShard,
-	}
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -719,7 +590,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	case http.StatusInternalServerError:
 		s.met.internals.Add(1)
 	}
-	writeJSON(w, status, errorResponse{Error: msg, RequestID: RequestIDFromContext(r.Context())})
+	writeJSON(w, status, wire.Error{Error: msg, RequestID: obs.RequestIDFromContext(r.Context())})
 }
 
 // maxQueryBodyBytes and maxIngestBodyBytes cap request bodies. They are
@@ -746,8 +617,8 @@ func decodeStatus(err error) int {
 // ResponseWriter is handed to MaxBytesReader so an over-limit body
 // closes the connection instead of leaving unread bytes to desync
 // keep-alive.
-func decodeRequest(w http.ResponseWriter, r *http.Request) (searchRequest, error) {
-	var req searchRequest
+func decodeRequest(w http.ResponseWriter, r *http.Request) (wire.Request, error) {
+	var req wire.Request
 	if r.Method == http.MethodGet {
 		q := r.URL.Query()
 		if _, err := fmt.Sscanf(q.Get("theta"), "%g", &req.Theta); err != nil {
@@ -809,7 +680,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) func() {
 }
 
 // deadline derives the request's execution context.
-func (s *Server) deadline(r *http.Request, req searchRequest) (context.Context, context.CancelFunc) {
+func (s *Server) deadline(r *http.Request, req wire.Request) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		d = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -860,7 +731,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 // latency observation, tagged with its endpoint and outcome. Requests
 // turned away before admission (malformed, saturated, shutting down)
 // record none. TestLatencyAccounting pins this down.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req searchRequest, topk bool) {
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Request, topk bool) {
 	start := time.Now()
 	ep := epSearch
 	if topk {
@@ -874,7 +745,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req searchRe
 		s.writeError(w, r, http.StatusBadRequest, "empty query: tokens required")
 		return
 	}
-	opts := req.options()
+	opts := req.Options()
 	// The server always collects detailed spans: the flight recorder
 	// and slow-query log need them, and the copy is one small
 	// allocation per executed query.
@@ -910,9 +781,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req searchRe
 			s.met.requests.Add(1)
 			s.bumpEndpoint(topk)
 			s.met.cacheHits.Add(1)
-			writeJSON(w, http.StatusOK, searchResponse{
-				Matches: toMatchJSON(e.matches), Stats: toStatsJSON(e.stats), Cached: true,
-			})
+			resp := e.resp
+			resp.Cached = true
+			writeJSON(w, http.StatusOK, resp)
 			s.met.observe(ep, outCached, time.Since(start))
 			return
 		}
@@ -944,7 +815,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req searchRe
 	// The pprof labels join CPU profiles to the access log and the
 	// trace store: samples taken while this query executes carry its
 	// request id and endpoint.
-	pprof.Do(ctx, pprof.Labels("request_id", RequestIDFromContext(ctx), "endpoint", ep.String()), func(ctx context.Context) {
+	pprof.Do(ctx, pprof.Labels("request_id", obs.RequestIDFromContext(ctx), "endpoint", ep.String()), func(ctx context.Context) {
 		if topk {
 			matches, st, err = backend.SearchTopKContext(ctx, req.Tokens, search.TopKOptions{
 				N: req.N, FloorTheta: req.FloorTheta, Search: opts,
@@ -954,21 +825,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req searchRe
 		}
 	})
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			out = outTimeout
-			s.writeError(w, r, http.StatusGatewayTimeout, "deadline exceeded")
-		case errors.Is(err, context.Canceled):
-			// Client went away; nobody reads the response, but account
-			// for it.
-			out = outCanceled
-			s.met.canceled.Add(1)
-			w.WriteHeader(499) // client closed request (nginx convention)
-		default:
-			// Validation errors surface as 400, not 500.
-			out = outBadRequest
-			s.writeError(w, r, http.StatusBadRequest, err.Error())
-		}
+		out = s.writeQueryError(w, r, err)
 		// Errored executions are always trace-retained (tail-based):
 		// there are no spans to graft, but the root records what
 		// failed, when, and under which trace id.
@@ -977,11 +834,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req searchRe
 	}
 	out = outOK
 	s.met.recordStats(st)
-	s.recordQuery(r, ep, req, start, st)
+	// One conversion serves the flight recorder, the trace store, the
+	// cache and the response. It carries no span list, so a cached
+	// entry never pins one.
+	resp := wire.NewResponse(matches, st)
+	s.recordQuery(r, ep, req, start, st, resp.Stats)
 	if s.cache != nil {
-		s.cache.put(&cacheEntry{key: key, matches: matches, stats: *st})
+		s.cache.put(&cacheEntry{key: key, resp: resp})
 	}
-	resp := searchResponse{Matches: toMatchJSON(matches), Stats: toStatsJSON(*st)}
 	// Span shipping is gated on the sampling bit: a sampled query's
 	// response carries this process's full span list so the caller (a
 	// coordinator, or a person with curl) can assemble the flight.
@@ -989,6 +849,26 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req searchRe
 		resp.Stats.Spans = st.Spans
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// writeQueryError answers a failed backend call and reports the outcome
+// to account it under.
+func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err error) outcome {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.writeError(w, r, http.StatusGatewayTimeout, "deadline exceeded")
+		return outTimeout
+	case errors.Is(err, context.Canceled):
+		// Client went away; nobody reads the response, but account
+		// for it.
+		s.met.canceled.Add(1)
+		w.WriteHeader(499) // client closed request (nginx convention)
+		return outCanceled
+	default:
+		// Validation errors surface as 400, not 500.
+		s.writeError(w, r, http.StatusBadRequest, err.Error())
+		return outBadRequest
+	}
 }
 
 // countExtraAttempts tallies the retries and hedges behind a sharded
@@ -1012,10 +892,12 @@ func countExtraAttempts(st *search.Stats) (retries, hedges int) {
 // recordQuery feeds one executed query into the flight recorder, the
 // trace store (tail-based: retention decided here, at completion), the
 // wide-event log when enabled, and, past the slow threshold, the
-// structured log.
-func (s *Server) recordQuery(r *http.Request, ep endpoint, req searchRequest, start time.Time, st *search.Stats) {
+// structured log. ws is st in wire form: the records that keep it
+// share this one copy, which is the function's own so that a retained
+// record never pins the response's match list.
+func (s *Server) recordQuery(r *http.Request, ep endpoint, req wire.Request, start time.Time, st *search.Stats, ws wire.Stats) {
 	dur := time.Since(start)
-	id := RequestIDFromContext(r.Context())
+	id := obs.RequestIDFromContext(r.Context())
 	retries, hedges := countExtraAttempts(st)
 	tc, _ := obs.TraceFromContext(r.Context())
 	if tc.Sampled {
@@ -1041,7 +923,6 @@ func (s *Server) recordQuery(r *http.Request, ep endpoint, req searchRequest, st
 			reasons = append(reasons, "hedged")
 		}
 		if len(reasons) > 0 {
-			stats := toStatsJSON(*st)
 			s.storeTrace(traceEntry{
 				RequestID:  id,
 				TraceID:    tc.TraceIDString(),
@@ -1051,7 +932,7 @@ func (s *Server) recordQuery(r *http.Request, ep endpoint, req searchRequest, st
 				Sampled:    tc.Sampled,
 				Reasons:    reasons,
 				Spans:      assembleFlight(tc, ep.String(), dur, st),
-				Stats:      &stats,
+				Stats:      &ws,
 			})
 		}
 	}
@@ -1059,7 +940,6 @@ func (s *Server) recordQuery(r *http.Request, ep endpoint, req searchRequest, st
 		s.wideEvent(r, ep, req, id, tc, dur, st, retries, hedges)
 	}
 	if s.slow != nil {
-		stats := toStatsJSON(*st)
 		s.slow.record(slowlogEntry{
 			RequestID:  id,
 			Endpoint:   ep.String(),
@@ -1067,7 +947,7 @@ func (s *Server) recordQuery(r *http.Request, ep endpoint, req searchRequest, st
 			DurationNS: int64(dur),
 			Theta:      req.Theta,
 			NumTokens:  len(req.Tokens),
-			Stats:      &stats,
+			Stats:      &ws,
 			Spans:      st.Spans,
 		})
 	}
@@ -1140,38 +1020,32 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.met.observe(epExplain, out, time.Since(start)) }()
 	backend, releaseBackend := s.acquire()
 	defer releaseBackend()
-	plan, err := backend.Explain(r.Context(), req.Tokens, req.options())
+	// Planning does no I/O on a local index, but behind a coordinator
+	// it is a network call: it runs under the request deadline like any
+	// query, so a black-holed shard ends in a 504, not a hung request.
+	ctx, cancel := s.deadline(r, req)
+	defer cancel()
+	plan, err := backend.Explain(ctx, req.Tokens, req.Options())
 	if err != nil {
-		out = outBadRequest
-		s.writeError(w, r, http.StatusBadRequest, err.Error())
+		out = s.writeQueryError(w, r, err)
 		return
 	}
 	out = outOK
-	writeJSON(w, http.StatusOK, map[string]any{
-		"beta":     plan.Beta,
-		"alpha":    plan.Alpha,
-		"num_long": plan.NumLong,
-		"cutoff":   plan.Cutoff,
-		"long":     plan.Long,
-	})
+	writeJSON(w, http.StatusOK, wire.NewPlan(plan))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	b := s.backend()
-	buildID := b.BuildID()
 	// The index metadata is additive: shard coordinators discover a
 	// remote's K/Seed/T/NumTexts here to validate the shard set and
 	// assign text-id bases before the first query.
 	meta := b.Meta()
+	h := wire.Health{BuildID: b.BuildID(), Index: &meta, Status: "ok"}
+	status := http.StatusOK
 	if s.closing.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "shutting_down", "build_id": buildID, "index": meta,
-		})
-		return
+		h.Status, status = "shutting_down", http.StatusServiceUnavailable
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok", "build_id": buildID, "index": meta,
-	})
+	writeJSON(w, status, h)
 }
 
 // wantsJSON implements /metrics content negotiation: JSON only when the

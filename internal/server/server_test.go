@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"ndss/internal/hash"
 	"ndss/internal/index"
 	"ndss/internal/search"
+	"ndss/internal/wire"
 )
 
 // testFixture builds a small on-disk index and returns the corpus, the
@@ -85,11 +87,11 @@ func TestServeSearchBasic(t *testing.T) {
 	}
 
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/search",
-		searchRequest{Tokens: q, Theta: 0.5, PrefixFilter: true})
+		wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr wire.Response
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("bad response %s: %v", body, err)
 	}
@@ -119,7 +121,7 @@ func TestServeSearchBasic(t *testing.T) {
 		t.Fatalf("healthz %d", hz.StatusCode)
 	}
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/explain",
-		searchRequest{Tokens: q, Theta: 0.5, PrefixFilter: true, LongListThreshold: 10})
+		wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true, LongListThreshold: 10})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explain status %d: %s", resp.StatusCode, body)
 	}
@@ -138,10 +140,10 @@ func TestServeCacheHit(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	req := searchRequest{Tokens: q, Theta: 0.5, PrefixFilter: true}
+	req := wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true}
 	_, body1 := postJSON(t, ts.Client(), ts.URL+"/search", req)
 	_, body2 := postJSON(t, ts.Client(), ts.URL+"/search", req)
-	var r1, r2 searchResponse
+	var r1, r2 wire.Response
 	if err := json.Unmarshal(body1, &r1); err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +158,8 @@ func TestServeCacheHit(t *testing.T) {
 	}
 	// Different options must miss.
 	_, body3 := postJSON(t, ts.Client(), ts.URL+"/search",
-		searchRequest{Tokens: q, Theta: 0.75, PrefixFilter: true})
-	var r3 searchResponse
+		wire.Request{Tokens: q, Theta: 0.75, PrefixFilter: true})
+	var r3 wire.Response
 	if err := json.Unmarshal(body3, &r3); err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +212,13 @@ func TestServeConcurrentSearches(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 4; rep++ {
 				it := items[(w+rep)%len(items)]
-				data, _ := json.Marshal(searchRequest{Tokens: it.q, Theta: 0.5, PrefixFilter: true})
+				data, _ := json.Marshal(wire.Request{Tokens: it.q, Theta: 0.5, PrefixFilter: true})
 				resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(data))
 				if err != nil {
 					errs <- err
 					return
 				}
-				var sr searchResponse
+				var sr wire.Response
 				err = json.NewDecoder(resp.Body).Decode(&sr)
 				resp.Body.Close()
 				if err != nil {
@@ -256,6 +258,68 @@ func TestServeConcurrentSearches(t *testing.T) {
 	mresp.Body.Close()
 	if met.Requests.Search != 32 || met.Latency.Count != 32 {
 		t.Fatalf("metrics after 32 searches: %+v", met)
+	}
+}
+
+// TestCacheHoldsNoSpans is the regression test for the result cache
+// pinning dead span lists: the server runs every query with Trace on,
+// and the cache used to store the whole search.Stats — up to 256 span
+// lists per server that no cached response ever ships. An entry holds
+// the response minus its spans, and a hit is byte for byte the miss
+// plus the cached flag.
+func TestCacheHoldsNoSpans(t *testing.T) {
+	_, engine, q := testFixture(t)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unsampled", Config{}},
+		{"sampled", Config{TraceSampleRate: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(engine, tc.cfg)
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+
+			req := wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true}
+			_, miss := postJSON(t, ts.Client(), ts.URL+"/search", req)
+			_, hit := postJSON(t, ts.Client(), ts.URL+"/search", req)
+
+			if srv.cache.len() != 1 {
+				t.Fatalf("cache holds %d entries, want 1", srv.cache.len())
+			}
+			e := srv.cache.ll.Front().Value.(*cacheEntry)
+			if e.resp.Stats.Spans != nil {
+				t.Errorf("cached entry pins %d spans", len(e.resp.Stats.Spans))
+			}
+			if e.resp.Stats.Stages.Gather <= 0 {
+				t.Errorf("cached entry lost its stage split: %+v", e.resp.Stats.Stages)
+			}
+
+			// A hit never ships spans; a sampled miss does, so compare
+			// against the miss with its spans stripped. Unsampled, that
+			// re-encoding must be the served miss itself.
+			var missResp wire.Response
+			if err := json.Unmarshal(miss, &missResp); err != nil {
+				t.Fatal(err)
+			}
+			sampled := tc.cfg.TraceSampleRate > 0
+			if sampled != (len(missResp.Stats.Spans) > 0) {
+				t.Fatalf("sampled=%v but the miss carried %d spans", sampled, len(missResp.Stats.Spans))
+			}
+			missResp.Stats.Spans = nil
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(missResp); err != nil {
+				t.Fatal(err)
+			}
+			if !sampled && !bytes.Equal(want.Bytes(), miss) {
+				t.Fatalf("re-encoding the miss changed it:\n got %s\nwant %s", want.Bytes(), miss)
+			}
+			wantHit := strings.TrimSuffix(want.String(), "}\n") + `,"cached":true}` + "\n"
+			if string(hit) != wantHit {
+				t.Errorf("hit is not the miss plus the cached flag:\n hit %s\nwant %s", hit, wantHit)
+			}
+		})
 	}
 }
 
@@ -322,7 +386,7 @@ func TestServeDeadlineExpiry(t *testing.T) {
 	before := runtime.NumGoroutine()
 	start := time.Now()
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/search",
-		searchRequest{Tokens: q, Theta: 0.5, TimeoutMS: 60})
+		wire.Request{Tokens: q, Theta: 0.5, TimeoutMS: 60})
 	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504", resp.StatusCode, body)
@@ -330,7 +394,7 @@ func TestServeDeadlineExpiry(t *testing.T) {
 	if elapsed > 250*time.Millisecond {
 		t.Fatalf("timed-out query took %v; cancellation not prompt", elapsed)
 	}
-	var er errorResponse
+	var er wire.Error
 	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 		t.Fatalf("error body %q (%v)", body, err)
 	}
@@ -410,7 +474,7 @@ func TestServeAdmissionSaturated(t *testing.T) {
 	// Request 1 parks inside the index read, holding the only slot.
 	done := make(chan int, 1)
 	go func() {
-		data, _ := json.Marshal(searchRequest{Tokens: q, Theta: 0.5})
+		data, _ := json.Marshal(wire.Request{Tokens: q, Theta: 0.5})
 		resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(data))
 		if err != nil {
 			done <- -1
@@ -422,7 +486,7 @@ func TestServeAdmissionSaturated(t *testing.T) {
 	<-br.entered
 
 	// Request 2 must be rejected immediately with 429.
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated status %d (%s), want 429", resp.StatusCode, body)
 	}
@@ -441,7 +505,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 	done := make(chan int, 1)
 	go func() {
-		data, _ := json.Marshal(searchRequest{Tokens: q, Theta: 0.5})
+		data, _ := json.Marshal(wire.Request{Tokens: q, Theta: 0.5})
 		resp, err := ts.Client().Post(ts.URL+"/search", "application/json", bytes.NewReader(data))
 		if err != nil {
 			done <- -1
@@ -455,7 +519,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	srv.BeginShutdown()
 
 	// New queries and health checks are refused while draining.
-	resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+	resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown search status %d, want 503", resp.StatusCode)
 	}
@@ -483,12 +547,12 @@ func TestServeBadRequests(t *testing.T) {
 
 	cases := []struct {
 		name string
-		req  searchRequest
+		req  wire.Request
 	}{
-		{"no tokens", searchRequest{Theta: 0.5}},
-		{"theta zero", searchRequest{Tokens: q}},
-		{"theta above one", searchRequest{Tokens: q, Theta: 1.5}},
-		{"negative min length", searchRequest{Tokens: q, Theta: 0.5, MinLength: -1}},
+		{"no tokens", wire.Request{Theta: 0.5}},
+		{"theta zero", wire.Request{Tokens: q}},
+		{"theta above one", wire.Request{Tokens: q, Theta: 1.5}},
+		{"negative min length", wire.Request{Tokens: q, Theta: 0.5, MinLength: -1}},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/search", tc.req)
@@ -517,7 +581,7 @@ func TestServeBadRequests(t *testing.T) {
 		t.Fatalf("unknown field status %d, want 400", r2.StatusCode)
 	}
 	// Top-k without n.
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/search/topk", searchRequest{Tokens: q, Theta: 0.5})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/search/topk", wire.Request{Tokens: q, Theta: 0.5})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("topk without n: status %d (%s)", resp.StatusCode, body)
 	}
@@ -534,11 +598,11 @@ func TestServeTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/search/topk",
-		searchRequest{Tokens: q, N: 3, FloorTheta: 0.5})
+		wire.Request{Tokens: q, N: 3, FloorTheta: 0.5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr wire.Response
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -549,6 +613,44 @@ func TestServeTopK(t *testing.T) {
 		if sr.Matches[i].TextID != want[i].TextID || sr.Matches[i].Collisions != want[i].Collisions {
 			t.Fatalf("rank %d differs: %+v vs %+v", i, sr.Matches[i], want[i])
 		}
+	}
+}
+
+// blockedExplainBackend never answers Explain until the caller gives
+// up: a coordinator whose shard black-holes the plan request.
+type blockedExplainBackend struct{ Backend }
+
+func (blockedExplainBackend) Explain(ctx context.Context, _ []uint32, _ search.Options) (*search.Plan, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestExplainHonoursDeadline: /explain runs under the request deadline
+// (timeout_ms, else the server default) like any query — it used to
+// pass the bare request context, so behind a coordinator a black-holed
+// shard hung the request, and any failure was reported as a 400.
+func TestExplainHonoursDeadline(t *testing.T) {
+	_, engine, q := testFixture(t)
+	srv := New(blockedExplainBackend{engine}, Config{DefaultTimeout: 40 * time.Millisecond})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, req := range []wire.Request{
+		{Tokens: q, Theta: 0.5, TimeoutMS: 20}, // the request's own budget
+		{Tokens: q, Theta: 0.5},                // the server default
+	} {
+		start := time.Now()
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/explain", req)
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("timeout_ms=%d: status %d (%s), want 504", req.TimeoutMS, resp.StatusCode, body)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("timeout_ms=%d: answered after %v; deadline not applied", req.TimeoutMS, elapsed)
+		}
+	}
+	checkCells(t, srv, map[string]int64{"explain/timeout": 2})
+	if n := srv.met.timeouts.Load(); n != 2 {
+		t.Errorf("timeout counter = %d, want 2", n)
 	}
 }
 

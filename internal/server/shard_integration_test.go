@@ -20,6 +20,7 @@ import (
 	"ndss/internal/index"
 	"ndss/internal/search"
 	"ndss/internal/shard"
+	"ndss/internal/wire"
 )
 
 // End-to-end sharded serving: a shard.Coordinator is just another
@@ -75,17 +76,17 @@ func TestShardedServerMatchesSingleServer(t *testing.T) {
 	singleTS, shardedTS, q := shardedServerFixture(t, shard.Config{})
 	for _, tc := range []struct {
 		path string
-		req  searchRequest
+		req  wire.Request
 	}{
-		{"/search", searchRequest{Tokens: q, Theta: 0.5}},
-		{"/search", searchRequest{Tokens: q, Theta: 0.8, Verify: true}},
-		{"/search/topk", searchRequest{Tokens: q, N: 5}},
+		{"/search", wire.Request{Tokens: q, Theta: 0.5}},
+		{"/search", wire.Request{Tokens: q, Theta: 0.8, Verify: true}},
+		{"/search/topk", wire.Request{Tokens: q, N: 5}},
 	} {
 		resp, body := postJSON(t, singleTS.Client(), singleTS.URL+tc.path, tc.req)
 		if resp.StatusCode != 200 {
 			t.Fatalf("%s single: %d (%s)", tc.path, resp.StatusCode, body)
 		}
-		var want searchResponse
+		var want wire.Response
 		if err := json.Unmarshal(body, &want); err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func TestShardedServerMatchesSingleServer(t *testing.T) {
 		if resp.StatusCode != 200 {
 			t.Fatalf("%s sharded: %d (%s)", tc.path, resp.StatusCode, body)
 		}
-		var got searchResponse
+		var got wire.Response
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func TestShardedServerMatchesSingleServer(t *testing.T) {
 func TestShardedServerMetricsExposition(t *testing.T) {
 	_, shardedTS, q := shardedServerFixture(t, shard.Config{})
 	for i := 0; i < 3; i++ {
-		resp, body := postJSON(t, shardedTS.Client(), shardedTS.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+		resp, body := postJSON(t, shardedTS.Client(), shardedTS.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 		if resp.StatusCode != 200 {
 			t.Fatalf("search %d: %d (%s)", i, resp.StatusCode, body)
 		}
@@ -243,11 +244,11 @@ func TestShardedServerPartialResult(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: []uint32{1, 2, 3}, Theta: 0.5})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: []uint32{1, 2, 3}, Theta: 0.5})
 	if resp.StatusCode != 200 {
 		t.Fatalf("partial query: %d (%s), want 200", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr wire.Response
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -343,13 +344,13 @@ func TestShardedServerReloadRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				resp, body := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: q, Theta: 0.5})
+				resp, body := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
 				requests.Add(1)
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("search failed during reload: %d (%s)", resp.StatusCode, body)
 					return
 				}
-				var sr searchResponse
+				var sr wire.Response
 				if err := json.Unmarshal(body, &sr); err != nil {
 					t.Error(err)
 					return
@@ -461,11 +462,11 @@ func TestShardedReplicaMetricsExposition(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: []uint32{1, 2, 3}, Theta: 0.5})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: []uint32{1, 2, 3}, Theta: 0.5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search: %d (%s), the retry should have masked the failure", resp.StatusCode, body)
 	}
-	var sr searchResponse
+	var sr wire.Response
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ndss/internal/obs"
+	"ndss/internal/wire"
 )
 
 // defaultSlowlogEntries sizes each slowlog view when Config leaves it 0.
@@ -23,14 +24,14 @@ const defaultSlowlogEntries = 32
 
 // slowlogEntry is one recorded query trace.
 type slowlogEntry struct {
-	RequestID  string     `json:"request_id"`
-	Endpoint   string     `json:"endpoint"`
-	Start      time.Time  `json:"start"`
-	DurationNS int64      `json:"duration_ns"`
-	Theta      float64    `json:"theta"`
-	NumTokens  int        `json:"num_tokens"`
-	Stats      *statsJSON `json:"stats,omitempty"`
-	Spans      []obs.Span `json:"spans,omitempty"`
+	RequestID  string      `json:"request_id"`
+	Endpoint   string      `json:"endpoint"`
+	Start      time.Time   `json:"start"`
+	DurationNS int64       `json:"duration_ns"`
+	Theta      float64     `json:"theta"`
+	NumTokens  int         `json:"num_tokens"`
+	Stats      *wire.Stats `json:"stats,omitempty"`
+	Spans      []obs.Span  `json:"spans,omitempty"`
 }
 
 type slowlog struct {

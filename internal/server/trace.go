@@ -10,6 +10,7 @@ import (
 
 	"ndss/internal/obs"
 	"ndss/internal/search"
+	"ndss/internal/wire"
 )
 
 // sampleTrace decides head-sampling for a root trace minted at this
@@ -121,7 +122,7 @@ func (s *Server) recordErrorTrace(r *http.Request, ep endpoint, start time.Time,
 	var f obs.Flight
 	f.Add("", tc.SpanIDString(), ep.String(), 0, dur, obs.Attr{Key: "failed", Val: 1})
 	s.storeTrace(traceEntry{
-		RequestID:  RequestIDFromContext(r.Context()),
+		RequestID:  obs.RequestIDFromContext(r.Context()),
 		TraceID:    tc.TraceIDString(),
 		Endpoint:   ep.String(),
 		Start:      start,
@@ -136,7 +137,7 @@ func (s *Server) recordErrorTrace(r *http.Request, ep endpoint, start time.Time,
 // wideEvent emits the one-line-per-query structured event: everything
 // needed to debug the query from the log alone, ids included, without
 // waiting for a trace to be sampled.
-func (s *Server) wideEvent(r *http.Request, ep endpoint, req searchRequest, id string, tc obs.TraceContext, dur time.Duration, st *search.Stats, retries, hedges int) {
+func (s *Server) wideEvent(r *http.Request, ep endpoint, req wire.Request, id string, tc obs.TraceContext, dur time.Duration, st *search.Stats, retries, hedges int) {
 	d := st.StageTimes
 	attrs := []slog.Attr{
 		slog.String("request_id", id),

@@ -17,6 +17,7 @@ import (
 	"ndss/internal/search"
 	"ndss/internal/shard"
 	"ndss/internal/shard/netfault"
+	"ndss/internal/wire"
 )
 
 // flightIndex maps a flight's span ids to spans and verifies the basic
@@ -305,7 +306,7 @@ func TestChaosTraceRetryHedgeTree(t *testing.T) {
 	scriptNext(hosts[1][0], netfault.Fault{Kind: netfault.Delay, Delay: 30 * time.Millisecond})
 	scriptNext(hosts[1][1], netfault.Fault{Kind: netfault.Delay, Delay: 30 * time.Millisecond})
 
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", searchRequest{Tokens: texts[25][:12], Theta: 0.5})
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: texts[25][:12], Theta: 0.5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search through faults: %d (%s), want the retry and hedge to mask them", resp.StatusCode, body)
 	}

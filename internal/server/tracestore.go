@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ndss/internal/obs"
+	"ndss/internal/wire"
 )
 
 // defaultTraceStoreEntries sizes each ring of the trace store when
@@ -23,7 +24,7 @@ type traceEntry struct {
 	Reasons    []string         `json:"reasons"`
 	Err        string           `json:"err,omitempty"`
 	Spans      []obs.FlightSpan `json:"spans"`
-	Stats      *statsJSON       `json:"stats,omitempty"`
+	Stats      *wire.Stats      `json:"stats,omitempty"`
 }
 
 // traceSummary is the listing row GET /debug/trace/ returns.

@@ -35,7 +35,7 @@ type shardSlot struct {
 
 	requests atomic.Int64
 	errors   atomic.Int64
-	lat      latencyHist
+	lat      obs.Histogram
 }
 
 // Coordinator fans queries out to a fixed set of shards and merges the
@@ -236,7 +236,7 @@ func (c *Coordinator) fanOut(ctx context.Context, run func(ctx context.Context, 
 			})
 			dur := obs.SinceMono(t0)
 			sl.requests.Add(1)
-			sl.lat.observe(dur)
+			sl.lat.Observe(dur)
 			if err != nil {
 				sl.errors.Add(1)
 			}
@@ -284,7 +284,7 @@ func (c *Coordinator) SearchTopKContext(ctx context.Context, query []uint32, opt
 // Explain returns the first shard's query plan: planning depends only
 // on list-length statistics, so any shard's plan is representative.
 func (c *Coordinator) Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error) {
-	return c.slots[0].client.ExplainContext(ctx, query, opts)
+	return c.slots[0].client.Explain(ctx, query, opts)
 }
 
 // merge assembles the fan-out legs into one globally-ordered result.

@@ -76,7 +76,7 @@ func (s *stubShard) SearchTopKContext(ctx context.Context, q []uint32, o search.
 	return s.SearchContext(ctx, q, o.Search)
 }
 
-func (s *stubShard) ExplainContext(ctx context.Context, q []uint32, o search.Options) (*search.Plan, error) {
+func (s *stubShard) Explain(ctx context.Context, q []uint32, o search.Options) (*search.Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

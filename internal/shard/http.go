@@ -15,6 +15,7 @@ import (
 	"ndss/internal/index"
 	"ndss/internal/obs"
 	"ndss/internal/search"
+	"ndss/internal/wire"
 )
 
 // DefaultMaxInFlight is the per-shard admission cap when HTTPOptions
@@ -92,36 +93,19 @@ func (e *RemoteError) Transient() bool {
 // K/Seed/T/NumTexts up front to validate the shard set and assign
 // text-id bases, so a /healthz without index metadata is an error.
 func NewHTTPShard(ctx context.Context, baseURL string, opts HTTPOptions) (*HTTPShard, error) {
-	hc := opts.Client
-	if hc == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = DefaultMaxInFlight
-		hc = &http.Client{Transport: tr}
-	}
-	inflight := opts.MaxInFlight
-	if inflight == 0 {
-		inflight = DefaultMaxInFlight
-	}
-	h := &HTTPShard{base: strings.TrimRight(baseURL, "/"), hc: hc}
-	if inflight > 0 {
-		h.sem = make(chan struct{}, inflight)
-	}
+	h := NewHTTPShardDeferred(baseURL, opts)
 	// The initial probe is always bounded: a caller handing us a
 	// deadline-free context (ndss-serve startup does) must not hang
 	// forever on a black-holed shard URL.
-	probeCtx := ctx
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		probeCtx, cancel = context.WithTimeout(ctx, DefaultProbeTimeout)
+		ctx, cancel = context.WithTimeout(ctx, DefaultProbeTimeout)
 		defer cancel()
 	}
-	if err := h.CheckHealth(probeCtx); err != nil {
+	if err := h.CheckHealth(ctx); err != nil {
 		return nil, err
 	}
-	h.mu.RLock()
-	meta := h.meta
-	h.mu.RUnlock()
-	if meta.K == 0 {
+	if h.Meta().K == 0 {
 		return nil, fmt.Errorf("shard %s: /healthz reports no index metadata (remote ndss-serve too old for sharded serving)", h.base)
 	}
 	return h, nil
@@ -184,15 +168,6 @@ func (h *HTTPShard) Close() error {
 	return nil
 }
 
-// healthzWire is the /healthz response shape this client consumes. The
-// index object is additive server metadata (same JSON shape as
-// index.Meta).
-type healthzWire struct {
-	Status  string      `json:"status"`
-	BuildID string      `json:"build_id"`
-	Index   *index.Meta `json:"index"`
-}
-
 // CheckHealth performs GET /healthz, refreshing the cached build id and
 // index metadata on success. A shard that is shutting down (503) or
 // unreachable reports an error.
@@ -211,7 +186,7 @@ func (h *HTTPShard) CheckHealth(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("shard %s: health: %w", h.base, err)
 	}
-	var hz healthzWire
+	var hz wire.Health
 	if err := json.Unmarshal(body, &hz); err != nil {
 		return fmt.Errorf("shard %s: health: bad body: %w", h.base, err)
 	}
@@ -227,114 +202,34 @@ func (h *HTTPShard) CheckHealth(ctx context.Context) error {
 	return nil
 }
 
-// wireRequest mirrors the server's searchRequest JSON body.
-type wireRequest struct {
-	Tokens            []uint32 `json:"tokens"`
-	Theta             float64  `json:"theta"`
-	MinLength         int      `json:"min_length,omitempty"`
-	PrefixFilter      bool     `json:"prefix_filter,omitempty"`
-	LongListThreshold int      `json:"long_list_threshold,omitempty"`
-	CostBased         bool     `json:"cost_based,omitempty"`
-	Verify            bool     `json:"verify,omitempty"`
-	TimeoutMS         int      `json:"timeout_ms,omitempty"`
-	N                 int      `json:"n,omitempty"`
-	FloorTheta        float64  `json:"floor_theta,omitempty"`
-}
-
-type wireMatch struct {
-	TextID     uint32  `json:"text_id"`
-	Start      int32   `json:"start"`
-	End        int32   `json:"end"`
-	Collisions int     `json:"collisions"`
-	EstJaccard float64 `json:"est_jaccard"`
-	Jaccard    float64 `json:"jaccard"`
-}
-
-type wireStages struct {
-	SketchNS int64 `json:"sketch_ns"`
-	PlanNS   int64 `json:"plan_ns"`
-	GatherNS int64 `json:"gather_ns"`
-	CountNS  int64 `json:"count_ns"`
-	MergeNS  int64 `json:"merge_ns"`
-	VerifyNS int64 `json:"verify_ns"`
-}
-
-type wireStats struct {
-	K          int        `json:"k"`
-	Beta       int        `json:"beta"`
-	ShortLists int        `json:"short_lists"`
-	LongLists  int        `json:"long_lists"`
-	Candidates int        `json:"candidates"`
-	Probed     int        `json:"probed"`
-	Matches    int        `json:"matches"`
-	IOBytes    int64      `json:"io_bytes"`
-	IOTimeNS   int64      `json:"io_time_ns"`
-	CPUTimeNS  int64      `json:"cpu_time_ns"`
-	TotalNS    int64      `json:"total_ns"`
-	Stages     wireStages `json:"stages"`
-	// Spans is the remote's own span list, shipped back only when the
-	// request's traceparent had the sampling bit set.
-	Spans []obs.Span `json:"spans,omitempty"`
-}
-
-type wireResponse struct {
-	Matches []wireMatch `json:"matches"`
-	Stats   wireStats   `json:"stats"`
-}
-
-type wireError struct {
-	Error string `json:"error"`
-}
-
-func toWireRequest(query []uint32, opts search.Options) wireRequest {
-	return wireRequest{
-		Tokens:            query,
-		Theta:             opts.Theta,
-		MinLength:         opts.MinLength,
-		PrefixFilter:      opts.PrefixFilter,
-		LongListThreshold: opts.LongListThreshold,
-		CostBased:         opts.CostBasedPrefix,
-		Verify:            opts.Verify,
-	}
-}
-
 // SearchContext runs the query on the remote shard. The context
 // deadline is forwarded as the request's timeout_ms so the remote
 // enforces the same budget server-side.
 func (h *HTTPShard) SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error) {
-	return h.query(ctx, "/search", toWireRequest(query, opts))
+	return h.query(ctx, "/search", wire.NewRequest(query, opts))
 }
 
 // SearchTopKContext runs the top-k query on the remote shard.
 func (h *HTTPShard) SearchTopKContext(ctx context.Context, query []uint32, opts search.TopKOptions) ([]search.Match, *search.Stats, error) {
-	req := toWireRequest(query, opts.Search)
+	req := wire.NewRequest(query, opts.Search)
 	req.N = opts.N
 	req.FloorTheta = opts.FloorTheta
 	return h.query(ctx, "/search/topk", req)
 }
 
-// ExplainContext fetches the deferral plan the remote would run the
-// query with.
-func (h *HTTPShard) ExplainContext(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error) {
+// Explain fetches the deferral plan the remote would run the query
+// with.
+func (h *HTTPShard) Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error) {
 	release, err := h.acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	var plan struct {
-		Beta    int    `json:"beta"`
-		Alpha   int    `json:"alpha"`
-		NumLong int    `json:"num_long"`
-		Cutoff  int    `json:"cutoff"`
-		Long    []bool `json:"long"`
-	}
-	if err := h.post(ctx, "/explain", toWireRequest(query, opts), &plan); err != nil {
+	var plan wire.Plan
+	if err := h.post(ctx, "/explain", wire.NewRequest(query, opts), &plan); err != nil {
 		return nil, err
 	}
-	return &search.Plan{
-		Long: plan.Long, NumLong: plan.NumLong, Cutoff: plan.Cutoff,
-		Beta: plan.Beta, Alpha: plan.Alpha,
-	}, nil
+	return plan.SearchPlan(), nil
 }
 
 // acquire takes a per-shard admission slot, waiting until one frees or
@@ -351,7 +246,7 @@ func (h *HTTPShard) acquire(ctx context.Context) (func(), error) {
 	}
 }
 
-func (h *HTTPShard) query(ctx context.Context, path string, req wireRequest) ([]search.Match, *search.Stats, error) {
+func (h *HTTPShard) query(ctx context.Context, path string, req wire.Request) ([]search.Match, *search.Stats, error) {
 	release, err := h.acquire(ctx)
 	if err != nil {
 		return nil, nil, err
@@ -367,30 +262,11 @@ func (h *HTTPShard) query(ctx context.Context, path string, req wireRequest) ([]
 			req.TimeoutMS = 1
 		}
 	}
-	var resp wireResponse
+	var resp wire.Response
 	if err := h.post(ctx, path, req, &resp); err != nil {
 		return nil, nil, err
 	}
-	matches := make([]search.Match, len(resp.Matches))
-	for i, m := range resp.Matches {
-		matches[i] = search.Match{
-			TextID: m.TextID, Start: m.Start, End: m.End,
-			Collisions: m.Collisions, EstJaccard: m.EstJaccard, Jaccard: m.Jaccard,
-		}
-	}
-	ws := resp.Stats
-	st := &search.Stats{
-		K: ws.K, Beta: ws.Beta, ShortLists: ws.ShortLists, LongLists: ws.LongLists,
-		Candidates: ws.Candidates, Probed: ws.Probed, Matches: ws.Matches,
-		IOBytes: ws.IOBytes, IOTime: time.Duration(ws.IOTimeNS),
-		CPUTime: time.Duration(ws.CPUTimeNS), Total: time.Duration(ws.TotalNS),
-		StageTimes: search.StageTimes{
-			Sketch: time.Duration(ws.Stages.SketchNS), Plan: time.Duration(ws.Stages.PlanNS),
-			Gather: time.Duration(ws.Stages.GatherNS), Count: time.Duration(ws.Stages.CountNS),
-			Merge: time.Duration(ws.Stages.MergeNS), Verify: time.Duration(ws.Stages.VerifyNS),
-		},
-	}
-	st.Spans = ws.Spans
+	matches, st := resp.Result()
 	h.ioBytes.Add(st.IOBytes)
 	h.ioTimeNS.Add(int64(st.IOTime))
 	return matches, st, nil
@@ -438,7 +314,7 @@ func (h *HTTPShard) post(ctx context.Context, path string, body any, out any) er
 		// failing remote spewing garbage must not occupy result-sized
 		// buffers on the coordinator.
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBodyBytes))
-		var we wireError
+		var we wire.Error
 		_ = json.Unmarshal(data, &we) // best effort; fall back to raw body
 		msg := we.Error
 		if msg == "" {

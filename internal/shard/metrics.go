@@ -1,39 +1,6 @@
 package shard
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// LatencyBucketsMS are the upper bounds (milliseconds) of the per-shard
-// request-latency histograms, matching the server's request histogram
-// bounds so shard and frontend latencies land on comparable axes.
-var LatencyBucketsMS = [...]float64{0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000}
-
-// latencyHist is a fixed-bucket latency histogram with lock-free
-// observation; the final bucket is the +Inf overflow.
-type latencyHist struct {
-	counts [len(LatencyBucketsMS) + 1]atomic.Int64
-	sumNS  atomic.Int64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	i := 0
-	for i < len(LatencyBucketsMS) && ms > LatencyBucketsMS[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(int64(d))
-}
-
-func (h *latencyHist) load() (buckets [len(LatencyBucketsMS) + 1]int64, count, sumNS int64) {
-	for i := range h.counts {
-		buckets[i] = h.counts[i].Load()
-		count += buckets[i]
-	}
-	return buckets, count, h.sumNS.Load()
-}
+import "ndss/internal/obs"
 
 // Metrics is a point-in-time snapshot of the coordinator's shard-level
 // counters, consumed by the server's /metrics exposition.
@@ -55,8 +22,8 @@ type ShardMetrics struct {
 	Requests int64
 	Errors   int64
 	// LatencyBuckets are per-bucket (non-cumulative) observation counts
-	// aligned with LatencyBucketsMS; the last entry is +Inf.
-	LatencyBuckets [len(LatencyBucketsMS) + 1]int64
+	// aligned with obs.LatencyBucketsMS; the last entry is +Inf.
+	LatencyBuckets [len(obs.LatencyBucketsMS) + 1]int64
 	LatencyCount   int64
 	LatencySumNS   int64
 	// ReplicaSet is the replica-level breakdown when this shard is
@@ -102,7 +69,7 @@ func (c *Coordinator) ShardMetrics() Metrics {
 		Shards:         make([]ShardMetrics, len(c.slots)),
 	}
 	for i, sl := range c.slots {
-		buckets, count, sumNS := sl.lat.load()
+		buckets, count, sumNS := sl.lat.Load()
 		out.Shards[i] = ShardMetrics{
 			Shard:          sl.client.Name(),
 			BuildID:        sl.client.BuildID(),

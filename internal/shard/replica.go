@@ -597,14 +597,14 @@ func (r *ReplicaSet) SearchTopKContext(ctx context.Context, query []uint32, opts
 	})
 }
 
-// ExplainContext routes a plan request to one healthy replica.
+// Explain routes a plan request to one healthy replica.
 // Planning is cheap and advisory, so it gets routing but no retries.
-func (r *ReplicaSet) ExplainContext(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error) {
+func (r *ReplicaSet) Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error) {
 	rep, trial, ok := r.pick(nil)
 	if !ok {
 		return nil, fmt.Errorf("shard %s: no replica available (all quarantined)", r.name)
 	}
-	plan, err := rep.client.ExplainContext(ctx, query, opts)
+	plan, err := rep.client.Explain(ctx, query, opts)
 	if trial {
 		if err == nil {
 			rep.br.onSuccess()

@@ -36,8 +36,11 @@ import (
 	"ndss/internal/search"
 )
 
-// Backend is the local query surface a shard wraps; *core.Engine
-// satisfies it (it is the same shape internal/server serves).
+// Backend is the serving tier's one query surface: what internal/server
+// serves over HTTP, what Local wraps as a shard, and what a Coordinator
+// itself implements. *core.Engine satisfies it; tests substitute slow
+// or failing implementations. A Backend that also implements io.Closer
+// is closed when its owner (a server reload, a Local) is done with it.
 type Backend interface {
 	SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error)
 	SearchTopKContext(ctx context.Context, query []uint32, opts search.TopKOptions) ([]search.Match, *search.Stats, error)
@@ -45,6 +48,8 @@ type Backend interface {
 	Meta() index.Meta
 	Family() *hash.Family
 	IOStats() index.IOStats
+	// BuildID identifies the index build behind this backend, surfaced
+	// in /healthz and /metrics so operators can confirm a reload took.
 	BuildID() string
 }
 
@@ -69,7 +74,7 @@ type ShardClient interface {
 	IOStats() index.IOStats
 	SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error)
 	SearchTopKContext(ctx context.Context, query []uint32, opts search.TopKOptions) ([]search.Match, *search.Stats, error)
-	ExplainContext(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error)
+	Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error)
 	// CheckHealth verifies the shard is reachable and serving, and for
 	// remote shards refreshes the cached build id.
 	CheckHealth(ctx context.Context) error
@@ -93,32 +98,17 @@ func (e *MixedShardsError) Error() string {
 // Local is an in-process shard: a Backend (usually *core.Engine over
 // one shard's index directory) behind the ShardClient surface.
 type Local struct {
+	Backend
 	name string
-	b    Backend
 }
 
 // NewLocal wraps an opened backend as a shard named name (its index
 // directory, by convention).
 func NewLocal(name string, b Backend) *Local {
-	return &Local{name: name, b: b}
+	return &Local{Backend: b, name: name}
 }
 
-func (l *Local) Name() string           { return l.name }
-func (l *Local) Meta() index.Meta       { return l.b.Meta() }
-func (l *Local) BuildID() string        { return l.b.BuildID() }
-func (l *Local) IOStats() index.IOStats { return l.b.IOStats() }
-
-func (l *Local) SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error) {
-	return l.b.SearchContext(ctx, query, opts)
-}
-
-func (l *Local) SearchTopKContext(ctx context.Context, query []uint32, opts search.TopKOptions) ([]search.Match, *search.Stats, error) {
-	return l.b.SearchTopKContext(ctx, query, opts)
-}
-
-func (l *Local) ExplainContext(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error) {
-	return l.b.Explain(ctx, query, opts)
-}
+func (l *Local) Name() string { return l.name }
 
 // CheckHealth reports nil: an in-process shard is healthy as long as
 // its backend is open.
@@ -128,7 +118,7 @@ func (l *Local) CheckHealth(ctx context.Context) error {
 
 // Close closes the wrapped backend when it is closable.
 func (l *Local) Close() error {
-	if c, ok := l.b.(io.Closer); ok {
+	if c, ok := l.Backend.(io.Closer); ok {
 		return c.Close()
 	}
 	return nil
