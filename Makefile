@@ -75,6 +75,7 @@ fuzz-smoke:
 	$(GO) test ./internal/window/ -run FuzzCompactWindows -fuzz FuzzCompactWindows -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/window/ -run FuzzGenerateLinear -fuzz FuzzGenerateLinear -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run FuzzManifestParse -fuzz FuzzManifestParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/index/ -run FuzzTombstoneParse -fuzz FuzzTombstoneParse -fuzztime $(FUZZTIME)
 
 # CI "benchmark-check" job: the repo benchmark (BENCHMARK.json,
 # benchmark/README.md) is a nested module the root `go build/test ./...`

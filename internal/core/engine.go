@@ -90,8 +90,7 @@ func (e *Engine) SearchTopKContext(ctx context.Context, query []uint32, opts sea
 // Meta returns the opened index's metadata.
 func (e *Engine) Meta() index.Meta { return e.ix.Meta() }
 
-// BuildID identifies the index build this engine serves ("legacy" for
-// pre-manifest indexes).
+// BuildID identifies the index build this engine serves.
 func (e *Engine) BuildID() string { return e.ix.BuildID() }
 
 // SegmentCount reports how many immutable segments back this engine's

@@ -117,10 +117,10 @@ func fig3ef(e *Env) error {
 	fmt.Fprintln(w, "k\ttheta\tio ms\tcpu ms\ttotal ms\tavg #near-dups")
 	for _, k := range []int{16, 32} {
 		idxDir := filepath.Join(dir, fmt.Sprintf("idx-k%d", k))
-		if _, err := os.Stat(filepath.Join(idxDir, "index.meta")); err != nil {
-			if err := os.MkdirAll(idxDir, 0o755); err != nil {
-				return err
-			}
+		// An index a previous run left in the work dir is reused; anything
+		// that does not open is (re)built.
+		ix, err := index.Open(idxDir)
+		if err != nil {
 			r, err := corpus.OpenReader(corpusPath)
 			if err != nil {
 				return err
@@ -132,10 +132,9 @@ func fig3ef(e *Env) error {
 			if err != nil {
 				return err
 			}
-		}
-		ix, err := index.Open(idxDir)
-		if err != nil {
-			return err
+			if ix, err = index.Open(idxDir); err != nil {
+				return err
+			}
 		}
 		s := search.New(ix, c)
 		for _, theta := range []float64{0.7, 0.8, 0.9, 1.0} {

@@ -81,6 +81,16 @@ func (o *BuildOptions) fsys() fsio.FS {
 	return o.FS
 }
 
+// meta describes an index built with these options over a corpus of the
+// given size.
+func (o *BuildOptions) meta(numTexts int, totalTokens int64) Meta {
+	return Meta{
+		K: o.K, Seed: o.Seed, T: o.T,
+		NumTexts: numTexts, TotalTokens: totalTokens,
+		ZoneMapStep: o.ZoneMapStep, LongListCutoff: o.LongListCutoff,
+	}
+}
+
 // BuildStats reports what a build did. GenTime covers hashing, window
 // generation and record sorting (the CPU side); IOTime covers spill and
 // index file writes (the lower/upper bar split of Fig 2(i–l)).
@@ -106,63 +116,33 @@ func Build(c *corpus.Corpus, dir string, opts BuildOptions) (*BuildStats, error)
 		return nil, err
 	}
 	fsys := opts.fsys()
-	staging, err := beginBuild(fsys, dir, true)
+	stats := &BuildStats{WindowsPerFunc: make([]int64, opts.K)}
+	err = stagedBuild(fsys, dir, true, func(staging string) (Meta, []fileSum, error) {
+		sums := make([]fileSum, opts.K)
+		for fn := 0; fn < opts.K; fn++ {
+			recs, genDur := generateRecords(c, fam.Func(fn), opts.T, opts.Parallelism)
+			sortStart := time.Now()
+			sortRecords(recs)
+			genDur += time.Since(sortStart)
+			stats.GenTime += genDur
+			stats.WindowsPerFunc[fn] = int64(len(recs))
+			stats.Windows += int64(len(recs))
+
+			ioStart := time.Now()
+			sum, err := writeLists(fsys, staging, fn, recs, opts)
+			if err != nil {
+				return Meta{}, nil, err
+			}
+			stats.IOTime += time.Since(ioStart)
+			stats.BytesWritten += sum.size
+			sums[fn] = sum
+		}
+		return opts.meta(c.NumTexts(), c.TotalTokens()), sums, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	committed := false
-	defer func() {
-		if !committed {
-			discardStaging(fsys, staging)
-		}
-	}()
-
-	stats := &BuildStats{WindowsPerFunc: make([]int64, opts.K)}
-	sums := make([]fileSum, opts.K)
-	for fn := 0; fn < opts.K; fn++ {
-		recs, genDur := generateRecords(c, fam.Func(fn), opts.T, opts.Parallelism)
-		sortStart := time.Now()
-		sortRecords(recs)
-		genDur += time.Since(sortStart)
-		stats.GenTime += genDur
-		stats.WindowsPerFunc[fn] = int64(len(recs))
-		stats.Windows += int64(len(recs))
-
-		ioStart := time.Now()
-		sum, err := writeLists(fsys, staging, fn, recs, opts)
-		if err != nil {
-			return nil, err
-		}
-		stats.IOTime += time.Since(ioStart)
-		stats.BytesWritten += sum.size
-		sums[fn] = sum
-	}
-	meta := Meta{
-		K:              opts.K,
-		Seed:           opts.Seed,
-		T:              opts.T,
-		NumTexts:       c.NumTexts(),
-		TotalTokens:    c.TotalTokens(),
-		ZoneMapStep:    opts.ZoneMapStep,
-		LongListCutoff: opts.LongListCutoff,
-	}
-	if err := finishBuild(fsys, staging, dir, meta, sums); err != nil {
-		return nil, err
-	}
-	committed = true
 	return stats, nil
-}
-
-// finishBuild writes the metadata and manifest into the staging
-// directory and commits it as dir.
-func finishBuild(fsys fsio.FS, staging, dir string, meta Meta, sums []fileSum) error {
-	if err := writeMeta(fsys, staging, meta); err != nil {
-		return err
-	}
-	if err := writeManifest(fsys, staging, newManifest(meta, sums)); err != nil {
-		return err
-	}
-	return commitDir(fsys, staging, dir)
 }
 
 // generateRecords produces the (hash, posting) records of one hash

@@ -11,9 +11,9 @@ import (
 //
 // Builders never write into a live index directory. A build is staged
 // into a sibling temp directory ("<dir>.tmp-XXXX"), every data file is
-// fsynced as it is finished, the meta and manifest are written durably,
-// the staging directory itself is fsynced, and the build is then
-// committed by rename:
+// fsynced as it is finished, the manifest is written durably, the
+// staging directory itself is fsynced, and the build is then committed
+// by rename:
 //
 //	rename(dir, dir+".old")   // when dir already exists
 //	rename(staging, dir)
@@ -25,8 +25,9 @@ import (
 // old index parked at dir+".old" with dir absent (crash between the
 // renames; recoverBackup restores it), or the new index in place with
 // a leftover backup (crash before the final remove; recoverBackup
-// deletes it). Orphaned staging directories and spill files from
-// crashed builds are swept when the next build starts.
+// deletes it). Staging directories orphaned by crashed builds (spill
+// files included — they live inside) are swept when the next build
+// starts.
 
 // backupSuffix names the parked previous index during a commit swap.
 const backupSuffix = ".old"
@@ -41,11 +42,13 @@ func stagingPattern(dir string) (parent, pattern string) {
 // beginBuild prepares a staged build for target dir: it recovers any
 // interrupted commit, optionally sweeps orphaned artifacts of crashed
 // builds, and creates a fresh staging directory next to dir. The
-// caller must either commitDir the staging directory or remove it.
+// caller must either commitDir the staging directory or remove it
+// (best-effort: after an injected crash the removal itself fails, and
+// the orphan is swept by the next build instead).
 //
 // sweep must be false when a live temp workspace for dir already
-// exists nearby (BuildSharded's shard workspace, Append's delta): the
-// sweep matches the same naming pattern and would delete it.
+// exists nearby (BuildSharded's shard workspace): the sweep matches the
+// same naming pattern and would delete it.
 func beginBuild(fsys fsio.FS, dir string, sweep bool) (staging string, err error) {
 	parent, pattern := stagingPattern(dir)
 	if err := fsys.MkdirAll(parent, 0o755); err != nil {
@@ -66,9 +69,32 @@ func beginBuild(fsys fsio.FS, dir string, sweep bool) (staging string, err error
 	return staging, nil
 }
 
-// sweepOrphans removes build artifacts a crashed prior run may have
-// left behind: staging directories next to dir, and spill files of the
-// pre-staging external builder inside dir.
+// stagedBuild is the one way an index directory comes into being. write
+// fills a fresh staging directory with the k inverted files and returns
+// their metadata and checksums; the manifest describing them is added
+// and the staging directory committed as dir. A failure discards the
+// staging directory; short of commitDir's renames it leaves a previous
+// index at dir untouched.
+func stagedBuild(fsys fsio.FS, dir string, sweep bool, write func(staging string) (Meta, []fileSum, error)) error {
+	staging, err := beginBuild(fsys, dir, sweep)
+	if err != nil {
+		return err
+	}
+	meta, sums, err := write(staging)
+	if err == nil {
+		err = writeManifest(fsys, staging, newManifest(meta, sums))
+	}
+	if err == nil {
+		err = commitDir(fsys, staging, dir)
+	}
+	if err != nil {
+		fsys.RemoveAll(staging)
+	}
+	return err
+}
+
+// sweepOrphans removes the staging directories next to dir that a
+// crashed prior run may have left behind.
 func sweepOrphans(fsys fsio.FS, dir string) error {
 	parent, pattern := stagingPattern(dir)
 	stale, err := fsys.Glob(filepath.Join(parent, pattern))
@@ -80,22 +106,13 @@ func sweepOrphans(fsys fsio.FS, dir string) error {
 			return fmt.Errorf("index: sweep stale staging %s: %w", s, err)
 		}
 	}
-	spills, err := fsys.Glob(filepath.Join(dir, "spill-*"))
-	if err != nil {
-		return err
-	}
-	for _, s := range spills {
-		if err := fsys.Remove(s); err != nil {
-			return fmt.Errorf("index: sweep stale spill %s: %w", s, err)
-		}
-	}
 	return nil
 }
 
 // sweepSegments removes segment-lifecycle artifacts inside dir that the
 // manifest does not reference: segment directories left by a crash
 // between segment commit and manifest commit (including their staging
-// and backup leftovers), interrupted manifest/meta replacements, and
+// and backup leftovers), interrupted manifest replacements, and
 // retired tombstone bitmaps. Everything the manifest names is kept, so
 // the sweep is safe at any point a mutation is not in flight.
 func sweepSegments(fsys fsio.FS, dir string, m *Manifest) error {
@@ -108,7 +125,7 @@ func sweepSegments(fsys fsio.FS, dir string, m *Manifest) error {
 			ref[s.Tomb.Name] = true
 		}
 	}
-	for _, pattern := range []string{"seg-*", "tomb-*", manifestTmpPattern, metaFileName + ".tmp-*"} {
+	for _, pattern := range []string{"seg-*", "tomb-*", manifestTmpPattern} {
 		stale, err := fsys.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			return err
@@ -189,13 +206,4 @@ func commitDir(fsys fsio.FS, staging, dir string) error {
 		return fmt.Errorf("index: sync parent dir: %w", err)
 	}
 	return nil
-}
-
-// discardStaging removes a staging directory after a failed build,
-// best-effort: on an injected crash the removal itself fails, and the
-// orphan is swept by the next build instead.
-func discardStaging(fsys fsio.FS, staging string) {
-	if staging != "" {
-		fsys.RemoveAll(staging)
-	}
 }

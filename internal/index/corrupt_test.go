@@ -2,6 +2,7 @@ package index
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 
 	"ndss/internal/fsio"
@@ -122,12 +123,12 @@ func TestManifestRoundTripAfterBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	if id := ix.BuildID(); id == "" || id == "legacy" {
-		t.Fatalf("committed build has build id %q", id)
+	man, err := readManifest(fsio.OS, dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	man := ix.Manifest()
-	if man == nil {
-		t.Fatal("no manifest on a freshly built index")
+	if id := ix.BuildID(); id == "" || id != man.BuildID {
+		t.Fatalf("committed build has build id %q, manifest %q", id, man.BuildID)
 	}
 	if len(man.Segments) != 1 || man.Segments[0].Name != "" {
 		t.Fatalf("fresh build should commit a single root segment, got %+v", man.Segments)
@@ -206,26 +207,36 @@ func TestMixedBuildRejected(t *testing.T) {
 	}
 }
 
-// TestLegacyIndexWithoutManifestOpens covers the compatibility path:
-// a directory with only the bare metadata file (as written before
-// manifests existed) opens and reports build id "legacy".
-func TestLegacyIndexWithoutManifestOpens(t *testing.T) {
+// TestOpenWithoutManifestFails: the manifest is the only description of
+// an index, so a directory that lost it — even with every inverted file
+// intact — is refused with the typed error instead of being served
+// without a size/checksum cross-check, and no mutation touches it.
+func TestOpenWithoutManifestFails(t *testing.T) {
 	dir, _ := buildOnDisk(t)
 	if err := os.Remove(filepath.Join(dir, manifestFileName)); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Open(dir)
-	if err != nil {
-		t.Fatalf("legacy index should open: %v", err)
+	_, openErr := Open(dir)
+	_, appendErr := Append(dir, testCorpus(t, 2, 40, 60, 200, 5))
+	for op, err := range map[string]error{
+		"open":    openErr,
+		"append":  appendErr,
+		"delete":  Delete(dir, []uint32{1}),
+		"compact": Compact(dir),
+	} {
+		var noMan *NoManifestError
+		if !errors.As(err, &noMan) {
+			t.Fatalf("%s without a manifest: %v, want a *NoManifestError", op, err)
+		}
+		if noMan.Dir != dir || !strings.Contains(err.Error(), "rebuild") {
+			t.Fatalf("%s: diagnostic %q does not name the directory and the remedy", op, err)
+		}
 	}
-	defer ix.Close()
-	if ix.BuildID() != "legacy" {
-		t.Fatalf("legacy build id = %q", ix.BuildID())
-	}
-	if ix.Manifest() != nil {
-		t.Fatal("legacy index reports a manifest")
-	}
-	if err := ix.VerifyIntegrity(); err != nil {
-		t.Fatalf("legacy index failed integrity: %v", err)
+}
+
+func TestParseManifestRejectsVersion1(t *testing.T) {
+	_, err := parseManifest([]byte(`{"format_version":1,"build_id":"x","meta":{"k":1,"t":2},"files":[{"name":"index.000","size":64}]}`))
+	if err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("version-1 manifest: %v, want the format-version error", err)
 	}
 }

@@ -271,6 +271,93 @@ func TestAppendCrashLoop(t *testing.T) {
 	}
 }
 
+// TestAppendErrorMeansNotCommitted fails every mutating op of an append
+// and of a delete in turn (single-fault mode: the process lives on and
+// reports to its caller) and checks the contract retry decisions rest
+// on: an error without a committed build id means the directory still
+// holds the old build. Once the manifest rename has happened, the only
+// error left is a *CommitUnconfirmedError naming the visible build.
+func TestAppendErrorMeansNotCommitted(t *testing.T) {
+	base := testCorpus(t, 12, 30, 60, 100, 7)
+	extra := testCorpus(t, 8, 30, 60, 100, 9)
+	opts := BuildOptions{K: 2, Seed: 3, T: 10, Parallelism: 1}
+	mutations := map[string]func(fsys fsio.FS, dir string) (committedID string, err error){
+		"append": func(fsys fsio.FS, dir string) (string, error) { return appendFS(fsys, dir, extra) },
+		"delete": func(fsys fsio.FS, dir string) (string, error) {
+			err := deleteFS(fsys, dir, []uint32{3})
+			var unconfirmed *CommitUnconfirmedError
+			if errors.As(err, &unconfirmed) {
+				return unconfirmed.BuildID, err
+			}
+			return "", err
+		},
+	}
+	for name, mutate := range mutations {
+		dry := filepath.Join(t.TempDir(), "ix")
+		seedIndex(t, dry, base, opts)
+		counter := fsio.NewFaultFS(fsio.OS)
+		if _, err := mutate(counter, dry); err != nil {
+			t.Fatal(err)
+		}
+		unconfirmed := 0
+		for n := 1; n <= counter.Ops(); n++ {
+			dir := filepath.Join(t.TempDir(), "ix")
+			old := seedIndex(t, dir, base, opts)
+			id, err := mutate(fsio.NewFaultFS(fsio.OS).SetCrash(false).FailAt(n), dir)
+			got := openAndFingerprint(t, dir)
+			switch {
+			case err == nil:
+				if got == old {
+					t.Fatalf("%s op %d: success but the old build is still in place", name, n)
+				}
+			case id == "":
+				if got != old {
+					t.Fatalf("%s op %d: %v reported as not committed, but the directory changed: %+v -> %+v",
+						name, n, err, old, got)
+				}
+			default:
+				var ce *CommitUnconfirmedError
+				if !errors.As(err, &ce) || !errors.Is(err, fsio.ErrInjected) || got.buildID != id {
+					t.Fatalf("%s op %d: committed id %q with error %v, directory holds %+v", name, n, id, err, got)
+				}
+				unconfirmed++
+			}
+		}
+		if unconfirmed != 1 {
+			t.Fatalf("%s: %d fault points report committed-but-unconfirmed, want exactly the final directory fsync", name, unconfirmed)
+		}
+	}
+}
+
+// TestMutationOpCounts pins what each mutation costs in mutating
+// filesystem operations (creates, writes, fsyncs, renames, removes) on
+// the crash loops' K=2 fixture — every one of them is a crash point and,
+// on a real disk, mostly an fsync. A change that adds a write path to a
+// mutation shows up here.
+func TestMutationOpCounts(t *testing.T) {
+	base := testCorpus(t, 12, 30, 60, 100, 7)
+	extra := testCorpus(t, 8, 30, 60, 100, 9)
+	dir := filepath.Join(t.TempDir(), "ix")
+	seedIndex(t, dir, base, BuildOptions{K: 2, Seed: 3, T: 10})
+	for _, m := range []struct {
+		name string
+		want int
+		run  func(fsys fsio.FS) error
+	}{
+		{"append", 19, func(fsys fsio.FS) error { _, err := appendFS(fsys, dir, extra); return err }},
+		{"delete", 8, func(fsys fsio.FS) error { return deleteFS(fsys, dir, []uint32{3}) }},
+		{"compact", 16, func(fsys fsio.FS) error { return compactFS(fsys, dir) }},
+	} {
+		counter := fsio.NewFaultFS(fsio.OS)
+		if err := m.run(counter); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if got := counter.Ops(); got != m.want {
+			t.Errorf("%s: %d mutating ops, want %d", m.name, got, m.want)
+		}
+	}
+}
+
 // segmentedFixture builds a base index, appends a segment, and deletes
 // one text — the richest segment-set state the lifecycle mutations
 // start from.
@@ -492,20 +579,13 @@ func TestBuildSweepsOrphans(t *testing.T) {
 	parent := t.TempDir()
 	dir := filepath.Join(parent, "ix")
 
-	// Plant artifacts a crashed prior build could have left: a staging
-	// directory next to dir and a spill file inside dir.
+	// Plant what a crashed prior build could have left: a staging
+	// directory next to dir.
 	orphan := filepath.Join(parent, "ix.tmp-12345")
 	if err := os.MkdirAll(orphan, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(orphan, "index.000"), []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	spill := filepath.Join(dir, "spill-l0-p0-999")
-	if err := os.WriteFile(spill, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -514,9 +594,6 @@ func TestBuildSweepsOrphans(t *testing.T) {
 	}
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphan staging dir not swept: %v", err)
-	}
-	if _, err := os.Stat(spill); !os.IsNotExist(err) {
-		t.Fatalf("orphan spill not swept: %v", err)
 	}
 	openAndFingerprint(t, dir)
 }

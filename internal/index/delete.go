@@ -13,7 +13,9 @@ import (
 // never becomes a candidate; its postings stay on disk until Compact
 // purges them. Ids are never reused — the aggregate NumTexts keeps
 // counting the full id-space width. Deleting an already-deleted id is
-// a no-op; an id beyond the corpus is an error.
+// a no-op; an id beyond the corpus is an error. A
+// *CommitUnconfirmedError means the delete is committed and visible;
+// any other error means nothing changed.
 func Delete(dir string, ids []uint32) error {
 	return deleteFS(fsio.OS, dir, ids)
 }
@@ -25,7 +27,7 @@ func deleteFS(fsys fsio.FS, dir string, ids []uint32) error {
 	if err := recoverBackup(fsys, dir); err != nil {
 		return err
 	}
-	man, err := loadOrSynthesizeManifest(fsys, dir)
+	man, err := readManifest(fsys, dir)
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"path/filepath"
 	"time"
 
 	"ndss/internal/corpus"
@@ -35,17 +34,6 @@ func BuildExternal(r *corpus.Reader, dir string, opts BuildOptions) (*BuildStats
 		return nil, err
 	}
 	fsys := opts.fsys()
-	staging, err := beginBuild(fsys, dir, true)
-	if err != nil {
-		return nil, err
-	}
-	committed := false
-	defer func() {
-		if !committed {
-			discardStaging(fsys, staging)
-		}
-	}()
-
 	stats := &BuildStats{WindowsPerFunc: make([]int64, opts.K)}
 
 	// Estimate partition fan-out so one partition fits the budget:
@@ -56,27 +44,20 @@ func BuildExternal(r *corpus.Reader, dir string, opts BuildOptions) (*BuildStats
 		fanout = 512
 	}
 
-	sums := make([]fileSum, opts.K)
-	for fn := 0; fn < opts.K; fn++ {
-		sum, err := buildExternalFunc(r, fsys, staging, fn, fam.Func(fn), fanout, opts, stats)
-		if err != nil {
-			return nil, err
+	err = stagedBuild(fsys, dir, true, func(staging string) (Meta, []fileSum, error) {
+		sums := make([]fileSum, opts.K)
+		for fn := 0; fn < opts.K; fn++ {
+			sum, err := buildExternalFunc(r, fsys, staging, fn, fam.Func(fn), fanout, opts, stats)
+			if err != nil {
+				return Meta{}, nil, err
+			}
+			sums[fn] = sum
 		}
-		sums[fn] = sum
-	}
-	meta := Meta{
-		K:              opts.K,
-		Seed:           opts.Seed,
-		T:              opts.T,
-		NumTexts:       r.NumTexts(),
-		TotalTokens:    r.TotalTokens(),
-		ZoneMapStep:    opts.ZoneMapStep,
-		LongListCutoff: opts.LongListCutoff,
-	}
-	if err := finishBuild(fsys, staging, dir, meta, sums); err != nil {
+		return opts.meta(r.NumTexts(), r.TotalTokens()), sums, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	committed = true
 	return stats, nil
 }
 
@@ -309,20 +290,4 @@ func readAllRecords(f fsio.File, size int64) ([]record, error) {
 		recs[i] = decodeRecord(data[i*recordSize:])
 	}
 	return recs, nil
-}
-
-// CleanSpills removes leftover spill files from dir (normally none; a
-// crashed pre-manifest build may have left them — the staged builders
-// also sweep them automatically at build start).
-func CleanSpills(dir string) error {
-	matches, err := fsio.OS.Glob(filepath.Join(dir, "spill-*"))
-	if err != nil {
-		return err
-	}
-	for _, m := range matches {
-		if err := fsio.OS.Remove(m); err != nil {
-			return err
-		}
-	}
-	return nil
 }

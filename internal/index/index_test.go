@@ -326,33 +326,19 @@ func TestExternalBuildRecursivePartitioning(t *testing.T) {
 	assertIndexesEqual(t, mem, ext)
 }
 
-func TestMetaRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	m := Meta{K: 8, Seed: -3, T: 50, NumTexts: 10, TotalTokens: 999, ZoneMapStep: 64, LongListCutoff: 128}
-	if err := writeMeta(fsio.OS, dir, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readMeta(fsio.OS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != m {
-		t.Fatalf("meta round trip: %+v vs %+v", got, m)
-	}
-}
-
 func TestOpenRejectsBadDirs(t *testing.T) {
 	if _, err := Open(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Error("missing dir should fail")
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, metaFileName), []byte("{"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestFileName), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err == nil {
-		t.Error("corrupt meta should fail")
+		t.Error("corrupt manifest should fail")
 	}
-	if err := os.WriteFile(filepath.Join(dir, metaFileName), []byte(`{"k":1,"t":5}`), 0o644); err != nil {
+	man := newManifest(Meta{K: 1, T: 5}, []fileSum{{size: 64}})
+	if err := writeManifest(fsio.OS, dir, man); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err == nil {

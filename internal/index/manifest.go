@@ -25,19 +25,13 @@ import (
 // immutable segment (the k inverted files), Append adds a new segment
 // directory plus an atomically renamed manifest instead of rewriting
 // the index, deletes are per-segment tombstone bitmaps, and compaction
-// merges the segment set back into one. Version-1 manifests (one
-// monolithic file set) still parse: they are normalized into a
-// single-segment version-2 manifest whose segment lives at the
-// directory root. Directories without any manifest (written before
-// manifests existed) open through the index.meta compatibility path
-// with no cross-check, as a one-segment read-only set.
+// merges the segment set back into one. It is the only version this
+// build reads or writes; the manifest is the only description of an
+// index, so a directory without one is refused (*NoManifestError).
 
 const (
 	manifestFileName      = "index.manifest"
 	manifestFormatVersion = 2
-	// manifestVersionFlat is the pre-segment format: one file list at
-	// the top level, no segment entries.
-	manifestVersionFlat = 1
 
 	// manifestTmpPattern names in-progress manifest replacements;
 	// sweepSegments removes leftovers of interrupted commits.
@@ -79,16 +73,42 @@ type ManifestSegment struct {
 
 // Manifest is the on-disk index manifest. Meta aggregates the segment
 // set (NumTexts and TotalTokens are sums; the id space is the
-// concatenation of the segments in order). Files is only populated in
-// version-1 input and is folded into Segments by parseManifest.
+// concatenation of the segments in order).
 type Manifest struct {
 	FormatVersion int               `json:"format_version"`
 	BuildID       string            `json:"build_id"`
 	CreatedUnix   int64             `json:"created_unix"`
 	Meta          Meta              `json:"meta"`
-	Files         []ManifestFile    `json:"files,omitempty"`
 	Segments      []ManifestSegment `json:"segments,omitempty"`
 }
+
+// NoManifestError reports a directory that holds no index.manifest:
+// not an index at all, or one written before manifests existed. Nothing
+// else describes which files make up an index or what they must
+// contain, so such a directory is never opened or mutated.
+type NoManifestError struct {
+	Dir string
+}
+
+func (e *NoManifestError) Error() string {
+	return fmt.Sprintf("index: %s has no %s, so it is not an index this build can verify: rebuild it", e.Dir, manifestFileName)
+}
+
+// CommitUnconfirmedError reports a mutation whose manifest rename went
+// through — the new segment set is what every later Open sees — but
+// whose final directory fsync failed, so durability across a power loss
+// is unconfirmed. The mutation must not be retried: BuildID names the
+// build that is now visible.
+type CommitUnconfirmedError struct {
+	BuildID string
+	Err     error
+}
+
+func (e *CommitUnconfirmedError) Error() string {
+	return fmt.Sprintf("index: build %s is committed and visible but its durability is unconfirmed (do not retry the mutation): %v", e.BuildID, e.Err)
+}
+
+func (e *CommitUnconfirmedError) Unwrap() error { return e.Err }
 
 // MixedOptionsError reports a segment set whose members were built with
 // different hash parameters. Serving such a set would sketch queries
@@ -202,10 +222,10 @@ func writeManifest(fsys fsio.FS, dir string, m Manifest) error {
 // new manifest is written durably to a temp file and renamed over
 // index.manifest, so at every instant the directory names exactly one
 // consistent segment set — the old one or the new one, never a mix.
-// The aggregate index.meta is refreshed the same way afterwards (Open
-// prefers the manifest, so a crash between the two renames is benign).
 // A fresh build id is stamped: every committed segment-set change is a
-// distinct build.
+// distinct build. A failure after the rename is reported as
+// *CommitUnconfirmedError; any other error means the old manifest is
+// still in place.
 func commitManifest(fsys fsio.FS, dir string, m *Manifest) error {
 	m.FormatVersion = manifestFormatVersion
 	m.BuildID = newBuildID()
@@ -215,26 +235,11 @@ func commitManifest(fsys fsio.FS, dir string, m *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("index: marshal manifest: %w", err)
 	}
-	if err := replaceFileSync(fsys, dir, manifestFileName, data); err != nil {
+	// Write-to-temp, fsync, rename: readers see the old or the new
+	// manifest, never a torn write.
+	f, err := fsys.CreateTemp(dir, manifestTmpPattern)
+	if err != nil {
 		return fmt.Errorf("index: commit manifest: %w", err)
-	}
-	metaData, err := json.MarshalIndent(m.Meta, "", "  ")
-	if err != nil {
-		return fmt.Errorf("index: marshal meta: %w", err)
-	}
-	if err := replaceFileSync(fsys, dir, metaFileName, metaData); err != nil {
-		return fmt.Errorf("index: refresh meta: %w", err)
-	}
-	return nil
-}
-
-// replaceFileSync durably replaces dir/name via write-to-temp, fsync,
-// rename, fsync-dir. Readers see the old or the new content, never a
-// torn write.
-func replaceFileSync(fsys fsio.FS, dir, name string, data []byte) error {
-	f, err := fsys.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return err
 	}
 	tmp := f.Name()
 	_, err = f.Write(data)
@@ -244,19 +249,24 @@ func replaceFileSync(fsys fsio.FS, dir, name string, data []byte) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = fsys.Rename(tmp, filepath.Join(dir, manifestFileName))
+	}
 	if err != nil {
 		fsys.Remove(tmp)
-		return err
+		return fmt.Errorf("index: commit manifest: %w", err)
 	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		fsys.Remove(tmp)
-		return err
+	if err := fsys.SyncDir(dir); err != nil {
+		return &CommitUnconfirmedError{BuildID: m.BuildID, Err: fmt.Errorf("sync index dir: %w", err)}
 	}
-	return fsys.SyncDir(dir)
+	return nil
 }
 
 func readManifest(fsys fsio.FS, dir string) (*Manifest, error) {
 	data, err := fsys.ReadFile(filepath.Join(dir, manifestFileName))
+	if fsio.NotExist(err) {
+		return nil, &NoManifestError{Dir: dir}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("index: read manifest: %w", err)
 	}
@@ -265,10 +275,8 @@ func readManifest(fsys fsio.FS, dir string) (*Manifest, error) {
 
 // parseManifest decodes and validates manifest bytes. It is pure (no
 // I/O) and total: any input — torn, corrupt, or adversarial — yields a
-// validated *Manifest or an error, never a panic. Version-1 manifests
-// are normalized into the canonical single-root-segment version-2
-// shape, so every accepted manifest satisfies the same invariants and
-// round-trips stably through re-encoding.
+// validated *Manifest or an error, never a panic. Every accepted
+// manifest round-trips stably through re-encoding.
 func parseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
@@ -277,19 +285,7 @@ func parseManifest(data []byte) (*Manifest, error) {
 	if m.BuildID == "" {
 		return nil, fmt.Errorf("index: manifest has no build id")
 	}
-	switch m.FormatVersion {
-	case manifestVersionFlat:
-		if len(m.Segments) != 0 {
-			return nil, fmt.Errorf("index: version-1 manifest carries segment entries")
-		}
-		m.Segments = []ManifestSegment{{Name: "", Meta: m.Meta, Files: m.Files}}
-		m.Files = nil
-		m.FormatVersion = manifestFormatVersion
-	case manifestFormatVersion:
-		if len(m.Files) != 0 {
-			return nil, fmt.Errorf("index: version-2 manifest carries a top-level file list")
-		}
-	default:
+	if m.FormatVersion != manifestFormatVersion {
 		return nil, fmt.Errorf("index: manifest format version %d, this build understands %d",
 			m.FormatVersion, manifestFormatVersion)
 	}

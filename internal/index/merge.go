@@ -1,6 +1,7 @@
 package index
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -43,44 +44,39 @@ func mergeShardsFS(fsys fsio.FS, shardDirs []string, offsets []uint32, outDir st
 		defer ix.Close()
 		shards[i] = ix
 	}
-	base := shards[0].Meta()
-	merged := Meta{
-		K: base.K, Seed: base.Seed, T: base.T,
-		ZoneMapStep: base.ZoneMapStep, LongListCutoff: base.LongListCutoff,
-	}
+	return mergeInto(fsys, shards, offsets, outDir)
+}
+
+// mergeInto is the one multi-part writer: it merges the opened shards'
+// lists, shard i's text ids shifted by offsets[i], into a single root
+// segment staged next to outDir and committed atomically. A shard may
+// itself be a segment set — its reads concatenate segments in id order
+// and drop tombstoned postings — which is all compaction needs.
+func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) error {
+	merged := shards[0].Meta()
+	merged.NumTexts, merged.TotalTokens = 0, 0
 	for i, sh := range shards {
 		m := sh.Meta()
-		if m.K != base.K || m.Seed != base.Seed || m.T != base.T {
+		if m.K != merged.K || m.Seed != merged.Seed || m.T != merged.T {
 			return fmt.Errorf("index: shard %d parameters (k=%d seed=%d t=%d) differ from shard 0 (k=%d seed=%d t=%d)",
-				i, m.K, m.Seed, m.T, base.K, base.Seed, base.T)
+				i, m.K, m.Seed, m.T, merged.K, merged.Seed, merged.T)
 		}
 		merged.NumTexts += m.NumTexts
 		merged.TotalTokens += m.TotalTokens
 	}
-	staging, err := beginBuild(fsys, outDir, false)
-	if err != nil {
-		return err
-	}
-	committed := false
-	defer func() {
-		if !committed {
-			discardStaging(fsys, staging)
+	// No sweep: BuildSharded's shard workspace matches the orphan pattern
+	// and is still live.
+	return stagedBuild(fsys, outDir, false, func(staging string) (Meta, []fileSum, error) {
+		sums := make([]fileSum, merged.K)
+		for fn := range sums {
+			sum, err := mergeFunc(fsys, shards, offsets, staging, fn, merged)
+			if err != nil {
+				return Meta{}, nil, err
+			}
+			sums[fn] = sum
 		}
-	}()
-
-	sums := make([]fileSum, base.K)
-	for fn := 0; fn < base.K; fn++ {
-		sum, err := mergeFunc(fsys, shards, offsets, staging, fn, merged)
-		if err != nil {
-			return err
-		}
-		sums[fn] = sum
-	}
-	if err := finishBuild(fsys, staging, outDir, merged, sums); err != nil {
-		return err
-	}
-	committed = true
-	return nil
+		return merged, sums, nil
+	})
 }
 
 // mergeFunc k-way merges one hash function's lists across shards.
@@ -142,38 +138,6 @@ func mergeFunc(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string, f
 	return w.finish()
 }
 
-// loadOrSynthesizeManifest returns the directory's manifest, upgrading
-// a pre-manifest (bare index.meta) index on the fly: the legacy files
-// are opened once to recover their sizes and trailer checksums, and
-// described as a single root segment. The synthesized manifest exists
-// only in memory until the caller commits it.
-func loadOrSynthesizeManifest(fsys fsio.FS, dir string) (*Manifest, error) {
-	man, err := readManifest(fsys, dir)
-	if err == nil {
-		return man, nil
-	}
-	if !fsio.NotExist(err) {
-		return nil, err
-	}
-	ix, err := OpenFS(fsys, dir)
-	if err != nil {
-		return nil, err
-	}
-	defer ix.Close()
-	meta := ix.Meta()
-	seg := ManifestSegment{Name: "", Meta: meta}
-	for i, ff := range ix.segs[0].files {
-		seg.Files = append(seg.Files, ManifestFile{
-			Name: funcFileName(i), Size: ff.size, DirCRC: ff.dirCRC, RegionCRC: ff.regionCRC,
-		})
-	}
-	return &Manifest{
-		FormatVersion: manifestFormatVersion,
-		Meta:          meta,
-		Segments:      []ManifestSegment{seg},
-	}, nil
-}
-
 // Append extends an existing index at dir with new texts (ids continue
 // after the existing corpus) by building one new immutable segment in a
 // subdirectory and atomically committing a manifest that names it —
@@ -184,8 +148,11 @@ func loadOrSynthesizeManifest(fsys fsio.FS, dir string) (*Manifest, error) {
 // before the manifest rename publishes it, so a crash at any point
 // leaves the old segment set or the new one, never a mix; a segment
 // directory the manifest never came to name is swept by the next
-// mutation. Pre-manifest indexes are upgraded in place: their files
-// become the root segment of the committed manifest.
+// mutation.
+//
+// An error with buildID == "" means nothing was committed and the
+// append is safe to retry. A *CommitUnconfirmedError comes with the
+// build id it committed: the texts are in the index, do not re-append.
 func Append(dir string, newTexts *corpus.Corpus) (buildID string, err error) {
 	return appendFS(fsio.OS, dir, newTexts)
 }
@@ -194,7 +161,7 @@ func appendFS(fsys fsio.FS, dir string, newTexts *corpus.Corpus) (string, error)
 	if err := recoverBackup(fsys, dir); err != nil {
 		return "", err
 	}
-	man, err := loadOrSynthesizeManifest(fsys, dir)
+	man, err := readManifest(fsys, dir)
 	if err != nil {
 		return "", err
 	}
@@ -233,13 +200,18 @@ func appendFS(fsys fsio.FS, dir string, newTexts *corpus.Corpus) (string, error)
 		Meta:  seg.Meta,
 		Files: seg.Segments[0].Files,
 	})
+	// Report the committed build id: once the manifest is renamed into
+	// place the texts are part of the index whether or not the caller
+	// manages to swap a reloaded backend in, and retry decisions (a blind
+	// re-append would duplicate the texts) need the id of the committed
+	// build — also when the commit's trailing fsync failed.
 	if err := commitManifest(fsys, dir, man); err != nil {
+		var unconfirmed *CommitUnconfirmedError
+		if errors.As(err, &unconfirmed) {
+			return man.BuildID, err
+		}
 		return "", err
 	}
-	// Report the committed build id: once the manifest is durable the
-	// texts are part of the index whether or not the caller manages to
-	// swap a reloaded backend in, and retry decisions (a blind re-append
-	// would duplicate the texts) need the id of the committed build.
 	return man.BuildID, nil
 }
 
@@ -257,55 +229,18 @@ func Compact(dir string) error {
 }
 
 func compactFS(fsys fsio.FS, dir string) error {
-	if err := recoverBackup(fsys, dir); err != nil {
-		return err
-	}
 	ix, err := OpenFS(fsys, dir)
 	if err != nil {
 		return err
 	}
 	defer ix.Close()
-	if len(ix.segs) == 1 && ix.segs[0].tomb == nil && ix.manifest != nil {
+	if len(ix.segs) == 1 && ix.segs[0].tomb == nil {
 		return nil
 	}
-	// Each segment is read as a synthetic single-segment shard based at
-	// id 0 (its own tombstones still applied), and the shard-merge
-	// offsets restore the global ids — so compaction is exactly the
-	// shard merge the parallel builder uses, minus the dead postings.
-	shards := make([]*Index, len(ix.segs))
-	offsets := make([]uint32, len(ix.segs))
-	for i, seg := range ix.segs {
-		local := *seg
-		local.base = 0
-		shards[i] = &Index{meta: seg.meta, family: ix.family, segs: []*segment{&local}}
-		offsets[i] = seg.base
-	}
-	merged := ix.meta // aggregate NumTexts/TotalTokens: the id-space width is preserved
-	merged.ZoneMapStep = ix.segs[0].meta.ZoneMapStep
-	merged.LongListCutoff = ix.segs[0].meta.LongListCutoff
-	staging, err := beginBuild(fsys, dir, false)
-	if err != nil {
-		return err
-	}
-	committed := false
-	defer func() {
-		if !committed {
-			discardStaging(fsys, staging)
-		}
-	}()
-	sums := make([]fileSum, merged.K)
-	for fn := 0; fn < merged.K; fn++ {
-		sum, err := mergeFunc(fsys, shards, offsets, staging, fn, merged)
-		if err != nil {
-			return err
-		}
-		sums[fn] = sum
-	}
-	if err := finishBuild(fsys, staging, dir, merged, sums); err != nil {
-		return err
-	}
-	committed = true
-	return nil
+	// The aggregate meta carries the id-space width (tombstoned texts
+	// included), so merging the set as one shard at offset 0 preserves
+	// every surviving text id.
+	return mergeInto(fsys, []*Index{ix}, []uint32{0}, dir)
 }
 
 // BuildSharded splits an in-memory corpus into numShards consecutive
@@ -323,22 +258,10 @@ func BuildSharded(c *corpus.Corpus, dir string, opts BuildOptions, numShards int
 		return err
 	}
 	fsys := opts.fsys()
-	parent, pattern := stagingPattern(dir)
-	if err := fsys.MkdirAll(parent, 0o755); err != nil {
-		return err
-	}
-	if err := recoverBackup(fsys, dir); err != nil {
-		return err
-	}
-	// Sweep before creating the shard workspace; the final merge passes
-	// sweep=false since the workspace matches the orphan pattern.
-	if err := sweepOrphans(fsys, dir); err != nil {
-		return err
-	}
-	// Shard workspaces are siblings of dir so a crash leaves them as
-	// sweepable orphans, and the final merge commits into dir
-	// atomically.
-	tmp, err := fsys.MkdirTemp(parent, pattern)
+	// The shard workspace is a staging-pattern sibling of dir, so a crash
+	// leaves it as a sweepable orphan; the final merge stages beside it
+	// and commits into dir atomically.
+	tmp, err := beginBuild(fsys, dir, true)
 	if err != nil {
 		return err
 	}

@@ -1,19 +1,10 @@
 package index
 
-import (
-	"encoding/json"
-	"fmt"
-	"path/filepath"
+import "fmt"
 
-	"ndss/internal/fsio"
-)
-
-// Meta describes an index directory. It is stored as JSON in
-// index.meta so indexes are self-describing. Since the manifest era
-// (see manifest.go) index.meta is redundant with the manifest's
-// embedded Meta, but it is still written so older tools keep working;
-// Open prefers the manifest and falls back to bare index.meta for
-// indexes written before manifests existed.
+// Meta describes an index or one of its segments. It is stored as JSON
+// inside the manifest (see manifest.go), once per segment and once
+// aggregated over the segment set.
 type Meta struct {
 	// K is the number of hash functions (and inverted files).
 	K int `json:"k"`
@@ -32,8 +23,6 @@ type Meta struct {
 	LongListCutoff int `json:"long_list_cutoff"`
 }
 
-const metaFileName = "index.meta"
-
 // funcFileName names the inverted file of hash function i.
 func funcFileName(i int) string {
 	return fmt.Sprintf("index.%03d", i)
@@ -44,41 +33,4 @@ func (m Meta) validate() error {
 		return fmt.Errorf("index: invalid meta: k=%d t=%d", m.K, m.T)
 	}
 	return nil
-}
-
-func writeMeta(fsys fsio.FS, dir string, m Meta) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("index: marshal meta: %w", err)
-	}
-	if err := fsio.WriteFileSync(fsys, filepath.Join(dir, metaFileName), data); err != nil {
-		return fmt.Errorf("index: write meta: %w", err)
-	}
-	return nil
-}
-
-func readMeta(fsys fsio.FS, dir string) (Meta, error) {
-	var m Meta
-	data, err := fsys.ReadFile(filepath.Join(dir, metaFileName))
-	if err != nil {
-		return m, fmt.Errorf("index: read meta: %w", err)
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("index: parse meta: %w", err)
-	}
-	if err := m.validate(); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-// loadMeta returns the directory's metadata, preferring the manifest
-// and falling back to bare index.meta for pre-manifest indexes.
-func loadMeta(fsys fsio.FS, dir string) (Meta, error) {
-	if man, err := readManifest(fsys, dir); err == nil {
-		return man.Meta, nil
-	} else if !fsio.NotExist(err) {
-		return Meta{}, err
-	}
-	return readMeta(fsys, dir)
 }

@@ -22,10 +22,10 @@ import (
 // per-segment lists in segment order and stay sorted by global text id.
 // It is safe for concurrent readers.
 type Index struct {
-	meta     Meta      // aggregate over the segment set
-	manifest *Manifest // nil for pre-manifest (legacy) indexes
-	family   *hash.Family
-	segs     []*segment
+	meta    Meta   // aggregate over the segment set
+	buildID string // of the manifest the set was opened from
+	family  *hash.Family
+	segs    []*segment
 
 	// I/O accounting for the latency-split experiments (Fig 3). Updated
 	// atomically on every read.
@@ -75,15 +75,14 @@ func (e *ReadError) Unwrap() error { return e.Err }
 
 // Open opens an index directory written by one of the builders.
 //
-// A directory with a build manifest is cross-checked against it: every
+// The directory is cross-checked against its build manifest: every
 // segment's inverted files must exist with exactly the sizes and
 // checksums the manifest records, so a torn commit or a file swapped in
 // from a different build is rejected with a diagnostic instead of
 // serving wrong results. Segments built with different hash parameters
-// are rejected with a *MixedOptionsError. A leftover commit backup from
-// an interrupted swap is recovered first. Pre-manifest directories
-// (bare index.meta) still open read-only as a one-segment set,
-// reporting build id "legacy".
+// are rejected with a *MixedOptionsError, a directory without a
+// manifest with a *NoManifestError. A leftover commit backup from an
+// interrupted swap is recovered first.
 func Open(dir string) (*Index, error) {
 	return OpenFS(fsio.OS, dir)
 }
@@ -95,31 +94,17 @@ func OpenFS(fsys fsio.FS, dir string) (*Index, error) {
 		return nil, err
 	}
 	man, err := readManifest(fsys, dir)
-	if err != nil && !fsio.NotExist(err) {
-		return nil, err
-	}
-	var meta Meta
-	var msegs []ManifestSegment
-	if man != nil {
-		meta = man.Meta
-		msegs = man.Segments
-	} else {
-		// Pre-manifest index: a single unchecked root segment described
-		// by the bare metadata file.
-		meta, err = readMeta(fsys, dir)
-		if err != nil {
-			return nil, err
-		}
-		msegs = []ManifestSegment{{Name: "", Meta: meta}}
-	}
-	fam, err := hash.NewFamily(meta.K, meta.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{meta: meta, manifest: man, family: fam}
+	fam, err := hash.NewFamily(man.Meta.K, man.Meta.Seed)
+	if err != nil {
+		return nil, err
+	}
+	ix := &Index{meta: man.Meta, buildID: man.BuildID, family: fam}
 	var base int64
-	for _, mseg := range msegs {
-		seg, err := openSegment(fsys, dir, mseg, uint32(base), man != nil)
+	for _, mseg := range man.Segments {
+		seg, err := openSegment(fsys, dir, mseg, uint32(base))
 		if err != nil {
 			ix.Close()
 			return nil, err
@@ -131,8 +116,8 @@ func OpenFS(fsys fsio.FS, dir string) (*Index, error) {
 }
 
 // openSegment opens one segment's k inverted files (cross-checking each
-// against the manifest when present) and its tombstone bitmap.
-func openSegment(fsys fsio.FS, dir string, mseg ManifestSegment, base uint32, checked bool) (*segment, error) {
+// against the manifest) and its tombstone bitmap.
+func openSegment(fsys fsio.FS, dir string, mseg ManifestSegment, base uint32) (*segment, error) {
 	segDir := dir
 	if mseg.Name != "" {
 		segDir = filepath.Join(dir, mseg.Name)
@@ -145,11 +130,9 @@ func openSegment(fsys fsio.FS, dir string, mseg ManifestSegment, base uint32, ch
 			return nil, err
 		}
 		seg.files = append(seg.files, ff)
-		if checked {
-			if err := mseg.checkFile(i, ff.size, ff.dirCRC, ff.regionCRC); err != nil {
-				seg.close()
-				return nil, err
-			}
+		if err := mseg.checkFile(i, ff.size, ff.dirCRC, ff.regionCRC); err != nil {
+			seg.close()
+			return nil, err
 		}
 	}
 	if mseg.Tomb != nil {
@@ -163,13 +146,17 @@ func openSegment(fsys fsio.FS, dir string, mseg ManifestSegment, base uint32, ch
 	return seg, nil
 }
 
-func (s *segment) close() {
+// close releases the segment's file handles, reporting the first
+// failure.
+func (s *segment) close() error {
+	var first error
 	for _, ff := range s.files {
-		if ff != nil {
-			ff.f.Close()
+		if err := ff.f.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	s.files = nil
+	return first
 }
 
 // checkFile cross-checks an opened inverted file against the manifest
@@ -284,15 +271,9 @@ func (ix *Index) VerifyIntegrity() error {
 func (ix *Index) Close() error {
 	var first error
 	for _, seg := range ix.segs {
-		for _, ff := range seg.files {
-			if ff == nil {
-				continue
-			}
-			if err := ff.f.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := seg.close(); err != nil && first == nil {
+			first = err
 		}
-		seg.files = nil
 	}
 	ix.segs = nil
 	return first
@@ -303,19 +284,9 @@ func (ix *Index) Close() error {
 // width, so it includes tombstoned texts).
 func (ix *Index) Meta() Meta { return ix.meta }
 
-// Manifest returns the manifest the index was opened with, or nil for a
-// pre-manifest (legacy) index.
-func (ix *Index) Manifest() *Manifest { return ix.manifest }
-
 // BuildID identifies the committed segment set this index serves; every
-// build, append, delete, or compaction commits a fresh id. Pre-manifest
-// indexes report "legacy".
-func (ix *Index) BuildID() string {
-	if ix.manifest != nil {
-		return ix.manifest.BuildID
-	}
-	return "legacy"
-}
+// build, append, delete, or compaction commits a fresh id.
+func (ix *Index) BuildID() string { return ix.buildID }
 
 // Family returns the hash family the index was built with. Queries must
 // sketch with this family.
@@ -711,16 +682,14 @@ func (ix *Index) TotalPostings() int64 {
 	return n
 }
 
-// SizeOnDisk sums the sizes of every segment's inverted files.
+// SizeOnDisk sums the sizes of every segment's inverted files, as
+// validated against the manifest at Open. The error is always nil; the
+// signature predates that validation.
 func (ix *Index) SizeOnDisk() (int64, error) {
 	var n int64
 	for _, seg := range ix.segs {
 		for _, ff := range seg.files {
-			st, err := ff.f.Stat()
-			if err != nil {
-				return 0, err
-			}
-			n += st.Size()
+			n += ff.size
 		}
 	}
 	return n, nil

@@ -132,11 +132,11 @@ func TestAppendWritesOnlySegment(t *testing.T) {
 	}
 }
 
-// TestLegacyIndexOpensAsOneSegment covers the compatibility path end to
-// end: a pre-manifest directory opens as a one-segment set, and the
-// first mutation upgrades it to a manifested segment set whose results
-// match a from-scratch rebuild.
-func TestLegacyIndexOpensAsOneSegment(t *testing.T) {
+// TestOpenIgnoresStrayIndexMeta: builds before the manifest became the
+// only description also wrote an index.meta. Such a leftover is inert —
+// it neither blocks a mutation nor is consulted or rewritten by one —
+// and the next compaction's directory swap drops it.
+func TestOpenIgnoresStrayIndexMeta(t *testing.T) {
 	base := testCorpus(t, 14, 30, 60, 100, 7)
 	extra := testCorpus(t, 9, 30, 60, 100, 9)
 	opts := BuildOptions{K: 3, Seed: 17, T: 10, Parallelism: 1}
@@ -144,42 +144,48 @@ func TestLegacyIndexOpensAsOneSegment(t *testing.T) {
 	if _, err := Build(base, dir, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, manifestFileName)); err != nil {
+	stray := filepath.Join(dir, "index.meta")
+	// Deliberately contradicts the manifest: were it read, k would be 1.
+	junk := []byte(`{"k":1,"seed":99,"t":3,"num_texts":1}`)
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatalf("Build wrote an index.meta: %v", err)
+	}
+	if err := os.WriteFile(stray, junk, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	check := func(step string, segments int) {
+		t.Helper()
+		ix, err := Open(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		defer ix.Close()
+		if ix.K() != opts.K || ix.SegmentCount() != segments {
+			t.Fatalf("%s: k=%d segments=%d, want k=%d segments=%d", step, ix.K(), ix.SegmentCount(), opts.K, segments)
+		}
 	}
-	if ix.SegmentCount() != 1 {
-		t.Fatalf("legacy index has %d segments", ix.SegmentCount())
-	}
-	ix.Close()
-
+	check("open", 1)
 	if _, err := Append(dir, extra); err != nil {
 		t.Fatal(err)
 	}
-	ix, err = Open(dir)
-	if err != nil {
+	check("append", 2)
+	if err := Delete(dir, []uint32{2}); err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
-	if ix.BuildID() == "legacy" || ix.Manifest() == nil {
-		t.Fatal("append did not upgrade the legacy index to a manifest")
+	check("delete", 2)
+	if got, err := os.ReadFile(stray); err != nil || string(got) != string(junk) {
+		t.Fatalf("append/delete touched the stray index.meta: %q, %v", got, err)
 	}
-	if ix.SegmentCount() != 2 {
-		t.Fatalf("segment count = %d, want 2", ix.SegmentCount())
+	if m, _ := filepath.Glob(filepath.Join(dir, "*", "index.meta")); len(m) != 0 {
+		t.Fatalf("append wrote an index.meta into its segment: %v", m)
 	}
-
-	both := corpus.New(nil)
-	for id := 0; id < base.NumTexts(); id++ {
-		both.Append(base.Text(uint32(id)))
+	if err := Compact(dir); err != nil {
+		t.Fatal(err)
 	}
-	for id := 0; id < extra.NumTexts(); id++ {
-		both.Append(extra.Text(uint32(id)))
+	check("compact", 1)
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Fatalf("compaction resurrected the stray index.meta: %v", err)
 	}
-	ref, _ := buildIndex(t, both, opts)
-	assertIndexesEqual(t, ref, ix)
 }
 
 // TestMixedOptionsRejected tampers a committed manifest so one segment

@@ -1,36 +1,6 @@
 package index
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-func TestCleanSpills(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"spill-l0-p0-abc", "spill-l1-p3-def"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keep := filepath.Join(dir, "index.000")
-	if err := os.WriteFile(keep, []byte("y"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := CleanSpills(dir); err != nil {
-		t.Fatal(err)
-	}
-	left, err := filepath.Glob(filepath.Join(dir, "spill-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("spills remain: %v", left)
-	}
-	if _, err := os.Stat(keep); err != nil {
-		t.Fatal("non-spill file was removed")
-	}
-}
+import "testing"
 
 func TestPartitionOfSpreadsHashes(t *testing.T) {
 	// Different hash values must not all collapse into one partition at

@@ -87,6 +87,9 @@ func parseTombstone(data []byte, want *ManifestTombstone, numTexts int) (*tombSe
 	if len(bitmap) != (n+7)/8 {
 		return nil, fmt.Errorf("index: tombstone %s: bitmap truncated", want.Name)
 	}
+	if pad := n % 8; pad != 0 && bitmap[len(bitmap)-1]>>pad != 0 {
+		return nil, fmt.Errorf("index: tombstone %s marks ids beyond its %d texts", want.Name, n)
+	}
 	t := &tombSet{n: n, bits: bitmap}
 	if got := t.count(); got != want.Deleted {
 		return nil, fmt.Errorf("index: tombstone %s marks %d texts, manifest records %d", want.Name, got, want.Deleted)

@@ -90,9 +90,6 @@ func TestWriterZoneMapThreshold(t *testing.T) {
 	if _, err := w.finish(); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMeta(fsio.OS, dir, Meta{K: 1, Seed: 0, T: 5}); err != nil {
-		t.Fatal(err)
-	}
 	ff, err := openFuncFile(fsio.OS, filepath.Join(dir, funcFileName(0)), 0)
 	if err != nil {
 		t.Fatal(err)

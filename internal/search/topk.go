@@ -55,6 +55,20 @@ func (s *Searcher) SearchTopKContext(ctx context.Context, query []uint32, opts T
 	// so charge it explicitly: Total/CPUTime stay the query's true cost
 	// and the merge stage absorbs the rank time in the decomposition.
 	rankStart := obs.NowMono()
+	matches = RankTopK(matches, opts.N)
+	rank := obs.SinceMono(rankStart)
+	st.Total += rank
+	st.CPUTime += rank
+	st.StageTimes.Merge += rank
+	st.Matches = len(matches)
+	return matches, st, nil
+}
+
+// RankTopK sorts matches best-first — most collisions, ties by text id
+// then start — and keeps the first n. It is the one top-k order: the
+// shard coordinator ranks merged per-shard results with it, which is
+// what makes sharded tie order identical to a single index's.
+func RankTopK(matches []Match, n int) []Match {
 	sort.Slice(matches, func(i, j int) bool {
 		if matches[i].Collisions != matches[j].Collisions {
 			return matches[i].Collisions > matches[j].Collisions
@@ -64,13 +78,8 @@ func (s *Searcher) SearchTopKContext(ctx context.Context, query []uint32, opts T
 		}
 		return matches[i].Start < matches[j].Start
 	})
-	if len(matches) > opts.N {
-		matches = matches[:opts.N]
+	if len(matches) > n {
+		matches = matches[:n]
 	}
-	rank := obs.SinceMono(rankStart)
-	st.Total += rank
-	st.CPUTime += rank
-	st.StageTimes.Merge += rank
-	st.Matches = len(matches)
-	return matches, st, nil
+	return matches
 }

@@ -123,6 +123,56 @@ func TestIngestSwapFailureCommitsAndRecoversByReload(t *testing.T) {
 	}
 }
 
+// TestIngestUnconfirmedCommitIsNotRetriable is the twin for the other
+// way a committed append can come back with an error: the manifest
+// rename went through but its trailing directory fsync failed, so
+// index.Append returns the committed build id beside a
+// *CommitUnconfirmedError. The server must swap the build in and answer
+// in the committed shape — never the plain 500 that invites a re-send.
+func TestIngestUnconfirmedCommitIsNotRetriable(t *testing.T) {
+	srv, _ := ingestFixture(t, 0)
+	realIngester := srv.cfg.Ingester
+	srv.cfg.Ingester = func(texts [][]uint32) (string, error) {
+		id, err := realIngester(texts)
+		if err != nil {
+			return id, err
+		}
+		return id, &index.CommitUnconfirmedError{BuildID: id, Err: fsio.ErrInjected}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	oldID := healthzBuildID(t, ts)
+
+	snip := snippet(2, 30)
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/ingest", ingestRequest{Texts: [][]uint32{snip}})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("ingest with unconfirmed commit: %d (%s), want 500", resp.StatusCode, body)
+	}
+	var ir struct {
+		Status           string `json:"status"`
+		CommittedBuildID string `json:"committed_build_id"`
+	}
+	if err := json.Unmarshal(body, &ir); err != nil {
+		t.Fatal(err)
+	}
+	if ir.Status != "committed_swap_failed" || ir.CommittedBuildID == "" || ir.CommittedBuildID == oldID {
+		t.Fatalf("unconfirmed-commit response = %+v (old build %q); want the committed shape with the new build id", ir, oldID)
+	}
+	// The committed build is already serving, exactly one copy of the text.
+	if id := healthzBuildID(t, ts); id != ir.CommittedBuildID {
+		t.Fatalf("healthz build id = %q, want the committed %q", id, ir.CommittedBuildID)
+	}
+	if ms := searchMatches(t, ts, snip, 0.9); len(ms) != 1 {
+		t.Fatalf("ingested text: %d matches, want exactly 1", len(ms))
+	}
+	_, err := srv.Ingest([][]uint32{snippet(4, 30)})
+	var swapErr *SwapError
+	var unconfirmed *index.CommitUnconfirmedError
+	if !errors.As(err, &swapErr) || !errors.As(err, &unconfirmed) || swapErr.CommittedBuildID != unconfirmed.BuildID {
+		t.Fatalf("Ingest error = %v, want a SwapError wrapping the CommitUnconfirmedError", err)
+	}
+}
+
 // TestIngestAppendFailureIsRetriable pins the other half of the typed
 // contract: when the append itself fails (nothing committed), the error
 // is NOT a SwapError and re-sending the same texts is safe.

@@ -78,7 +78,7 @@ func TestReloadSwapsBuild(t *testing.T) {
 	defer ts.Close()
 
 	oldID := healthzBuildID(t, ts)
-	if oldID == "" || oldID == "legacy" {
+	if oldID == "" {
 		t.Fatalf("healthz build id = %q", oldID)
 	}
 

@@ -86,10 +86,13 @@ type Config struct {
 	// Nil disables hot reload (the endpoint answers 501).
 	Reloader func() (Backend, error)
 	// Ingester appends new texts to the index as a fresh segment (the
-	// POST /ingest mutation) and reports the committed build id. It runs
-	// with the old backend still serving; the server hot-swaps via
-	// Reloader once it returns, so Ingester requires Reloader. Nil
-	// disables ingest (501).
+	// POST /ingest mutation) and reports the committed build id. An
+	// error with an empty build id means nothing was committed; an error
+	// beside a build id means the texts are in the index but the commit
+	// did not finish cleanly (index.Append's contract). It runs with the
+	// old backend still serving; the server hot-swaps via Reloader once
+	// it returns, so Ingester requires Reloader. Nil disables ingest
+	// (501).
 	Ingester func(texts [][]uint32) (buildID string, err error)
 	// Compactor merges the index's segment set into one segment (the
 	// POST /admin/compact mutation), hot-swapped like Ingester. Nil
@@ -316,26 +319,28 @@ var ErrNoIngester = errors.New("server: no ingester configured")
 // without a Compactor.
 var ErrNoCompactor = errors.New("server: no compactor configured")
 
-// SwapError reports a mutation that durably committed a new index build
-// but failed to swap a reloaded backend into service. The mutation is
+// SwapError reports a mutation that committed a new index build on disk
+// but did not finish cleanly: the swap to a reloaded backend failed, or
+// the commit itself could not confirm its durability. The mutation is
 // NOT safe to retry blindly: the texts (or the compaction) are already
 // part of the on-disk index under CommittedBuildID, so a re-ingest of
 // the same texts would duplicate them. The right recovery is to retry
 // the swap alone (POST /admin/reload) and confirm the reported build id
-// is serving. Unwrap exposes the reload failure.
+// is serving. Unwrap exposes the underlying failure.
 type SwapError struct {
 	// Op is the mutation that committed: "ingest" or "compact".
 	Op string
 	// CommittedBuildID is the build the mutation committed on disk
 	// ("" for compact, whose compactor does not report one).
 	CommittedBuildID string
-	// Err is the reload failure that left the old backend serving.
+	// Err is the reload failure that left the old backend serving, or
+	// the commit's unconfirmed-durability error (possibly both, joined).
 	Err error
 }
 
 func (e *SwapError) Error() string {
 	if e.CommittedBuildID != "" {
-		return fmt.Sprintf("server: %s committed build %s but backend swap failed (do not re-run the %s; reload instead): %v",
+		return fmt.Sprintf("server: %s committed build %s but did not complete (do not re-run the %s; reload instead): %v",
 			e.Op, e.CommittedBuildID, e.Op, e.Err)
 	}
 	return fmt.Sprintf("server: %s committed but backend swap failed (reload instead of re-running): %v", e.Op, e.Err)
@@ -356,18 +361,19 @@ func (s *Server) Ingest(texts [][]uint32) (buildID string, err error) {
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
 	committedID, err := s.cfg.Ingester(texts)
-	if err != nil {
+	if err != nil && committedID == "" {
 		// Nothing committed: the append failed before its manifest
 		// rename, so retrying this exact ingest is safe.
 		return "", fmt.Errorf("server: ingest: %w", err)
 	}
-	_, newID, err := s.Reload()
-	if err != nil {
-		// The append IS durable — only the swap failed. Surface the
-		// committed build id and a typed error so callers don't retry
-		// the append (which would duplicate the texts) when a plain
-		// reload is what's needed.
-		s.log.Error("ingest committed but backend swap failed; reload to serve it, do not re-ingest",
+	// The texts are in the on-disk index from here on, even when err says
+	// the commit could not confirm its durability: swap them in either
+	// way, and report any failure with the committed build id and a typed
+	// error so callers don't retry the append (which would duplicate the
+	// texts) when a plain reload is what's needed.
+	_, newID, reloadErr := s.Reload()
+	if err := errors.Join(err, reloadErr); err != nil {
+		s.log.Error("ingest committed but did not complete; reload to serve it, do not re-ingest",
 			"committed_build_id", committedID, "texts", len(texts), "error", err)
 		return committedID, &SwapError{Op: "ingest", CommittedBuildID: committedID, Err: err}
 	}
@@ -483,9 +489,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrNoIngester):
 		s.writeError(w, r, http.StatusNotImplemented, ErrNoIngester.Error())
 	case errors.As(err, &swapErr):
-		// The append is durable; only the serving swap failed. Tell the
-		// client exactly that, with the committed build id, so its retry
-		// is a reload — not a duplicate ingest.
+		// The append is committed; the swap or the commit's durability
+		// check failed. Tell the client exactly that, with the committed
+		// build id, so its retry is a reload — not a duplicate ingest.
 		s.met.internals.Add(1)
 		writeJSON(w, http.StatusInternalServerError, map[string]any{
 			"error":              swapErr.Error(),

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -382,18 +381,7 @@ func (c *Coordinator) merge(ctx context.Context, base obs.Mono, results []legRes
 
 	mergeStart := obs.NowMono()
 	if topN > 0 {
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Collisions != out[j].Collisions {
-				return out[i].Collisions > out[j].Collisions
-			}
-			if out[i].TextID != out[j].TextID {
-				return out[i].TextID < out[j].TextID
-			}
-			return out[i].Start < out[j].Start
-		})
-		if len(out) > topN {
-			out = out[:topN]
-		}
+		out = search.RankTopK(out, topN)
 	}
 	st.Matches = len(out)
 	mergeDur := obs.SinceMono(mergeStart)
