@@ -12,7 +12,7 @@ FUZZTIME ?= 2m
 NDSS_LEAKCHECK ?= 1
 export NDSS_LEAKCHECK
 
-.PHONY: all build test race leakcheck lint vet fmt fuzz-smoke benchmark-check shard-suite chaos-suite ci
+.PHONY: all build test race leakcheck lint vet fmt fuzz-smoke bench-smoke benchmark-check shard-suite chaos-suite ci
 
 all: build
 
@@ -77,6 +77,12 @@ fuzz-smoke:
 	$(GO) test ./internal/index/ -run FuzzManifestParse -fuzz FuzzManifestParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run FuzzTombstoneParse -fuzz FuzzTombstoneParse -fuzztime $(FUZZTIME)
 
+# CI "bench-smoke" job: one iteration of the query-path microbenchmarks
+# (internal/search/bench_test.go) so they cannot rot. Measuring while you
+# work is the same command with a real -benchtime and -count.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'Search(Hit|Miss)|IntervalScan|CollisionCount' -benchtime 1x ./internal/search/
+
 # CI "benchmark-check" job: the repo benchmark (BENCHMARK.json,
 # benchmark/README.md) is a nested module the root `go build/test ./...`
 # do not reach; vet and test it here so an internal/ rename can never
@@ -85,4 +91,4 @@ benchmark-check:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
 
 # Everything a merge gate runs.
-ci: race lint shard-suite chaos-suite test benchmark-check
+ci: race lint shard-suite chaos-suite test bench-smoke benchmark-check

@@ -33,9 +33,10 @@ func TestReadAtTruncatedFileCountsActualBytes(t *testing.T) {
 	// Pick the last list of function 0 (highest offset) so truncating
 	// mid-list leaves the directory of the still-open file readable.
 	fn := 0
-	entries := ix.segs[0].files[fn].entries
+	ff := ix.segs[0].files[fn]
 	var target dirEntry
-	for _, e := range entries {
+	for i := range ff.hashes {
+		e := ff.entry(i)
 		if e.Count > 1 && e.Off >= target.Off {
 			target = e
 		}
@@ -89,7 +90,9 @@ func TestHasZoneMap(t *testing.T) {
 	defer ix.Close()
 	long, short := 0, 0
 	for fn := 0; fn < ix.K(); fn++ {
-		for _, e := range ix.segs[0].files[fn].entries {
+		ff := ix.segs[0].files[fn]
+		for i := range ff.hashes {
+			e := ff.entry(i)
 			got := ix.HasZoneMap(fn, e.Hash)
 			if want := e.ZoneCount > 0; got != want {
 				t.Fatalf("fn %d hash %x: HasZoneMap %v, ZoneCount %d", fn, e.Hash, got, e.ZoneCount)

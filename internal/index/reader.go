@@ -1,11 +1,13 @@
 package index
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,15 +47,27 @@ type segment struct {
 }
 
 // funcFile is one opened inverted file with its directory resident in
-// memory.
+// memory. The directory is held column-wise — row i describes the list
+// of hashes[i], rows ascend by hash — and the zone-map columns only for
+// the few (long) lists that have one: 20 bytes a list instead of the 32
+// of a dirEntry, and lookups stride over 8-byte hashes.
 type funcFile struct {
 	f         fsio.File
 	path      string
 	size      int64
-	entries   []dirEntry // sorted by hash
+	hashes    []uint64
+	offs      []uint64
+	counts    []uint32
+	zones     []zoneRef // rows with a zone map, ascending by row
 	dirOff    uint64
 	regionCRC uint32
 	dirCRC    uint32
+}
+
+// zoneRef is the zone-map part of directory row idx.
+type zoneRef struct {
+	idx, count uint32
+	off        uint64
 }
 
 // ReadError reports a failed or short read of an inverted file with
@@ -224,26 +238,27 @@ func openFuncFile(fsys fsio.FS, path string, wantIdx int) (*funcFile, error) {
 		f.Close()
 		return nil, fmt.Errorf("index: %s: directory checksum mismatch (%08x != %08x)", path, got, dirCRC)
 	}
-	entries := make([]dirEntry, numLists)
-	for i := range entries {
-		b := buf[i*dirEntrySize:]
-		entries[i] = dirEntry{
-			Hash:      binary.LittleEndian.Uint64(b[0:]),
-			Off:       binary.LittleEndian.Uint64(b[8:]),
-			Count:     binary.LittleEndian.Uint32(b[16:]),
-			ZoneCount: binary.LittleEndian.Uint32(b[20:]),
-			ZoneOff:   binary.LittleEndian.Uint64(b[24:]),
-		}
-	}
-	return &funcFile{
+	ff := &funcFile{
 		f:         f,
 		path:      path,
 		size:      st.Size(),
-		entries:   entries,
+		hashes:    make([]uint64, numLists),
+		offs:      make([]uint64, numLists),
+		counts:    make([]uint32, numLists),
 		dirOff:    dirOff,
 		regionCRC: regionCRC,
 		dirCRC:    dirCRC,
-	}, nil
+	}
+	for i := range ff.hashes {
+		b := buf[i*dirEntrySize:]
+		ff.hashes[i] = binary.LittleEndian.Uint64(b[0:])
+		ff.offs[i] = binary.LittleEndian.Uint64(b[8:])
+		ff.counts[i] = binary.LittleEndian.Uint32(b[16:])
+		if zc := binary.LittleEndian.Uint32(b[20:]); zc > 0 {
+			ff.zones = append(ff.zones, zoneRef{idx: uint32(i), count: zc, off: binary.LittleEndian.Uint64(b[24:])})
+		}
+	}
+	return ff, nil
 }
 
 // VerifyIntegrity re-reads every segment's postings/zones regions and
@@ -322,22 +337,51 @@ func (ix *Index) Segments() []SegmentInfo {
 		}
 		for _, ff := range seg.files {
 			info.SizeOnDisk += ff.size
-			for _, e := range ff.entries {
-				info.Postings += int64(e.Count)
-			}
+			info.Postings += ff.postings()
 		}
 		out[i] = info
 	}
 	return out
 }
 
-// lookup finds the directory entry for hash h in function fn.
-func (ff *funcFile) lookup(h uint64) (dirEntry, bool) {
-	i := sort.Search(len(ff.entries), func(i int) bool { return ff.entries[i].Hash >= h })
-	if i < len(ff.entries) && ff.entries[i].Hash == h {
-		return ff.entries[i], true
+// find returns the directory row of the list for hash h.
+func (ff *funcFile) find(h uint64) (int, bool) {
+	return slices.BinarySearch(ff.hashes, h)
+}
+
+// zone returns the zone-map columns of directory row i, zeroes when the
+// list has no zone map.
+func (ff *funcFile) zone(i int) (count uint32, off uint64) {
+	z, ok := slices.BinarySearchFunc(ff.zones, uint32(i), func(r zoneRef, idx uint32) int { return cmp.Compare(r.idx, idx) })
+	if !ok {
+		return 0, 0
 	}
-	return dirEntry{}, false
+	return ff.zones[z].count, ff.zones[z].off
+}
+
+// entry assembles directory row i.
+func (ff *funcFile) entry(i int) dirEntry {
+	e := dirEntry{Hash: ff.hashes[i], Off: ff.offs[i], Count: ff.counts[i]}
+	e.ZoneCount, e.ZoneOff = ff.zone(i)
+	return e
+}
+
+// lookup finds the directory entry for hash h.
+func (ff *funcFile) lookup(h uint64) (dirEntry, bool) {
+	i, ok := ff.find(h)
+	if !ok {
+		return dirEntry{}, false
+	}
+	return ff.entry(i), true
+}
+
+// postings sums the file's list lengths.
+func (ff *funcFile) postings() int64 {
+	var n int64
+	for _, c := range ff.counts {
+		n += int64(c)
+	}
+	return n
 }
 
 // ListLength returns the posting count of the inverted list for hash h
@@ -347,8 +391,8 @@ func (ff *funcFile) lookup(h uint64) (dirEntry, bool) {
 func (ix *Index) ListLength(fn int, h uint64) int {
 	n := 0
 	for _, seg := range ix.segs {
-		if e, ok := seg.files[fn].lookup(h); ok {
-			n += int(e.Count)
+		if i, ok := seg.files[fn].find(h); ok {
+			n += int(seg.files[fn].counts[i])
 		}
 	}
 	return n
@@ -361,11 +405,11 @@ func (ix *Index) ListLength(fn int, h uint64) int {
 func (ix *Index) HasZoneMap(fn int, h uint64) bool {
 	found := false
 	for _, seg := range ix.segs {
-		e, ok := seg.files[fn].lookup(h)
+		i, ok := seg.files[fn].find(h)
 		if !ok {
 			continue
 		}
-		if e.ZoneCount == 0 {
+		if zc, _ := seg.files[fn].zone(i); zc == 0 {
 			return false
 		}
 		found = true
@@ -377,7 +421,7 @@ func (ix *Index) HasZoneMap(fn int, h uint64) bool {
 // across the segment set.
 func (ix *Index) NumLists(fn int) int {
 	if len(ix.segs) == 1 {
-		return len(ix.segs[0].files[fn].entries)
+		return len(ix.segs[0].files[fn].hashes)
 	}
 	return len(ix.Hashes(fn))
 }
@@ -386,44 +430,32 @@ func (ix *Index) NumLists(fn int) int {
 // function fn, in ascending order, deduplicated across segments.
 func (ix *Index) Hashes(fn int) []uint64 {
 	if len(ix.segs) == 1 {
-		entries := ix.segs[0].files[fn].entries
-		out := make([]uint64, len(entries))
-		for i, e := range entries {
-			out[i] = e.Hash
-		}
-		return out
+		return slices.Clone(ix.segs[0].files[fn].hashes)
 	}
 	var all []uint64
 	for _, seg := range ix.segs {
-		for _, e := range seg.files[fn].entries {
-			all = append(all, e.Hash)
-		}
+		all = append(all, seg.files[fn].hashes...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	out := all[:0]
-	for i, h := range all {
-		if i == 0 || h != all[i-1] {
-			out = append(out, h)
-		}
-	}
-	return out
+	slices.Sort(all)
+	return slices.Compact(all)
 }
 
 // ListLengths returns the posting counts of every distinct list of
 // function fn, unordered. Used to pick prefix-filtering cutoffs.
 func (ix *Index) ListLengths(fn int) []int {
 	if len(ix.segs) == 1 {
-		entries := ix.segs[0].files[fn].entries
-		out := make([]int, len(entries))
-		for i, e := range entries {
-			out[i] = int(e.Count)
+		counts := ix.segs[0].files[fn].counts
+		out := make([]int, len(counts))
+		for i, c := range counts {
+			out[i] = int(c)
 		}
 		return out
 	}
 	counts := make(map[uint64]int)
 	for _, seg := range ix.segs {
-		for _, e := range seg.files[fn].entries {
-			counts[e.Hash] += int(e.Count)
+		ff := seg.files[fn]
+		for i, h := range ff.hashes {
+			counts[h] += int(ff.counts[i])
 		}
 	}
 	out := make([]int, 0, len(counts))
@@ -674,9 +706,7 @@ func (ix *Index) TotalPostings() int64 {
 	var n int64
 	for _, seg := range ix.segs {
 		for _, ff := range seg.files {
-			for _, e := range ff.entries {
-				n += int64(e.Count)
-			}
+			n += ff.postings()
 		}
 	}
 	return n

@@ -95,7 +95,8 @@ func TestWriterZoneMapThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ff.f.Close()
-	for _, e := range ff.entries {
+	for i := range ff.hashes {
+		e := ff.entry(i)
 		switch e.Hash {
 		case 5:
 			if e.ZoneCount != 0 {

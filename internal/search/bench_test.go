@@ -1,0 +1,128 @@
+package search
+
+import (
+	"math/rand"
+	"testing"
+
+	"ndss/internal/corpus"
+	"ndss/internal/index"
+)
+
+// benchFixture builds an index shaped like the repo benchmark's (K=32,
+// T=25, Zipf 1.07 over a 32000-token vocabulary) and returns a warmed
+// Searcher with one 64-token query that has a planted match and one
+// drawn from an unrelated corpus.
+func benchFixture(tb testing.TB) (s *Searcher, hit, miss []uint32, opts Options) {
+	tb.Helper()
+	cfg := corpus.SynthConfig{
+		NumTexts: 300, MinLength: 100, MaxLength: 700, VocabSize: 32000,
+		ZipfS: 1.07, Seed: 1, DupRate: 0.15, DupSnippetLen: 64, DupMutateProb: 0.05,
+	}
+	c := corpus.MustSynthesize(cfg)
+	dir := tb.TempDir()
+	if _, err := index.Build(c, dir, index.BuildOptions{K: 32, Seed: 1, T: 25}); err != nil {
+		tb.Fatal(err)
+	}
+	ix, err := index.Open(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ix.Close() })
+	cfg.Seed, cfg.NumTexts = 2, 1
+	hit, miss = c.Text(7)[20:84], corpus.MustSynthesize(cfg).Text(0)[:64]
+	opts = Options{Theta: 0.8, PrefixFilter: true}
+	s = New(ix, nil)
+	for i := 0; i < 3; i++ { // warm the context pool and the read buffers
+		if ms, _, err := s.Search(hit, opts); err != nil || len(ms) == 0 {
+			tb.Fatalf("hit query: %d matches, err %v", len(ms), err)
+		}
+		if ms, _, err := s.Search(miss, opts); err != nil || len(ms) != 0 {
+			tb.Fatalf("miss query: %d matches, err %v", len(ms), err)
+		}
+	}
+	return s, hit, miss, opts
+}
+
+func benchSearch(b *testing.B, s *Searcher, q []uint32, opts Options) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Search(q, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSearchHit(b *testing.B) {
+	s, hit, _, opts := benchFixture(b)
+	benchSearch(b, s, hit, opts)
+}
+
+func BenchmarkSearchMiss(b *testing.B) {
+	s, _, miss, opts := benchFixture(b)
+	benchSearch(b, s, miss, opts)
+}
+
+// TestSearchSteadyStateAllocs guards the pooled query context: on a
+// warmed Searcher a query allocates its Stats, its results and little
+// else.
+func TestSearchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops contexts at random under the race detector")
+	}
+	s, hit, miss, opts := benchFixture(t)
+	for _, tc := range []struct {
+		name  string
+		query []uint32
+		max   float64
+	}{{"miss", miss, 6}, {"hit", hit, 12}} {
+		got := testing.AllocsPerRun(50, func() {
+			if _, _, err := s.Search(tc.query, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.max {
+			t.Errorf("%s query allocates %v objects, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}
+
+// benchWindows draws one text's worth of compact windows from n lists,
+// crowded enough that the kernels report overlaps.
+func benchWindows(n int) []index.Posting {
+	rng := rand.New(rand.NewSource(5))
+	ws := make([]index.Posting, n)
+	for i := range ws {
+		l := uint32(rng.Intn(16))
+		c := l + uint32(rng.Intn(16))
+		ws[i] = index.Posting{L: l, C: c, R: c + uint32(rng.Intn(64))}
+	}
+	return ws
+}
+
+func BenchmarkIntervalScan(b *testing.B) {
+	var ivs []Interval
+	for _, w := range benchWindows(32) {
+		ivs = append(ivs, Interval{Lo: int32(w.L), Hi: int32(w.C)})
+	}
+	var sc scanScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(sc.scan(ivs, 8)) == 0 {
+			b.Fatal("no overlaps")
+		}
+	}
+}
+
+func BenchmarkCollisionCount(b *testing.B) {
+	ws := benchWindows(32)
+	var cs countScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(cs.count(ws, 8)) == 0 {
+			b.Fatal("no rectangles")
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ndss/internal/corpus"
 	"ndss/internal/index"
 )
 
@@ -65,6 +66,60 @@ func TestSearchContextCanceledMidGather(t *testing.T) {
 	// read.
 	if got := cr.reads.Load(); got > 2 {
 		t.Fatalf("%d lists read after cancellation (checkpoint skipped)", got)
+	}
+}
+
+// TestSearchContextCanceledMidMerge: a context cancelled after the
+// gather must stop the count stage's merge at its next checkpoint (every
+// 1024 candidate texts), not after the lists are exhausted.
+func TestSearchContextCanceledMidMerge(t *testing.T) {
+	// 4000 copies of one text: every list of the query holds a run of
+	// postings for each of them, so the merge has 4000 candidates.
+	const copies = 4000
+	text := make([]uint32, 12)
+	for i := range text {
+		text[i] = uint32(i + 1)
+	}
+	texts := make([][]uint32, copies)
+	for i := range texts {
+		texts[i] = text
+	}
+	mem, err := index.BuildMem(corpus.New(texts), index.BuildOptions{K: 4, Seed: 9, T: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Theta: 0.5}
+
+	// Through the public entry point: the cancel fires inside the last
+	// list read, after gather's last checkpoint.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cr := &cancellingReader{IndexReader: mem, cancel: cancel, afterReads: 4}
+	if ms, _, err := New(cr, nil).SearchContext(ctx, text, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v (%d matches)", err, len(ms))
+	}
+
+	// Stage by stage, counting how far the merge got.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	s := New(mem, nil)
+	qc := s.acquireCtx(ctx, opts, 5, 2, &Stats{K: 4, Beta: 2})
+	defer s.releaseCtx(qc)
+	if err := s.stageSketch(qc, text); err != nil {
+		t.Fatal(err)
+	}
+	s.stagePlan(qc)
+	if err := s.stageGather(qc); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	visited := 0
+	err = qc.mergeCandidates(func(uint32) error { visited++; return nil })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if visited == 0 || visited >= 1024 {
+		t.Fatalf("merge visited %d of %d candidates before honoring the cancel, want 1..1023", visited, copies)
 	}
 }
 

@@ -37,33 +37,47 @@ func (r Rect) Span() Interval { return Interval{Lo: r.ILo, Hi: r.JHi} }
 // appears in exactly one returned rectangle, whose Count is the exact
 // number of supplied windows containing it.
 func CollisionCount(windows []index.Posting, alpha int) []Rect {
+	var cs countScratch
+	return cs.count(windows, alpha)
+}
+
+// countScratch is the reusable state of one CollisionCount: the outer
+// scan's overlaps stay live while the inner scan runs once per overlap,
+// so each has its own sweep state. A count's result is valid until the
+// next count on the same scratch.
+type countScratch struct {
+	outer, inner  scanScratch
+	lefts, rights []Interval
+	rects         []Rect
+}
+
+func (cs *countScratch) count(windows []index.Posting, alpha int) []Rect {
+	cs.rects = cs.rects[:0]
 	if len(windows) < alpha || alpha < 1 {
-		return nil
+		return cs.rects
 	}
 	// Left intervals [L, C] of every window.
-	lefts := make([]Interval, len(windows))
-	for i, w := range windows {
-		lefts[i] = Interval{Lo: int32(w.L), Hi: int32(w.C)}
+	cs.lefts = cs.lefts[:0]
+	for _, w := range windows {
+		cs.lefts = append(cs.lefts, Interval{Lo: int32(w.L), Hi: int32(w.C)})
 	}
-	var out []Rect
-	rights := make([]Interval, 0, len(windows))
-	for _, lo := range IntervalScan(lefts, alpha) {
+	for _, lo := range cs.outer.scan(cs.lefts, alpha) {
 		// Right intervals [C, R] of the windows whose left intervals
 		// cover this segment.
-		rights = rights[:0]
+		cs.rights = cs.rights[:0]
 		for _, m := range lo.Members {
 			w := windows[m]
-			rights = append(rights, Interval{Lo: int32(w.C), Hi: int32(w.R)})
+			cs.rights = append(cs.rights, Interval{Lo: int32(w.C), Hi: int32(w.R)})
 		}
-		for _, ro := range IntervalScan(rights, alpha) {
-			out = append(out, Rect{
+		for _, ro := range cs.inner.scan(cs.rights, alpha) {
+			cs.rects = append(cs.rects, Rect{
 				ILo: lo.Seg.Lo, IHi: lo.Seg.Hi,
 				JLo: ro.Seg.Lo, JHi: ro.Seg.Hi,
 				Count: len(ro.Members),
 			})
 		}
 	}
-	return out
+	return cs.rects
 }
 
 // collisionCountOfSequence is a reference oracle: the number of windows

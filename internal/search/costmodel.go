@@ -1,6 +1,9 @@
 package search
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // CostModel estimates query cost to pick which of the k inverted lists
 // to defer (§3.5 points at cost-model work for choosing the prefix
@@ -66,7 +69,7 @@ func ChooseDeferral(lengths []int, beta int, m CostModel) []bool {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return lengths[order[a]] > lengths[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(lengths[b], lengths[a]) })
 	sorted := make([]int, k)
 	for r, idx := range order {
 		sorted[r] = lengths[idx]

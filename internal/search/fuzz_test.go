@@ -1,10 +1,29 @@
 package search
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"ndss/internal/index"
 )
+
+// fuzzScan and fuzzCount are the scratches the fuzz targets reuse across
+// every input of a run, so stale where/members/rects state left by one
+// input is what the next input's kernels start from.
+var (
+	fuzzScan  scanScratch
+	fuzzCount countScratch
+)
+
+// cloneOverlaps deep-copies a scan result out of its scratch.
+func cloneOverlaps(ovs []Overlap) []Overlap {
+	var out []Overlap
+	for _, ov := range ovs {
+		out = append(out, Overlap{Members: append([]int32(nil), ov.Members...), Seg: ov.Seg})
+	}
+	return out
+}
 
 // FuzzIntervalScan checks the sweep against a per-position oracle for
 // arbitrary interval sets.
@@ -12,6 +31,7 @@ func FuzzIntervalScan(f *testing.F) {
 	f.Add([]byte{1, 3, 2, 5, 4, 6}, uint8(2))
 	f.Add([]byte{0, 0, 0, 0}, uint8(1))
 	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{255, 7, 255, 3, 254, 1}, uint8(1)) // Hi == math.MaxInt32: the exit event must not wrap
 	f.Fuzz(func(t *testing.T, raw []byte, aRaw uint8) {
 		if len(raw) > 24 {
 			raw = raw[:24]
@@ -19,11 +39,30 @@ func FuzzIntervalScan(f *testing.F) {
 		var ivs []Interval
 		for i := 0; i+1 < len(raw); i += 2 {
 			lo := int32(raw[i] % 32)
-			ivs = append(ivs, Interval{Lo: lo, Hi: lo + int32(raw[i+1]%8)})
+			iv := Interval{Lo: lo, Hi: lo + int32(raw[i+1]%8)}
+			if raw[i] >= 254 {
+				// Intervals ending at the top of the int32 range.
+				iv = Interval{Lo: math.MaxInt32 - int32(raw[i+1]%8), Hi: math.MaxInt32 - int32(raw[i]%2)}
+			}
+			ivs = append(ivs, iv)
 		}
 		alpha := int(aRaw%4) + 1
 		got := IntervalScan(ivs, alpha)
-		seen := map[int32]int{}
+		for pass := 0; pass < 2; pass++ {
+			if reused := cloneOverlaps(fuzzScan.scan(ivs, alpha)); !reflect.DeepEqual(reused, cloneOverlaps(got)) {
+				t.Fatalf("reused scratch pass %d: %+v, fresh scratch %+v", pass, reused, got)
+			}
+		}
+		covering := func(p int64) int {
+			n := 0
+			for _, iv := range ivs {
+				if int64(iv.Lo) <= p && p <= int64(iv.Hi) {
+					n++
+				}
+			}
+			return n
+		}
+		seen := map[int64]int{}
 		for _, ov := range got {
 			if len(ov.Members) < alpha {
 				t.Fatalf("reported subset of size %d < alpha %d", len(ov.Members), alpha)
@@ -31,34 +70,25 @@ func FuzzIntervalScan(f *testing.F) {
 			if ov.Seg.Empty() {
 				t.Fatalf("empty segment reported: %+v", ov)
 			}
-			for p := ov.Seg.Lo; p <= ov.Seg.Hi; p++ {
+			for p := int64(ov.Seg.Lo); p <= int64(ov.Seg.Hi); p++ {
 				seen[p]++
 				if seen[p] > 1 {
 					t.Fatalf("position %d reported twice", p)
 				}
 				// Member set must be exactly the intervals covering p.
-				want := 0
-				for _, iv := range ivs {
-					if iv.Lo <= p && p <= iv.Hi {
-						want++
-					}
-				}
-				if want != len(ov.Members) {
+				if want := covering(p); want != len(ov.Members) {
 					t.Fatalf("position %d: %d members, %d covering intervals", p, len(ov.Members), want)
 				}
 			}
 		}
 		// Completeness: every position covered by >= alpha intervals is
-		// in some reported segment.
-		for p := int32(0); p < 48; p++ {
-			cover := 0
-			for _, iv := range ivs {
-				if iv.Lo <= p && p <= iv.Hi {
-					cover++
+		// in some reported segment, at the bottom and at the top of the
+		// generated range.
+		for _, r := range [][2]int64{{0, 47}, {math.MaxInt32 - 8, math.MaxInt32}} {
+			for p := r[0]; p <= r[1]; p++ {
+				if cover := covering(p); cover >= alpha && seen[p] == 0 {
+					t.Fatalf("position %d covered %d times but unreported", p, cover)
 				}
-			}
-			if cover >= alpha && seen[p] == 0 {
-				t.Fatalf("position %d covered %d times but unreported", p, cover)
 			}
 		}
 	})
@@ -82,6 +112,11 @@ func FuzzCollisionCount(f *testing.F) {
 		}
 		alpha := int(aRaw%3) + 1
 		rects := CollisionCount(ws, alpha)
+		for pass := 0; pass < 2; pass++ {
+			if reused := fuzzCount.count(ws, alpha); !reflect.DeepEqual(append([]Rect(nil), reused...), rects) {
+				t.Fatalf("reused scratch pass %d: %+v, fresh scratch %+v", pass, reused, rects)
+			}
+		}
 		for i := int32(0); i < 36; i++ {
 			for j := i; j < 36; j++ {
 				want := collisionCountOfSequence(ws, i, j)

@@ -5,18 +5,19 @@ package search
 //	sketch → plan → gather → count → merge → verify
 //
 // over a per-query execution context (queryCtx) that owns every piece
-// of mutable query state: the min-hash sketch, the deferral plan,
-// posting scratch buffers, the per-text window groups, and a private
-// I/O stats sink the index reads report into. Contexts are pooled per
-// Searcher, so steady-state queries allocate little beyond their
-// results, and because no state is shared between in-flight queries,
-// Stats.IOBytes/IOTime are exact at any concurrency.
+// of mutable query state: the min-hash sketch, the deferral plan, the
+// posting arena with one cursor per short list, the count kernels'
+// scratch, and a private I/O stats sink the index reads report into.
+// Contexts are pooled per Searcher, so steady-state queries allocate
+// little beyond their results, and because no state is shared between
+// in-flight queries, Stats.IOBytes/IOTime are exact at any concurrency.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ndss/internal/hash"
 	"ndss/internal/index"
@@ -54,15 +55,23 @@ type queryCtx struct {
 	lens  []int // scratch: per-function list lengths
 	order []int // scratch: function ids, sorted by list length
 
-	postings []index.Posting           // scratch for short-list reads
-	windows  []index.Posting           // per-text merged windows
-	groups   map[uint32][]taggedWindow // short-list postings by text
-	free     [][]taggedWindow          // recycled group slices
-	qual     []spanRect                // scratch for span merging
+	postings []index.Posting // arena: every short list, back to back
+	lists    []listCursor    // one cursor per non-empty short list
+	heap     []uint64        // driver merge heap, see mergeCandidates
+	runs     []listCursor    // one candidate text's run in each list hit
+	windows  []index.Posting // one surviving text's windows
+	count    countScratch    // CollisionCount / IntervalScan scratch
+	qual     []spanRect      // scratch for span merging
 
 	io    index.IOStats // private per-query I/O sink
 	st    *Stats
 	trace obs.Trace // per-query span recorder (pooled with the context)
+}
+
+// listCursor is the unread part [pos, end) of one TextID-sorted short
+// list within the posting arena.
+type listCursor struct {
+	pos, end int
 }
 
 // spanRect pairs a qualifying rectangle with its merged span.
@@ -74,7 +83,7 @@ type spanRect struct {
 func (s *Searcher) acquireCtx(ctx context.Context, opts Options, minLen, beta int, st *Stats) *queryCtx {
 	qc, _ := s.ctxPool.Get().(*queryCtx)
 	if qc == nil {
-		qc = &queryCtx{groups: make(map[uint32][]taggedWindow)}
+		qc = &queryCtx{}
 	}
 	qc.ctx = ctx
 	qc.opts = opts
@@ -105,19 +114,14 @@ func (s *Searcher) acquireCtx(ctx context.Context, opts Options, minLen, beta in
 }
 
 // checkCancel is the pipeline's cancellation checkpoint: it reports the
-// query context's error, if any. Stages call it between each other and
-// before every list read or probe, so no I/O starts after the deadline.
+// query context's error, if any. Stages call it between each other,
+// before every list read or probe and every 1024 candidate texts of the
+// merge, so no I/O starts after the deadline and no merge outlives it.
 func (qc *queryCtx) checkCancel() error {
 	return qc.ctx.Err()
 }
 
 func (s *Searcher) releaseCtx(qc *queryCtx) {
-	// Recycle the per-text group slices so the next query's gather stage
-	// appends into ready-made capacity instead of allocating.
-	for id, g := range qc.groups {
-		qc.free = append(qc.free, g[:0])
-		delete(qc.groups, id)
-	}
 	qc.sketch = qc.sketch[:0]
 	qc.postings = qc.postings[:0]
 	qc.windows = qc.windows[:0]
@@ -185,7 +189,7 @@ func (s *Searcher) stagePlan(qc *queryCtx) {
 		// least one of the (k - beta + 1) shortest. Demote the shortest
 		// deferred lists until at most beta-1 remain long.
 		if qc.plan.NumLong > beta-1 {
-			sort.Slice(qc.order, func(i, j int) bool { return qc.lens[qc.order[i]] < qc.lens[qc.order[j]] })
+			slices.SortFunc(qc.order, func(a, b int) int { return cmp.Compare(qc.lens[a], qc.lens[b]) })
 			for _, fn := range qc.order {
 				if qc.plan.NumLong <= beta-1 {
 					break
@@ -217,9 +221,11 @@ func (s *Searcher) stagePlan(qc *queryCtx) {
 	}
 }
 
-// stageGather reads every short list and groups its postings by text,
-// charging the reads to the query's private I/O sink.
+// stageGather reads every short list into the posting arena, one cursor
+// per non-empty list, charging the reads to the query's private I/O
+// sink.
 func (s *Searcher) stageGather(qc *queryCtx) error {
+	qc.postings, qc.lists = qc.postings[:0], qc.lists[:0]
 	for fn := range qc.plan.Long {
 		if qc.plan.Long[fn] {
 			continue
@@ -228,18 +234,14 @@ func (s *Searcher) stageGather(qc *queryCtx) error {
 			return err
 		}
 		qc.st.ShortLists++
-		ps, err := s.ix.ReadListInto(qc.postings[:0], fn, qc.sketch[fn], &qc.io)
+		pos := len(qc.postings)
+		ps, err := s.ix.ReadListInto(qc.postings, fn, qc.sketch[fn], &qc.io)
 		if err != nil {
 			return err
 		}
 		qc.postings = ps
-		for _, p := range ps {
-			g, ok := qc.groups[p.TextID]
-			if !ok && len(qc.free) > 0 {
-				g = qc.free[len(qc.free)-1]
-				qc.free = qc.free[:len(qc.free)-1]
-			}
-			qc.groups[p.TextID] = append(g, taggedWindow{fn: fn, p: p})
+		if len(ps) > pos {
+			qc.lists = append(qc.lists, listCursor{pos: pos, end: len(ps)})
 		}
 	}
 	qc.st.LongLists = qc.plan.NumLong
@@ -247,39 +249,130 @@ func (s *Searcher) stageGather(qc *queryCtx) error {
 }
 
 // stageCount runs the count and merge stages over every candidate text
-// and returns the final, position-ordered matches.
-func (s *Searcher) stageCount(qc *queryCtx) ([]Match, error) {
-	var matches []Match
-	for textID, group := range qc.groups {
-		ms, err := s.countText(qc, textID, group)
-		if err != nil {
-			return nil, err
-		}
-		matches = append(matches, ms...)
-	}
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].TextID != matches[j].TextID {
-			return matches[i].TextID < matches[j].TextID
-		}
-		return matches[i].Start < matches[j].Start
+// of the short-list merge and returns the final matches, which arrive in
+// (TextID, Start) order.
+func (s *Searcher) stageCount(qc *queryCtx) (matches []Match, err error) {
+	err = qc.mergeCandidates(func(textID uint32) (cerr error) {
+		matches, cerr = s.countText(qc, textID, matches) // nil on error
+		return cerr
 	})
-	return matches, nil
+	return matches, err
 }
 
-// countText applies the short-list filter to one text, probes the
-// deferred lists for survivors (zone maps keep each probe proportional
-// to the text's postings), and counts collisions (Algorithm 4).
-func (s *Searcher) countText(qc *queryCtx, textID uint32, group []taggedWindow) ([]Match, error) {
-	if len(group) < qc.plan.Alpha {
-		return nil, nil
+// mergeCandidates calls visit, in ascending TextID order, for every text
+// hit by at least alpha of the S gathered short lists, with qc.runs
+// holding the text's run of postings in each list that hit it.
+//
+// Windows of one list within one text are disjoint in (i, j) space, so
+// alpha overlapping windows need alpha distinct lists, and such a text
+// is in one of the S-alpha+1 shortest lists (DESIGN.md §5). Only those
+// "drivers" are heap-merged to enumerate texts; the other cursors gallop
+// forward to each, and a text is dropped, before any window is copied,
+// once the lists that hit it plus the lists not yet asked cannot reach
+// alpha.
+func (qc *queryCtx) mergeCandidates(visit func(textID uint32) error) error {
+	alpha, ps := qc.plan.Alpha, qc.postings
+	if len(qc.lists) < alpha {
+		return nil
 	}
+	slices.SortFunc(qc.lists, func(a, b listCursor) int { return cmp.Compare(a.end-a.pos, b.end-b.pos) })
+	drivers, rest := qc.lists[:len(qc.lists)-alpha+1], qc.lists[len(qc.lists)-alpha+1:]
+	// Heap keys are textID<<32 | driver, so the merge never touches the
+	// arena to compare and equal texts pop in driver order.
+	h := qc.heap[:0]
+	for d, c := range drivers {
+		h = append(h, uint64(ps[c.pos].TextID)<<32|uint64(d))
+	}
+	slices.Sort(h) // a sorted slice is a heap
+	qc.heap = h
+	for n := 1; len(h) > 0; n++ {
+		if n%1024 == 0 {
+			if err := qc.checkCancel(); err != nil {
+				return err
+			}
+		}
+		textID := uint32(h[0] >> 32)
+		qc.runs = qc.runs[:0]
+		for len(h) > 0 && uint32(h[0]>>32) == textID {
+			c := &drivers[uint32(h[0])]
+			if qc.takeRun(c, textID); c.pos < c.end {
+				h[0] = uint64(ps[c.pos].TextID)<<32 | h[0]&math.MaxUint32
+			} else {
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			siftDown(h)
+		}
+		for i := 0; i < len(rest) && len(qc.runs)+len(rest)-i >= alpha; i++ {
+			c := &rest[i]
+			c.pos = seekText(ps, c.pos, c.end, textID)
+			if c.pos < c.end && ps[c.pos].TextID == textID {
+				qc.takeRun(c, textID)
+			}
+		}
+		if len(qc.runs) >= alpha {
+			if err := visit(textID); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// siftDown restores the min-heap order after h[0] was replaced.
+func siftDown(h []uint64) {
+	for i, m := 0, 1; m < len(h); i, m = m, 2*m+1 {
+		if m+1 < len(h) && h[m+1] < h[m] {
+			m++
+		}
+		if h[i] <= h[m] {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+	}
+}
+
+// takeRun moves c past the run of textID's postings it stands on and
+// records the run; runs are a handful of windows, so it walks.
+func (qc *queryCtx) takeRun(c *listCursor, textID uint32) {
+	end := c.pos + 1
+	for end < c.end && qc.postings[end].TextID == textID {
+		end++
+	}
+	qc.runs = append(qc.runs, listCursor{pos: c.pos, end: end})
+	c.pos = end
+}
+
+// seekText returns the first position in ps[pos:end] (TextID-sorted)
+// whose text is >= textID, galloping from pos: cursors only move
+// forward and candidates are usually near.
+func seekText(ps []index.Posting, pos, end int, textID uint32) int {
+	lo, hi := pos-1, pos // everything up to lo is < textID
+	for step := 1; hi < end && ps[hi].TextID < textID; step <<= 1 {
+		lo, hi = hi, min(hi+step, end)
+	}
+	for lo+1 < hi { // ps[hi].TextID >= textID, or hi == end
+		if mid := int(uint(lo+hi) >> 1); ps[mid].TextID < textID {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// countText counts collisions (Algorithm 4) among the windows of one
+// text that passed the short-list filter (qc.runs), probes the deferred
+// lists if a rectangle survives (zone maps keep each probe proportional
+// to the text's postings), and appends the text's matches to matches.
+func (s *Searcher) countText(qc *queryCtx, textID uint32, matches []Match) ([]Match, error) {
 	qc.windows = qc.windows[:0]
-	for _, tw := range group {
-		qc.windows = append(qc.windows, tw.p)
+	for _, r := range qc.runs {
+		qc.windows = append(qc.windows, qc.postings[r.pos:r.end]...)
 	}
-	rects := CollisionCount(qc.windows, qc.plan.Alpha)
+	rects := qc.count.count(qc.windows, qc.plan.Alpha)
 	if len(rects) == 0 {
-		return nil, nil
+		return matches, nil
 	}
 	qc.st.Candidates++
 	if qc.plan.NumLong > 0 {
@@ -307,18 +400,19 @@ func (s *Searcher) countText(qc *queryCtx, textID uint32, group []taggedWindow) 
 			}
 			qc.windows = ws
 		}
-		rects = CollisionCount(qc.windows, qc.plan.Beta)
+		rects = qc.count.count(qc.windows, qc.plan.Beta)
 	}
 	sp := qc.trace.Start(StageNames[4]) // merge
-	ms := s.mergeText(qc, textID, rects)
+	matches = s.mergeText(qc, textID, rects, matches)
 	qc.st.StageTimes.Merge += qc.trace.End(sp)
-	return ms, nil
+	return matches, nil
 }
 
 // mergeText filters rectangles to those holding a qualifying sequence
-// (count >= beta and a sequence of length >= minLen) and merges their
-// overlapping spans into disjoint matches (the paper's Remark).
-func (s *Searcher) mergeText(qc *queryCtx, textID uint32, rects []Rect) []Match {
+// (count >= beta and a sequence of length >= minLen), merges their
+// overlapping spans into disjoint matches (the paper's Remark) and
+// appends those, in Start order, to out.
+func (s *Searcher) mergeText(qc *queryCtx, textID uint32, rects []Rect, out []Match) []Match {
 	qc.qual = qc.qual[:0]
 	for _, r := range rects {
 		if r.Count < qc.plan.Beta || !r.HasSequenceOfLength(qc.minLen) {
@@ -327,11 +421,10 @@ func (s *Searcher) mergeText(qc *queryCtx, textID uint32, rects []Rect) []Match 
 		qc.qual = append(qc.qual, spanRect{span: r.Span(), rect: r})
 	}
 	if len(qc.qual) == 0 {
-		return nil
+		return out
 	}
 	qc.st.Rects += len(qc.qual)
-	sort.Slice(qc.qual, func(i, j int) bool { return qc.qual[i].span.Lo < qc.qual[j].span.Lo })
-	var out []Match
+	slices.SortFunc(qc.qual, func(a, b spanRect) int { return cmp.Compare(a.span.Lo, b.span.Lo) })
 	cur := Match{TextID: textID, Start: qc.qual[0].span.Lo, End: qc.qual[0].span.Hi, Collisions: qc.qual[0].rect.Count}
 	if qc.opts.KeepRects {
 		cur.Rects = []Rect{qc.qual[0].rect}
@@ -357,8 +450,7 @@ func (s *Searcher) mergeText(qc *queryCtx, textID uint32, rects []Rect) []Match 
 		}
 	}
 	cur.EstJaccard = float64(cur.Collisions) / float64(qc.st.K)
-	out = append(out, cur)
-	return out
+	return append(out, cur)
 }
 
 // stageVerify fills Match.Jaccard with the exact distinct Jaccard

@@ -29,6 +29,10 @@ type TextSource interface {
 // postings, so callers can reuse the buffer across reads. The query
 // pipeline uses only the Into variants — that is what makes per-query
 // I/O accounting exact under concurrency.
+//
+// Every list read must come back non-decreasing in (global) TextID, with
+// a text's postings adjacent: the count stage merges the short lists on
+// that order instead of grouping them (mergeCandidates).
 type IndexReader interface {
 	K() int
 	Meta() index.Meta
@@ -379,12 +383,6 @@ func quickselect(a []int, pos int) int {
 	return a[lo]
 }
 
-// taggedWindow is a loaded posting plus the function it came from.
-type taggedWindow struct {
-	fn int
-	p  index.Posting
-}
-
 // Search finds all near-duplicate sequences of query per opts
 // (Algorithm 3). Results are grouped per text into disjoint merged
 // spans, ordered by (TextID, Start). It is SearchContext without
@@ -396,10 +394,11 @@ func (s *Searcher) Search(query []uint32, opts Options) ([]Match, *Stats, error)
 }
 
 // SearchContext is Search honoring a context. Cancellation is checked
-// between pipeline stages and before every list read or probe, so a
-// timed-out or abandoned query stops issuing I/O promptly and returns
-// ctx.Err(). Work already done is still charged to the index-wide I/O
-// counters (per-query sums over successful queries remain exact).
+// between pipeline stages, before every list read or probe and every
+// 1024 candidate texts of the count stage's merge, so a timed-out or
+// abandoned query stops issuing I/O promptly and returns ctx.Err().
+// Work already done is still charged to the index-wide I/O counters
+// (per-query sums over successful queries remain exact).
 //
 // The query runs through the staged pipeline
 // sketch → plan → gather → count → merge → verify (see pipeline.go);

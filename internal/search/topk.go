@@ -1,9 +1,10 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ndss/internal/obs"
 )
@@ -69,14 +70,8 @@ func (s *Searcher) SearchTopKContext(ctx context.Context, query []uint32, opts T
 // shard coordinator ranks merged per-shard results with it, which is
 // what makes sharded tie order identical to a single index's.
 func RankTopK(matches []Match, n int) []Match {
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Collisions != matches[j].Collisions {
-			return matches[i].Collisions > matches[j].Collisions
-		}
-		if matches[i].TextID != matches[j].TextID {
-			return matches[i].TextID < matches[j].TextID
-		}
-		return matches[i].Start < matches[j].Start
+	slices.SortFunc(matches, func(a, b Match) int {
+		return cmp.Or(cmp.Compare(b.Collisions, a.Collisions), cmp.Compare(a.TextID, b.TextID), cmp.Compare(a.Start, b.Start))
 	})
 	if len(matches) > n {
 		matches = matches[:n]
