@@ -114,19 +114,19 @@ func fig2eh(e *Env) error {
 
 func fig2il(e *Env) error {
 	e.printf("## Fig 2(i-l): index time split into window generation (CPU) and I/O\n")
-	e.printf("(fresh builds; not cached)\n\n")
+	e.printf("(fresh builds; not cached; one build worker, so the two stages add up)\n\n")
 	w := e.table()
 	fmt.Fprintln(w, "series\tparam\tgen ms\tio ms\ttotal ms")
 	c := e.synWeb(1, 32000, 1)
 	for _, t := range []int{25, 50, 100, 200} {
-		_, stats, err := e.buildIndex(fmt.Sprintf("f2il-t%d", t), c, index.BuildOptions{K: 1, Seed: 11, T: t})
+		_, stats, err := e.buildIndex(fmt.Sprintf("f2il-t%d", t), c, index.BuildOptions{K: 1, Seed: 11, T: t, Parallelism: 1})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "vs t (k=1)\tt=%d\t%s\t%s\t%s\n", t, ms(stats.GenTime), ms(stats.IOTime), ms(stats.GenTime+stats.IOTime))
 	}
 	for _, k := range []int{1, 2, 4, 8} {
-		_, stats, err := e.buildIndex(fmt.Sprintf("f2il-k%d", k), c, index.BuildOptions{K: k, Seed: 11, T: 100})
+		_, stats, err := e.buildIndex(fmt.Sprintf("f2il-k%d", k), c, index.BuildOptions{K: k, Seed: 11, T: 100, Parallelism: 1})
 		if err != nil {
 			return err
 		}
@@ -134,7 +134,7 @@ func fig2il(e *Env) error {
 	}
 	for _, mult := range []int{1, 2, 4, 8} {
 		cm := e.synWeb(mult, 64000, 1)
-		_, stats, err := e.buildIndex(fmt.Sprintf("f2il-m%d", mult), cm, index.BuildOptions{K: 1, Seed: 11, T: 100})
+		_, stats, err := e.buildIndex(fmt.Sprintf("f2il-m%d", mult), cm, index.BuildOptions{K: 1, Seed: 11, T: 100, Parallelism: 1})
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"path/filepath"
 	"testing"
 
 	"ndss/internal/corpus"
@@ -12,6 +13,71 @@ func benchBuildCorpus(b *testing.B) *corpus.Corpus {
 		NumTexts: 300, MinLength: 100, MaxLength: 500,
 		VocabSize: 32000, ZipfS: 1.07, Seed: 1,
 	})
+}
+
+// The mutation benchmarks run at the repo benchmark's parameters (K=32,
+// t=25, Zipf vocabulary of 32000, 100–700-token texts) on a quarter of
+// its corpus: what `setup_s` and an ingest-churn cycle pay per build,
+// append and compaction.
+var mutationBenchOpts = BuildOptions{K: 32, Seed: 1, T: 25}
+
+func mutationBenchCorpus(texts int, seed int64) *corpus.Corpus {
+	return corpus.MustSynthesize(corpus.SynthConfig{
+		NumTexts: texts, MinLength: 100, MaxLength: 700,
+		VocabSize: 32000, ZipfS: 1.07, Seed: seed,
+		DupRate: 0.15, DupSnippetLen: 64, DupMutateProb: 0.05,
+	})
+}
+
+// BenchmarkBuild builds ~400 k tokens with the default Parallelism.
+func BenchmarkBuild(b *testing.B) {
+	c := mutationBenchCorpus(1000, 1)
+	b.SetBytes(c.TotalTokens() * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(c, filepath.Join(b.TempDir(), "ix"), mutationBenchOpts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppend16 appends one 16-text segment, the benchmark's ingest
+// batch, to a 250-text base.
+func BenchmarkAppend16(b *testing.B) {
+	base, batch := mutationBenchCorpus(250, 1), mutationBenchCorpus(16, 2)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "ix")
+		if _, err := Build(base, dir, mutationBenchOpts); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := Append(dir, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompact9 merges a 250-text base and eight 16-text segments —
+// the segment set ingest-churn compacts — into one.
+func BenchmarkCompact9(b *testing.B) {
+	base := mutationBenchCorpus(250, 1)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "ix")
+		if _, err := Build(base, dir, mutationBenchOpts); err != nil {
+			b.Fatal(err)
+		}
+		for seg := 0; seg < 8; seg++ {
+			if _, err := Append(dir, mutationBenchCorpus(16, int64(2+seg))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := Compact(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkBuildDisk(b *testing.B) {

@@ -1,10 +1,12 @@
 package index
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ndss/internal/corpus"
@@ -28,8 +30,11 @@ type BuildOptions struct {
 	// LongListCutoff is the posting count above which a list receives a
 	// zone map. Defaults to 4096.
 	LongListCutoff int
-	// Parallelism bounds the number of window-generation goroutines in
-	// Build. Defaults to GOMAXPROCS.
+	// Parallelism is the number of hash functions Build generates and
+	// groups concurrently, in front of its one ordered writer. Peak
+	// memory is Parallelism+1 functions' grouped records plus a worker's
+	// ungrouped copy of one each (24 B a record, ~3 MB a function at
+	// 1.6 M tokens). Defaults to GOMAXPROCS.
 	Parallelism int
 	// MemoryBudget bounds the bytes of spill records aggregated in
 	// memory at once during BuildExternal. Defaults to 256 MiB.
@@ -73,14 +78,6 @@ func (o *BuildOptions) setDefaults() error {
 	return nil
 }
 
-// fsys returns the filesystem the build writes through.
-func (o *BuildOptions) fsys() fsio.FS {
-	if o.FS == nil {
-		return fsio.OS
-	}
-	return o.FS
-}
-
 // meta describes an index built with these options over a corpus of the
 // given size.
 func (o *BuildOptions) meta(numTexts int, totalTokens int64) Meta {
@@ -92,8 +89,11 @@ func (o *BuildOptions) meta(numTexts int, totalTokens int64) Meta {
 }
 
 // BuildStats reports what a build did. GenTime covers hashing, window
-// generation and record sorting (the CPU side); IOTime covers spill and
-// index file writes (the lower/upper bar split of Fig 2(i–l)).
+// generation and record grouping (the CPU side); IOTime covers spill and
+// index file writes (the lower/upper bar split of Fig 2(i–l)). Build's
+// GenTime is its workers' summed busy time divided by their number, so
+// GenTime/wall stays in [0, 1]; the writer overlaps the workers, so
+// GenTime+IOTime may exceed wall.
 type BuildStats struct {
 	Windows        int64
 	WindowsPerFunc []int64
@@ -115,29 +115,10 @@ func Build(c *corpus.Corpus, dir string, opts BuildOptions) (*BuildStats, error)
 	if err != nil {
 		return nil, err
 	}
-	fsys := opts.fsys()
 	stats := &BuildStats{WindowsPerFunc: make([]int64, opts.K)}
-	err = stagedBuild(fsys, dir, true, func(staging string) (Meta, []fileSum, error) {
-		sums := make([]fileSum, opts.K)
-		for fn := 0; fn < opts.K; fn++ {
-			recs, genDur := generateRecords(c, fam.Func(fn), opts.T, opts.Parallelism)
-			sortStart := time.Now()
-			sortRecords(recs)
-			genDur += time.Since(sortStart)
-			stats.GenTime += genDur
-			stats.WindowsPerFunc[fn] = int64(len(recs))
-			stats.Windows += int64(len(recs))
-
-			ioStart := time.Now()
-			sum, err := writeLists(fsys, staging, fn, recs, opts)
-			if err != nil {
-				return Meta{}, nil, err
-			}
-			stats.IOTime += time.Since(ioStart)
-			stats.BytesWritten += sum.size
-			sums[fn] = sum
-		}
-		return opts.meta(c.NumTexts(), c.TotalTokens()), sums, nil
+	err = stagedBuild(opts.FS, dir, true, func(staging string) (Meta, []fileSum, error) {
+		sums, err := buildFuncs(c, fam, staging, opts, stats)
+		return opts.meta(c.NumTexts(), c.TotalTokens()), sums, err
 	})
 	if err != nil {
 		return nil, err
@@ -145,79 +126,118 @@ func Build(c *corpus.Corpus, dir string, opts BuildOptions) (*BuildStats, error)
 	return stats, nil
 }
 
-// generateRecords produces the (hash, posting) records of one hash
-// function over the whole corpus, fanning text chunks out to workers.
-func generateRecords(c *corpus.Corpus, f hash.Func, t, parallelism int) ([]record, time.Duration) {
-	start := time.Now()
-	n := c.NumTexts()
-	if parallelism > n {
-		parallelism = n
+// buildFuncs is Build's two-stage pipeline. Workers each take a whole
+// hash function and do its CPU side — hash, generate, group — and the
+// calling goroutine alone touches the filesystem, writing the finished
+// functions in function order: creates, writes, fsyncs and closes come
+// in the order and number of a one-function-at-a-time build, whatever
+// the worker count. A worker draws a record buffer from free before it
+// claims the next function and the writer returns it once the function
+// is on disk, so at most workers+1 functions are in flight and the
+// lowest unwritten one always holds a buffer.
+func buildFuncs(c *corpus.Corpus, fam *hash.Family, staging string, opts BuildOptions, stats *BuildStats) ([]fileSum, error) {
+	workers := min(opts.Parallelism, opts.K)
+	free := make(chan []record, workers+1) // the in-flight bound, see above
+	for i := 0; i < cap(free); i++ {
+		free <- nil
 	}
-	if parallelism <= 1 {
-		recs := appendTextRecords(nil, c, 0, n, f, t)
-		return recs, time.Since(start)
+	built := make([]chan []record, opts.K)
+	for fn := range built {
+		built[fn] = make(chan []record, 1)
 	}
-	chunk := (n + parallelism - 1) / parallelism
-	parts := make([][]record, parallelism)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
+	var (
+		next atomic.Int64 // next function to claim
+		busy atomic.Int64 // summed worker nanoseconds
+		stop = make(chan struct{})
+		wg   sync.WaitGroup
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
 			defer wg.Done()
-			parts[w] = appendTextRecords(nil, c, lo, hi, f, t)
-		}(w, lo, hi)
+			rg := recordGen{t: opts.T}
+			var gen []record // the function's records in generation order
+			for {
+				var out []record
+				select {
+				case out = <-free:
+				case <-stop:
+					return
+				}
+				fn := int(next.Add(1)) - 1
+				if fn >= opts.K {
+					return
+				}
+				start := time.Now()
+				rg.f = fam.Func(fn)
+				gen = gen[:0]
+				for id := 0; id < c.NumTexts(); id++ {
+					gen = rg.appendText(gen, uint32(id), c.Text(uint32(id)))
+				}
+				out = groupByHash(gen, out)
+				busy.Add(int64(time.Since(start)))
+				built[fn] <- out
+			}
+		}()
 	}
-	wg.Wait()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+	// Stop the workers and wait them out on every return path: a failed
+	// write must not leave one running after Build has returned.
+	defer wg.Wait()
+	defer close(stop)
+
+	sums := make([]fileSum, opts.K)
+	bw := newWriteBuffer()
+	for fn := range sums {
+		recs := <-built[fn]
+		ioStart := time.Now()
+		sum, err := writeLists(staging, fn, recs, opts, bw)
+		if err != nil {
+			return nil, err
+		}
+		stats.IOTime += time.Since(ioStart)
+		stats.WindowsPerFunc[fn] = int64(len(recs))
+		stats.Windows += int64(len(recs))
+		stats.BytesWritten += sum.size
+		sums[fn] = sum
+		free <- recs
 	}
-	recs := make([]record, 0, total)
-	for _, p := range parts {
-		recs = append(recs, p...)
-	}
-	return recs, time.Since(start)
+	stats.GenTime = time.Duration(busy.Load() / int64(workers))
+	return sums, nil
 }
 
-// appendTextRecords generates windows for texts [lo, hi) and appends
-// their records to dst.
-func appendTextRecords(dst []record, c *corpus.Corpus, lo, hi int, f hash.Func, t int) []record {
-	var vals []uint64
-	var ws []window.Window
-	for id := lo; id < hi; id++ {
-		tokens := c.Text(uint32(id))
-		if len(tokens) < t {
-			continue
-		}
-		vals = window.Hashes(tokens, f, vals)
-		ws = window.GenerateLinear(vals, t, ws[:0])
-		for _, w := range ws {
-			dst = append(dst, record{
-				Hash: vals[w.C],
-				Posting: Posting{
-					TextID: uint32(id),
-					L:      uint32(w.L),
-					C:      uint32(w.C),
-					R:      uint32(w.R),
-				},
-			})
-		}
+// recordGen turns texts into the records of hash function f — tokens →
+// window.Hashes → compact windows → records — on scratch reused from
+// text to text. Build, BuildMem and BuildExternal all generate with it.
+type recordGen struct {
+	f       hash.Func
+	t       int
+	vals    []uint64
+	ws      []window.Window
+	scratch window.Scratch
+}
+
+// appendText appends the records of text id to dst, in ascending C —
+// which within one hash value is ascending L (window.Scratch.Generate).
+// Texts shorter than the length threshold have none.
+func (g *recordGen) appendText(dst []record, id uint32, tokens []uint32) []record {
+	if len(tokens) < g.t {
+		return dst
+	}
+	g.vals = window.Hashes(tokens, g.f, g.vals)
+	g.ws = g.scratch.Generate(g.vals, g.t, g.ws[:0])
+	for _, w := range g.ws {
+		dst = append(dst, record{
+			Hash:    g.vals[w.C],
+			Posting: Posting{TextID: id, L: uint32(w.L), C: uint32(w.C), R: uint32(w.R)},
+		})
 	}
 	return dst
 }
 
-// writeLists writes sorted records as one inverted file and returns
-// its size and checksums.
-func writeLists(fsys fsio.FS, dir string, fn int, recs []record, opts BuildOptions) (fileSum, error) {
-	w, err := newFileWriter(fsys, indexPath(dir, fn), fn, opts.ZoneMapStep, opts.LongListCutoff)
+// writeLists writes sorted records as one inverted file, buffered
+// through bw, and returns its size and checksums.
+func writeLists(dir string, fn int, recs []record, opts BuildOptions, bw *bufio.Writer) (fileSum, error) {
+	w, err := newFileWriter(opts.FS, indexPath(dir, fn), fn, opts.ZoneMapStep, opts.LongListCutoff, bw)
 	if err != nil {
 		return fileSum{}, err
 	}

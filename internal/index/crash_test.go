@@ -605,7 +605,7 @@ func TestWriterFinishFailureRemovesFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index.000")
 	ffs := fsio.NewFaultFS(fsio.OS).SetCrash(false)
-	w, err := newFileWriter(ffs, path, 0, 4, 8)
+	w, err := newFileWriter(ffs, path, 0, 4, 8, newWriteBuffer())
 	if err != nil {
 		t.Fatal(err)
 	}

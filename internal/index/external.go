@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"ndss/internal/corpus"
 	"ndss/internal/fsio"
 	"ndss/internal/hash"
 	"ndss/internal/obs"
-	"ndss/internal/window"
 )
 
 // BuildExternal constructs the index for a corpus file that may not fit
@@ -33,7 +33,7 @@ func BuildExternal(r *corpus.Reader, dir string, opts BuildOptions) (*BuildStats
 	if err != nil {
 		return nil, err
 	}
-	fsys := opts.fsys()
+	fsys := opts.FS
 	stats := &BuildStats{WindowsPerFunc: make([]int64, opts.K)}
 
 	// Estimate partition fan-out so one partition fits the budget:
@@ -46,8 +46,9 @@ func BuildExternal(r *corpus.Reader, dir string, opts BuildOptions) (*BuildStats
 
 	err = stagedBuild(fsys, dir, true, func(staging string) (Meta, []fileSum, error) {
 		sums := make([]fileSum, opts.K)
+		bw := newWriteBuffer()
 		for fn := 0; fn < opts.K; fn++ {
-			sum, err := buildExternalFunc(r, fsys, staging, fn, fam.Func(fn), fanout, opts, stats)
+			sum, err := buildExternalFunc(r, fsys, staging, fn, fam.Func(fn), fanout, opts, stats, bw)
 			if err != nil {
 				return Meta{}, nil, err
 			}
@@ -139,7 +140,7 @@ func (s *spillSet) cleanup() {
 	}
 }
 
-func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f hash.Func, fanout int, opts BuildOptions, stats *BuildStats) (fileSum, error) {
+func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f hash.Func, fanout int, opts BuildOptions, stats *BuildStats, bw *bufio.Writer) (fileSum, error) {
 	spill, err := newSpillSet(fsys, dir, 0, fanout)
 	if err != nil {
 		return fileSum{}, err
@@ -148,35 +149,21 @@ func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f has
 
 	// Pass 1: stream texts, generate windows, spill records partitioned
 	// by min-hash.
-	var vals []uint64
-	var ws []window.Window
+	rg := recordGen{f: f, t: opts.T}
+	var recs []record
 	streamErr := r.Stream(opts.BatchTokens, func(firstID uint32, texts [][]uint32) error {
 		genStart := obs.NowMono()
 		for i, tokens := range texts {
-			if len(tokens) < opts.T {
-				continue
-			}
-			vals = window.Hashes(tokens, f, vals)
-			ws = window.GenerateLinear(vals, opts.T, ws[:0])
-			id := firstID + uint32(i)
+			recs = rg.appendText(recs[:0], firstID+uint32(i), tokens)
 			genDone := obs.NowMono()
 			stats.GenTime += genDone.Sub(genStart)
-			for _, w := range ws {
-				rec := record{
-					Hash: vals[w.C],
-					Posting: Posting{
-						TextID: id,
-						L:      uint32(w.L),
-						C:      uint32(w.C),
-						R:      uint32(w.R),
-					},
-				}
+			for _, rec := range recs {
 				if err := spill.add(rec, fanout); err != nil {
 					return err
 				}
-				stats.WindowsPerFunc[fn]++
-				stats.Windows++
 			}
+			stats.WindowsPerFunc[fn] += int64(len(recs))
+			stats.Windows += int64(len(recs))
 			genStart = obs.NowMono()
 			stats.IOTime += genStart.Sub(genDone) // spill writes are I/O
 		}
@@ -192,7 +179,7 @@ func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f has
 	}
 
 	// Pass 2: aggregate each partition into the inverted file.
-	w, err := newFileWriter(fsys, indexPath(dir, fn), fn, opts.ZoneMapStep, opts.LongListCutoff)
+	w, err := newFileWriter(fsys, indexPath(dir, fn), fn, opts.ZoneMapStep, opts.LongListCutoff, bw)
 	if err != nil {
 		return fileSum{}, err
 	}
@@ -230,7 +217,10 @@ func aggregatePartition(f fsio.File, size int64, level int, fsys fsio.FS, dir st
 	if err != nil {
 		return err
 	}
-	sortRecords(recs)
+	// An in-place comparison sort, not Build's counting scatter: the
+	// partition was sized to the memory budget, which has no room for the
+	// scatter's second buffer.
+	slices.SortFunc(recs, compareRecords)
 	return addSortedRuns(w, recs)
 }
 

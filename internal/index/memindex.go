@@ -5,7 +5,6 @@ import (
 
 	"ndss/internal/corpus"
 	"ndss/internal/hash"
-	"ndss/internal/window"
 )
 
 // MemIndex is a fully in-memory inverted index of compact windows with
@@ -30,40 +29,23 @@ func BuildMem(c *corpus.Corpus, opts BuildOptions) (*MemIndex, error) {
 		return nil, err
 	}
 	m := &MemIndex{
-		meta: Meta{
-			K:              opts.K,
-			Seed:           opts.Seed,
-			T:              opts.T,
-			NumTexts:       c.NumTexts(),
-			TotalTokens:    c.TotalTokens(),
-			ZoneMapStep:    opts.ZoneMapStep,
-			LongListCutoff: opts.LongListCutoff,
-		},
+		meta:   opts.meta(c.NumTexts(), c.TotalTokens()),
 		family: fam,
 		lists:  make([]map[uint64][]Posting, opts.K),
 	}
-	var vals []uint64
-	var ws []window.Window
+	var recs []record
 	for fn := 0; fn < opts.K; fn++ {
 		lists := make(map[uint64][]Posting)
-		f := fam.Func(fn)
+		rg := recordGen{f: fam.Func(fn), t: opts.T}
+		// Texts are visited in id order and a text's records arrive
+		// ascending in L within a hash, so every list comes out sorted by
+		// (text id, L) — the order the on-disk lists have.
 		for id := 0; id < c.NumTexts(); id++ {
-			tokens := c.Text(uint32(id))
-			if len(tokens) < opts.T {
-				continue
-			}
-			vals = window.Hashes(tokens, f, vals)
-			ws = window.GenerateLinear(vals, opts.T, ws[:0])
-			for _, w := range ws {
-				h := vals[w.C]
-				lists[h] = append(lists[h], Posting{
-					TextID: uint32(id), L: uint32(w.L), C: uint32(w.C), R: uint32(w.R),
-				})
+			recs = rg.appendText(recs[:0], uint32(id), c.Text(uint32(id)))
+			for _, r := range recs {
+				lists[r.Hash] = append(lists[r.Hash], r.Posting)
 			}
 		}
-		// Texts are visited in id order, so lists are already sorted by
-		// text id; L order within a text follows generation order, which
-		// is fine for the reader contract (sorted by TextID).
 		m.lists[fn] = lists
 	}
 	return m, nil

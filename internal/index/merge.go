@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -68,8 +69,9 @@ func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) e
 	// and is still live.
 	return stagedBuild(fsys, outDir, false, func(staging string) (Meta, []fileSum, error) {
 		sums := make([]fileSum, merged.K)
+		bw := newWriteBuffer()
 		for fn := range sums {
-			sum, err := mergeFunc(fsys, shards, offsets, staging, fn, merged)
+			sum, err := mergeFunc(fsys, shards, offsets, staging, fn, merged, bw)
 			if err != nil {
 				return Meta{}, nil, err
 			}
@@ -79,9 +81,11 @@ func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) e
 	})
 }
 
-// mergeFunc k-way merges one hash function's lists across shards.
-func mergeFunc(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string, fn int, meta Meta) (fileSum, error) {
-	w, err := newFileWriter(fsys, filepath.Join(outDir, funcFileName(fn)), fn, meta.ZoneMapStep, meta.LongListCutoff)
+// mergeFunc k-way merges one hash function's lists across shards,
+// streaming list by list: memory is the longest merged list, whatever
+// the index size.
+func mergeFunc(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string, fn int, meta Meta, bw *bufio.Writer) (fileSum, error) {
+	w, err := newFileWriter(fsys, filepath.Join(outDir, funcFileName(fn)), fn, meta.ZoneMapStep, meta.LongListCutoff, bw)
 	if err != nil {
 		return fileSum{}, err
 	}
@@ -91,6 +95,7 @@ func mergeFunc(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string, f
 		hashes[i] = sh.Hashes(fn)
 	}
 	var recs []record
+	var ps []Posting // one shard's portion of the current list, reused
 	for {
 		// Find the smallest pending hash across shards.
 		var cur uint64
@@ -114,7 +119,7 @@ func mergeFunc(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string, f
 				continue
 			}
 			cursor[i]++
-			ps, err := sh.ReadList(fn, cur)
+			ps, err = sh.ReadListInto(ps[:0], fn, cur, nil)
 			if err != nil {
 				w.abort()
 				return fileSum{}, err
@@ -257,7 +262,7 @@ func BuildSharded(c *corpus.Corpus, dir string, opts BuildOptions, numShards int
 	if err := opts.setDefaults(); err != nil {
 		return err
 	}
-	fsys := opts.fsys()
+	fsys := opts.FS
 	// The shard workspace is a staging-pattern sibling of dir, so a crash
 	// leaves it as a sweepable orphan; the final merge stages beside it
 	// and commits into dir atomically.

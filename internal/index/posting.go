@@ -6,15 +6,17 @@
 // path).
 //
 // Three builders are provided: an in-memory builder for corpora that fit
-// in RAM (Algorithm 1's main path), a parallel variant, and an external
+// in RAM (Algorithm 1's main path, one worker per hash function in front
+// of one ordered writer), a sharded variant, and an external
 // hash-aggregation builder with recursive partitioning for corpora larger
 // than memory.
 package index
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Posting locates one compact window: text id plus the window bounds
@@ -68,18 +70,56 @@ func decodeRecord(src []byte) record {
 	}
 }
 
-// sortRecords orders records by (hash, text id, L). Postings within a
-// list must be ordered by text id for zone maps and per-text probes.
-func sortRecords(recs []record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Hash != recs[j].Hash {
-			return recs[i].Hash < recs[j].Hash
+// compareRecords orders records by (hash, text id, L). Postings within
+// a list must be ordered by text id for zone maps and per-text probes.
+func compareRecords(a, b record) int {
+	return cmp.Or(cmp.Compare(a.Hash, b.Hash),
+		cmp.Compare(a.Posting.TextID, b.Posting.TextID), cmp.Compare(a.Posting.L, b.Posting.L))
+}
+
+// groupByHash copies recs into out (grown when too small) as one run per
+// distinct hash, runs ascending by hash and each in its input order, and
+// returns out: a stable counting scatter that sorts only the distinct
+// hashes, a few thousand per function. recordGen emits a hash's records
+// in ascending (TextID, L), so on its output this equals a sort by
+// compareRecords; addList checks that order on every list written.
+func groupByHash(recs, out []record) []record {
+	ids := make(map[uint64]int32)
+	group := make([]int32, len(recs)) // group[i] numbers recs[i].Hash in first-seen order
+	var hashes []uint64
+	var next []int // next[g]: group g's size, then the slot of its next record
+	for i, r := range recs {
+		g, ok := ids[r.Hash]
+		if !ok {
+			g = int32(len(hashes))
+			ids[r.Hash] = g
+			hashes = append(hashes, r.Hash)
+			next = append(next, 0)
 		}
-		if recs[i].Posting.TextID != recs[j].Posting.TextID {
-			return recs[i].Posting.TextID < recs[j].Posting.TextID
-		}
-		return recs[i].Posting.L < recs[j].Posting.L
-	})
+		next[g]++
+		group[i] = g
+	}
+	byHash := make([]int32, len(hashes))
+	for g := range byHash {
+		byHash[g] = int32(g)
+	}
+	slices.SortFunc(byHash, func(a, b int32) int { return cmp.Compare(hashes[a], hashes[b]) })
+	off := 0
+	for _, g := range byHash {
+		size := next[g]
+		next[g] = off
+		off += size
+	}
+	if cap(out) < len(recs) {
+		out = make([]record, len(recs))
+	}
+	out = out[:len(recs)]
+	for i, r := range recs {
+		g := group[i]
+		out[next[g]] = r
+		next[g]++
+	}
+	return out
 }
 
 func (p Posting) String() string {

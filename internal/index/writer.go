@@ -2,11 +2,12 @@ package index
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"ndss/internal/fsio"
 )
@@ -79,7 +80,14 @@ type fileWriter struct {
 	closed     bool
 }
 
-func newFileWriter(fsys fsio.FS, path string, funcIdx, zoneStep, longCutoff int) (*fileWriter, error) {
+// newWriteBuffer returns the buffer a builder resets onto each of the k
+// files it writes one after another, rather than allocating and zeroing
+// a megabyte per file.
+func newWriteBuffer() *bufio.Writer { return bufio.NewWriterSize(nil, 1<<20) }
+
+// newFileWriter starts the inverted file at path. bw is reset onto it
+// and belongs to this writer until finish or abort.
+func newFileWriter(fsys fsio.FS, path string, funcIdx, zoneStep, longCutoff int, bw *bufio.Writer) (*fileWriter, error) {
 	if zoneStep < 1 {
 		return nil, fmt.Errorf("index: zone step must be positive, got %d", zoneStep)
 	}
@@ -87,11 +95,12 @@ func newFileWriter(fsys fsio.FS, path string, funcIdx, zoneStep, longCutoff int)
 	if err != nil {
 		return nil, fmt.Errorf("index: create inverted file: %w", err)
 	}
+	bw.Reset(f)
 	w := &fileWriter{
 		fs:         fsys,
 		path:       path,
 		f:          f,
-		w:          bufio.NewWriterSize(f, 1<<20),
+		w:          bw,
 		zoneStep:   zoneStep,
 		longCutoff: longCutoff,
 	}
@@ -106,9 +115,11 @@ func newFileWriter(fsys fsio.FS, path string, funcIdx, zoneStep, longCutoff int)
 	return w, nil
 }
 
-// addList writes one inverted list. recs must all carry the same hash
-// value and be sorted by text id. An error is returned if the hash was
-// already written (lists must be aggregated before reaching the writer).
+// addList writes one inverted list. recs must all carry the hash h and
+// be strictly ascending in (text id, L): zone maps and per-text probes
+// search on that order, so breaking it is a build error here rather than
+// postings a query silently misses. A hash written twice (lists must be
+// aggregated before reaching the writer) is detected at finish.
 func (w *fileWriter) addList(h uint64, recs []record) error {
 	if len(recs) == 0 {
 		return errors.New("index: empty inverted list")
@@ -122,6 +133,9 @@ func (w *fileWriter) addList(h uint64, recs []record) error {
 	for i, r := range recs {
 		if r.Hash != h {
 			return fmt.Errorf("index: mixed hashes in list: %x vs %x", r.Hash, h)
+		}
+		if i > 0 && compareRecords(recs[i-1], r) >= 0 {
+			return fmt.Errorf("index: list %x out of order: %v before %v", h, recs[i-1].Posting, r.Posting)
 		}
 		encodePosting(buf[i*postingSize:], r.Posting)
 	}
@@ -159,7 +173,7 @@ func (w *fileWriter) finish() (fileSum, error) {
 		return fileSum{}, errors.New("index: writer already finished")
 	}
 	w.closed = true
-	sort.Slice(w.entries, func(i, j int) bool { return w.entries[i].Hash < w.entries[j].Hash })
+	slices.SortFunc(w.entries, func(a, b dirEntry) int { return cmp.Compare(a.Hash, b.Hash) })
 	for i := 1; i < len(w.entries); i++ {
 		if w.entries[i].Hash == w.entries[i-1].Hash {
 			w.remove()

@@ -10,7 +10,7 @@ import (
 
 func newTestWriter(t *testing.T) *fileWriter {
 	t.Helper()
-	w, err := newFileWriter(fsio.OS, filepath.Join(t.TempDir(), "f.idx"), 0, 4, 8)
+	w, err := newFileWriter(fsio.OS, filepath.Join(t.TempDir(), "f.idx"), 0, 4, 8, newWriteBuffer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestWriterDoubleFinish(t *testing.T) {
 }
 
 func TestWriterInvalidZoneStep(t *testing.T) {
-	if _, err := newFileWriter(fsio.OS, filepath.Join(t.TempDir(), "f.idx"), 0, 0, 8); err == nil {
+	if _, err := newFileWriter(fsio.OS, filepath.Join(t.TempDir(), "f.idx"), 0, 0, 8, newWriteBuffer()); err == nil {
 		t.Fatal("zone step 0 should be rejected")
 	}
 }
@@ -77,7 +77,7 @@ func TestWriterInvalidZoneStep(t *testing.T) {
 func TestWriterZoneMapThreshold(t *testing.T) {
 	// Lists at exactly the cutoff get no zone map; one past it does.
 	dir := t.TempDir()
-	w, err := newFileWriter(fsio.OS, filepath.Join(dir, funcFileName(0)), 0, 2, 3)
+	w, err := newFileWriter(fsio.OS, filepath.Join(dir, funcFileName(0)), 0, 2, 3, newWriteBuffer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestWriterZoneMapThreshold(t *testing.T) {
 
 func TestWriterAbortRemovesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "f.idx")
-	w, err := newFileWriter(fsio.OS, path, 0, 4, 8)
+	w, err := newFileWriter(fsio.OS, path, 0, 4, 8, newWriteBuffer())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ func ExampleGenerateLinear() {
 	}
 	fmt.Printf("expected count for n=7, t=3: %.2f\n", window.ExpectedCount(7, 3))
 	// Output:
-	// window (4, 5, 6) covers 4 sequences
-	// window (0, 3, 6) covers 16 sequences
 	// window (0, 1, 2) covers 4 sequences
+	// window (0, 3, 6) covers 16 sequences
+	// window (4, 5, 6) covers 4 sequences
 	// expected count for n=7, t=3: 3.00
 }

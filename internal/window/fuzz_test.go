@@ -10,9 +10,11 @@ import (
 
 // FuzzGenerateLinear checks, for arbitrary hash arrays and thresholds:
 // (1) the stack generator and the RMQ recursion agree, (2) every window
-// is maximal and annotated with the true range minimum, and (3) the
-// windows partition all sequences of length >= t.
+// is maximal and annotated with the true range minimum, (3) the windows
+// partition all sequences of length >= t, and (4) the generator on
+// reused scratch emits the same windows in strictly ascending C.
 func FuzzGenerateLinear(f *testing.F) {
+	var fuzzScratch Scratch // one per fuzz worker process; targets run one at a time
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3))
 	f.Add([]byte{5, 5, 5, 5}, uint8(2))
 	f.Add([]byte{}, uint8(1))
@@ -26,6 +28,7 @@ func FuzzGenerateLinear(f *testing.F) {
 		for i, b := range raw {
 			vals[i] = uint64(b % 16) // dense ties
 		}
+		checkScratchGenerate(t, &fuzzScratch, vals, tt)
 		ws := GenerateLinear(vals, tt, nil)
 		ref := Generate(vals, tt, func(x []uint64) rmq.RMQ { return rmq.NewSparse(x) }, nil)
 		if len(ws) != len(ref) {

@@ -15,9 +15,10 @@
 //   - Generate: the paper's divide-and-conquer Algorithm 2 on top of a
 //     pluggable RMQ structure (O(n) total with the linear RMQ, O(n log n)
 //     with a segment tree as in ALIGN).
-//   - GenerateLinear: a monotonic-stack formulation that computes each
-//     position's maximal window directly via previous-smaller-or-equal /
-//     next-smaller bounds in O(n) worst case with no recursion.
+//   - GenerateLinear (Scratch.Generate on reused memory): a
+//     monotonic-stack formulation that computes each position's maximal
+//     window directly via previous-smaller-or-equal / next-smaller bounds
+//     in one O(n) pass with no recursion, in ascending C.
 //
 // Positions are 0-based; L, C, R are all inclusive.
 package window
@@ -86,16 +87,37 @@ func Hashes(tokens []uint32, f hash.Func, dst []uint64) []uint64 {
 	return dst
 }
 
-// GenerateLinear appends to dst every valid compact window of the token
-// hash array vals under length threshold t, in O(len(vals)) time, and
-// returns the extended slice. Ties between equal hash values are broken
-// toward the leftmost position, matching the RMQ-based generator.
+// Scratch is the linear generator's working memory. A caller generating
+// many texts keeps one and pays for the arrays once; the zero value is
+// ready to use. Not safe for concurrent use.
+type Scratch struct {
+	bounds []struct{ l, r int32 } // each position's maximal window
+	stack  []stackEntry
+}
+
+// stackEntry carries a stacked position's value, sparing the pop loop a
+// trip to the hash array.
+type stackEntry struct {
+	val uint64
+	pos int32
+}
+
+// Generate appends to dst every valid compact window of the token hash
+// array vals under length threshold t, in O(len(vals)) time and in
+// ascending C, and returns the extended slice. Ties between equal hash
+// values are broken toward the leftmost position, matching the RMQ-based
+// generator.
 //
 // For each position c the maximal window is [L, R] where L-1 is the
 // closest previous position with value <= vals[c] and R+1 is the closest
 // next position with value < vals[c]; c is then the leftmost minimum of
-// [L, R]. The window is emitted iff R-L+1 >= t.
-func GenerateLinear(vals []uint64, t int, dst []Window) []Window {
+// [L, R]. One pass over a stack of positions with strictly increasing
+// values finds both: L is known when c is pushed (one past the position
+// then below it), and R when a strictly smaller value pops c (one before
+// the popping position). The window is emitted iff R-L+1 >= t. Equal
+// values at C1 < C2 have L2 > C1 >= L1, so within one hash value the
+// output also ascends strictly in L — the order inverted lists keep.
+func (s *Scratch) Generate(vals []uint64, t int, dst []Window) []Window {
 	n := len(vals)
 	if t < 1 {
 		t = 1
@@ -103,42 +125,45 @@ func GenerateLinear(vals []uint64, t int, dst []Window) []Window {
 	if n < t {
 		return dst
 	}
-	// left[c]: first position of c's window. A monotonic stack of
-	// positions with strictly increasing values yields, for each c, the
-	// nearest previous position whose value is <= vals[c].
-	left := make([]int32, n)
-	stack := make([]int32, 0, 64)
-	for c := 0; c < n; c++ {
-		v := vals[c]
-		for len(stack) > 0 && vals[stack[len(stack)-1]] > v {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) == 0 {
-			left[c] = 0
-		} else {
-			left[c] = stack[len(stack)-1] + 1
-		}
-		stack = append(stack, int32(c))
+	if cap(s.bounds) < n {
+		s.bounds = make([]struct{ l, r int32 }, n)
+		s.stack = make([]stackEntry, n+1)
 	}
-	// right bound: nearest next position with value strictly smaller.
-	stack = stack[:0]
-	for c := n - 1; c >= 0; c-- {
-		v := vals[c]
-		for len(stack) > 0 && vals[stack[len(stack)-1]] >= v {
-			stack = stack[:len(stack)-1]
+	// Every position is pushed once and popped once, here or in the
+	// final drain, so bounds[:n] keeps nothing of an earlier input.
+	bounds, stack := s.bounds[:n], s.stack[:n+1]
+	// stack[0] is a sentinel "position -1" that no value pops: L = 0 when
+	// nothing smaller-or-equal precedes c. e mirrors the top entry.
+	e := stackEntry{val: 0, pos: -1}
+	stack[0] = e
+	top := 0
+	for c, v := range vals {
+		for e.val > v {
+			bounds[e.pos].r = int32(c - 1)
+			top--
+			e = stack[top]
 		}
-		var r int32
-		if len(stack) == 0 {
-			r = int32(n - 1)
-		} else {
-			r = stack[len(stack)-1] - 1
+		bounds[c].l = e.pos + 1
+		top++
+		e = stackEntry{val: v, pos: int32(c)}
+		stack[top] = e
+	}
+	for ; top > 0; top-- {
+		bounds[stack[top].pos].r = int32(n - 1)
+	}
+	for c, b := range bounds {
+		if int(b.r)-int(b.l)+1 >= t {
+			dst = append(dst, Window{L: b.l, C: int32(c), R: b.r})
 		}
-		if int(r)-int(left[c])+1 >= t {
-			dst = append(dst, Window{L: left[c], C: int32(c), R: r})
-		}
-		stack = append(stack, int32(c))
 	}
 	return dst
+}
+
+// GenerateLinear is Scratch.Generate on fresh scratch, for call sites
+// that do not manage reuse.
+func GenerateLinear(vals []uint64, t int, dst []Window) []Window {
+	var s Scratch
+	return s.Generate(vals, t, dst)
 }
 
 // Generate appends to dst every valid compact window of vals under

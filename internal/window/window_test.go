@@ -1,6 +1,7 @@
 package window
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -144,6 +145,59 @@ func TestGeneratorsAgreeRandom(t *testing.T) {
 				t.Fatalf("trial %d t=%d: %s disagrees with %s\nvals=%v\nref=%v\ngot=%v",
 					trial, tt, g.name, generators[0].name, vals, ref, got)
 			}
+		}
+	}
+}
+
+// checkScratchGenerate runs the one-pass generator on a Scratch that has
+// just served a longer, different input, and checks the output against
+// the RMQ recursion as a set, for strictly ascending C, and for nothing
+// left over from the earlier call.
+func checkScratchGenerate(t *testing.T, s *Scratch, vals []uint64, tt int) {
+	t.Helper()
+	longer := make([]uint64, 2*len(vals)+3)
+	for i := range longer {
+		longer[i] = uint64(len(longer) - i) // descending: every bound differs from vals'
+	}
+	s.Generate(longer, 1, nil)
+	got := s.Generate(vals, tt, nil)
+	for i := 1; i < len(got); i++ {
+		if got[i-1].C >= got[i].C {
+			t.Fatalf("t=%d vals=%v: C not strictly ascending: %v", tt, vals, got)
+		}
+	}
+	ref := Generate(vals, tt, func(x []uint64) rmq.RMQ { return rmq.NewSparse(x) }, nil)
+	if !windowsEqual(append([]Window{}, got...), ref) {
+		t.Fatalf("t=%d vals=%v: one-pass %v, RMQ %v", tt, vals, got, ref)
+	}
+}
+
+func TestScratchGenerateMatchesRMQ(t *testing.T) {
+	const top = math.MaxUint64
+	inputs := map[string][]uint64{
+		"all equal":    {6, 6, 6, 6, 6, 6, 6, 6},
+		"all max":      {top, top, top, top, top},
+		"sawtooth":     {1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3},
+		"max and zero": {top, 0, top, 0, top, top, 0},
+		"ascending":    {1, 2, 3, 4, 5, 6, 7},
+		"descending":   {7, 6, 5, 4, 3, 2, 1},
+		"single":       {4},
+		"empty":        {},
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 40; i++ {
+		vals := make([]uint64, 1+rng.Intn(200))
+		domain := uint64(1 + rng.Intn(12)) // tie-heavy
+		for j := range vals {
+			vals[j] = rng.Uint64() % domain
+		}
+		inputs[fmt.Sprintf("random %d", i)] = vals
+	}
+	var s Scratch
+	for _, vals := range inputs {
+		n := len(vals)
+		for _, tt := range []int{1, 2, 3, n - 1, n, n + 1, 25} { // n < t, n = t, n > t
+			checkScratchGenerate(t, &s, vals, tt)
 		}
 	}
 }
@@ -385,6 +439,16 @@ func benchGenerate(b *testing.B, n, t int, gen func([]uint64, int) []Window) {
 
 func BenchmarkGenerateLinear_n10k_t50(b *testing.B) {
 	benchGenerate(b, 10000, 50, func(v []uint64, t int) []Window { return GenerateLinear(v, t, nil) })
+}
+
+// The builders' shape: one Scratch and one output slice across calls.
+func BenchmarkGenerateLinearScratch_n10k_t50(b *testing.B) {
+	var s Scratch
+	var ws []Window
+	benchGenerate(b, 10000, 50, func(v []uint64, t int) []Window {
+		ws = s.Generate(v, t, ws[:0])
+		return ws
+	})
 }
 
 func BenchmarkGenerateRMQSparse_n10k_t50(b *testing.B) {
