@@ -101,7 +101,8 @@ func ab2(e *Env) error {
 		opts search.Options
 	}{
 		{"no prefix filter (all lists read fully)", search.Options{Theta: 0.8}},
-		{"prefix filter, default cutoff (top 10%)", search.Options{Theta: 0.8, PrefixFilter: true}},
+		{"prefix filter, cutoff at top 10%", search.Options{Theta: 0.8, PrefixFilter: true,
+			LongListThreshold: search.CutoffForTopFraction(ix, 0.10)}},
 		{"prefix filter, aggressive cutoff (top 20%)", search.Options{Theta: 0.8, PrefixFilter: true,
 			LongListThreshold: search.CutoffForTopFraction(ix, 0.20)}},
 	} {

@@ -74,7 +74,8 @@ func beginBuild(fsys fsio.FS, dir string, sweep bool) (staging string, err error
 // their metadata and checksums; the manifest describing them is added
 // and the staging directory committed as dir. A failure discards the
 // staging directory; short of commitDir's renames it leaves a previous
-// index at dir untouched.
+// index at dir untouched, and after them it is a
+// *CommitUnconfirmedError naming the build now at dir.
 func stagedBuild(fsys fsio.FS, dir string, sweep bool, write func(staging string) (Meta, []fileSum, error)) error {
 	staging, err := beginBuild(fsys, dir, sweep)
 	if err != nil {
@@ -82,10 +83,10 @@ func stagedBuild(fsys fsio.FS, dir string, sweep bool, write func(staging string
 	}
 	meta, sums, err := write(staging)
 	if err == nil {
-		err = writeManifest(fsys, staging, newManifest(meta, sums))
-	}
-	if err == nil {
-		err = commitDir(fsys, staging, dir)
+		man := newManifest(meta, sums)
+		if err = writeManifest(fsys, staging, man); err == nil {
+			err = commitDir(fsys, staging, dir, man.BuildID)
+		}
 	}
 	if err != nil {
 		fsys.RemoveAll(staging)
@@ -166,13 +167,15 @@ func recoverBackup(fsys fsio.FS, dir string) error {
 	return fsys.SyncDir(filepath.Dir(dir))
 }
 
-// commitDir atomically publishes a fully written staging directory as
-// dir. Data files must already be fsynced (fileWriter.finish and
-// fsio.WriteFileSync guarantee this); commitDir fsyncs the staging
-// directory, swaps it in by rename, and fsyncs the parent so the swap
-// is durable. On failure the previous index is left (or put back) in
-// place.
-func commitDir(fsys fsio.FS, staging, dir string) error {
+// commitDir atomically publishes a fully written staging directory,
+// holding build buildID, as dir. Data files must already be fsynced
+// (fileWriter.finish and fsio.WriteFileSync guarantee this); commitDir
+// fsyncs the staging directory, swaps it in by rename, and fsyncs the
+// parent so the swap is durable. A failure before the swap leaves the
+// previous index (or puts it back) in place; a failed parent fsync
+// after it is a *CommitUnconfirmedError, since the new build is what
+// every later Open sees.
+func commitDir(fsys fsio.FS, staging, dir, buildID string) error {
 	if err := fsys.SyncDir(staging); err != nil {
 		return fmt.Errorf("index: sync staging dir: %w", err)
 	}
@@ -189,7 +192,7 @@ func commitDir(fsys fsio.FS, staging, dir string) error {
 			return fmt.Errorf("index: commit rename: %w", err)
 		}
 		if err := fsys.SyncDir(parent); err != nil {
-			return fmt.Errorf("index: sync parent dir: %w", err)
+			return &CommitUnconfirmedError{BuildID: buildID, Err: fmt.Errorf("sync parent dir: %w", err)}
 		}
 		// The new index is durable; the backup is now garbage. Removal
 		// is best-effort — recoverBackup clears a leftover on the next
@@ -203,7 +206,7 @@ func commitDir(fsys fsio.FS, staging, dir string) error {
 		return fmt.Errorf("index: commit rename: %w", err)
 	}
 	if err := fsys.SyncDir(parent); err != nil {
-		return fmt.Errorf("index: sync parent dir: %w", err)
+		return &CommitUnconfirmedError{BuildID: buildID, Err: fmt.Errorf("sync parent dir: %w", err)}
 	}
 	return nil
 }

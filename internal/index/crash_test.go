@@ -315,6 +315,10 @@ func TestAppendErrorMeansNotCommitted(t *testing.T) {
 					t.Fatalf("%s op %d: %v reported as not committed, but the directory changed: %+v -> %+v",
 						name, n, err, old, got)
 				}
+				var ce *CommitUnconfirmedError
+				if errors.As(err, &ce) {
+					t.Fatalf("%s op %d: an uncommitted mutation reports a committed build: %v", name, n, err)
+				}
 			default:
 				var ce *CommitUnconfirmedError
 				if !errors.As(err, &ce) || !errors.Is(err, fsio.ErrInjected) || got.buildID != id {
@@ -326,6 +330,45 @@ func TestAppendErrorMeansNotCommitted(t *testing.T) {
 		if unconfirmed != 1 {
 			t.Fatalf("%s: %d fault points report committed-but-unconfirmed, want exactly the final directory fsync", name, unconfirmed)
 		}
+	}
+}
+
+// TestCompactErrorMeansNotCommitted is the same sweep over compaction:
+// an error without a *CommitUnconfirmedError leaves the old segment set
+// in place, and the one fault point after the directory swap — the
+// parent fsync — reports the compacted build that is now live.
+func TestCompactErrorMeansNotCommitted(t *testing.T) {
+	dry := filepath.Join(t.TempDir(), "ix")
+	segmentedFixture(t, dry)
+	counter := fsio.NewFaultFS(fsio.OS)
+	if err := compactFS(counter, dry); err != nil {
+		t.Fatal(err)
+	}
+	unconfirmed := 0
+	for n := 1; n <= counter.Ops(); n++ {
+		dir := filepath.Join(t.TempDir(), "ix")
+		old, _ := segmentedFixture(t, dir)
+		err := compactFS(fsio.NewFaultFS(fsio.OS).SetCrash(false).FailAt(n), dir)
+		got := openAndFingerprint(t, dir)
+		var ce *CommitUnconfirmedError
+		switch {
+		case err == nil:
+			if got == old {
+				t.Fatalf("op %d: success but the old segment set is still in place", n)
+			}
+		case !errors.As(err, &ce):
+			if got != old {
+				t.Fatalf("op %d: %v reported as not committed, but the directory changed: %+v -> %+v", n, err, old, got)
+			}
+		default:
+			if !errors.Is(err, fsio.ErrInjected) || got.buildID != ce.BuildID || got == old {
+				t.Fatalf("op %d: committed id %q with error %v, directory holds %+v", n, ce.BuildID, err, got)
+			}
+			unconfirmed++
+		}
+	}
+	if unconfirmed != 1 {
+		t.Fatalf("%d fault points report committed-but-unconfirmed, want exactly the parent fsync after the swap", unconfirmed)
 	}
 }
 

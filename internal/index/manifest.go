@@ -94,11 +94,12 @@ func (e *NoManifestError) Error() string {
 	return fmt.Sprintf("index: %s has no %s, so it is not an index this build can verify: rebuild it", e.Dir, manifestFileName)
 }
 
-// CommitUnconfirmedError reports a mutation whose manifest rename went
-// through — the new segment set is what every later Open sees — but
-// whose final directory fsync failed, so durability across a power loss
-// is unconfirmed. The mutation must not be retried: BuildID names the
-// build that is now visible.
+// CommitUnconfirmedError reports a mutation whose commit rename went
+// through — of the manifest (append, delete) or of the staged directory
+// (build, compaction): the new build is what every later Open sees —
+// but whose final directory fsync failed, so durability across a power
+// loss is unconfirmed. The mutation must not be retried: BuildID names
+// the build that is now visible.
 type CommitUnconfirmedError struct {
 	BuildID string
 	Err     error

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"ndss/internal/corpus"
@@ -51,8 +52,8 @@ func mergeShardsFS(fsys fsio.FS, shardDirs []string, offsets []uint32, outDir st
 // mergeInto is the one multi-part writer: it merges the opened shards'
 // lists, shard i's text ids shifted by offsets[i], into a single root
 // segment staged next to outDir and committed atomically. A shard may
-// itself be a segment set — its reads concatenate segments in id order
-// and drop tombstoned postings — which is all compaction needs.
+// itself be a segment set — each segment is a source of its own, its
+// tombstoned postings dropped — which is all compaction needs.
 func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) error {
 	merged := shards[0].Meta()
 	merged.NumTexts, merged.TotalTokens = 0, 0
@@ -65,13 +66,21 @@ func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) e
 		merged.NumTexts += m.NumTexts
 		merged.TotalTokens += m.TotalTokens
 	}
+	// Every (shard, segment) is one merge source, in ascending text-id
+	// order: shard offsets ascend and so do segment bases within a shard.
+	var srcs []mergeSource
+	for i, sh := range shards {
+		for si, seg := range sh.segs {
+			srcs = append(srcs, mergeSource{ix: sh, seg: si, base: offsets[i] + seg.base, tomb: seg.tomb})
+		}
+	}
 	// No sweep: BuildSharded's shard workspace matches the orphan pattern
 	// and is still live.
 	return stagedBuild(fsys, outDir, false, func(staging string) (Meta, []fileSum, error) {
 		sums := make([]fileSum, merged.K)
 		bw := newWriteBuffer()
 		for fn := range sums {
-			sum, err := mergeFunc(fsys, shards, offsets, staging, fn, merged, bw)
+			sum, err := mergeFunc(fsys, srcs, staging, fn, merged, bw)
 			if err != nil {
 				return Meta{}, nil, err
 			}
@@ -81,56 +90,111 @@ func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) e
 	})
 }
 
-// mergeFunc k-way merges one hash function's lists across shards,
-// streaming list by list: memory is the longest merged list, whatever
-// the index size.
-func mergeFunc(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string, fn int, meta Meta, bw *bufio.Writer) (fileSum, error) {
+// mergeWindow caps a source's read-ahead window: a hash-ordered inverted
+// file is read in chunks of this size, not list by list.
+const mergeWindow = 1 << 20
+
+// mergeSource is one segment's input to the merge of one hash function:
+// a cursor over the file's hash-sorted directory, and a window holding
+// bytes [winOff, winOff+len(win)) of its postings region.
+type mergeSource struct {
+	ix   *Index // the shard the segment belongs to
+	seg  int    // the segment's ordinal within ix
+	base uint32 // added to every surviving local text id
+	tomb *tombSet
+
+	ff     *funcFile
+	row    int  // next directory row to merge
+	seq    bool // lists lie in the file in hash order
+	win    []byte
+	winOff uint64
+	buf    []byte // window storage, reused across functions
+}
+
+// start points the source at function fn's file. Build, Append and
+// merge output write lists in hash order, so the merge reads them front
+// to back. BuildExternal's partition order is read list by list: there
+// a window would hold other partitions' lists and be refilled for
+// nearly every list, a megabyte read each time.
+func (s *mergeSource) start(fn int) {
+	s.ff = s.ix.segs[s.seg].files[fn]
+	s.row, s.win, s.winOff = 0, nil, 0
+	s.seq = slices.IsSorted(s.ff.offs)
+}
+
+// appendList appends the postings of the list at the cursor to dst as
+// records of its hash — tombstoned ids dropped, the rest shifted by
+// base — and advances the cursor. A list outside the window refills it
+// at the list's offset: up to mergeWindow bytes of the lists that follow
+// in a hash-ordered file, exactly the list otherwise.
+func (s *mergeSource) appendList(dst []record) ([]record, error) {
+	h, off, n := s.ff.hashes[s.row], s.ff.offs[s.row], uint64(s.ff.counts[s.row])*postingSize
+	s.row++
+	if off < s.winOff || off+n > s.winOff+uint64(len(s.win)) {
+		size := n
+		if s.seq {
+			size = max(n, min(mergeWindow, s.ff.dirOff-off))
+		}
+		if uint64(cap(s.buf)) < size {
+			s.buf = make([]byte, size)
+		}
+		s.win, s.winOff = s.buf[:size], off
+		if err := s.ix.readAt(s.ff, s.seg, s.win, int64(off), nil); err != nil {
+			return dst, fmt.Errorf("index: read list %x: %w", h, err)
+		}
+	}
+	b := s.win[off-s.winOff:][:n]
+	for i := 0; i < len(b); i += postingSize {
+		p := decodePosting(b[i:])
+		if s.tomb.has(p.TextID) {
+			continue
+		}
+		p.TextID += s.base
+		dst = append(dst, record{Hash: h, Posting: p})
+	}
+	return dst, nil
+}
+
+// mergeFunc k-way merges one hash function's lists across the sources
+// into one inverted file, list by list in hash order. Memory is the
+// longest merged list plus one window per source, whatever the index
+// size.
+func mergeFunc(fsys fsio.FS, srcs []mergeSource, outDir string, fn int, meta Meta, bw *bufio.Writer) (fileSum, error) {
 	w, err := newFileWriter(fsys, filepath.Join(outDir, funcFileName(fn)), fn, meta.ZoneMapStep, meta.LongListCutoff, bw)
 	if err != nil {
 		return fileSum{}, err
 	}
-	hashes := make([][]uint64, len(shards))
-	cursor := make([]int, len(shards))
-	for i, sh := range shards {
-		hashes[i] = sh.Hashes(fn)
+	for i := range srcs {
+		srcs[i].start(fn)
 	}
 	var recs []record
-	var ps []Posting // one shard's portion of the current list, reused
 	for {
-		// Find the smallest pending hash across shards.
+		// Find the smallest pending hash across sources.
 		var cur uint64
 		found := false
-		for i := range shards {
-			if cursor[i] >= len(hashes[i]) {
-				continue
-			}
-			if h := hashes[i][cursor[i]]; !found || h < cur {
-				cur, found = h, true
+		for i := range srcs {
+			s := &srcs[i]
+			if s.row < len(s.ff.hashes) && (!found || s.ff.hashes[s.row] < cur) {
+				cur, found = s.ff.hashes[s.row], true
 			}
 		}
 		if !found {
 			break
 		}
-		// Collect postings for this hash from every shard holding it, in
-		// shard order (ascending text-id ranges keep the list sorted).
+		// Collect its postings from every source holding it, in source
+		// order (ascending text-id ranges keep the list sorted).
 		recs = recs[:0]
-		for i, sh := range shards {
-			if cursor[i] >= len(hashes[i]) || hashes[i][cursor[i]] != cur {
+		for i := range srcs {
+			s := &srcs[i]
+			if s.row >= len(s.ff.hashes) || s.ff.hashes[s.row] != cur {
 				continue
 			}
-			cursor[i]++
-			ps, err = sh.ReadListInto(ps[:0], fn, cur, nil)
-			if err != nil {
+			if recs, err = s.appendList(recs); err != nil {
 				w.abort()
 				return fileSum{}, err
 			}
-			for _, p := range ps {
-				p.TextID += offsets[i]
-				recs = append(recs, record{Hash: cur, Posting: p})
-			}
 		}
-		// Every posting of this hash may be tombstoned (compaction
-		// filters deleted texts out through ReadList); a list with no
+		// Every posting of this hash may be tombstoned; a list with no
 		// survivors is simply not written.
 		if len(recs) == 0 {
 			continue
@@ -193,7 +257,13 @@ func appendFS(fsys fsio.FS, dir string, newTexts *corpus.Corpus) (string, error)
 	}
 	// Build commits the segment directory durably (staged inside dir,
 	// fsynced, renamed into place) before the manifest below names it.
+	// Until then nothing is committed, even a segment whose own commit
+	// is unconfirmed: the next mutation sweeps it.
 	if _, err := Build(newTexts, segDir, opts); err != nil {
+		var unconfirmed *CommitUnconfirmedError
+		if errors.As(err, &unconfirmed) {
+			err = fmt.Errorf("index: commit segment %s: %w", segName, unconfirmed.Err)
+		}
 		return "", err
 	}
 	seg, err := readManifest(fsys, segDir)
@@ -229,6 +299,10 @@ func appendFS(fsys fsio.FS, dir string, newTexts *corpus.Corpus) (string, error)
 // atomic commit protocol as a fresh build, so a crash leaves the old
 // segment set or the new single segment. An already-compact index (one
 // segment, no tombstones) is a no-op.
+//
+// A *CommitUnconfirmedError means the compacted index is in place and
+// serving every later Open; its BuildID names it. Any other error
+// leaves the old segment set in place.
 func Compact(dir string) error {
 	return compactFS(fsio.OS, dir)
 }

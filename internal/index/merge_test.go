@@ -1,10 +1,15 @@
 package index
 
 import (
+	"crypto/sha256"
+	"os"
 	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"ndss/internal/corpus"
+	"ndss/internal/fsio"
 )
 
 // TestBuildShardedEqualsDirect: sharded build + merge must reproduce the
@@ -113,5 +118,146 @@ func TestMergeShardsOffsets(t *testing.T) {
 	}
 	if !ids[0] || !ids[5] || len(ids) != 2 {
 		t.Fatalf("merged text ids = %v", ids)
+	}
+}
+
+// readCountFS counts the ReadAt calls made on the files it opens.
+type readCountFS struct {
+	fsio.FS
+	reads atomic.Int64
+}
+
+func (c *readCountFS) Open(name string) (fsio.File, error) {
+	f, err := c.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &readCountFile{File: f, reads: &c.reads}, nil
+}
+
+type readCountFile struct {
+	fsio.File
+	reads *atomic.Int64
+}
+
+func (f *readCountFile) ReadAt(p []byte, off int64) (int, error) {
+	f.reads.Add(1)
+	return f.File.ReadAt(p, off)
+}
+
+// TestCompactReadBudget pins the streamed merge's reads: compacting a
+// nine-segment set reads each hash-ordered inverted file front to back
+// in windows of at most mergeWindow bytes — ceil(region/window) reads a
+// file on top of Open's header, trailer and directory — never one read
+// per (list, segment).
+func TestCompactReadBudget(t *testing.T) {
+	opts := BuildOptions{K: 4, Seed: 17, T: 10, ZoneMapStep: 8, LongListCutoff: 24}
+	parts := []*corpus.Corpus{testCorpus(t, 40, 30, 140, 60, 7)}
+	for seg := 0; seg < 8; seg++ {
+		parts = append(parts, testCorpus(t, 4, 30, 140, 60, int64(20+seg)))
+	}
+	dir := buildSegmented(t, opts, parts...)
+	if err := Delete(dir, []uint32{3, 41}); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, budget, lists := 0, int64(0), 0
+	for _, seg := range ix.segs {
+		for _, ff := range seg.files {
+			files++
+			budget += (int64(ff.dirOff) - idxHeaderLen + mergeWindow - 1) / mergeWindow
+			lists += len(ff.hashes)
+		}
+	}
+	ix.Close()
+	if files != 9*opts.K {
+		t.Fatalf("fixture has %d inverted files, want %d", files, 9*opts.K)
+	}
+
+	fsys := &readCountFS{FS: fsio.OS}
+	if err := compactFS(fsys, dir); err != nil {
+		t.Fatal(err)
+	}
+	const openReads = 3 // header, trailer and directory of each file
+	merged := fsys.reads.Load() - int64(openReads*files)
+	if merged > budget {
+		t.Fatalf("compaction issued %d reads beyond Open's, budget %d (%d lists over %d files)", merged, budget, lists, files)
+	}
+	if merged < int64(files) {
+		t.Fatalf("compaction issued %d reads beyond Open's for %d files: the count misses reads", merged, files)
+	}
+}
+
+// TestCompactPartitionOrderedSources compacts the same segment history
+// twice: once over a Build base, whose lists lie in hash order, and once
+// over a BuildExternal base under a 2 kB budget, whose lists lie in
+// partition order, so the merge's windows refill out of order. The
+// compacted inverted files must be byte-identical.
+func TestCompactPartitionOrderedSources(t *testing.T) {
+	c := goldenCorpus(t)
+	opts := BuildOptions{K: 3, Seed: 11, T: 12, ZoneMapStep: 8, LongListCutoff: 24}
+	extraA, extraB := testCorpus(t, 9, 30, 140, 60, 9), testCorpus(t, 7, 30, 140, 60, 11)
+	tok := filepath.Join(t.TempDir(), "c.tok")
+	if err := corpus.WriteFile(c, tok); err != nil {
+		t.Fatal(err)
+	}
+	r, err := corpus.OpenReader(tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	build := map[string]func(dir string) error{
+		"hash-ordered": func(dir string) error { _, err := Build(c, dir, opts); return err },
+		"partition-ordered": func(dir string) error {
+			extOpts := opts
+			extOpts.MemoryBudget, extOpts.BatchTokens = 2048, 300
+			_, err := BuildExternal(r, dir, extOpts)
+			return err
+		},
+	}
+	sums := map[string][][32]byte{}
+	for name, base := range build {
+		dir := filepath.Join(t.TempDir(), "ix")
+		if err := base(dir); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted := true
+		for _, ff := range ix.segs[0].files {
+			sorted = sorted && slices.IsSorted(ff.offs)
+		}
+		ix.Close()
+		if want := name == "hash-ordered"; sorted != want {
+			t.Fatalf("%s base: lists in hash order = %v, want %v", name, sorted, want)
+		}
+		for _, extra := range []*corpus.Corpus{extraA, extraB} {
+			if _, err := Append(dir, extra); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := Delete(dir, []uint32{5, 44, 52}); err != nil {
+			t.Fatal(err)
+		}
+		if err := Compact(dir); err != nil {
+			t.Fatal(err)
+		}
+		for fn := 0; fn < opts.K; fn++ {
+			data, err := os.ReadFile(filepath.Join(dir, funcFileName(fn)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sums[name] = append(sums[name], sha256.Sum256(data))
+		}
+	}
+	if !slices.Equal(sums["hash-ordered"], sums["partition-ordered"]) {
+		t.Fatalf("compaction over partition-ordered sources wrote different files:\n%x\n%x",
+			sums["hash-ordered"], sums["partition-ordered"])
 	}
 }

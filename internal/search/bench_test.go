@@ -2,6 +2,7 @@ package search
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"ndss/internal/corpus"
@@ -61,6 +62,41 @@ func BenchmarkSearchHit(b *testing.B) {
 func BenchmarkSearchMiss(b *testing.B) {
 	s, _, miss, opts := benchFixture(b)
 	benchSearch(b, s, miss, opts)
+}
+
+// BenchmarkFirstQueryAfterAppend times what an ingest-churn client waits
+// for after every reload: the first query of a fresh Searcher over a
+// nine-segment index (a 300-text base plus eight 16-text appends, K=32),
+// everything it computes lazily included.
+func BenchmarkFirstQueryAfterAppend(b *testing.B) {
+	cfg := corpus.SynthConfig{
+		NumTexts: 300, MinLength: 100, MaxLength: 700, VocabSize: 32000,
+		ZipfS: 1.07, Seed: 1, DupRate: 0.15, DupSnippetLen: 64, DupMutateProb: 0.05,
+	}
+	c := corpus.MustSynthesize(cfg)
+	dir := filepath.Join(b.TempDir(), "ix")
+	if _, err := index.Build(c, dir, index.BuildOptions{K: 32, Seed: 1, T: 25}); err != nil {
+		b.Fatal(err)
+	}
+	for seg := 0; seg < 8; seg++ {
+		cfg.NumTexts, cfg.Seed = 16, int64(2+seg)
+		if _, err := index.Append(dir, corpus.MustSynthesize(cfg)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ix, err := index.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	hit, opts := c.Text(7)[20:84], Options{Theta: 0.8, PrefixFilter: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ms, _, err := New(ix, nil).Search(hit, opts); err != nil || len(ms) == 0 {
+			b.Fatalf("hit query: %d matches, err %v", len(ms), err)
+		}
+	}
 }
 
 // TestSearchSteadyStateAllocs guards the pooled query context: on a

@@ -33,8 +33,11 @@ type Plan struct {
 	// NumLong is the number of deferred lists (at most Beta-1, so the
 	// short-list filter threshold stays positive).
 	NumLong int
-	// Cutoff is the list-length threshold applied, 0 when the plan came
-	// from the cost model (CostBasedPrefix) or no filtering was asked.
+	// Cutoff is the list-length threshold applied: the query's
+	// LongListThreshold, or by default the index's build-time
+	// Meta().LongListCutoff (4096 unless built otherwise; see
+	// Options.LongListThreshold). 0 when the plan came from the cost
+	// model (CostBasedPrefix) or no filtering was asked.
 	Cutoff int
 	// Beta is the required collision count ceil(K*Theta); Alpha is the
 	// short-list filter threshold Beta - NumLong (floored at 1).
@@ -172,7 +175,7 @@ func (s *Searcher) stagePlan(qc *queryCtx) {
 	case qc.opts.PrefixFilter:
 		cutoff := qc.opts.LongListThreshold
 		if cutoff == 0 {
-			cutoff = s.defaultCutoff()
+			cutoff = s.ix.Meta().LongListCutoff
 		}
 		qc.plan.Cutoff = cutoff
 		qc.lens, qc.order = qc.lens[:0], qc.order[:0]

@@ -1,6 +1,9 @@
 package search
 
 import (
+	"math/rand"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"ndss/internal/corpus"
@@ -117,5 +120,89 @@ func TestMemIndexPlanStillDefers(t *testing.T) {
 	}
 	if plan.NumLong == 0 {
 		t.Fatal("MemIndex plan defers nothing (zone-map demotion over-applied)")
+	}
+}
+
+// TestDefaultDeferralMatchesTopTenPercent pins the default long-list
+// cutoff: with LongListThreshold 0 the planner uses the index's
+// build-time LongListCutoff. Wherever the top-10% quantile lies at or
+// below that cutoff — every index this repository builds — both rules
+// keep exactly the zone-mapped lists, at most beta-1, longest first, so
+// the default plan must equal the explicit-quantile plan: on one
+// segment, and on a base after each of eight appends.
+func TestDefaultDeferralMatchesTopTenPercent(t *testing.T) {
+	c := corpus.MustSynthesize(corpus.SynthConfig{
+		NumTexts: 200, MinLength: 40, MaxLength: 200, VocabSize: 300,
+		ZipfS: 1.2, Seed: 41, DupRate: 0.3, DupSnippetLen: 30, DupMutateProb: 0.05,
+	})
+	opts := index.BuildOptions{K: 16, Seed: 5, T: 8, ZoneMapStep: 8, LongListCutoff: 64}
+	rng := rand.New(rand.NewSource(3))
+	var queries [][]uint32
+	for len(queries) < 1000 {
+		text := c.Text(uint32(rng.Intn(c.NumTexts())))
+		n := 12 + rng.Intn(40)
+		if len(text) < n {
+			continue
+		}
+		start := rng.Intn(len(text) - n + 1)
+		queries = append(queries, text[start:start+n])
+	}
+
+	check := func(dir string) {
+		t.Helper()
+		ix, err := index.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		q10, cutoff := CutoffForTopFraction(ix, 0.10), ix.Meta().LongListCutoff
+		if q10 > cutoff {
+			t.Fatalf("%d segments: top-10%% quantile %d above the build cutoff %d", ix.SegmentCount(), q10, cutoff)
+		}
+		s := New(ix, nil)
+		deferred := 0
+		for _, q := range queries {
+			for _, theta := range []float64{0.5, 0.8, 1} {
+				def, err := s.Explain(q, Options{Theta: theta, PrefixFilter: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				top, err := s.Explain(q, Options{Theta: theta, PrefixFilter: true, LongListThreshold: q10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if def.Cutoff != cutoff {
+					t.Fatalf("default plan cutoff %d, want the build cutoff %d", def.Cutoff, cutoff)
+				}
+				if !slices.Equal(def.Long, top.Long) || def.NumLong != top.NumLong || def.Alpha != top.Alpha || def.Beta != top.Beta {
+					t.Fatalf("%d segments, theta %v, query %v: default plan %+v, top-10%% plan %+v",
+						ix.SegmentCount(), theta, q, def, top)
+				}
+				if def.NumLong > 0 {
+					deferred++
+				}
+			}
+		}
+		// Plans that defer nothing agree trivially; most must defer.
+		if deferred < len(queries) {
+			t.Fatalf("%d segments: only %d of %d plans defer a list", ix.SegmentCount(), deferred, 3*len(queries))
+		}
+	}
+
+	single := filepath.Join(t.TempDir(), "ix")
+	if _, err := index.Build(c, single, opts); err != nil {
+		t.Fatal(err)
+	}
+	check(single)
+	segmented := filepath.Join(t.TempDir(), "ix")
+	parts := splitCorpus(c, 120, 10, 10, 10, 10, 10, 10, 10, 10)
+	if _, err := index.Build(parts[0], segmented, opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range parts[1:] {
+		if _, err := index.Append(segmented, p); err != nil {
+			t.Fatal(err)
+		}
+		check(segmented)
 	}
 }

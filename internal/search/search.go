@@ -66,7 +66,15 @@ type Options struct {
 	// fully (§3.5).
 	PrefixFilter bool
 	// LongListThreshold is the posting count above which a list is
-	// considered long. Zero selects the searcher's default cutoff.
+	// considered long. Zero selects the index's build-time
+	// Meta().LongListCutoff: the lists it gave zone maps, the only ones
+	// the planner defers. Wherever the top-10% list-length quantile lies
+	// at or below that cutoff — every index this repository builds — the
+	// plans are those deferring the 10% longest lists gives. The two
+	// part only where the 90th-percentile list is longer than the cutoff
+	// (~10^9 tokens and up) and on MemIndex, whose every list is
+	// probeable. CutoffForTopFraction computes the quantile for callers
+	// that sweep it.
 	LongListThreshold int
 	// CostBasedPrefix replaces the fixed cutoff with a per-query cost
 	// model (ChooseDeferral) deciding which lists to defer. Implies
@@ -305,9 +313,6 @@ type Searcher struct {
 	ix  IndexReader
 	src TextSource
 
-	cutoffOnce sync.Once
-	cutoffVal  int
-
 	ctxPool sync.Pool // *queryCtx
 }
 
@@ -315,15 +320,6 @@ type Searcher struct {
 // requested.
 func New(ix IndexReader, src TextSource) *Searcher {
 	return &Searcher{ix: ix, src: src}
-}
-
-// defaultCutoff derives the default long-list cutoff (the 10% most
-// frequent lists) lazily, at most once per Searcher: queries that
-// always pass an explicit LongListThreshold (or no prefix filtering at
-// all) never pay for it.
-func (s *Searcher) defaultCutoff() int {
-	s.cutoffOnce.Do(func() { s.cutoffVal = CutoffForTopFraction(s.ix, 0.10) })
-	return s.cutoffVal
 }
 
 // CutoffForTopFraction returns a list-length threshold such that

@@ -209,3 +209,63 @@ func TestIngestAppendFailureIsRetriable(t *testing.T) {
 		t.Fatalf("retried text: %d matches, want exactly 1", len(ms))
 	}
 }
+
+// TestCompactUnconfirmedCommitSwapsIn is the compaction twin: a
+// compaction whose directory swap landed but whose parent fsync failed
+// comes back from index.Compact as a *CommitUnconfirmedError. The
+// compacted index is live on disk, so the server must swap it in and
+// answer in the committed shape, naming the build — not a plain 500
+// that invites a second compaction.
+func TestCompactUnconfirmedCommitSwapsIn(t *testing.T) {
+	srv, dir := ingestFixture(t, 0)
+	if _, err := srv.Ingest([][]uint32{snippet(5, 30)}); err != nil {
+		t.Fatal(err)
+	}
+	srv.cfg.Compactor = func() error {
+		if err := index.Compact(dir); err != nil {
+			return err
+		}
+		ix, err := index.Open(dir)
+		if err != nil {
+			return err
+		}
+		defer ix.Close()
+		return &index.CommitUnconfirmedError{BuildID: ix.BuildID(), Err: fsio.ErrInjected}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	oldID := healthzBuildID(t, ts)
+
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/admin/compact", struct{}{})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("compact with unconfirmed commit: %d (%s), want 500", resp.StatusCode, body)
+	}
+	var cr struct {
+		Status           string `json:"status"`
+		CommittedBuildID string `json:"committed_build_id"`
+	}
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if cr.Status != "committed_swap_failed" || cr.CommittedBuildID == "" || cr.CommittedBuildID == oldID {
+		t.Fatalf("unconfirmed-compaction response = %+v (old build %q); want the committed shape with the new build id", cr, oldID)
+	}
+	// The compacted build is serving: one segment, nothing lost.
+	if id := healthzBuildID(t, ts); id != cr.CommittedBuildID {
+		t.Fatalf("healthz build id = %q, want the committed %q", id, cr.CommittedBuildID)
+	}
+	if n := segmentCount(srv.backend()); n != 1 {
+		t.Fatalf("serving %d segments after the compaction, want 1", n)
+	}
+	if ms := searchMatches(t, ts, snippet(5, 30), 0.9); len(ms) != 1 {
+		t.Fatalf("ingested text after compaction: %d matches, want exactly 1", len(ms))
+	}
+
+	_, err := srv.Compact()
+	var swapErr *SwapError
+	var unconfirmed *index.CommitUnconfirmedError
+	if !errors.As(err, &swapErr) || !errors.As(err, &unconfirmed) ||
+		swapErr.Op != "compact" || swapErr.CommittedBuildID != unconfirmed.BuildID {
+		t.Fatalf("Compact error = %v, want a compact SwapError wrapping the CommitUnconfirmedError", err)
+	}
+}

@@ -58,6 +58,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ndss/internal/index"
 	"ndss/internal/obs"
 	"ndss/internal/search"
 	"ndss/internal/shard"
@@ -330,8 +331,9 @@ var ErrNoCompactor = errors.New("server: no compactor configured")
 type SwapError struct {
 	// Op is the mutation that committed: "ingest" or "compact".
 	Op string
-	// CommittedBuildID is the build the mutation committed on disk
-	// ("" for compact, whose compactor does not report one).
+	// CommittedBuildID is the build the mutation committed on disk ("" for
+	// a compaction that committed cleanly but whose swap failed: its
+	// Compactor reports no id then).
 	CommittedBuildID string
 	// Err is the reload failure that left the old backend serving, or
 	// the commit's unconfirmed-durability error (possibly both, joined).
@@ -397,14 +399,22 @@ func (s *Server) Compact() (buildID string, err error) {
 }
 
 func (s *Server) compactLocked() (string, error) {
-	if err := s.cfg.Compactor(); err != nil {
-		return "", fmt.Errorf("server: compact: %w", err)
-	}
-	_, newID, err := s.Reload()
+	var committedID string
+	err := s.cfg.Compactor()
 	if err != nil {
-		s.log.Error("compaction committed but backend swap failed; reload to serve it",
-			"error", err)
-		return "", &SwapError{Op: "compact", Err: err}
+		// A compaction whose commit landed but could not confirm its
+		// durability is live on disk: swap it in like any other.
+		var unconfirmed *index.CommitUnconfirmedError
+		if !errors.As(err, &unconfirmed) {
+			return "", fmt.Errorf("server: compact: %w", err)
+		}
+		committedID = unconfirmed.BuildID
+	}
+	_, newID, reloadErr := s.Reload()
+	if err := errors.Join(err, reloadErr); err != nil {
+		s.log.Error("compaction committed but did not complete; reload to serve it",
+			"committed_build_id", committedID, "error", err)
+		return committedID, &SwapError{Op: "compact", CommittedBuildID: committedID, Err: err}
 	}
 	s.met.compactions.Add(1)
 	s.log.Info("index compacted", "build_id", newID)
@@ -489,16 +499,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrNoIngester):
 		s.writeError(w, r, http.StatusNotImplemented, ErrNoIngester.Error())
 	case errors.As(err, &swapErr):
-		// The append is committed; the swap or the commit's durability
-		// check failed. Tell the client exactly that, with the committed
-		// build id, so its retry is a reload — not a duplicate ingest.
-		s.met.internals.Add(1)
-		writeJSON(w, http.StatusInternalServerError, map[string]any{
-			"error":              swapErr.Error(),
-			"status":             "committed_swap_failed",
-			"committed_build_id": swapErr.CommittedBuildID,
-			"request_id":         obs.RequestIDFromContext(r.Context()),
-		})
+		s.writeSwapError(w, r, swapErr)
 	case err != nil:
 		s.writeError(w, r, http.StatusInternalServerError, err.Error())
 	default:
@@ -506,6 +507,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			"status": "ingested", "texts": len(req.Texts), "build_id": buildID,
 		})
 	}
+}
+
+// writeSwapError answers a mutation that committed but did not
+// complete: the swap or the commit's durability check failed. It tells
+// the client exactly that, with the committed build id, so its retry is
+// a reload — not a duplicate ingest or a second compaction.
+func (s *Server) writeSwapError(w http.ResponseWriter, r *http.Request, swapErr *SwapError) {
+	s.met.internals.Add(1)
+	writeJSON(w, http.StatusInternalServerError, map[string]any{
+		"error":              swapErr.Error(),
+		"status":             "committed_swap_failed",
+		"committed_build_id": swapErr.CommittedBuildID,
+		"request_id":         obs.RequestIDFromContext(r.Context()),
+	})
 }
 
 // handleCompact is POST /admin/compact.
@@ -520,9 +535,12 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	buildID, err := s.Compact()
+	var swapErr *SwapError
 	switch {
 	case errors.Is(err, ErrNoCompactor):
 		s.writeError(w, r, http.StatusNotImplemented, ErrNoCompactor.Error())
+	case errors.As(err, &swapErr):
+		s.writeSwapError(w, r, swapErr)
 	case err != nil:
 		s.writeError(w, r, http.StatusInternalServerError, err.Error())
 	default:
