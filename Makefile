@@ -83,7 +83,7 @@ fuzz-smoke:
 # so they cannot rot. Measuring while you work is the same command with
 # a real -benchtime and -count.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Search(Hit|Miss)|FirstQueryAfterAppend|IntervalScan|CollisionCount' -benchtime 1x ./internal/search/
+	$(GO) test -run '^$$' -bench 'Search(Hit|Miss|Segmented)|FirstQueryAfterAppend|IntervalScan|CollisionCount' -benchtime 1x ./internal/search/
 	$(GO) test -run '^$$' -bench 'Build$$|Append16|Compact9' -benchtime 1x ./internal/index/
 	$(GO) test -run '^$$' -bench 'GenerateLinear' -benchtime 1x ./internal/window/
 

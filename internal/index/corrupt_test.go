@@ -86,6 +86,30 @@ func TestCorruptPostingsCaughtByVerify(t *testing.T) {
 	}
 }
 
+// TestCorruptZoneMapRejectedAtOpen flips the high byte of a zone entry's
+// ordinal. The zone maps lie in the region only VerifyIntegrity
+// checksums, but Open loads them for the probes and must reject one
+// whose ordinals leave the list rather than let a probe read outside it.
+func TestCorruptZoneMapRejectedAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Build(testCorpus(t, 30, 40, 100, 50, 61), dir, BuildOptions{K: 2, Seed: 5, T: 5, ZoneMapStep: 4, LongListCutoff: 8}); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zones := ix.segs[0].files[0].zones
+	ix.Close()
+	if len(zones) == 0 {
+		t.Fatal("degenerate fixture: no zone maps")
+	}
+	flipByteAt(t, filepath.Join(dir, funcFileName(0)), int64(zones[0].off)+zoneEntrySize+7)
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt zone map") {
+		t.Fatalf("want a corrupt zone map error at Open, got %v", err)
+	}
+}
+
 func TestCorruptTrailerRejected(t *testing.T) {
 	dir, file := buildOnDisk(t)
 	st, err := os.Stat(file)

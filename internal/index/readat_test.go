@@ -3,11 +3,14 @@ package index
 import (
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ndss/internal/corpus"
+	"ndss/internal/fsio"
 )
 
 // The I/O counters (index-wide and per-query sink) must record the
@@ -74,44 +77,204 @@ func TestReadAtTruncatedFileCountsActualBytes(t *testing.T) {
 	}
 }
 
-func TestHasZoneMap(t *testing.T) {
-	c := corpus.MustSynthesize(corpus.SynthConfig{
-		NumTexts: 30, MinLength: 30, MaxLength: 80, VocabSize: 20,
-		ZipfS: 1.3, Seed: 5, DupRate: 0.5, DupSnippetLen: 15, DupMutateProb: 0.05,
-	})
-	dir := t.TempDir()
-	if _, err := Build(c, dir, BuildOptions{K: 2, Seed: 9, T: 5, ZoneMapStep: 4, LongListCutoff: 8}); err != nil {
-		t.Fatal(err)
+// shiftedCorpus copies c with every token id moved up by delta, so its
+// lists share no hash with a corpus over the original vocabulary.
+func shiftedCorpus(c *corpus.Corpus, delta uint32) *corpus.Corpus {
+	out := corpus.New(nil)
+	for id := 0; id < c.NumTexts(); id++ {
+		text := slices.Clone(c.Text(uint32(id)))
+		for i := range text {
+			text[i] += delta
+		}
+		out.Append(text)
 	}
+	return out
+}
+
+// TestHasZoneMap pins the per-(list, segment) deferral rule: a list is
+// probeable when some segment's portion carries a zone map and every
+// portion without one is at most ZoneMapStep postings. The fixture is a
+// zone-mapped base, two small appends over the same vocabulary (their
+// portions straddle the zone step) and one over a disjoint vocabulary
+// (lists found only in small segments).
+func TestHasZoneMap(t *testing.T) {
+	opts := BuildOptions{K: 2, Seed: 9, T: 5, ZoneMapStep: 2, LongListCutoff: 8}
+	dir := buildSegmented(t, opts,
+		testCorpus(t, 30, 30, 80, 20, 5),
+		testCorpus(t, 2, 30, 60, 20, 6),
+		testCorpus(t, 2, 30, 60, 20, 7),
+		shiftedCorpus(testCorpus(t, 1, 30, 40, 20, 8), 1000))
 	ix, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	long, short := 0, 0
+
+	var smallAppends, longBare, onlySmall int
 	for fn := 0; fn < ix.K(); fn++ {
-		ff := ix.segs[0].files[fn]
-		for i := range ff.hashes {
-			e := ff.entry(i)
-			got := ix.HasZoneMap(fn, e.Hash)
-			if want := e.ZoneCount > 0; got != want {
-				t.Fatalf("fn %d hash %x: HasZoneMap %v, ZoneCount %d", fn, e.Hash, got, e.ZoneCount)
+		for _, h := range ix.Hashes(fn) {
+			var inBase, zoned, bare, bareLong bool
+			for si, seg := range ix.segs {
+				ff := seg.files[fn]
+				i, ok := ff.find(h)
+				if !ok {
+					continue
+				}
+				_, z := ff.zone(i)
+				inBase = inBase || si == 0
+				zoned = zoned || z
+				bare = bare || !z
+				bareLong = bareLong || !z && int(ff.counts[i]) > opts.ZoneMapStep
 			}
-			if got {
-				long++
-			} else {
-				short++
-			}
-			if got != (e.Count > 8) {
-				t.Fatalf("fn %d hash %x: zone map presence %v disagrees with cutoff (count %d)",
-					fn, e.Hash, got, e.Count)
+			got := ix.HasZoneMap(fn, h)
+			switch {
+			case zoned && bareLong:
+				longBare++
+				if got {
+					t.Fatalf("fn %d hash %x: deferrable with a zone-map-less portion over ZoneMapStep", fn, h)
+				}
+			case zoned && bare:
+				smallAppends++
+				if !got {
+					t.Fatalf("fn %d hash %x: zone-mapped list with small bare portions not deferrable", fn, h)
+				}
+			case !inBase && !zoned:
+				onlySmall++
+				if got {
+					t.Fatalf("fn %d hash %x: list found only in small segments is deferrable", fn, h)
+				}
+			default:
+				if got != zoned {
+					t.Fatalf("fn %d hash %x: HasZoneMap %v, zone-mapped %v", fn, h, got, zoned)
+				}
 			}
 		}
 		if ix.HasZoneMap(fn, 0xdeadbeefdeadbeef) {
 			t.Fatal("missing hash reports a zone map")
 		}
 	}
-	if long == 0 || short == 0 {
-		t.Fatalf("degenerate fixture: %d zone-mapped, %d plain lists", long, short)
+	if smallAppends == 0 || longBare == 0 || onlySmall == 0 {
+		t.Fatalf("degenerate fixture: %d zone-mapped lists with small appended portions, %d with a long bare portion, %d only in small segments",
+			smallAppends, longBare, onlySmall)
+	}
+}
+
+// probeFixtures builds the index shapes a probe can meet — one segment;
+// a base with appends, tombstones in the base and in an appended
+// segment; that set compacted; and a MergeShards output — and returns
+// their directories by name.
+func probeFixtures(t *testing.T) map[string]string {
+	t.Helper()
+	opts := BuildOptions{K: 3, Seed: 13, T: 5, ZoneMapStep: 4, LongListCutoff: 8}
+	base, extraA, extraB := testCorpus(t, 40, 40, 120, 50, 11), testCorpus(t, 6, 40, 120, 50, 12), testCorpus(t, 5, 40, 120, 50, 13)
+	dirs := map[string]string{}
+
+	dirs["single"] = filepath.Join(t.TempDir(), "ix")
+	if _, err := Build(base, dirs["single"], opts); err != nil {
+		t.Fatal(err)
+	}
+	segmented := func() string {
+		dir := buildSegmented(t, opts, base, extraA, extraB)
+		if err := Delete(dir, []uint32{3, 17, uint32(base.NumTexts()) + 2}); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	dirs["segmented"] = segmented()
+	dirs["compacted"] = segmented()
+	if err := Compact(dirs["compacted"]); err != nil {
+		t.Fatal(err)
+	}
+
+	shards := []string{filepath.Join(t.TempDir(), "a"), filepath.Join(t.TempDir(), "b")}
+	for i, c := range []*corpus.Corpus{base, extraA} {
+		if _, err := Build(c, shards[i], opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs["merged"] = filepath.Join(t.TempDir(), "merged")
+	if err := MergeShards(shards, []uint32{0, uint32(base.NumTexts())}, dirs["merged"]); err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// TestProbeFromResidentZones checks every per-text probe against the
+// full list read: for every (function, hash, text id) — tombstoned and
+// out-of-range ids included — ReadListForTextInto must return exactly
+// the text's postings of ReadListInto, on every index shape.
+func TestProbeFromResidentZones(t *testing.T) {
+	for name, dir := range probeFixtures(t) {
+		ix, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zoned := 0
+		for _, seg := range ix.segs {
+			for _, ff := range seg.files {
+				zoned += len(ff.zones)
+			}
+		}
+		if zoned == 0 {
+			t.Fatalf("%s: fixture has no zone maps", name)
+		}
+		n := uint32(ix.Meta().NumTexts)
+		ids := []uint32{n, n + 1, math.MaxUint32}
+		for id := uint32(0); id < n; id++ {
+			ids = append(ids, id)
+		}
+		var full, want, got []Posting
+		for fn := 0; fn < ix.K(); fn++ {
+			for _, h := range ix.Hashes(fn) {
+				if full, err = ix.ReadListInto(full[:0], fn, h, nil); err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range ids {
+					want = want[:0]
+					for _, p := range full {
+						if p.TextID == id {
+							want = append(want, p)
+						}
+					}
+					if got, err = ix.ReadListForTextInto(got[:0], fn, h, id, nil); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: fn %d hash %x text %d: probe %v, full read %v", name, fn, h, id, got, want)
+					}
+				}
+			}
+		}
+		ix.Close()
+	}
+}
+
+// TestOpenZoneTableReadFault fails the read of one zone table at Open:
+// the error must be a *ReadError naming that read, and every handle
+// opened so far — earlier segments' files included — must be closed.
+func TestOpenZoneTableReadFault(t *testing.T) {
+	opts := BuildOptions{K: 3, Seed: 13, T: 5, ZoneMapStep: 4, LongListCutoff: 8}
+	dir := buildSegmented(t, opts, testCorpus(t, 30, 40, 120, 50, 11), testCorpus(t, 30, 40, 120, 50, 12))
+	ix, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := ix.segs[len(ix.segs)-1]
+	fn := len(last.files) - 1
+	zones := last.files[fn].zones
+	ix.Close()
+	if len(zones) == 0 {
+		t.Fatal("degenerate fixture: the appended segment's last file has no zone map")
+	}
+	off := int64(zones[len(zones)/2].off)
+
+	counted := &readCountFS{FS: fsio.NewFaultFS(fsio.OS).SetCrash(false).FailReadAt(filepath.Join(last.name, funcFileName(fn)), off)}
+	_, err = OpenFS(counted, dir)
+	var re *ReadError
+	if !errors.As(err, &re) || re.Off != off {
+		t.Fatalf("want a *ReadError at the zone table @%d, got %v", off, err)
+	}
+	if n := counted.open.Load(); n != 0 {
+		t.Fatalf("failed Open leaked %d file handles", n)
 	}
 }

@@ -50,7 +50,9 @@ type segment struct {
 // memory. The directory is held column-wise — row i describes the list
 // of hashes[i], rows ascend by hash — and the zone-map columns only for
 // the few (long) lists that have one: 20 bytes a list instead of the 32
-// of a dirEntry, and lookups stride over 8-byte hashes.
+// of a dirEntry, and lookups stride over 8-byte hashes. The zone maps
+// themselves are resident too, so a per-text probe searches memory and
+// reads one block.
 type funcFile struct {
 	f         fsio.File
 	path      string
@@ -59,15 +61,17 @@ type funcFile struct {
 	offs      []uint64
 	counts    []uint32
 	zones     []zoneRef // rows with a zone map, ascending by row
+	zoneTab   []uint32  // every zone map's (firstTextID, ord) pairs, back to back
 	dirOff    uint64
 	regionCRC uint32
 	dirCRC    uint32
 }
 
-// zoneRef is the zone-map part of directory row idx.
+// zoneRef is the zone-map part of directory row idx: count entries
+// stored at off in the file and at zoneTab[2*at:] in memory.
 type zoneRef struct {
-	idx, count uint32
-	off        uint64
+	idx, count, at uint32
+	off            uint64
 }
 
 // ReadError reports a failed or short read of an inverted file with
@@ -249,16 +253,53 @@ func openFuncFile(fsys fsio.FS, path string, wantIdx int) (*funcFile, error) {
 		regionCRC: regionCRC,
 		dirCRC:    dirCRC,
 	}
+	var entries uint32
 	for i := range ff.hashes {
 		b := buf[i*dirEntrySize:]
 		ff.hashes[i] = binary.LittleEndian.Uint64(b[0:])
 		ff.offs[i] = binary.LittleEndian.Uint64(b[8:])
 		ff.counts[i] = binary.LittleEndian.Uint32(b[16:])
 		if zc := binary.LittleEndian.Uint32(b[20:]); zc > 0 {
-			ff.zones = append(ff.zones, zoneRef{idx: uint32(i), count: zc, off: binary.LittleEndian.Uint64(b[24:])})
+			ff.zones = append(ff.zones, zoneRef{idx: uint32(i), count: zc, at: entries, off: binary.LittleEndian.Uint64(b[24:])})
+			entries += zc
 		}
 	}
+	if err := ff.loadZones(entries); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return ff, nil
+}
+
+// loadZones reads every zone map of the file into zoneTab, one read per
+// zone-mapped list: 8 bytes of memory per ZoneMapStep postings of the
+// long lists. A map's ordinals must start at 0 and ascend within its
+// list, and its first text ids must not descend — the probe's block
+// arithmetic relies on both — so a corrupt one fails Open instead of a
+// query.
+func (ff *funcFile) loadZones(entries uint32) error {
+	ff.zoneTab = make([]uint32, 0, 2*int(entries))
+	var buf []byte
+	for _, z := range ff.zones {
+		n := int(z.count) * zoneEntrySize
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		b := buf[:n]
+		if _, err := ff.f.ReadAt(b, int64(z.off)); err != nil {
+			return &ReadError{Path: ff.path, Off: int64(z.off), Len: n, Err: err}
+		}
+		prevFirst, prevOrd := uint32(0), uint32(0)
+		for e := 0; e < n; e += zoneEntrySize {
+			first, ord := binary.LittleEndian.Uint32(b[e:]), binary.LittleEndian.Uint32(b[e+4:])
+			if ord >= ff.counts[z.idx] || e == 0 && ord != 0 || e > 0 && (ord <= prevOrd || first < prevFirst) {
+				return fmt.Errorf("index: %s: corrupt zone map of list %x", ff.path, ff.hashes[z.idx])
+			}
+			ff.zoneTab = append(ff.zoneTab, first, ord)
+			prevFirst, prevOrd = first, ord
+		}
+	}
+	return nil
 }
 
 // VerifyIntegrity re-reads every segment's postings/zones regions and
@@ -349,20 +390,22 @@ func (ff *funcFile) find(h uint64) (int, bool) {
 	return slices.BinarySearch(ff.hashes, h)
 }
 
-// zone returns the zone-map columns of directory row i, zeroes when the
-// list has no zone map.
-func (ff *funcFile) zone(i int) (count uint32, off uint64) {
+// zone returns the zone-map reference of directory row i, if the list
+// has a zone map.
+func (ff *funcFile) zone(i int) (zoneRef, bool) {
 	z, ok := slices.BinarySearchFunc(ff.zones, uint32(i), func(r zoneRef, idx uint32) int { return cmp.Compare(r.idx, idx) })
 	if !ok {
-		return 0, 0
+		return zoneRef{}, false
 	}
-	return ff.zones[z].count, ff.zones[z].off
+	return ff.zones[z], true
 }
 
 // entry assembles directory row i.
 func (ff *funcFile) entry(i int) dirEntry {
 	e := dirEntry{Hash: ff.hashes[i], Off: ff.offs[i], Count: ff.counts[i]}
-	e.ZoneCount, e.ZoneOff = ff.zone(i)
+	if z, ok := ff.zone(i); ok {
+		e.ZoneCount, e.ZoneOff = z.count, z.off
+	}
 	return e
 }
 
@@ -399,22 +442,28 @@ func (ix *Index) ListLength(fn int, h uint64) int {
 }
 
 // HasZoneMap reports whether per-text probes (ReadListForText) into the
-// list for hash h of function fn are cheap: every segment holding the
-// list must carry a zone map for its portion, keeping probes
-// proportional to the zone step rather than the list length.
+// list for hash h of function fn stay within about one zone block each.
+// A probe touches only the segment owning the text, so the rule is per
+// (list, segment) portion: at least one portion carries a zone map, and
+// every portion without one is at most its segment's ZoneMapStep
+// postings, which a probe reads whole and filters. On one segment that
+// is exactly "the list has a zone map"; on a segmented index a
+// zone-mapped base keeps the list probeable beside small appends.
 func (ix *Index) HasZoneMap(fn int, h uint64) bool {
-	found := false
+	zoned := false
 	for _, seg := range ix.segs {
-		i, ok := seg.files[fn].find(h)
+		ff := seg.files[fn]
+		i, ok := ff.find(h)
 		if !ok {
 			continue
 		}
-		if zc, _ := seg.files[fn].zone(i); zc == 0 {
+		if _, ok := ff.zone(i); ok {
+			zoned = true
+		} else if int(ff.counts[i]) > seg.meta.ZoneMapStep {
 			return false
 		}
-		found = true
 	}
-	return found
+	return zoned
 }
 
 // NumLists returns the number of distinct inverted lists of function fn
@@ -540,9 +589,9 @@ func (ix *Index) ReadListInto(dst []Posting, fn int, h uint64, sink *IOStats) ([
 
 // ReadListForText returns only the postings of (global) textID within
 // the list for hash h of function fn. Only the segment owning the id is
-// touched: long lists are probed through their zone map so the read is
-// proportional to the zone step rather than the list length; short
-// lists are read fully and filtered.
+// touched: a portion with a zone map is probed through its resident
+// table, one read proportional to the zone step rather than the list
+// length; a portion without one is read fully and filtered.
 func (ix *Index) ReadListForText(fn int, h uint64, textID uint32) ([]Posting, error) {
 	return ix.ReadListForTextInto(nil, fn, h, textID, nil)
 }
@@ -560,49 +609,36 @@ func (ix *Index) ReadListForTextInto(dst []Posting, fn int, h uint64, textID uin
 		return dst, nil
 	}
 	ff := seg.files[fn]
-	e, ok := ff.lookup(h)
+	i, ok := ff.find(h)
 	if !ok {
 		return dst, nil
 	}
-	if e.ZoneCount == 0 {
-		bp := getReadBuf(int(e.Count) * postingSize)
-		defer readBufPool.Put(bp)
-		if err := ix.readAt(ff, si, *bp, int64(e.Off), sink); err != nil {
-			return dst, fmt.Errorf("index: read list %x: %w", h, err)
+	startOrd, endOrd := 0, int(ff.counts[i])
+	if z, ok := ff.zone(i); ok {
+		// The first zone whose FirstTextID > local bounds the probe on
+		// the right; it starts one zone before the first zone with
+		// FirstTextID >= local (the text's postings may begin mid-zone).
+		tab, n := ff.zoneTab[2*z.at:2*(z.at+z.count)], int(z.count)
+		hi := sort.Search(n, func(j int) bool { return tab[2*j] > local })
+		if hi == 0 {
+			// The list's very first posting already has a larger text id.
+			return dst, nil
 		}
-		return appendPostingsOfText(dst, *bp, int(e.Count), local, seg.base), nil
+		lo := sort.Search(hi, func(j int) bool { return tab[2*j] >= local })
+		if lo > 0 {
+			lo--
+		}
+		startOrd = int(tab[2*lo+1])
+		if hi < n {
+			endOrd = int(tab[2*hi+1])
+		}
 	}
-	zbp := getReadBuf(int(e.ZoneCount) * zoneEntrySize)
-	defer readBufPool.Put(zbp)
-	if err := ix.readAt(ff, si, *zbp, int64(e.ZoneOff), sink); err != nil {
-		return dst, fmt.Errorf("index: read zones %x: %w", h, err)
-	}
-	zbuf := *zbp
-	firstID := func(i int) uint32 { return binary.LittleEndian.Uint32(zbuf[i*zoneEntrySize:]) }
-	// First zone whose FirstTextID > local bounds the probe on the
-	// right; the probe starts one zone before the first zone with
-	// FirstTextID >= local (the text's postings may begin mid-zone).
-	n := int(e.ZoneCount)
-	hi := sort.Search(n, func(i int) bool { return firstID(i) > local })
-	if hi == 0 {
-		// The list's very first posting already has a larger text id.
-		return dst, nil
-	}
-	lo := sort.Search(n, func(i int) bool { return firstID(i) >= local })
-	if lo > 0 {
-		lo--
-	}
-	startOrd := int(binary.LittleEndian.Uint32(zbuf[lo*zoneEntrySize+4:]))
-	endOrd := int(e.Count)
-	if hi < n {
-		endOrd = int(binary.LittleEndian.Uint32(zbuf[hi*zoneEntrySize+4:]))
-	}
-	pbp := getReadBuf((endOrd - startOrd) * postingSize)
-	defer readBufPool.Put(pbp)
-	if err := ix.readAt(ff, si, *pbp, int64(e.Off)+int64(startOrd*postingSize), sink); err != nil {
+	bp := getReadBuf((endOrd - startOrd) * postingSize)
+	defer readBufPool.Put(bp)
+	if err := ix.readAt(ff, si, *bp, int64(ff.offs[i])+int64(startOrd*postingSize), sink); err != nil {
 		return dst, fmt.Errorf("index: probe list %x: %w", h, err)
 	}
-	return appendPostingsOfText(dst, *pbp, endOrd-startOrd, local, seg.base), nil
+	return appendPostingsOfText(dst, *bp, endOrd-startOrd, local, seg.base), nil
 }
 
 // owningSegment locates the segment whose id range covers the global

@@ -44,14 +44,20 @@ func benchFixture(tb testing.TB) (s *Searcher, hit, miss []uint32, opts Options)
 	return s, hit, miss, opts
 }
 
+// benchSearch times q and reports, beside ns and allocs, the lists the
+// plan defers and the bytes one query reads.
 func benchSearch(b *testing.B, s *Searcher, q []uint32, opts Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
+	var st *Stats
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Search(q, opts); err != nil {
+		var err error
+		if _, st, err = s.Search(q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(st.LongLists), "long/op")
+	b.ReportMetric(float64(st.IOBytes), "read-B/op")
 }
 
 func BenchmarkSearchHit(b *testing.B) {
@@ -64,13 +70,14 @@ func BenchmarkSearchMiss(b *testing.B) {
 	benchSearch(b, s, miss, opts)
 }
 
-// BenchmarkFirstQueryAfterAppend times what an ingest-churn client waits
-// for after every reload: the first query of a fresh Searcher over a
-// nine-segment index (a 300-text base plus eight 16-text appends, K=32),
-// everything it computes lazily included.
-func BenchmarkFirstQueryAfterAppend(b *testing.B) {
+// segmentedBenchIndex builds an index shaped like ingest-churn's between
+// two compactions — a base of baseTexts benchmark-shaped texts plus eight
+// 16-text appends, K=32, T=25 — and returns it opened, with the base
+// corpus.
+func segmentedBenchIndex(b *testing.B, baseTexts int) (*index.Index, *corpus.Corpus) {
+	b.Helper()
 	cfg := corpus.SynthConfig{
-		NumTexts: 300, MinLength: 100, MaxLength: 700, VocabSize: 32000,
+		NumTexts: baseTexts, MinLength: 100, MaxLength: 700, VocabSize: 32000,
 		ZipfS: 1.07, Seed: 1, DupRate: 0.15, DupSnippetLen: 64, DupMutateProb: 0.05,
 	}
 	c := corpus.MustSynthesize(cfg)
@@ -88,7 +95,16 @@ func BenchmarkFirstQueryAfterAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer ix.Close()
+	b.Cleanup(func() { ix.Close() })
+	return ix, c
+}
+
+// BenchmarkFirstQueryAfterAppend times what an ingest-churn client waits
+// for after every reload: the first query of a fresh Searcher over a
+// nine-segment index (a 300-text base plus eight 16-text appends),
+// everything it computes lazily included.
+func BenchmarkFirstQueryAfterAppend(b *testing.B) {
+	ix, c := segmentedBenchIndex(b, 300)
 	hit, opts := c.Text(7)[20:84], Options{Theta: 0.8, PrefixFilter: true}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -97,6 +113,30 @@ func BenchmarkFirstQueryAfterAppend(b *testing.B) {
 			b.Fatalf("hit query: %d matches, err %v", len(ms), err)
 		}
 	}
+}
+
+// BenchmarkSearchSegmented is BenchmarkSearchHit/Miss on ingest-churn's
+// segmented index (a 1000-text base plus eight 16-text appends): the
+// prefix filter there defers the base's zone-mapped lists and probes the
+// small appended portions whole.
+func BenchmarkSearchSegmented(b *testing.B) {
+	ix, c := segmentedBenchIndex(b, 1000)
+	unrelated := corpus.MustSynthesize(corpus.SynthConfig{
+		NumTexts: 1, MinLength: 100, MaxLength: 700, VocabSize: 32000, ZipfS: 1.07, Seed: 100,
+	})
+	hit, miss := c.Text(7)[20:84], unrelated.Text(0)[:64]
+	opts := Options{Theta: 0.8, PrefixFilter: true}
+	s := New(ix, nil)
+	for i := 0; i < 3; i++ { // warm the context pool and the read buffers
+		if ms, _, err := s.Search(hit, opts); err != nil || len(ms) == 0 {
+			b.Fatalf("hit query: %d matches, err %v", len(ms), err)
+		}
+		if ms, _, err := s.Search(miss, opts); err != nil || len(ms) != 0 {
+			b.Fatalf("miss query: %d matches, err %v", len(ms), err)
+		}
+	}
+	b.Run("Hit", func(b *testing.B) { benchSearch(b, s, hit, opts) })
+	b.Run("Miss", func(b *testing.B) { benchSearch(b, s, miss, opts) })
 }
 
 // TestSearchSteadyStateAllocs guards the pooled query context: on a

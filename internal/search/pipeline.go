@@ -204,12 +204,12 @@ func (s *Searcher) stagePlan(qc *queryCtx) {
 			}
 		}
 	}
-	// Never defer a list the reader cannot probe cheaply: without a zone
-	// map, ReadListForText degrades to a full read plus filter for every
-	// candidate text — strictly worse than the single up-front read a
-	// short list costs. (Query-time cutoffs below the build-time
-	// LongListCutoff, and the cost model, can otherwise produce such
-	// plans.)
+	// Never defer a list the reader cannot probe cheaply: where the
+	// owning segment's portion is long and has no zone map,
+	// ReadListForText degrades to a full read plus filter for every
+	// candidate text — worse than the single up-front read a short list
+	// costs. (Query-time cutoffs below the build-time LongListCutoff,
+	// and the cost model, can otherwise produce such plans.)
 	if qc.plan.NumLong > 0 {
 		for fn := range qc.plan.Long {
 			if qc.plan.Long[fn] && !s.ix.HasZoneMap(fn, qc.sketch[fn]) {

@@ -10,11 +10,14 @@ import (
 	"ndss/internal/index"
 )
 
-// The planner must never defer a list without a zone map: probing one
-// degrades to a full read plus filter per candidate, which is strictly
-// worse than reading the list once. Build-time LongListCutoff decides
-// which lists get zone maps, so a query-time cutoff below it (or the
-// cost model) can otherwise produce such plans.
+// The planner must never defer a list whose probe would read a long
+// portion whole: on one segment that is any list without a zone map, and
+// probing one degrades to a full read plus filter per candidate, worse
+// than reading the list once. Build-time LongListCutoff decides which
+// lists get zone maps, so a query-time cutoff below it (or the cost
+// model) can otherwise produce such plans. The segmented half of the
+// rule — a zone-mapped base beside small appended portions stays
+// deferrable — is TestHasZoneMap's and TestSegmentedDeferralExact's.
 
 func zonemapTestCorpus() *corpus.Corpus {
 	return corpus.MustSynthesize(corpus.SynthConfig{

@@ -40,10 +40,12 @@ type IndexReader interface {
 	ListLength(fn int, h uint64) int
 	ListLengths(fn int) []int
 	// HasZoneMap reports whether per-text probes into the list for hash
-	// h of function fn are cheap (zone-mapped on disk, or in-memory).
-	// The planner never defers a list without one: a zone-map-less
-	// probe degrades to a full read plus filter per candidate, which is
-	// strictly worse than reading the list once up front.
+	// h of function fn stay within about one zone block each: in memory,
+	// or on disk when some segment's portion of the list is zone-mapped
+	// and every portion without a zone map is at most one ZoneMapStep
+	// long (a probe touches only the segment owning the text). The
+	// planner defers no other list: probing it would read a long portion
+	// whole per candidate, worse than reading the list once up front.
 	HasZoneMap(fn int, h uint64) bool
 	ReadList(fn int, h uint64) ([]index.Posting, error)
 	ReadListInto(dst []index.Posting, fn int, h uint64, sink *index.IOStats) ([]index.Posting, error)
