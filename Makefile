@@ -78,14 +78,16 @@ fuzz-smoke:
 	$(GO) test ./internal/index/ -run FuzzTombstoneParse -fuzz FuzzTombstoneParse -fuzztime $(FUZZTIME)
 
 # CI "bench-smoke" job: one iteration of the query-path microbenchmarks
-# (internal/search/bench_test.go) and of the mutation-path ones
+# (internal/search/bench_test.go), of the mutation-path ones
 # (internal/index/bench_test.go, the window generator on reused scratch)
-# so they cannot rot. Measuring while you work is the same command with
-# a real -benchtime and -count.
+# and of the root benchmarks behind Fig 3(d) and AB2, so they cannot
+# rot. Measuring while you work is the same command with a real
+# -benchtime and -count.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Search(Hit|Miss|Segmented)|FirstQueryAfterAppend|IntervalScan|CollisionCount' -benchtime 1x ./internal/search/
 	$(GO) test -run '^$$' -bench 'Build$$|Append16|Compact9' -benchtime 1x ./internal/index/
 	$(GO) test -run '^$$' -bench 'GenerateLinear' -benchtime 1x ./internal/window/
+	$(GO) test -run '^$$' -bench 'Fig3_PrefixLength|Ablation_PrefixFilter' -benchtime 1x .
 
 # CI "benchmark-check" job: the repo benchmark (BENCHMARK.json,
 # benchmark/README.md) is a nested module the root `go build/test ./...`

@@ -16,6 +16,7 @@ import (
 
 	"ndss/internal/baseline"
 	"ndss/internal/corpus"
+	"ndss/internal/experiments"
 	"ndss/internal/hash"
 	"ndss/internal/index"
 	"ndss/internal/lm"
@@ -235,23 +236,38 @@ func BenchmarkFig3_QueryVsCorpusSize(b *testing.B) {
 	}
 }
 
-// BenchmarkFig3_PrefixLength sweeps the long-list cutoff fraction
-// (Fig 3(d)).
+// BenchmarkFig3_PrefixLength sweeps the share of lists deferred as long
+// (Fig 3(d)): one index per share, built with LongListCutoff at that
+// share's list-length quantile. long/op is the mean number of deferred
+// lists.
 func BenchmarkFig3_PrefixLength(b *testing.B) {
-	ix := benchIndexFor(b, 32, 25)
-	s := search.New(ix, benchCorpus())
+	base := benchIndexFor(b, 32, 25)
 	queries := benchQueries(32, 64, 6)
 	for _, frac := range []float64{0.05, 0.10, 0.20} {
-		cutoff := search.CutoffForTopFraction(ix, frac)
+		dir := b.TempDir()
+		if _, err := index.Build(benchCorpus(), dir, index.BuildOptions{
+			K: 32, Seed: 3, T: 25,
+			ZoneMapStep: experiments.PrefixZoneStep, LongListCutoff: experiments.TopFractionCutoff(base, frac),
+		}); err != nil {
+			b.Fatal(err)
+		}
+		ix, err := index.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := search.New(ix, benchCorpus())
 		b.Run(fmt.Sprintf("prefix=%.0f%%", frac*100), func(b *testing.B) {
+			long := 0
 			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Search(queries[i%len(queries)], search.Options{
-					Theta: 0.8, PrefixFilter: true, LongListThreshold: cutoff,
-				}); err != nil {
+				_, st, err := s.Search(queries[i%len(queries)], search.Options{Theta: 0.8, PrefixFilter: true})
+				if err != nil {
 					b.Fatal(err)
 				}
+				long += st.LongLists
 			}
+			b.ReportMetric(float64(long)/float64(b.N), "long/op")
 		})
+		ix.Close()
 	}
 }
 

@@ -86,31 +86,39 @@ func ab1(e *Env) error {
 }
 
 func ab2(e *Env) error {
-	e.printf("## Ablation: prefix filtering on/off (k=32, t=25, theta=0.8)\n\n")
+	e.printf("## Ablation: prefix filtering on/off (k=32, t=25, theta=0.8)\n")
+	e.printf("top-%% rows: one index each, built with LongListCutoff at the row's list-length quantile, zone map step %d\n\n", PrefixZoneStep)
 	c := e.synWeb(1, 32000, 1)
-	ix, _, err := e.buildIndex("f3ab-k32", c, index.BuildOptions{K: 32, Seed: 3, T: 25})
+	opts := index.BuildOptions{K: 32, Seed: 3, T: 25}
+	ix, _, err := e.buildIndex("f3ab-k32", c, opts)
 	if err != nil {
 		return err
 	}
 	s := search.New(ix, c)
 	queries := queryWorkload(c, 100, fig3QueryLen, 32000, 0.1, 13)
 	w := e.table()
-	fmt.Fprintln(w, "variant\tio ms\tcpu ms\ttotal ms\tavg #near-dups")
+	fmt.Fprintln(w, "variant\tlong lists/query\tio ms\tcpu ms\ttotal ms\tavg #near-dups")
+	const row = "%s\t%.2f\t%s\t%s\t%s\t%.2f\n"
 	for _, v := range []struct {
 		name string
 		opts search.Options
 	}{
 		{"no prefix filter (all lists read fully)", search.Options{Theta: 0.8}},
-		{"prefix filter, cutoff at top 10%", search.Options{Theta: 0.8, PrefixFilter: true,
-			LongListThreshold: search.CutoffForTopFraction(ix, 0.10)}},
-		{"prefix filter, aggressive cutoff (top 20%)", search.Options{Theta: 0.8, PrefixFilter: true,
-			LongListThreshold: search.CutoffForTopFraction(ix, 0.20)}},
+		{fmt.Sprintf("prefix filter, build default cutoff (%d)", ix.Meta().LongListCutoff), search.Options{Theta: 0.8, PrefixFilter: true}},
 	} {
 		res, err := runQueries(s, queries, v.opts)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.2f\n", v.name, ms(res.AvgIO), ms(res.AvgCPU), ms(res.AvgTotal), res.AvgMatches)
+		fmt.Fprintf(w, row, v.name, res.AvgLongLists, ms(res.AvgIO), ms(res.AvgCPU), ms(res.AvgTotal), res.AvgMatches)
+	}
+	for _, frac := range []float64{0.10, 0.20} {
+		cutoff, res, err := prefixRun(e, "ab2", c, ix, opts, queries, frac)
+		if err != nil {
+			return err
+		}
+		name := fmt.Sprintf("prefix filter, top %.0f%% long (cutoff %d)", frac*100, cutoff)
+		fmt.Fprintf(w, row, name, res.AvgLongLists, ms(res.AvgIO), ms(res.AvgCPU), ms(res.AvgTotal), res.AvgMatches)
 	}
 	return w.Flush()
 }

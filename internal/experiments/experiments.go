@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -121,7 +122,7 @@ func (e *Env) synPile(mult int, seed int64) *corpus.Corpus {
 // buildIndex builds (or returns cached) an index for a corpus under a
 // parameter set and returns it with the stats from its (first) build.
 func (e *Env) buildIndex(name string, c *corpus.Corpus, opts index.BuildOptions) (*index.Index, *index.BuildStats, error) {
-	key := fmt.Sprintf("%s-k%d-t%d-s%d", name, opts.K, opts.T, opts.Seed)
+	key := fmt.Sprintf("%s-k%d-t%d-s%d-z%d-c%d", name, opts.K, opts.T, opts.Seed, opts.ZoneMapStep, opts.LongListCutoff)
 	if b, ok := e.indexes[key]; ok {
 		return b.ix, b.stats, nil
 	}
@@ -166,17 +167,18 @@ func queryWorkload(c *corpus.Corpus, numQueries, length, vocab int, mutateProb f
 
 // queryResult aggregates a query batch.
 type queryResult struct {
-	AvgTotal   time.Duration
-	AvgIO      time.Duration
-	AvgCPU     time.Duration
-	AvgMatches float64
+	AvgTotal     time.Duration
+	AvgIO        time.Duration
+	AvgCPU       time.Duration
+	AvgMatches   float64
+	AvgLongLists float64 // lists deferred per query (Stats.LongLists)
 }
 
 // runQueries executes a batch and averages the latency split.
 func runQueries(s *search.Searcher, queries [][]uint32, opts search.Options) (queryResult, error) {
 	var res queryResult
 	var total, io time.Duration
-	var matches int
+	var matches, long int
 	for _, q := range queries {
 		ms, st, err := s.Search(q, opts)
 		if err != nil {
@@ -185,6 +187,7 @@ func runQueries(s *search.Searcher, queries [][]uint32, opts search.Options) (qu
 		total += st.Total
 		io += st.IOTime
 		matches += len(ms)
+		long += st.LongLists
 	}
 	n := time.Duration(len(queries))
 	if n == 0 {
@@ -194,7 +197,39 @@ func runQueries(s *search.Searcher, queries [][]uint32, opts search.Options) (qu
 	res.AvgIO = io / n
 	res.AvgCPU = res.AvgTotal - res.AvgIO
 	res.AvgMatches = float64(matches) / float64(len(queries))
+	res.AvgLongLists = float64(long) / float64(len(queries))
 	return res, nil
+}
+
+// TopFractionCutoff returns the list length that about frac of ix's
+// inverted lists, over all hash functions, exceed: built with it as
+// LongListCutoff, an index defers its longest frac of lists.
+func TopFractionCutoff(ix *index.Index, frac float64) int {
+	var lengths []int
+	for fn := 0; fn < ix.K(); fn++ {
+		lengths = append(lengths, ix.ListLengths(fn)...)
+	}
+	slices.Sort(lengths)
+	return lengths[min(int(float64(len(lengths))*(1-frac)), len(lengths)-1)]
+}
+
+// PrefixZoneStep is the zone-map step of every index a prefix-length
+// sweep builds: at most the smallest swept cutoff, so a probe into a
+// list just above the cutoff reads one block, not the whole list.
+const PrefixZoneStep = 16
+
+// prefixRun builds c under opts with LongListCutoff at base's
+// TopFractionCutoff for frac — the build-time cutoff is the planner's
+// only deferral control — and answers queries on it at theta 0.8 with
+// the prefix filter on.
+func prefixRun(e *Env, name string, c *corpus.Corpus, base *index.Index, opts index.BuildOptions, queries [][]uint32, frac float64) (cutoff int, res queryResult, err error) {
+	opts.ZoneMapStep, opts.LongListCutoff = PrefixZoneStep, TopFractionCutoff(base, frac)
+	ix, _, err := e.buildIndex(name, c, opts)
+	if err != nil {
+		return 0, res, err
+	}
+	res, err = runQueries(search.New(ix, c), queries, search.Options{Theta: 0.8, PrefixFilter: true})
+	return opts.LongListCutoff, res, err
 }
 
 // Experiment is one named runner.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -118,6 +119,42 @@ func TestFig3Experiment(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "total ms") {
 		t.Fatalf("missing latency table:\n%s", buf.String())
+	}
+}
+
+// TestFig3dSweeps: each Fig 3(d) row builds its own index at a lower
+// list-length cutoff, so each defers more lists per query than the
+// last.
+func TestFig3dSweeps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("query experiment is not short")
+	}
+	e, buf := testEnv(t)
+	ex, _ := Find("fig3d")
+	if err := ex.Run(e); err != nil {
+		t.Fatal(err)
+	}
+	// Rows follow the header; the third column is long lists/query.
+	_, table, _ := strings.Cut(buf.String(), "long lists/query")
+	var long []float64
+	for _, line := range strings.Split(table, "\n")[1:] {
+		f := strings.Fields(line)
+		if len(f) < 3 {
+			continue
+		}
+		v, err := strconv.ParseFloat(f[2], 64)
+		if err != nil {
+			t.Fatalf("row %q: %v", line, err)
+		}
+		long = append(long, v)
+	}
+	if len(long) != 4 {
+		t.Fatalf("parsed %d rows, want 4:\n%s", len(long), buf)
+	}
+	for i := 1; i < len(long); i++ {
+		if long[i] <= long[i-1] {
+			t.Errorf("long lists/query %v: row %d does not defer more than row %d — the sweep does not sweep\n%s", long, i, i-1, buf)
+		}
 	}
 }
 

@@ -73,25 +73,25 @@ func fig3c(e *Env) error {
 func fig3d(e *Env) error {
 	e.printf("## Fig 3(d): latency vs prefix length (fraction of lists deferred as long)\n")
 	e.printf("k=32, t=25, theta=0.8, small vocab (pronounced Zipf head => genuinely long lists)\n")
+	e.printf("one index per row, built with LongListCutoff at the row's list-length quantile, zone map step %d\n", PrefixZoneStep)
 	e.printf("deferring more lists trades full-list I/O for per-candidate probes\n\n")
 	// A small vocabulary concentrates postings into a heavy Zipf head,
 	// reproducing the long-list skew the prefix filter targets.
 	c := e.synWeb(2, 2000, 1)
-	ix, _, err := e.buildIndex("f3d", c, index.BuildOptions{K: 32, Seed: 3, T: 25})
+	opts := index.BuildOptions{K: 32, Seed: 3, T: 25}
+	base, _, err := e.buildIndex("f3d", c, opts)
 	if err != nil {
 		return err
 	}
-	s := search.New(ix, c)
 	queries := queryWorkload(c, 100, fig3QueryLen, 2000, 0.1, 7)
 	w := e.table()
-	fmt.Fprintln(w, "deferred\tcutoff(list len)\tio ms\tcpu ms\ttotal ms")
+	fmt.Fprintln(w, "deferred\tcutoff(list len)\tlong lists/query\tio ms\tcpu ms\ttotal ms")
 	for _, frac := range []float64{0.05, 0.10, 0.15, 0.20} {
-		cutoff := search.CutoffForTopFraction(ix, frac)
-		res, err := runQueries(s, queries, search.Options{Theta: 0.8, PrefixFilter: true, LongListThreshold: cutoff})
+		cutoff, res, err := prefixRun(e, "f3d", c, base, opts, queries, frac)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%.0f%%\t%d\t%s\t%s\t%s\n", frac*100, cutoff, ms(res.AvgIO), ms(res.AvgCPU), ms(res.AvgTotal))
+		fmt.Fprintf(w, "%.0f%%\t%d\t%.2f\t%s\t%s\t%s\n", frac*100, cutoff, res.AvgLongLists, ms(res.AvgIO), ms(res.AvgCPU), ms(res.AvgTotal))
 	}
 	return w.Flush()
 }

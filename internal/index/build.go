@@ -28,7 +28,8 @@ type BuildOptions struct {
 	// lists. Defaults to 1024.
 	ZoneMapStep int
 	// LongListCutoff is the posting count above which a list receives a
-	// zone map. Defaults to 4096.
+	// zone map and, at query time, is deferred by the prefix filter
+	// (Meta.LongListCutoff). Defaults to 4096.
 	LongListCutoff int
 	// Parallelism is the number of hash functions Build generates and
 	// groups concurrently, in front of its one ordered writer. Peak

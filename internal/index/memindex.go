@@ -18,8 +18,11 @@ type MemIndex struct {
 	lists []map[uint64][]Posting
 }
 
-// BuildMem builds an in-memory index over a corpus. ZoneMapStep and
-// LongListCutoff in opts are ignored (there is nothing to probe around).
+// BuildMem builds an in-memory index over a corpus. ZoneMapStep in opts
+// is ignored (a probe is a binary search, there are no zones).
+// LongListCutoff is recorded in Meta, where it is the query planner's
+// only deferral control: with PrefixFilter, lists longer than it are
+// deferred.
 func BuildMem(c *corpus.Corpus, opts BuildOptions) (*MemIndex, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err

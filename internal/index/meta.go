@@ -19,7 +19,9 @@ type Meta struct {
 	// ZoneMapStep is the number of postings per zone in long lists.
 	ZoneMapStep int `json:"zone_map_step"`
 	// LongListCutoff is the posting count above which a list gets a
-	// zone map.
+	// zone map. It also decides deferral: with PrefixFilter, the query
+	// planner defers exactly the lists longer than it (at most beta-1,
+	// longest first).
 	LongListCutoff int `json:"long_list_cutoff"`
 }
 

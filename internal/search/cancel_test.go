@@ -144,10 +144,10 @@ func TestSearchBatchContextCanceled(t *testing.T) {
 // results or stats relative to plain Search.
 func TestSearchContextBackground(t *testing.T) {
 	c := smallDupCorpus(20, 30, 80, 30, 13)
-	ix := buildTestIndex(t, c, 8, 9, 5, 4, 8)
+	ix := buildTestIndex(t, c, 8, 9, 5, 4, 10)
 	s := New(ix, c)
 	q := c.Text(0)[:12]
-	opts := Options{Theta: 0.5, PrefixFilter: true, LongListThreshold: 10, Verify: true}
+	opts := Options{Theta: 0.5, PrefixFilter: true, Verify: true}
 	wantM, wantSt, err := s.Search(q, opts)
 	if err != nil {
 		t.Fatal(err)

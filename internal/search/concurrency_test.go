@@ -32,10 +32,10 @@ func TestSearchBatchConcurrentStatsExact(t *testing.T) {
 	c := smallDupCorpus(40, 40, 120, 40, 7)
 	// Tiny zones and a small cutoff so the parallel run exercises both
 	// full list reads and zone-map probes.
-	ix := buildTestIndex(t, c, 8, 21, 5, 4, 8)
+	ix := buildTestIndex(t, c, 8, 21, 5, 4, 12)
 	s := New(ix, c)
 	queries := concurrencyQueries(t, c, 24, 40)
-	opts := Options{Theta: 0.6, PrefixFilter: true, LongListThreshold: 12}
+	opts := Options{Theta: 0.6, PrefixFilter: true}
 
 	seq := s.SearchBatch(queries, opts, 1)
 
@@ -79,13 +79,12 @@ func TestSearchBatchConcurrentStatsExact(t *testing.T) {
 // nondeterministically).
 func TestSearchBatchConcurrentRepeat(t *testing.T) {
 	c := smallDupCorpus(25, 30, 80, 30, 11)
-	ix := buildTestIndex(t, c, 8, 5, 5, 4, 8)
+	ix := buildTestIndex(t, c, 8, 5, 5, 4, 10)
 	s := New(ix, c)
 	queries := concurrencyQueries(t, c, 16, 30)
 	for _, opts := range []Options{
 		{Theta: 0.5},
-		{Theta: 0.5, PrefixFilter: true, LongListThreshold: 10},
-		{Theta: 0.5, CostBasedPrefix: true},
+		{Theta: 0.5, PrefixFilter: true},
 		{Theta: 0.5, PrefixFilter: true, Verify: true},
 	} {
 		seq := s.SearchBatch(queries, opts, 1)
@@ -125,5 +124,48 @@ func TestSearchStatsSelfConsistent(t *testing.T) {
 	}
 	if st.CPUTime+st.IOTime != st.Total {
 		t.Fatalf("CPU %v + IO %v != Total %v", st.CPUTime, st.IOTime, st.Total)
+	}
+}
+
+func TestSearchBatchOrderAndParallel(t *testing.T) {
+	c := smallDupCorpus(20, 20, 60, 30, 131)
+	ix := buildTestIndex(t, c, 8, 47, 5, 0, 0)
+	s := New(ix, c)
+	rng := rand.New(rand.NewSource(15))
+	var queries [][]uint32
+	for len(queries) < 12 {
+		if q, _, _, ok := corpus.PlantQuery(c, 10, 0.1, 30, rng); ok {
+			queries = append(queries, q)
+		}
+	}
+	seq := s.SearchBatch(queries, Options{Theta: 0.6}, 1)
+	par := s.SearchBatch(queries, Options{Theta: 0.6}, 4)
+	if len(seq) != len(queries) || len(par) != len(queries) {
+		t.Fatal("result count mismatch")
+	}
+	for i := range seq {
+		if seq[i].Err != nil || par[i].Err != nil {
+			t.Fatalf("errors: %v %v", seq[i].Err, par[i].Err)
+		}
+		if !reflect.DeepEqual(matchesToSpans(seq[i].Matches), matchesToSpans(par[i].Matches)) {
+			t.Fatalf("query %d: parallel result differs", i)
+		}
+	}
+	// Errors propagate per query.
+	bad := s.SearchBatch([][]uint32{nil, queries[0]}, Options{Theta: 0.6}, 2)
+	if bad[0].Err == nil {
+		t.Fatal("empty query should error")
+	}
+	if bad[1].Err != nil {
+		t.Fatalf("valid query errored: %v", bad[1].Err)
+	}
+}
+
+func TestSearchBatchEmpty(t *testing.T) {
+	c := smallDupCorpus(5, 20, 40, 30, 7)
+	ix := buildTestIndex(t, c, 4, 49, 5, 0, 0)
+	s := New(ix, c)
+	if got := s.SearchBatch(nil, Options{Theta: 0.5}, 4); len(got) != 0 {
+		t.Fatalf("empty batch: %v", got)
 	}
 }

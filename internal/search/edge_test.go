@@ -223,14 +223,14 @@ func TestZoneMapEndToEndWithManyTexts(t *testing.T) {
 		}
 	}
 	c := corpus.New(texts)
-	ix := buildTestIndex(t, c, 8, 15, 5, 4, 8)
+	ix := buildTestIndex(t, c, 8, 15, 5, 4, 16)
 	s := New(ix, c)
 	q := texts[60][10:30]
 	base, _, err := s.Search(q, Options{Theta: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered, st, err := s.Search(q, Options{Theta: 0.8, PrefixFilter: true, LongListThreshold: 16})
+	filtered, st, err := s.Search(q, Options{Theta: 0.8, PrefixFilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ func TestSearchEmptyIndex(t *testing.T) {
 	for _, opts := range []Options{
 		{Theta: 0.8},
 		{Theta: 0.8, PrefixFilter: true},
-		{Theta: 0.8, CostBasedPrefix: true},
 	} {
 		ms, st, err := s.Search([]uint32{1, 2, 3, 4, 5, 6}, opts)
 		if err != nil {
@@ -35,10 +34,6 @@ func TestSearchEmptyIndex(t *testing.T) {
 		if len(ms) != 0 || st.Candidates != 0 {
 			t.Fatalf("opts %+v: matches=%v stats=%+v", opts, ms, st)
 		}
-	}
-	// Cutoff selection over an empty index.
-	if c := CutoffForTopFraction(ix, 0.1); c != 0 {
-		t.Fatalf("empty-index cutoff = %d", c)
 	}
 }
 

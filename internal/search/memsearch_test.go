@@ -13,8 +13,8 @@ import (
 // over the in-memory and on-disk index implementations.
 func TestSearcherOverMemIndex(t *testing.T) {
 	c := smallDupCorpus(20, 20, 60, 30, 171)
-	opts := index.BuildOptions{K: 8, Seed: 51, T: 5}
-	disk := buildTestIndex(t, c, 8, 51, 5, 0, 0)
+	opts := index.BuildOptions{K: 8, Seed: 51, T: 5, LongListCutoff: 6}
+	disk := buildTestIndex(t, c, 8, 51, 5, 0, 6)
 	mem, err := index.BuildMem(c, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -30,8 +30,7 @@ func TestSearcherOverMemIndex(t *testing.T) {
 		theta := []float64{0.5, 0.75, 1.0}[trial%3]
 		for _, o := range []Options{
 			{Theta: theta},
-			{Theta: theta, PrefixFilter: true, LongListThreshold: 6},
-			{Theta: theta, CostBasedPrefix: true},
+			{Theta: theta, PrefixFilter: true},
 		} {
 			a, _, err := sDisk.Search(q, o)
 			if err != nil {

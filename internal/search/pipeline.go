@@ -33,11 +33,9 @@ type Plan struct {
 	// NumLong is the number of deferred lists (at most Beta-1, so the
 	// short-list filter threshold stays positive).
 	NumLong int
-	// Cutoff is the list-length threshold applied: the query's
-	// LongListThreshold, or by default the index's build-time
-	// Meta().LongListCutoff (4096 unless built otherwise; see
-	// Options.LongListThreshold). 0 when the plan came from the cost
-	// model (CostBasedPrefix) or no filtering was asked.
+	// Cutoff is the list-length threshold applied: the index's
+	// build-time Meta().LongListCutoff (4096 unless built otherwise), or
+	// 0 when no filtering was asked.
 	Cutoff int
 	// Beta is the required collision count ceil(K*Theta); Alpha is the
 	// short-list filter threshold Beta - NumLong (floored at 1).
@@ -145,9 +143,10 @@ func (s *Searcher) stageSketch(qc *queryCtx, query []uint32) error {
 }
 
 // stagePlan splits the k lists into short (read fully) and long
-// (deferred to zone-map probes), honoring the fixed cutoff or the cost
-// model. At most beta-1 lists go long so a candidate must still hit at
-// least one short list.
+// (deferred to zone-map probes). With PrefixFilter, a list is long when
+// it has more postings than the build-time Meta().LongListCutoff. At
+// most beta-1 lists go long so a candidate must still hit at least one
+// short list.
 func (s *Searcher) stagePlan(qc *queryCtx) {
 	k := len(qc.sketch)
 	if cap(qc.plan.Long) < k {
@@ -160,23 +159,8 @@ func (s *Searcher) stagePlan(qc *queryCtx) {
 	qc.plan.NumLong, qc.plan.Cutoff = 0, 0
 	beta := qc.plan.Beta
 
-	switch {
-	case qc.opts.CostBasedPrefix:
-		qc.lens = qc.lens[:0]
-		for fn := 0; fn < k; fn++ {
-			qc.lens = append(qc.lens, s.ix.ListLength(fn, qc.sketch[fn]))
-		}
-		for fn, long := range ChooseDeferral(qc.lens, beta, DefaultCostModel()) {
-			if long {
-				qc.plan.Long[fn] = true
-				qc.plan.NumLong++
-			}
-		}
-	case qc.opts.PrefixFilter:
-		cutoff := qc.opts.LongListThreshold
-		if cutoff == 0 {
-			cutoff = s.ix.Meta().LongListCutoff
-		}
+	if qc.opts.PrefixFilter {
+		cutoff := s.ix.Meta().LongListCutoff
 		qc.plan.Cutoff = cutoff
 		qc.lens, qc.order = qc.lens[:0], qc.order[:0]
 		for fn := 0; fn < k; fn++ {
@@ -205,11 +189,10 @@ func (s *Searcher) stagePlan(qc *queryCtx) {
 		}
 	}
 	// Never defer a list the reader cannot probe cheaply: where the
-	// owning segment's portion is long and has no zone map,
-	// ReadListForText degrades to a full read plus filter for every
-	// candidate text — worse than the single up-front read a short list
-	// costs. (Query-time cutoffs below the build-time LongListCutoff,
-	// and the cost model, can otherwise produce such plans.)
+	// owning segment's portion is long and has no zone map, a probe
+	// degrades to a full read plus filter for every candidate text —
+	// worse than the single up-front read a short list costs. Only a
+	// segmented index has such lists above the cutoff.
 	if qc.plan.NumLong > 0 {
 		for fn := range qc.plan.Long {
 			if qc.plan.Long[fn] && !s.ix.HasZoneMap(fn, qc.sketch[fn]) {

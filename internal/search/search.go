@@ -19,16 +19,15 @@ type TextSource interface {
 	ReadText(id uint32) ([]uint32, error)
 }
 
-// IndexReader is the index access surface the query processor needs.
-// *index.Index (on-disk) and *index.MemIndex (in-memory) both satisfy
-// it.
+// IndexReader is the index access surface the query processor needs,
+// and nothing more. *index.Index (on-disk) and *index.MemIndex
+// (in-memory) both satisfy it.
 //
-// The Into variants append into a caller-supplied buffer and report the
-// read's bytes/latency into a caller-supplied sink (which may be nil);
+// The reads append into a caller-supplied buffer and report the read's
+// bytes/latency into a caller-supplied sink (which may be nil);
 // implementations must never alias internal storage in the appended
-// postings, so callers can reuse the buffer across reads. The query
-// pipeline uses only the Into variants — that is what makes per-query
-// I/O accounting exact under concurrency.
+// postings, so callers can reuse the buffer across reads. The private
+// sink is what makes per-query I/O accounting exact under concurrency.
 //
 // Every list read must come back non-decreasing in (global) TextID, with
 // a text's postings adjacent: the count stage merges the short lists on
@@ -38,7 +37,6 @@ type IndexReader interface {
 	Meta() index.Meta
 	Family() *hash.Family
 	ListLength(fn int, h uint64) int
-	ListLengths(fn int) []int
 	// HasZoneMap reports whether per-text probes into the list for hash
 	// h of function fn stay within about one zone block each: in memory,
 	// or on disk when some segment's portion of the list is zone-mapped
@@ -47,11 +45,8 @@ type IndexReader interface {
 	// planner defers no other list: probing it would read a long portion
 	// whole per candidate, worse than reading the list once up front.
 	HasZoneMap(fn int, h uint64) bool
-	ReadList(fn int, h uint64) ([]index.Posting, error)
 	ReadListInto(dst []index.Posting, fn int, h uint64, sink *index.IOStats) ([]index.Posting, error)
-	ReadListForText(fn int, h uint64, textID uint32) ([]index.Posting, error)
 	ReadListForTextInto(dst []index.Posting, fn int, h uint64, textID uint32, sink *index.IOStats) ([]index.Posting, error)
-	IOStats() index.IOStats
 }
 
 // Options configures one search.
@@ -63,25 +58,11 @@ type Options struct {
 	// MinLength overrides the minimum reported sequence length. It must
 	// be at least the index's length threshold T; zero means T.
 	MinLength int
-	// PrefixFilter defers lists longer than LongListThreshold: they are
-	// probed per candidate text through zone maps instead of being read
-	// fully (§3.5).
+	// PrefixFilter defers lists longer than the index's build-time
+	// Meta().LongListCutoff — the lists the build gave zone maps — to
+	// per-candidate probes instead of reading them fully (§3.5). At most
+	// beta-1 lists are deferred, the longest first.
 	PrefixFilter bool
-	// LongListThreshold is the posting count above which a list is
-	// considered long. Zero selects the index's build-time
-	// Meta().LongListCutoff: the lists it gave zone maps, the only ones
-	// the planner defers. Wherever the top-10% list-length quantile lies
-	// at or below that cutoff — every index this repository builds — the
-	// plans are those deferring the 10% longest lists gives. The two
-	// part only where the 90th-percentile list is longer than the cutoff
-	// (~10^9 tokens and up) and on MemIndex, whose every list is
-	// probeable. CutoffForTopFraction computes the quantile for callers
-	// that sweep it.
-	LongListThreshold int
-	// CostBasedPrefix replaces the fixed cutoff with a per-query cost
-	// model (ChooseDeferral) deciding which lists to defer. Implies
-	// PrefixFilter.
-	CostBasedPrefix bool
 	// Verify computes the exact distinct Jaccard similarity between the
 	// query and each reported span (requires a TextSource).
 	Verify bool
@@ -101,14 +82,11 @@ type Options struct {
 // hasSource reports whether a TextSource is attached (required by
 // Verify).
 func (o Options) validate(meta index.Meta, hasSource bool) (minLen int, err error) {
-	if o.Theta <= 0 || o.Theta > 1 {
+	if !(o.Theta > 0 && o.Theta <= 1) { // also rejects NaN
 		return 0, fmt.Errorf("search: Theta must be in (0, 1], got %v", o.Theta)
 	}
 	if o.MinLength < 0 {
 		return 0, fmt.Errorf("search: MinLength must not be negative, got %d", o.MinLength)
-	}
-	if o.LongListThreshold < 0 {
-		return 0, fmt.Errorf("search: LongListThreshold must not be negative, got %d", o.LongListThreshold)
 	}
 	if o.Verify && !hasSource {
 		return 0, fmt.Errorf("search: Verify requires a TextSource")
@@ -322,63 +300,6 @@ type Searcher struct {
 // requested.
 func New(ix IndexReader, src TextSource) *Searcher {
 	return &Searcher{ix: ix, src: src}
-}
-
-// CutoffForTopFraction returns a list-length threshold such that
-// roughly the given fraction of inverted lists (the longest ones — the
-// "prefix" of most frequent tokens) exceed it. Fig 3(d) sweeps this
-// fraction from 5% to 20%. The quantile is found with a selection pass
-// (expected O(n)), not a full sort.
-func CutoffForTopFraction(ix IndexReader, frac float64) int {
-	var lengths []int
-	for fn := 0; fn < ix.K(); fn++ {
-		lengths = append(lengths, ix.ListLengths(fn)...)
-	}
-	if len(lengths) == 0 {
-		return 0
-	}
-	pos := int(float64(len(lengths)) * (1 - frac))
-	if pos >= len(lengths) {
-		pos = len(lengths) - 1
-	}
-	if pos < 0 {
-		pos = 0
-	}
-	return quickselect(lengths, pos)
-}
-
-// quickselect returns the value that would be at index pos were a
-// sorted ascending, partitioning a in place. The three-way partition
-// keeps it linear on the duplicate-heavy length distributions real
-// indexes have.
-func quickselect(a []int, pos int) int {
-	lo, hi := 0, len(a)-1
-	for lo < hi {
-		pivot := a[lo+(hi-lo)/2]
-		lt, gt, i := lo, hi, lo
-		for i <= gt {
-			switch {
-			case a[i] < pivot:
-				a[lt], a[i] = a[i], a[lt]
-				lt++
-				i++
-			case a[i] > pivot:
-				a[gt], a[i] = a[i], a[gt]
-				gt--
-			default:
-				i++
-			}
-		}
-		switch {
-		case pos < lt:
-			hi = lt - 1
-		case pos > gt:
-			lo = gt + 1
-		default:
-			return a[pos]
-		}
-	}
-	return a[lo]
 }
 
 // Search finds all near-duplicate sequences of query per opts

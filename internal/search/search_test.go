@@ -138,7 +138,7 @@ func TestSearchMatchesOracle(t *testing.T) {
 	)
 	for trial := int64(0); trial < 6; trial++ {
 		c := smallDupCorpus(15, 20, 60, 40, 100+trial)
-		ix := buildTestIndex(t, c, k, seed, tt, 4, 8) // tiny zones: exercise probes
+		ix := buildTestIndex(t, c, k, seed, tt, 4, 10) // tiny zones: exercise probes
 		fam := hash.MustNewFamily(k, seed)
 		s := New(ix, c)
 		rng := rand.New(rand.NewSource(trial))
@@ -149,7 +149,7 @@ func TestSearchMatchesOracle(t *testing.T) {
 			}
 			want := oracleSpans(c, fam, q, theta, tt)
 			for _, pf := range []bool{false, true} {
-				got, st, err := s.Search(q, Options{Theta: theta, PrefixFilter: pf, LongListThreshold: 10})
+				got, st, err := s.Search(q, Options{Theta: theta, PrefixFilter: pf})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -297,11 +297,11 @@ func TestSearchOptionValidation(t *testing.T) {
 func TestSearchStats(t *testing.T) {
 	const k = 8
 	c := smallDupCorpus(20, 20, 60, 30, 15)
-	ix := buildTestIndex(t, c, k, 3, 5, 4, 8)
+	ix := buildTestIndex(t, c, k, 3, 5, 4, 10)
 	s := New(ix, c)
 	rng := rand.New(rand.NewSource(2))
 	q, _, _, _ := corpus.PlantQuery(c, 12, 0.1, 30, rng)
-	_, st, err := s.Search(q, Options{Theta: 0.5, PrefixFilter: true, LongListThreshold: 10})
+	_, st, err := s.Search(q, Options{Theta: 0.5, PrefixFilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,26 +346,16 @@ func TestSearchMinLengthAboveT(t *testing.T) {
 	}
 }
 
-func TestCutoffForTopFraction(t *testing.T) {
-	c := smallDupCorpus(20, 30, 80, 30, 35)
-	ix := buildTestIndex(t, c, 2, 9, 5, 0, 0)
-	c5 := CutoffForTopFraction(ix, 0.05)
-	c20 := CutoffForTopFraction(ix, 0.20)
-	if c20 > c5 {
-		t.Fatalf("larger prefix fraction should give smaller cutoff: 5%%=%d 20%%=%d", c5, c20)
-	}
-	if c5 <= 0 {
-		t.Fatalf("cutoff = %d", c5)
-	}
-}
-
-// TestPrefixFilterEquivalence fuzzes prefix filtering across thresholds:
-// results must be identical to the unfiltered search.
+// TestPrefixFilterEquivalence fuzzes prefix filtering across build-time
+// long-list cutoffs: results must be identical to the unfiltered search.
 func TestPrefixFilterEquivalence(t *testing.T) {
 	const k, seed, tt = 8, 45, 5
 	c := smallDupCorpus(25, 20, 70, 25, 45) // tiny vocab: long lists abound
-	ix := buildTestIndex(t, c, k, seed, tt, 4, 8)
-	s := New(ix, c)
+	cutoffs := []int{1, 5, 20, 100}
+	searchers := make([]*Searcher, len(cutoffs))
+	for i, cutoff := range cutoffs {
+		searchers[i] = New(buildTestIndex(t, c, k, seed, tt, 4, cutoff), c)
+	}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 8; trial++ {
 		q, _, _, ok := corpus.PlantQuery(c, 10, 0.2, 25, rng)
@@ -373,12 +363,12 @@ func TestPrefixFilterEquivalence(t *testing.T) {
 			continue
 		}
 		theta := []float64{0.4, 0.6, 0.8, 1.0}[trial%4]
-		base, _, err := s.Search(q, Options{Theta: theta})
+		base, _, err := searchers[0].Search(q, Options{Theta: theta})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cutoff := range []int{1, 5, 20, 100} {
-			got, _, err := s.Search(q, Options{Theta: theta, PrefixFilter: true, LongListThreshold: cutoff})
+		for i, cutoff := range cutoffs {
+			got, _, err := searchers[i].Search(q, Options{Theta: theta, PrefixFilter: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,14 +45,14 @@ func runSegQueries(t *testing.T, s *Searcher, queries [][]uint32) []segQueryResu
 	for _, q := range queries {
 		for _, opts := range []Options{
 			{Theta: 0.5},
-			{Theta: 0.75, PrefixFilter: true, LongListThreshold: 10},
+			{Theta: 0.75, PrefixFilter: true},
 			{Theta: 1.0, Verify: true, KeepRects: true},
 		} {
 			ms, _, err := s.Search(q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tk, _, err := s.SearchTopK(q, TopKOptions{N: 3, FloorTheta: 0.5, Search: Options{PrefixFilter: true, LongListThreshold: 10}})
+			tk, _, err := s.SearchTopK(q, TopKOptions{N: 3, FloorTheta: 0.5, Search: Options{PrefixFilter: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestSegmentedSearchEquivalence(t *testing.T) {
 	parts := splitCorpus(full, 10, 8, 6)
 
 	dir := filepath.Join(t.TempDir(), "ix")
-	if _, err := index.Build(parts[0], dir, index.BuildOptions{K: k, Seed: seed, T: tt, ZoneMapStep: 4, LongListCutoff: 8}); err != nil {
+	if _, err := index.Build(parts[0], dir, index.BuildOptions{K: k, Seed: seed, T: tt, ZoneMapStep: 4, LongListCutoff: 10}); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range parts[1:] {

@@ -46,10 +46,9 @@ func TestStageTimesRecorded(t *testing.T) {
 
 func TestStageTimesTraceSpans(t *testing.T) {
 	s, q := stageFixture(t)
-	// A tiny cutoff forces deferred lists, so probe spans appear.
-	_, st, err := s.Search(q, Options{
-		Theta: 0.5, PrefixFilter: true, LongListThreshold: 8, Trace: true,
-	})
+	// The fixture's tiny cutoff forces deferred lists, so probe spans
+	// appear.
+	_, st, err := s.Search(q, Options{Theta: 0.5, PrefixFilter: true, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

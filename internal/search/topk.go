@@ -43,7 +43,7 @@ func (s *Searcher) SearchTopKContext(ctx context.Context, query []uint32, opts T
 	if floor == 0 {
 		floor = 0.5
 	}
-	if floor <= 0 || floor > 1 {
+	if !(floor > 0 && floor <= 1) { // also rejects NaN
 		return nil, nil, fmt.Errorf("search: FloorTheta must be in (0, 1], got %v", floor)
 	}
 	sOpts := opts.Search

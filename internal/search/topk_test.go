@@ -1,6 +1,8 @@
 package search
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"ndss/internal/corpus"
@@ -125,6 +127,9 @@ func TestSearchTopKValidation(t *testing.T) {
 	}
 	if _, _, err := s.SearchTopK(q, TopKOptions{N: 5, FloorTheta: 1.5}); err == nil {
 		t.Error("FloorTheta > 1 should fail")
+	}
+	if _, _, err := s.SearchTopK(q, TopKOptions{N: 5, FloorTheta: math.NaN()}); err == nil || !strings.Contains(err.Error(), "FloorTheta") {
+		t.Errorf("FloorTheta NaN: got %v, want the FloorTheta range error", err)
 	}
 	if _, _, err := s.SearchTopK(q, TopKOptions{N: 5}); err != nil {
 		t.Errorf("default floor should work: %v", err)

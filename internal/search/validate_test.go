@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -26,9 +27,11 @@ func TestOptionsValidation(t *testing.T) {
 		{"theta zero", withSrc, Options{Theta: 0}, "Theta"},
 		{"theta negative", withSrc, Options{Theta: -0.5}, "Theta"},
 		{"theta above one", withSrc, Options{Theta: 1.5}, "Theta"},
+		// NaN fails every comparison; accepted, it floored beta to 1 and
+		// made every single-collision rectangle a match.
+		{"theta NaN", withSrc, Options{Theta: math.NaN()}, "Theta"},
 		{"negative MinLength", withSrc, Options{Theta: 0.8, MinLength: -1}, "MinLength"},
 		{"MinLength below T", withSrc, Options{Theta: 0.8, MinLength: 3}, "length threshold"},
-		{"negative LongListThreshold", withSrc, Options{Theta: 0.8, LongListThreshold: -10}, "LongListThreshold"},
 		{"verify without source", noSrc, Options{Theta: 0.8, Verify: true}, "TextSource"},
 	}
 	for _, tc := range cases {
@@ -70,11 +73,11 @@ func TestExplainPlan(t *testing.T) {
 		NumTexts: 30, MinLength: 40, MaxLength: 90, VocabSize: 20,
 		ZipfS: 1.4, Seed: 12, DupRate: 0.5, DupSnippetLen: 20, DupMutateProb: 0.05,
 	})
-	ix := buildTestIndex(t, c, 8, 3, 5, 0, 0)
+	ix := buildTestIndex(t, c, 8, 3, 5, 0, 10)
 	s := New(ix, c)
 	q := c.Text(0)[:12]
 
-	plan, err := s.Explain(q, Options{Theta: 0.5, PrefixFilter: true, LongListThreshold: 10})
+	plan, err := s.Explain(q, Options{Theta: 0.5, PrefixFilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,10 @@ func TestExplainPlan(t *testing.T) {
 		t.Fatalf("Alpha %d inconsistent with Beta %d, NumLong %d", plan.Alpha, plan.Beta, plan.NumLong)
 	}
 	if plan.Cutoff != 10 {
-		t.Fatalf("Cutoff %d, want 10", plan.Cutoff)
+		t.Fatalf("Cutoff %d, want the build cutoff 10", plan.Cutoff)
+	}
+	if plan.NumLong == 0 {
+		t.Fatal("plan defers nothing; the assertions above are vacuous")
 	}
 
 	// The plan stage reads no posting lists.

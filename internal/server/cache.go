@@ -105,16 +105,12 @@ func cacheKey(kind byte, sketch []uint64, query []uint32, o search.Options, topN
 	}
 	app64(math.Float64bits(o.Theta))
 	app64(uint64(o.MinLength))
-	app64(uint64(o.LongListThreshold))
 	var flags uint64
 	if o.PrefixFilter {
 		flags |= 1
 	}
-	if o.CostBasedPrefix {
-		flags |= 2
-	}
 	if o.Verify {
-		flags |= 4
+		flags |= 2
 	}
 	app64(flags)
 	app64(uint64(topN))

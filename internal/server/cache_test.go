@@ -30,17 +30,17 @@ func tokenDigest(tokens []uint32) uint64 {
 // coordinator) — a silent wrong-result bug.
 func TestCacheKeySketchAliasing(t *testing.T) {
 	tokens := []uint32{1, 2, 3}
-	optsA := search.Options{Theta: 0.75, MinLength: 7, LongListThreshold: 9, Verify: true}
+	optsA := search.Options{Theta: 0.75, MinLength: 7, Verify: true}
 	keyA := cacheKey('S', []uint64{42}, tokens, optsA, 0, 0)
 
 	// B reproduces A's pre-fix serialization exactly: the extra sketch
 	// word absorbs A's Theta bits and every following field takes the
-	// value of A's next word (A's Verify flag bits land in B's
-	// LongListThreshold, A's token digest in B's floor).
+	// value of A's next word (A's Verify flag bit lands in B's
+	// MinLength, A's topN and floor zeros in B's flags and topN, A's
+	// token digest in B's floor).
 	optsB := search.Options{
-		Theta:             math.Float64frombits(uint64(optsA.MinLength)),
-		MinLength:         optsA.LongListThreshold,
-		LongListThreshold: 4, // A's flags word: the Verify bit
+		Theta:     math.Float64frombits(uint64(optsA.MinLength)),
+		MinLength: 2, // A's flags word: the Verify bit
 	}
 	keyB := cacheKey('S', []uint64{42, math.Float64bits(optsA.Theta)}, nil, optsB, 0,
 		math.Float64frombits(tokenDigest(tokens)))

@@ -78,8 +78,7 @@ func wrappedFixture(t *testing.T, wrap func(search.IndexReader) search.IndexRead
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
-	w := wrap(ix)
-	return searcherBackend{Searcher: search.New(w, c), ix: w}, c.Text(0)[:12]
+	return searcherBackend{Searcher: search.New(wrap(ix), c), ix: ix}, c.Text(0)[:12]
 }
 
 // TestLatencyAccounting is the satellite regression test: every

@@ -656,7 +656,6 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (wire.Request, error)
 			req.Tokens = append(req.Tokens, tok)
 		}
 		req.PrefixFilter = q.Get("prefix_filter") == "true" || q.Get("prefix_filter") == "1"
-		req.CostBased = q.Get("cost_based") == "true" || q.Get("cost_based") == "1"
 		return req, nil
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes))

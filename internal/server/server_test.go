@@ -121,7 +121,7 @@ func TestServeSearchBasic(t *testing.T) {
 		t.Fatalf("healthz %d", hz.StatusCode)
 	}
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/explain",
-		wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true, LongListThreshold: 10})
+		wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explain status %d: %s", resp.StatusCode, body)
 	}
@@ -336,10 +336,10 @@ func (r slowReader) ReadListInto(dst []index.Posting, fn int, h uint64, sink *in
 }
 
 // searcherBackend adapts a search.Searcher over a wrapped reader to the
-// Backend interface.
+// Backend interface; ix is the index the wrapped reader reads.
 type searcherBackend struct {
 	*search.Searcher
-	ix search.IndexReader
+	ix *index.Index
 }
 
 func (b searcherBackend) Explain(ctx context.Context, q []uint32, o search.Options) (*search.Plan, error) {
@@ -370,7 +370,7 @@ func slowFixture(t *testing.T, delay time.Duration) (Backend, []uint32) {
 	}
 	t.Cleanup(func() { ix.Close() })
 	slow := slowReader{IndexReader: ix, delay: delay}
-	return searcherBackend{Searcher: search.New(slow, c), ix: slow}, c.Text(0)[:12]
+	return searcherBackend{Searcher: search.New(slow, c), ix: ix}, c.Text(0)[:12]
 }
 
 // TestServeDeadlineExpiry: a request whose deadline expires mid-query
@@ -462,7 +462,7 @@ func blockingFixture(t *testing.T) (*blockingReader, Backend, []uint32) {
 		gate:        make(chan struct{}),
 		entered:     make(chan struct{}),
 	}
-	return br, searcherBackend{Searcher: search.New(br, c), ix: br}, c.Text(0)[:12]
+	return br, searcherBackend{Searcher: search.New(br, c), ix: ix}, c.Text(0)[:12]
 }
 
 func TestServeAdmissionSaturated(t *testing.T) {
@@ -680,5 +680,58 @@ func TestServeExplainGet(t *testing.T) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&plan); err != nil || plan.Beta == 0 {
 		t.Fatalf("bad plan response (err %v, beta %d)", err, plan.Beta)
+	}
+
+	// "%g" parses NaN, which fails every range comparison: it must still
+	// be refused, not planned with beta floored to 1.
+	nan, err := ts.Client().Get(strings.Replace(url, "theta=0.5", "theta=NaN", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan.Body.Close()
+	if nan.StatusCode != http.StatusBadRequest {
+		t.Fatalf("GET explain theta=NaN status %d, want 400", nan.StatusCode)
+	}
+}
+
+// TestServeIgnoresRetiredPlanFields: long_list_threshold and cost_based
+// are accepted and ignored (the build-time cutoff alone decides
+// deferral), so a request carrying them is answered exactly like the
+// same request without them, not refused as carrying unknown fields.
+func TestServeIgnoresRetiredPlanFields(t *testing.T) {
+	_, engine, q := testFixture(t)
+	srv := New(engine, Config{CacheEntries: -1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, path := range []string{"/search", "/search/topk", "/explain"} {
+		plain := wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true}
+		if path == "/search/topk" {
+			plain.N = 3
+		}
+		retired := plain
+		retired.LongListThreshold, retired.CostBased = 1<<20, true
+		var bodies [2][]byte
+		for i, req := range []wire.Request{plain, retired} {
+			resp, body := postJSON(t, ts.Client(), ts.URL+path, req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d (%s)", path, resp.StatusCode, body)
+			}
+			bodies[i] = body
+		}
+		if path != "/explain" {
+			// Timings differ from run to run; everything else must not.
+			for i := range bodies {
+				var r wire.Response
+				if err := json.Unmarshal(bodies[i], &r); err != nil {
+					t.Fatal(err)
+				}
+				r.Stats.IOTimeNS, r.Stats.CPUTimeNS, r.Stats.TotalNS, r.Stats.Stages = 0, 0, 0, search.StageTimes{}
+				bodies[i], _ = json.Marshal(r)
+			}
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Errorf("%s: retired fields changed the answer:\nwithout %s\nwith    %s", path, bodies[0], bodies[1])
+		}
 	}
 }

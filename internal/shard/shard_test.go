@@ -130,7 +130,6 @@ func TestCoordinatorSearchMatchesSingleIndex(t *testing.T) {
 	optsList := []search.Options{
 		{Theta: 0.5},
 		{Theta: 0.5, PrefixFilter: true},
-		{Theta: 0.5, CostBasedPrefix: true},
 		{Theta: 0.8, Verify: true},
 	}
 	ctx := context.Background()

@@ -20,8 +20,10 @@ type Request struct {
 	Tokens []uint32 `json:"tokens"`
 	Theta  float64  `json:"theta"`
 
-	MinLength         int  `json:"min_length,omitempty"`
-	PrefixFilter      bool `json:"prefix_filter,omitempty"`
+	MinLength    int  `json:"min_length,omitempty"`
+	PrefixFilter bool `json:"prefix_filter,omitempty"`
+	// LongListThreshold and CostBased are accepted and ignored, so the
+	// server's DisallowUnknownFields does not refuse old clients.
 	LongListThreshold int  `json:"long_list_threshold,omitempty"`
 	CostBased         bool `json:"cost_based,omitempty"`
 	Verify            bool `json:"verify,omitempty"`
@@ -40,25 +42,21 @@ type Request struct {
 // never served, and span shipping follows the traceparent header.
 func NewRequest(query []uint32, opts search.Options) Request {
 	return Request{
-		Tokens:            query,
-		Theta:             opts.Theta,
-		MinLength:         opts.MinLength,
-		PrefixFilter:      opts.PrefixFilter,
-		LongListThreshold: opts.LongListThreshold,
-		CostBased:         opts.CostBasedPrefix,
-		Verify:            opts.Verify,
+		Tokens:       query,
+		Theta:        opts.Theta,
+		MinLength:    opts.MinLength,
+		PrefixFilter: opts.PrefixFilter,
+		Verify:       opts.Verify,
 	}
 }
 
 // Options is the inverse of NewRequest.
 func (r Request) Options() search.Options {
 	return search.Options{
-		Theta:             r.Theta,
-		MinLength:         r.MinLength,
-		PrefixFilter:      r.PrefixFilter,
-		LongListThreshold: r.LongListThreshold,
-		CostBasedPrefix:   r.CostBased,
-		Verify:            r.Verify,
+		Theta:        r.Theta,
+		MinLength:    r.MinLength,
+		PrefixFilter: r.PrefixFilter,
+		Verify:       r.Verify,
 	}
 }
 

@@ -99,9 +99,9 @@ func TestGoldenBytes(t *testing.T) {
 	meta := goldenMeta()
 	q := []uint32{1, 2, 4000000000}
 	fullReq := NewRequest(q, search.Options{
-		Theta: 0.8, MinLength: 30, PrefixFilter: true, LongListThreshold: 100,
-		CostBasedPrefix: true, Verify: true, KeepRects: true, Trace: true,
+		Theta: 0.8, MinLength: 30, PrefixFilter: true, Verify: true, KeepRects: true, Trace: true,
 	})
+	fullReq.LongListThreshold, fullReq.CostBased = 100, true // accepted and ignored
 	fullReq.TimeoutMS, fullReq.N, fullReq.FloorTheta = 250, 5, 0.5
 
 	for _, tc := range []struct {
