@@ -22,11 +22,13 @@ build:
 test:
 	$(GO) test ./...
 
-# CI "test" job: gofmt + vet + build + the consolidated race matrix —
+# CI "test" job: gofmt + vet (plus a big-endian vet of the index, whose
+# list reads swap bytes there) + build + the consolidated race matrix —
 # full module under -race, then an uncached rerun of the
 # concurrency-heavy serving tier (server, shard, obs, index).
 race:
 	$(GO) vet ./...
+	GOARCH=s390x $(GO) vet ./internal/index/
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/server/ ./internal/shard/ ./internal/obs/ ./internal/index/
@@ -78,14 +80,15 @@ fuzz-smoke:
 	$(GO) test ./internal/index/ -run FuzzTombstoneParse -fuzz FuzzTombstoneParse -fuzztime $(FUZZTIME)
 
 # CI "bench-smoke" job: one iteration of the query-path microbenchmarks
-# (internal/search/bench_test.go), of the mutation-path ones
-# (internal/index/bench_test.go, the window generator on reused scratch)
+# (internal/search/bench_test.go), of the index ones
+# (internal/index/bench_test.go: build, append, compact, list reads in
+# ns/posting and Open; the window generator on reused scratch)
 # and of the root benchmarks behind Fig 3(d) and AB2, so they cannot
 # rot. Measuring while you work is the same command with a real
 # -benchtime and -count.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Search(Hit|Miss|Segmented)|FirstQueryAfterAppend|IntervalScan|CollisionCount' -benchtime 1x ./internal/search/
-	$(GO) test -run '^$$' -bench 'Build$$|Append16|Compact9' -benchtime 1x ./internal/index/
+	$(GO) test -run '^$$' -bench 'Build$$|Append16|Compact9|ReadList$$|Open$$' -benchtime 1x ./internal/index/
 	$(GO) test -run '^$$' -bench 'GenerateLinear' -benchtime 1x ./internal/window/
 	$(GO) test -run '^$$' -bench 'Fig3_PrefixLength|Ablation_PrefixFilter' -benchtime 1x .
 

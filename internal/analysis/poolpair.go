@@ -254,7 +254,7 @@ func poolMethodCall(pass *Pass, call *ast.CallExpr, name string) (poolRef, bool)
 		return nil, false
 	}
 	// The pool is the innermost selected object: a package-level var
-	// (readBufPool.Get) or a struct field (s.ctxPool.Get).
+	// (bufPool.Get) or a struct field (s.ctxPool.Get).
 	switch x := ast.Unparen(sel.X).(type) {
 	case *ast.Ident:
 		if obj := pass.TypesInfo.Uses[x]; obj != nil {

@@ -99,12 +99,12 @@ func TestCorruptZoneMapRejectedAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zones := ix.segs[0].files[0].zones
+	ff := ix.segs[0].files[0]
 	ix.Close()
-	if len(zones) == 0 {
+	if len(ff.zones) == 0 {
 		t.Fatal("degenerate fixture: no zone maps")
 	}
-	flipByteAt(t, filepath.Join(dir, funcFileName(0)), int64(zones[0].off)+zoneEntrySize+7)
+	flipByteAt(t, filepath.Join(dir, funcFileName(0)), ff.zoneOff(ff.zones[0])+zoneEntrySize+7)
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt zone map") {
 		t.Fatalf("want a corrupt zone map error at Open, got %v", err)
 	}

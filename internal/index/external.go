@@ -16,10 +16,12 @@ import (
 // BuildExternal constructs the index for a corpus file that may not fit
 // in memory, using hash aggregation with recursive partitioning (§3.4's
 // large-corpus path): texts are streamed in batches, each batch's
-// compact-window records are partitioned by min-hash value and spilled
+// compact-window records are partitioned by min-hash range and spilled
 // to disk, and each partition is then loaded, sorted and appended to the
-// inverted file. A partition that still exceeds the memory budget is
-// recursively re-partitioned on higher hash bits.
+// inverted file, partitions in ascending range order, so the file's
+// lists lie in hash order and its bytes equal Build's. A partition that
+// still exceeds the memory budget is recursively re-partitioned over
+// sub-ranges of its own range.
 //
 // Like Build, the whole construction — spill files included — is
 // staged in a temp directory next to dir and committed atomically;
@@ -62,24 +64,50 @@ func BuildExternal(r *corpus.Reader, dir string, opts BuildOptions) (*BuildStats
 	return stats, nil
 }
 
-// spillSet is a group of open partition spill files at one recursion
-// level. Every spill lives inside the build's staging directory, so
-// even a removal that never runs (crash) is swept with the staging
-// orphan by the next build.
+// hashRange is the half-open range [lo, hi) of hash values a spill set
+// partitions.
+type hashRange struct{ lo, hi uint64 }
+
+// allHashes is every value the hash family produces.
+var allHashes = hashRange{0, hash.MersennePrime61}
+
+// step is the width of each of r's fanout partitions.
+func (r hashRange) step(fanout int) uint64 {
+	return (r.hi - r.lo + uint64(fanout) - 1) / uint64(fanout)
+}
+
+// sub returns the sub-range of r that partition p holds.
+func (r hashRange) sub(p, fanout int) hashRange {
+	lo := min(r.lo+uint64(p)*r.step(fanout), r.hi)
+	return hashRange{lo, min(lo+r.step(fanout), r.hi)}
+}
+
+// partitionOf selects the partition of r that holds h: r is cut into
+// fanout consecutive sub-ranges of equal width, so partitions
+// aggregated in order emit lists in ascending hash order, and a
+// recursive re-partition splits its parent's sub-range.
+func partitionOf(h uint64, r hashRange, fanout int) int {
+	return int((h - r.lo) / r.step(fanout))
+}
+
+// spillSet is a group of open partition spill files over one hash range
+// at one recursion level. Every spill lives inside the build's staging
+// directory, so even a removal that never runs (crash) is swept with the
+// staging orphan by the next build.
 type spillSet struct {
 	fs    fsio.FS
 	dir   string
-	level int
+	rng   hashRange
 	files []fsio.File
 	bufs  []*bufio.Writer
 	sizes []int64
 }
 
-func newSpillSet(fsys fsio.FS, dir string, level, fanout int) (*spillSet, error) {
+func newSpillSet(fsys fsio.FS, dir string, level int, rng hashRange, fanout int) (*spillSet, error) {
 	s := &spillSet{
 		fs:    fsys,
 		dir:   dir,
-		level: level,
+		rng:   rng,
 		files: make([]fsio.File, fanout),
 		bufs:  make([]*bufio.Writer, fanout),
 		sizes: make([]int64, fanout),
@@ -96,15 +124,8 @@ func newSpillSet(fsys fsio.FS, dir string, level, fanout int) (*spillSet, error)
 	return s, nil
 }
 
-// partitionOf selects a partition for hash h at the given level. Level 0
-// uses the low bits; deeper levels shift to fresh bits so a partition
-// actually splits on recursion.
-func partitionOf(h uint64, level, fanout int) int {
-	return int((h >> (9 * uint(level))) % uint64(fanout))
-}
-
-func (s *spillSet) add(rec record, fanout int) error {
-	p := partitionOf(rec.Hash, s.level, fanout)
+func (s *spillSet) add(rec record) error {
+	p := partitionOf(rec.Hash, s.rng, len(s.files))
 	var buf [recordSize]byte
 	encodeRecord(buf[:], rec)
 	if _, err := s.bufs[p].Write(buf[:]); err != nil {
@@ -141,7 +162,7 @@ func (s *spillSet) cleanup() {
 }
 
 func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f hash.Func, fanout int, opts BuildOptions, stats *BuildStats, bw *bufio.Writer) (fileSum, error) {
-	spill, err := newSpillSet(fsys, dir, 0, fanout)
+	spill, err := newSpillSet(fsys, dir, 0, allHashes, fanout)
 	if err != nil {
 		return fileSum{}, err
 	}
@@ -158,7 +179,7 @@ func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f has
 			genDone := obs.NowMono()
 			stats.GenTime += genDone.Sub(genStart)
 			for _, rec := range recs {
-				if err := spill.add(rec, fanout); err != nil {
+				if err := spill.add(rec); err != nil {
 					return err
 				}
 			}
@@ -178,13 +199,14 @@ func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f has
 		return fileSum{}, err
 	}
 
-	// Pass 2: aggregate each partition into the inverted file.
+	// Pass 2: aggregate each partition, in hash order, into the inverted
+	// file.
 	w, err := newFileWriter(fsys, indexPath(dir, fn), fn, opts.ZoneMapStep, opts.LongListCutoff, bw)
 	if err != nil {
 		return fileSum{}, err
 	}
 	for p, f := range spill.files {
-		if err := aggregatePartition(f, spill.sizes[p], 1, fsys, dir, opts, w); err != nil {
+		if err := aggregatePartition(f, spill.sizes[p], 1, allHashes.sub(p, fanout), fsys, dir, opts, w); err != nil {
 			w.abort()
 			return fileSum{}, err
 		}
@@ -203,15 +225,16 @@ func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f has
 // aggregated in memory regardless of the budget.
 const maxRecursionDepth = 6
 
-// aggregatePartition loads one spill file, sorts its records and appends
-// complete inverted lists to w. Over-budget partitions are re-partitioned
-// on higher hash bits first (recursive partitioning).
-func aggregatePartition(f fsio.File, size int64, level int, fsys fsio.FS, dir string, opts BuildOptions, w *fileWriter) error {
+// aggregatePartition loads one spill file, holding the records of the
+// hashes in rng, sorts its records and appends complete inverted lists
+// to w. Over-budget partitions are first re-partitioned over sub-ranges
+// of rng (recursive partitioning).
+func aggregatePartition(f fsio.File, size int64, level int, rng hashRange, fsys fsio.FS, dir string, opts BuildOptions, w *fileWriter) error {
 	if size == 0 {
 		return nil
 	}
 	if size > opts.MemoryBudget && level <= maxRecursionDepth {
-		return repartition(f, size, level, fsys, dir, opts, w)
+		return repartition(f, size, level, rng, fsys, dir, opts, w)
 	}
 	recs, err := readAllRecords(f, size)
 	if err != nil {
@@ -224,10 +247,10 @@ func aggregatePartition(f fsio.File, size int64, level int, fsys fsio.FS, dir st
 	return addSortedRuns(w, recs)
 }
 
-// repartition splits an over-budget spill file into sub-partitions on a
-// fresh range of hash bits and aggregates each. The sub-spills are
-// cleaned up on success and on every error return path.
-func repartition(f fsio.File, size int64, level int, fsys fsio.FS, dir string, opts BuildOptions, w *fileWriter) error {
+// repartition splits an over-budget spill file into sub-partitions over
+// consecutive sub-ranges of rng and aggregates each, in hash order. The
+// sub-spills are cleaned up on success and on every error return path.
+func repartition(f fsio.File, size int64, level int, rng hashRange, fsys fsio.FS, dir string, opts BuildOptions, w *fileWriter) error {
 	fanout := int(size/opts.MemoryBudget) + 1
 	if fanout < 2 {
 		fanout = 2
@@ -235,7 +258,7 @@ func repartition(f fsio.File, size int64, level int, fsys fsio.FS, dir string, o
 	if fanout > 512 {
 		fanout = 512
 	}
-	sub, err := newSpillSet(fsys, dir, level, fanout)
+	sub, err := newSpillSet(fsys, dir, level, rng, fanout)
 	if err != nil {
 		return err
 	}
@@ -249,7 +272,7 @@ func repartition(f fsio.File, size int64, level int, fsys fsio.FS, dir string, o
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return fmt.Errorf("index: read spill: %w", err)
 		}
-		if err := sub.add(decodeRecord(buf[:]), fanout); err != nil {
+		if err := sub.add(decodeRecord(buf[:])); err != nil {
 			return err
 		}
 	}
@@ -257,7 +280,7 @@ func repartition(f fsio.File, size int64, level int, fsys fsio.FS, dir string, o
 		return err
 	}
 	for p, sf := range sub.files {
-		if err := aggregatePartition(sf, sub.sizes[p], level+1, fsys, dir, opts, w); err != nil {
+		if err := aggregatePartition(sf, sub.sizes[p], level+1, rng.sub(p, fanout), fsys, dir, opts, w); err != nil {
 			return err
 		}
 	}

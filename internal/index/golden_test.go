@@ -19,8 +19,10 @@ import (
 // <sha256>". The hashes were recorded before the pipelined build, the
 // one-pass generator and the counting scatter replaced their
 // predecessors, so they prove those changes byte-identical and pin the
-// format for later ones. A deliberate format change regenerates the
-// table from the failure output, in the same PR as docs/FORMAT.md.
+// format for later ones. Every writer lays lists out in hash order, so
+// the external lines equal the build lines. A deliberate format change
+// regenerates the table from the failure output, in the same PR as
+// docs/FORMAT.md.
 const goldenInvertedFiles = `
 build/index.000 c7d33b0d0f1c4314d44b4f60883001b788c3ebb22c057a89723372b1fdbcf5b9
 build/index.001 08f4ed97895e3e94d02220bf793382cf03d9ce34960f2dd463b18b64c4072599
@@ -28,9 +30,9 @@ build/index.002 a74737f461f57549885bfbe26dbd59051d255863c96ac2d382e50d144aa9468b
 sharded/index.000 c7d33b0d0f1c4314d44b4f60883001b788c3ebb22c057a89723372b1fdbcf5b9
 sharded/index.001 08f4ed97895e3e94d02220bf793382cf03d9ce34960f2dd463b18b64c4072599
 sharded/index.002 a74737f461f57549885bfbe26dbd59051d255863c96ac2d382e50d144aa9468b
-external/index.000 8e10e9a55ae56b68d88135c60240856f06ed22982fad1d4f864f6186ca87e8dd
-external/index.001 a3b4ee127a6f6347a3754cfcbb2551a8ec9ca61c104f26ced1fc720d68f956eb
-external/index.002 c7e9a0fa732d19e37ca532d415c2f2763ab9586db101e358dbbec33c6494d965
+external/index.000 c7d33b0d0f1c4314d44b4f60883001b788c3ebb22c057a89723372b1fdbcf5b9
+external/index.001 08f4ed97895e3e94d02220bf793382cf03d9ce34960f2dd463b18b64c4072599
+external/index.002 a74737f461f57549885bfbe26dbd59051d255863c96ac2d382e50d144aa9468b
 segmented/index.000 cd1862ce8a4a6702a39e1eeb3d162fc8b9a44b66a1e0852abac294467ebb891e
 segmented/index.001 2b569890cad5bf031d6a451e65c3161cc39fc4b51dd61cf4bcd02ab3035b8712
 segmented/index.002 1063930ae8b2b95515018fbdc0144d476542e506a039345ac6c224b6ac161660

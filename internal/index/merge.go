@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"ndss/internal/corpus"
@@ -90,8 +89,8 @@ func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) e
 	})
 }
 
-// mergeWindow caps a source's read-ahead window: a hash-ordered inverted
-// file is read in chunks of this size, not list by list.
+// mergeWindow caps a source's read-ahead window: an inverted file is
+// read front to back in chunks of this size, not list by list.
 const mergeWindow = 1 << 20
 
 // mergeSource is one segment's input to the merge of one hash function:
@@ -104,37 +103,28 @@ type mergeSource struct {
 	tomb *tombSet
 
 	ff     *funcFile
-	row    int  // next directory row to merge
-	seq    bool // lists lie in the file in hash order
+	row    int // next directory row to merge
 	win    []byte
 	winOff uint64
 	buf    []byte // window storage, reused across functions
 }
 
-// start points the source at function fn's file. Build, Append and
-// merge output write lists in hash order, so the merge reads them front
-// to back. BuildExternal's partition order is read list by list: there
-// a window would hold other partitions' lists and be refilled for
-// nearly every list, a megabyte read each time.
+// start points the source at function fn's file.
 func (s *mergeSource) start(fn int) {
 	s.ff = s.ix.segs[s.seg].files[fn]
 	s.row, s.win, s.winOff = 0, nil, 0
-	s.seq = slices.IsSorted(s.ff.offs)
 }
 
 // appendList appends the postings of the list at the cursor to dst as
 // records of its hash — tombstoned ids dropped, the rest shifted by
-// base — and advances the cursor. A list outside the window refills it
-// at the list's offset: up to mergeWindow bytes of the lists that follow
-// in a hash-ordered file, exactly the list otherwise.
+// base — and advances the cursor. Lists lie in the file in hash order,
+// the cursor's order, so a list past the window refills it at the
+// list's offset with up to mergeWindow bytes of the lists that follow.
 func (s *mergeSource) appendList(dst []record) ([]record, error) {
-	h, off, n := s.ff.hashes[s.row], s.ff.offs[s.row], uint64(s.ff.counts[s.row])*postingSize
+	h, off, n := s.ff.hashes[s.row], uint64(s.ff.off(s.row)), uint64(s.ff.count(s.row))*postingSize
 	s.row++
-	if off < s.winOff || off+n > s.winOff+uint64(len(s.win)) {
-		size := n
-		if s.seq {
-			size = max(n, min(mergeWindow, s.ff.dirOff-off))
-		}
+	if off+n > s.winOff+uint64(len(s.win)) {
+		size := max(n, min(mergeWindow, s.ff.dirOff-off))
 		if uint64(cap(s.buf)) < size {
 			s.buf = make([]byte, size)
 		}

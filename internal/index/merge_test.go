@@ -1,10 +1,11 @@
 package index
 
 import (
-	"crypto/sha256"
+	"bytes"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -203,15 +204,85 @@ func TestCompactReadBudget(t *testing.T) {
 	}
 }
 
-// TestCompactPartitionOrderedSources compacts the same segment history
-// twice: once over a Build base, whose lists lie in hash order, and once
-// over a BuildExternal base under a 2 kB budget, whose lists lie in
-// partition order, so the merge's windows refill out of order. The
-// compacted inverted files must be byte-identical.
-func TestCompactPartitionOrderedSources(t *testing.T) {
+// spillLevelFS records the deepest recursion level of the spill files
+// created through it.
+type spillLevelFS struct {
+	fsio.FS
+	deepest atomic.Int64
+}
+
+func (s *spillLevelFS) CreateTemp(dir, pattern string) (fsio.File, error) {
+	var level, part int
+	if n, _ := fmt.Sscanf(pattern, "spill-l%d-p%d-", &level, &part); n == 2 && int64(level) > s.deepest.Load() {
+		s.deepest.Store(int64(level))
+	}
+	return s.FS.CreateTemp(dir, pattern)
+}
+
+// assertHashOrder fails unless every inverted file under dir lays its
+// lists out back to back from the header to the directory in strictly
+// ascending hash order, zone entries right after their postings — read
+// from the raw directory rows — and Open accepts the index.
+func assertHashOrder(t *testing.T, label, dir string) {
+	t.Helper()
+	files := 0
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !invertedFileName.MatchString(d.Name()) {
+			return err
+		}
+		files++
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rows, dirOff := rawDirectory(t, data)
+		pos := uint64(idxHeaderLen)
+		for i, r := range rows {
+			if i > 0 && r.hash <= rows[i-1].hash || r.off != pos ||
+				r.zoneCount > 0 && r.zoneOff != pos+uint64(r.count)*postingSize {
+				t.Fatalf("%s: %s row %d (hash %x at %d, zones at %d) breaks hash order at %d", label, path, i, r.hash, r.off, r.zoneOff, pos)
+			}
+			pos += uint64(r.count)*postingSize + uint64(r.zoneCount)*zoneEntrySize
+		}
+		if pos != dirOff {
+			t.Fatalf("%s: %s: lists end at %d, directory at %d", label, path, pos, dirOff)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatalf("%s: no inverted files under %s", label, dir)
+	}
+	ix, err := Open(dir)
+	if err != nil {
+		t.Fatalf("%s: Open refused the output: %v", label, err)
+	}
+	ix.Close()
+}
+
+// TestEveryWriterEmitsHashOrder runs every writer over the golden corpus
+// — Build, BuildSharded, BuildExternal under a 2 kB budget that forces
+// recursive partitioning, Append (with a delete) and Compact — and
+// checks that each output lays its lists out in hash order and opens.
+// BuildExternal's files must be byte-identical to Build's.
+func TestEveryWriterEmitsHashOrder(t *testing.T) {
 	c := goldenCorpus(t)
 	opts := BuildOptions{K: 3, Seed: 11, T: 12, ZoneMapStep: 8, LongListCutoff: 24}
-	extraA, extraB := testCorpus(t, 9, 30, 140, 60, 9), testCorpus(t, 7, 30, 140, 60, 11)
+
+	buildDir := filepath.Join(t.TempDir(), "ix")
+	if _, err := Build(c, buildDir, opts); err != nil {
+		t.Fatal(err)
+	}
+	assertHashOrder(t, "build", buildDir)
+
+	shardedDir := filepath.Join(t.TempDir(), "ix")
+	if err := BuildSharded(c, shardedDir, opts, 3); err != nil {
+		t.Fatal(err)
+	}
+	assertHashOrder(t, "sharded", shardedDir)
+
 	tok := filepath.Join(t.TempDir(), "c.tok")
 	if err := corpus.WriteFile(c, tok); err != nil {
 		t.Fatal(err)
@@ -221,55 +292,38 @@ func TestCompactPartitionOrderedSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-
-	build := map[string]func(dir string) error{
-		"hash-ordered": func(dir string) error { _, err := Build(c, dir, opts); return err },
-		"partition-ordered": func(dir string) error {
-			extOpts := opts
-			extOpts.MemoryBudget, extOpts.BatchTokens = 2048, 300
-			_, err := BuildExternal(r, dir, extOpts)
-			return err
-		},
+	spills := &spillLevelFS{FS: fsio.OS}
+	extOpts := opts
+	extOpts.MemoryBudget, extOpts.BatchTokens, extOpts.FS = 2048, 300, spills
+	extDir := filepath.Join(t.TempDir(), "ix")
+	if _, err := BuildExternal(r, extDir, extOpts); err != nil {
+		t.Fatal(err)
 	}
-	sums := map[string][][32]byte{}
-	for name, base := range build {
-		dir := filepath.Join(t.TempDir(), "ix")
-		if err := base(dir); err != nil {
-			t.Fatal(err)
-		}
-		ix, err := Open(dir)
+	if spills.deepest.Load() < 1 {
+		t.Fatal("the external build never re-partitioned a spill")
+	}
+	assertHashOrder(t, "external", extDir)
+	for fn := 0; fn < opts.K; fn++ {
+		want, err := os.ReadFile(filepath.Join(buildDir, funcFileName(fn)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sorted := true
-		for _, ff := range ix.segs[0].files {
-			sorted = sorted && slices.IsSorted(ff.offs)
-		}
-		ix.Close()
-		if want := name == "hash-ordered"; sorted != want {
-			t.Fatalf("%s base: lists in hash order = %v, want %v", name, sorted, want)
-		}
-		for _, extra := range []*corpus.Corpus{extraA, extraB} {
-			if _, err := Append(dir, extra); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := Delete(dir, []uint32{5, 44, 52}); err != nil {
+		got, err := os.ReadFile(filepath.Join(extDir, funcFileName(fn)))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Compact(dir); err != nil {
-			t.Fatal(err)
-		}
-		for fn := 0; fn < opts.K; fn++ {
-			data, err := os.ReadFile(filepath.Join(dir, funcFileName(fn)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sums[name] = append(sums[name], sha256.Sum256(data))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("BuildExternal's %s differs from Build's", funcFileName(fn))
 		}
 	}
-	if !slices.Equal(sums["hash-ordered"], sums["partition-ordered"]) {
-		t.Fatalf("compaction over partition-ordered sources wrote different files:\n%x\n%x",
-			sums["hash-ordered"], sums["partition-ordered"])
+
+	segDir := buildSegmented(t, opts, testCorpus(t, 30, 30, 140, 60, 7), testCorpus(t, 9, 30, 140, 60, 9))
+	if err := Delete(segDir, []uint32{5, 33}); err != nil {
+		t.Fatal(err)
 	}
+	assertHashOrder(t, "appended", segDir)
+	if err := Compact(segDir); err != nil {
+		t.Fatal(err)
+	}
+	assertHashOrder(t, "compacted", segDir)
 }

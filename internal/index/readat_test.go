@@ -37,34 +37,41 @@ func TestReadAtTruncatedFileCountsActualBytes(t *testing.T) {
 	// mid-list leaves the directory of the still-open file readable.
 	fn := 0
 	ff := ix.segs[0].files[fn]
-	var target dirEntry
+	target := -1
 	for i := range ff.hashes {
-		e := ff.entry(i)
-		if e.Count > 1 && e.Off >= target.Off {
-			target = e
+		if ff.count(i) > 1 {
+			target = i
 		}
 	}
-	if target.Count <= 1 {
+	if target < 0 {
 		t.Fatal("no multi-posting list to truncate")
 	}
+	off := ff.off(target)
 
 	// Truncate the open file halfway through the target list. The index
 	// holds the file handle, so reads past the new size hit EOF.
-	keep := int64(target.Off) + int64(target.Count/2)*postingSize
+	keep := off + int64(ff.count(target)/2)*postingSize
 	if err := os.Truncate(filepath.Join(dir, funcFileName(fn)), keep); err != nil {
 		t.Fatal(err)
 	}
-	wantBytes := keep - int64(target.Off) // what a full-list read can still get
+	wantBytes := keep - off // what a full-list read can still get
 
+	// The failed read must hand dst back at its old length, earlier
+	// contents intact, whatever landed in its spare capacity.
+	prior := []Posting{{TextID: 7, L: 1, C: 2, R: 3}, {TextID: 9, L: 4, C: 5, R: 6}}
+	dst := append(make([]Posting, 0, 64), prior...)
 	var sink IOStats
 	before := ix.IOStats()
-	_, err = ix.ReadListInto(nil, fn, target.Hash, &sink)
+	got, err := ix.ReadListInto(dst, fn, ff.hashes[target], &sink)
 	after := ix.IOStats()
 	if err == nil {
 		t.Fatal("read of truncated list succeeded")
 	}
 	if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("want EOF-ish error, got %v", err)
+	}
+	if !slices.Equal(got, prior) {
+		t.Fatalf("failed read returned dst %v, want it unchanged at %v", got, prior)
 	}
 	if delta := after.BytesRead - before.BytesRead; delta != wantBytes {
 		t.Fatalf("index-wide counter charged %d bytes, file had %d", delta, wantBytes)
@@ -124,7 +131,7 @@ func TestHasZoneMap(t *testing.T) {
 				inBase = inBase || si == 0
 				zoned = zoned || z
 				bare = bare || !z
-				bareLong = bareLong || !z && int(ff.counts[i]) > opts.ZoneMapStep
+				bareLong = bareLong || !z && ff.count(i) > opts.ZoneMapStep
 			}
 			got := ix.HasZoneMap(fn, h)
 			switch {
@@ -261,12 +268,12 @@ func TestOpenZoneTableReadFault(t *testing.T) {
 	}
 	last := ix.segs[len(ix.segs)-1]
 	fn := len(last.files) - 1
-	zones := last.files[fn].zones
+	ff := last.files[fn]
 	ix.Close()
-	if len(zones) == 0 {
+	if len(ff.zones) == 0 {
 		t.Fatal("degenerate fixture: the appended segment's last file has no zone map")
 	}
-	off := int64(zones[len(zones)/2].off)
+	off := ff.zoneOff(ff.zones[len(ff.zones)/2])
 
 	counted := &readCountFS{FS: fsio.NewFaultFS(fsio.OS).SetCrash(false).FailReadAt(filepath.Join(last.name, funcFileName(fn)), off)}
 	_, err = OpenFS(counted, dir)

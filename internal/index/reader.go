@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,18 +48,19 @@ type segment struct {
 
 // funcFile is one opened inverted file with its directory resident in
 // memory. The directory is held column-wise — row i describes the list
-// of hashes[i], rows ascend by hash — and the zone-map columns only for
-// the few (long) lists that have one: 20 bytes a list instead of the 32
-// of a dirEntry, and lookups stride over 8-byte hashes. The zone maps
-// themselves are resident too, so a per-text probe searches memory and
-// reads one block.
+// of hashes[i], rows ascend by hash — in 12 bytes a list instead of the
+// 32 of a dirEntry: lists lie back to back in hash order (Open refuses
+// any other layout), so a row's count and offset derive from the running
+// posting count in starts and the zone side table, kept only for the
+// few (long) lists that have a zone map. Lookups stride over 8-byte
+// hashes. The zone maps themselves are resident too, so a per-text probe
+// searches memory and reads one block.
 type funcFile struct {
 	f         fsio.File
 	path      string
 	size      int64
 	hashes    []uint64
-	offs      []uint64
-	counts    []uint32
+	starts    []uint32  // starts[i]: postings in rows before i; len(hashes)+1 entries
 	zones     []zoneRef // rows with a zone map, ascending by row
 	zoneTab   []uint32  // every zone map's (firstTextID, ord) pairs, back to back
 	dirOff    uint64
@@ -67,11 +68,27 @@ type funcFile struct {
 	dirCRC    uint32
 }
 
-// zoneRef is the zone-map part of directory row idx: count entries
-// stored at off in the file and at zoneTab[2*at:] in memory.
+// zoneRef is the zone-map part of directory row idx: count entries,
+// stored right after the row's postings in the file and at
+// zoneTab[2*at:] in memory. at is also the number of zone entries in
+// the file before them.
 type zoneRef struct {
 	idx, count, at uint32
-	off            uint64
+}
+
+// ListOrderError reports an inverted file whose lists do not lie back to
+// back in strictly ascending hash order from the header to the
+// directory, or that holds more postings than a uint32 counts. The
+// resident directory derives every list's offset from that layout, so
+// such a file — an older BuildExternal wrote lists in partition order —
+// is refused rather than served: rebuild the index.
+type ListOrderError struct {
+	Path   string // inverted file
+	Reason string // the first row that breaks the layout
+}
+
+func (e *ListOrderError) Error() string {
+	return fmt.Sprintf("index: %s: %s: lists must lie back to back in hash order; rebuild the index", e.Path, e.Reason)
 }
 
 // ReadError reports a failed or short read of an inverted file with
@@ -246,29 +263,70 @@ func openFuncFile(fsys fsio.FS, path string, wantIdx int) (*funcFile, error) {
 		f:         f,
 		path:      path,
 		size:      st.Size(),
-		hashes:    make([]uint64, numLists),
-		offs:      make([]uint64, numLists),
-		counts:    make([]uint32, numLists),
 		dirOff:    dirOff,
 		regionCRC: regionCRC,
 		dirCRC:    dirCRC,
 	}
-	var entries uint32
-	for i := range ff.hashes {
-		b := buf[i*dirEntrySize:]
-		ff.hashes[i] = binary.LittleEndian.Uint64(b[0:])
-		ff.offs[i] = binary.LittleEndian.Uint64(b[8:])
-		ff.counts[i] = binary.LittleEndian.Uint32(b[16:])
-		if zc := binary.LittleEndian.Uint32(b[20:]); zc > 0 {
-			ff.zones = append(ff.zones, zoneRef{idx: uint32(i), count: zc, at: entries, off: binary.LittleEndian.Uint64(b[24:])})
-			entries += zc
-		}
+	entries, err := ff.decodeDirectory(buf)
+	if err == nil {
+		err = ff.loadZones(entries)
 	}
-	if err := ff.loadZones(entries); err != nil {
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	return ff, nil
+}
+
+// decodeDirectory loads the directory rows in buf into the resident
+// columns and returns the file's number of zone entries. Every row's
+// postingsOff and zoneOff must be the offset the columns derive — lists
+// back to back from the header to dirOff in strictly ascending hash
+// order — and the file may hold at most MaxUint32 postings; anything
+// else is a *ListOrderError.
+func (ff *funcFile) decodeDirectory(buf []byte) (uint32, error) {
+	n := len(buf) / dirEntrySize
+	ff.hashes = make([]uint64, n)
+	ff.starts = make([]uint32, n+1)
+	var postings uint64
+	var entries uint32
+	pos := uint64(idxHeaderLen)
+	for i := range ff.hashes {
+		b := buf[i*dirEntrySize:]
+		h, off := binary.LittleEndian.Uint64(b[0:]), binary.LittleEndian.Uint64(b[8:])
+		count, zc := uint64(binary.LittleEndian.Uint32(b[16:])), binary.LittleEndian.Uint32(b[20:])
+		if i > 0 && h <= ff.hashes[i-1] {
+			return 0, ff.orderError("list %x follows list %x", h, ff.hashes[i-1])
+		}
+		if off != pos {
+			return 0, ff.orderError("list %x at offset %d, want %d", h, off, pos)
+		}
+		ff.hashes[i], ff.starts[i] = h, uint32(postings)
+		if postings += count; postings > math.MaxUint32 {
+			return 0, ff.orderError("%d postings by list %x exceed %d", postings, h, uint32(math.MaxUint32))
+		}
+		pos += count * postingSize
+		if zc > 0 {
+			if zoff := binary.LittleEndian.Uint64(b[24:]); zoff != pos {
+				return 0, ff.orderError("zone map of list %x at offset %d, want %d", h, zoff, pos)
+			}
+			ff.zones = append(ff.zones, zoneRef{idx: uint32(i), count: zc, at: entries})
+			entries += zc
+			pos += uint64(zc) * zoneEntrySize
+		}
+		if pos > ff.dirOff {
+			return 0, ff.orderError("list %x ends at %d, past the directory at %d", h, pos, ff.dirOff)
+		}
+	}
+	if pos != ff.dirOff {
+		return 0, ff.orderError("lists end at %d, directory starts at %d", pos, ff.dirOff)
+	}
+	ff.starts[n] = uint32(postings)
+	return entries, nil
+}
+
+func (ff *funcFile) orderError(format string, args ...any) error {
+	return &ListOrderError{Path: ff.path, Reason: fmt.Sprintf(format, args...)}
 }
 
 // loadZones reads every zone map of the file into zoneTab, one read per
@@ -286,13 +344,14 @@ func (ff *funcFile) loadZones(entries uint32) error {
 			buf = make([]byte, n)
 		}
 		b := buf[:n]
-		if _, err := ff.f.ReadAt(b, int64(z.off)); err != nil {
-			return &ReadError{Path: ff.path, Off: int64(z.off), Len: n, Err: err}
+		off := ff.zoneOff(z)
+		if _, err := ff.f.ReadAt(b, off); err != nil {
+			return &ReadError{Path: ff.path, Off: off, Len: n, Err: err}
 		}
 		prevFirst, prevOrd := uint32(0), uint32(0)
 		for e := 0; e < n; e += zoneEntrySize {
 			first, ord := binary.LittleEndian.Uint32(b[e:]), binary.LittleEndian.Uint32(b[e+4:])
-			if ord >= ff.counts[z.idx] || e == 0 && ord != 0 || e > 0 && (ord <= prevOrd || first < prevFirst) {
+			if ord >= uint32(ff.count(int(z.idx))) || e == 0 && ord != 0 || e > 0 && (ord <= prevOrd || first < prevFirst) {
 				return fmt.Errorf("index: %s: corrupt zone map of list %x", ff.path, ff.hashes[z.idx])
 			}
 			ff.zoneTab = append(ff.zoneTab, first, ord)
@@ -390,42 +449,45 @@ func (ff *funcFile) find(h uint64) (int, bool) {
 	return slices.BinarySearch(ff.hashes, h)
 }
 
+// zonePos returns the position in zones of directory row i's zone map,
+// or where it would be: the number of zone-mapped rows before i.
+func (ff *funcFile) zonePos(i int) (int, bool) {
+	return slices.BinarySearchFunc(ff.zones, uint32(i), func(r zoneRef, idx uint32) int { return cmp.Compare(r.idx, idx) })
+}
+
 // zone returns the zone-map reference of directory row i, if the list
 // has a zone map.
 func (ff *funcFile) zone(i int) (zoneRef, bool) {
-	z, ok := slices.BinarySearchFunc(ff.zones, uint32(i), func(r zoneRef, idx uint32) int { return cmp.Compare(r.idx, idx) })
+	z, ok := ff.zonePos(i)
 	if !ok {
 		return zoneRef{}, false
 	}
 	return ff.zones[z], true
 }
 
-// entry assembles directory row i.
-func (ff *funcFile) entry(i int) dirEntry {
-	e := dirEntry{Hash: ff.hashes[i], Off: ff.offs[i], Count: ff.counts[i]}
-	if z, ok := ff.zone(i); ok {
-		e.ZoneCount, e.ZoneOff = z.count, z.off
+// count returns the posting count of directory row i.
+func (ff *funcFile) count(i int) int { return int(ff.starts[i+1] - ff.starts[i]) }
+
+// off returns the file offset of directory row i's postings: the header,
+// then the postings and zone entries of every earlier row.
+func (ff *funcFile) off(i int) int64 {
+	var zoneEntries uint32
+	if z, _ := ff.zonePos(i); z < len(ff.zones) {
+		zoneEntries = ff.zones[z].at
+	} else if z > 0 {
+		zoneEntries = ff.zones[z-1].at + ff.zones[z-1].count
 	}
-	return e
+	return idxHeaderLen + postingSize*int64(ff.starts[i]) + zoneEntrySize*int64(zoneEntries)
 }
 
-// lookup finds the directory entry for hash h.
-func (ff *funcFile) lookup(h uint64) (dirEntry, bool) {
-	i, ok := ff.find(h)
-	if !ok {
-		return dirEntry{}, false
-	}
-	return ff.entry(i), true
+// zoneOff returns the file offset of z's zone entries, right after its
+// list's postings.
+func (ff *funcFile) zoneOff(z zoneRef) int64 {
+	return idxHeaderLen + postingSize*int64(ff.starts[z.idx+1]) + zoneEntrySize*int64(z.at)
 }
 
-// postings sums the file's list lengths.
-func (ff *funcFile) postings() int64 {
-	var n int64
-	for _, c := range ff.counts {
-		n += int64(c)
-	}
-	return n
-}
+// postings returns the file's total posting count.
+func (ff *funcFile) postings() int64 { return int64(ff.starts[len(ff.hashes)]) }
 
 // ListLength returns the posting count of the inverted list for hash h
 // in function fn across all segments, without any I/O (directories are
@@ -435,7 +497,7 @@ func (ix *Index) ListLength(fn int, h uint64) int {
 	n := 0
 	for _, seg := range ix.segs {
 		if i, ok := seg.files[fn].find(h); ok {
-			n += int(seg.files[fn].counts[i])
+			n += seg.files[fn].count(i)
 		}
 	}
 	return n
@@ -459,7 +521,7 @@ func (ix *Index) HasZoneMap(fn int, h uint64) bool {
 		}
 		if _, ok := ff.zone(i); ok {
 			zoned = true
-		} else if int(ff.counts[i]) > seg.meta.ZoneMapStep {
+		} else if ff.count(i) > seg.meta.ZoneMapStep {
 			return false
 		}
 	}
@@ -493,10 +555,10 @@ func (ix *Index) Hashes(fn int) []uint64 {
 // function fn, unordered. Used to pick prefix-filtering cutoffs.
 func (ix *Index) ListLengths(fn int) []int {
 	if len(ix.segs) == 1 {
-		counts := ix.segs[0].files[fn].counts
-		out := make([]int, len(counts))
-		for i, c := range counts {
-			out[i] = int(c)
+		ff := ix.segs[0].files[fn]
+		out := make([]int, len(ff.hashes))
+		for i := range out {
+			out[i] = ff.count(i)
 		}
 		return out
 	}
@@ -504,7 +566,7 @@ func (ix *Index) ListLengths(fn int) []int {
 	for _, seg := range ix.segs {
 		ff := seg.files[fn]
 		for i, h := range ff.hashes {
-			counts[h] += int(ff.counts[i])
+			counts[h] += ff.count(i)
 		}
 	}
 	out := make([]int, 0, len(counts))
@@ -512,19 +574,6 @@ func (ix *Index) ListLengths(fn int) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// readBufPool recycles the scratch byte buffers posting and zone reads
-// decode from, so sustained query traffic does not churn the GC.
-var readBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func getReadBuf(n int) *[]byte {
-	bp := readBufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
 }
 
 // readAt wraps ReadAt with I/O accounting: the index-wide cumulative
@@ -570,21 +619,34 @@ func (ix *Index) ReadList(fn int, h uint64) ([]Posting, error) {
 // cumulative counters. Per-segment lists are concatenated in segment
 // order with text ids remapped to the global id space (the result stays
 // sorted by text id) and tombstoned postings dropped. dst may be nil;
-// reusing it across reads avoids per-list allocations. The appended
-// postings never alias index storage.
+// reusing it across reads avoids per-list allocations: postings are read
+// straight into dst's tail, so a warm dst makes a read allocation-free.
+// The appended postings never alias index storage. On error dst comes
+// back as passed; a nil dst that gains nothing stays nil.
 func (ix *Index) ReadListInto(dst []Posting, fn int, h uint64, sink *IOStats) ([]Posting, error) {
+	out := dst
 	for si, seg := range ix.segs {
-		e, ok := seg.files[fn].lookup(h)
+		ff := seg.files[fn]
+		i, ok := ff.find(h)
 		if !ok {
 			continue
 		}
-		out, err := ix.readListEntry(dst, si, seg, seg.files[fn], e, sink)
-		if err != nil {
+		var err error
+		if out, err = ix.readListEntry(out, si, seg, ff, i, sink); err != nil {
 			return dst, fmt.Errorf("index: read list %x: %w", h, err)
 		}
-		dst = out
 	}
-	return dst, nil
+	return nilIfNothing(dst, out), nil
+}
+
+// nilIfNothing returns out, the result of appending to dst, except that
+// a nil dst that gained nothing stays nil, as with append. A non-nil dst
+// keeps whatever capacity the read grew it to.
+func nilIfNothing(dst, out []Posting) []Posting {
+	if dst == nil && len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 // ReadListForText returns only the postings of (global) textID within
@@ -613,7 +675,7 @@ func (ix *Index) ReadListForTextInto(dst []Posting, fn int, h uint64, textID uin
 	if !ok {
 		return dst, nil
 	}
-	startOrd, endOrd := 0, int(ff.counts[i])
+	startOrd, endOrd := 0, ff.count(i)
 	if z, ok := ff.zone(i); ok {
 		// The first zone whose FirstTextID > local bounds the probe on
 		// the right; it starts one zone before the first zone with
@@ -633,12 +695,11 @@ func (ix *Index) ReadListForTextInto(dst []Posting, fn int, h uint64, textID uin
 			endOrd = int(tab[2*hi+1])
 		}
 	}
-	bp := getReadBuf((endOrd - startOrd) * postingSize)
-	defer readBufPool.Put(bp)
-	if err := ix.readAt(ff, si, *bp, int64(ff.offs[i])+int64(startOrd*postingSize), sink); err != nil {
+	out, err := ix.readPostings(dst, ff, si, ff.off(i)+int64(startOrd)*postingSize, endOrd-startOrd, sink)
+	if err != nil {
 		return dst, fmt.Errorf("index: probe list %x: %w", h, err)
 	}
-	return appendPostingsOfText(dst, *bp, endOrd-startOrd, local, seg.base), nil
+	return nilIfNothing(dst, keepText(out, len(dst), local, seg.base)), nil
 }
 
 // owningSegment locates the segment whose id range covers the global
@@ -652,48 +713,59 @@ func (ix *Index) owningSegment(textID uint32) (int, *segment) {
 	return -1, nil
 }
 
-// appendPostingsOfText decodes count postings from buf, appending the
-// ones belonging to the segment-local id to dst with their text ids
-// remapped by base. Lists are sorted by text id, so the scan stops at
-// the first larger id.
-func appendPostingsOfText(dst []Posting, buf []byte, count int, local, base uint32) []Posting {
-	for i := 0; i < count; i++ {
-		p := decodePosting(buf[i*postingSize:])
-		if p.TextID == local {
-			p.TextID += base
-			dst = append(dst, p)
-		} else if p.TextID > local {
+// keepText compacts dst[at:], segment-local postings sorted by text id,
+// in place down to those of the local id, remapped by base. The scan
+// stops at the first larger id.
+func keepText(dst []Posting, at int, local, base uint32) []Posting {
+	w := at
+	for _, p := range dst[at:] {
+		if p.TextID > local {
 			break
 		}
+		if p.TextID == local {
+			p.TextID += base
+			dst[w] = p
+			w++
+		}
 	}
-	return dst
+	return dst[:w]
 }
 
-// readListEntry reads one segment's portion of a list, remapping text
-// ids into the global space and dropping tombstoned postings.
-func (ix *Index) readListEntry(dst []Posting, si int, seg *segment, ff *funcFile, e dirEntry, sink *IOStats) ([]Posting, error) {
-	bp := getReadBuf(int(e.Count) * postingSize)
-	defer readBufPool.Put(bp)
-	buf := *bp
-	if err := ix.readAt(ff, si, buf, int64(e.Off), sink); err != nil {
+// readPostings appends the n postings at off to dst: it grows dst and
+// reads the file's bytes straight into the new tail, the one copy a
+// posting makes. On a failed or short read dst comes back at its old
+// length.
+func (ix *Index) readPostings(dst []Posting, ff *funcFile, si int, off int64, n int, sink *IOStats) ([]Posting, error) {
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	if err := ix.readAt(ff, si, postingBytes(dst[at:]), off, sink); err != nil {
+		return dst[:at], err
+	}
+	if !hostLittleEndian {
+		swapPostings(dst[at:])
+	}
+	return dst, nil
+}
+
+// readListEntry reads directory row i, one segment's portion of a list,
+// remapping text ids into the global space and dropping tombstoned
+// postings in place.
+func (ix *Index) readListEntry(dst []Posting, si int, seg *segment, ff *funcFile, i int, sink *IOStats) ([]Posting, error) {
+	at := len(dst)
+	dst, err := ix.readPostings(dst, ff, si, ff.off(i), ff.count(i), sink)
+	if err != nil || seg.base == 0 && seg.tomb == nil {
 		return dst, err
 	}
-	if seg.base == 0 && seg.tomb == nil {
-		// Single-root fast path: no remapping, no filtering.
-		for i := 0; i < int(e.Count); i++ {
-			dst = append(dst, decodePosting(buf[i*postingSize:]))
-		}
-		return dst, nil
-	}
-	for i := 0; i < int(e.Count); i++ {
-		p := decodePosting(buf[i*postingSize:])
+	w := at
+	for _, p := range dst[at:] {
 		if seg.tomb.has(p.TextID) {
 			continue
 		}
 		p.TextID += seg.base
-		dst = append(dst, p)
+		dst[w] = p
+		w++
 	}
-	return dst, nil
+	return dst[:w], nil
 }
 
 // SegmentIO is one segment's share of a read's I/O accounting.

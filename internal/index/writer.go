@@ -2,12 +2,10 @@ package index
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"slices"
 
 	"ndss/internal/fsio"
 )
@@ -17,10 +15,11 @@ import (
 //	magic   [8]byte  "NDSSIDX1"
 //	funcIdx uint32
 //	flags   uint32
-//	lists:   for each list, count postings of 16 bytes (sorted by text
-//	         id), immediately followed by its zone entries (8 bytes each)
-//	         when the list is long enough to carry a zone map
-//	directory: numLists entries of 32 bytes, sorted by hash value:
+//	lists:   in ascending hash order, back to back: for each list, count
+//	         postings of 16 bytes (sorted by text id), immediately
+//	         followed by its zone entries (8 bytes each) when the list is
+//	         long enough to carry a zone map
+//	directory: numLists entries of 32 bytes, in the same (hash) order:
 //	         hash u64 | postingsOff u64 | count u32 | zoneCount u32 |
 //	         zoneOff u64
 //	trailer: dirOff u64 | numLists u64 | regionCRC u32 | dirCRC u32
@@ -29,7 +28,10 @@ import (
 // is opened; regionCRC covers the postings/zones region and is checked
 // on demand by Index.VerifyIntegrity, since validating it requires
 // reading the whole file. Both checksums are also recorded in the build
-// manifest so Open can reject a file from a different build.
+// manifest so Open can reject a file from a different build. Open also
+// refuses a file whose directory offsets are not the ones the hash-order
+// layout implies (ListOrderError): the reader keeps only hashes and
+// running posting counts resident and derives offsets from them.
 
 const (
 	idxMagic      = "NDSSIDX1"
@@ -62,8 +64,9 @@ type fileSum struct {
 	regionCRC uint32
 }
 
-// fileWriter streams one inverted file. Lists may be added in any hash
-// order; the directory is sorted before being written. Every failure
+// fileWriter streams one inverted file. Lists must be added in strictly
+// ascending hash order, the only layout Open accepts; finish checks it
+// before writing the directory. Every failure
 // exit — including failures inside finish — removes the partial file,
 // so an interrupted build never leaves a stray index.NNN behind.
 type fileWriter struct {
@@ -119,7 +122,8 @@ func newFileWriter(fsys fsio.FS, path string, funcIdx, zoneStep, longCutoff int,
 // be strictly ascending in (text id, L): zone maps and per-text probes
 // search on that order, so breaking it is a build error here rather than
 // postings a query silently misses. A hash written twice (lists must be
-// aggregated before reaching the writer) is detected at finish.
+// aggregated before reaching the writer) or out of hash order is
+// detected at finish.
 func (w *fileWriter) addList(h uint64, recs []record) error {
 	if len(recs) == 0 {
 		return errors.New("index: empty inverted list")
@@ -173,11 +177,13 @@ func (w *fileWriter) finish() (fileSum, error) {
 		return fileSum{}, errors.New("index: writer already finished")
 	}
 	w.closed = true
-	slices.SortFunc(w.entries, func(a, b dirEntry) int { return cmp.Compare(a.Hash, b.Hash) })
 	for i := 1; i < len(w.entries); i++ {
-		if w.entries[i].Hash == w.entries[i-1].Hash {
+		if h, prev := w.entries[i].Hash, w.entries[i-1].Hash; h == prev {
 			w.remove()
-			return fileSum{}, fmt.Errorf("index: hash %x written as two lists", w.entries[i].Hash)
+			return fileSum{}, fmt.Errorf("index: hash %x written as two lists", h)
+		} else if h < prev {
+			w.remove()
+			return fileSum{}, fmt.Errorf("index: list %x written after list %x: lists must arrive in hash order", h, prev)
 		}
 	}
 	dirOff := w.pos

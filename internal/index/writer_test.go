@@ -95,16 +95,16 @@ func TestWriterZoneMapThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ff.f.Close()
-	for i := range ff.hashes {
-		e := ff.entry(i)
-		switch e.Hash {
+	for i, h := range ff.hashes {
+		z, _ := ff.zone(i)
+		switch h {
 		case 5:
-			if e.ZoneCount != 0 {
-				t.Fatalf("cutoff-sized list got %d zones", e.ZoneCount)
+			if z.count != 0 {
+				t.Fatalf("cutoff-sized list got %d zones", z.count)
 			}
 		case 6:
-			if e.ZoneCount != 2 { // 4 postings / step 2
-				t.Fatalf("long list got %d zones, want 2", e.ZoneCount)
+			if z.count != 2 { // 4 postings / step 2
+				t.Fatalf("long list got %d zones, want 2", z.count)
 			}
 		}
 	}
