@@ -12,14 +12,14 @@
 //	                   reports the active index build id
 //	GET  /metrics      Prometheus text exposition; JSON counters for
 //	                   Accept: application/json
-//	GET  /debug/slowlog the slow-query flight recorder: stage-annotated
-//	                   traces of the slowest and most recent queries
-//	GET  /debug/trace/{request_id} the assembled cross-process trace
-//	                   tree of a retained query (tail-based: slow,
-//	                   errored, partial, retried, and hedged queries
-//	                   are always kept; -trace-sample adds head
-//	                   sampling). Bare /debug/trace/ lists what is
-//	                   retained.
+//	GET  /debug/slowlog the flight recorder's stage-annotated records
+//	                   of the slowest and most recent queries
+//	GET  /debug/trace/{request_id} a held query's record with its
+//	                   assembled cross-process trace tree (tail-based:
+//	                   slow, errored, partial, retried, and hedged
+//	                   queries are kept ahead of the ones -trace-sample
+//	                   head-samples). Bare /debug/trace/ lists the
+//	                   records that carry a retention reason.
 //	POST /admin/reload reopen the index directory and hot-swap to it
 //	POST /ingest       {"texts":[[...],...]} append texts as a new index
 //	                   segment and hot-swap; searchable on return
@@ -40,9 +40,8 @@
 // traceparent-style trace context are forwarded on every shard and
 // replica call, so a sharded deployment's logs and traces join across
 // processes; -trace-sample controls head-sampling of full span
-// shipping, and -wide-events logs one INFO "query" line per executed
-// query with the complete cross-process breakdown. Queries slower than
-// -slow-query additionally log their per-stage breakdown. Profiling
+// shipping. Every query logs one line with its complete breakdown:
+// INFO "query", or WARN "slow query" past -slow-query. Profiling
 // endpoints (net/http/pprof) are off by default; -debug-addr serves
 // them on a separate listener so they are never exposed on the query
 // port — query handlers label their goroutines with request_id,
@@ -97,8 +96,6 @@ type serveConfig struct {
 	slowQuery   time.Duration
 	slowlog     int
 	traceSample float64
-	traceStore  int
-	wideEvents  bool
 	debugAddr   string
 	logFormat   string
 
@@ -127,11 +124,9 @@ func main() {
 	flag.DurationVar(&c.maxTimeout, "max-timeout", 60*time.Second, "cap on client-requested timeout_ms")
 	flag.IntVar(&c.cache, "cache", 256, "result cache entries (0 disables)")
 	flag.DurationVar(&c.drain, "drain", 30*time.Second, "shutdown drain allowance for in-flight requests")
-	flag.DurationVar(&c.slowQuery, "slow-query", 500*time.Millisecond, "log queries at least this slow with their stage breakdown (0 disables)")
-	flag.IntVar(&c.slowlog, "slowlog", 32, "flight recorder entries per view at /debug/slowlog (0 disables)")
+	flag.DurationVar(&c.slowQuery, "slow-query", 500*time.Millisecond, "log queries at least this slow at WARN (\"slow query\") and retain their trace (0 disables)")
+	flag.IntVar(&c.slowlog, "slowlog", 32, "flight recorder entries per view (slowest, recent, retained) at /debug/slowlog and /debug/trace/ (0 disables)")
 	flag.Float64Var(&c.traceSample, "trace-sample", 0, "fraction of queries head-sampled into full distributed tracing (0 never samples; slow/errored/partial/retried/hedged queries are tail-retained regardless)")
-	flag.IntVar(&c.traceStore, "trace-store", 128, "trace store entries per ring at /debug/trace/{request_id} (0 disables)")
-	flag.BoolVar(&c.wideEvents, "wide-events", false, "log one INFO \"query\" line per executed query with the full cross-process breakdown")
 	flag.StringVar(&c.debugAddr, "debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	flag.StringVar(&c.logFormat, "log", "text", "log format: text or json")
 	flag.BoolVar(&c.ingest, "ingest", false, "enable POST /ingest and /admin/compact (live segment appends)")
@@ -370,10 +365,6 @@ func run(c serveConfig) error {
 	if slowlog == 0 {
 		slowlog = -1
 	}
-	traceStore := c.traceStore
-	if traceStore == 0 {
-		traceStore = -1
-	}
 	scfg := server.Config{
 		MaxInFlight:        c.maxInFlight,
 		DefaultTimeout:     c.timeout,
@@ -383,8 +374,6 @@ func run(c serveConfig) error {
 		SlowQueryThreshold: c.slowQuery,
 		SlowlogEntries:     slowlog,
 		TraceSampleRate:    c.traceSample,
-		TraceStoreEntries:  traceStore,
-		WideEvents:         c.wideEvents,
 		Reloader: func() (server.Backend, error) {
 			if c.shards != "" {
 				// Rebuild the whole topology: local shards reopen their

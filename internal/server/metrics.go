@@ -96,9 +96,9 @@ type metrics struct {
 	ingests     atomic.Int64 // successful ingest mutations (segment appends)
 	compactions atomic.Int64 // successful compactions (manual or automatic)
 
-	// Distributed-tracing accounting: head-sampled queries, traces
-	// retained in the trace store per retention reason, and entries a
-	// full ring pushed out.
+	// Distributed-tracing accounting: head-sampled queries, records
+	// filed with the flight recorder per retention reason, and retained
+	// records a full ring pushed out.
 	traceSampled  atomic.Int64
 	traceRetained [numTraceReasons]atomic.Int64
 	traceEvicted  atomic.Int64
@@ -125,19 +125,11 @@ func (m *metrics) observe(ep endpoint, out outcome, d time.Duration) {
 	m.latency[ep][out].Observe(d)
 }
 
-// traceReasons enumerates the trace-store retention reasons; the
-// Prometheus exposition emits one ndss_trace_retained_total sample per
-// reason so dashboards see every label value from the first scrape.
-var traceReasons = [...]string{"sampled", "slow", "error", "partial", "retried", "hedged"}
-
-const numTraceReasons = len(traceReasons)
-
-// retainTrace bumps the retention counter for one reason.
-func (m *metrics) retainTrace(reason string) {
-	for i, r := range traceReasons {
-		if r == reason {
+// retain bumps the retention counter of each reason in rs.
+func (m *metrics) retain(rs reasonSet) {
+	for i := range m.traceRetained {
+		if rs&(1<<i) != 0 {
 			m.traceRetained[i].Add(1)
-			return
 		}
 	}
 }

@@ -182,8 +182,8 @@ func TestLatencyAccounting(t *testing.T) {
 
 // slowlogResponse mirrors the /debug/slowlog body.
 type slowlogResponse struct {
-	Slowest []slowlogEntry `json:"slowest"`
-	Recent  []slowlogEntry `json:"recent"`
+	Slowest []queryRecord `json:"slowest"`
+	Recent  []queryRecord `json:"recent"`
 }
 
 func getSlowlog(t *testing.T, ts *httptest.Server) slowlogResponse {
@@ -273,25 +273,20 @@ func TestSlowlogDisabled(t *testing.T) {
 	}
 }
 
-// TestSlowlogViews pins the two-view semantics: min-replacement for the
-// slowest view, ring overwrite for the recent view.
+// TestSlowlogViews pins the semantics of the recorder's two views of
+// executed queries: min-replacement for the slowest view, ring
+// overwrite for the recent view.
 func TestSlowlogViews(t *testing.T) {
-	l := newSlowlog(2)
+	l := newRecorder(2)
 	for _, d := range []int64{10, 5, 20, 1, 30} {
-		l.record(slowlogEntry{RequestID: "r", DurationNS: d})
+		l.add(queryRecord{RequestID: "r", DurationNS: d})
 	}
-	slowest, recent := l.snapshot()
+	slowest, recent := l.views()
 	if len(slowest) != 2 || slowest[0].DurationNS != 30 || slowest[1].DurationNS != 20 {
 		t.Errorf("slowest = %+v, want [30 20]", slowest)
 	}
 	if len(recent) != 2 || recent[0].DurationNS != 30 || recent[1].DurationNS != 1 {
 		t.Errorf("recent = %+v, want [30 1] newest-first", recent)
-	}
-	if l.wouldEnterSlowest(15 * time.Nanosecond) {
-		t.Error("15ns should not beat floor 20")
-	}
-	if !l.wouldEnterSlowest(25 * time.Nanosecond) {
-		t.Error("25ns should beat floor 20")
 	}
 }
 

@@ -5,7 +5,7 @@ package server
 // generated from a per-process random prefix plus a sequence number —
 // which is echoed back as X-Request-ID, attached to error responses,
 // carried in the request context, and stamped on every log line and
-// slowlog entry, so one slow query can be chased from the client
+// flight record, so one slow query can be chased from the client
 // through the access log into its stage trace.
 
 import (

@@ -13,8 +13,12 @@
 //	                     counters for Accept: application/json: requests,
 //	                     per-endpoint and per-stage latency histograms,
 //	                     cache hit rate, Go runtime gauges
-//	GET  /debug/slowlog  the slow-query flight recorder: stage-annotated
-//	                     traces of the slowest and most recent queries
+//	GET  /debug/slowlog  the flight recorder's stage-annotated records of
+//	                     the slowest and most recent queries
+//	GET  /debug/trace/{request_id}
+//	                     one held query's record with its cross-process
+//	                     trace tree; /debug/trace/ lists the records that
+//	                     carry a retention reason
 //	POST /admin/reload   zero-downtime hot swap to a freshly opened
 //	                     backend (requires Config.Reloader)
 //	POST /ingest         append new texts as a fresh index segment and
@@ -32,10 +36,11 @@
 //
 // Every request carries a request ID (client-supplied X-Request-ID or
 // generated), echoed in the response headers and error bodies and
-// stamped on the structured access log Config.Logger receives. Queries
-// slower than Config.SlowQueryThreshold additionally log their full
-// per-stage breakdown, and every executed query's trace enters the
-// flight recorder served at /debug/slowlog.
+// stamped on the structured access log Config.Logger receives. Every
+// query that gets past admission builds one record: it logs one line
+// with its full breakdown (WARN "slow query" past
+// Config.SlowQueryThreshold, INFO "query" otherwise) and enters the
+// bounded flight recorder served at /debug/slowlog and /debug/trace/.
 //
 // The backend is held behind a reference-counted handle so Reload can
 // swap in a rebuilt index with zero failed requests: new queries land
@@ -103,36 +108,28 @@ type Config struct {
 	// leaves the index with more than this many segments. Zero disables
 	// automatic compaction (manual POST /admin/compact still works).
 	CompactAfter int
-	// Logger receives the structured access log, slow-query warnings,
-	// and reload events. Nil discards everything.
+	// Logger receives the structured access log, one line per query
+	// record, and reload events. Nil discards everything.
 	Logger *slog.Logger
-	// SlowQueryThreshold logs a warning with the full per-stage
-	// breakdown for executed queries at least this slow. Zero disables
-	// the warning (the flight recorder still records every query).
+	// SlowQueryThreshold marks queries at least this slow: their record
+	// line logs at WARN as "slow query" instead of INFO "query", and
+	// the flight recorder retains them. Zero disables.
 	SlowQueryThreshold time.Duration
-	// SlowlogEntries sizes each view (slowest, most recent) of the
-	// slow-query flight recorder at /debug/slowlog. Default 32;
-	// negative disables the recorder.
+	// SlowlogEntries sizes each view of the flight recorder: the
+	// slowest and the most recent executed queries (/debug/slowlog),
+	// and the records retained for a reason (/debug/trace/): slow,
+	// errored, partial-result, retried or hedged, and, ranked below
+	// those, head-sampled. Retention is decided at completion, not
+	// admission. Default 32; negative disables the recorder (both
+	// endpoints answer 501).
 	SlowlogEntries int
 	// TraceSampleRate head-samples queries into full distributed
 	// tracing: a sampled query's traceparent carries the sampling bit,
 	// so every shard leg ships its complete span list back for flight
 	// assembly. 0 (the default) never head-samples; tail-based
-	// retention below still keeps the traces that matter. Values are
-	// clamped to [0, 1].
+	// retention still keeps the traces that matter. Values are clamped
+	// to [0, 1].
 	TraceSampleRate float64
-	// TraceStoreEntries sizes each ring (tail-retained, head-sampled)
-	// of the bounded trace store behind /debug/trace/{request_id}.
-	// Retention is decided at completion, not admission: slow,
-	// errored, partial-result, retried, or hedged queries are always
-	// kept. Default 128; negative disables the store (501).
-	TraceStoreEntries int
-	// WideEvents emits one INFO "query" log line per executed query
-	// carrying the full cross-process breakdown (ids, stage split,
-	// I/O, per-shard legs and attempts) — the one-line-per-request
-	// "wide event" that makes log-based debugging possible without
-	// sampling. Off by default.
-	WideEvents bool
 }
 
 func (c *Config) setDefaults() {
@@ -149,7 +146,7 @@ func (c *Config) setDefaults() {
 		c.CacheEntries = 256
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = slog.New(discardHandler{})
 	}
 	if c.TraceSampleRate < 0 {
 		c.TraceSampleRate = 0
@@ -158,6 +155,16 @@ func (c *Config) setDefaults() {
 		c.TraceSampleRate = 1
 	}
 }
+
+// discardHandler is the nil Logger: Enabled is false at every level, so
+// callers skip building a line at all rather than formatting it into
+// io.Discard.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // Server is the HTTP query service. Create with New, serve via any
 // http.Server (it implements http.Handler), and call BeginShutdown
@@ -177,8 +184,7 @@ type Server struct {
 	sem     chan struct{}
 	cache   *resultCache // nil when disabled
 	met     metrics
-	slow    *slowlog    // nil when disabled
-	trace   *traceStore // nil when disabled
+	rec     *recorder // nil when disabled
 	log     *slog.Logger
 	mux     *http.ServeMux
 	closing atomic.Bool
@@ -201,8 +207,7 @@ func New(b Backend, cfg Config) *Server {
 		sem:    make(chan struct{}, cfg.MaxInFlight),
 		cache:  newResultCache(cfg.CacheEntries),
 		met:    metrics{start: time.Now()},
-		slow:   newSlowlog(cfg.SlowlogEntries),
-		trace:  newTraceStore(cfg.TraceStoreEntries),
+		rec:    newRecorder(cfg.SlowlogEntries),
 		log:    cfg.Logger,
 	}
 	s.mux = http.NewServeMux()
@@ -836,7 +841,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 		st      *search.Stats
 	)
 	// The pprof labels join CPU profiles to the access log and the
-	// trace store: samples taken while this query executes carry its
+	// flight recorder: samples taken while this query executes carry its
 	// request id and endpoint.
 	pprof.Do(ctx, pprof.Labels("request_id", obs.RequestIDFromContext(ctx), "endpoint", ep.String()), func(ctx context.Context) {
 		if topk {
@@ -849,19 +854,18 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 	})
 	if err != nil {
 		out = s.writeQueryError(w, r, err)
-		// Errored executions are always trace-retained (tail-based):
-		// there are no spans to graft, but the root records what
-		// failed, when, and under which trace id.
-		s.recordErrorTrace(r, ep, start, err)
+		s.recordQuery(r, ep, req, start, nil, nil, err)
 		return
 	}
 	out = outOK
 	s.met.recordStats(st)
-	// One conversion serves the flight recorder, the trace store, the
-	// cache and the response. It carries no span list, so a cached
-	// entry never pins one.
+	// One conversion serves the flight recorder, the cache and the
+	// response. It carries no span list, so a cached entry never pins
+	// one; the record keeps its own copy of the stats, so it never pins
+	// the match list.
 	resp := wire.NewResponse(matches, st)
-	s.recordQuery(r, ep, req, start, st, resp.Stats)
+	ws := resp.Stats
+	s.recordQuery(r, ep, req, start, &ws, st.Spans, nil)
 	if s.cache != nil {
 		s.cache.put(&cacheEntry{key: key, resp: resp})
 	}
@@ -891,120 +895,6 @@ func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err err
 		// Validation errors surface as 400, not 500.
 		s.writeError(w, r, http.StatusBadRequest, err.Error())
 		return outBadRequest
-	}
-}
-
-// countExtraAttempts tallies the retries and hedges behind a sharded
-// query's answer.
-func countExtraAttempts(st *search.Stats) (retries, hedges int) {
-	for i := range st.PerShard {
-		for _, a := range st.PerShard[i].Attempts {
-			if a.Attempt == 0 {
-				continue
-			}
-			if a.Hedge {
-				hedges++
-			} else {
-				retries++
-			}
-		}
-	}
-	return retries, hedges
-}
-
-// recordQuery feeds one executed query into the flight recorder, the
-// trace store (tail-based: retention decided here, at completion), the
-// wide-event log when enabled, and, past the slow threshold, the
-// structured log. ws is st in wire form: the records that keep it
-// share this one copy, which is the function's own so that a retained
-// record never pins the response's match list.
-func (s *Server) recordQuery(r *http.Request, ep endpoint, req wire.Request, start time.Time, st *search.Stats, ws wire.Stats) {
-	dur := time.Since(start)
-	id := obs.RequestIDFromContext(r.Context())
-	retries, hedges := countExtraAttempts(st)
-	tc, _ := obs.TraceFromContext(r.Context())
-	if tc.Sampled {
-		s.met.traceSampled.Add(1)
-	}
-	if s.trace != nil {
-		// Tail-based retention: the interesting queries are always
-		// kept, whatever the head-sampling rate said at admission.
-		var reasons []string
-		if tc.Sampled {
-			reasons = append(reasons, "sampled")
-		}
-		if t := s.cfg.SlowQueryThreshold; t > 0 && dur >= t {
-			reasons = append(reasons, "slow")
-		}
-		if st.Partial() {
-			reasons = append(reasons, "partial")
-		}
-		if retries > 0 {
-			reasons = append(reasons, "retried")
-		}
-		if hedges > 0 {
-			reasons = append(reasons, "hedged")
-		}
-		if len(reasons) > 0 {
-			s.storeTrace(traceEntry{
-				RequestID:  id,
-				TraceID:    tc.TraceIDString(),
-				Endpoint:   ep.String(),
-				Start:      start,
-				DurationNS: int64(dur),
-				Sampled:    tc.Sampled,
-				Reasons:    reasons,
-				Spans:      assembleFlight(tc, ep.String(), dur, st),
-				Stats:      &ws,
-			})
-		}
-	}
-	if s.cfg.WideEvents {
-		s.wideEvent(r, ep, req, id, tc, dur, st, retries, hedges)
-	}
-	if s.slow != nil {
-		s.slow.record(slowlogEntry{
-			RequestID:  id,
-			Endpoint:   ep.String(),
-			Start:      start,
-			DurationNS: int64(dur),
-			Theta:      req.Theta,
-			NumTokens:  len(req.Tokens),
-			Stats:      &ws,
-			Spans:      st.Spans,
-		})
-	}
-	if t := s.cfg.SlowQueryThreshold; t > 0 && dur >= t {
-		d := st.StageTimes
-		attrs := []slog.Attr{
-			slog.String("request_id", id),
-			slog.String("endpoint", ep.String()),
-			slog.Duration("duration", dur),
-			slog.Float64("theta", req.Theta),
-			slog.Int("num_tokens", len(req.Tokens)),
-			slog.Duration("sketch", d.Sketch),
-			slog.Duration("plan", d.Plan),
-			slog.Duration("gather", d.Gather),
-			slog.Duration("count", d.Count),
-			slog.Duration("merge", d.Merge),
-			slog.Duration("verify", d.Verify),
-			slog.Duration("io", st.IOTime),
-			slog.Int64("io_bytes", st.IOBytes),
-			slog.Int("matches", st.Matches),
-		}
-		if st.ShardsTotal > 0 {
-			attrs = append(attrs,
-				slog.Int("shards_total", st.ShardsTotal),
-				slog.Int("shards_answered", st.ShardsAnswered),
-			)
-			if retries+hedges > 0 {
-				attrs = append(attrs,
-					slog.Int("shard_retries", retries),
-					slog.Int("shard_hedges", hedges),
-				)
-			}
-		}
-		s.log.LogAttrs(r.Context(), slog.LevelWarn, "slow query", attrs...)
 	}
 }
 
@@ -1104,7 +994,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", promContentType)
-	s.met.writePrometheus(w, cacheLen, cacheCap, ix, s.slow.len(), s.trace.len(), sm)
+	slowest, retained := s.rec.counts()
+	s.met.writePrometheus(w, cacheLen, cacheCap, ix, slowest, retained, sm)
 }
 
 // handleSlowlog serves the flight recorder: the slowest and the most
@@ -1115,19 +1006,10 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	if s.slow == nil {
-		s.writeError(w, r, http.StatusNotImplemented, "slow-query recorder disabled")
+	if s.rec == nil {
+		s.writeError(w, r, http.StatusNotImplemented, "flight recorder disabled")
 		return
 	}
-	slowest, recent := s.slow.snapshot()
-	if slowest == nil {
-		slowest = []slowlogEntry{}
-	}
-	if recent == nil {
-		recent = []slowlogEntry{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"slowest": slowest,
-		"recent":  recent,
-	})
+	slowest, recent := s.rec.views()
+	writeJSON(w, http.StatusOK, map[string]any{"slowest": slowest, "recent": recent})
 }

@@ -23,7 +23,7 @@ import (
 
 // testFixture builds a small on-disk index and returns the corpus, the
 // opened engine, and a query planted to have near-duplicates.
-func testFixture(t *testing.T) (*corpus.Corpus, *core.Engine, []uint32) {
+func testFixture(t testing.TB) (*corpus.Corpus, *core.Engine, []uint32) {
 	t.Helper()
 	c := corpus.MustSynthesize(corpus.SynthConfig{
 		NumTexts: 40, MinLength: 40, MaxLength: 120, VocabSize: 40,

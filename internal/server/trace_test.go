@@ -68,6 +68,17 @@ func childrenOf(spans []obs.FlightSpan, id string) []obs.FlightSpan {
 	return out
 }
 
+// traceEntry decodes the fields of a GET /debug/trace/{request_id} body
+// that the tests read.
+type traceEntry struct {
+	RequestID string           `json:"request_id"`
+	TraceID   string           `json:"trace_id"`
+	Sampled   bool             `json:"sampled"`
+	Reasons   []string         `json:"reasons"`
+	Err       string           `json:"err"`
+	Spans     []obs.FlightSpan `json:"spans"`
+}
+
 func flightAttr(sp obs.FlightSpan, key string) (int64, bool) {
 	for _, a := range sp.Attrs {
 		if a.Key == key {
@@ -125,7 +136,11 @@ func TestTraceTreeAssembly(t *testing.T) {
 	}
 
 	tc := obs.NewTraceContext(true)
-	flight := assembleFlight(tc, "search", 12*time.Millisecond, st)
+	ws := wire.NewResponse(nil, st).Stats
+	flight := assembleFlight(&queryRecord{
+		Endpoint: "search", DurationNS: int64(12 * time.Millisecond),
+		Stats: &ws, Spans: st.Spans, tc: tc,
+	})
 	byID, root := flightIndex(t, flight)
 
 	if root.Name != "search" || root.SpanID != tc.SpanIDString() || root.DurNS != int64(12*time.Millisecond) {
