@@ -48,13 +48,14 @@ shard-suite:
 # CI "chaos-suite" job: the netfault scripted-failure harness and the
 # replica-resilience tests under the race detector — replica kills,
 # dead ranges, black holes, breaker/quarantine recovery, the
-# coordinator-vs-merged-index determinism assertions, and the
-# distributed-trace acceptance run (scripted retry + hedge must yield
-# one connected trace tree at /debug/trace).
+# coordinator-vs-merged-index determinism assertions, a replica whose
+# index reads fail (its 500 must be retried on the healthy replica), and
+# the distributed-trace acceptance run (scripted retry + hedge must
+# yield one connected trace tree at /debug/trace).
 chaos-suite:
 	$(GO) test -race -count=1 ./internal/shard/netfault/
 	$(GO) test -race -count=1 -run 'Chaos|Replica|Breaker|TokenBucket|QuantileWindow|NextBackoff' ./internal/shard/
-	$(GO) test -race -count=1 -run 'ReloadRace|ReplicaMetrics|ChaosTrace' ./internal/server/
+	$(GO) test -race -count=1 -run 'ReloadRace|ReplicaMetrics|ReplicaRetriesReadError|ChaosTrace' ./internal/server/
 
 # CI "lint" job: the invariant analyzers (docs/INVARIANTS.md), both
 # standalone and driven by the go command, plus their fixture tests.

@@ -46,8 +46,7 @@ var ioHTTPFuncs = map[string]bool{
 // ioMethodNames are method names that perform index or corpus I/O in
 // this codebase (the IndexReader and TextSource surfaces).
 var ioMethodNames = map[string]bool{
-	"ReadList": true, "ReadListInto": true,
-	"ReadListForText": true, "ReadListForTextInto": true,
+	"ReadListInto": true, "ReadListForTextInto": true,
 	"ReadText": true, "ReadAt": true,
 }
 

@@ -92,17 +92,6 @@ func BenchmarkBuildDisk(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildMemIndex(b *testing.B) {
-	c := benchBuildCorpus(b)
-	b.SetBytes(c.TotalTokens() * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildMem(c, BuildOptions{K: 4, Seed: 3, T: 50}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkOpen(b *testing.B) {
 	c := benchBuildCorpus(b)
 	dir := b.TempDir()

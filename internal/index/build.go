@@ -208,7 +208,7 @@ func buildFuncs(c *corpus.Corpus, fam *hash.Family, staging string, opts BuildOp
 
 // recordGen turns texts into the records of hash function f — tokens →
 // window.Hashes → compact windows → records — on scratch reused from
-// text to text. Build, BuildMem and BuildExternal all generate with it.
+// text to text. Build and BuildExternal both generate with it.
 type recordGen struct {
 	f       hash.Func
 	t       int

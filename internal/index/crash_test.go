@@ -688,7 +688,7 @@ func TestReadErrorCarriesContext(t *testing.T) {
 	ffs.FailReadAt(funcFileName(0), idxHeaderLen+4)
 	var gotErr error
 	for _, h := range ix.Hashes(0) {
-		if _, err := ix.ReadList(0, h); err != nil {
+		if _, err := ix.ReadListInto(nil, 0, h, nil); err != nil {
 			gotErr = err
 			break
 		}
@@ -714,7 +714,7 @@ func TestReadErrorCarriesContext(t *testing.T) {
 	// not poison the open index.
 	ffs.ClearReadFault()
 	for _, h := range ix.Hashes(0) {
-		if _, err := ix.ReadList(0, h); err != nil {
+		if _, err := ix.ReadListInto(nil, 0, h, nil); err != nil {
 			t.Fatalf("read after fault cleared: %v", err)
 		}
 	}

@@ -86,7 +86,7 @@ func TestBuildMatchesDirectGeneration(t *testing.T) {
 		}
 		for h, wantList := range want {
 			wantWindows += int64(len(wantList))
-			got, err := ix.ReadList(fn, h)
+			got, err := ix.ReadListInto(nil, fn, h, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,8 +96,8 @@ func TestBuildMatchesDirectGeneration(t *testing.T) {
 				t.Fatalf("fn %d hash %x: got %v, want %v", fn, h, got, wantList)
 			}
 		}
-		if ix.NumLists(fn) != len(want) {
-			t.Fatalf("fn %d: %d lists, want %d", fn, ix.NumLists(fn), len(want))
+		if n := len(ix.Hashes(fn)); n != len(want) {
+			t.Fatalf("fn %d: %d lists, want %d", fn, n, len(want))
 		}
 	}
 	if stats.Windows != wantWindows {
@@ -122,7 +122,7 @@ func TestPostingsSortedByTextID(t *testing.T) {
 	ix, _ := buildIndex(t, c, BuildOptions{K: 2, Seed: 7, T: 8})
 	for fn := 0; fn < 2; fn++ {
 		for _, h := range ix.Hashes(fn) {
-			ps, err := ix.ReadList(fn, h)
+			ps, err := ix.ReadListInto(nil, fn, h, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestPostingsSortedByTextID(t *testing.T) {
 func TestReadListMissingHash(t *testing.T) {
 	c := testCorpus(t, 10, 30, 60, 100, 1)
 	ix, _ := buildIndex(t, c, BuildOptions{K: 1, Seed: 1, T: 10})
-	ps, err := ix.ReadList(0, 0xdeadbeef12345)
+	ps, err := ix.ReadListInto(nil, 0, 0xdeadbeef12345, nil)
 	if err != nil || ps != nil {
 		t.Fatalf("missing hash: ps=%v err=%v", ps, err)
 	}
@@ -157,7 +157,7 @@ func TestZoneMapProbe(t *testing.T) {
 	for fn := 0; fn < 2; fn++ {
 		hashes := ix.Hashes(fn)
 		for _, h := range hashes {
-			full, err := ix.ReadList(fn, h)
+			full, err := ix.ReadListInto(nil, fn, h, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestZoneMapProbe(t *testing.T) {
 			ids[79] = true
 			ids[1000] = true // absent entirely
 			for id := range ids {
-				got, err := ix.ReadListForText(fn, h, id)
+				got, err := ix.ReadListForTextInto(nil, fn, h, id, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,18 +205,15 @@ func TestZoneMapReducesIO(t *testing.T) {
 	if bestLen <= opts.LongListCutoff {
 		t.Skipf("no long list produced (max %d)", bestLen)
 	}
-	ix.ResetIOStats()
-	if _, err := ix.ReadList(0, bestHash); err != nil {
+	var full, probe IOStats
+	if _, err := ix.ReadListInto(nil, 0, bestHash, &full); err != nil {
 		t.Fatal(err)
 	}
-	fullIO := ix.IOStats().BytesRead
-	ix.ResetIOStats()
-	if _, err := ix.ReadListForText(0, bestHash, 100); err != nil {
+	if _, err := ix.ReadListForTextInto(nil, 0, bestHash, 100, &probe); err != nil {
 		t.Fatal(err)
 	}
-	probeIO := ix.IOStats().BytesRead
-	if probeIO >= fullIO {
-		t.Fatalf("zone probe read %d bytes, full read %d", probeIO, fullIO)
+	if probe.BytesRead >= full.BytesRead {
+		t.Fatalf("zone probe read %d bytes, full read %d", probe.BytesRead, full.BytesRead)
 	}
 }
 
@@ -238,11 +235,11 @@ func assertIndexesEqual(t *testing.T, a, b *Index) {
 			t.Fatalf("fn %d: hash sets differ (%d vs %d lists)", fn, len(ha), len(hb))
 		}
 		for _, h := range ha {
-			pa, err := a.ReadList(fn, h)
+			pa, err := a.ReadListInto(nil, fn, h, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pb, err := b.ReadList(fn, h)
+			pb, err := b.ReadListInto(nil, fn, h, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,7 +399,7 @@ func TestSkipsTooShortTexts(t *testing.T) {
 		t.Fatal("no windows at all")
 	}
 	for _, h := range ix.Hashes(0) {
-		ps, _ := ix.ReadList(0, h)
+		ps, _ := ix.ReadListInto(nil, 0, h, nil)
 		for _, p := range ps {
 			if p.TextID == 0 {
 				t.Fatalf("short text was indexed: %v", p)

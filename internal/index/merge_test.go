@@ -104,7 +104,7 @@ func TestMergeShardsOffsets(t *testing.T) {
 	defer ix.Close()
 	ids := map[uint32]bool{}
 	for _, h := range ix.Hashes(0) {
-		ps, err := ix.ReadList(0, h)
+		ps, err := ix.ReadListInto(nil, 0, h, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

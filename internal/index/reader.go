@@ -503,7 +503,7 @@ func (ix *Index) ListLength(fn int, h uint64) int {
 	return n
 }
 
-// HasZoneMap reports whether per-text probes (ReadListForText) into the
+// HasZoneMap reports whether per-text probes (ReadListForTextInto) into the
 // list for hash h of function fn stay within about one zone block each.
 // A probe touches only the segment owning the text, so the rule is per
 // (list, segment) portion: at least one portion carries a zone map, and
@@ -526,15 +526,6 @@ func (ix *Index) HasZoneMap(fn int, h uint64) bool {
 		}
 	}
 	return zoned
-}
-
-// NumLists returns the number of distinct inverted lists of function fn
-// across the segment set.
-func (ix *Index) NumLists(fn int) int {
-	if len(ix.segs) == 1 {
-		return len(ix.segs[0].files[fn].hashes)
-	}
-	return len(ix.Hashes(fn))
 }
 
 // Hashes returns every min-hash value that has an inverted list in
@@ -607,12 +598,6 @@ func (ix *Index) readAt(ff *funcFile, seg int, buf []byte, off int64, sink *IOSt
 	return nil
 }
 
-// ReadList reads the entire inverted list for hash h of function fn.
-// A missing hash yields an empty list.
-func (ix *Index) ReadList(fn int, h uint64) ([]Posting, error) {
-	return ix.ReadListInto(nil, fn, h, nil)
-}
-
 // ReadListInto appends the postings of the list for hash h of function
 // fn to dst and returns the extended slice, recording the read's bytes
 // and latency into sink (when non-nil) in addition to the index-wide
@@ -649,18 +634,13 @@ func nilIfNothing(dst, out []Posting) []Posting {
 	return out
 }
 
-// ReadListForText returns only the postings of (global) textID within
-// the list for hash h of function fn. Only the segment owning the id is
-// touched: a portion with a zone map is probed through its resident
-// table, one read proportional to the zone step rather than the list
-// length; a portion without one is read fully and filtered.
-func (ix *Index) ReadListForText(fn int, h uint64, textID uint32) ([]Posting, error) {
-	return ix.ReadListForTextInto(nil, fn, h, textID, nil)
-}
-
-// ReadListForTextInto is ReadListForText appending into dst and
-// recording I/O into sink, with the same reuse contract as
-// ReadListInto.
+// ReadListForTextInto appends only the postings of (global) textID
+// within the list for hash h of function fn to dst, recording I/O into
+// sink, with the same reuse contract as ReadListInto. Only the segment
+// owning the id is touched: a portion with a zone map is probed through
+// its resident table, one read proportional to the zone step rather
+// than the list length; a portion without one is read fully and
+// filtered.
 func (ix *Index) ReadListForTextInto(dst []Posting, fn int, h uint64, textID uint32, sink *IOStats) ([]Posting, error) {
 	si, seg := ix.owningSegment(textID)
 	if seg == nil {
@@ -774,9 +754,9 @@ type SegmentIO struct {
 	ReadTime  time.Duration
 }
 
-// IOStats reports cumulative read accounting since the index was opened
-// or since the last ResetIOStats. When PerSegment is non-nil (sized by
-// the caller to the segment count), reads passing through the sink are
+// IOStats is read accounting: an index's cumulative counters since
+// Open, or a caller's sink. When PerSegment is non-nil (sized by the
+// caller to the segment count), reads passing through the sink are
 // additionally attributed to the segment they touched.
 type IOStats struct {
 	BytesRead  int64
@@ -798,12 +778,6 @@ func (ix *Index) IOStats() IOStats {
 		BytesRead: ix.bytesRead.Load(),
 		ReadTime:  time.Duration(ix.readNanos.Load()),
 	}
-}
-
-// ResetIOStats zeroes the I/O counters.
-func (ix *Index) ResetIOStats() {
-	ix.bytesRead.Store(0)
-	ix.readNanos.Store(0)
 }
 
 // TotalPostings returns the total number of postings (compact windows)

@@ -10,8 +10,8 @@ import (
 // TestReadListIntoSortedByTextID pins the reader contract the query
 // pipeline's count stage merges on (search.IndexReader): whatever the
 // index is made of — one segment, a base with appended segments and
-// tombstones, its compacted copy, a MergeShards output, a MemIndex —
-// every ReadListInto result is non-decreasing in global TextID.
+// tombstones, its compacted copy, a MergeShards output — every
+// ReadListInto result is non-decreasing in global TextID.
 func TestReadListIntoSortedByTextID(t *testing.T) {
 	parts := []*corpus.Corpus{
 		testCorpus(t, 14, 30, 60, 40, 7),
@@ -21,17 +21,14 @@ func TestReadListIntoSortedByTextID(t *testing.T) {
 	}
 	opts := BuildOptions{K: 3, Seed: 17, T: 10, Parallelism: 1, ZoneMapStep: 2, LongListCutoff: 4}
 
-	type reader interface {
-		ReadListInto(dst []Posting, fn int, h uint64, sink *IOStats) ([]Posting, error)
-	}
-	check := func(name string, r reader, hashes func(fn int) []uint64) {
+	check := func(name string, ix *Index) {
 		t.Helper()
 		var buf []Posting
 		lists, repeats := 0, 0
 		for fn := 0; fn < opts.K; fn++ {
-			for _, h := range hashes(fn) {
+			for _, h := range ix.Hashes(fn) {
 				var err error
-				if buf, err = r.ReadListInto(buf[:0], fn, h, nil); err != nil {
+				if buf, err = ix.ReadListInto(buf[:0], fn, h, nil); err != nil {
 					t.Fatal(err)
 				}
 				lists++
@@ -64,7 +61,7 @@ func TestReadListIntoSortedByTextID(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := open(single)
-	check("single segment", ix, ix.Hashes)
+	check("single segment", ix)
 
 	segmented := buildSegmented(t, opts, parts...)
 	victims := []uint32{1, uint32(parts[0].NumTexts()) + 4, uint32(parts[0].NumTexts()+parts[1].NumTexts()) + 2}
@@ -75,7 +72,7 @@ func TestReadListIntoSortedByTextID(t *testing.T) {
 	if ix.SegmentCount() != 4 {
 		t.Fatalf("fixture has %d segments, want 4", ix.SegmentCount())
 	}
-	check("base+3 segments with tombstones", ix, ix.Hashes)
+	check("base+3 segments with tombstones", ix)
 
 	if err := Compact(segmented); err != nil {
 		t.Fatal(err)
@@ -84,7 +81,7 @@ func TestReadListIntoSortedByTextID(t *testing.T) {
 	if ix.SegmentCount() != 1 {
 		t.Fatalf("compacted fixture has %d segments, want 1", ix.SegmentCount())
 	}
-	check("compacted", ix, ix.Hashes)
+	check("compacted", ix)
 
 	var shardDirs []string
 	var offsets []uint32
@@ -103,17 +100,5 @@ func TestReadListIntoSortedByTextID(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix = open(merged)
-	check("MergeShards output", ix, ix.Hashes)
-
-	mem, err := BuildMem(parts[0], opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("MemIndex", mem, func(fn int) []uint64 {
-		var hs []uint64
-		for h := range mem.lists[fn] {
-			hs = append(hs, h)
-		}
-		return hs
-	})
+	check("MergeShards output", ix)
 }

@@ -39,7 +39,7 @@ func allLists(t *testing.T, ix *Index) map[int]map[uint64][]Posting {
 	for fn := 0; fn < ix.K(); fn++ {
 		out[fn] = make(map[uint64][]Posting)
 		for _, h := range ix.Hashes(fn) {
-			ps, err := ix.ReadList(fn, h)
+			ps, err := ix.ReadListInto(nil, fn, h, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func TestDeleteTombstones(t *testing.T) {
 	dead := map[uint32]bool{victims[0]: true, victims[1]: true}
 	for fn := 0; fn < ix.K(); fn++ {
 		for _, h := range ix.Hashes(fn) {
-			ps, err := ix.ReadList(fn, h)
+			ps, err := ix.ReadListInto(nil, fn, h, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func TestDeleteTombstones(t *testing.T) {
 				}
 			}
 			for _, id := range victims {
-				ps, err := ix.ReadListForText(fn, h, id)
+				ps, err := ix.ReadListForTextInto(nil, fn, h, id, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

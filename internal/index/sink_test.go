@@ -7,10 +7,11 @@ import (
 	"ndss/internal/corpus"
 )
 
-// The Into read variants must (a) return the same postings as the
-// plain variants, (b) append after existing dst contents, and (c)
-// record exactly the same bytes/latency into the caller's sink as into
-// the index-wide counters.
+// The Into read variants must (a) return the same postings into a
+// reused dst as into a fresh one, and a probe exactly the text's share
+// of the full list, (b) append after existing dst contents, (c) record
+// exactly the same bytes/latency into the caller's sink as into the
+// index-wide counters, and (d) never alias index storage.
 
 func buildSinkTestIndex(t *testing.T) (*Index, *corpus.Corpus) {
 	t.Helper()
@@ -30,23 +31,27 @@ func buildSinkTestIndex(t *testing.T) (*Index, *corpus.Corpus) {
 	return ix, c
 }
 
+// TestReadListIntoMatchesReadList: a read into the reused buffer a
+// query's arena is returns what a fresh read does, and charges the sink
+// what it charges the index-wide counters.
 func TestReadListIntoMatchesReadList(t *testing.T) {
 	ix, _ := buildSinkTestIndex(t)
+	var buf []Posting
 	for fn := 0; fn < ix.K(); fn++ {
 		for _, h := range ix.Hashes(fn) {
-			plain, err := ix.ReadList(fn, h)
+			fresh, err := ix.ReadListInto(nil, fn, h, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var sink IOStats
 			before := ix.IOStats()
-			got, err := ix.ReadListInto(nil, fn, h, &sink)
+			buf, err = ix.ReadListInto(buf[:0], fn, h, &sink)
 			if err != nil {
 				t.Fatal(err)
 			}
 			after := ix.IOStats()
-			if !reflect.DeepEqual(got, plain) {
-				t.Fatalf("fn %d hash %x: Into returned different postings", fn, h)
+			if !reflect.DeepEqual(buf, fresh) {
+				t.Fatalf("fn %d hash %x: reused-buffer read differs from a fresh one", fn, h)
 			}
 			if sink.BytesRead != after.BytesRead-before.BytesRead {
 				t.Fatalf("fn %d hash %x: sink bytes %d != counter delta %d",
@@ -67,8 +72,8 @@ func TestReadListIntoAppends(t *testing.T) {
 	if len(hashes) < 2 {
 		t.Skip("need two lists")
 	}
-	a, _ := ix.ReadList(fn, hashes[0])
-	b, _ := ix.ReadList(fn, hashes[1])
+	a, _ := ix.ReadListInto(nil, fn, hashes[0], nil)
+	b, _ := ix.ReadListInto(nil, fn, hashes[1], nil)
 	combined, err := ix.ReadListInto(nil, fn, hashes[0], nil)
 	if err != nil {
 		t.Fatal(err)
@@ -87,10 +92,16 @@ func TestReadListForTextIntoMatchesAndAccounts(t *testing.T) {
 	ix, c := buildSinkTestIndex(t)
 	for fn := 0; fn < ix.K(); fn++ {
 		for _, h := range ix.Hashes(fn) {
+			full, err := ix.ReadListInto(nil, fn, h, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for id := 0; id < c.NumTexts(); id += 7 {
-				plain, err := ix.ReadListForText(fn, h, uint32(id))
-				if err != nil {
-					t.Fatal(err)
+				var want []Posting
+				for _, p := range full {
+					if p.TextID == uint32(id) {
+						want = append(want, p)
+					}
 				}
 				var sink IOStats
 				before := ix.IOStats()
@@ -99,8 +110,8 @@ func TestReadListForTextIntoMatchesAndAccounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				after := ix.IOStats()
-				if len(plain) != len(got) || (len(plain) > 0 && !reflect.DeepEqual(got, plain)) {
-					t.Fatalf("fn %d hash %x text %d: probe differs\ngot  %v\nwant %v", fn, h, id, got, plain)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("fn %d hash %x text %d: probe differs\ngot  %v\nwant %v", fn, h, id, got, want)
 				}
 				if sink.BytesRead != after.BytesRead-before.BytesRead {
 					t.Fatalf("fn %d hash %x text %d: sink bytes %d != delta %d",
@@ -111,37 +122,54 @@ func TestReadListForTextIntoMatchesAndAccounts(t *testing.T) {
 	}
 }
 
-func TestMemIndexIntoVariantsCopy(t *testing.T) {
-	c := corpus.MustSynthesize(corpus.SynthConfig{
-		NumTexts: 10, MinLength: 20, MaxLength: 40, VocabSize: 15,
-		ZipfS: 1.3, Seed: 6, DupRate: 0.5, DupSnippetLen: 10, DupMutateProb: 0.05,
-	})
-	mem, err := BuildMem(c, BuildOptions{K: 2, Seed: 3, T: 5})
-	if err != nil {
-		t.Fatal(err)
+// TestIndexIntoVariantsCopy: both Into variants hand out postings the
+// caller owns — scribbling over them never reaches a later read — and
+// a dst with room is filled in place rather than reallocated.
+func TestIndexIntoVariantsCopy(t *testing.T) {
+	ix, _ := buildSinkTestIndex(t)
+	read := map[string]func(dst []Posting, fn int, h uint64, id uint32) ([]Posting, error){
+		"ReadListInto": func(dst []Posting, fn int, h uint64, _ uint32) ([]Posting, error) {
+			return ix.ReadListInto(dst, fn, h, nil)
+		},
+		"ReadListForTextInto": func(dst []Posting, fn int, h uint64, id uint32) ([]Posting, error) {
+			return ix.ReadListForTextInto(dst, fn, h, id, nil)
+		},
 	}
-	found := false
-	for fn := 0; fn < mem.K() && !found; fn++ {
-		for h := range mem.lists[fn] {
-			shared, _ := mem.ReadList(fn, h)
-			if len(shared) == 0 {
-				continue
+	for name, readInto := range read {
+		checked := 0
+		for fn := 0; fn < ix.K(); fn++ {
+			for _, h := range ix.Hashes(fn) {
+				head, err := ix.ReadListInto(nil, fn, h, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				id := head[0].TextID
+				first, err := readInto(nil, fn, h, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := append([]Posting(nil), first...)
+				for i := range first {
+					first[i] = Posting{TextID: 1 << 30}
+				}
+				// A probe reads whole zone blocks before filtering, so
+				// room means room for the full list.
+				warm := make([]Posting, 0, len(head))
+				got, err := readInto(warm, fn, h, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s fn %d hash %x: a write to an earlier result reached a later read", name, fn, h)
+				}
+				if &got[:1][0] != &warm[:1][0] {
+					t.Fatalf("%s fn %d hash %x: a dst with room was reallocated", name, fn, h)
+				}
+				checked++
 			}
-			got, err := mem.ReadListInto(nil, fn, h, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, shared) {
-				t.Fatalf("MemIndex ReadListInto differs from ReadList")
-			}
-			if &got[0] == &shared[0] {
-				t.Fatal("MemIndex ReadListInto aliases index storage")
-			}
-			found = true
-			break
 		}
-	}
-	if !found {
-		t.Fatal("no non-empty list in MemIndex")
+		if checked == 0 {
+			t.Fatalf("%s: no list checked", name)
+		}
 	}
 }

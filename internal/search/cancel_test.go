@@ -84,17 +84,14 @@ func TestSearchContextCanceledMidMerge(t *testing.T) {
 	for i := range texts {
 		texts[i] = text
 	}
-	mem, err := index.BuildMem(corpus.New(texts), index.BuildOptions{K: 4, Seed: 9, T: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := buildTestIndex(t, corpus.New(texts), 4, 9, 5, 0, 0)
 	opts := Options{Theta: 0.5}
 
 	// Through the public entry point: the cancel fires inside the last
 	// list read, after gather's last checkpoint.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cr := &cancellingReader{IndexReader: mem, cancel: cancel, afterReads: 4}
+	cr := &cancellingReader{IndexReader: ix, cancel: cancel, afterReads: 4}
 	if ms, _, err := New(cr, nil).SearchContext(ctx, text, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v (%d matches)", err, len(ms))
 	}
@@ -102,7 +99,7 @@ func TestSearchContextCanceledMidMerge(t *testing.T) {
 	// Stage by stage, counting how far the merge got.
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	s := New(mem, nil)
+	s := New(ix, nil)
 	qc := s.acquireCtx(ctx, opts, 5, 2, &Stats{K: 4, Beta: 2})
 	defer s.releaseCtx(qc)
 	if err := s.stageSketch(qc, text); err != nil {
@@ -114,7 +111,7 @@ func TestSearchContextCanceledMidMerge(t *testing.T) {
 	}
 	cancel()
 	visited := 0
-	err = qc.mergeCandidates(func(uint32) error { visited++; return nil })
+	err := qc.mergeCandidates(func(uint32) error { visited++; return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -108,22 +108,3 @@ func TestPlanNeverDefersZoneMapLessLists(t *testing.T) {
 		t.Fatal("fixture demotes no list: no list passes the cutoff without a zone map")
 	}
 }
-
-// MemIndex probes are in-memory binary searches, so every list above
-// the cutoff stays deferrable there.
-func TestMemIndexPlanStillDefers(t *testing.T) {
-	c := zonemapTestCorpus()
-	mem, err := index.BuildMem(c, index.BuildOptions{K: 8, Seed: 33, T: 5, LongListCutoff: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := c.Text(0)[:12]
-	s := New(mem, nil)
-	plan, err := s.Explain(q, Options{Theta: 0.5, PrefixFilter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.NumLong == 0 {
-		t.Fatal("MemIndex plan defers nothing (zone-map demotion over-applied)")
-	}
-}

@@ -20,8 +20,8 @@ type TextSource interface {
 }
 
 // IndexReader is the index access surface the query processor needs,
-// and nothing more. *index.Index (on-disk) and *index.MemIndex
-// (in-memory) both satisfy it.
+// and nothing more. *index.Index implements it; tests wrap that to
+// inject cancellation, failures and delays.
 //
 // The reads append into a caller-supplied buffer and report the read's
 // bytes/latency into a caller-supplied sink (which may be nil);
@@ -38,10 +38,10 @@ type IndexReader interface {
 	Family() *hash.Family
 	ListLength(fn int, h uint64) int
 	// HasZoneMap reports whether per-text probes into the list for hash
-	// h of function fn stay within about one zone block each: in memory,
-	// or on disk when some segment's portion of the list is zone-mapped
-	// and every portion without a zone map is at most one ZoneMapStep
-	// long (a probe touches only the segment owning the text). The
+	// h of function fn stay within about one zone block each: some
+	// segment's portion of the list is zone-mapped and every portion
+	// without a zone map is at most one ZoneMapStep long (a probe
+	// touches only the segment owning the text). The
 	// planner defers no other list: probing it would read a long portion
 	// whole per candidate, worse than reading the list once up front.
 	HasZoneMap(fn int, h uint64) bool
@@ -77,26 +77,33 @@ type Options struct {
 	Trace bool
 }
 
+// ValidationError is a query the caller got wrong (invalid Options, an
+// empty query, a non-positive top-k N): it fails alike on every index
+// and replica, so a server answers it 400 and any other failure 500.
+type ValidationError string
+
+func (e ValidationError) Error() string { return string(e) }
+
 // validate checks the options against the index metadata before any
 // list I/O happens and resolves the effective minimum match length.
 // hasSource reports whether a TextSource is attached (required by
 // Verify).
 func (o Options) validate(meta index.Meta, hasSource bool) (minLen int, err error) {
 	if !(o.Theta > 0 && o.Theta <= 1) { // also rejects NaN
-		return 0, fmt.Errorf("search: Theta must be in (0, 1], got %v", o.Theta)
+		return 0, ValidationError(fmt.Sprintf("search: Theta must be in (0, 1], got %v", o.Theta))
 	}
 	if o.MinLength < 0 {
-		return 0, fmt.Errorf("search: MinLength must not be negative, got %d", o.MinLength)
+		return 0, ValidationError(fmt.Sprintf("search: MinLength must not be negative, got %d", o.MinLength))
 	}
 	if o.Verify && !hasSource {
-		return 0, fmt.Errorf("search: Verify requires a TextSource")
+		return 0, ValidationError("search: Verify requires a TextSource")
 	}
 	minLen = o.MinLength
 	if minLen == 0 {
 		minLen = meta.T
 	}
 	if minLen < meta.T {
-		return 0, fmt.Errorf("search: MinLength %d below index length threshold %d", minLen, meta.T)
+		return 0, ValidationError(fmt.Sprintf("search: MinLength %d below index length threshold %d", minLen, meta.T))
 	}
 	return minLen, nil
 }
@@ -330,7 +337,7 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 		return nil, nil, err
 	}
 	if len(query) == 0 {
-		return nil, nil, fmt.Errorf("search: empty query")
+		return nil, nil, ValidationError("search: empty query")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

@@ -37,14 +37,14 @@ func (s *Searcher) SearchTopK(query []uint32, opts TopKOptions) ([]Match, *Stats
 // for the cancellation contract.
 func (s *Searcher) SearchTopKContext(ctx context.Context, query []uint32, opts TopKOptions) ([]Match, *Stats, error) {
 	if opts.N <= 0 {
-		return nil, nil, fmt.Errorf("search: TopK N must be positive, got %d", opts.N)
+		return nil, nil, ValidationError(fmt.Sprintf("search: TopK N must be positive, got %d", opts.N))
 	}
 	floor := opts.FloorTheta
 	if floor == 0 {
 		floor = 0.5
 	}
 	if !(floor > 0 && floor <= 1) { // also rejects NaN
-		return nil, nil, fmt.Errorf("search: FloorTheta must be in (0, 1], got %v", floor)
+		return nil, nil, ValidationError(fmt.Sprintf("search: FloorTheta must be in (0, 1], got %v", floor))
 	}
 	sOpts := opts.Search
 	sOpts.Theta = floor

@@ -70,24 +70,19 @@ func (o outcome) String() string {
 // metrics is the server's counter surface, exposed by /metrics as
 // Prometheus text exposition (default) or JSON (content negotiation).
 // Everything is atomic; there is no lock on the request path.
+// Admitted requests are counted once, in the latency matrix; the
+// counters below also count requests turned away before admission.
 type metrics struct {
 	start time.Time
 
 	inFlight atomic.Int64
 
-	requests  atomic.Int64 // admitted query requests (search/topk/explain)
-	searches  atomic.Int64
-	topk      atomic.Int64
-	explains  atomic.Int64
 	rejected  atomic.Int64 // 429: admission semaphore saturated
 	refused   atomic.Int64 // 503: shutting down
 	badInput  atomic.Int64 // 400
 	tooLarge  atomic.Int64 // 413: request body over the size cap
-	timeouts  atomic.Int64 // 504: deadline exceeded mid-query
-	canceled  atomic.Int64 // client went away mid-query
 	internals atomic.Int64 // 500
 
-	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 
 	reloads        atomic.Int64 // successful backend swaps
@@ -199,11 +194,6 @@ func sampleRuntime() runtimeSnapshot {
 // Accept: application/json. The pre-observability keys are preserved
 // verbatim; "endpoints", "stages" and "runtime" are additive.
 func (m *metrics) snapshot(cacheLen, cacheCap int, ix indexSnapshot, sm *shard.Metrics) map[string]any {
-	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
-	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
 	aggBuckets, count, sumNS := m.aggregateLatency()
 	buckets := make(map[string]int64, len(obs.LatencyBucketsMS)+1)
 	for i, ub := range obs.LatencyBucketsMS {
@@ -215,17 +205,27 @@ func (m *metrics) snapshot(cacheLen, cacheCap int, ix indexSnapshot, sm *shard.M
 		meanMS = float64(sumNS) / float64(count) / float64(time.Millisecond)
 	}
 
+	// The request counters are the latency matrix's row and column sums.
+	var rows [numEndpoints]int64
+	var cols [numOutcomes]int64
 	endpoints := make(map[string]any, numEndpoints)
 	for e := endpoint(0); e < numEndpoints; e++ {
 		outs := make(map[string]any, numOutcomes)
 		for o := outcome(0); o < numOutcomes; o++ {
 			_, c, s := m.latency[e][o].Load()
+			rows[e] += c
+			cols[o] += c
 			if c == 0 {
 				continue
 			}
 			outs[o.String()] = map[string]int64{"count": c, "sum_ns": s}
 		}
 		endpoints[e.String()] = outs
+	}
+	hits, misses := cols[outCached], m.cacheMisses.Load()
+	hitRate := 0.0
+	if hits+misses > 0 {
+		hitRate = float64(hits) / float64(hits+misses)
 	}
 	stages := make(map[string]any, search.NumStages)
 	for i, name := range search.StageNames {
@@ -237,16 +237,16 @@ func (m *metrics) snapshot(cacheLen, cacheCap int, ix indexSnapshot, sm *shard.M
 		"uptime_seconds": time.Since(m.start).Seconds(),
 		"in_flight":      m.inFlight.Load(),
 		"requests": map[string]int64{
-			"total":          m.requests.Load(),
-			"search":         m.searches.Load(),
-			"topk":           m.topk.Load(),
-			"explain":        m.explains.Load(),
+			"total":          count,
+			"search":         rows[epSearch],
+			"topk":           rows[epTopK],
+			"explain":        rows[epExplain],
 			"rejected":       m.rejected.Load(),
 			"refused":        m.refused.Load(),
 			"bad_request":    m.badInput.Load(),
 			"too_large":      m.tooLarge.Load(),
-			"timeout":        m.timeouts.Load(),
-			"canceled":       m.canceled.Load(),
+			"timeout":        cols[outTimeout],
+			"canceled":       cols[outCanceled],
 			"internal_error": m.internals.Load(),
 		},
 		"latency": map[string]any{

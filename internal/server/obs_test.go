@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -48,8 +49,34 @@ func checkCells(t *testing.T, srv *Server, want map[string]int64) {
 	if total != wantTotal {
 		t.Errorf("total latency observations = %d, want %d (cells: %v)", total, wantTotal, cells)
 	}
-	if admitted := srv.met.requests.Load(); total != admitted {
-		t.Errorf("latency observations %d != admitted requests %d: some admitted request was double- or un-observed", total, admitted)
+}
+
+// checkJSONCounters pins the JSON /metrics "requests" block — every key,
+// zero unless named in want — and the cache hit/miss counters.
+func checkJSONCounters(t *testing.T, ts *httptest.Server, want map[string]int64, hits, misses int64) {
+	t.Helper()
+	resp := getMetricsJSON(t, ts.Client(), ts.URL)
+	defer resp.Body.Close()
+	var met struct {
+		Requests map[string]int64 `json:"requests"`
+		Cache    struct {
+			Hits   int64 `json:"hits"`
+			Misses int64 `json:"misses"`
+		} `json:"cache"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&met); err != nil {
+		t.Fatal(err)
+	}
+	full := map[string]int64{}
+	for _, k := range []string{"total", "search", "topk", "explain", "rejected", "refused",
+		"bad_request", "too_large", "timeout", "canceled", "internal_error"} {
+		full[k] = want[k]
+	}
+	if !reflect.DeepEqual(met.Requests, full) {
+		t.Errorf("JSON requests = %v, want %v", met.Requests, full)
+	}
+	if met.Cache.Hits != hits || met.Cache.Misses != misses {
+		t.Errorf("JSON cache hits/misses = %d/%d, want %d/%d", met.Cache.Hits, met.Cache.Misses, hits, misses)
 	}
 }
 
@@ -120,6 +147,9 @@ func TestLatencyAccounting(t *testing.T) {
 		checkCells(t, srv, map[string]int64{
 			"search/ok": 1, "search/cached": 1, "topk/ok": 1, "explain/ok": 1,
 		})
+		checkJSONCounters(t, ts, map[string]int64{
+			"total": 4, "search": 2, "topk": 1, "explain": 1, "bad_request": 3,
+		}, 1, 2)
 	})
 
 	t.Run("timeout", func(t *testing.T) {
@@ -134,6 +164,7 @@ func TestLatencyAccounting(t *testing.T) {
 			t.Fatalf("status %d, want 504", resp.StatusCode)
 		}
 		checkCells(t, srv, map[string]int64{"search/timeout": 1})
+		checkJSONCounters(t, ts, map[string]int64{"total": 1, "search": 1, "timeout": 1}, 0, 0)
 	})
 
 	t.Run("backend_error", func(t *testing.T) {
@@ -145,10 +176,11 @@ func TestLatencyAccounting(t *testing.T) {
 		defer ts.Close()
 
 		resp, _ := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400", resp.StatusCode)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("status %d, want 500", resp.StatusCode)
 		}
-		checkCells(t, srv, map[string]int64{"search/bad_request": 1})
+		checkCells(t, srv, map[string]int64{"search/internal": 1})
+		checkJSONCounters(t, ts, map[string]int64{"total": 1, "search": 1, "internal_error": 1}, 0, 0)
 	})
 
 	t.Run("saturated_not_observed", func(t *testing.T) {
@@ -174,9 +206,7 @@ func TestLatencyAccounting(t *testing.T) {
 		<-done
 
 		checkCells(t, srv, map[string]int64{"search/ok": 1})
-		if got := srv.met.rejected.Load(); got != 1 {
-			t.Errorf("rejected = %d, want 1", got)
-		}
+		checkJSONCounters(t, ts, map[string]int64{"total": 1, "search": 1, "rejected": 1}, 0, 0)
 	})
 }
 

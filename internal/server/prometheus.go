@@ -90,9 +90,13 @@ func (m *metrics) writePrometheus(w io.Writer, cacheLen, cacheCap int, ix indexS
 	p.sample("ndss_in_flight_requests", "", float64(m.inFlight.Load()))
 
 	p.header("ndss_requests_total", "Admitted query requests by endpoint and outcome.", "counter")
+	var cacheHits int64 // the outCached column
 	for e := endpoint(0); e < numEndpoints; e++ {
 		for o := outcome(0); o < numOutcomes; o++ {
 			_, c, _ := m.latency[e][o].Load()
+			if o == outCached {
+				cacheHits += c
+			}
 			p.sample("ndss_requests_total",
 				fmt.Sprintf(`endpoint=%q,outcome=%q`, e.String(), o.String()), float64(c))
 		}
@@ -123,7 +127,7 @@ func (m *metrics) writePrometheus(w io.Writer, cacheLen, cacheCap int, ix indexS
 	}
 
 	p.header("ndss_cache_hits_total", "Result cache hits.", "counter")
-	p.sample("ndss_cache_hits_total", "", float64(m.cacheHits.Load()))
+	p.sample("ndss_cache_hits_total", "", float64(cacheHits))
 	p.header("ndss_cache_misses_total", "Result cache misses.", "counter")
 	p.sample("ndss_cache_misses_total", "", float64(m.cacheMisses.Load()))
 	p.header("ndss_cache_entries", "Result cache current entries.", "gauge")

@@ -614,8 +614,6 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 		s.met.rejected.Add(1)
 	case http.StatusServiceUnavailable:
 		s.met.refused.Add(1)
-	case http.StatusGatewayTimeout:
-		s.met.timeouts.Add(1)
 	case http.StatusInternalServerError:
 		s.met.internals.Add(1)
 	}
@@ -806,9 +804,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 	key := cacheKey(kind, sketch, req.Tokens, opts, n, floor)
 	if s.cache != nil {
 		if e, ok := s.cache.get(key); ok {
-			s.met.requests.Add(1)
-			s.bumpEndpoint(topk)
-			s.met.cacheHits.Add(1)
 			resp := e.resp
 			resp.Cached = true
 			writeJSON(w, http.StatusOK, resp)
@@ -822,8 +817,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 		return
 	}
 	defer release()
-	s.met.requests.Add(1)
-	s.bumpEndpoint(topk)
 	if s.cache != nil {
 		s.met.cacheMisses.Add(1)
 	}
@@ -879,30 +872,24 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 }
 
 // writeQueryError answers a failed backend call and reports the outcome
-// to account it under.
+// to account it under: 400 only for a search.ValidationError.
 func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err error) outcome {
+	var invalid search.ValidationError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.writeError(w, r, http.StatusGatewayTimeout, "deadline exceeded")
 		return outTimeout
 	case errors.Is(err, context.Canceled):
-		// Client went away; nobody reads the response, but account
-		// for it.
-		s.met.canceled.Add(1)
+		// Client went away; nobody reads the response, but the
+		// outcome accounts for it.
 		w.WriteHeader(499) // client closed request (nginx convention)
 		return outCanceled
-	default:
-		// Validation errors surface as 400, not 500.
+	case errors.As(err, &invalid):
 		s.writeError(w, r, http.StatusBadRequest, err.Error())
 		return outBadRequest
-	}
-}
-
-func (s *Server) bumpEndpoint(topk bool) {
-	if topk {
-		s.met.topk.Add(1)
-	} else {
-		s.met.searches.Add(1)
+	default:
+		s.writeError(w, r, http.StatusInternalServerError, err.Error())
+		return outInternal
 	}
 }
 
@@ -927,8 +914,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.met.requests.Add(1)
-	s.met.explains.Add(1)
 	out := outInternal
 	defer func() { s.met.observe(epExplain, out, time.Since(start)) }()
 	backend, releaseBackend := s.acquire()

@@ -649,9 +649,7 @@ func TestExplainHonoursDeadline(t *testing.T) {
 		}
 	}
 	checkCells(t, srv, map[string]int64{"explain/timeout": 2})
-	if n := srv.met.timeouts.Load(); n != 2 {
-		t.Errorf("timeout counter = %d, want 2", n)
-	}
+	checkJSONCounters(t, ts, map[string]int64{"total": 2, "explain": 2, "timeout": 2}, 0, 0)
 }
 
 func TestServeExplainGet(t *testing.T) {

@@ -429,6 +429,96 @@ func TestShardedServerReloadRace(t *testing.T) {
 	}
 }
 
+// TestReplicaRetriesReadError: a replica whose index reads fail answers
+// 500, a backend failure the replica set retries, so the leg moves to
+// the healthy replica and the query answers 200.
+func TestReplicaRetriesReadError(t *testing.T) {
+	var q []uint32
+	serve := func(wrap func(search.IndexReader) search.IndexReader) shard.ShardClient {
+		t.Helper()
+		var backend Backend
+		backend, q = wrappedFixture(t, wrap)
+		ts := httptest.NewServer(New(backend, Config{CacheEntries: -1}))
+		t.Cleanup(ts.Close)
+		hs, err := shard.NewHTTPShard(context.Background(), ts.URL, shard.HTTPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hs
+	}
+	broken := serve(func(ix search.IndexReader) search.IndexReader { return failReader{IndexReader: ix} })
+	healthy := serve(func(ix search.IndexReader) search.IndexReader { return ix })
+	// Ties go to the lower index, so the broken replica is the primary.
+	rs, err := shard.NewReplicaSet("rset", []shard.ShardClient{broken, healthy}, shard.ReplicaConfig{
+		MaxRetries: 2, RetryBurst: 10, HedgeDelayMin: -1,
+		BreakerFailures: 100, BreakerCooldown: time.Hour, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := shard.NewCoordinator([]shard.ShardClient{rs}, shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	ts := httptest.NewServer(New(coord, Config{CacheEntries: -1}))
+	defer ts.Close()
+
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: 0.5})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search: %d (%s), want the read error retried on the healthy replica", resp.StatusCode, body)
+	}
+	var sr wire.Response
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if len(sr.Matches) == 0 {
+		t.Error("retried query found no matches for a prefix of an indexed text")
+	}
+	if len(sr.Stats.PerShard) != 1 {
+		t.Fatalf("per-shard stats = %+v, want one leg", sr.Stats.PerShard)
+	}
+	at := sr.Stats.PerShard[0].Attempts
+	if len(at) != 2 || at[0].Replica != broken.Name() || !strings.Contains(at[0].Err, "500") ||
+		at[1].Replica != healthy.Name() || at[1].Err != "" {
+		t.Fatalf("attempts = %+v, want a failed 500 on the broken replica, then a retry that answered", at)
+	}
+}
+
+// TestShardedInvalidQuery: a query every shard rejects as invalid is the
+// client's mistake, not a backend failure, whether the shards run in
+// process or behind HTTP.
+func TestShardedInvalidQuery(t *testing.T) {
+	_, local, q := shardedServerFixture(t, shard.Config{})
+	var remotes []shard.ShardClient
+	for i := 0; i < 2; i++ {
+		backend, _ := wrappedFixture(t, func(ix search.IndexReader) search.IndexReader { return ix })
+		rts := httptest.NewServer(New(backend, Config{}))
+		t.Cleanup(rts.Close)
+		hs, err := shard.NewHTTPShard(context.Background(), rts.URL, shard.HTTPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		remotes = append(remotes, hs)
+	}
+	coord, err := shard.NewCoordinator(remotes, shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	remote := httptest.NewServer(New(coord, Config{}))
+	defer remote.Close()
+
+	for _, ts := range []*httptest.Server{local, remote} {
+		for _, path := range []string{"/search", "/search/topk"} {
+			resp, body := postJSON(t, ts.Client(), ts.URL+path, wire.Request{Tokens: q, Theta: 0.5, N: 3, MinLength: 3})
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "MinLength 3 below index length threshold 5") {
+				t.Errorf("%s: %d (%s), want 400 naming the invalid MinLength", path, resp.StatusCode, body)
+			}
+		}
+	}
+}
+
 // TestShardedReplicaMetricsExposition drives one query through a
 // replica set whose primary fails transiently and checks the full
 // observability surface: per-replica Prometheus families, replica

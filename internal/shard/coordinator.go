@@ -254,7 +254,7 @@ func (c *Coordinator) fanOut(ctx context.Context, run func(ctx context.Context, 
 // context expires or no shard answers at all.
 func (c *Coordinator) SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error) {
 	if opts.KeepRects {
-		return nil, nil, errors.New("shard: KeepRects is not supported through a coordinator")
+		return nil, nil, search.ValidationError("shard: KeepRects is not supported through a coordinator")
 	}
 	results, base := c.fanOut(ctx, func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error) {
 		return cl.SearchContext(ctx, query, opts)
@@ -269,10 +269,10 @@ func (c *Coordinator) SearchContext(ctx context.Context, query []uint32, opts se
 // reproduces the single-index answer exactly, ties included.
 func (c *Coordinator) SearchTopKContext(ctx context.Context, query []uint32, opts search.TopKOptions) ([]search.Match, *search.Stats, error) {
 	if opts.Search.KeepRects {
-		return nil, nil, errors.New("shard: KeepRects is not supported through a coordinator")
+		return nil, nil, search.ValidationError("shard: KeepRects is not supported through a coordinator")
 	}
 	if opts.N <= 0 {
-		return nil, nil, fmt.Errorf("search: TopK N must be positive, got %d", opts.N)
+		return nil, nil, search.ValidationError(fmt.Sprintf("search: TopK N must be positive, got %d", opts.N))
 	}
 	results, base := c.fanOut(ctx, func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error) {
 		return cl.SearchTopKContext(ctx, query, opts)

@@ -77,11 +77,20 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("shard %s: http %d: %s", e.Shard, e.Status, e.Msg)
 }
 
-// Transient reports whether the failure is load- or lifecycle-related
-// (saturation, drain, deadline) rather than a permanent request error.
+// Unwrap exposes a remote 400 as the search.ValidationError it carried,
+// so the query stays the client's mistake through a coordinator.
+func (e *RemoteError) Unwrap() error {
+	if e.Status == http.StatusBadRequest {
+		return search.ValidationError(e.Msg)
+	}
+	return nil
+}
+
+// Transient reports whether another replica may answer: a backend
+// failure (500), saturation, drain or deadline, not a bad request.
 func (e *RemoteError) Transient() bool {
 	switch e.Status {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+	case http.StatusInternalServerError, http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 		return true
 	}
 	return false

@@ -345,10 +345,10 @@ func (r *ReplicaSet) pick(tried map[int]bool) (rep *replica, trial, ok bool) {
 }
 
 // retryableErr classifies failures worth retrying on another replica:
-// remote saturation/drain (429/503/504), connection-level failures,
-// torn responses, and index read errors. The caller's own context
-// expiring is never retryable, and a request-level error (bad query)
-// would fail identically everywhere.
+// remote failure or saturation/drain (500/429/503/504), connection
+// failures, torn responses, and index read errors. The caller's own
+// context expiring is never retryable, and a request-level error (bad
+// query) would fail identically everywhere.
 func retryableErr(err error) bool {
 	if err == nil {
 		return false
