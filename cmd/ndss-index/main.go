@@ -91,12 +91,8 @@ func runList(dir string) error {
 	segs := ix.Segments()
 	fmt.Printf("index %s: build %s, %d segment(s)\n", dir, ix.BuildID(), len(segs))
 	for _, s := range segs {
-		name := s.Name
-		if name == "" {
-			name = "(root)"
-		}
 		fmt.Printf("  %-12s base=%-8d texts=%-8d tokens=%-10d postings=%-10d bytes=%-10d tombstoned=%d\n",
-			name, s.Base, s.NumTexts, s.TotalTokens, s.Postings, s.SizeOnDisk, s.Tombstoned)
+			s.Name, s.Base, s.NumTexts, s.TotalTokens, s.Postings, s.SizeOnDisk, s.Tombstoned)
 	}
 	return nil
 }

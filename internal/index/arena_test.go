@@ -22,21 +22,74 @@ type dirRow struct {
 	count, zoneCount   uint32
 }
 
-// rawDirectory parses an inverted file's directory straight from its
-// bytes, without the reader's derived columns.
-func rawDirectory(t *testing.T, data []byte) (rows []dirRow, dirOff uint64) {
+// rawFunc is one function's part of a segment file as the file stores
+// it: the directory rows, where the function's lists start (where the
+// previous directory ends) and where its directory starts.
+type rawFunc struct {
+	region, dirOff uint64
+	rows           []dirRow
+}
+
+// rawSegment parses a segment file's footer and directories straight
+// from its bytes, without the reader's derived columns or checks.
+func rawSegment(t *testing.T, data []byte) []rawFunc {
 	t.Helper()
-	tr := data[len(data)-trailerLen:]
-	dirOff, n := binary.LittleEndian.Uint64(tr), binary.LittleEndian.Uint64(tr[8:])
-	for i := uint64(0); i < n; i++ {
-		b := data[dirOff+i*dirEntrySize:]
-		rows = append(rows, dirRow{
-			hash: binary.LittleEndian.Uint64(b), off: binary.LittleEndian.Uint64(b[8:]),
-			count: binary.LittleEndian.Uint32(b[16:]), zoneCount: binary.LittleEndian.Uint32(b[20:]),
-			zoneOff: binary.LittleEndian.Uint64(b[24:]),
-		})
+	k := int(binary.LittleEndian.Uint32(data[8:]))
+	foot := data[int64(len(data))-footerLen(k):]
+	funcs := make([]rawFunc, k)
+	region := uint64(segHeaderLen)
+	for fn := range funcs {
+		dirOff, n := binary.LittleEndian.Uint64(foot[fn*footerRowLen:]), binary.LittleEndian.Uint64(foot[fn*footerRowLen+8:])
+		f := rawFunc{region: region, dirOff: dirOff}
+		for i := uint64(0); i < n; i++ {
+			b := data[dirOff+i*dirEntrySize:]
+			f.rows = append(f.rows, dirRow{
+				hash: binary.LittleEndian.Uint64(b), off: binary.LittleEndian.Uint64(b[8:]),
+				count: binary.LittleEndian.Uint32(b[16:]), zoneCount: binary.LittleEndian.Uint32(b[20:]),
+				zoneOff: binary.LittleEndian.Uint64(b[24:]),
+			})
+		}
+		funcs[fn] = f
+		region = dirOff + n*dirEntrySize
 	}
-	return rows, dirOff
+	return funcs
+}
+
+// resealSegment writes data, an edited copy of the segment file at path
+// in the index at dir, back with every function's checksums, the footer
+// checksum and the manifest's record recomputed to match, so Open's
+// checks see only the edit's layout. The footer's dirOff and numLists
+// columns must already describe data.
+func resealSegment(t *testing.T, dir, path string, data []byte) {
+	t.Helper()
+	funcs := rawSegment(t, data)
+	rows := data[int64(len(data))-footerLen(len(funcs)) : len(data)-4]
+	for fn, f := range funcs {
+		dirEnd := f.dirOff + uint64(len(f.rows))*dirEntrySize
+		binary.LittleEndian.PutUint32(rows[fn*footerRowLen+16:], crc32.ChecksumIEEE(data[f.region:f.dirOff]))
+		binary.LittleEndian.PutUint32(rows[fn*footerRowLen+20:], crc32.ChecksumIEEE(data[f.dirOff:dirEnd]))
+	}
+	footerCRC := crc32.ChecksumIEEE(rows)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], footerCRC)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, err := readManifest(fsio.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range man.Segments {
+		if filepath.Join(dir, man.Segments[i].Name) == path {
+			man.Segments[i].Size, man.Segments[i].FooterCRC = int64(len(data)), footerCRC
+		}
+	}
+	mdata, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestFileName), mdata, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // decodedLists decodes every list of every segment of the index at dir
@@ -50,12 +103,11 @@ func decodedLists(t *testing.T, dir string, ix *Index) (lists map[int]map[uint64
 	for fn := 0; fn < ix.K(); fn++ {
 		lists[fn] = map[uint64][]Posting{}
 		for _, seg := range ix.segs {
-			data, err := os.ReadFile(filepath.Join(dir, seg.name, funcFileName(fn)))
+			data, err := os.ReadFile(seg.path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, _ := rawDirectory(t, data)
-			for _, r := range rows {
+			for _, r := range rawSegment(t, data)[fn].rows {
 				if r.zoneCount > 0 {
 					zoned++
 				} else {
@@ -192,63 +244,70 @@ func TestReadListIntoWarmDstAllocsNothing(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsListOrder hand-writes an inverted file whose first two
-// lists trade places, with its directory offsets, both checksums and the
-// manifest rewritten to match: every check but the layout passes, and
-// Open must refuse the file with a *ListOrderError naming it.
+// TestOpenRejectsListOrder hand-writes segment files that break the
+// back-to-back layout while every checksum and the manifest are
+// rewritten to match: one whose first two lists of function 0 trade
+// places, and one whose function 1 starts 16 bytes after function 0's
+// directory ends. Open must refuse each with a *ListOrderError naming
+// the segment file.
 func TestOpenRejectsListOrder(t *testing.T) {
-	dir, file := buildOnDisk(t)
-	data, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, dirOff := rawDirectory(t, data)
-	if len(rows) < 2 {
-		t.Fatal("degenerate fixture: fewer than two lists")
-	}
-	span := func(r dirRow) []byte {
-		return data[r.off : r.off+uint64(r.count)*postingSize+uint64(r.zoneCount)*zoneEntrySize]
-	}
-	a, b := span(rows[0]), span(rows[1])
-	swapped := slices.Concat(data[:idxHeaderLen], b, a, data[idxHeaderLen+len(a)+len(b):])
-	for i, r := range rows[:2] {
-		off := uint64(idxHeaderLen)
-		if i == 0 {
-			off += uint64(len(b))
+	for _, tc := range []struct {
+		name string
+		edit func(t *testing.T, data []byte, funcs []rawFunc) []byte
+	}{
+		{"swapped lists", func(t *testing.T, data []byte, funcs []rawFunc) []byte {
+			f := funcs[0]
+			if len(f.rows) < 2 {
+				t.Fatal("degenerate fixture: fewer than two lists")
+			}
+			span := func(r dirRow) []byte {
+				return data[r.off : r.off+uint64(r.count)*postingSize+uint64(r.zoneCount)*zoneEntrySize]
+			}
+			a, b := span(f.rows[0]), span(f.rows[1])
+			swapped := slices.Concat(data[:f.region], b, a, data[f.region+uint64(len(a)+len(b)):])
+			for i, r := range f.rows[:2] {
+				off := f.region
+				if i == 0 {
+					off += uint64(len(b))
+				}
+				e := swapped[f.dirOff+uint64(i)*dirEntrySize:]
+				binary.LittleEndian.PutUint64(e[8:], off)
+				if r.zoneCount > 0 {
+					binary.LittleEndian.PutUint64(e[24:], off+uint64(r.count)*postingSize)
+				}
+			}
+			return swapped
+		}},
+		{"gap before a function", func(t *testing.T, data []byte, funcs []rawFunc) []byte {
+			const gap = 16
+			f := funcs[1]
+			shifted := slices.Concat(data[:f.region], make([]byte, gap), data[f.region:])
+			for i, r := range f.rows {
+				e := shifted[f.dirOff+gap+uint64(i)*dirEntrySize:]
+				binary.LittleEndian.PutUint64(e[8:], r.off+gap)
+				if r.zoneCount > 0 {
+					binary.LittleEndian.PutUint64(e[24:], r.zoneOff+gap)
+				}
+			}
+			row := shifted[int64(len(shifted))-footerLen(len(funcs))+footerRowLen:]
+			binary.LittleEndian.PutUint64(row, f.dirOff+gap)
+			return shifted
+		}},
+	} {
+		dir, file := buildOnDisk(t)
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
 		}
-		e := swapped[dirOff+uint64(i)*dirEntrySize:]
-		binary.LittleEndian.PutUint64(e[8:], off)
-		if r.zoneCount > 0 {
-			binary.LittleEndian.PutUint64(e[24:], off+uint64(r.count)*postingSize)
+		resealSegment(t, dir, file, tc.edit(t, data, rawSegment(t, data)))
+		_, err = Open(dir)
+		var loe *ListOrderError
+		if !errors.As(err, &loe) {
+			t.Fatalf("%s: Open: %v, want a *ListOrderError", tc.name, err)
 		}
-	}
-	regionCRC := crc32.ChecksumIEEE(swapped[idxHeaderLen:dirOff])
-	dirCRC := crc32.ChecksumIEEE(swapped[dirOff : len(swapped)-trailerLen])
-	binary.LittleEndian.PutUint32(swapped[len(swapped)-8:], regionCRC)
-	binary.LittleEndian.PutUint32(swapped[len(swapped)-4:], dirCRC)
-	if err := os.WriteFile(file, swapped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	man, err := readManifest(fsio.OS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man.Segments[0].Files[0].DirCRC, man.Segments[0].Files[0].RegionCRC = dirCRC, regionCRC
-	mdata, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestFileName), mdata, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	_, err = Open(dir)
-	var loe *ListOrderError
-	if !errors.As(err, &loe) {
-		t.Fatalf("Open of a file with swapped lists: %v, want a *ListOrderError", err)
-	}
-	if loe.Path != file || !strings.Contains(err.Error(), file) || !strings.Contains(err.Error(), "rebuild") {
-		t.Fatalf("diagnostic %q does not name the file %s and the remedy", err, file)
+		if loe.Path != file || !strings.Contains(err.Error(), file) || !strings.Contains(err.Error(), "rebuild") {
+			t.Fatalf("%s: diagnostic %q does not name the file %s and the remedy", tc.name, err, file)
+		}
 	}
 }
 
@@ -264,18 +323,18 @@ func TestDecodeDirectoryPostingOverflow(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[16:], count)
 		return b
 	}
-	second := uint64(idxHeaderLen) + math.MaxUint32*postingSize
-	ok := &funcFile{path: "index.000", dirOff: second}
-	if _, err := ok.decodeDirectory(row(1, idxHeaderLen, math.MaxUint32)); err != nil {
+	second := uint64(segHeaderLen) + math.MaxUint32*postingSize
+	ok := &funcFile{path: "seg-000000", region: segHeaderLen, dirOff: second}
+	if _, err := ok.decodeDirectory(row(1, segHeaderLen, math.MaxUint32)); err != nil {
 		t.Fatalf("MaxUint32 postings: %v", err)
 	}
 	if got := ok.postings(); got != math.MaxUint32 {
 		t.Fatalf("MaxUint32 postings decoded as %d", got)
 	}
-	over := &funcFile{path: "index.000", dirOff: second + postingSize}
-	_, err := over.decodeDirectory(slices.Concat(row(1, idxHeaderLen, math.MaxUint32), row(2, second, 1)))
+	over := &funcFile{path: "seg-000000", region: segHeaderLen, dirOff: second + postingSize}
+	_, err := over.decodeDirectory(slices.Concat(row(1, segHeaderLen, math.MaxUint32), row(2, second, 1)))
 	var loe *ListOrderError
-	if !errors.As(err, &loe) || loe.Path != "index.000" || !strings.Contains(loe.Reason, "postings") {
+	if !errors.As(err, &loe) || loe.Path != "seg-000000" || !strings.Contains(loe.Reason, "postings") {
 		t.Fatalf("MaxUint32+1 postings: %v, want a *ListOrderError about the posting count", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ndss/internal/corpus"
+	"ndss/internal/fsio"
 )
 
 func benchBuildCorpus(b *testing.B) *corpus.Corpus {
@@ -78,6 +79,52 @@ func BenchmarkCompact9(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkChurnCycle runs one ingest-churn cycle's mutations on the
+// 250-text base: eight 16-text appends, each followed by the reopen a
+// server reload does, then a compaction and its reopen. Beside ns/op it
+// reports the cycle's mutating filesystem operations (creates, writes,
+// fsyncs, renames, removes) and file opens (files opened plus files read
+// whole: manifests and tombstones).
+func BenchmarkChurnCycle(b *testing.B) {
+	base := mutationBenchCorpus(250, 1)
+	batches := make([]*corpus.Corpus, 8)
+	for i := range batches {
+		batches[i] = mutationBenchCorpus(16, int64(2+i))
+	}
+	var ops, opens int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "ix")
+		if _, err := Build(base, dir, mutationBenchOpts); err != nil {
+			b.Fatal(err)
+		}
+		counter := fsio.NewFaultFS(fsio.OS)
+		fsys := &readCountFS{FS: counter}
+		reopen := func() {
+			ix, err := OpenFS(fsys, dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ix.Close()
+		}
+		b.StartTimer()
+		for _, batch := range batches {
+			if _, err := appendFS(fsys, dir, batch); err != nil {
+				b.Fatal(err)
+			}
+			reopen()
+		}
+		if err := compactFS(fsys, dir); err != nil {
+			b.Fatal(err)
+		}
+		reopen()
+		ops += int64(counter.Ops())
+		opens += fsys.opened.Load() + fsys.readFiles.Load()
+	}
+	b.ReportMetric(float64(ops)/float64(b.N), "fsops/op")
+	b.ReportMetric(float64(opens)/float64(b.N), "opens/op")
 }
 
 func BenchmarkBuildDisk(b *testing.B) {

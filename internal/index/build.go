@@ -1,9 +1,7 @@
 package index
 
 import (
-	"bufio"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -104,10 +102,10 @@ type BuildStats struct {
 }
 
 // Build constructs the k inverted files for an in-memory corpus
-// (Algorithm 1's main path) and commits them atomically as dir. The
-// build is staged into a temp directory next to dir, fsynced, and
-// swapped in by rename, so a failed or killed build leaves any
-// previous index at dir untouched and openable.
+// (Algorithm 1's main path) as one segment file and commits it
+// atomically as dir. The build is staged into a temp directory next to
+// dir, fsynced, and swapped in by rename, so a failed or killed build
+// leaves any previous index at dir untouched and openable.
 func Build(c *corpus.Corpus, dir string, opts BuildOptions) (*BuildStats, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
@@ -117,9 +115,8 @@ func Build(c *corpus.Corpus, dir string, opts BuildOptions) (*BuildStats, error)
 		return nil, err
 	}
 	stats := &BuildStats{WindowsPerFunc: make([]int64, opts.K)}
-	err = stagedBuild(opts.FS, dir, true, func(staging string) (Meta, []fileSum, error) {
-		sums, err := buildFuncs(c, fam, staging, opts, stats)
-		return opts.meta(c.NumTexts(), c.TotalTokens()), sums, err
+	err = stagedBuild(opts.FS, dir, true, opts.meta(c.NumTexts(), c.TotalTokens()), func(path string) (segSum, error) {
+		return buildSegment(c, fam, path, opts, stats)
 	})
 	if err != nil {
 		return nil, err
@@ -127,16 +124,34 @@ func Build(c *corpus.Corpus, dir string, opts BuildOptions) (*BuildStats, error)
 	return stats, nil
 }
 
+// buildSegment writes the segment file of corpus c at path through
+// buildFuncs.
+func buildSegment(c *corpus.Corpus, fam *hash.Family, path string, opts BuildOptions, stats *BuildStats) (segSum, error) {
+	w, err := newSegmentWriter(opts.FS, path, opts.K, opts.ZoneMapStep, opts.LongListCutoff)
+	if err != nil {
+		return segSum{}, err
+	}
+	defer w.abort()
+	if err := buildFuncs(c, fam, w, opts, stats); err != nil {
+		return segSum{}, err
+	}
+	ioStart := time.Now()
+	sum, err := w.finish()
+	stats.IOTime += time.Since(ioStart)
+	stats.BytesWritten = sum.size
+	return sum, err
+}
+
 // buildFuncs is Build's two-stage pipeline. Workers each take a whole
 // hash function and do its CPU side — hash, generate, group — and the
 // calling goroutine alone touches the filesystem, writing the finished
-// functions in function order: creates, writes, fsyncs and closes come
-// in the order and number of a one-function-at-a-time build, whatever
-// the worker count. A worker draws a record buffer from free before it
-// claims the next function and the writer returns it once the function
-// is on disk, so at most workers+1 functions are in flight and the
-// lowest unwritten one always holds a buffer.
-func buildFuncs(c *corpus.Corpus, fam *hash.Family, staging string, opts BuildOptions, stats *BuildStats) ([]fileSum, error) {
+// functions into w in function order: the writes come in the order and
+// number of a one-function-at-a-time build, whatever the worker count. A
+// worker draws a record buffer from free before it claims the next
+// function and the writer returns it once the function is written, so
+// at most workers+1 functions are in flight and the lowest unwritten one
+// always holds a buffer.
+func buildFuncs(c *corpus.Corpus, fam *hash.Family, w *segmentWriter, opts BuildOptions, stats *BuildStats) error {
 	workers := min(opts.Parallelism, opts.K)
 	free := make(chan []record, workers+1) // the in-flight bound, see above
 	for i := 0; i < cap(free); i++ {
@@ -153,7 +168,7 @@ func buildFuncs(c *corpus.Corpus, fam *hash.Family, staging string, opts BuildOp
 		wg   sync.WaitGroup
 	)
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for wk := 0; wk < workers; wk++ {
 		go func() {
 			defer wg.Done()
 			rg := recordGen{t: opts.T}
@@ -186,24 +201,22 @@ func buildFuncs(c *corpus.Corpus, fam *hash.Family, staging string, opts BuildOp
 	defer wg.Wait()
 	defer close(stop)
 
-	sums := make([]fileSum, opts.K)
-	bw := newWriteBuffer()
-	for fn := range sums {
+	for fn := 0; fn < opts.K; fn++ {
 		recs := <-built[fn]
 		ioStart := time.Now()
-		sum, err := writeLists(staging, fn, recs, opts, bw)
-		if err != nil {
-			return nil, err
+		if err := addSortedRuns(w, recs); err != nil {
+			return err
+		}
+		if err := w.endFunc(); err != nil {
+			return err
 		}
 		stats.IOTime += time.Since(ioStart)
 		stats.WindowsPerFunc[fn] = int64(len(recs))
 		stats.Windows += int64(len(recs))
-		stats.BytesWritten += sum.size
-		sums[fn] = sum
 		free <- recs
 	}
 	stats.GenTime = time.Duration(busy.Load() / int64(workers))
-	return sums, nil
+	return nil
 }
 
 // recordGen turns texts into the records of hash function f — tokens →
@@ -235,23 +248,9 @@ func (g *recordGen) appendText(dst []record, id uint32, tokens []uint32) []recor
 	return dst
 }
 
-// writeLists writes sorted records as one inverted file, buffered
-// through bw, and returns its size and checksums.
-func writeLists(dir string, fn int, recs []record, opts BuildOptions, bw *bufio.Writer) (fileSum, error) {
-	w, err := newFileWriter(opts.FS, indexPath(dir, fn), fn, opts.ZoneMapStep, opts.LongListCutoff, bw)
-	if err != nil {
-		return fileSum{}, err
-	}
-	if err := addSortedRuns(w, recs); err != nil {
-		w.abort()
-		return fileSum{}, err
-	}
-	return w.finish()
-}
-
 // addSortedRuns feeds runs of equal-hash records from a sorted slice to
 // the writer.
-func addSortedRuns(w *fileWriter, recs []record) error {
+func addSortedRuns(w *segmentWriter, recs []record) error {
 	for i := 0; i < len(recs); {
 		j := i + 1
 		for j < len(recs) && recs[j].Hash == recs[i].Hash {
@@ -263,8 +262,4 @@ func addSortedRuns(w *fileWriter, recs []record) error {
 		i = j
 	}
 	return nil
-}
-
-func indexPath(dir string, fn int) string {
-	return dir + string(os.PathSeparator) + funcFileName(fn)
 }

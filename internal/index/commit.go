@@ -70,20 +70,20 @@ func beginBuild(fsys fsio.FS, dir string, sweep bool) (staging string, err error
 }
 
 // stagedBuild is the one way an index directory comes into being. write
-// fills a fresh staging directory with the k inverted files and returns
-// their metadata and checksums; the manifest describing them is added
-// and the staging directory committed as dir. A failure discards the
-// staging directory; short of commitDir's renames it leaves a previous
-// index at dir untouched, and after them it is a
+// fills the segment file at path, in a fresh staging directory, and
+// returns its size and footer checksum; the manifest naming it with meta
+// is added and the staging directory committed as dir. A failure
+// discards the staging directory; short of commitDir's renames it leaves
+// a previous index at dir untouched, and after them it is a
 // *CommitUnconfirmedError naming the build now at dir.
-func stagedBuild(fsys fsio.FS, dir string, sweep bool, write func(staging string) (Meta, []fileSum, error)) error {
+func stagedBuild(fsys fsio.FS, dir string, sweep bool, meta Meta, write func(path string) (segSum, error)) error {
 	staging, err := beginBuild(fsys, dir, sweep)
 	if err != nil {
 		return err
 	}
-	meta, sums, err := write(staging)
+	sum, err := write(filepath.Join(staging, segmentName(0)))
 	if err == nil {
-		man := newManifest(meta, sums)
+		man := newManifest(meta, sum)
 		if err = writeManifest(fsys, staging, man); err == nil {
 			err = commitDir(fsys, staging, dir, man.BuildID)
 		}
@@ -111,17 +111,14 @@ func sweepOrphans(fsys fsio.FS, dir string) error {
 }
 
 // sweepSegments removes segment-lifecycle artifacts inside dir that the
-// manifest does not reference: segment directories left by a crash
-// between segment commit and manifest commit (including their staging
-// and backup leftovers), interrupted manifest replacements, and
+// manifest does not reference: segment files left by a crash before
+// their append's manifest commit, interrupted manifest replacements, and
 // retired tombstone bitmaps. Everything the manifest names is kept, so
 // the sweep is safe at any point a mutation is not in flight.
 func sweepSegments(fsys fsio.FS, dir string, m *Manifest) error {
 	ref := make(map[string]bool, 2*len(m.Segments))
 	for _, s := range m.Segments {
-		if s.Name != "" {
-			ref[s.Name] = true
-		}
+		ref[s.Name] = true
 		if s.Tomb != nil {
 			ref[s.Tomb.Name] = true
 		}
@@ -169,7 +166,7 @@ func recoverBackup(fsys fsio.FS, dir string) error {
 
 // commitDir atomically publishes a fully written staging directory,
 // holding build buildID, as dir. Data files must already be fsynced
-// (fileWriter.finish and fsio.WriteFileSync guarantee this); commitDir
+// (segmentWriter.finish and fsio.WriteFileSync guarantee this); commitDir
 // fsyncs the staging directory, swaps it in by rename, and fsyncs the
 // parent so the swap is durable. A failure before the swap leaves the
 // previous index (or puts it back) in place; a failed parent fsync

@@ -15,7 +15,7 @@ import (
 // checking.
 
 // buildOnDisk builds a small index and returns its directory plus the
-// path of function 0's inverted file.
+// path of its segment file.
 func buildOnDisk(t *testing.T) (string, string) {
 	t.Helper()
 	c := testCorpus(t, 30, 40, 100, 200, 61)
@@ -23,7 +23,7 @@ func buildOnDisk(t *testing.T) (string, string) {
 	if _, err := Build(c, dir, BuildOptions{K: 2, Seed: 5, T: 10}); err != nil {
 		t.Fatal(err)
 	}
-	return dir, filepath.Join(dir, funcFileName(0))
+	return dir, filepath.Join(dir, segmentName(0))
 }
 
 // flipByteAt flips one byte of a file in place.
@@ -62,9 +62,9 @@ func TestCorruptDirectoryRejectedAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte in the middle of the directory (just before the
-	// trailer).
-	flipByteAt(t, file, st.Size()-trailerLen-dirEntrySize/2)
+	// Flip a byte in the middle of the last directory (just before the
+	// footer).
+	flipByteAt(t, file, st.Size()-footerLen(2)-dirEntrySize/2)
 	if _, err := Open(dir); err == nil {
 		t.Fatal("corrupt directory should fail to open")
 	}
@@ -75,7 +75,7 @@ func TestCorruptPostingsCaughtByVerify(t *testing.T) {
 	// Flip a byte early in the postings region: Open still succeeds
 	// (only the directory is validated eagerly) but VerifyIntegrity
 	// must catch it.
-	flipByteAt(t, file, idxHeaderLen+8)
+	flipByteAt(t, file, segHeaderLen+8)
 	ix, err := Open(dir)
 	if err != nil {
 		t.Fatalf("open after postings corruption should succeed (lazy check): %v", err)
@@ -99,12 +99,12 @@ func TestCorruptZoneMapRejectedAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff := ix.segs[0].files[0]
+	ff := ix.segs[0].funcs[0]
 	ix.Close()
 	if len(ff.zones) == 0 {
 		t.Fatal("degenerate fixture: no zone maps")
 	}
-	flipByteAt(t, filepath.Join(dir, funcFileName(0)), ff.zoneOff(ff.zones[0])+zoneEntrySize+7)
+	flipByteAt(t, ff.path, ff.zoneOff(ff.zones[0])+zoneEntrySize+7)
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt zone map") {
 		t.Fatalf("want a corrupt zone map error at Open, got %v", err)
 	}
@@ -116,8 +116,8 @@ func TestCorruptTrailerRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the directory offset in the trailer.
-	flipByteAt(t, file, st.Size()-trailerLen+2)
+	// Corrupt the last function's directory offset in the footer.
+	flipByteAt(t, file, st.Size()-4-footerRowLen+2)
 	if _, err := Open(dir); err == nil {
 		t.Fatal("corrupt trailer should fail to open")
 	}
@@ -132,8 +132,31 @@ func TestTruncatedFileRejected(t *testing.T) {
 	if err := os.WriteFile(file, data[:len(data)-10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("truncated file should fail to open")
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), file) {
+		t.Fatalf("truncated file: %v, want an error naming %s", err, file)
+	}
+}
+
+// TestFooterChecksumMismatchRejected: a manifest whose footer checksum
+// differs from the segment file's — the file is intact, only the record
+// disagrees — is refused with an error naming the file.
+func TestFooterChecksumMismatchRejected(t *testing.T) {
+	dir, file := buildOnDisk(t)
+	man, err := readManifest(fsio.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Segments[0].FooterCRC++
+	data, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestFileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir)
+	if err == nil || !strings.Contains(err.Error(), file) || !strings.Contains(err.Error(), "torn or mixed build") {
+		t.Fatalf("footer checksum mismatch: %v, want a torn-or-mixed-build error naming %s", err, file)
 	}
 }
 
@@ -154,11 +177,11 @@ func TestManifestRoundTripAfterBuild(t *testing.T) {
 	if id := ix.BuildID(); id == "" || id != man.BuildID {
 		t.Fatalf("committed build has build id %q, manifest %q", id, man.BuildID)
 	}
-	if len(man.Segments) != 1 || man.Segments[0].Name != "" {
-		t.Fatalf("fresh build should commit a single root segment, got %+v", man.Segments)
+	if len(man.Segments) != 1 || man.Segments[0].Name != segmentName(0) {
+		t.Fatalf("fresh build should commit a single segment %s, got %+v", segmentName(0), man.Segments)
 	}
-	if len(man.Segments[0].Files) != ix.K() {
-		t.Fatalf("manifest lists %d files for k=%d", len(man.Segments[0].Files), ix.K())
+	if st, err := os.Stat(filepath.Join(dir, man.Segments[0].Name)); err != nil || st.Size() != man.Segments[0].Size {
+		t.Fatalf("manifest records a %d-byte segment file: %v, %v", man.Segments[0].Size, st, err)
 	}
 	if err := ix.VerifyIntegrity(); err != nil {
 		t.Fatalf("clean index failed integrity: %v", err)
@@ -187,7 +210,7 @@ func TestManifestSizeMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man.Segments[0].Files[0].Size += 16
+	man.Segments[0].Size += 16
 	data, err := json.Marshal(man)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +227,7 @@ func TestManifestSizeMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestMixedBuildRejected swaps one inverted file in from a different
+// TestMixedBuildRejected swaps the segment file in from a different
 // build of the same shape: sizes may even coincide, but the checksums
 // cannot, and Open must refuse to serve the mixture.
 func TestMixedBuildRejected(t *testing.T) {
@@ -215,7 +238,7 @@ func TestMixedBuildRejected(t *testing.T) {
 	if _, err := Build(c, dirB, BuildOptions{K: 2, Seed: 5, T: 10}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dirB, funcFileName(0)))
+	data, err := os.ReadFile(filepath.Join(dirB, segmentName(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +249,8 @@ func TestMixedBuildRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("file from a different build should fail to open")
 	}
-	if !strings.Contains(err.Error(), "torn or mixed build") {
-		t.Fatalf("diagnostic does not name the cause: %v", err)
+	if !strings.Contains(err.Error(), "torn or mixed build") || !strings.Contains(err.Error(), fileA) {
+		t.Fatalf("diagnostic does not name the cause and the file: %v", err)
 	}
 }
 
@@ -255,6 +278,16 @@ func TestOpenWithoutManifestFails(t *testing.T) {
 		if noMan.Dir != dir || !strings.Contains(err.Error(), "rebuild") {
 			t.Fatalf("%s: diagnostic %q does not name the directory and the remedy", op, err)
 		}
+	}
+}
+
+// TestParseManifestRejectsVersion2: a manifest of the per-function-file
+// layout is refused with the version error, which says to rebuild.
+func TestParseManifestRejectsVersion2(t *testing.T) {
+	_, err := parseManifest([]byte(`{"format_version":2,"build_id":"x","meta":{"k":1,"t":2,"num_texts":1},` +
+		`"segments":[{"name":"","meta":{"k":1,"t":2,"num_texts":1},"files":[{"name":"index.000","size":64}]}]}`))
+	if err == nil || !strings.Contains(err.Error(), "format version 2") || !strings.Contains(err.Error(), "rebuild") {
+		t.Fatalf("version-2 manifest: %v, want the format-version error saying to rebuild", err)
 	}
 }
 

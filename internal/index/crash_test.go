@@ -374,29 +374,35 @@ func TestCompactErrorMeansNotCommitted(t *testing.T) {
 
 // TestMutationOpCounts pins what each mutation costs in mutating
 // filesystem operations (creates, writes, fsyncs, renames, removes) on
-// the crash loops' K=2 fixture — every one of them is a crash point and,
-// on a real disk, mostly an fsync. A change that adds a write path to a
-// mutation shows up here.
+// the crash loops' K=2 fixture and at the repo benchmark's K=32 — every
+// one of them is a crash point and, on a real disk, mostly an fsync. A
+// segment is one file, so the counts do not grow with K: an append is
+// the segment file's create, write and fsync, a directory fsync and the
+// manifest commit; a compaction stages one segment file and a manifest
+// and swaps the directory. A change that adds a write path to a mutation
+// shows up here.
 func TestMutationOpCounts(t *testing.T) {
 	base := testCorpus(t, 12, 30, 60, 100, 7)
 	extra := testCorpus(t, 8, 30, 60, 100, 9)
-	dir := filepath.Join(t.TempDir(), "ix")
-	seedIndex(t, dir, base, BuildOptions{K: 2, Seed: 3, T: 10})
-	for _, m := range []struct {
-		name string
-		want int
-		run  func(fsys fsio.FS) error
-	}{
-		{"append", 19, func(fsys fsio.FS) error { _, err := appendFS(fsys, dir, extra); return err }},
-		{"delete", 8, func(fsys fsio.FS) error { return deleteFS(fsys, dir, []uint32{3}) }},
-		{"compact", 16, func(fsys fsio.FS) error { return compactFS(fsys, dir) }},
-	} {
-		counter := fsio.NewFaultFS(fsio.OS)
-		if err := m.run(counter); err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		if got := counter.Ops(); got != m.want {
-			t.Errorf("%s: %d mutating ops, want %d", m.name, got, m.want)
+	for _, k := range []int{2, 32} {
+		dir := filepath.Join(t.TempDir(), "ix")
+		seedIndex(t, dir, base, BuildOptions{K: k, Seed: 3, T: 10})
+		for _, m := range []struct {
+			name string
+			want int
+			run  func(fsys fsio.FS) error
+		}{
+			{"append", 9, func(fsys fsio.FS) error { _, err := appendFS(fsys, dir, extra); return err }},
+			{"delete", 8, func(fsys fsio.FS) error { return deleteFS(fsys, dir, []uint32{3}) }},
+			{"compact", 13, func(fsys fsio.FS) error { return compactFS(fsys, dir) }},
+		} {
+			counter := fsio.NewFaultFS(fsio.OS)
+			if err := m.run(counter); err != nil {
+				t.Fatalf("k=%d %s: %v", k, m.name, err)
+			}
+			if got := counter.Ops(); got != m.want {
+				t.Errorf("k=%d %s: %d mutating ops, want %d", k, m.name, got, m.want)
+			}
 		}
 	}
 }
@@ -628,7 +634,7 @@ func TestBuildSweepsOrphans(t *testing.T) {
 	if err := os.MkdirAll(orphan, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(orphan, "index.000"), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(orphan, segmentName(0)), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -642,26 +648,30 @@ func TestBuildSweepsOrphans(t *testing.T) {
 }
 
 // TestWriterFinishFailureRemovesFile is the regression test for the
-// fileWriter error paths: a failure inside finish must not leave the
-// partial inverted file behind.
+// segmentWriter error paths: a failure inside finish must not leave the
+// partial segment file behind.
 func TestWriterFinishFailureRemovesFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "index.000")
+	path := filepath.Join(dir, segmentName(0))
 	ffs := fsio.NewFaultFS(fsio.OS).SetCrash(false)
-	w, err := newFileWriter(ffs, path, 0, 4, 8, newWriteBuffer())
+	w, err := newSegmentWriter(ffs, path, 1, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.addList(42, []record{{Hash: 42, Posting: Posting{TextID: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	// Ops so far: Create. The next write op is finish's buffered Flush.
+	if err := w.endFunc(); err != nil {
+		t.Fatal(err)
+	}
+	// Ops so far: Create. From here, finish's buffered Flush is op 1 and
+	// its fsync op 2.
 	ffs.FailAt(2)
 	if _, err := w.finish(); !errors.Is(err, fsio.ErrInjected) {
 		t.Fatalf("finish should fail with injected error, got %v", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("partial inverted file left behind: %v", err)
+		t.Fatalf("partial segment file left behind: %v", err)
 	}
 	// abort after a failed finish must be a no-op, not a panic.
 	w.abort()
@@ -685,7 +695,9 @@ func TestReadErrorCarriesContext(t *testing.T) {
 
 	// Fault a byte early in function 0's postings region; list reads
 	// covering it must fail, wrapped with context.
-	ffs.FailReadAt(funcFileName(0), idxHeaderLen+4)
+	path, off := segmentFile(t, dir, 0, 0)
+	off += 4
+	ffs.FailReadAt(path, off)
 	var gotErr error
 	for _, h := range ix.Hashes(0) {
 		if _, err := ix.ReadListInto(nil, 0, h, nil); err != nil {
@@ -703,7 +715,7 @@ func TestReadErrorCarriesContext(t *testing.T) {
 	if re.Path == "" || re.Len <= 0 {
 		t.Fatalf("ReadError missing context: %+v", re)
 	}
-	if !(re.Off <= idxHeaderLen+4 && idxHeaderLen+4 < re.Off+int64(re.Len)) {
+	if re.Path != path || !(re.Off <= off && off < re.Off+int64(re.Len)) {
 		t.Fatalf("ReadError range [%d,%d) does not cover faulted offset", re.Off, re.Off+int64(re.Len))
 	}
 	if !errors.Is(gotErr, fsio.ErrInjected) {

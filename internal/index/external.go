@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"path/filepath"
 	"slices"
 	"time"
 
@@ -18,10 +19,10 @@ import (
 // large-corpus path): texts are streamed in batches, each batch's
 // compact-window records are partitioned by min-hash range and spilled
 // to disk, and each partition is then loaded, sorted and appended to the
-// inverted file, partitions in ascending range order, so the file's
-// lists lie in hash order and its bytes equal Build's. A partition that
-// still exceeds the memory budget is recursively re-partitioned over
-// sub-ranges of its own range.
+// function's inverted file, partitions in ascending range order, so its
+// lists lie in hash order and the segment file's bytes equal Build's. A
+// partition that still exceeds the memory budget is recursively
+// re-partitioned over sub-ranges of its own range.
 //
 // Like Build, the whole construction — spill files included — is
 // staged in a temp directory next to dir and committed atomically;
@@ -46,17 +47,24 @@ func BuildExternal(r *corpus.Reader, dir string, opts BuildOptions) (*BuildStats
 		fanout = 512
 	}
 
-	err = stagedBuild(fsys, dir, true, func(staging string) (Meta, []fileSum, error) {
-		sums := make([]fileSum, opts.K)
-		bw := newWriteBuffer()
-		for fn := 0; fn < opts.K; fn++ {
-			sum, err := buildExternalFunc(r, fsys, staging, fn, fam.Func(fn), fanout, opts, stats, bw)
-			if err != nil {
-				return Meta{}, nil, err
-			}
-			sums[fn] = sum
+	err = stagedBuild(fsys, dir, true, opts.meta(r.NumTexts(), r.TotalTokens()), func(path string) (segSum, error) {
+		w, err := newSegmentWriter(fsys, path, opts.K, opts.ZoneMapStep, opts.LongListCutoff)
+		if err != nil {
+			return segSum{}, err
 		}
-		return opts.meta(r.NumTexts(), r.TotalTokens()), sums, nil
+		defer w.abort()
+		// Spills live beside the segment file in the staging directory.
+		spillDir := filepath.Dir(path)
+		for fn := 0; fn < opts.K; fn++ {
+			if err := buildExternalFunc(r, fsys, spillDir, fn, fam.Func(fn), fanout, opts, stats, w); err != nil {
+				return segSum{}, err
+			}
+		}
+		ioStart := time.Now()
+		sum, err := w.finish()
+		stats.IOTime += time.Since(ioStart)
+		stats.BytesWritten = sum.size
+		return sum, err
 	})
 	if err != nil {
 		return nil, err
@@ -161,10 +169,12 @@ func (s *spillSet) cleanup() {
 	}
 }
 
-func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f hash.Func, fanout int, opts BuildOptions, stats *BuildStats, bw *bufio.Writer) (fileSum, error) {
+// buildExternalFunc writes function fn's inverted file into w, spilling
+// through dir.
+func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f hash.Func, fanout int, opts BuildOptions, stats *BuildStats, w *segmentWriter) error {
 	spill, err := newSpillSet(fsys, dir, 0, allHashes, fanout)
 	if err != nil {
-		return fileSum{}, err
+		return err
 	}
 	defer spill.cleanup()
 
@@ -192,32 +202,25 @@ func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f has
 		return nil
 	})
 	if streamErr != nil {
-		return fileSum{}, streamErr
+		return streamErr
 	}
 	ioStart := time.Now()
 	if err := spill.flush(); err != nil {
-		return fileSum{}, err
+		return err
 	}
 
 	// Pass 2: aggregate each partition, in hash order, into the inverted
 	// file.
-	w, err := newFileWriter(fsys, indexPath(dir, fn), fn, opts.ZoneMapStep, opts.LongListCutoff, bw)
-	if err != nil {
-		return fileSum{}, err
-	}
 	for p, f := range spill.files {
 		if err := aggregatePartition(f, spill.sizes[p], 1, allHashes.sub(p, fanout), fsys, dir, opts, w); err != nil {
-			w.abort()
-			return fileSum{}, err
+			return err
 		}
 	}
-	sum, err := w.finish()
-	if err != nil {
-		return fileSum{}, err
+	if err := w.endFunc(); err != nil {
+		return err
 	}
 	stats.IOTime += time.Since(ioStart)
-	stats.BytesWritten += sum.size
-	return sum, nil
+	return nil
 }
 
 // maxRecursionDepth bounds recursive re-partitioning. A partition made of
@@ -229,7 +232,7 @@ const maxRecursionDepth = 6
 // hashes in rng, sorts its records and appends complete inverted lists
 // to w. Over-budget partitions are first re-partitioned over sub-ranges
 // of rng (recursive partitioning).
-func aggregatePartition(f fsio.File, size int64, level int, rng hashRange, fsys fsio.FS, dir string, opts BuildOptions, w *fileWriter) error {
+func aggregatePartition(f fsio.File, size int64, level int, rng hashRange, fsys fsio.FS, dir string, opts BuildOptions, w *segmentWriter) error {
 	if size == 0 {
 		return nil
 	}
@@ -250,7 +253,7 @@ func aggregatePartition(f fsio.File, size int64, level int, rng hashRange, fsys 
 // repartition splits an over-budget spill file into sub-partitions over
 // consecutive sub-ranges of rng and aggregates each, in hash order. The
 // sub-spills are cleaned up on success and on every error return path.
-func repartition(f fsio.File, size int64, level int, rng hashRange, fsys fsio.FS, dir string, opts BuildOptions, w *fileWriter) error {
+func repartition(f fsio.File, size int64, level int, rng hashRange, fsys fsio.FS, dir string, opts BuildOptions, w *segmentWriter) error {
 	fanout := int(size/opts.MemoryBudget) + 1
 	if fanout < 2 {
 		fanout = 2

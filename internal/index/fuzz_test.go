@@ -14,10 +14,7 @@ import (
 // manifest or return an error, and never panic. Any accepted input
 // must satisfy the invariants the rest of the index lifecycle assumes.
 func FuzzManifestParse(f *testing.F) {
-	valid, err := json.MarshalIndent(newManifest(Meta{K: 2, T: 4, Seed: 7, NumTexts: 3}, []fileSum{
-		{size: 128, dirCRC: 1, regionCRC: 2},
-		{size: 256, dirCRC: 3, regionCRC: 4},
-	}), "", "  ")
+	valid, err := json.MarshalIndent(newManifest(Meta{K: 2, T: 4, Seed: 7, NumTexts: 3}, segSum{size: 384, footerCRC: 5}), "", "  ")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -29,7 +26,7 @@ func FuzzManifestParse(f *testing.F) {
 	f.Add([]byte(`{"format_version":1,"build_id":"x","meta":{"k":1,"t":2},"files":[{"name":"index.000","size":64}]}`))
 	f.Add([]byte(`{"format_version":1,"build_id":"x","meta":{"k":1,"t":2},"files":[{}]}`))
 	f.Add([]byte(`{"format_version":1,"build_id":"x","meta":{"k":-1,"t":2}}`))
-	// Multi-segment and tombstoned shapes.
+	// Version-2 (one file per function) shapes are no longer read either.
 	f.Add([]byte(`{"format_version":2,"build_id":"x","meta":{"k":1,"t":2,"seed":3,"num_texts":5},` +
 		`"segments":[{"name":"","meta":{"k":1,"t":2,"seed":3,"num_texts":2},"files":[{"name":"index.000"}]},` +
 		`{"name":"seg-000001","meta":{"k":1,"t":2,"seed":3,"num_texts":3},"files":[{"name":"index.000"}],` +
@@ -37,6 +34,12 @@ func FuzzManifestParse(f *testing.F) {
 	f.Add([]byte(`{"format_version":2,"build_id":"x","meta":{"k":1,"t":2},"segments":[{"name":"../evil","meta":{"k":1,"t":2}}]}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte{})
+	// Multi-segment and tombstoned shapes.
+	f.Add([]byte(`{"format_version":3,"build_id":"x","meta":{"k":1,"t":2,"seed":3,"num_texts":5},` +
+		`"segments":[{"name":"seg-000000","meta":{"k":1,"t":2,"seed":3,"num_texts":2},"size":64,"footer_crc32":1},` +
+		`{"name":"seg-000001","meta":{"k":1,"t":2,"seed":3,"num_texts":3},"size":80,"footer_crc32":2,` +
+		`"tombstone":{"name":"tomb-seg-000001-ab","deleted":1,"crc32":9}}]}`))
+	f.Add([]byte(`{"format_version":3,"build_id":"x","meta":{"k":1,"t":2},"segments":[{"name":"","meta":{"k":1,"t":2}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {
@@ -58,12 +61,9 @@ func FuzzManifestParse(f *testing.F) {
 			t.Fatal("accepted manifest without segments")
 		}
 		texts, tokens := 0, int64(0)
-		for i, seg := range m.Segments {
-			if seg.Name == "" && i != 0 {
-				t.Fatalf("accepted root segment at position %d", i)
-			}
-			if len(seg.Files) != seg.Meta.K {
-				t.Fatalf("accepted %d files for segment %q with k=%d", len(seg.Files), seg.Name, seg.Meta.K)
+		for _, seg := range m.Segments {
+			if !validEntryName(seg.Name) {
+				t.Fatalf("accepted segment name %q", seg.Name)
 			}
 			if seg.Meta.K != m.Meta.K || seg.Meta.Seed != m.Meta.Seed || seg.Meta.T != m.Meta.T {
 				t.Fatalf("accepted mixed build options: segment %q %+v vs aggregate %+v", seg.Name, seg.Meta, m.Meta)

@@ -334,19 +334,19 @@ func TestOpenRejectsBadDirs(t *testing.T) {
 	if _, err := Open(dir); err == nil {
 		t.Error("corrupt manifest should fail")
 	}
-	man := newManifest(Meta{K: 1, T: 5}, []fileSum{{size: 64}})
+	man := newManifest(Meta{K: 1, T: 5}, segSum{size: 64})
 	if err := writeManifest(fsio.OS, dir, man); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err == nil {
-		t.Error("missing inverted files should fail")
+		t.Error("missing segment file should fail")
 	}
-	// Garbage inverted file.
-	if err := os.WriteFile(filepath.Join(dir, funcFileName(0)), make([]byte, 64), 0o644); err != nil {
+	// Garbage segment file.
+	if err := os.WriteFile(filepath.Join(dir, segmentName(0)), make([]byte, 64), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err == nil {
-		t.Error("garbage inverted file should fail")
+		t.Error("garbage segment file should fail")
 	}
 }
 

@@ -15,39 +15,29 @@ import (
 
 // The build manifest (index.manifest) is the root of truth for an index
 // directory: it names the set of immutable segments the index is made
-// of, and for every segment the inverted files with their sizes and
-// checksums as written. Open cross-checks the directory against the
-// manifest, so an index assembled from a mix of builds — the signature
-// of a non-atomic rebuild interrupted partway — is rejected with a
-// diagnostic instead of silently serving wrong matches.
+// of, and for every segment its one file's size and footer checksum as
+// written. Open cross-checks the directory against the manifest, so an
+// index assembled from a mix of builds — the signature of a non-atomic
+// rebuild interrupted partway — is rejected with a diagnostic instead of
+// silently serving wrong matches.
 //
-// Format version 2 introduced the segment list: every build produces an
-// immutable segment (the k inverted files), Append adds a new segment
-// directory plus an atomically renamed manifest instead of rewriting
-// the index, deletes are per-segment tombstone bitmaps, and compaction
-// merges the segment set back into one. It is the only version this
-// build reads or writes; the manifest is the only description of an
+// Every build produces an immutable segment, one file holding the k
+// inverted files; Append adds a new segment file plus an atomically
+// renamed manifest instead of rewriting the index, deletes are
+// per-segment tombstone bitmaps, and compaction merges the segment set
+// back into one. Format version 3 made a segment one file; it is the
+// only version this build reads or writes, and an index of an older
+// version must be rebuilt. The manifest is the only description of an
 // index, so a directory without one is refused (*NoManifestError).
 
 const (
 	manifestFileName      = "index.manifest"
-	manifestFormatVersion = 2
+	manifestFormatVersion = 3
 
 	// manifestTmpPattern names in-progress manifest replacements;
 	// sweepSegments removes leftovers of interrupted commits.
 	manifestTmpPattern = manifestFileName + ".tmp-*"
 )
-
-// ManifestFile records one inverted file as the builder wrote it.
-// DirCRC and RegionCRC duplicate the file's trailer checksums, so Open
-// can match file to manifest from bytes it already reads — no extra
-// I/O — while a full re-read is still available via VerifyIntegrity.
-type ManifestFile struct {
-	Name      string `json:"name"`
-	Size      int64  `json:"size"`
-	DirCRC    uint32 `json:"dir_crc32"`
-	RegionCRC uint32 `json:"region_crc32"`
-}
 
 // ManifestTombstone records a segment's tombstone bitmap file: deleted
 // texts are masked out of every read of that segment until compaction
@@ -58,17 +48,19 @@ type ManifestTombstone struct {
 	CRC     uint32 `json:"crc32"`
 }
 
-// ManifestSegment is one immutable segment of the index: a complete set
-// of k inverted files built over a consecutive run of text ids. Name ""
-// means the files live at the index directory root (the layout every
-// builder commits); appended segments live in subdirectories. A
-// segment's texts occupy the global id range starting at the sum of the
-// NumTexts of the segments before it.
+// ManifestSegment is one immutable segment of the index: a segment file
+// in the index directory holding the k inverted files built over a
+// consecutive run of text ids. Size and FooterCRC repeat the file's own
+// length and footer checksum, so Open matches file to manifest from
+// bytes it already reads, while a full re-read is still available via
+// VerifyIntegrity. A segment's texts occupy the global id range starting
+// at the sum of the NumTexts of the segments before it.
 type ManifestSegment struct {
-	Name  string             `json:"name"`
-	Meta  Meta               `json:"meta"`
-	Files []ManifestFile     `json:"files"`
-	Tomb  *ManifestTombstone `json:"tombstone,omitempty"`
+	Name      string             `json:"name"`
+	Meta      Meta               `json:"meta"`
+	Size      int64              `json:"size"`
+	FooterCRC uint32             `json:"footer_crc32"`
+	Tomb      *ManifestTombstone `json:"tombstone,omitempty"`
 }
 
 // Manifest is the on-disk index manifest. Meta aggregates the segment
@@ -116,35 +108,28 @@ func (e *CommitUnconfirmedError) Unwrap() error { return e.Err }
 // with one hash family and match them against lists built with another,
 // silently producing wrong results, so Open rejects it.
 type MixedOptionsError struct {
-	Segment string // segment whose options diverge ("" = directory root)
+	Segment string // segment whose options diverge
 	Got     Meta   // the diverging segment's build options
 	Want    Meta   // the manifest's aggregate build options
 }
 
 func (e *MixedOptionsError) Error() string {
 	return fmt.Sprintf("index: segment %q built with k=%d seed=%d t=%d, segment set requires k=%d seed=%d t=%d: mixed build options",
-		segmentLabel(e.Segment), e.Got.K, e.Got.Seed, e.Got.T, e.Want.K, e.Want.Seed, e.Want.T)
+		e.Segment, e.Got.K, e.Got.Seed, e.Got.T, e.Want.K, e.Want.Seed, e.Want.T)
 }
 
-// segmentLabel names a segment in diagnostics ("(root)" for "").
-func segmentLabel(name string) string {
-	if name == "" {
-		return "(root)"
-	}
-	return name
-}
+// segmentName names the segment file a build writes for n = 0 and the
+// nth appended one.
+func segmentName(n int) string { return fmt.Sprintf("seg-%06d", n) }
 
-// segmentDirName names the nth appended segment's subdirectory.
-func segmentDirName(n int) string { return fmt.Sprintf("seg-%06d", n) }
-
-// nextSegmentName picks a subdirectory name unused by the manifest.
+// nextSegmentName picks a segment file name unused by the manifest.
 func nextSegmentName(m *Manifest) string {
 	used := make(map[string]bool, len(m.Segments))
 	for _, s := range m.Segments {
 		used[s.Name] = true
 	}
 	for n := 1; ; n++ {
-		if name := segmentDirName(n); !used[name] {
+		if name := segmentName(n); !used[name] {
 			return name
 		}
 	}
@@ -171,23 +156,14 @@ func newBuildID() string {
 }
 
 // newManifest assembles the manifest for a completed build: a single
-// root segment holding the k files just written.
-func newManifest(meta Meta, sums []fileSum) Manifest {
-	files := make([]ManifestFile, len(sums))
-	for i, s := range sums {
-		files[i] = ManifestFile{
-			Name:      funcFileName(i),
-			Size:      s.size,
-			DirCRC:    s.dirCRC,
-			RegionCRC: s.regionCRC,
-		}
-	}
+// segment, the file just written.
+func newManifest(meta Meta, sum segSum) Manifest {
 	return Manifest{
 		FormatVersion: manifestFormatVersion,
 		BuildID:       newBuildID(),
 		CreatedUnix:   time.Now().Unix(),
 		Meta:          meta,
-		Segments:      []ManifestSegment{{Name: "", Meta: meta, Files: files}},
+		Segments:      []ManifestSegment{{Name: segmentName(0), Meta: meta, Size: sum.size, FooterCRC: sum.footerCRC}},
 	}
 }
 
@@ -287,7 +263,7 @@ func parseManifest(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("index: manifest has no build id")
 	}
 	if m.FormatVersion != manifestFormatVersion {
-		return nil, fmt.Errorf("index: manifest format version %d, this build understands %d",
+		return nil, fmt.Errorf("index: manifest format version %d, this build understands %d: rebuild the index",
 			m.FormatVersion, manifestFormatVersion)
 	}
 	if err := m.Meta.validate(); err != nil {
@@ -302,9 +278,7 @@ func parseManifest(data []byte) (*Manifest, error) {
 		names     = make(map[string]bool, len(m.Segments))
 	)
 	for i, seg := range m.Segments {
-		if i == 0 && seg.Name == "" {
-			// The root segment: files at the directory top level.
-		} else if !validEntryName(seg.Name) {
+		if !validEntryName(seg.Name) {
 			return nil, fmt.Errorf("index: manifest segment %d has invalid name %q", i, seg.Name)
 		}
 		if names[seg.Name] {
@@ -315,29 +289,19 @@ func parseManifest(data []byte) (*Manifest, error) {
 			return nil, err
 		}
 		if seg.Meta.NumTexts < 0 || seg.Meta.TotalTokens < 0 {
-			return nil, fmt.Errorf("index: manifest segment %q has negative text counts", segmentLabel(seg.Name))
+			return nil, fmt.Errorf("index: manifest segment %q has negative text counts", seg.Name)
 		}
 		if seg.Meta.K != m.Meta.K || seg.Meta.Seed != m.Meta.Seed || seg.Meta.T != m.Meta.T {
 			return nil, &MixedOptionsError{Segment: seg.Name, Got: seg.Meta, Want: m.Meta}
 		}
-		if len(seg.Files) != seg.Meta.K {
-			return nil, fmt.Errorf("index: manifest lists %d files for segment %q with k=%d",
-				len(seg.Files), segmentLabel(seg.Name), seg.Meta.K)
-		}
-		for _, f := range seg.Files {
-			if !validEntryName(f.Name) {
-				return nil, fmt.Errorf("index: manifest segment %q lists invalid file name %q",
-					segmentLabel(seg.Name), f.Name)
-			}
-		}
 		if tomb := seg.Tomb; tomb != nil {
 			if !validEntryName(tomb.Name) {
 				return nil, fmt.Errorf("index: manifest segment %q has invalid tombstone name %q",
-					segmentLabel(seg.Name), tomb.Name)
+					seg.Name, tomb.Name)
 			}
 			if tomb.Deleted <= 0 || tomb.Deleted > seg.Meta.NumTexts {
 				return nil, fmt.Errorf("index: manifest segment %q tombstones %d of %d texts",
-					segmentLabel(seg.Name), tomb.Deleted, seg.Meta.NumTexts)
+					seg.Name, tomb.Deleted, seg.Meta.NumTexts)
 			}
 		}
 		sumTexts += int64(seg.Meta.NumTexts)

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -10,6 +9,7 @@ import (
 
 	"ndss/internal/corpus"
 	"ndss/internal/fsio"
+	"ndss/internal/hash"
 )
 
 // MergeShards merges index directories built over consecutive corpus
@@ -49,8 +49,8 @@ func mergeShardsFS(fsys fsio.FS, shardDirs []string, offsets []uint32, outDir st
 }
 
 // mergeInto is the one multi-part writer: it merges the opened shards'
-// lists, shard i's text ids shifted by offsets[i], into a single root
-// segment staged next to outDir and committed atomically. A shard may
+// lists, shard i's text ids shifted by offsets[i], into a single segment
+// staged next to outDir and committed atomically. A shard may
 // itself be a segment set — each segment is a source of its own, its
 // tombstoned postings dropped — which is all compaction needs.
 func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) error {
@@ -75,27 +75,28 @@ func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) e
 	}
 	// No sweep: BuildSharded's shard workspace matches the orphan pattern
 	// and is still live.
-	return stagedBuild(fsys, outDir, false, func(staging string) (Meta, []fileSum, error) {
-		sums := make([]fileSum, merged.K)
-		bw := newWriteBuffer()
-		for fn := range sums {
-			sum, err := mergeFunc(fsys, srcs, staging, fn, merged, bw)
-			if err != nil {
-				return Meta{}, nil, err
-			}
-			sums[fn] = sum
+	return stagedBuild(fsys, outDir, false, merged, func(path string) (segSum, error) {
+		w, err := newSegmentWriter(fsys, path, merged.K, merged.ZoneMapStep, merged.LongListCutoff)
+		if err != nil {
+			return segSum{}, err
 		}
-		return merged, sums, nil
+		defer w.abort()
+		for fn := 0; fn < merged.K; fn++ {
+			if err := mergeFunc(srcs, fn, w); err != nil {
+				return segSum{}, err
+			}
+		}
+		return w.finish()
 	})
 }
 
-// mergeWindow caps a source's read-ahead window: an inverted file is
+// mergeWindow caps a source's read-ahead window: a function's region is
 // read front to back in chunks of this size, not list by list.
 const mergeWindow = 1 << 20
 
 // mergeSource is one segment's input to the merge of one hash function:
-// a cursor over the file's hash-sorted directory, and a window holding
-// bytes [winOff, winOff+len(win)) of its postings region.
+// a cursor over the function's hash-sorted directory, and a window
+// holding bytes [winOff, winOff+len(win)) of its postings region.
 type mergeSource struct {
 	ix   *Index // the shard the segment belongs to
 	seg  int    // the segment's ordinal within ix
@@ -109,15 +110,15 @@ type mergeSource struct {
 	buf    []byte // window storage, reused across functions
 }
 
-// start points the source at function fn's file.
+// start points the source at function fn's region.
 func (s *mergeSource) start(fn int) {
-	s.ff = s.ix.segs[s.seg].files[fn]
+	s.ff = s.ix.segs[s.seg].funcs[fn]
 	s.row, s.win, s.winOff = 0, nil, 0
 }
 
 // appendList appends the postings of the list at the cursor to dst as
 // records of its hash — tombstoned ids dropped, the rest shifted by
-// base — and advances the cursor. Lists lie in the file in hash order,
+// base — and advances the cursor. Lists lie in the region in hash order,
 // the cursor's order, so a list past the window refills it at the
 // list's offset with up to mergeWindow bytes of the lists that follow.
 func (s *mergeSource) appendList(dst []record) ([]record, error) {
@@ -146,14 +147,9 @@ func (s *mergeSource) appendList(dst []record) ([]record, error) {
 }
 
 // mergeFunc k-way merges one hash function's lists across the sources
-// into one inverted file, list by list in hash order. Memory is the
-// longest merged list plus one window per source, whatever the index
-// size.
-func mergeFunc(fsys fsio.FS, srcs []mergeSource, outDir string, fn int, meta Meta, bw *bufio.Writer) (fileSum, error) {
-	w, err := newFileWriter(fsys, filepath.Join(outDir, funcFileName(fn)), fn, meta.ZoneMapStep, meta.LongListCutoff, bw)
-	if err != nil {
-		return fileSum{}, err
-	}
+// into w, list by list in hash order. Memory is the longest merged list
+// plus one window per source, whatever the index size.
+func mergeFunc(srcs []mergeSource, fn int, w *segmentWriter) error {
 	for i := range srcs {
 		srcs[i].start(fn)
 	}
@@ -179,9 +175,9 @@ func mergeFunc(fsys fsio.FS, srcs []mergeSource, outDir string, fn int, meta Met
 			if s.row >= len(s.ff.hashes) || s.ff.hashes[s.row] != cur {
 				continue
 			}
+			var err error
 			if recs, err = s.appendList(recs); err != nil {
-				w.abort()
-				return fileSum{}, err
+				return err
 			}
 		}
 		// Every posting of this hash may be tombstoned; a list with no
@@ -190,24 +186,23 @@ func mergeFunc(fsys fsio.FS, srcs []mergeSource, outDir string, fn int, meta Met
 			continue
 		}
 		if err := w.addList(cur, recs); err != nil {
-			w.abort()
-			return fileSum{}, err
+			return err
 		}
 	}
-	return w.finish()
+	return w.endFunc()
 }
 
 // Append extends an existing index at dir with new texts (ids continue
-// after the existing corpus) by building one new immutable segment in a
-// subdirectory and atomically committing a manifest that names it —
-// the existing segments are not rewritten or even read. Search results
-// are identical to rebuilding over the concatenated corpus.
+// after the existing corpus) by writing one new immutable segment file
+// into dir and atomically committing a manifest that names it — the
+// existing segments are not rewritten or even read. Search results are
+// identical to rebuilding over the concatenated corpus. Appending no
+// texts is an error, and touches nothing.
 //
-// The new segment is staged and fsynced by the ordinary build commit
-// before the manifest rename publishes it, so a crash at any point
-// leaves the old segment set or the new one, never a mix; a segment
-// directory the manifest never came to name is swept by the next
-// mutation.
+// The segment file and then dir are fsynced before the manifest rename
+// publishes it, so a crash at any point leaves the old segment set or
+// the new one, never a mix; a segment file the manifest never came to
+// name is swept by the next mutation.
 //
 // An error with buildID == "" means nothing was committed and the
 // append is safe to retry. A *CommitUnconfirmedError comes with the
@@ -217,6 +212,9 @@ func Append(dir string, newTexts *corpus.Corpus) (buildID string, err error) {
 }
 
 func appendFS(fsys fsio.FS, dir string, newTexts *corpus.Corpus) (string, error) {
+	if newTexts.NumTexts() == 0 {
+		return "", errors.New("index: append of no texts")
+	}
 	if err := recoverBackup(fsys, dir); err != nil {
 		return "", err
 	}
@@ -224,9 +222,7 @@ func appendFS(fsys fsio.FS, dir string, newTexts *corpus.Corpus) (string, error)
 	if err != nil {
 		return "", err
 	}
-	// Sweep leftovers of crashed prior mutations before our own
-	// workspaces exist; the nested Build below must not re-sweep dir's
-	// siblings (its own staging sweep is scoped to the segment name).
+	// Sweep leftovers of crashed prior mutations before writing.
 	if err := sweepOrphans(fsys, dir); err != nil {
 		return "", err
 	}
@@ -238,50 +234,50 @@ func appendFS(fsys fsio.FS, dir string, newTexts *corpus.Corpus) (string, error)
 		return "", fmt.Errorf("index: append of %d texts would exceed the %d-text id space",
 			newTexts.NumTexts(), uint32(math.MaxUint32))
 	}
-	segName := nextSegmentName(man)
-	segDir := filepath.Join(dir, segName)
 	opts := BuildOptions{
 		K: meta.K, Seed: meta.Seed, T: meta.T,
 		ZoneMapStep: meta.ZoneMapStep, LongListCutoff: meta.LongListCutoff,
 		FS: fsys,
 	}
-	// Build commits the segment directory durably (staged inside dir,
-	// fsynced, renamed into place) before the manifest below names it.
-	// Until then nothing is committed, even a segment whose own commit
-	// is unconfirmed: the next mutation sweeps it.
-	if _, err := Build(newTexts, segDir, opts); err != nil {
-		var unconfirmed *CommitUnconfirmedError
-		if errors.As(err, &unconfirmed) {
-			err = fmt.Errorf("index: commit segment %s: %w", segName, unconfirmed.Err)
-		}
+	if err := opts.setDefaults(); err != nil {
 		return "", err
 	}
-	seg, err := readManifest(fsys, segDir)
+	fam, err := hash.NewFamily(opts.K, opts.Seed)
 	if err != nil {
 		return "", err
 	}
-	man.Segments = append(man.Segments, ManifestSegment{
-		Name:  segName,
-		Meta:  seg.Meta,
-		Files: seg.Segments[0].Files,
-	})
+	segName := nextSegmentName(man)
+	path := filepath.Join(dir, segName)
+	sum, err := buildSegment(newTexts, fam, path, opts, &BuildStats{WindowsPerFunc: make([]int64, opts.K)})
+	if err == nil {
+		// The file's directory entry must be durable before a manifest
+		// can name it.
+		err = fsys.SyncDir(dir)
+	}
+	if err == nil {
+		man.Segments = append(man.Segments, ManifestSegment{
+			Name: segName, Meta: opts.meta(newTexts.NumTexts(), newTexts.TotalTokens()),
+			Size: sum.size, FooterCRC: sum.footerCRC,
+		})
+		err = commitManifest(fsys, dir, man)
+	}
 	// Report the committed build id: once the manifest is renamed into
 	// place the texts are part of the index whether or not the caller
 	// manages to swap a reloaded backend in, and retry decisions (a blind
 	// re-append would duplicate the texts) need the id of the committed
 	// build — also when the commit's trailing fsync failed.
-	if err := commitManifest(fsys, dir, man); err != nil {
-		var unconfirmed *CommitUnconfirmedError
-		if errors.As(err, &unconfirmed) {
-			return man.BuildID, err
-		}
+	var unconfirmed *CommitUnconfirmedError
+	if errors.As(err, &unconfirmed) {
+		return man.BuildID, err
+	}
+	if err != nil {
+		fsys.Remove(path)
 		return "", err
 	}
 	return man.BuildID, nil
 }
 
-// Compact merges the index's segment set back into a single root
-// segment, dropping tombstoned postings for good. Search results are
+// Compact merges the index's segment set back into a single segment, dropping tombstoned postings for good. Search results are
 // byte-identical before and after: text ids are preserved (the id space
 // keeps counting deleted texts — ids are never reused), and per-hash
 // lists end up in the same global order the multi-segment reader

@@ -6,6 +6,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -122,11 +124,21 @@ func TestMergeShardsOffsets(t *testing.T) {
 	}
 }
 
-// readCountFS counts the ReadAt calls made on the files it opens, and
-// the handles it hands out that are still open.
+// readCountFS counts the ReadAt calls made on the files it opens, the
+// files it opens and reads whole, and the handles it hands out that are
+// still open, and logs where every ReadAt went.
 type readCountFS struct {
 	fsio.FS
-	reads, open atomic.Int64
+	reads, open, opened, readFiles atomic.Int64
+
+	mu  sync.Mutex
+	log []readAt // guarded by mu
+}
+
+// readAt is one logged ReadAt: the file and the offset it started at.
+type readAt struct {
+	path string
+	off  int64
 }
 
 func (c *readCountFS) Open(name string) (fsio.File, error) {
@@ -135,7 +147,20 @@ func (c *readCountFS) Open(name string) (fsio.File, error) {
 		return nil, err
 	}
 	c.open.Add(1)
+	c.opened.Add(1)
 	return &readCountFile{File: f, fs: c}, nil
+}
+
+func (c *readCountFS) ReadFile(name string) ([]byte, error) {
+	c.readFiles.Add(1)
+	return c.FS.ReadFile(name)
+}
+
+// readLog returns the logged reads in call order.
+func (c *readCountFS) readLog() []readAt {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.log)
 }
 
 type readCountFile struct {
@@ -145,6 +170,9 @@ type readCountFile struct {
 
 func (f *readCountFile) ReadAt(p []byte, off int64) (int, error) {
 	f.fs.reads.Add(1)
+	f.fs.mu.Lock()
+	f.fs.log = append(f.fs.log, readAt{f.Name(), off})
+	f.fs.mu.Unlock()
 	return f.File.ReadAt(p, off)
 }
 
@@ -154,11 +182,12 @@ func (f *readCountFile) Close() error {
 }
 
 // TestCompactReadBudget pins the streamed merge's reads: compacting a
-// nine-segment set reads each hash-ordered inverted file front to back
-// in windows of at most mergeWindow bytes — ceil(region/window) reads a
-// file on top of what Open reads — never one read per (list, segment).
-// Open's share (header, trailer, directory and zone tables of each file)
-// is counted by opening the same fixture alone.
+// nine-segment set reads each function's hash-ordered region front to
+// back in windows of at most mergeWindow bytes — ceil(region/window)
+// reads a function on top of what Open reads — never one read per
+// (list, segment). Open's share (header, footer, directories and zone
+// tables of each segment file) is counted by opening the same fixture
+// alone.
 func TestCompactReadBudget(t *testing.T) {
 	opts := BuildOptions{K: 4, Seed: 17, T: 10, ZoneMapStep: 8, LongListCutoff: 24}
 	parts := []*corpus.Corpus{testCorpus(t, 40, 30, 140, 60, 7)}
@@ -175,32 +204,32 @@ func TestCompactReadBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	openReads := opened.reads.Load()
-	files, budget, lists := 0, int64(0), 0
+	funcs, budget, lists := 0, int64(0), 0
 	for _, seg := range ix.segs {
-		for _, ff := range seg.files {
-			files++
-			budget += (int64(ff.dirOff) - idxHeaderLen + mergeWindow - 1) / mergeWindow
+		for _, ff := range seg.funcs {
+			funcs++
+			budget += (int64(ff.dirOff-ff.region) + mergeWindow - 1) / mergeWindow
 			lists += len(ff.hashes)
 		}
 	}
 	ix.Close()
-	if files != 9*opts.K {
-		t.Fatalf("fixture has %d inverted files, want %d", files, 9*opts.K)
+	if funcs != 9*opts.K {
+		t.Fatalf("fixture has %d functions, want %d", funcs, 9*opts.K)
 	}
 
 	fsys := &readCountFS{FS: fsio.OS}
 	if err := compactFS(fsys, dir); err != nil {
 		t.Fatal(err)
 	}
-	if openReads <= int64(3*files) {
-		t.Fatalf("Open issued %d reads for %d files: the fixture has no zone tables to read", openReads, files)
+	if openReads <= int64(9*(2+opts.K)) {
+		t.Fatalf("Open issued %d reads for 9 segment files: the fixture has no zone tables to read", openReads)
 	}
 	merged := fsys.reads.Load() - openReads
 	if merged > budget {
-		t.Fatalf("compaction issued %d reads beyond Open's, budget %d (%d lists over %d files)", merged, budget, lists, files)
+		t.Fatalf("compaction issued %d reads beyond Open's, budget %d (%d lists over %d functions)", merged, budget, lists, funcs)
 	}
-	if merged < int64(files) {
-		t.Fatalf("compaction issued %d reads beyond Open's for %d files: the count misses reads", merged, files)
+	if merged < int64(funcs) {
+		t.Fatalf("compaction issued %d reads beyond Open's for %d functions: the count misses reads", merged, funcs)
 	}
 }
 
@@ -219,15 +248,16 @@ func (s *spillLevelFS) CreateTemp(dir, pattern string) (fsio.File, error) {
 	return s.FS.CreateTemp(dir, pattern)
 }
 
-// assertHashOrder fails unless every inverted file under dir lays its
-// lists out back to back from the header to the directory in strictly
-// ascending hash order, zone entries right after their postings — read
-// from the raw directory rows — and Open accepts the index.
+// assertHashOrder fails unless every function of every segment file
+// under dir lays its lists out back to back, from where the previous
+// function's directory ends to its own directory, in strictly ascending
+// hash order, zone entries right after their postings — read from the
+// raw directory rows — and Open accepts the index.
 func assertHashOrder(t *testing.T, label, dir string) {
 	t.Helper()
 	files := 0
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !invertedFileName.MatchString(d.Name()) {
+		if err != nil || d.IsDir() || !segmentFileName.MatchString(d.Name()) {
 			return err
 		}
 		files++
@@ -235,17 +265,23 @@ func assertHashOrder(t *testing.T, label, dir string) {
 		if err != nil {
 			return err
 		}
-		rows, dirOff := rawDirectory(t, data)
-		pos := uint64(idxHeaderLen)
-		for i, r := range rows {
-			if i > 0 && r.hash <= rows[i-1].hash || r.off != pos ||
-				r.zoneCount > 0 && r.zoneOff != pos+uint64(r.count)*postingSize {
-				t.Fatalf("%s: %s row %d (hash %x at %d, zones at %d) breaks hash order at %d", label, path, i, r.hash, r.off, r.zoneOff, pos)
+		funcs := rawSegment(t, data)
+		for fn, f := range funcs {
+			pos := f.region
+			for i, r := range f.rows {
+				if i > 0 && r.hash <= f.rows[i-1].hash || r.off != pos ||
+					r.zoneCount > 0 && r.zoneOff != pos+uint64(r.count)*postingSize {
+					t.Fatalf("%s: %s function %d row %d (hash %x at %d, zones at %d) breaks hash order at %d", label, path, fn, i, r.hash, r.off, r.zoneOff, pos)
+				}
+				pos += uint64(r.count)*postingSize + uint64(r.zoneCount)*zoneEntrySize
 			}
-			pos += uint64(r.count)*postingSize + uint64(r.zoneCount)*zoneEntrySize
+			if pos != f.dirOff {
+				t.Fatalf("%s: %s function %d: lists end at %d, directory at %d", label, path, fn, pos, f.dirOff)
+			}
 		}
-		if pos != dirOff {
-			t.Fatalf("%s: %s: lists end at %d, directory at %d", label, path, pos, dirOff)
+		last := funcs[len(funcs)-1]
+		if end := int64(last.dirOff) + int64(len(last.rows))*dirEntrySize; end != int64(len(data))-footerLen(len(funcs)) {
+			t.Fatalf("%s: %s: functions end at %d, footer at %d", label, path, end, int64(len(data))-footerLen(len(funcs)))
 		}
 		return nil
 	})
@@ -253,7 +289,7 @@ func assertHashOrder(t *testing.T, label, dir string) {
 		t.Fatal(err)
 	}
 	if files == 0 {
-		t.Fatalf("%s: no inverted files under %s", label, dir)
+		t.Fatalf("%s: no segment files under %s", label, dir)
 	}
 	ix, err := Open(dir)
 	if err != nil {
@@ -266,7 +302,7 @@ func assertHashOrder(t *testing.T, label, dir string) {
 // — Build, BuildSharded, BuildExternal under a 2 kB budget that forces
 // recursive partitioning, Append (with a delete) and Compact — and
 // checks that each output lays its lists out in hash order and opens.
-// BuildExternal's files must be byte-identical to Build's.
+// BuildExternal's segment file must be byte-identical to Build's.
 func TestEveryWriterEmitsHashOrder(t *testing.T) {
 	c := goldenCorpus(t)
 	opts := BuildOptions{K: 3, Seed: 11, T: 12, ZoneMapStep: 8, LongListCutoff: 24}
@@ -303,18 +339,16 @@ func TestEveryWriterEmitsHashOrder(t *testing.T) {
 		t.Fatal("the external build never re-partitioned a spill")
 	}
 	assertHashOrder(t, "external", extDir)
-	for fn := 0; fn < opts.K; fn++ {
-		want, err := os.ReadFile(filepath.Join(buildDir, funcFileName(fn)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(extDir, funcFileName(fn)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("BuildExternal's %s differs from Build's", funcFileName(fn))
-		}
+	want, err := os.ReadFile(filepath.Join(buildDir, segmentName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(extDir, segmentName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("BuildExternal's segment file differs from Build's")
 	}
 
 	segDir := buildSegmented(t, opts, testCorpus(t, 30, 30, 140, 60, 7), testCorpus(t, 9, 30, 140, 60, 9))

@@ -6,7 +6,7 @@ import "fmt"
 // inside the manifest (see manifest.go), once per segment and once
 // aggregated over the segment set.
 type Meta struct {
-	// K is the number of hash functions (and inverted files).
+	// K is the number of hash functions (and inverted files a segment holds).
 	K int `json:"k"`
 	// Seed derives the hash family; queries must use the same family.
 	Seed int64 `json:"seed"`
@@ -23,11 +23,6 @@ type Meta struct {
 	// planner defers exactly the lists longer than it (at most beta-1,
 	// longest first).
 	LongListCutoff int `json:"long_list_cutoff"`
-}
-
-// funcFileName names the inverted file of hash function i.
-func funcFileName(i int) string {
-	return fmt.Sprintf("index.%03d", i)
 }
 
 func (m Meta) validate() error {

@@ -33,10 +33,11 @@ func TestReadAtTruncatedFileCountsActualBytes(t *testing.T) {
 	}
 	defer ix.Close()
 
-	// Pick the last list of function 0 (highest offset) so truncating
-	// mid-list leaves the directory of the still-open file readable.
+	// Pick the last list of function 0 and truncate the still-open
+	// segment file in the middle of it: the resident directory keeps
+	// pointing past the new end.
 	fn := 0
-	ff := ix.segs[0].files[fn]
+	ff := ix.segs[0].funcs[fn]
 	target := -1
 	for i := range ff.hashes {
 		if ff.count(i) > 1 {
@@ -51,7 +52,7 @@ func TestReadAtTruncatedFileCountsActualBytes(t *testing.T) {
 	// Truncate the open file halfway through the target list. The index
 	// holds the file handle, so reads past the new size hit EOF.
 	keep := off + int64(ff.count(target)/2)*postingSize
-	if err := os.Truncate(filepath.Join(dir, funcFileName(fn)), keep); err != nil {
+	if err := os.Truncate(ff.path, keep); err != nil {
 		t.Fatal(err)
 	}
 	wantBytes := keep - off // what a full-list read can still get
@@ -122,7 +123,7 @@ func TestHasZoneMap(t *testing.T) {
 		for _, h := range ix.Hashes(fn) {
 			var inBase, zoned, bare, bareLong bool
 			for si, seg := range ix.segs {
-				ff := seg.files[fn]
+				ff := seg.funcs[fn]
 				i, ok := ff.find(h)
 				if !ok {
 					continue
@@ -218,7 +219,7 @@ func TestProbeFromResidentZones(t *testing.T) {
 		}
 		zoned := 0
 		for _, seg := range ix.segs {
-			for _, ff := range seg.files {
+			for _, ff := range seg.funcs {
 				zoned += len(ff.zones)
 			}
 		}
@@ -267,15 +268,14 @@ func TestOpenZoneTableReadFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := ix.segs[len(ix.segs)-1]
-	fn := len(last.files) - 1
-	ff := last.files[fn]
+	ff := last.funcs[len(last.funcs)-1]
 	ix.Close()
 	if len(ff.zones) == 0 {
-		t.Fatal("degenerate fixture: the appended segment's last file has no zone map")
+		t.Fatal("degenerate fixture: the appended segment's last function has no zone map")
 	}
 	off := ff.zoneOff(ff.zones[len(ff.zones)/2])
 
-	counted := &readCountFS{FS: fsio.NewFaultFS(fsio.OS).SetCrash(false).FailReadAt(filepath.Join(last.name, funcFileName(fn)), off)}
+	counted := &readCountFS{FS: fsio.NewFaultFS(fsio.OS).SetCrash(false).FailReadAt(last.path, off)}
 	_, err = OpenFS(counted, dir)
 	var re *ReadError
 	if !errors.As(err, &re) || re.Off != off {
@@ -283,5 +283,50 @@ func TestOpenZoneTableReadFault(t *testing.T) {
 	}
 	if n := counted.open.Load(); n != 0 {
 		t.Fatalf("failed Open leaked %d file handles", n)
+	}
+}
+
+// TestOpenFileBudget pins what Open costs in files: on a base plus two
+// appends plus a tombstone it opens each segment file once and reads the
+// manifest and the tombstone whole — nothing else. Every read Open makes
+// is then failed in turn, and a segment file is removed: each failure is
+// an error, and no handle stays open.
+func TestOpenFileBudget(t *testing.T) {
+	opts := BuildOptions{K: 3, Seed: 13, T: 5, ZoneMapStep: 4, LongListCutoff: 8}
+	dir := buildSegmented(t, opts, testCorpus(t, 30, 40, 120, 50, 11), testCorpus(t, 6, 40, 120, 50, 12), testCorpus(t, 5, 40, 120, 50, 13))
+	if err := Delete(dir, []uint32{33}); err != nil {
+		t.Fatal(err)
+	}
+	counted := &readCountFS{FS: fsio.OS}
+	ix, err := OpenFS(counted, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := ix.Segments()
+	ix.Close()
+	if opened, files := counted.opened.Load(), counted.readFiles.Load(); opened != int64(len(segs)) || files != 2 {
+		t.Fatalf("Open of %d segments opened %d files and read %d whole, want %d and 2 (manifest, tombstone)", len(segs), opened, files, len(segs))
+	}
+	if n := counted.open.Load(); n != 0 {
+		t.Fatalf("Close left %d handles open", n)
+	}
+	for _, at := range counted.readLog() {
+		faulty := &readCountFS{FS: fsio.NewFaultFS(fsio.OS).SetCrash(false).FailReadAt(at.path, at.off)}
+		if _, err := OpenFS(faulty, dir); !errors.Is(err, fsio.ErrInjected) {
+			t.Fatalf("read of %s @%d failed: Open returned %v", at.path, at.off, err)
+		}
+		if n := faulty.open.Load(); n != 0 {
+			t.Fatalf("Open failing at %s @%d leaked %d handles", at.path, at.off, n)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, segs[len(segs)-1].Name)); err != nil {
+		t.Fatal(err)
+	}
+	missing := &readCountFS{FS: fsio.OS}
+	if _, err := OpenFS(missing, dir); err == nil {
+		t.Fatal("Open without the last segment file succeeded")
+	}
+	if n := missing.open.Load(); n != 0 {
+		t.Fatalf("Open missing a segment file leaked %d handles", n)
 	}
 }

@@ -18,11 +18,11 @@ import (
 )
 
 // Index is an opened index directory: an ordered set of immutable
-// segments, each holding k inverted files, plus metadata. Segment i's
-// texts occupy the global id range [base_i, base_i+NumTexts_i), where
-// base_i is the sum of the text counts before it, so reads concatenate
-// per-segment lists in segment order and stay sorted by global text id.
-// It is safe for concurrent readers.
+// segments, each one file holding k inverted files, plus metadata.
+// Segment i's texts occupy the global id range [base_i, base_i+NumTexts_i),
+// where base_i is the sum of the text counts before it, so reads
+// concatenate per-segment lists in segment order and stay sorted by
+// global text id. It is safe for concurrent readers.
 type Index struct {
 	meta    Meta   // aggregate over the segment set
 	buildID string // of the manifest the set was opened from
@@ -35,55 +35,59 @@ type Index struct {
 	readNanos atomic.Int64
 }
 
-// segment is one opened immutable segment: k inverted files, the global
-// text-id base its local ids are offset by, and its tombstone bitmap
-// (nil when nothing is deleted).
+// segment is one opened immutable segment file: its k function views,
+// the global text-id base its local ids are offset by, and its tombstone
+// bitmap (nil when nothing is deleted).
 type segment struct {
-	name  string // "" = files at the index directory root
-	base  uint32 // first global text id of this segment
-	meta  Meta
-	files []*funcFile
-	tomb  *tombSet
+	name      string
+	path      string
+	f         fsio.File
+	size      int64
+	footerCRC uint32
+	base      uint32 // first global text id of this segment
+	meta      Meta
+	funcs     []*funcFile
+	tomb      *tombSet
 }
 
-// funcFile is one opened inverted file with its directory resident in
-// memory. The directory is held column-wise — row i describes the list
-// of hashes[i], rows ascend by hash — in 12 bytes a list instead of the
-// 32 of a dirEntry: lists lie back to back in hash order (Open refuses
-// any other layout), so a row's count and offset derive from the running
-// posting count in starts and the zone side table, kept only for the
-// few (long) lists that have a zone map. Lookups stride over 8-byte
-// hashes. The zone maps themselves are resident too, so a per-text probe
-// searches memory and reads one block.
+// funcFile is the resident view of one function's inverted file inside
+// a segment file. The directory is held column-wise — row i describes
+// the list of hashes[i], rows ascend by hash — in 12 bytes a list
+// instead of the 32 of a dirEntry: lists lie back to back in hash order
+// from the region's start (Open refuses any other layout), so a row's
+// count and offset derive from the running posting count in starts and
+// the zone side table, kept only for the few (long) lists that have a
+// zone map. Lookups stride over 8-byte hashes. The zone maps themselves
+// are resident too, so a per-text probe searches memory and reads one
+// block.
 type funcFile struct {
-	f         fsio.File
+	f         fsio.File // the segment file, shared by its k views
 	path      string
-	size      int64
+	region    uint64 // offset of the function's first list
 	hashes    []uint64
 	starts    []uint32  // starts[i]: postings in rows before i; len(hashes)+1 entries
 	zones     []zoneRef // rows with a zone map, ascending by row
 	zoneTab   []uint32  // every zone map's (firstTextID, ord) pairs, back to back
 	dirOff    uint64
 	regionCRC uint32
-	dirCRC    uint32
 }
 
 // zoneRef is the zone-map part of directory row idx: count entries,
 // stored right after the row's postings in the file and at
 // zoneTab[2*at:] in memory. at is also the number of zone entries in
-// the file before them.
+// the region before them.
 type zoneRef struct {
 	idx, count, at uint32
 }
 
-// ListOrderError reports an inverted file whose lists do not lie back to
-// back in strictly ascending hash order from the header to the
-// directory, or that holds more postings than a uint32 counts. The
-// resident directory derives every list's offset from that layout, so
-// such a file — an older BuildExternal wrote lists in partition order —
-// is refused rather than served: rebuild the index.
+// ListOrderError reports a segment file whose lists do not lie back to
+// back in strictly ascending hash order, each function's from where the
+// previous function's directory ends to its own directory, or a
+// function that holds more postings than a uint32 counts. The resident
+// directory derives every list's offset from that layout, so such a
+// file is refused rather than served: rebuild the index.
 type ListOrderError struct {
-	Path   string // inverted file
+	Path   string // segment file
 	Reason string // the first row that breaks the layout
 }
 
@@ -91,12 +95,12 @@ func (e *ListOrderError) Error() string {
 	return fmt.Sprintf("index: %s: %s: lists must lie back to back in hash order; rebuild the index", e.Path, e.Reason)
 }
 
-// ReadError reports a failed or short read of an inverted file with
+// ReadError reports a failed or short read of a segment file with
 // enough context (file, offset, length) to diagnose which part of which
 // file is unreadable. It wraps the underlying error, so callers can
 // still errors.Is/As through it.
 type ReadError struct {
-	Path string // inverted file the read targeted
+	Path string // segment file the read targeted
 	Off  int64  // absolute file offset of the read
 	Len  int    // bytes requested
 	Err  error  // underlying cause
@@ -111,13 +115,13 @@ func (e *ReadError) Unwrap() error { return e.Err }
 // Open opens an index directory written by one of the builders.
 //
 // The directory is cross-checked against its build manifest: every
-// segment's inverted files must exist with exactly the sizes and
-// checksums the manifest records, so a torn commit or a file swapped in
-// from a different build is rejected with a diagnostic instead of
-// serving wrong results. Segments built with different hash parameters
-// are rejected with a *MixedOptionsError, a directory without a
-// manifest with a *NoManifestError. A leftover commit backup from an
-// interrupted swap is recovered first.
+// segment file must exist with exactly the size and footer checksum the
+// manifest records, so a torn commit or a file swapped in from a
+// different build is rejected with a diagnostic instead of serving wrong
+// results. Segments built with different hash parameters are rejected
+// with a *MixedOptionsError, a directory without a manifest with a
+// *NoManifestError. A leftover commit backup from an interrupted swap is
+// recovered first.
 func Open(dir string) (*Index, error) {
 	return OpenFS(fsio.OS, dir)
 }
@@ -150,25 +154,18 @@ func OpenFS(fsys fsio.FS, dir string) (*Index, error) {
 	return ix, nil
 }
 
-// openSegment opens one segment's k inverted files (cross-checking each
-// against the manifest) and its tombstone bitmap.
+// openSegment opens one segment file, cross-checks it against its
+// manifest record, and loads its tombstone bitmap.
 func openSegment(fsys fsio.FS, dir string, mseg ManifestSegment, base uint32) (*segment, error) {
-	segDir := dir
-	if mseg.Name != "" {
-		segDir = filepath.Join(dir, mseg.Name)
+	seg, err := openSegmentFile(fsys, filepath.Join(dir, mseg.Name), mseg.Meta.K)
+	if err != nil {
+		return nil, err
 	}
-	seg := &segment{name: mseg.Name, base: base, meta: mseg.Meta}
-	for i := 0; i < mseg.Meta.K; i++ {
-		ff, err := openFuncFile(fsys, filepath.Join(segDir, funcFileName(i)), i)
-		if err != nil {
-			seg.close()
-			return nil, err
-		}
-		seg.files = append(seg.files, ff)
-		if err := mseg.checkFile(i, ff.size, ff.dirCRC, ff.regionCRC); err != nil {
-			seg.close()
-			return nil, err
-		}
+	seg.name, seg.base, seg.meta = mseg.Name, base, mseg.Meta
+	if seg.size != mseg.Size || seg.footerCRC != mseg.FooterCRC {
+		seg.close()
+		return nil, fmt.Errorf("index: %s: size %d and footer checksum %08x do not match manifest (size %d, footer %08x): file from a torn or mixed build",
+			seg.path, seg.size, seg.footerCRC, mseg.Size, mseg.FooterCRC)
 	}
 	if mseg.Tomb != nil {
 		tomb, err := readTombstone(fsys, dir, mseg.Tomb, mseg.Meta.NumTexts)
@@ -181,116 +178,123 @@ func openSegment(fsys fsio.FS, dir string, mseg ManifestSegment, base uint32) (*
 	return seg, nil
 }
 
-// close releases the segment's file handles, reporting the first
-// failure.
+// close releases the segment file's handle.
 func (s *segment) close() error {
-	var first error
-	for _, ff := range s.files {
-		if err := ff.f.Close(); err != nil && first == nil {
-			first = err
-		}
+	if s.f == nil {
+		return nil
 	}
-	s.files = nil
-	return first
+	err := s.f.Close()
+	s.f, s.funcs = nil, nil
+	return err
 }
 
-// checkFile cross-checks an opened inverted file against the manifest
-// entry of the same function. The trailer checksums were already read
-// by openFuncFile, so the check costs no extra I/O.
-func (m *ManifestSegment) checkFile(i int, size int64, dirCRC, regionCRC uint32) error {
-	want := m.Files[i]
-	if size != want.Size {
-		return fmt.Errorf("index: segment %s: %s: size %d does not match manifest (want %d): file from a torn or mixed build",
-			segmentLabel(m.Name), want.Name, size, want.Size)
+// openSegmentFile opens the k-function segment file at path and loads
+// its resident function views: one open, one fstat, a read of the header
+// and of the footer, one read per non-empty directory and one per zone
+// map.
+func openSegmentFile(fsys fsio.FS, path string, k int) (*segment, error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("index: open segment file: %w", err)
 	}
-	if dirCRC != want.DirCRC || regionCRC != want.RegionCRC {
-		return fmt.Errorf("index: segment %s: %s: checksums (dir %08x, region %08x) do not match manifest (dir %08x, region %08x): file from a torn or mixed build",
-			segmentLabel(m.Name), want.Name, dirCRC, regionCRC, want.DirCRC, want.RegionCRC)
+	seg := &segment{path: path, f: f}
+	if err := seg.load(k); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return seg, nil
+}
+
+// read fills buf from the segment file at off.
+func (s *segment) read(buf []byte, off int64) error {
+	if _, err := s.f.ReadAt(buf, off); err != nil {
+		return &ReadError{Path: s.path, Off: off, Len: len(buf), Err: err}
 	}
 	return nil
 }
 
-func openFuncFile(fsys fsio.FS, path string, wantIdx int) (*funcFile, error) {
-	f, err := fsys.Open(path)
+func (s *segment) load(k int) error {
+	st, err := s.f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("index: open inverted file: %w", err)
+		return err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
+	s.size = st.Size()
+	footStart := s.size - footerLen(k)
+	if footStart < segHeaderLen {
+		return fmt.Errorf("index: segment file %s too small", s.path)
 	}
-	if st.Size() < idxHeaderLen+trailerLen {
-		f.Close()
-		return nil, fmt.Errorf("index: inverted file %s too small", path)
+	var hdr [segHeaderLen]byte
+	if err := s.read(hdr[:], 0); err != nil {
+		return err
 	}
-	var hdr [idxHeaderLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		f.Close()
-		return nil, &ReadError{Path: path, Off: 0, Len: len(hdr), Err: err}
+	if string(hdr[:8]) != segMagic {
+		return fmt.Errorf("index: %s: bad magic %q", s.path, hdr[:8])
 	}
-	if string(hdr[:8]) != idxMagic {
-		f.Close()
-		return nil, fmt.Errorf("index: %s: bad magic %q", path, hdr[:8])
+	if got := binary.LittleEndian.Uint32(hdr[8:]); got != uint32(k) {
+		return fmt.Errorf("index: %s: holds %d functions, want %d", s.path, got, k)
 	}
-	if got := binary.LittleEndian.Uint32(hdr[8:]); got != uint32(wantIdx) {
-		f.Close()
-		return nil, fmt.Errorf("index: %s: function index %d, want %d", path, got, wantIdx)
+	foot := make([]byte, footerLen(k))
+	if err := s.read(foot, footStart); err != nil {
+		return err
 	}
-	var tb [trailerLen]byte
-	if _, err := f.ReadAt(tb[:], st.Size()-trailerLen); err != nil {
-		f.Close()
-		return nil, &ReadError{Path: path, Off: st.Size() - trailerLen, Len: len(tb), Err: err}
+	rows := foot[:len(foot)-4]
+	s.footerCRC = binary.LittleEndian.Uint32(foot[len(rows):])
+	if got := crc32.ChecksumIEEE(rows); got != s.footerCRC {
+		return fmt.Errorf("index: %s: footer checksum mismatch (%08x != %08x)", s.path, got, s.footerCRC)
 	}
-	dirOff := binary.LittleEndian.Uint64(tb[0:])
-	numLists := binary.LittleEndian.Uint64(tb[8:])
-	regionCRC := binary.LittleEndian.Uint32(tb[16:])
-	dirCRC := binary.LittleEndian.Uint32(tb[20:])
-	if dirOff+numLists*dirEntrySize+trailerLen != uint64(st.Size()) {
-		f.Close()
-		return nil, fmt.Errorf("index: %s: inconsistent trailer", path)
+	region := uint64(segHeaderLen)
+	s.funcs = make([]*funcFile, k)
+	for fn := range s.funcs {
+		row := rows[fn*footerRowLen:]
+		ff := &funcFile{
+			f:         s.f,
+			path:      s.path,
+			region:    region,
+			dirOff:    binary.LittleEndian.Uint64(row[0:]),
+			regionCRC: binary.LittleEndian.Uint32(row[16:]),
+		}
+		numLists, dirCRC := binary.LittleEndian.Uint64(row[8:]), binary.LittleEndian.Uint32(row[20:])
+		if ff.dirOff > uint64(footStart) || numLists > (uint64(footStart)-ff.dirOff)/dirEntrySize {
+			return fmt.Errorf("index: %s: function %d directory (%d lists at %d) runs past the footer", s.path, fn, numLists, ff.dirOff)
+		}
+		buf := make([]byte, numLists*dirEntrySize)
+		if len(buf) > 0 {
+			if err := s.read(buf, int64(ff.dirOff)); err != nil {
+				return err
+			}
+		}
+		if got := crc32.ChecksumIEEE(buf); got != dirCRC {
+			return fmt.Errorf("index: %s: function %d directory checksum mismatch (%08x != %08x)", s.path, fn, got, dirCRC)
+		}
+		entries, err := ff.decodeDirectory(buf)
+		if err == nil {
+			err = ff.loadZones(entries)
+		}
+		if err != nil {
+			return err
+		}
+		s.funcs[fn] = ff
+		region = ff.dirOff + uint64(len(buf))
 	}
-	buf := make([]byte, numLists*dirEntrySize)
-	if _, err := f.ReadAt(buf, int64(dirOff)); err != nil {
-		f.Close()
-		return nil, &ReadError{Path: path, Off: int64(dirOff), Len: len(buf), Err: err}
+	if region != uint64(footStart) {
+		return &ListOrderError{Path: s.path, Reason: fmt.Sprintf("functions end at %d, footer starts at %d", region, footStart)}
 	}
-	if got := crc32.ChecksumIEEE(buf); got != dirCRC {
-		f.Close()
-		return nil, fmt.Errorf("index: %s: directory checksum mismatch (%08x != %08x)", path, got, dirCRC)
-	}
-	ff := &funcFile{
-		f:         f,
-		path:      path,
-		size:      st.Size(),
-		dirOff:    dirOff,
-		regionCRC: regionCRC,
-		dirCRC:    dirCRC,
-	}
-	entries, err := ff.decodeDirectory(buf)
-	if err == nil {
-		err = ff.loadZones(entries)
-	}
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return ff, nil
+	return nil
 }
 
 // decodeDirectory loads the directory rows in buf into the resident
-// columns and returns the file's number of zone entries. Every row's
+// columns and returns the function's number of zone entries. Every row's
 // postingsOff and zoneOff must be the offset the columns derive — lists
-// back to back from the header to dirOff in strictly ascending hash
-// order — and the file may hold at most MaxUint32 postings; anything
-// else is a *ListOrderError.
+// back to back from the region's start to dirOff in strictly ascending
+// hash order — and the function may hold at most MaxUint32 postings;
+// anything else is a *ListOrderError.
 func (ff *funcFile) decodeDirectory(buf []byte) (uint32, error) {
 	n := len(buf) / dirEntrySize
 	ff.hashes = make([]uint64, n)
 	ff.starts = make([]uint32, n+1)
 	var postings uint64
 	var entries uint32
-	pos := uint64(idxHeaderLen)
+	pos := ff.region
 	for i := range ff.hashes {
 		b := buf[i*dirEntrySize:]
 		h, off := binary.LittleEndian.Uint64(b[0:]), binary.LittleEndian.Uint64(b[8:])
@@ -329,9 +333,9 @@ func (ff *funcFile) orderError(format string, args ...any) error {
 	return &ListOrderError{Path: ff.path, Reason: fmt.Sprintf(format, args...)}
 }
 
-// loadZones reads every zone map of the file into zoneTab, one read per
-// zone-mapped list: 8 bytes of memory per ZoneMapStep postings of the
-// long lists. A map's ordinals must start at 0 and ascend within its
+// loadZones reads every zone map of the function into zoneTab, one read
+// per zone-mapped list: 8 bytes of memory per ZoneMapStep postings of
+// the long lists. A map's ordinals must start at 0 and ascend within its
 // list, and its first text ids must not descend — the probe's block
 // arithmetic relies on both — so a corrupt one fails Open instead of a
 // query.
@@ -361,21 +365,21 @@ func (ff *funcFile) loadZones(entries uint32) error {
 	return nil
 }
 
-// VerifyIntegrity re-reads every segment's postings/zones regions and
-// checks them against the checksums recorded at build time. It reads
+// VerifyIntegrity re-reads every function region of every segment file
+// and checks it against the checksum recorded at build time. It reads
 // each file fully, so it is an explicit maintenance operation rather
 // than part of Open.
 func (ix *Index) VerifyIntegrity() error {
 	for _, seg := range ix.segs {
-		for fn, ff := range seg.files {
+		for fn, ff := range seg.funcs {
 			h := crc32.NewIEEE()
-			region := io.NewSectionReader(ff.f, idxHeaderLen, int64(ff.dirOff)-idxHeaderLen)
+			region := io.NewSectionReader(ff.f, int64(ff.region), int64(ff.dirOff-ff.region))
 			if _, err := io.Copy(h, region); err != nil {
-				return fmt.Errorf("index: verify segment %s function %d: %w", segmentLabel(seg.name), fn, err)
+				return fmt.Errorf("index: verify segment %s function %d: %w", seg.name, fn, err)
 			}
 			if got := h.Sum32(); got != ff.regionCRC {
 				return fmt.Errorf("index: segment %s function %d postings region corrupt (crc %08x != %08x)",
-					segmentLabel(seg.name), fn, got, ff.regionCRC)
+					seg.name, fn, got, ff.regionCRC)
 			}
 		}
 	}
@@ -415,7 +419,7 @@ func (ix *Index) SegmentCount() int { return len(ix.segs) }
 
 // SegmentInfo describes one opened segment for tooling and metrics.
 type SegmentInfo struct {
-	Name        string // "" = directory root
+	Name        string // the segment file in the index directory
 	Base        uint32 // first global text id
 	NumTexts    int
 	TotalTokens int64
@@ -435,8 +439,8 @@ func (ix *Index) Segments() []SegmentInfo {
 			TotalTokens: seg.meta.TotalTokens,
 			Tombstoned:  seg.tomb.count(),
 		}
-		for _, ff := range seg.files {
-			info.SizeOnDisk += ff.size
+		info.SizeOnDisk = seg.size
+		for _, ff := range seg.funcs {
 			info.Postings += ff.postings()
 		}
 		out[i] = info
@@ -468,8 +472,9 @@ func (ff *funcFile) zone(i int) (zoneRef, bool) {
 // count returns the posting count of directory row i.
 func (ff *funcFile) count(i int) int { return int(ff.starts[i+1] - ff.starts[i]) }
 
-// off returns the file offset of directory row i's postings: the header,
-// then the postings and zone entries of every earlier row.
+// off returns the file offset of directory row i's postings: the
+// region's start, then the postings and zone entries of every earlier
+// row.
 func (ff *funcFile) off(i int) int64 {
 	var zoneEntries uint32
 	if z, _ := ff.zonePos(i); z < len(ff.zones) {
@@ -477,16 +482,16 @@ func (ff *funcFile) off(i int) int64 {
 	} else if z > 0 {
 		zoneEntries = ff.zones[z-1].at + ff.zones[z-1].count
 	}
-	return idxHeaderLen + postingSize*int64(ff.starts[i]) + zoneEntrySize*int64(zoneEntries)
+	return int64(ff.region) + postingSize*int64(ff.starts[i]) + zoneEntrySize*int64(zoneEntries)
 }
 
 // zoneOff returns the file offset of z's zone entries, right after its
 // list's postings.
 func (ff *funcFile) zoneOff(z zoneRef) int64 {
-	return idxHeaderLen + postingSize*int64(ff.starts[z.idx+1]) + zoneEntrySize*int64(z.at)
+	return int64(ff.region) + postingSize*int64(ff.starts[z.idx+1]) + zoneEntrySize*int64(z.at)
 }
 
-// postings returns the file's total posting count.
+// postings returns the function's total posting count.
 func (ff *funcFile) postings() int64 { return int64(ff.starts[len(ff.hashes)]) }
 
 // ListLength returns the posting count of the inverted list for hash h
@@ -496,8 +501,8 @@ func (ff *funcFile) postings() int64 { return int64(ff.starts[len(ff.hashes)]) }
 func (ix *Index) ListLength(fn int, h uint64) int {
 	n := 0
 	for _, seg := range ix.segs {
-		if i, ok := seg.files[fn].find(h); ok {
-			n += seg.files[fn].count(i)
+		if i, ok := seg.funcs[fn].find(h); ok {
+			n += seg.funcs[fn].count(i)
 		}
 	}
 	return n
@@ -514,7 +519,7 @@ func (ix *Index) ListLength(fn int, h uint64) int {
 func (ix *Index) HasZoneMap(fn int, h uint64) bool {
 	zoned := false
 	for _, seg := range ix.segs {
-		ff := seg.files[fn]
+		ff := seg.funcs[fn]
 		i, ok := ff.find(h)
 		if !ok {
 			continue
@@ -532,11 +537,11 @@ func (ix *Index) HasZoneMap(fn int, h uint64) bool {
 // function fn, in ascending order, deduplicated across segments.
 func (ix *Index) Hashes(fn int) []uint64 {
 	if len(ix.segs) == 1 {
-		return slices.Clone(ix.segs[0].files[fn].hashes)
+		return slices.Clone(ix.segs[0].funcs[fn].hashes)
 	}
 	var all []uint64
 	for _, seg := range ix.segs {
-		all = append(all, seg.files[fn].hashes...)
+		all = append(all, seg.funcs[fn].hashes...)
 	}
 	slices.Sort(all)
 	return slices.Compact(all)
@@ -546,7 +551,7 @@ func (ix *Index) Hashes(fn int) []uint64 {
 // function fn, unordered. Used to pick prefix-filtering cutoffs.
 func (ix *Index) ListLengths(fn int) []int {
 	if len(ix.segs) == 1 {
-		ff := ix.segs[0].files[fn]
+		ff := ix.segs[0].funcs[fn]
 		out := make([]int, len(ff.hashes))
 		for i := range out {
 			out[i] = ff.count(i)
@@ -555,7 +560,7 @@ func (ix *Index) ListLengths(fn int) []int {
 	}
 	counts := make(map[uint64]int)
 	for _, seg := range ix.segs {
-		ff := seg.files[fn]
+		ff := seg.funcs[fn]
 		for i, h := range ff.hashes {
 			counts[h] += ff.count(i)
 		}
@@ -611,7 +616,7 @@ func (ix *Index) readAt(ff *funcFile, seg int, buf []byte, off int64, sink *IOSt
 func (ix *Index) ReadListInto(dst []Posting, fn int, h uint64, sink *IOStats) ([]Posting, error) {
 	out := dst
 	for si, seg := range ix.segs {
-		ff := seg.files[fn]
+		ff := seg.funcs[fn]
 		i, ok := ff.find(h)
 		if !ok {
 			continue
@@ -650,7 +655,7 @@ func (ix *Index) ReadListForTextInto(dst []Posting, fn int, h uint64, textID uin
 	if seg.tomb.has(local) {
 		return dst, nil
 	}
-	ff := seg.files[fn]
+	ff := seg.funcs[fn]
 	i, ok := ff.find(h)
 	if !ok {
 		return dst, nil
@@ -787,22 +792,20 @@ func (ix *Index) IOStats() IOStats {
 func (ix *Index) TotalPostings() int64 {
 	var n int64
 	for _, seg := range ix.segs {
-		for _, ff := range seg.files {
+		for _, ff := range seg.funcs {
 			n += ff.postings()
 		}
 	}
 	return n
 }
 
-// SizeOnDisk sums the sizes of every segment's inverted files, as
-// validated against the manifest at Open. The error is always nil; the
-// signature predates that validation.
+// SizeOnDisk sums the sizes of every segment file, as validated against
+// the manifest at Open. The error is always nil; the signature predates
+// that validation.
 func (ix *Index) SizeOnDisk() (int64, error) {
 	var n int64
 	for _, seg := range ix.segs {
-		for _, ff := range seg.files {
-			n += ff.size
-		}
+		n += seg.size
 	}
 	return n, nil
 }

@@ -31,6 +31,20 @@ func buildSegmented(t *testing.T, opts BuildOptions, parts ...*corpus.Corpus) st
 	return dir
 }
 
+// segmentFile returns the path of segment seg's file in the index at
+// dir and the offset of function fn's lists in it, for tests that fault
+// or damage a read of one function.
+func segmentFile(t *testing.T, dir string, seg, fn int) (string, int64) {
+	t.Helper()
+	ix, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	s := ix.segs[seg]
+	return s.path, int64(s.funcs[fn].region)
+}
+
 // allLists snapshots every inverted list of every function, in order —
 // the full observable read surface of the index.
 func allLists(t *testing.T, ix *Index) map[int]map[uint64][]Posting {
@@ -82,8 +96,8 @@ func assertSameLists(t *testing.T, want, got map[int]map[uint64][]Posting) {
 }
 
 // TestAppendWritesOnlySegment is the point of the refactor: appending
-// must not rewrite the existing segments — only a new segment directory
-// and a renamed manifest appear.
+// must not rewrite the existing segments — only a new segment file and a
+// renamed manifest appear.
 func TestAppendWritesOnlySegment(t *testing.T) {
 	base := testCorpus(t, 14, 30, 60, 100, 7)
 	extra := testCorpus(t, 9, 30, 60, 100, 9)
@@ -92,25 +106,16 @@ func TestAppendWritesOnlySegment(t *testing.T) {
 	if _, err := Build(base, dir, opts); err != nil {
 		t.Fatal(err)
 	}
-	before := make(map[string][]byte)
-	for fn := 0; fn < opts.K; fn++ {
-		data, err := os.ReadFile(filepath.Join(dir, funcFileName(fn)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[funcFileName(fn)] = data
+	root := filepath.Join(dir, segmentName(0))
+	before, err := os.ReadFile(root)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if _, err := Append(dir, extra); err != nil {
 		t.Fatal(err)
 	}
-	for name, want := range before {
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("append rewrote root segment file %s", name)
-		}
+	if after, err := os.ReadFile(root); err != nil || string(after) != string(before) {
+		t.Fatalf("append rewrote the base segment file: %v", err)
 	}
 	ix, err := Open(dir)
 	if err != nil {
@@ -121,14 +126,43 @@ func TestAppendWritesOnlySegment(t *testing.T) {
 		t.Fatalf("segment count = %d, want 2", ix.SegmentCount())
 	}
 	segs := ix.Segments()
-	if segs[0].Name != "" || segs[1].Name != segmentDirName(1) {
+	if segs[0].Name != segmentName(0) || segs[1].Name != segmentName(1) {
 		t.Fatalf("unexpected segment names: %+v", segs)
 	}
 	if segs[1].Base != uint32(base.NumTexts()) {
 		t.Fatalf("appended segment based at %d, want %d", segs[1].Base, base.NumTexts())
 	}
-	if st, err := os.Stat(filepath.Join(dir, segmentDirName(1), funcFileName(0))); err != nil || st.Size() == 0 {
-		t.Fatalf("appended segment files missing: %v", err)
+	if st, err := os.Stat(filepath.Join(dir, segmentName(1))); err != nil || st.Size() != segs[1].SizeOnDisk {
+		t.Fatalf("appended segment file missing: %v", err)
+	}
+	if m, _ := filepath.Glob(filepath.Join(dir, "*", manifestFileName)); len(m) != 0 {
+		t.Fatalf("append left a nested manifest: %v", m)
+	}
+}
+
+// TestAppendRefusesEmpty: appending no texts is an error that touches
+// nothing — not one mutating filesystem operation, no new build.
+func TestAppendRefusesEmpty(t *testing.T) {
+	dir := buildSegmented(t, BuildOptions{K: 2, Seed: 17, T: 10}, testCorpus(t, 14, 30, 60, 100, 7))
+	before, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before.Close()
+	counter := fsio.NewFaultFS(fsio.OS)
+	if id, err := appendFS(counter, dir, corpus.New(nil)); err == nil || id != "" {
+		t.Fatalf("empty append: build %q, err %v; want an error and no build", id, err)
+	}
+	if n := counter.Ops(); n != 0 {
+		t.Fatalf("empty append ran %d mutating ops", n)
+	}
+	after, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer after.Close()
+	if after.BuildID() != before.BuildID() || after.SegmentCount() != 1 {
+		t.Fatalf("empty append changed the index: build %s -> %s, %d segments", before.BuildID(), after.BuildID(), after.SegmentCount())
 	}
 }
 
@@ -217,8 +251,8 @@ func TestMixedOptionsRejected(t *testing.T) {
 	if !errors.As(err, &mixed) {
 		t.Fatalf("error is not a MixedOptionsError: %v", err)
 	}
-	if mixed.Segment != segmentDirName(1) {
-		t.Fatalf("error names segment %q, want %q", mixed.Segment, segmentDirName(1))
+	if mixed.Segment != segmentName(1) {
+		t.Fatalf("error names segment %q, want %q", mixed.Segment, segmentName(1))
 	}
 }
 
@@ -326,11 +360,12 @@ func TestCompactEquivalence(t *testing.T) {
 	if err := after.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	// Old segment directories and tombstone files are gone.
-	for _, pattern := range []string{"seg-*", "tomb-*"} {
-		if m, _ := filepath.Glob(filepath.Join(dir, pattern)); len(m) != 0 {
-			t.Fatalf("compaction left %v behind", m)
-		}
+	// Old segment files and tombstone files are gone.
+	if m, _ := filepath.Glob(filepath.Join(dir, "seg-*")); len(m) != 1 || filepath.Base(m[0]) != after.Segments()[0].Name {
+		t.Fatalf("compaction left segment files %v, want only %s", m, after.Segments()[0].Name)
+	}
+	if m, _ := filepath.Glob(filepath.Join(dir, "tomb-*")); len(m) != 0 {
+		t.Fatalf("compaction left %v behind", m)
 	}
 
 	// Compacting an already-compact index is a no-op: same build id.
@@ -370,7 +405,7 @@ func TestCompactUnderReadFaults(t *testing.T) {
 	before.Close()
 
 	ffs := fsio.NewFaultFS(fsio.OS).SetCrash(false)
-	ffs.FailReadAt(funcFileName(0), idxHeaderLen+4)
+	ffs.FailReadAt(segmentFile(t, dir, 0, 0))
 	err = compactFS(ffs, dir)
 	if err == nil {
 		t.Fatal("compaction read through an injected fault")

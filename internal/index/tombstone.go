@@ -11,7 +11,7 @@ import (
 )
 
 // Per-segment tombstone bitmaps. Segments are immutable, so a delete
-// never touches an inverted file: it writes a fresh bitmap naming the
+// never touches a segment file: it writes a fresh bitmap naming the
 // segment's dead local text ids and commits a manifest pointing at it.
 // Readers consult the bitmap at gather time — a tombstoned text never
 // becomes a candidate — and compaction drops the dead postings for
@@ -98,8 +98,7 @@ func parseTombstone(data []byte, want *ManifestTombstone, numTexts int) (*tombSe
 }
 
 // readTombstone loads a segment's tombstone bitmap from the index
-// directory root (tombstone files live next to the manifest, not
-// inside the immutable segment directories).
+// directory, where it lives beside the manifest and the segment files.
 func readTombstone(fsys fsio.FS, dir string, want *ManifestTombstone, numTexts int) (*tombSet, error) {
 	data, err := fsys.ReadFile(filepath.Join(dir, want.Name))
 	if err != nil {
@@ -113,11 +112,7 @@ func readTombstone(fsys fsio.FS, dir string, want *ManifestTombstone, numTexts i
 // until the caller commits a manifest naming it, so a crash leaves only
 // a sweepable orphan.
 func writeTombstone(fsys fsio.FS, dir, segName string, t *tombSet) (*ManifestTombstone, error) {
-	label := segName
-	if label == "" {
-		label = "root"
-	}
-	name := fmt.Sprintf("tomb-%s-%s", label, newBuildID())
+	name := fmt.Sprintf("tomb-%s-%s", segName, newBuildID())
 	data, crc := encodeTombstone(t)
 	if err := fsio.WriteFileSync(fsys, filepath.Join(dir, name), data); err != nil {
 		return nil, fmt.Errorf("index: write tombstone %s: %w", name, err)

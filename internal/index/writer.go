@@ -10,36 +10,44 @@ import (
 	"ndss/internal/fsio"
 )
 
-// Per-function inverted file layout (little-endian):
+// Segment file layout (little-endian): one file holds a segment's k
+// inverted files, one region per hash function.
 //
-//	magic   [8]byte  "NDSSIDX1"
-//	funcIdx uint32
-//	flags   uint32
-//	lists:   in ascending hash order, back to back: for each list, count
-//	         postings of 16 bytes (sorted by text id), immediately
-//	         followed by its zone entries (8 bytes each) when the list is
-//	         long enough to carry a zone map
-//	directory: numLists entries of 32 bytes, in the same (hash) order:
-//	         hash u64 | postingsOff u64 | count u32 | zoneCount u32 |
-//	         zoneOff u64
-//	trailer: dirOff u64 | numLists u64 | regionCRC u32 | dirCRC u32
+//	header:  magic [8]byte "NDSSSEG1" | k uint32 | flags uint32
+//	for each function in order, back to back:
+//	  lists:     in ascending hash order, back to back: for each list,
+//	             count postings of 16 bytes (sorted by text id),
+//	             immediately followed by its zone entries (8 bytes each)
+//	             when the list is long enough to carry a zone map
+//	  directory: numLists entries of 32 bytes, in the same (hash) order:
+//	             hash u64 | postingsOff u64 | count u32 | zoneCount u32 |
+//	             zoneOff u64
+//	footer:  k rows of dirOff u64 | numLists u64 | regionCRC u32 | dirCRC u32,
+//	         then footerCRC u32, the CRC-32 of the k rows
 //
-// dirCRC (IEEE CRC-32 of the directory bytes) is verified when the file
-// is opened; regionCRC covers the postings/zones region and is checked
-// on demand by Index.VerifyIntegrity, since validating it requires
-// reading the whole file. Both checksums are also recorded in the build
-// manifest so Open can reject a file from a different build. Open also
-// refuses a file whose directory offsets are not the ones the hash-order
-// layout implies (ListOrderError): the reader keeps only hashes and
-// running posting counts resident and derives offsets from them.
+// Offsets are absolute. A function's region starts where the previous
+// function's directory ends (function 0's right after the header), and
+// the last directory ends where the footer starts. The footer is
+// verified when the file is opened and its CRC is recorded in the
+// manifest, so Open rejects a file from a different build; each dirCRC
+// (IEEE CRC-32 of a directory) is verified as the directory is loaded,
+// and each regionCRC, covering a function's postings/zones region, on
+// demand by Index.VerifyIntegrity, since validating it requires reading
+// the whole file. Open also refuses a function whose directory offsets
+// are not the ones the back-to-back layout implies (ListOrderError): the
+// reader keeps only hashes and running posting counts resident and
+// derives offsets from them.
 
 const (
-	idxMagic      = "NDSSIDX1"
-	idxHeaderLen  = 16
+	segMagic      = "NDSSSEG1"
+	segHeaderLen  = 16
 	dirEntrySize  = 32
 	zoneEntrySize = 8
-	trailerLen    = 24
+	footerRowLen  = 24
 )
+
+// footerLen is the size of a k-function segment file's footer.
+func footerLen(k int) int64 { return int64(k)*footerRowLen + 4 }
 
 // dirEntry is one directory row describing an inverted list.
 type dirEntry struct {
@@ -57,74 +65,72 @@ type zoneEntry struct {
 	Ordinal     uint32 // index of the zone's first posting within the list
 }
 
-// fileSum describes a finished inverted file for the build manifest.
-type fileSum struct {
+// segSum describes a finished segment file for the build manifest.
+type segSum struct {
 	size      int64
-	dirCRC    uint32
-	regionCRC uint32
+	footerCRC uint32
 }
 
-// fileWriter streams one inverted file. Lists must be added in strictly
-// ascending hash order, the only layout Open accepts; finish checks it
-// before writing the directory. Every failure
-// exit — including failures inside finish — removes the partial file,
-// so an interrupted build never leaves a stray index.NNN behind.
-type fileWriter struct {
+// segmentWriter streams one segment file: the k functions in order, one
+// create, one buffered writer and one fsync for all of them. Lists must
+// be added in strictly ascending hash order, the only layout Open
+// accepts; endFunc checks it before writing the function's directory,
+// so only one function's directory is ever held in memory. Every
+// failure exit of endFunc and finish removes the partial file, and abort
+// does on the caller's failure paths, so an interrupted write never
+// leaves a stray segment file behind.
+type segmentWriter struct {
 	fs         fsio.FS
 	path       string
 	f          fsio.File
 	w          *bufio.Writer
+	k          int
 	pos        uint64
-	entries    []dirEntry
+	entries    []dirEntry // the current function's directory
+	footer     []byte     // the finished functions' footer rows
 	zoneStep   int
 	longCutoff int
 	buf        []byte
-	regionCRC  uint32 // running CRC of the postings/zones region
+	regionCRC  uint32 // running CRC of the current function's region
 	closed     bool
 }
 
-// newWriteBuffer returns the buffer a builder resets onto each of the k
-// files it writes one after another, rather than allocating and zeroing
-// a megabyte per file.
-func newWriteBuffer() *bufio.Writer { return bufio.NewWriterSize(nil, 1<<20) }
-
-// newFileWriter starts the inverted file at path. bw is reset onto it
-// and belongs to this writer until finish or abort.
-func newFileWriter(fsys fsio.FS, path string, funcIdx, zoneStep, longCutoff int, bw *bufio.Writer) (*fileWriter, error) {
+// newSegmentWriter creates the segment file at path for k functions.
+func newSegmentWriter(fsys fsio.FS, path string, k, zoneStep, longCutoff int) (*segmentWriter, error) {
 	if zoneStep < 1 {
 		return nil, fmt.Errorf("index: zone step must be positive, got %d", zoneStep)
 	}
 	f, err := fsys.Create(path)
 	if err != nil {
-		return nil, fmt.Errorf("index: create inverted file: %w", err)
+		return nil, fmt.Errorf("index: create segment file: %w", err)
 	}
-	bw.Reset(f)
-	w := &fileWriter{
+	w := &segmentWriter{
 		fs:         fsys,
 		path:       path,
 		f:          f,
-		w:          bw,
+		w:          bufio.NewWriterSize(f, 1<<20),
+		k:          k,
 		zoneStep:   zoneStep,
 		longCutoff: longCutoff,
 	}
-	var hdr [idxHeaderLen]byte
-	copy(hdr[:8], idxMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(funcIdx))
+	var hdr [segHeaderLen]byte
+	copy(hdr[:8], segMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(k))
 	if _, err := w.w.Write(hdr[:]); err != nil {
-		w.discard()
+		w.abort()
 		return nil, err
 	}
-	w.pos = idxHeaderLen
+	w.pos = segHeaderLen
 	return w, nil
 }
 
-// addList writes one inverted list. recs must all carry the hash h and
-// be strictly ascending in (text id, L): zone maps and per-text probes
-// search on that order, so breaking it is a build error here rather than
-// postings a query silently misses. A hash written twice (lists must be
-// aggregated before reaching the writer) or out of hash order is
-// detected at finish.
-func (w *fileWriter) addList(h uint64, recs []record) error {
+// addList writes one inverted list of the current function. recs must
+// all carry the hash h and be strictly ascending in (text id, L): zone
+// maps and per-text probes search on that order, so breaking it is a
+// build error here rather than postings a query silently misses. A hash
+// written twice (lists must be aggregated before reaching the writer) or
+// out of hash order is detected at endFunc.
+func (w *segmentWriter) addList(h uint64, recs []record) error {
 	if len(recs) == 0 {
 		return errors.New("index: empty inverted list")
 	}
@@ -169,21 +175,29 @@ func (w *fileWriter) addList(h uint64, recs []record) error {
 	return nil
 }
 
-// finish writes the directory and trailer, fsyncs, and closes the
-// file. It returns the file's size and checksums for the build
-// manifest. Any failure removes the partial file.
-func (w *fileWriter) finish() (fileSum, error) {
-	if w.closed {
-		return fileSum{}, errors.New("index: writer already finished")
+// endFunc writes the current function's directory, records its footer
+// row and starts the next function's region. Any failure removes the
+// partial file.
+func (w *segmentWriter) endFunc() error {
+	if err := w.writeDirectory(); err != nil {
+		w.abort()
+		return err
 	}
-	w.closed = true
+	return nil
+}
+
+func (w *segmentWriter) writeDirectory() error {
+	if w.closed {
+		return errors.New("index: writer already finished")
+	}
+	if len(w.footer) == w.k*footerRowLen {
+		return fmt.Errorf("index: segment file already holds its %d functions", w.k)
+	}
 	for i := 1; i < len(w.entries); i++ {
 		if h, prev := w.entries[i].Hash, w.entries[i-1].Hash; h == prev {
-			w.remove()
-			return fileSum{}, fmt.Errorf("index: hash %x written as two lists", h)
+			return fmt.Errorf("index: hash %x written as two lists", h)
 		} else if h < prev {
-			w.remove()
-			return fileSum{}, fmt.Errorf("index: list %x written after list %x: lists must arrive in hash order", h, prev)
+			return fmt.Errorf("index: list %x written after list %x: lists must arrive in hash order", h, prev)
 		}
 	}
 	dirOff := w.pos
@@ -196,54 +210,59 @@ func (w *fileWriter) finish() (fileSum, error) {
 		binary.LittleEndian.PutUint32(eb[20:], e.ZoneCount)
 		binary.LittleEndian.PutUint64(eb[24:], e.ZoneOff)
 		if _, err := w.w.Write(eb[:]); err != nil {
-			w.remove()
-			return fileSum{}, err
+			return err
 		}
 		dirCRC = crc32.Update(dirCRC, crc32.IEEETable, eb[:])
 	}
 	w.pos += uint64(len(w.entries) * dirEntrySize)
-	var tb [trailerLen]byte
-	binary.LittleEndian.PutUint64(tb[0:], dirOff)
-	binary.LittleEndian.PutUint64(tb[8:], uint64(len(w.entries)))
-	binary.LittleEndian.PutUint32(tb[16:], w.regionCRC)
-	binary.LittleEndian.PutUint32(tb[20:], dirCRC)
-	if _, err := w.w.Write(tb[:]); err != nil {
-		w.remove()
-		return fileSum{}, err
+	w.footer = binary.LittleEndian.AppendUint64(w.footer, dirOff)
+	w.footer = binary.LittleEndian.AppendUint64(w.footer, uint64(len(w.entries)))
+	w.footer = binary.LittleEndian.AppendUint32(w.footer, w.regionCRC)
+	w.footer = binary.LittleEndian.AppendUint32(w.footer, dirCRC)
+	w.entries, w.regionCRC = w.entries[:0], 0
+	return nil
+}
+
+// finish writes the footer once all k functions are ended, fsyncs, and
+// closes the file. It returns the file's size and footer checksum for
+// the build manifest. Any failure removes the partial file.
+func (w *segmentWriter) finish() (segSum, error) {
+	if w.closed {
+		return segSum{}, errors.New("index: writer already finished")
 	}
-	w.pos += trailerLen
-	if err := w.w.Flush(); err != nil {
-		w.remove()
-		return fileSum{}, err
+	if n := len(w.footer) / footerRowLen; n != w.k || len(w.entries) > 0 {
+		w.abort()
+		return segSum{}, fmt.Errorf("index: segment file finished after %d of %d functions", n, w.k)
 	}
-	if err := w.f.Sync(); err != nil {
-		w.remove()
-		return fileSum{}, err
+	footerCRC := crc32.ChecksumIEEE(w.footer)
+	w.footer = binary.LittleEndian.AppendUint32(w.footer, footerCRC)
+	_, err := w.w.Write(w.footer)
+	if err == nil {
+		err = w.w.Flush()
 	}
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if err != nil {
+		w.abort()
+		return segSum{}, err
+	}
+	w.closed = true
 	if err := w.f.Close(); err != nil {
 		w.fs.Remove(w.path)
-		return fileSum{}, err
+		return segSum{}, err
 	}
-	return fileSum{size: int64(w.pos), dirCRC: dirCRC, regionCRC: w.regionCRC}, nil
+	return segSum{size: int64(w.pos) + int64(len(w.footer)), footerCRC: footerCRC}, nil
 }
 
-// abort closes and removes the partially written file. Safe to call
-// after finish (it is then a no-op).
-func (w *fileWriter) abort() {
-	if !w.closed {
-		w.discard()
+// abort closes and removes the partially written file (best-effort; a
+// failed removal is an orphan the next build or mutation sweeps). It is
+// a no-op once the writer is finished, so callers may defer it.
+func (w *segmentWriter) abort() {
+	if w.closed {
+		return
 	}
-}
-
-// discard marks the writer closed, closes the file and removes it.
-func (w *fileWriter) discard() {
 	w.closed = true
-	w.remove()
-}
-
-// remove closes and deletes the underlying file (best-effort; a failed
-// removal is an orphan inside a staging directory, swept later).
-func (w *fileWriter) remove() {
 	w.f.Close()
 	w.fs.Remove(w.path)
 }

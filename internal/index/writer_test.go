@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// Low-level fileWriter contract tests.
+// Low-level segmentWriter contract tests.
 
-func newTestWriter(t *testing.T) *fileWriter {
+func newTestWriter(t *testing.T) *segmentWriter {
 	t.Helper()
-	w, err := newFileWriter(fsio.OS, filepath.Join(t.TempDir(), "f.idx"), 0, 4, 8, newWriteBuffer())
+	w, err := newSegmentWriter(fsio.OS, filepath.Join(t.TempDir(), segmentName(0)), 1, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,16 +48,36 @@ func TestWriterRejectsDuplicateHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := w.addList(5, recs(5, 2)); err != nil {
-		t.Fatal(err) // the duplicate is detected at finish
+		t.Fatal(err) // the duplicate is detected at endFunc
 	}
-	if _, err := w.finish(); err == nil {
-		t.Fatal("duplicate hash lists should fail at finish")
+	if err := w.endFunc(); err == nil {
+		t.Fatal("duplicate hash lists should fail at endFunc")
 	}
 }
 
 func TestWriterDoubleFinish(t *testing.T) {
 	w := newTestWriter(t)
 	if err := w.addList(5, recs(5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.finish(); err == nil {
+		t.Fatal("finish before the last function ended should fail")
+	}
+	w = newTestWriter(t)
+	if err := w.addList(5, recs(5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.endFunc(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.endFunc(); err == nil {
+		t.Fatal("ending more functions than the file holds should fail")
+	}
+	w = newTestWriter(t)
+	if err := w.addList(5, recs(5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.endFunc(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.finish(); err != nil {
@@ -69,15 +89,15 @@ func TestWriterDoubleFinish(t *testing.T) {
 }
 
 func TestWriterInvalidZoneStep(t *testing.T) {
-	if _, err := newFileWriter(fsio.OS, filepath.Join(t.TempDir(), "f.idx"), 0, 0, 8, newWriteBuffer()); err == nil {
+	if _, err := newSegmentWriter(fsio.OS, filepath.Join(t.TempDir(), segmentName(0)), 1, 0, 8); err == nil {
 		t.Fatal("zone step 0 should be rejected")
 	}
 }
 
 func TestWriterZoneMapThreshold(t *testing.T) {
 	// Lists at exactly the cutoff get no zone map; one past it does.
-	dir := t.TempDir()
-	w, err := newFileWriter(fsio.OS, filepath.Join(dir, funcFileName(0)), 0, 2, 3, newWriteBuffer())
+	path := filepath.Join(t.TempDir(), segmentName(0))
+	w, err := newSegmentWriter(fsio.OS, path, 1, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +107,18 @@ func TestWriterZoneMapThreshold(t *testing.T) {
 	if err := w.addList(6, recs(6, 1, 2, 3, 4)); err != nil { // > cutoff
 		t.Fatal(err)
 	}
+	if err := w.endFunc(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := w.finish(); err != nil {
 		t.Fatal(err)
 	}
-	ff, err := openFuncFile(fsio.OS, filepath.Join(dir, funcFileName(0)), 0)
+	seg, err := openSegmentFile(fsio.OS, path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ff.f.Close()
+	defer seg.close()
+	ff := seg.funcs[0]
 	for i, h := range ff.hashes {
 		z, _ := ff.zone(i)
 		switch h {
@@ -111,8 +135,8 @@ func TestWriterZoneMapThreshold(t *testing.T) {
 }
 
 func TestWriterAbortRemovesFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "f.idx")
-	w, err := newFileWriter(fsio.OS, path, 0, 4, 8, newWriteBuffer())
+	path := filepath.Join(t.TempDir(), segmentName(0))
+	w, err := newSegmentWriter(fsio.OS, path, 1, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +144,7 @@ func TestWriterAbortRemovesFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.abort()
-	if _, err := openFuncFile(fsio.OS, path, 0); err == nil {
+	if _, err := openSegmentFile(fsio.OS, path, 1); err == nil {
 		t.Fatal("aborted file should not exist or open")
 	}
 }

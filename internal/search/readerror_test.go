@@ -34,12 +34,12 @@ func TestSearchContextSurfacesReadError(t *testing.T) {
 		t.Fatalf("query fails before any fault is armed: %v", err)
 	}
 
-	// Sweep the fault offset across the inverted files until it lands
+	// Sweep the fault offset across the segment file until it lands
 	// inside a list this query reads; the exact layout is the index's
 	// business, not this test's.
 	var gotErr error
 	for off := int64(16); off < 1<<20 && gotErr == nil; off += 4 {
-		ffs.FailReadAt("index.", off)
+		ffs.FailReadAt("seg-", off)
 		if _, _, err := s.SearchContext(context.Background(), q, opts); err != nil {
 			gotErr = err
 		}

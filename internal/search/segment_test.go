@@ -171,16 +171,17 @@ func TestSegmentedSearchReadFault(t *testing.T) {
 		t.Fatal("degenerate fixture: planted query has no matches")
 	}
 
-	// Fault the appended segment's first inverted file at an offset one
-	// of the query's list reads covers (which offset that is depends on
-	// the corpus, so scan until a read trips).
-	st, err := os.Stat(filepath.Join(dir, "seg-000001", "index.000"))
+	// Fault the appended segment's file at an offset one of the query's
+	// list reads covers (which offset that is depends on the corpus, so
+	// scan until a read trips).
+	appended := filepath.Join(dir, ix.Segments()[1].Name)
+	st, err := os.Stat(appended)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var faultErr error
 	for off := int64(16); off < st.Size() && faultErr == nil; off += 16 {
-		ffs.FailReadAt(filepath.Join("seg-000001", "index.000"), off)
+		ffs.FailReadAt(appended, off)
 		_, _, faultErr = s.Search(q, Options{Theta: 0.5})
 	}
 	if faultErr == nil {

@@ -69,10 +69,10 @@ func TestIngestSwapFailureCommitsAndRecoversByReload(t *testing.T) {
 	defer ts.Close()
 	oldID := healthzBuildID(t, ts)
 
-	// Arm a read fault on the first inverted file's header: the append
-	// itself runs on the plain OS filesystem and commits, but the
-	// post-append reopen through ffs fails.
-	ffs.FailReadAt("index.000", 0)
+	// Arm a read fault on every segment file's header: the append itself
+	// runs on the plain OS filesystem and commits, but the post-append
+	// reopen through ffs fails.
+	ffs.FailReadAt("seg-", 0)
 	snip := snippet(1, 30)
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/ingest", ingestRequest{Texts: [][]uint32{snip}})
 	if resp.StatusCode != http.StatusInternalServerError {

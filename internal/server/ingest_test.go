@@ -186,6 +186,25 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesNoTexts: an empty ingest through the Go API is an
+// error before the Ingester runs, so it commits no segment, reloads
+// nothing and does not count toward CompactAfter.
+func TestIngestRefusesNoTexts(t *testing.T) {
+	calls := 0
+	srv := New(newStubBackend(t, "only", 1, false), Config{
+		Ingester:     func([][]uint32) (string, error) { calls++; return "next", nil },
+		CompactAfter: 1,
+	})
+	for _, texts := range [][][]uint32{nil, {}} {
+		if id, err := srv.Ingest(texts); err == nil || id != "" {
+			t.Fatalf("Ingest(%v) = %q, %v; want an error and no build", texts, id, err)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("empty ingests called the Ingester %d times", calls)
+	}
+}
+
 func TestIngestWithoutIngester(t *testing.T) {
 	b := newStubBackend(t, "only", 1, false)
 	srv := New(b, Config{})

@@ -360,10 +360,14 @@ func (e *SwapError) Unwrap() error { return e.Err }
 // old backend keeps serving throughout — an append only writes new
 // files plus a manifest commit, never touching live segments — so
 // queries see zero failed requests. Mutations are serialized: a
-// concurrent Ingest or Compact waits its turn.
+// concurrent Ingest or Compact waits its turn. An ingest of no texts is
+// an error and calls nothing.
 func (s *Server) Ingest(texts [][]uint32) (buildID string, err error) {
 	if s.cfg.Ingester == nil {
 		return "", ErrNoIngester
+	}
+	if len(texts) == 0 {
+		return "", errors.New("server: ingest: no texts")
 	}
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
