@@ -79,6 +79,9 @@ fuzz-smoke:
 	$(GO) test ./internal/window/ -run FuzzGenerateLinear -fuzz FuzzGenerateLinear -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run FuzzManifestParse -fuzz FuzzManifestParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run FuzzTombstoneParse -fuzz FuzzTombstoneParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/search/ -run FuzzIntervalScan -fuzz FuzzIntervalScan -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/search/ -run FuzzCollisionCount -fuzz FuzzCollisionCount -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs/ -run FuzzParseTraceparent -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME)
 
 # CI "bench-smoke" job: one iteration of the query-path microbenchmarks
 # (internal/search/bench_test.go), of the index ones

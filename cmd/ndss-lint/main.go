@@ -1,15 +1,13 @@
 // ndss-lint runs the repo's custom invariant analyzers (internal/
 // analysis) over Go packages. It is the machine-checked form of
 // docs/INVARIANTS.md: crash-safe filesystem discipline, context
-// cancellation flow, sync.Pool pairing, Prometheus metric hygiene,
-// monotonic timing, CLI error discipline, and the serving tier's
-// concurrency conventions (guarded-by locking, goroutine termination
-// contracts, atomic hygiene).
+// cancellation flow, Prometheus metric hygiene, CLI error discipline,
+// and the serving tier's guarded-by locking.
 //
 // Standalone:
 //
 //	go run ./cmd/ndss-lint ./...
-//	go run ./cmd/ndss-lint -analyzers fsiodiscipline,poolpair ./internal/index
+//	go run ./cmd/ndss-lint -analyzers fsiodiscipline,guardedby ./internal/index
 //
 // As a vet tool (per-package, driven and cached by the go command):
 //

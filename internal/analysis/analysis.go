@@ -1,12 +1,10 @@
-// Package analysis is ndss-lint: a family of custom static analyzers
-// that mechanically enforce the codebase's cross-cutting invariants —
-// crash safety (fsiodiscipline), cancellation (ctxflow), object
-// pooling (poolpair), metrics hygiene (metrichygiene), monotonic
-// timing (monotime), error discipline in the CLIs (errdiscard), and
-// the concurrency conventions of the serving tier: mutex-guarded
-// fields (guardedby), goroutine termination contracts (gospawn), and
-// single-discipline atomics (atomichygiene). Each invariant is
-// documented in docs/INVARIANTS.md; diagnostics link there by anchor.
+// Package analysis is ndss-lint: five custom static analyzers that
+// mechanically enforce the codebase's cross-cutting invariants no type,
+// go vet check or test already covers — crash safety (fsiodiscipline),
+// cancellation (ctxflow), metrics hygiene (metrichygiene), error
+// discipline in the CLIs (errdiscard), and mutex-guarded fields in the
+// serving tier (guardedby). Each invariant is documented in
+// docs/INVARIANTS.md; diagnostics link there by anchor.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built only on the standard

@@ -27,10 +27,6 @@ func TestCtxFlowTrace(t *testing.T) {
 	atest.Run(t, analysis.CtxFlow, "testdata/ctxflow_trace", "ndss/internal/shard")
 }
 
-func TestPoolPair(t *testing.T) {
-	atest.Run(t, analysis.PoolPair, "testdata/poolpair", "ndss/internal/search")
-}
-
 func TestMetricHygiene(t *testing.T) {
 	atest.Run(t, analysis.MetricHygiene, "testdata/metrichygiene", "ndss/internal/server")
 }
@@ -39,30 +35,8 @@ func TestMetricHygieneHeaders(t *testing.T) {
 	atest.Run(t, analysis.MetricHygiene, "testdata/metrichygiene_headers", "ndss/internal/shard")
 }
 
-func TestMonoTimeHotPath(t *testing.T) {
-	atest.Run(t, analysis.MonoTime, "testdata/monotime", "ndss/internal/search")
-}
-
-func TestMonoTimeModuleWide(t *testing.T) {
-	atest.Run(t, analysis.MonoTime, "testdata/monotime_index", "ndss/internal/index")
-}
-
 func TestGuardedBy(t *testing.T) {
 	atest.Run(t, analysis.GuardedBy, "testdata/guardedby", "ndss/internal/shard")
-}
-
-func TestGoSpawn(t *testing.T) {
-	atest.Run(t, analysis.GoSpawn, "testdata/gospawn", "ndss/internal/server")
-}
-
-// gospawn is scoped to the serving path: the same bare goroutine in
-// ndss/internal/obs is not flagged.
-func TestGoSpawnScopeGate(t *testing.T) {
-	atest.Run(t, analysis.GoSpawn, "testdata/gospawn_scope", "ndss/internal/obs")
-}
-
-func TestAtomicHygiene(t *testing.T) {
-	atest.Run(t, analysis.AtomicHygiene, "testdata/atomichygiene", "ndss/internal/shard")
 }
 
 func TestErrDiscard(t *testing.T) {
@@ -80,9 +54,9 @@ func TestScopeGating(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	got, bad := analysis.ByName([]string{"poolpair", "monotime"})
-	if bad != "" || len(got) != 2 || got[0].Name != "poolpair" || got[1].Name != "monotime" {
-		t.Fatalf("ByName(poolpair,monotime) = %v, %q", got, bad)
+	got, bad := analysis.ByName([]string{"guardedby", "ctxflow"})
+	if bad != "" || len(got) != 2 || got[0].Name != "guardedby" || got[1].Name != "ctxflow" {
+		t.Fatalf("ByName(guardedby,ctxflow) = %v, %q", got, bad)
 	}
 	if got, bad := analysis.ByName([]string{"nosuch"}); got != nil || bad != "nosuch" {
 		t.Fatalf("ByName(nosuch) = %v, %q; want nil, nosuch", got, bad)

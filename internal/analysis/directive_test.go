@@ -69,7 +69,7 @@ func TestDiagnosticsSorted(t *testing.T) {
 	pkg := parseTestPkg(t, "ndss/internal/index", `package index
 
 func g() {
-	//lint:ignore poolpair
+	//lint:ignore guardedby
 	//lint:ignore ctxflow
 	_ = 0
 }

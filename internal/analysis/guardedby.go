@@ -33,20 +33,13 @@ var GuardedBy = &Analyzer{
 	Run:    runGuardedBy,
 }
 
-// guardAnno is one parsed `// guarded by <mu>` field annotation.
-type guardAnno struct {
-	mu  string    // sibling mutex field name
-	pos token.Pos // the annotated field, for mixing diagnostics
-}
-
 var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
 
 // collectGuardedFields parses every `// guarded by <mu>` annotation in
-// the package and resolves each to its field object. Annotations that
-// name no sibling mutex field are reported. Shared with atomichygiene,
-// which flags fields that mix the mutex and atomic disciplines.
-func collectGuardedFields(pass *Pass, report bool) map[*types.Var]guardAnno {
-	guarded := map[*types.Var]guardAnno{}
+// the package and maps each annotated field to its mutex's name.
+// Annotations that name no sibling mutex field are reported.
+func collectGuardedFields(pass *Pass) map[*types.Var]string {
+	guarded := map[*types.Var]string{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
@@ -68,15 +61,13 @@ func collectGuardedFields(pass *Pass, report bool) map[*types.Var]guardAnno {
 					continue
 				}
 				if !mutexes[mu] {
-					if report {
-						pass.Reportf(pos,
-							"`// guarded by %s` names no sibling sync.Mutex or sync.RWMutex field", mu)
-					}
+					pass.Reportf(pos,
+						"`// guarded by %s` names no sibling sync.Mutex or sync.RWMutex field", mu)
 					continue
 				}
 				for _, name := range fld.Names {
 					if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-						guarded[v] = guardAnno{mu: mu, pos: name.Pos()}
+						guarded[v] = mu
 					}
 				}
 			}
@@ -119,7 +110,7 @@ func runGuardedBy(pass *Pass) error {
 	if !strings.HasPrefix(pass.PkgPath(), "ndss") {
 		return nil
 	}
-	guarded := collectGuardedFields(pass, true)
+	guarded := collectGuardedFields(pass)
 	if len(guarded) == 0 {
 		return nil
 	}
@@ -154,7 +145,7 @@ const (
 
 type guardChecker struct {
 	pass    *Pass
-	guarded map[*types.Var]guardAnno
+	guarded map[*types.Var]string
 }
 
 // block walks statements in order, threading the held-lock state.
@@ -370,23 +361,22 @@ func (g *guardChecker) guardedVarOf(sel *ast.SelectorExpr) (*types.Var, bool) {
 }
 
 func (g *guardChecker) checkAccess(sel *ast.SelectorExpr, v *types.Var, held map[lockKey]int, write bool) {
-	anno := g.guarded[v]
-	key := lockKey{base: types.ExprString(sel.X), mu: anno.mu}
+	mu := g.guarded[v]
+	key := lockKey{base: types.ExprString(sel.X), mu: mu}
 	bits := held[key]
 	switch {
 	case write && bits&wheld == 0:
-		verb := "written"
 		hint := ""
 		if bits&rheld != 0 {
 			hint = " (RLock is not enough to write)"
 		}
 		g.pass.Reportf(sel.Sel.Pos(),
-			"field %s is %s without %s.%s held%s; it is declared `// guarded by %s`",
-			v.Name(), verb, key.base, anno.mu, hint, anno.mu)
+			"field %s is written without %s.%s held%s; it is declared `// guarded by %s`",
+			v.Name(), key.base, mu, hint, mu)
 	case !write && bits == 0:
 		g.pass.Reportf(sel.Sel.Pos(),
 			"field %s is read without %s.%s held; it is declared `// guarded by %s`",
-			v.Name(), key.base, anno.mu, anno.mu)
+			v.Name(), key.base, mu, mu)
 	}
 }
 

@@ -3,15 +3,11 @@ package analysis
 // All returns the full ndss-lint analyzer suite in a stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicHygiene,
 		CtxFlow,
 		ErrDiscard,
 		FSIODiscipline,
-		GoSpawn,
 		GuardedBy,
 		MetricHygiene,
-		MonoTime,
-		PoolPair,
 	}
 }
 

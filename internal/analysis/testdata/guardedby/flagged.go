@@ -2,7 +2,10 @@
 // named mutex held.
 package shard
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 type box struct {
 	mu sync.Mutex
@@ -62,4 +65,28 @@ func (b *badbox) useX() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.x
+}
+
+// A guarded field reached through sync/atomic is still an unguarded
+// access: mutex writers do not exclude atomic readers, so the mutex
+// discipline must hold for every access.
+type mixer struct {
+	mu    sync.Mutex
+	mixed atomic.Bool // guarded by mu
+	raw   int64       // guarded by mu
+}
+
+func (m *mixer) bumpUnderLock() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.raw++
+	m.mixed.Store(true)
+}
+
+func (m *mixer) sample() int64 {
+	return atomic.LoadInt64(&m.raw) // want `field raw is written without m\.mu held`
+}
+
+func (m *mixer) peek() bool {
+	return m.mixed.Load() // want `field mixed is read without m\.mu held`
 }

@@ -11,7 +11,6 @@ import (
 	"ndss/internal/corpus"
 	"ndss/internal/fsio"
 	"ndss/internal/hash"
-	"ndss/internal/obs"
 )
 
 // BuildExternal constructs the index for a corpus file that may not fit
@@ -183,10 +182,10 @@ func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f has
 	rg := recordGen{f: f, t: opts.T}
 	var recs []record
 	streamErr := r.Stream(opts.BatchTokens, func(firstID uint32, texts [][]uint32) error {
-		genStart := obs.NowMono()
+		genStart := time.Now()
 		for i, tokens := range texts {
 			recs = rg.appendText(recs[:0], firstID+uint32(i), tokens)
-			genDone := obs.NowMono()
+			genDone := time.Now()
 			stats.GenTime += genDone.Sub(genStart)
 			for _, rec := range recs {
 				if err := spill.add(rec); err != nil {
@@ -195,10 +194,10 @@ func buildExternalFunc(r *corpus.Reader, fsys fsio.FS, dir string, fn int, f has
 			}
 			stats.WindowsPerFunc[fn] += int64(len(recs))
 			stats.Windows += int64(len(recs))
-			genStart = obs.NowMono()
+			genStart = time.Now()
 			stats.IOTime += genStart.Sub(genDone) // spill writes are I/O
 		}
-		stats.GenTime += obs.SinceMono(genStart)
+		stats.GenTime += time.Since(genStart)
 		return nil
 	})
 	if streamErr != nil {

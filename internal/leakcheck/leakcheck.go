@@ -1,9 +1,8 @@
 // Package leakcheck is a dependency-free goroutine-leak verifier for
-// test binaries, the dynamic half of the gospawn invariant
-// (docs/INVARIANTS.md#gospawn): the static analyzer proves every spawn
-// site has a termination contract, and leakcheck proves the contracts
-// are honored — after a package's tests finish, no query, prober, or
-// compactor goroutine may still be running. A leaked goroutine in
+// test binaries and the single enforcer of the goroutine-termination
+// invariant (docs/INVARIANTS.md#goroutine-termination): after a
+// package's tests finish, no query, prober, or compactor goroutine may
+// still be running. A leaked goroutine in
 // production is a slow OOM under sustained traffic; in tests it is
 // cross-test contamination that the race detector happily schedules.
 //
@@ -81,7 +80,7 @@ func Check(grace time.Duration) error {
 			delay *= 2
 		}
 	}
-	return fmt.Errorf("%d goroutine(s) still running after the test suite (termination contracts are enforced; see docs/INVARIANTS.md#gospawn):\n\n%s",
+	return fmt.Errorf("%d goroutine(s) still running after the test suite (see docs/INVARIANTS.md#goroutine-termination):\n\n%s",
 		len(leaked), strings.Join(leaked, "\n\n"))
 }
 

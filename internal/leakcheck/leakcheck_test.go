@@ -27,7 +27,7 @@ func TestCheckDetectsBlockedGoroutine(t *testing.T) {
 	if !strings.Contains(err.Error(), "TestCheckDetectsBlockedGoroutine") {
 		t.Fatalf("leak report does not name the leaking frame:\n%v", err)
 	}
-	if !strings.Contains(err.Error(), "gospawn") {
+	if !strings.Contains(err.Error(), "#goroutine-termination") {
 		t.Fatalf("leak report does not point at the invariant doc:\n%v", err)
 	}
 	close(release)

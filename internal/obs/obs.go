@@ -103,7 +103,7 @@ func (t *Trace) Start(name string) SpanID {
 // Record appends an already-timed span: start is its offset from the
 // trace's base and dur its duration. Callers that time work outside the
 // trace's own clock — concurrent fan-out legs whose goroutines must not
-// touch the trace — measure with NowMono/SinceMono and record after
+// touch the trace — measure with time.Now/time.Since and record after
 // joining. Returns the span's id (for Annotate), or None when the trace
 // is at MaxSpans (the drop is counted).
 func (t *Trace) Record(name string, start, dur time.Duration) SpanID {

@@ -105,8 +105,9 @@ func (t TraceContext) TraceIDString() string { return hex.EncodeToString(t.Trace
 func (t TraceContext) SpanIDString() string { return hex.EncodeToString(t.SpanID[:]) }
 
 // ParseTraceparent parses the W3C wire format produced by
-// Traceparent. Unknown versions, malformed fields, and all-zero ids
-// are rejected (ok=false) — a bad header means "start a fresh trace",
+// Traceparent. Unknown versions, malformed fields (uppercase hex
+// included: the format's digits are lowercase), and all-zero ids are
+// rejected (ok=false) — a bad header means "start a fresh trace",
 // never an error to the caller.
 func ParseTraceparent(s string) (TraceContext, bool) {
 	var t TraceContext
@@ -114,6 +115,9 @@ func ParseTraceparent(s string) (TraceContext, bool) {
 		return t, false
 	}
 	if s[0:2] != traceparentVersion || s[2] != '-' || s[35] != '-' || s[52] != '-' {
+		return t, false
+	}
+	if strings.ContainsAny(s, "ABCDEF") { // hex.Decode would take them
 		return t, false
 	}
 	if _, err := hex.Decode(t.TraceID[:], []byte(s[3:35])); err != nil {

@@ -45,6 +45,7 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		"00-" + strings.Repeat("0", 32) + valid[35:],      // all-zero trace id
 		valid[:36] + strings.Repeat("0", 16) + valid[52:], // all-zero span id
 		valid[:53] + "zz", // non-hex flags
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A", // uppercase hex
 	}
 	for _, s := range bad {
 		if _, ok := ParseTraceparent(s); ok {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -139,22 +140,41 @@ func BenchmarkSearchSegmented(b *testing.B) {
 	b.Run("Miss", func(b *testing.B) { benchSearch(b, s, miss, opts) })
 }
 
+// errListRead is failingReader's one error value, so failing a read
+// allocates nothing.
+var errListRead = errors.New("simulated list read failure")
+
+// failingReader fails every full list read: a query against it errors
+// out of the gather stage, after its context was taken from the pool.
+type failingReader struct {
+	IndexReader
+}
+
+func (failingReader) ReadListInto([]index.Posting, int, uint64, *index.IOStats) ([]index.Posting, error) {
+	return nil, errListRead
+}
+
 // TestSearchSteadyStateAllocs guards the pooled query context: on a
 // warmed Searcher a query allocates its Stats, its results and little
-// else.
+// else. The failing case holds a query that errors after acquireCtx to
+// the same bound, so a context not returned to the pool on an error
+// path (a fresh context and its scratch every query) fails it.
 func TestSearchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops contexts at random under the race detector")
 	}
 	s, hit, miss, opts := benchFixture(t)
+	failing := New(failingReader{s.ix}, nil)
 	for _, tc := range []struct {
-		name  string
-		query []uint32
-		max   float64
-	}{{"miss", miss, 6}, {"hit", hit, 12}} {
+		name    string
+		s       *Searcher
+		query   []uint32
+		max     float64
+		wantErr error
+	}{{"miss", s, miss, 6, nil}, {"hit", s, hit, 12, nil}, {"failing", failing, hit, 2, errListRead}} {
 		got := testing.AllocsPerRun(50, func() {
-			if _, _, err := s.Search(tc.query, opts); err != nil {
-				t.Fatal(err)
+			if _, _, err := tc.s.Search(tc.query, opts); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
 		})
 		if got > tc.max {

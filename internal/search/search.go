@@ -331,7 +331,7 @@ func (s *Searcher) Search(query []uint32, opts Options) ([]Match, *Stats, error)
 // SearchContext itself only orchestrates the stages and assembles
 // Stats.
 func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Options) ([]Match, *Stats, error) {
-	start := obs.NowMono()
+	start := time.Now()
 	minLen, err := opts.validate(s.ix.Meta(), s.src != nil)
 	if err != nil {
 		return nil, nil, err
@@ -389,7 +389,7 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 	st.Matches = len(matches)
 	st.IOBytes = qc.io.BytesRead
 	st.IOTime = qc.io.ReadTime
-	st.Total = obs.SinceMono(start)
+	st.Total = time.Since(start)
 	st.CPUTime = st.Total - st.IOTime
 	if opts.Trace {
 		// Attribute the query's I/O to the segments it touched: one span

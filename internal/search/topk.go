@@ -5,8 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
-
-	"ndss/internal/obs"
+	"time"
 )
 
 // TopKOptions configures SearchTopK.
@@ -55,9 +54,9 @@ func (s *Searcher) SearchTopKContext(ctx context.Context, query []uint32, opts T
 	// The ranking sort below runs after SearchContext closed its timing,
 	// so charge it explicitly: Total/CPUTime stay the query's true cost
 	// and the merge stage absorbs the rank time in the decomposition.
-	rankStart := obs.NowMono()
+	rankStart := time.Now()
 	matches = RankTopK(matches, opts.N)
-	rank := obs.SinceMono(rankStart)
+	rank := time.Since(rankStart)
 	st.Total += rank
 	st.CPUTime += rank
 	st.StageTimes.Merge += rank

@@ -7,7 +7,7 @@ import (
 	"ndss/internal/leakcheck"
 )
 
-// TestMain verifies the gospawn termination contracts dynamically: a
+// TestMain enforces goroutine termination (docs/INVARIANTS.md): a
 // query, reload, or compaction goroutine still running after the suite
 // fails the binary. NDSS_LEAKCHECK=0 disables for one-off debugging.
 func TestMain(m *testing.M) {

@@ -36,12 +36,17 @@ func latencyCells(m *metrics) (cells map[string]int64, total int64) {
 	return cells, total
 }
 
-func checkCells(t *testing.T, srv *Server, want map[string]int64) {
+// checkCells pins srv's latency cells to want once ts's /metrics counts
+// as many requests as want holds.
+func checkCells(t *testing.T, ts *httptest.Server, srv *Server, want map[string]int64) {
 	t.Helper()
-	cells, total := latencyCells(&srv.met)
 	var wantTotal int64
-	for k, v := range want {
+	for _, v := range want {
 		wantTotal += v
+	}
+	awaitRequests(t, ts, wantTotal)
+	cells, total := latencyCells(&srv.met)
+	for k, v := range want {
 		if cells[k] != v {
 			t.Errorf("latency cell %s = %d, want %d (all: %v)", k, cells[k], v, cells)
 		}
@@ -144,7 +149,7 @@ func TestLatencyAccounting(t *testing.T) {
 			}
 		}
 
-		checkCells(t, srv, map[string]int64{
+		checkCells(t, ts, srv, map[string]int64{
 			"search/ok": 1, "search/cached": 1, "topk/ok": 1, "explain/ok": 1,
 		})
 		checkJSONCounters(t, ts, map[string]int64{
@@ -163,7 +168,7 @@ func TestLatencyAccounting(t *testing.T) {
 		if resp.StatusCode != http.StatusGatewayTimeout {
 			t.Fatalf("status %d, want 504", resp.StatusCode)
 		}
-		checkCells(t, srv, map[string]int64{"search/timeout": 1})
+		checkCells(t, ts, srv, map[string]int64{"search/timeout": 1})
 		checkJSONCounters(t, ts, map[string]int64{"total": 1, "search": 1, "timeout": 1}, 0, 0)
 	})
 
@@ -179,7 +184,7 @@ func TestLatencyAccounting(t *testing.T) {
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("status %d, want 500", resp.StatusCode)
 		}
-		checkCells(t, srv, map[string]int64{"search/internal": 1})
+		checkCells(t, ts, srv, map[string]int64{"search/internal": 1})
 		checkJSONCounters(t, ts, map[string]int64{"total": 1, "search": 1, "internal_error": 1}, 0, 0)
 	})
 
@@ -205,7 +210,7 @@ func TestLatencyAccounting(t *testing.T) {
 		close(br.gate)
 		<-done
 
-		checkCells(t, srv, map[string]int64{"search/ok": 1})
+		checkCells(t, ts, srv, map[string]int64{"search/ok": 1})
 		checkJSONCounters(t, ts, map[string]int64{"total": 1, "search": 1, "rejected": 1}, 0, 0)
 	})
 }

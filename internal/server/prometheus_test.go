@@ -274,6 +274,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		t.Fatalf("explain: %d (%s)", resp.StatusCode, body)
 	}
 
+	awaitRequests(t, ts, 5)
 	mresp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

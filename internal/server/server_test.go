@@ -57,6 +57,38 @@ func getMetricsJSON(t *testing.T, client *http.Client, baseURL string) *http.Res
 	return resp
 }
 
+// awaitRequests polls the JSON /metrics until its request total reaches
+// want, failing the test after five seconds. The server observes an
+// admitted request's latency, which every per-endpoint and per-outcome
+// request counter and the latency count derive from, in a deferred call
+// that runs after the response is written: a client can read its last
+// response before /metrics counts it. A test that pins those counters
+// right after a response waits here first.
+func awaitRequests(t *testing.T, ts *httptest.Server, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var met struct {
+			Requests struct {
+				Total int64 `json:"total"`
+			} `json:"requests"`
+		}
+		resp := getMetricsJSON(t, ts.Client(), ts.URL)
+		err := json.NewDecoder(resp.Body).Decode(&met)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met.Requests.Total >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/metrics counts %d requests after 5s, want %d", met.Requests.Total, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func postJSON(t *testing.T, client *http.Client, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	data, err := json.Marshal(body)
@@ -242,6 +274,7 @@ func TestServeConcurrentSearches(t *testing.T) {
 		t.Error(err)
 	}
 
+	awaitRequests(t, ts, 32)
 	var met struct {
 		Requests struct {
 			Total  int64 `json:"total"`
@@ -412,6 +445,7 @@ func TestServeDeadlineExpiry(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, now)
 	}
 
+	awaitRequests(t, ts, 1)
 	var met struct {
 		Requests struct {
 			Timeout int64 `json:"timeout"`
@@ -648,7 +682,7 @@ func TestExplainHonoursDeadline(t *testing.T) {
 			t.Fatalf("timeout_ms=%d: answered after %v; deadline not applied", req.TimeoutMS, elapsed)
 		}
 	}
-	checkCells(t, srv, map[string]int64{"explain/timeout": 2})
+	checkCells(t, ts, srv, map[string]int64{"explain/timeout": 2})
 	checkJSONCounters(t, ts, map[string]int64{"total": 2, "explain": 2, "timeout": 2}, 0, 0)
 }
 

@@ -207,8 +207,8 @@ func childTraceContext(ctx context.Context) context.Context {
 // error, and latency counters are updated here, so every fan-out leg is
 // observed exactly once. The returned base is the fan-out start, for
 // charging the merge tail to Stats.Total.
-func (c *Coordinator) fanOut(ctx context.Context, run func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error)) ([]legResult, obs.Mono) {
-	base := obs.NowMono()
+func (c *Coordinator) fanOut(ctx context.Context, run func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error)) ([]legResult, time.Time) {
+	base := time.Now()
 	results := make([]legResult, len(c.slots))
 	var wg sync.WaitGroup
 	for i, sl := range c.slots {
@@ -221,7 +221,7 @@ func (c *Coordinator) fanOut(ctx context.Context, run func(ctx context.Context, 
 				legCtx, cancel = context.WithTimeout(legCtx, c.budget)
 				defer cancel()
 			}
-			t0 := obs.NowMono()
+			t0 := time.Now()
 			var (
 				m   []search.Match
 				st  *search.Stats
@@ -233,7 +233,7 @@ func (c *Coordinator) fanOut(ctx context.Context, run func(ctx context.Context, 
 			pprof.Do(legCtx, pprof.Labels("shard", sl.client.Name()), func(legCtx context.Context) {
 				m, st, err = run(legCtx, sl.client)
 			})
-			dur := obs.SinceMono(t0)
+			dur := time.Since(t0)
 			sl.requests.Add(1)
 			sl.lat.Observe(dur)
 			if err != nil {
@@ -290,7 +290,7 @@ func (c *Coordinator) Explain(ctx context.Context, query []uint32, opts search.O
 // topN > 0 selects top-k ranking (sort by collisions, truncate);
 // topN == 0 keeps the concatenation order, which is already globally
 // sorted because shard text-id ranges are disjoint and ascending.
-func (c *Coordinator) merge(ctx context.Context, base obs.Mono, results []legResult, trace bool, topN int) ([]search.Match, *search.Stats, error) {
+func (c *Coordinator) merge(ctx context.Context, base time.Time, results []legResult, trace bool, topN int) ([]search.Match, *search.Stats, error) {
 	answered := 0
 	var firstErr error
 	for i := range results {
@@ -379,12 +379,12 @@ func (c *Coordinator) merge(ctx context.Context, base obs.Mono, results []legRes
 		st.PerShard[i] = ps
 	}
 
-	mergeStart := obs.NowMono()
+	mergeStart := time.Now()
 	if topN > 0 {
 		out = search.RankTopK(out, topN)
 	}
 	st.Matches = len(out)
-	mergeDur := obs.SinceMono(mergeStart)
+	mergeDur := time.Since(mergeStart)
 	st.StageTimes.Merge += mergeDur
 	st.CPUTime += mergeDur
 
@@ -420,7 +420,7 @@ func (c *Coordinator) merge(ctx context.Context, base obs.Mono, results []legRes
 		tr.Record("shard_merge", mergeStart.Sub(base), mergeDur)
 		st.Spans = tr.Snapshot(nil)
 	}
-	st.Total = obs.SinceMono(base)
+	st.Total = time.Since(base)
 	return out, st, nil
 }
 

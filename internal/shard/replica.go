@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"ndss/internal/index"
-	"ndss/internal/obs"
 	"ndss/internal/search"
 )
 
@@ -404,7 +403,7 @@ type attemptState struct {
 // with every attempt (winner, losers, cancellations) recorded in
 // Stats.Attempts for the coordinator to attribute.
 func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error)) ([]search.Match, *search.Stats, error) {
-	legStart := obs.NowMono()
+	legStart := time.Now()
 	r.budget.earn(r.cfg.RetryBudget)
 
 	maxAttempts := 2 + r.cfg.MaxRetries // primary + retries + one hedge
@@ -428,7 +427,7 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 		actx, cancel := context.WithCancel(actx)
 		p := &attemptState{
 			rep: rep, attempt: pi, hedge: hedge, trial: trial,
-			start: obs.SinceMono(legStart), spanID: spanID, cancel: cancel,
+			start: time.Since(legStart), spanID: spanID, cancel: cancel,
 		}
 		pendings = append(pendings, p)
 		tried[rep.idx] = true
@@ -440,9 +439,9 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 			rep.retries.Add(1)
 		}
 		go func() {
-			t0 := obs.NowMono()
+			t0 := time.Now()
 			m, st, err := run(actx, rep.client)
-			dur := obs.SinceMono(t0)
+			dur := time.Since(t0)
 			rep.inflight.Add(-1)
 			// Breaker and latency accounting happens here, in the
 			// attempt's own goroutine: a hedge loser that limps home
@@ -480,7 +479,7 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 	// finish synthesizes entries for attempts still in flight (they are
 	// being abandoned) and fixes the attempt order.
 	finish := func(attempts []search.ShardAttempt, reason string) []search.ShardAttempt {
-		now := obs.SinceMono(legStart)
+		now := time.Since(legStart)
 		for _, p := range pendings {
 			if !p.done {
 				attempts = record(attempts, p, reason, now-p.start)
