@@ -87,17 +87,18 @@ fuzz-smoke:
 # (internal/search/bench_test.go), of the index ones
 # (internal/index/bench_test.go: build, append, compact, one ingest-churn
 # cycle's mutations in fs ops and opens, list reads in
-# ns/posting and Open; the window generator on reused scratch), of the
-# serving path (internal/server/bench_test.go: one uncached /search
-# through ServeHTTP, allocs/op) and of the root benchmarks behind
-# Fig 3(d) and AB2, so they cannot rot. Measuring while you work is the
+# ns/posting and Open), of both window generators (the stack on reused
+# scratch and the segment tree), of the serving path
+# (internal/server/bench_test.go: one uncached /search through
+# ServeHTTP, allocs/op) and of the root benchmarks behind Fig 3(d), AB1
+# and AB2, so they cannot rot. Measuring while you work is the
 # same command with a real -benchtime and -count.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Search(Hit|Miss|Segmented)|FirstQueryAfterAppend|IntervalScan|CollisionCount' -benchtime 1x ./internal/search/
 	$(GO) test -run '^$$' -bench 'Build$$|Append16|Compact9|ChurnCycle|ReadList$$|Open$$' -benchtime 1x ./internal/index/
-	$(GO) test -run '^$$' -bench 'GenerateLinear' -benchtime 1x ./internal/window/
+	$(GO) test -run '^$$' -bench 'ScratchGenerate|GenerateSegmentTree' -benchtime 1x ./internal/window/
 	$(GO) test -run '^$$' -bench 'ServeSearch' -benchtime 1x -benchmem ./internal/server/
-	$(GO) test -run '^$$' -bench 'Fig3_PrefixLength|Ablation_PrefixFilter' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Fig3_PrefixLength|Ablation_PrefixFilter|Ablation_WindowGen' -benchtime 1x .
 
 # CI "benchmark-check" job: the repo benchmark (BENCHMARK.json,
 # benchmark/README.md) is a nested module the root `go build/test ./...`

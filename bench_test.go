@@ -21,7 +21,6 @@ import (
 	"ndss/internal/index"
 	"ndss/internal/lm"
 	"ndss/internal/memorize"
-	"ndss/internal/rmq"
 	"ndss/internal/search"
 	"ndss/internal/window"
 )
@@ -92,6 +91,7 @@ func BenchmarkFig2_WindowsVsThreshold(b *testing.B) {
 	for _, t := range []int{25, 50, 100, 200} {
 		b.Run(fmt.Sprintf("t=%d", t), func(b *testing.B) {
 			var vals []uint64
+			var s window.Scratch
 			var ws []window.Window
 			var windows int64
 			b.ResetTimer()
@@ -99,7 +99,7 @@ func BenchmarkFig2_WindowsVsThreshold(b *testing.B) {
 				windows = 0
 				for id := 0; id < c.NumTexts(); id++ {
 					vals = window.Hashes(c.Text(uint32(id)), fam.Func(0), vals)
-					ws = window.GenerateLinear(vals, t, ws[:0])
+					ws = s.Generate(vals, t, ws[:0])
 					windows += int64(len(ws))
 				}
 			}
@@ -119,6 +119,7 @@ func BenchmarkFig2_WindowsVsCorpusSize(b *testing.B) {
 				VocabSize: 32000, ZipfS: 1.07, Seed: 2,
 			})
 			var vals []uint64
+			var s window.Scratch
 			var ws []window.Window
 			var windows int64
 			b.ResetTimer()
@@ -126,7 +127,7 @@ func BenchmarkFig2_WindowsVsCorpusSize(b *testing.B) {
 				windows = 0
 				for id := 0; id < c.NumTexts(); id++ {
 					vals = window.Hashes(c.Text(uint32(id)), fam.Func(0), vals)
-					ws = window.GenerateLinear(vals, 100, ws[:0])
+					ws = s.Generate(vals, 100, ws[:0])
 					windows += int64(len(ws))
 				}
 			}
@@ -400,47 +401,43 @@ func BenchmarkTheorem1_WindowCount(b *testing.B) {
 	for i := range vals {
 		vals[i] = rng.Uint64()
 	}
-	var count int
+	var s window.Scratch
+	var ws []window.Window
 	b.SetBytes(int64(4 * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		count = len(window.GenerateLinear(vals, t, nil))
+		ws = s.Generate(vals, t, ws[:0])
 	}
-	b.ReportMetric(float64(count), "windows")
+	b.ReportMetric(float64(len(ws)), "windows")
 	b.ReportMetric(window.ExpectedCount(n, t), "expected")
 }
 
-// BenchmarkAblation_RMQ compares window-generation engines (DESIGN.md
-// AB1): the stack generator, the paper's O(1)-RMQ recursion, and
-// ALIGN's segment tree.
-func BenchmarkAblation_RMQ(b *testing.B) {
+// BenchmarkAblation_WindowGen compares the two window generators
+// (DESIGN.md AB1): the O(n) stack on one reused Scratch, as the builders
+// run it, and Algorithm 2 over ALIGN's segment tree.
+func BenchmarkAblation_WindowGen(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	n := 1 << 17
 	vals := make([]uint64, n)
 	for i := range vals {
 		vals[i] = rng.Uint64()
 	}
+	var s window.Scratch
 	engines := []struct {
 		name string
-		gen  func() int
+		gen  func(dst []window.Window) []window.Window
 	}{
-		{"stack", func() int { return len(window.GenerateLinear(vals, 50, nil)) }},
-		{"rmq-linear", func() int {
-			return len(window.Generate(vals, 50, func(x []uint64) rmq.RMQ { return rmq.NewLinear(x) }, nil))
-		}},
-		{"rmq-sparse", func() int {
-			return len(window.Generate(vals, 50, func(x []uint64) rmq.RMQ { return rmq.NewSparse(x) }, nil))
-		}},
-		{"segtree-ALIGN", func() int {
-			return len(window.Generate(vals, 50, func(x []uint64) rmq.RMQ { return rmq.NewSegmentTree(x) }, nil))
-		}},
+		{"stack", func(dst []window.Window) []window.Window { return s.Generate(vals, 50, dst) }},
+		{"segtree-ALIGN", func(dst []window.Window) []window.Window { return window.GenerateSegmentTree(vals, 50, dst) }},
 	}
 	for _, e := range engines {
 		b.Run(e.name, func(b *testing.B) {
+			var ws []window.Window
 			b.SetBytes(int64(4 * n))
 			for i := 0; i < b.N; i++ {
-				_ = e.gen()
+				ws = e.gen(ws[:0])
 			}
+			b.ReportMetric(float64(len(ws)), "windows")
 		})
 	}
 }

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"ndss/internal/baseline"
 	"ndss/internal/corpus"
 	"ndss/internal/hash"
 	"ndss/internal/index"
-	"ndss/internal/rmq"
 	"ndss/internal/search"
 	"ndss/internal/window"
 )
@@ -18,7 +18,7 @@ import (
 
 func init() {
 	register("th1", "Theorem 1: measured window count vs 2(n+1)/(t+1)-1", th1)
-	register("ab1", "Ablation: RMQ structure choice in window generation (segment tree = ALIGN)", ab1)
+	register("ab1", "Ablation: O(n) stack vs ALIGN's segment tree in window generation", ab1)
 	register("ab2", "Ablation: prefix filtering and zone maps on/off", ab2)
 	register("ab3", "Baselines: index search vs brute force vs seed-and-extend (time + recall)", ab3)
 }
@@ -29,6 +29,8 @@ func th1(e *Env) error {
 	w := e.table()
 	fmt.Fprintln(w, "n\tt\tmeasured(avg)\texpected\trel.err")
 	rng := rand.New(rand.NewSource(1))
+	var s window.Scratch
+	var ws []window.Window
 	for _, cfg := range []struct{ n, t int }{
 		{1000, 25}, {1000, 50}, {10000, 50}, {10000, 100}, {100000, 100}, {100000, 200},
 	} {
@@ -39,7 +41,8 @@ func th1(e *Env) error {
 			for i := range vals {
 				vals[i] = rng.Uint64()
 			}
-			total += len(window.GenerateLinear(vals, cfg.t, nil))
+			ws = s.Generate(vals, cfg.t, ws[:0])
+			total += len(ws)
 		}
 		mean := float64(total) / trials
 		exp := window.ExpectedCount(cfg.n, cfg.t)
@@ -49,38 +52,51 @@ func th1(e *Env) error {
 }
 
 func ab1(e *Env) error {
-	e.printf("## Ablation: window-generation algorithm / RMQ structure\n")
-	e.printf("one pass over SynWeb 1x token hashes, t=50\n\n")
+	const t, passes = 50, 7
+	e.printf("## Ablation: window generation, O(n) stack vs ALIGN's segment tree\n")
+	e.printf("SynWeb 1x token hashes (hashed once, untimed), t=%d; %d passes per generator in alternating order\n\n", t, passes)
 	c := e.synWeb(1, 32000, 1)
-	fam := hash.MustNewFamily(1, 1)
+	f := hash.MustNewFamily(1, 1).Func(0)
+	texts := make([][]uint64, c.NumTexts())
+	for id := range texts {
+		texts[id] = window.Hashes(c.Text(uint32(id)), f, nil)
+	}
+	var s window.Scratch
 	gens := []struct {
-		name string
-		gen  func(vals []uint64, t int, dst []window.Window) []window.Window
+		name    string
+		gen     func(vals []uint64, dst []window.Window) []window.Window
+		windows int
+		times   []time.Duration
 	}{
-		{"stack (ours, O(n))", window.GenerateLinear},
-		{"rmq linear (paper, O(n))", func(v []uint64, t int, dst []window.Window) []window.Window {
-			return window.Generate(v, t, func(x []uint64) rmq.RMQ { return rmq.NewLinear(x) }, dst)
+		{name: "stack (ours, O(n), reused Scratch)", gen: func(v []uint64, dst []window.Window) []window.Window {
+			return s.Generate(v, t, dst)
 		}},
-		{"rmq sparse (O(n log n) space)", func(v []uint64, t int, dst []window.Window) []window.Window {
-			return window.Generate(v, t, func(x []uint64) rmq.RMQ { return rmq.NewSparse(x) }, dst)
-		}},
-		{"segment tree (ALIGN, O(n log n))", func(v []uint64, t int, dst []window.Window) []window.Window {
-			return window.Generate(v, t, func(x []uint64) rmq.RMQ { return rmq.NewSegmentTree(x) }, dst)
+		{name: "segment tree (ALIGN, O(n log n))", gen: func(v []uint64, dst []window.Window) []window.Window {
+			return window.GenerateSegmentTree(v, t, dst)
 		}},
 	}
-	w := e.table()
-	fmt.Fprintln(w, "generator\twindows\ttime ms")
-	for _, g := range gens {
-		var vals []uint64
-		var ws []window.Window
-		start := time.Now()
-		count := 0
-		for id := 0; id < c.NumTexts(); id++ {
-			vals = window.Hashes(c.Text(uint32(id)), fam.Func(0), vals)
-			ws = g.gen(vals, 50, ws[:0])
-			count += len(ws)
+	var ws []window.Window
+	for p := 0; p < passes; p++ {
+		for i := range gens {
+			g := &gens[(i+p)%len(gens)]
+			count := 0
+			start := time.Now()
+			for _, vals := range texts {
+				ws = g.gen(vals, ws[:0])
+				count += len(ws)
+			}
+			g.times = append(g.times, time.Since(start))
+			g.windows = count
 		}
-		fmt.Fprintf(w, "%s\t%d\t%s\n", g.name, count, ms(time.Since(start)))
+	}
+	w := e.table()
+	fmt.Fprintln(w, "generator\twindows\tmedian ms\tmin ms\tmax ms")
+	for _, g := range gens {
+		if g.windows != gens[0].windows {
+			return fmt.Errorf("ab1: %s emitted %d windows, %s %d", g.name, g.windows, gens[0].name, gens[0].windows)
+		}
+		slices.Sort(g.times)
+		fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%s\n", g.name, g.windows, ms(g.times[passes/2]), ms(g.times[0]), ms(g.times[passes-1]))
 	}
 	return w.Flush()
 }

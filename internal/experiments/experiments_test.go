@@ -86,7 +86,7 @@ func TestFastExperimentsRun(t *testing.T) {
 		t.Skip("experiment smoke tests are not short")
 	}
 	e, buf := testEnv(t)
-	for _, id := range []string{"fig2ab", "fig2cd", "fig2eh", "fig2il", "zipf"} {
+	for _, id := range []string{"fig2ab", "fig2cd", "fig2eh", "fig2il", "zipf", "ab1"} {
 		ex, ok := Find(id)
 		if !ok {
 			t.Fatalf("experiment %s missing", id)
@@ -100,7 +100,7 @@ func TestFastExperimentsRun(t *testing.T) {
 		}
 	}
 	out := buf.String()
-	for _, marker := range []string{"Fig 2(a-b)", "Fig 2(c-d)", "index size", "index time", "Zipf"} {
+	for _, marker := range []string{"Fig 2(a-b)", "Fig 2(c-d)", "index size", "index time", "Zipf", "segment tree"} {
 		if !strings.Contains(strings.ToLower(out), strings.ToLower(marker)) {
 			t.Errorf("output missing %q", marker)
 		}

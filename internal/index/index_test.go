@@ -77,7 +77,7 @@ func TestBuildMatchesDirectGeneration(t *testing.T) {
 		for id := 0; id < c.NumTexts(); id++ {
 			tokens := c.Text(uint32(id))
 			vals := window.Hashes(tokens, fam.Func(fn), nil)
-			for _, w := range window.GenerateLinear(vals, opts.T, nil) {
+			for _, w := range window.GenerateSegmentTree(vals, opts.T, nil) {
 				h := vals[w.C]
 				want[h] = append(want[h], Posting{
 					TextID: uint32(id), L: uint32(w.L), C: uint32(w.C), R: uint32(w.R),

@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
-
-	"ndss/internal/rmq"
 )
 
-// FuzzGenerateLinear checks, for arbitrary hash arrays and thresholds:
-// (1) the stack generator and the RMQ recursion agree, (2) every window
-// is maximal and annotated with the true range minimum, (3) the windows
-// partition all sequences of length >= t, and (4) the generator on
-// reused scratch emits the same windows in strictly ascending C.
+// FuzzGenerateLinear checks the O(n) stack generator, for arbitrary hash
+// arrays and thresholds: (1) on reused scratch it emits, in strictly
+// ascending C, the same windows as the segment-tree recursion, (2) every
+// window is maximal and annotated with the true range minimum, and (3)
+// the windows partition all sequences of length >= t.
 func FuzzGenerateLinear(f *testing.F) {
 	var fuzzScratch Scratch // one per fuzz worker process; targets run one at a time
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(3))
@@ -28,20 +26,8 @@ func FuzzGenerateLinear(f *testing.F) {
 		for i, b := range raw {
 			vals[i] = uint64(b % 16) // dense ties
 		}
-		checkScratchGenerate(t, &fuzzScratch, vals, tt)
-		ws := GenerateLinear(vals, tt, nil)
-		ref := Generate(vals, tt, func(x []uint64) rmq.RMQ { return rmq.NewSparse(x) }, nil)
-		if len(ws) != len(ref) {
-			t.Fatalf("generators disagree: %d vs %d windows", len(ws), len(ref))
-		}
-		refSet := map[Window]bool{}
-		for _, w := range ref {
-			refSet[w] = true
-		}
+		ws := checkScratchGenerate(t, &fuzzScratch, vals, tt)
 		for _, w := range ws {
-			if !refSet[w] {
-				t.Fatalf("window %v missing from RMQ output", w)
-			}
 			for p := w.L; p <= w.R; p++ {
 				if vals[p] < vals[w.C] {
 					t.Fatalf("window %v not a range minimum", w)
@@ -72,12 +58,11 @@ func FuzzGenerateLinear(f *testing.F) {
 	})
 }
 
-// FuzzCompactWindows cross-checks Algorithm 2's divide-and-conquer
-// recursion against the O(n) monotonic-stack generator on wide-range
-// hash values (8 bytes per value, so ties are rare and the Cartesian
-// tree is deep and skewed). The two implementations must emit the same
-// window multiset for every input, independent of the RMQ backing the
-// recursion.
+// FuzzCompactWindows cross-checks the O(n) monotonic-stack generator
+// against Algorithm 2's divide-and-conquer recursion over the segment
+// tree on wide-range hash values (8 bytes per value, so ties are rare
+// and the Cartesian tree is deep and skewed). The two implementations
+// must emit the same window multiset for every input.
 func FuzzCompactWindows(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint8(2))
@@ -93,33 +78,27 @@ func FuzzCompactWindows(f *testing.F) {
 		for i := range vals {
 			vals[i] = binary.LittleEndian.Uint64(raw[i*8:])
 		}
-		ref := GenerateLinear(vals, tt, nil)
-		refSet := map[Window]int{}
-		for _, w := range ref {
-			refSet[w]++
+		ws := stackGenerate(vals, tt)
+		ref := GenerateSegmentTree(vals, tt, nil)
+		if len(ws) != len(ref) {
+			t.Fatalf("stack generator emitted %d windows, segment tree %d", len(ws), len(ref))
 		}
-		for name, ctor := range map[string]func([]uint64) rmq.RMQ{
-			"linear":  func(x []uint64) rmq.RMQ { return rmq.NewLinear(x) },
-			"segtree": func(x []uint64) rmq.RMQ { return rmq.NewSegmentTree(x) },
-		} {
-			ws := Generate(vals, tt, ctor, nil)
-			if len(ws) != len(ref) {
-				t.Fatalf("%s: %d windows, stack generator emitted %d", name, len(ws), len(ref))
-			}
-			seen := map[Window]int{}
-			for _, w := range ws {
-				seen[w]++
-			}
-			for w, c := range refSet {
-				if seen[w] != c {
-					t.Fatalf("%s: window %v count %d, want %d", name, w, seen[w], c)
-				}
+		want := map[Window]int{}
+		for _, w := range ref {
+			want[w]++
+		}
+		for _, w := range ws {
+			want[w]--
+		}
+		for w, c := range want {
+			if c != 0 {
+				t.Fatalf("window %v: segment tree count minus stack count = %d", w, c)
 			}
 		}
 		// Sanity bound: a compact window exists iff the text is long
 		// enough, and there are at most n of them.
-		if (n >= tt) != (len(ref) > 0) || len(ref) > n {
-			t.Fatalf("%d windows for n=%d t=%d", len(ref), n, tt)
+		if (n >= tt) != (len(ws) > 0) || len(ws) > n {
+			t.Fatalf("%d windows for n=%d t=%d", len(ws), n, tt)
 		}
 	})
 }

@@ -10,15 +10,13 @@
 // (Theorem 1). In expectation a text with n distinct tokens yields
 // 2(n+1)/(t+1) - 1 valid windows.
 //
-// Two equivalent generators are provided:
-//
-//   - Generate: the paper's divide-and-conquer Algorithm 2 on top of a
-//     pluggable RMQ structure (O(n) total with the linear RMQ, O(n log n)
-//     with a segment tree as in ALIGN).
-//   - GenerateLinear (Scratch.Generate on reused memory): a
-//     monotonic-stack formulation that computes each position's maximal
-//     window directly via previous-smaller-or-equal / next-smaller bounds
-//     in one O(n) pass with no recursion, in ascending C.
+// Scratch.Generate is the generator every builder runs: a
+// monotonic-stack formulation that computes each position's maximal
+// window directly via previous-smaller-or-equal / next-smaller bounds in
+// one O(n) pass with no recursion, in ascending C. GenerateSegmentTree
+// is the paper's divide-and-conquer Algorithm 2 over ALIGN's segment
+// tree, O(n log n); it is the ablation baseline and the reference the
+// tests hold the stack to.
 //
 // Positions are 0-based; L, C, R are all inclusive.
 package window
@@ -27,7 +25,6 @@ import (
 	"fmt"
 
 	"ndss/internal/hash"
-	"ndss/internal/rmq"
 )
 
 // Window is a compact window (L, C, R), 0-based inclusive positions into
@@ -105,8 +102,8 @@ type stackEntry struct {
 // Generate appends to dst every valid compact window of the token hash
 // array vals under length threshold t, in O(len(vals)) time and in
 // ascending C, and returns the extended slice. Ties between equal hash
-// values are broken toward the leftmost position, matching the RMQ-based
-// generator.
+// values are broken toward the leftmost position, matching
+// GenerateSegmentTree.
 //
 // For each position c the maximal window is [L, R] where L-1 is the
 // closest previous position with value <= vals[c] and R+1 is the closest
@@ -159,19 +156,14 @@ func (s *Scratch) Generate(vals []uint64, t int, dst []Window) []Window {
 	return dst
 }
 
-// GenerateLinear is Scratch.Generate on fresh scratch, for call sites
-// that do not manage reuse.
-func GenerateLinear(vals []uint64, t int, dst []Window) []Window {
-	var s Scratch
-	return s.Generate(vals, t, dst)
-}
-
-// Generate appends to dst every valid compact window of vals under
-// length threshold t using the paper's divide-and-conquer Algorithm 2 on
-// the RMQ structure produced by newRMQ, and returns the extended slice.
-// The recursion is realized with an explicit stack so arbitrarily long
-// texts cannot overflow the goroutine stack.
-func Generate(vals []uint64, t int, newRMQ func([]uint64) rmq.RMQ, dst []Window) []Window {
+// GenerateSegmentTree appends to dst every valid compact window of vals
+// under length threshold t and returns the extended slice. It is the
+// paper's divide-and-conquer Algorithm 2 with ALIGN's range-minimum
+// structure, a segment tree: O(n) build, O(log n) per split, so
+// O(n log n) in all. The recursion runs on an explicit stack so
+// arbitrarily long texts cannot overflow the goroutine stack. Windows
+// come out in split order, not ascending C.
+func GenerateSegmentTree(vals []uint64, t int, dst []Window) []Window {
 	n := len(vals)
 	if t < 1 {
 		t = 1
@@ -179,7 +171,7 @@ func Generate(vals []uint64, t int, newRMQ func([]uint64) rmq.RMQ, dst []Window)
 	if n < t {
 		return dst
 	}
-	r := newRMQ(vals)
+	st := newSegmentTree(vals)
 	type span struct{ l, r int32 }
 	work := make([]span, 1, 64)
 	work[0] = span{0, int32(n - 1)}
@@ -189,19 +181,68 @@ func Generate(vals []uint64, t int, newRMQ func([]uint64) rmq.RMQ, dst []Window)
 		if int(s.r)-int(s.l)+1 < t {
 			continue
 		}
-		c := int32(r.Query(int(s.l), int(s.r)))
+		c := st.query(1, 0, int32(n-1), s.l, s.r)
 		dst = append(dst, Window{L: s.l, C: c, R: s.r})
 		work = append(work, span{s.l, c - 1}, span{c + 1, s.r})
 	}
 	return dst
 }
 
-// GenerateTokens is a convenience wrapper: it hashes tokens with f and
-// runs GenerateLinear. Intended for call sites that do not manage reuse
-// buffers themselves.
+// segmentTree answers leftmost-minimum queries over vals, which it
+// retains: tree[v] is the position of the leftmost minimum in node v's
+// range, the root being node 1 over [0, len(vals)-1].
+type segmentTree struct {
+	vals []uint64
+	tree []int32
+}
+
+// newSegmentTree builds the tree over vals, which must be non-empty.
+func newSegmentTree(vals []uint64) *segmentTree {
+	st := &segmentTree{vals: vals, tree: make([]int32, 4*len(vals))}
+	st.build(1, 0, int32(len(vals)-1))
+	return st
+}
+
+func (st *segmentTree) build(v int, l, r int32) {
+	if l == r {
+		st.tree[v] = l
+		return
+	}
+	mid := (l + r) / 2
+	st.build(2*v, l, mid)
+	st.build(2*v+1, mid+1, r)
+	st.tree[v] = st.merge(st.tree[2*v], st.tree[2*v+1])
+}
+
+// merge picks the leftmost minimum of two positions, a < b.
+func (st *segmentTree) merge(a, b int32) int32 {
+	if st.vals[b] < st.vals[a] {
+		return b
+	}
+	return a
+}
+
+// query returns the leftmost minimum of [l, r], which must lie within
+// node v's range [nl, nr].
+func (st *segmentTree) query(v int, nl, nr, l, r int32) int32 {
+	if l <= nl && nr <= r {
+		return st.tree[v]
+	}
+	mid := (nl + nr) / 2
+	if r <= mid {
+		return st.query(2*v, nl, mid, l, r)
+	}
+	if l > mid {
+		return st.query(2*v+1, mid+1, nr, l, r)
+	}
+	return st.merge(st.query(2*v, nl, mid, l, r), st.query(2*v+1, mid+1, nr, l, r))
+}
+
+// GenerateTokens hashes tokens with f and runs Scratch.Generate on fresh
+// scratch, for call sites that do not manage reuse buffers themselves.
 func GenerateTokens(tokens []uint32, f hash.Func, t int) []Window {
-	vals := Hashes(tokens, f, nil)
-	return GenerateLinear(vals, t, nil)
+	var s Scratch
+	return s.Generate(Hashes(tokens, f, nil), t, nil)
 }
 
 // ExpectedCount returns the expected number of valid compact windows for

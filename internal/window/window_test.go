@@ -9,25 +9,22 @@ import (
 	"testing/quick"
 
 	"ndss/internal/hash"
-	"ndss/internal/rmq"
 )
 
-// generators lists all window generators under test; they must produce
-// identical window sets.
+// stackGenerate runs the one-pass generator on fresh scratch.
+func stackGenerate(vals []uint64, t int) []Window {
+	var s Scratch
+	return s.Generate(vals, t, nil)
+}
+
+// generators lists both window generators; they must produce identical
+// window sets.
 var generators = []struct {
 	name string
 	gen  func(vals []uint64, t int) []Window
 }{
-	{"Linear", func(v []uint64, t int) []Window { return GenerateLinear(v, t, nil) }},
-	{"RMQ-Sparse", func(v []uint64, t int) []Window {
-		return Generate(v, t, func(x []uint64) rmq.RMQ { return rmq.NewSparse(x) }, nil)
-	}},
-	{"RMQ-SegTree", func(v []uint64, t int) []Window {
-		return Generate(v, t, func(x []uint64) rmq.RMQ { return rmq.NewSegmentTree(x) }, nil)
-	}},
-	{"RMQ-Linear", func(v []uint64, t int) []Window {
-		return Generate(v, t, func(x []uint64) rmq.RMQ { return rmq.NewLinear(x) }, nil)
-	}},
+	{"stack", stackGenerate},
+	{"segment tree", func(v []uint64, t int) []Window { return GenerateSegmentTree(v, t, nil) }},
 }
 
 func sortWindows(ws []Window) {
@@ -149,11 +146,96 @@ func TestGeneratorsAgreeRandom(t *testing.T) {
 	}
 }
 
+// argminScan returns the leftmost minimum of vals[l..r] by linear scan.
+func argminScan(vals []uint64, l, r int) int32 {
+	best := l
+	for i := l + 1; i <= r; i++ {
+		if vals[i] < vals[best] {
+			best = i
+		}
+	}
+	return int32(best)
+}
+
+// checkSegmentTreeAllRanges holds the reference's range-minimum structure
+// to brute force: every range of vals must answer the leftmost minimum.
+func checkSegmentTreeAllRanges(t *testing.T, vals []uint64) {
+	t.Helper()
+	n := len(vals)
+	st := newSegmentTree(vals)
+	for l := 0; l < n; l++ {
+		for r := l; r < n; r++ {
+			if got, want := st.query(1, 0, int32(n-1), int32(l), int32(r)), argminScan(vals, l, r); got != want {
+				t.Fatalf("vals=%v [%d,%d]: segment tree %d, scan %d", vals, l, r, got, want)
+			}
+		}
+	}
+}
+
+func TestSegmentTreeSingleElement(t *testing.T) {
+	st := newSegmentTree([]uint64{42})
+	if got := st.query(1, 0, 0, 0, 0); got != 0 {
+		t.Errorf("[0,0] = %d, want 0", got)
+	}
+}
+
+// TestSegmentTreeAllRangesSmall checks every range of fixed arrays,
+// including arrays with many ties.
+func TestSegmentTreeAllRangesSmall(t *testing.T) {
+	const top = math.MaxUint64
+	arrays := [][]uint64{
+		{5},
+		{2, 1},
+		{1, 2},
+		{3, 3, 3, 3},
+		{9, 1, 8, 1, 7, 1, 6},
+		{1, 2, 3, 4, 5, 6, 7, 8},
+		{8, 7, 6, 5, 4, 3, 2, 1},
+		{5, 5, 1, 5, 5, 1, 5, 5, 1},
+		{0, top, 0, top},
+	}
+	for _, vals := range arrays {
+		checkSegmentTreeAllRanges(t, vals)
+	}
+}
+
+// TestSegmentTreeAllRangesRandom checks every range of random arrays drawn
+// from a small value domain, to force many ties.
+func TestSegmentTreeAllRangesRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20; i++ {
+		vals := make([]uint64, 1+rng.Intn(200))
+		domain := uint64(1 + rng.Intn(10))
+		for j := range vals {
+			vals[j] = rng.Uint64() % domain
+		}
+		checkSegmentTreeAllRanges(t, vals)
+	}
+}
+
+// TestSegmentTreeLargeRandomSpotChecks checks random ranges of a long
+// random array.
+func TestSegmentTreeLargeRandomSpotChecks(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	long := make([]uint64, 50000)
+	for i := range long {
+		long[i] = rng.Uint64()
+	}
+	st := newSegmentTree(long)
+	for q := 0; q < 5000; q++ {
+		l := rng.Intn(len(long))
+		r := l + rng.Intn(len(long)-l)
+		if got, want := st.query(1, 0, int32(len(long)-1), int32(l), int32(r)), argminScan(long, l, r); got != want {
+			t.Fatalf("[%d,%d]: segment tree %d, scan %d", l, r, got, want)
+		}
+	}
+}
+
 // checkScratchGenerate runs the one-pass generator on a Scratch that has
-// just served a longer, different input, and checks the output against
-// the RMQ recursion as a set, for strictly ascending C, and for nothing
-// left over from the earlier call.
-func checkScratchGenerate(t *testing.T, s *Scratch, vals []uint64, tt int) {
+// just served a longer, different input, checks the output against the
+// segment-tree recursion as a set, for strictly ascending C, and for
+// nothing left over from the earlier call, and returns it.
+func checkScratchGenerate(t *testing.T, s *Scratch, vals []uint64, tt int) []Window {
 	t.Helper()
 	longer := make([]uint64, 2*len(vals)+3)
 	for i := range longer {
@@ -166,12 +248,16 @@ func checkScratchGenerate(t *testing.T, s *Scratch, vals []uint64, tt int) {
 			t.Fatalf("t=%d vals=%v: C not strictly ascending: %v", tt, vals, got)
 		}
 	}
-	ref := Generate(vals, tt, func(x []uint64) rmq.RMQ { return rmq.NewSparse(x) }, nil)
+	ref := GenerateSegmentTree(vals, tt, nil)
 	if !windowsEqual(append([]Window{}, got...), ref) {
-		t.Fatalf("t=%d vals=%v: one-pass %v, RMQ %v", tt, vals, got, ref)
+		t.Fatalf("t=%d vals=%v: one-pass %v, segment tree %v", tt, vals, got, ref)
 	}
+	return got
 }
 
+// TestScratchGenerateMatchesRMQ checks the one-pass generator against the
+// range-minimum recursion (GenerateSegmentTree) on edge-case and random
+// inputs, at thresholds below, at and above the input length.
 func TestScratchGenerateMatchesRMQ(t *testing.T) {
 	const top = math.MaxUint64
 	inputs := map[string][]uint64{
@@ -217,18 +303,20 @@ func TestCoverage(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Uint64() % domain
 		}
-		ws := GenerateLinear(vals, tt, nil)
-		for i := 0; i < n; i++ {
-			for j := i + tt - 1; j < n; j++ {
-				count := 0
-				for _, w := range ws {
-					if w.Contains(int32(i), int32(j)) {
-						count++
+		for _, g := range generators {
+			ws := g.gen(vals, tt)
+			for i := 0; i < n; i++ {
+				for j := i + tt - 1; j < n; j++ {
+					count := 0
+					for _, w := range ws {
+						if w.Contains(int32(i), int32(j)) {
+							count++
+						}
 					}
-				}
-				if count != 1 {
-					t.Fatalf("trial %d: sequence [%d,%d] covered by %d windows (t=%d, vals=%v, ws=%v)",
-						trial, i, j, count, tt, vals, ws)
+					if count != 1 {
+						t.Fatalf("%s trial %d: sequence [%d,%d] covered by %d windows (t=%d, vals=%v, ws=%v)",
+							g.name, trial, i, j, count, tt, vals, ws)
+					}
 				}
 			}
 		}
@@ -247,10 +335,12 @@ func TestMinHashCorrectness(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Uint64() % 64
 		}
-		for _, w := range GenerateLinear(vals, tt, nil) {
-			for p := w.L; p <= w.R; p++ {
-				if vals[p] < vals[w.C] {
-					t.Fatalf("window %v: vals[%d]=%d < vals[C]=%d", w, p, vals[p], vals[w.C])
+		for _, g := range generators {
+			for _, w := range g.gen(vals, tt) {
+				for p := w.L; p <= w.R; p++ {
+					if vals[p] < vals[w.C] {
+						t.Fatalf("%s: window %v: vals[%d]=%d < vals[C]=%d", g.name, w, p, vals[p], vals[w.C])
+					}
 				}
 			}
 		}
@@ -267,12 +357,14 @@ func TestMaximality(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Uint64() % 32
 		}
-		for _, w := range GenerateLinear(vals, 1, nil) {
-			if w.L > 0 && vals[w.L-1] > vals[w.C] {
-				t.Fatalf("window %v extendable left (vals[%d]=%d > %d)", w, w.L-1, vals[w.L-1], vals[w.C])
-			}
-			if int(w.R) < n-1 && vals[w.R+1] >= vals[w.C] {
-				t.Fatalf("window %v extendable right (vals[%d]=%d >= %d)", w, w.R+1, vals[w.R+1], vals[w.C])
+		for _, g := range generators {
+			for _, w := range g.gen(vals, 1) {
+				if w.L > 0 && vals[w.L-1] > vals[w.C] {
+					t.Fatalf("%s: window %v extendable left (vals[%d]=%d > %d)", g.name, w, w.L-1, vals[w.L-1], vals[w.C])
+				}
+				if int(w.R) < n-1 && vals[w.R+1] >= vals[w.C] {
+					t.Fatalf("%s: window %v extendable right (vals[%d]=%d >= %d)", g.name, w, w.R+1, vals[w.R+1], vals[w.C])
+				}
 			}
 		}
 	}
@@ -295,7 +387,7 @@ func TestTheorem1Expectation(t *testing.T) {
 			for i := range vals {
 				vals[i] = rng.Uint64() // distinct w.h.p.
 			}
-			total += len(GenerateLinear(vals, cfg.t, nil))
+			total += len(stackGenerate(vals, cfg.t))
 		}
 		mean := float64(total) / float64(trials)
 		want := ExpectedCount(cfg.n, cfg.t)
@@ -390,7 +482,7 @@ func TestGenerateTokens(t *testing.T) {
 	}
 	// Same result as explicit pipeline.
 	vals := Hashes(tokens, fam.Func(0), nil)
-	want := GenerateLinear(vals, 10, nil)
+	want := stackGenerate(vals, 10)
 	if !windowsEqual(ws, want) {
 		t.Error("GenerateTokens disagrees with explicit pipeline")
 	}
@@ -414,7 +506,7 @@ func TestWindowCountsPartitionSequences(t *testing.T) {
 			want += int64(n - L + 1)
 		}
 		var got int64
-		for _, w := range GenerateLinear(vals, tt, nil) {
+		for _, w := range stackGenerate(vals, tt) {
 			got += w.CountAtLeast(tt)
 		}
 		return got == want
@@ -437,12 +529,8 @@ func benchGenerate(b *testing.B, n, t int, gen func([]uint64, int) []Window) {
 	}
 }
 
-func BenchmarkGenerateLinear_n10k_t50(b *testing.B) {
-	benchGenerate(b, 10000, 50, func(v []uint64, t int) []Window { return GenerateLinear(v, t, nil) })
-}
-
 // The builders' shape: one Scratch and one output slice across calls.
-func BenchmarkGenerateLinearScratch_n10k_t50(b *testing.B) {
+func BenchmarkScratchGenerate_n10k_t50(b *testing.B) {
 	var s Scratch
 	var ws []Window
 	benchGenerate(b, 10000, 50, func(v []uint64, t int) []Window {
@@ -451,20 +539,6 @@ func BenchmarkGenerateLinearScratch_n10k_t50(b *testing.B) {
 	})
 }
 
-func BenchmarkGenerateRMQSparse_n10k_t50(b *testing.B) {
-	benchGenerate(b, 10000, 50, func(v []uint64, t int) []Window {
-		return Generate(v, t, func(x []uint64) rmq.RMQ { return rmq.NewSparse(x) }, nil)
-	})
-}
-
-func BenchmarkGenerateRMQSegTree_n10k_t50(b *testing.B) {
-	benchGenerate(b, 10000, 50, func(v []uint64, t int) []Window {
-		return Generate(v, t, func(x []uint64) rmq.RMQ { return rmq.NewSegmentTree(x) }, nil)
-	})
-}
-
-func BenchmarkGenerateRMQLinear_n10k_t50(b *testing.B) {
-	benchGenerate(b, 10000, 50, func(v []uint64, t int) []Window {
-		return Generate(v, t, func(x []uint64) rmq.RMQ { return rmq.NewLinear(x) }, nil)
-	})
+func BenchmarkGenerateSegmentTree_n10k_t50(b *testing.B) {
+	benchGenerate(b, 10000, 50, func(v []uint64, t int) []Window { return GenerateSegmentTree(v, t, nil) })
 }
