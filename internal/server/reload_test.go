@@ -181,6 +181,49 @@ func TestReloadZeroFailedRequests(t *testing.T) {
 	}
 }
 
+// TestMetricsScrapeDuringReload races JSON and exposition scrapes of
+// /metrics against repeated reloads. A scrape must pin the backend it
+// reads: an unpinned one can be closed under it (a data race under
+// -race on the index's segment set).
+func TestMetricsScrapeDuringReload(t *testing.T) {
+	srv, _, _, _, _ := reloadFixture(t)
+	var (
+		stop    atomic.Bool
+		scrapes atomic.Int64
+		wg      sync.WaitGroup
+	)
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(asJSON bool) {
+			defer wg.Done()
+			for !stop.Load() {
+				req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+				if asJSON {
+					req.Header.Set("Accept", "application/json")
+				}
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Errorf("scrape: status %d", rec.Code)
+					return
+				}
+				scrapes.Add(1)
+			}
+		}(i%2 == 0)
+	}
+	for i := 0; i < 200; i++ {
+		if _, _, err := srv.Reload(); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if scrapes.Load() == 0 {
+		t.Fatal("no scrapes observed")
+	}
+}
+
 // stubBackend is a fully controllable Backend for drain/cache tests.
 type stubBackend struct {
 	id      string

@@ -235,8 +235,8 @@ func (s *Server) acquire() (Backend, func()) {
 	return h.b, h.wg.Done
 }
 
-// backend returns the current backend for read-only snapshot use
-// (healthz/metrics); it does not pin against a swap.
+// backend returns the current backend for /healthz, which reads only
+// what a closed backend still answers; it does not pin against a swap.
 func (s *Server) backend() Backend {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -438,7 +438,10 @@ func (s *Server) maybeAutoCompact() {
 	if s.cfg.CompactAfter <= 0 || s.cfg.Compactor == nil {
 		return
 	}
-	if segmentCount(s.backend()) <= s.cfg.CompactAfter {
+	b, release := s.acquire()
+	segments := segmentCount(b)
+	release()
+	if segments <= s.cfg.CompactAfter {
 		return
 	}
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -553,9 +556,11 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		s.writeError(w, r, http.StatusInternalServerError, err.Error())
 	default:
+		b, release := s.acquire()
+		segments := segmentCount(b)
+		release()
 		writeJSON(w, http.StatusOK, map[string]any{
-			"status": "compacted", "build_id": buildID,
-			"segments": segmentCount(s.backend()),
+			"status": "compacted", "build_id": buildID, "segments": segments,
 		})
 	}
 }
@@ -962,7 +967,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		cacheLen, cacheCap = s.cache.len(), s.cfg.CacheEntries
 	}
-	b := s.backend()
+	b, release := s.acquire()
+	defer release()
 	meta := b.Meta()
 	ios := b.IOStats()
 	ix := indexSnapshot{
