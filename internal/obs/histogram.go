@@ -30,14 +30,25 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sumNS.Add(int64(d))
 }
 
+// HistogramSnapshot is a Histogram read at one scrape.
+type HistogramSnapshot struct {
+	// Buckets are per-bucket (non-cumulative) observation counts
+	// aligned with LatencyBucketsMS; the last entry is +Inf.
+	Buckets [len(LatencyBucketsMS) + 1]int64
+	Count   int64
+	SumNS   int64
+}
+
 // Load reads the per-bucket (non-cumulative) counts and derives the
-// total from their sum, so count always equals the buckets even while
+// total from their sum, so Count always equals the buckets even while
 // other goroutines observe concurrently (the count is simply the state
 // of the buckets at their individual load instants).
-func (h *Histogram) Load() (buckets [len(LatencyBucketsMS) + 1]int64, count, sumNS int64) {
+func (h *Histogram) Load() HistogramSnapshot {
+	var s HistogramSnapshot
 	for i := range h.counts {
-		buckets[i] = h.counts[i].Load()
-		count += buckets[i]
+		s.Buckets[i] = h.counts[i].Load()
+		s.Count += s.Buckets[i]
 	}
-	return buckets, count, h.sumNS.Load()
+	s.SumNS = h.sumNS.Load()
+	return s
 }

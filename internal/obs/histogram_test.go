@@ -13,25 +13,25 @@ func TestHistogramBucketEdges(t *testing.T) {
 	for i, ub := range LatencyBucketsMS {
 		var h Histogram
 		h.Observe(time.Duration(ub * float64(time.Millisecond)))
-		buckets, count, _ := h.Load()
-		if count != 1 {
-			t.Fatalf("bound %v: count = %d", ub, count)
+		s := h.Load()
+		if s.Count != 1 {
+			t.Fatalf("bound %v: count = %d", ub, s.Count)
 		}
-		if buckets[i] != 1 {
-			t.Errorf("value == bound %vms landed in bucket %v, want bucket %d (le=%v)", ub, buckets, i, ub)
+		if s.Buckets[i] != 1 {
+			t.Errorf("value == bound %vms landed in bucket %v, want bucket %d (le=%v)", ub, s.Buckets, i, ub)
 		}
 	}
 
 	var h Histogram
 	h.Observe(time.Duration(LatencyBucketsMS[len(LatencyBucketsMS)-1]*float64(time.Millisecond)) * 2)
-	buckets, _, _ := h.Load()
+	buckets := h.Load().Buckets
 	if buckets[len(LatencyBucketsMS)] != 1 {
 		t.Errorf("overflow value landed in %v, want +Inf bucket", buckets)
 	}
 
 	var h2 Histogram
 	h2.Observe(time.Duration(LatencyBucketsMS[0] * float64(time.Millisecond) / 2))
-	buckets, _, _ = h2.Load()
+	buckets = h2.Load().Buckets
 	if buckets[0] != 1 {
 		t.Errorf("small value landed in %v, want bucket 0", buckets)
 	}
@@ -54,13 +54,13 @@ func TestHistogramConcurrentConsistency(t *testing.T) {
 				return
 			default:
 			}
-			buckets, count, _ := h.Load()
+			s := h.Load()
 			var sum int64
-			for _, b := range buckets {
+			for _, b := range s.Buckets {
 				sum += b
 			}
-			if count != sum {
-				t.Errorf("count %d != bucket sum %d", count, sum)
+			if s.Count != sum {
+				t.Errorf("count %d != bucket sum %d", s.Count, sum)
 				return
 			}
 		}
@@ -84,11 +84,11 @@ func TestHistogramConcurrentConsistency(t *testing.T) {
 	close(stop)
 	reader.Wait()
 
-	_, count, sumNS := h.Load()
-	if want := int64(writers * perWriter); count != want {
-		t.Fatalf("final count %d, want %d", count, want)
+	s := h.Load()
+	if want := int64(writers * perWriter); s.Count != want {
+		t.Fatalf("final count %d, want %d", s.Count, want)
 	}
-	if sumNS != wantSum {
-		t.Fatalf("final sum %d, want %d", sumNS, wantSum)
+	if s.SumNS != wantSum {
+		t.Fatalf("final sum %d, want %d", s.SumNS, wantSum)
 	}
 }

@@ -153,18 +153,18 @@ func (m *metrics) recordStats(st *search.Stats) {
 // aggregateLatency folds every (endpoint, outcome) histogram into one,
 // preserving the pre-observability JSON schema where "latency" was a
 // single request histogram.
-func (m *metrics) aggregateLatency() (buckets [len(obs.LatencyBucketsMS) + 1]int64, count, sumNS int64) {
+func (m *metrics) aggregateLatency() (agg obs.HistogramSnapshot) {
 	for e := 0; e < int(numEndpoints); e++ {
 		for o := 0; o < int(numOutcomes); o++ {
-			b, c, s := m.latency[e][o].Load()
-			for i := range buckets {
-				buckets[i] += b[i]
+			h := m.latency[e][o].Load()
+			for i := range agg.Buckets {
+				agg.Buckets[i] += h.Buckets[i]
 			}
-			count += c
-			sumNS += s
+			agg.Count += h.Count
+			agg.SumNS += h.SumNS
 		}
 	}
-	return buckets, count, sumNS
+	return agg
 }
 
 // runtimeSnapshot samples the Go runtime gauges exposed on /metrics.
@@ -194,7 +194,8 @@ func sampleRuntime() runtimeSnapshot {
 // Accept: application/json. The pre-observability keys are preserved
 // verbatim; "endpoints", "stages" and "runtime" are additive.
 func (m *metrics) snapshot(cacheLen, cacheCap int, ix indexSnapshot, sm *shard.Metrics) map[string]any {
-	aggBuckets, count, sumNS := m.aggregateLatency()
+	agg := m.aggregateLatency()
+	aggBuckets, count, sumNS := agg.Buckets, agg.Count, agg.SumNS
 	buckets := make(map[string]int64, len(obs.LatencyBucketsMS)+1)
 	for i, ub := range obs.LatencyBucketsMS {
 		buckets[formatMS(ub)] = aggBuckets[i]
@@ -212,7 +213,8 @@ func (m *metrics) snapshot(cacheLen, cacheCap int, ix indexSnapshot, sm *shard.M
 	for e := endpoint(0); e < numEndpoints; e++ {
 		outs := make(map[string]any, numOutcomes)
 		for o := outcome(0); o < numOutcomes; o++ {
-			_, c, s := m.latency[e][o].Load()
+			h := m.latency[e][o].Load()
+			c, s := h.Count, h.SumNS
 			rows[e] += c
 			cols[o] += c
 			if c == 0 {
@@ -229,8 +231,8 @@ func (m *metrics) snapshot(cacheLen, cacheCap int, ix indexSnapshot, sm *shard.M
 	}
 	stages := make(map[string]any, search.NumStages)
 	for i, name := range search.StageNames {
-		_, c, s := m.stages[i].Load()
-		stages[name] = map[string]int64{"count": c, "sum_ns": s}
+		h := m.stages[i].Load()
+		stages[name] = map[string]int64{"count": h.Count, "sum_ns": h.SumNS}
 	}
 
 	out := map[string]any{
@@ -294,8 +296,8 @@ func (m *metrics) snapshot(cacheLen, cacheCap int, ix indexSnapshot, sm *shard.M
 				"requests": sh.Requests,
 				"errors":   sh.Errors,
 				"latency": map[string]int64{
-					"count":  sh.LatencyCount,
-					"sum_ns": sh.LatencySumNS,
+					"count":  sh.Latency.Count,
+					"sum_ns": sh.Latency.SumNS,
 				},
 			}
 			if rs := sh.ReplicaSet; rs != nil {

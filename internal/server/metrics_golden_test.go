@@ -32,8 +32,8 @@ func (goldenBackend) SegmentCount() int { return 3 }
 func (goldenBackend) ShardMetrics() shard.Metrics {
 	var plain shard.ShardMetrics
 	plain.Shard, plain.BuildID, plain.Requests, plain.Errors = "/data/shard-a", "build-a", 11, 1
-	plain.LatencyBuckets[1], plain.LatencyBuckets[4], plain.LatencyBuckets[12] = 4, 2, 1
-	plain.LatencyCount, plain.LatencySumNS = 7, int64(1500*time.Millisecond)
+	plain.Latency.Buckets[1], plain.Latency.Buckets[4], plain.Latency.Buckets[12] = 4, 2, 1
+	plain.Latency.Count, plain.Latency.SumNS = 7, int64(1500*time.Millisecond)
 	return shard.Metrics{
 		PartialResults: 4,
 		Shards: []shard.ShardMetrics{plain, {

@@ -26,7 +26,7 @@ func latencyCells(m *metrics) (cells map[string]int64, total int64) {
 	cells = map[string]int64{}
 	for e := endpoint(0); e < numEndpoints; e++ {
 		for o := outcome(0); o < numOutcomes; o++ {
-			_, c, _ := m.latency[e][o].Load()
+			c := m.latency[e][o].Load().Count
 			if c > 0 {
 				cells[e.String()+"/"+o.String()] = c
 			}

@@ -50,16 +50,16 @@ func (p *promWriter) sample(name, labels string, value float64) {
 
 // histogramSamples writes the cumulative bucket series plus _sum and
 // _count for one histogram. extraLabels tags every line (may be empty).
-func (p *promWriter) histogramSamples(name, extraLabels string, buckets [len(obs.LatencyBucketsMS) + 1]int64, count, sumNS int64) {
+func (p *promWriter) histogramSamples(name, extraLabels string, h obs.HistogramSnapshot) {
 	cum := int64(0)
 	for i, ub := range obs.LatencyBucketsMS {
-		cum += buckets[i]
+		cum += h.Buckets[i]
 		p.sample(name+"_bucket", joinLabels(extraLabels, `le="`+formatPromValue(ub/1000)+`"`), float64(cum))
 	}
-	cum += buckets[len(obs.LatencyBucketsMS)]
+	cum += h.Buckets[len(obs.LatencyBucketsMS)]
 	p.sample(name+"_bucket", joinLabels(extraLabels, `le="+Inf"`), float64(cum))
-	p.sample(name+"_sum", extraLabels, float64(sumNS)/float64(time.Second))
-	p.sample(name+"_count", extraLabels, float64(count))
+	p.sample(name+"_sum", extraLabels, float64(h.SumNS)/float64(time.Second))
+	p.sample(name+"_count", extraLabels, float64(h.Count))
 }
 
 func joinLabels(a, b string) string {
@@ -93,7 +93,7 @@ func (m *metrics) writePrometheus(w io.Writer, cacheLen, cacheCap int, ix indexS
 	var cacheHits int64 // the outCached column
 	for e := endpoint(0); e < numEndpoints; e++ {
 		for o := outcome(0); o < numOutcomes; o++ {
-			_, c, _ := m.latency[e][o].Load()
+			c := m.latency[e][o].Load().Count
 			if o == outCached {
 				cacheHits += c
 			}
@@ -111,19 +111,18 @@ func (m *metrics) writePrometheus(w io.Writer, cacheLen, cacheCap int, ix indexS
 	p.header("ndss_request_duration_seconds", "Admitted request latency by endpoint and outcome.", "histogram")
 	for e := endpoint(0); e < numEndpoints; e++ {
 		for o := outcome(0); o < numOutcomes; o++ {
-			b, c, s := m.latency[e][o].Load()
-			if c == 0 {
+			h := m.latency[e][o].Load()
+			if h.Count == 0 {
 				continue // keep the exposition compact: only cells that fired
 			}
 			p.histogramSamples("ndss_request_duration_seconds",
-				fmt.Sprintf(`endpoint=%q,outcome=%q`, e.String(), o.String()), b, c, s)
+				fmt.Sprintf(`endpoint=%q,outcome=%q`, e.String(), o.String()), h)
 		}
 	}
 
 	p.header("ndss_stage_duration_seconds", "Per-query pipeline stage latency (executed queries).", "histogram")
 	for i, name := range search.StageNames {
-		b, c, s := m.stages[i].Load()
-		p.histogramSamples("ndss_stage_duration_seconds", fmt.Sprintf(`stage=%q`, name), b, c, s)
+		p.histogramSamples("ndss_stage_duration_seconds", fmt.Sprintf(`stage=%q`, name), m.stages[i].Load())
 	}
 
 	p.header("ndss_cache_hits_total", "Result cache hits.", "counter")
@@ -201,12 +200,11 @@ func (m *metrics) writePrometheus(w io.Writer, cacheLen, cacheCap int, ix indexS
 		p.sample("ndss_shard_partial_results_total", "", float64(sm.PartialResults))
 		p.header("ndss_shard_request_duration_seconds", "Fan-out leg latency per shard.", "histogram")
 		for _, sh := range sm.Shards {
-			if sh.LatencyCount == 0 {
+			if sh.Latency.Count == 0 {
 				continue // keep the exposition compact: only shards that served
 			}
 			p.histogramSamples("ndss_shard_request_duration_seconds",
-				fmt.Sprintf(`shard=%q`, escapeLabelValue(sh.Shard)),
-				sh.LatencyBuckets, sh.LatencyCount, sh.LatencySumNS)
+				fmt.Sprintf(`shard=%q`, escapeLabelValue(sh.Shard)), sh.Latency)
 		}
 
 		// Replica-level resilience accounting (shards served by replica

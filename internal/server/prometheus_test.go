@@ -368,13 +368,13 @@ func TestHistogramConcurrentConsistency(t *testing.T) {
 				return
 			default:
 			}
-			buckets, count, _ := m.latency[epSearch][outOK].Load()
+			h := m.latency[epSearch][outOK].Load()
 			var sum int64
-			for _, b := range buckets {
+			for _, b := range h.Buckets {
 				sum += b
 			}
-			if count != sum {
-				t.Errorf("count %d != bucket sum %d", count, sum)
+			if h.Count != sum {
+				t.Errorf("count %d != bucket sum %d", h.Count, sum)
 				return
 			}
 		}
@@ -407,11 +407,11 @@ func TestHistogramConcurrentConsistency(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	_, count, _ := m.latency[epSearch][outOK].Load()
+	count := m.latency[epSearch][outOK].Load().Count
 	if want := int64(writers * perWriter); count != want {
 		t.Fatalf("final count %d, want %d", count, want)
 	}
-	_, scount, _ := m.stages[0].Load()
+	scount := m.stages[0].Load().Count
 	if want := int64(writers * perWriter); scount != want {
 		t.Fatalf("final stage count %d, want %d", scount, want)
 	}

@@ -131,8 +131,8 @@ func TestPartialOnShardError(t *testing.T) {
 		if i == 1 {
 			wantErrs = 1
 		}
-		if sh.Requests != 1 || sh.Errors != wantErrs || sh.LatencyCount != 1 {
-			t.Errorf("shard %s metrics: requests=%d errors=%d latency_count=%d", sh.Shard, sh.Requests, sh.Errors, sh.LatencyCount)
+		if sh.Requests != 1 || sh.Errors != wantErrs || sh.Latency.Count != 1 {
+			t.Errorf("shard %s metrics: requests=%d errors=%d latency_count=%d", sh.Shard, sh.Requests, sh.Errors, sh.Latency.Count)
 		}
 	}
 }

@@ -21,11 +21,8 @@ type ShardMetrics struct {
 	BuildID  string
 	Requests int64
 	Errors   int64
-	// LatencyBuckets are per-bucket (non-cumulative) observation counts
-	// aligned with obs.LatencyBucketsMS; the last entry is +Inf.
-	LatencyBuckets [len(obs.LatencyBucketsMS) + 1]int64
-	LatencyCount   int64
-	LatencySumNS   int64
+	// Latency is the shard's fan-out leg latency histogram.
+	Latency obs.HistogramSnapshot
 	// ReplicaSet is the replica-level breakdown when this shard is
 	// served by a ReplicaSet; nil for single-replica shards.
 	ReplicaSet *ReplicaSetMetrics
@@ -69,15 +66,12 @@ func (c *Coordinator) ShardMetrics() Metrics {
 		Shards:         make([]ShardMetrics, len(c.slots)),
 	}
 	for i, sl := range c.slots {
-		buckets, count, sumNS := sl.lat.Load()
 		out.Shards[i] = ShardMetrics{
-			Shard:          sl.client.Name(),
-			BuildID:        sl.client.BuildID(),
-			Requests:       sl.requests.Load(),
-			Errors:         sl.errors.Load(),
-			LatencyBuckets: buckets,
-			LatencyCount:   count,
-			LatencySumNS:   sumNS,
+			Shard:    sl.client.Name(),
+			BuildID:  sl.client.BuildID(),
+			Requests: sl.requests.Load(),
+			Errors:   sl.errors.Load(),
+			Latency:  sl.lat.Load(),
 		}
 		if rp, ok := sl.client.(interface{ ReplicaMetrics() ReplicaSetMetrics }); ok {
 			rm := rp.ReplicaMetrics()
