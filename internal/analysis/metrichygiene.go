@@ -44,12 +44,23 @@ var labelPairRe = regexp.MustCompile(`([A-Za-z0-9_.-]+)=(?:%q|"(?:[^"\\]|\\.)*")
 // preformatted label string.
 var emissionMethods = map[string]bool{"header": true, "sample": true, "histogramSamples": true}
 
+// The /metrics registry: rows are literals of metricRow whose name
+// field is the metric name and whose labels field is a label string,
+// usually built by labelPairs from alternating keys and values; a
+// family row's series method takes the label string first.
+const (
+	registryRow    = "metricRow"
+	registryLabel  = "labelPairs"
+	registrySeries = "series"
+)
+
 // MetricHygiene checks the hand-written Prometheus exposition: metric
-// name literals must match the documented catalog regex, label keys
-// must be snake_case, label values must never derive from request
-// input, and the per-request latency observation must keep the PR 4
-// exactly-once shape (observe only in admission-guarded functions,
-// deferred once, inline only immediately before a return).
+// name literals (promWriter calls and registry rows) must match the
+// documented catalog regex, label keys must be snake_case, label values
+// must never derive from request input, and the per-request latency
+// observation must keep the PR 4 exactly-once shape (observe only in
+// admission-guarded functions, deferred once, inline only immediately
+// before a return).
 var MetricHygiene = &Analyzer{
 	Name:   "metrichygiene",
 	Doc:    "Prometheus names/labels must match the catalog; latency observed exactly once per admitted request",
@@ -71,6 +82,7 @@ func runMetricHygiene(pass *Pass) error {
 			}
 			if inMetric {
 				checkEmissions(pass, fd)
+				checkRegistry(pass, fd)
 				checkObserveDiscipline(pass, fd)
 			}
 			if inHeader {
@@ -137,10 +149,68 @@ func checkEmissions(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
+// checkRegistry checks the /metrics registry: the name of every
+// metricRow literal, its labels field and a family row's series labels
+// like any label-string argument, and every labelPairs call's keys and
+// values.
+func checkRegistry(pass *Pass, fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			if !isNamedIn(pass.TypesInfo.TypeOf(n), pass.PkgPath(), registryRow) {
+				return true
+			}
+			for _, elt := range n.Elts {
+				kv, ok := elt.(*ast.KeyValueExpr)
+				if !ok {
+					continue
+				}
+				key, ok := kv.Key.(*ast.Ident)
+				if !ok {
+					continue
+				}
+				switch key.Name {
+				case "name":
+					if name, ok := constString(pass, kv.Value); ok && name != "" && !metricNameRe.MatchString(name) {
+						pass.Reportf(kv.Value.Pos(),
+							"metric name %q does not match the catalog shape %s", name, metricNameRe)
+					}
+				case "labels":
+					checkLabelArg(pass, kv.Value)
+				}
+			}
+		case *ast.CallExpr:
+			fn := staticCallee(pass.TypesInfo, n)
+			switch {
+			case fn == nil || fn.Pkg() != pass.Pkg:
+			case fn.Name() == registrySeries && methodOnNamed(fn, pass.PkgPath(), registryRow) && len(n.Args) > 0:
+				checkLabelArg(pass, n.Args[0])
+			case fn.Name() == registryLabel:
+				for i, arg := range n.Args {
+					if key, ok := constString(pass, arg); ok && i%2 == 0 && !labelKeyRe.MatchString(key) {
+						pass.Reportf(arg.Pos(), "label key %q is not snake_case", key)
+					}
+					if id := requestDerived(pass, arg); id != nil {
+						pass.Reportf(arg.Pos(),
+							"label value derived from request input (%s): unbounded label cardinality; use a fixed enum", id.Name)
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
 // checkLabelArg validates one preformatted label-string argument:
 // snake_case keys in any constant portion (including a Sprintf format
-// literal), and no value derived from request input.
+// literal), and no value derived from request input. A labelPairs call
+// is checked where it is made.
 func checkLabelArg(pass *Pass, arg ast.Expr) {
+	if call, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
+		if fn := staticCallee(pass.TypesInfo, call); fn != nil && fn.Pkg() == pass.Pkg && fn.Name() == registryLabel {
+			return
+		}
+	}
 	lit := ""
 	if s, ok := constString(pass, arg); ok {
 		lit = s

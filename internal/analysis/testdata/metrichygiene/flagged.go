@@ -22,6 +22,21 @@ func writeTainted(w *promWriter, r *http.Request) {
 	w.sample("ndss_requests_total", fmt.Sprintf(`path=%q`, r.URL.Path), 1) // want `label value derived from request input \(r\)`
 }
 
+// Registry rows are held to the same catalog: a row's name, its label
+// keys and its label values, however the label string is built.
+func registryBadRows(r *http.Request, outcome string) []metricRow {
+	fam := metricRow{name: "ndss_Requests_total", typ: "counter"} // want `metric name "ndss_Requests_total" does not match the catalog shape`
+	label := labelPairs("path", r.URL.Path)                       // want `label value derived from request input \(r\)`
+	return []metricRow{
+		{name: "requests_total", typ: "counter", val: 1},                                // want `metric name "requests_total" does not match the catalog shape`
+		{name: "ndss_requests_total", labels: `Outcome="ok"`, val: 1},                   // want `label key "Outcome" is not snake_case`
+		{name: "ndss_requests_total", labels: labelPairs("endPoint", "search"), val: 1}, // want `label key "endPoint" is not snake_case`
+		{name: "ndss_requests_total", labels: label, val: 1},
+		fam.series(fmt.Sprintf(`Outcome=%q`, outcome), 1), // want `label key "Outcome" is not snake_case`
+		fam.series(r.Header.Get("Accept"), 1),             // want `label value derived from request input \(r\)`
+	}
+}
+
 // Observing latency without admitting breaks the exactly-once pairing
 // with the in-flight gate.
 func (s *server) serveUnadmitted(ok bool) {

@@ -1,6 +1,7 @@
 // Fixture scaffolding mirroring internal/server's exposition plumbing:
-// a promWriter with emission methods, a metrics struct with the
-// exactly-once observe, and the admission gate.
+// a promWriter with emission methods, the registry's row type and label
+// builder, a metrics struct with the exactly-once observe, and the
+// admission gate.
 package server
 
 import "strings"
@@ -22,6 +23,19 @@ func (w *promWriter) histogramSamples(name, labels string, buckets []float64) {
 	w.b.WriteString(name + "{" + labels + "}\n")
 	_ = buckets
 }
+
+type metricRow struct {
+	name, typ, help string
+	labels          string
+	val             any
+}
+
+func (r metricRow) series(labels string, val any) metricRow {
+	r.labels, r.val = labels, val
+	return r
+}
+
+func labelPairs(kv ...string) string { return strings.Join(kv, ",") }
 
 type metrics struct {
 	count int

@@ -70,6 +70,17 @@ func searchMatches(t *testing.T, ts *httptest.Server, q []uint32, theta float64)
 	return sr.Matches
 }
 
+// indexSnapshot is the "index" object of the JSON /metrics rendering.
+type indexSnapshot struct {
+	BuildID    string `json:"build_id"`
+	K          int    `json:"k"`
+	T          int    `json:"t"`
+	NumTexts   int    `json:"num_texts"`
+	Segments   int    `json:"segments"`
+	BytesRead  int64  `json:"bytes_read"`
+	ReadTimeNS int64  `json:"read_time_ns"`
+}
+
 func metricsSnapshot(t *testing.T, ts *httptest.Server) (ix indexSnapshot, segs map[string]int64) {
 	t.Helper()
 	resp := getMetricsJSON(t, ts.Client(), ts.URL)

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -129,14 +131,6 @@ func (m *metrics) retain(rs reasonSet) {
 	}
 }
 
-func traceRetainedMap(m *metrics) map[string]int64 {
-	out := make(map[string]int64, numTraceReasons)
-	for i, r := range traceReasons {
-		out[r] = m.traceRetained[i].Load()
-	}
-	return out
-}
-
 func (m *metrics) recordStats(st *search.Stats) {
 	if st == nil {
 		return
@@ -150,194 +144,292 @@ func (m *metrics) recordStats(st *search.Stats) {
 	}
 }
 
-// aggregateLatency folds every (endpoint, outcome) histogram into one,
-// preserving the pre-observability JSON schema where "latency" was a
-// single request histogram.
-func (m *metrics) aggregateLatency() (agg obs.HistogramSnapshot) {
-	for e := 0; e < int(numEndpoints); e++ {
-		for o := 0; o < int(numOutcomes); o++ {
-			h := m.latency[e][o].Load()
-			for i := range agg.Buckets {
-				agg.Buckets[i] += h.Buckets[i]
-			}
-			agg.Count += h.Count
-			agg.SumNS += h.SumNS
+// metricRow is one value of a /metrics scrape with both renderings: an
+// exposition series (family name, type, help and labels) and a JSON
+// member (key path). A row without a name is JSON-only; a row without
+// a path is exposition-only.
+type metricRow struct {
+	name, typ, help string
+	labels          string // k="v" pairs from labelPairs
+	// path is the JSON key path: a string names an object member, an
+	// int indexes a list.
+	path []any
+	// val is an int, int64, float64, string, bool, shard.BreakerState or
+	// obs.HistogramSnapshot (JSON {count, sum_ns}; exposition buckets,
+	// sum and count). A nil val declares the family, or the JSON object
+	// at path, with nothing in it yet.
+	val any
+	ns  bool // val counts nanoseconds; the exposition shows seconds
+}
+
+// series returns the family row r with one labelled value.
+func (r metricRow) series(labels string, path []any, val any) metricRow {
+	r.labels, r.path, r.val = labels, path, val
+	return r
+}
+
+// at builds a JSON key path.
+func at(keys ...any) []any { return keys }
+
+// labelPairs formats exposition labels from alternating keys and
+// values, escaping each value per the exposition format.
+func labelPairs(kv ...string) string {
+	var b strings.Builder
+	for i := 0; i+1 < len(kv); i += 2 {
+		if i > 0 {
+			b.WriteByte(',')
 		}
+		b.WriteString(kv[i] + `="` + labelEscaper.Replace(kv[i+1]) + `"`)
 	}
-	return agg
+	return b.String()
 }
 
-// runtimeSnapshot samples the Go runtime gauges exposed on /metrics.
-type runtimeSnapshot struct {
-	Goroutines     int    `json:"goroutines"`
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-	HeapSysBytes   uint64 `json:"heap_sys_bytes"`
-	HeapObjects    uint64 `json:"heap_objects"`
-	GCPauseTotalNS uint64 `json:"gc_pause_total_ns"`
-	NumGC          uint32 `json:"num_gc"`
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// handleMetrics serves the exposition, or the JSON rendering to a
+// client that explicitly accepts application/json (scrapers send
+// text/plain or nothing).
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	rows := s.scrape()
+	if !strings.Contains(r.Header.Get("Accept"), "application/json") {
+		w.Header().Set("Content-Type", promContentType)
+		w.Write(exposition(rows))
+		return
+	}
+	body, err := metricsJSON(rows)
+	if err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }
 
-func sampleRuntime() runtimeSnapshot {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return runtimeSnapshot{
-		Goroutines:     runtime.NumGoroutine(),
-		HeapAllocBytes: ms.HeapAlloc,
-		HeapSysBytes:   ms.HeapSys,
-		HeapObjects:    ms.HeapObjects,
-		GCPauseTotalNS: ms.PauseTotalNs,
-		NumGC:          ms.NumGC,
-	}
-}
+// scrape pins the backend and reads every counter, histogram and gauge
+// once, with the index, shard and runtime snapshots, into rows. The
+// exposition lists families in the order they first appear here.
+func (s *Server) scrape() []metricRow {
+	b, release := s.acquire()
+	defer release()
+	m := &s.met
 
-// snapshot renders the counters into the JSON shape /metrics serves for
-// Accept: application/json. The pre-observability keys are preserved
-// verbatim; "endpoints", "stages" and "runtime" are additive.
-func (m *metrics) snapshot(cacheLen, cacheCap int, ix indexSnapshot, sm *shard.Metrics) map[string]any {
-	agg := m.aggregateLatency()
-	aggBuckets, count, sumNS := agg.Buckets, agg.Count, agg.SumNS
-	buckets := make(map[string]int64, len(obs.LatencyBucketsMS)+1)
-	for i, ub := range obs.LatencyBucketsMS {
-		buckets[formatMS(ub)] = aggBuckets[i]
+	requests := metricRow{name: "ndss_requests_total", typ: "counter", help: "Admitted query requests by endpoint and outcome."}
+	duration := metricRow{name: "ndss_request_duration_seconds", typ: "histogram", help: "Admitted request latency by endpoint and outcome."}
+	rows := []metricRow{
+		{name: "ndss_uptime_seconds", typ: "gauge", help: "Seconds since the server started.",
+			path: at("uptime_seconds"), val: time.Since(m.start).Seconds()},
+		{name: "ndss_in_flight_requests", typ: "gauge", help: "Query requests currently executing.",
+			path: at("in_flight"), val: m.inFlight.Load()},
+		requests,
+		{name: "ndss_requests_rejected_total", typ: "counter", help: "Requests rejected before admission (429 saturated).",
+			path: at("requests", "rejected"), val: m.rejected.Load()},
+		{name: "ndss_requests_refused_total", typ: "counter", help: "Requests refused while shutting down (503).",
+			path: at("requests", "refused"), val: m.refused.Load()},
+		{name: "ndss_requests_too_large_total", typ: "counter", help: "Requests rejected for an over-limit body (413).",
+			path: at("requests", "too_large"), val: m.tooLarge.Load()},
+		{path: at("requests", "bad_request"), val: m.badInput.Load()},
+		{path: at("requests", "internal_error"), val: m.internals.Load()},
+		duration,
 	}
-	buckets["+Inf"] = aggBuckets[len(obs.LatencyBucketsMS)]
+
+	// The latency matrix is read once. Its cells are the admitted
+	// requests: the request counts, the cache hits and the JSON
+	// "latency" object are its sums. Only cells that fired have a
+	// duration series; an endpoint without any is an empty object.
+	var all obs.HistogramSnapshot
+	var perOutcome [numOutcomes]int64
+	for e := range m.latency {
+		ep := endpoint(e).String()
+		rows = append(rows, metricRow{path: at("endpoints", ep)})
+		var perEndpoint int64
+		for o := range m.latency[e] {
+			h := m.latency[e][o].Load()
+			for i, n := range h.Buckets {
+				all.Buckets[i] += n
+			}
+			all.Count += h.Count
+			all.SumNS += h.SumNS
+			perEndpoint += h.Count
+			perOutcome[o] += h.Count
+			labels := labelPairs("endpoint", ep, "outcome", outcome(o).String())
+			rows = append(rows, requests.series(labels, nil, h.Count))
+			if h.Count > 0 {
+				rows = append(rows, duration.series(labels, at("endpoints", ep, outcome(o).String()), h))
+			}
+		}
+		rows = append(rows, metricRow{path: at("requests", ep), val: perEndpoint})
+	}
 	meanMS := 0.0
-	if count > 0 {
-		meanMS = float64(sumNS) / float64(count) / float64(time.Millisecond)
+	if all.Count > 0 {
+		meanMS = float64(all.SumNS) / float64(all.Count) / float64(time.Millisecond)
+	}
+	rows = append(rows, []metricRow{
+		{path: at("requests", "total"), val: all.Count},
+		{path: at("requests", "timeout"), val: perOutcome[outTimeout]},
+		{path: at("requests", "canceled"), val: perOutcome[outCanceled]},
+		{path: at("latency", "count"), val: all.Count},
+		{path: at("latency", "mean_ms"), val: meanMS},
+	}...)
+	for i, n := range all.Buckets {
+		rows = append(rows, metricRow{path: at("latency", "buckets_ms", upperBound(i, 1)), val: n})
+	}
+	stage := metricRow{name: "ndss_stage_duration_seconds", typ: "histogram", help: "Per-query pipeline stage latency (executed queries)."}
+	for i, name := range search.StageNames {
+		rows = append(rows, stage.series(labelPairs("stage", name), at("stages", name), m.stages[i].Load()))
 	}
 
-	// The request counters are the latency matrix's row and column sums.
-	var rows [numEndpoints]int64
-	var cols [numOutcomes]int64
-	endpoints := make(map[string]any, numEndpoints)
-	for e := endpoint(0); e < numEndpoints; e++ {
-		outs := make(map[string]any, numOutcomes)
-		for o := outcome(0); o < numOutcomes; o++ {
-			h := m.latency[e][o].Load()
-			c, s := h.Count, h.SumNS
-			rows[e] += c
-			cols[o] += c
-			if c == 0 {
-				continue
-			}
-			outs[o.String()] = map[string]int64{"count": c, "sum_ns": s}
-		}
-		endpoints[e.String()] = outs
-	}
-	hits, misses := cols[outCached], m.cacheMisses.Load()
+	hits, misses := perOutcome[outCached], m.cacheMisses.Load()
 	hitRate := 0.0
 	if hits+misses > 0 {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
-	stages := make(map[string]any, search.NumStages)
-	for i, name := range search.StageNames {
-		h := m.stages[i].Load()
-		stages[name] = map[string]int64{"count": h.Count, "sum_ns": h.SumNS}
+	cacheLen, cacheCap := 0, 0
+	if s.cache != nil {
+		cacheLen, cacheCap = s.cache.len(), s.cfg.CacheEntries
+	}
+	reloads := metricRow{name: "ndss_reloads_total", typ: "counter", help: "Backend hot reloads by result."}
+	retainedBy := metricRow{name: "ndss_trace_retained_total", typ: "counter",
+		help: "Traces retained in the trace store by retention reason (tail-based: decided at completion)."}
+	buildID, meta, ios := b.BuildID(), b.Meta(), b.IOStats()
+	slowest, retained := s.rec.counts()
+	rows = append(rows, []metricRow{
+		{name: "ndss_cache_hits_total", typ: "counter", help: "Result cache hits.",
+			path: at("cache", "hits"), val: hits},
+		{name: "ndss_cache_misses_total", typ: "counter", help: "Result cache misses.",
+			path: at("cache", "misses"), val: misses},
+		{path: at("cache", "hit_rate"), val: hitRate},
+		{name: "ndss_cache_entries", typ: "gauge", help: "Result cache current entries.",
+			path: at("cache", "size"), val: cacheLen},
+		{name: "ndss_cache_capacity", typ: "gauge", help: "Result cache capacity.",
+			path: at("cache", "capacity"), val: cacheCap},
+		reloads.series(labelPairs("result", "ok"), at("reloads", "completed"), m.reloads.Load()),
+		reloads.series(labelPairs("result", "error"), at("reloads", "failed"), m.reloadFailures.Load()),
+		{name: "ndss_ingests_total", typ: "counter", help: "Successful ingest mutations (segment appends).",
+			path: at("segments", "ingests"), val: m.ingests.Load()},
+		{name: "ndss_compactions_total", typ: "counter", help: "Successful segment compactions (manual or automatic).",
+			path: at("segments", "compactions"), val: m.compactions.Load()},
+		{name: "ndss_query_matches_total", typ: "counter", help: "Matches returned by executed queries.",
+			path: at("query", "matches"), val: m.matches.Load()},
+		{name: "ndss_query_io_bytes_total", typ: "counter", help: "Index bytes read by executed queries.",
+			path: at("query", "io_bytes"), val: m.ioBytes.Load()},
+		{name: "ndss_query_io_seconds_total", typ: "counter", help: "Time executed queries spent in index reads.",
+			path: at("query", "io_time_ns"), val: m.ioTimeNS.Load(), ns: true},
+		{name: "ndss_query_cpu_seconds_total", typ: "counter", help: "CPU-side time of executed queries (total minus I/O).",
+			path: at("query", "cpu_time_ns"), val: m.cpuTimeNS.Load(), ns: true},
+		// The JSON index object keeps this member order.
+		{path: at("index", "build_id"), val: buildID},
+		{path: at("index", "k"), val: meta.K},
+		{path: at("index", "t"), val: meta.T},
+		{name: "ndss_index_info", typ: "gauge", help: "Active index build (constant 1, labeled).",
+			labels: labelPairs("build_id", buildID, "k", strconv.Itoa(meta.K), "t", strconv.Itoa(meta.T)), val: 1},
+		{name: "ndss_index_texts", typ: "gauge", help: "Texts in the active index.",
+			path: at("index", "num_texts"), val: meta.NumTexts},
+		{name: "ndss_segments_total", typ: "gauge", help: "Segments in the active index's manifest.",
+			path: at("index", "segments"), val: segmentCount(b)},
+		{name: "ndss_index_bytes_read_total", typ: "counter", help: "Cumulative index bytes read since open.",
+			path: at("index", "bytes_read"), val: ios.BytesRead},
+		{name: "ndss_index_read_seconds_total", typ: "counter", help: "Cumulative index read time since open.",
+			path: at("index", "read_time_ns"), val: int64(ios.ReadTime), ns: true},
+		{name: "ndss_slowlog_entries", typ: "gauge", help: "Traces held by the slow-query flight recorder.",
+			val: slowest},
+		// Distributed-tracing families are in every scrape, zero-valued
+		// when tracing never fired.
+		{name: "ndss_trace_sampled_requests_total", typ: "counter", help: "Executed queries whose trace was head-sampled.",
+			path: at("trace", "sampled"), val: m.traceSampled.Load()},
+		retainedBy,
+		{name: "ndss_trace_store_entries", typ: "gauge", help: "Traces currently held by the trace store.",
+			val: retained},
+		{name: "ndss_trace_evictions_total", typ: "counter", help: "Retained traces evicted by ring capacity.",
+			path: at("trace", "evicted"), val: m.traceEvicted.Load()},
+	}...)
+	for i, reason := range traceReasons {
+		rows = append(rows, retainedBy.series(labelPairs("reason", reason), at("trace", "retained", reason), m.traceRetained[i].Load()))
 	}
 
-	out := map[string]any{
-		"uptime_seconds": time.Since(m.start).Seconds(),
-		"in_flight":      m.inFlight.Load(),
-		"requests": map[string]int64{
-			"total":          count,
-			"search":         rows[epSearch],
-			"topk":           rows[epTopK],
-			"explain":        rows[epExplain],
-			"rejected":       m.rejected.Load(),
-			"refused":        m.refused.Load(),
-			"bad_request":    m.badInput.Load(),
-			"too_large":      m.tooLarge.Load(),
-			"timeout":        cols[outTimeout],
-			"canceled":       cols[outCanceled],
-			"internal_error": m.internals.Load(),
-		},
-		"latency": map[string]any{
-			"count":      count,
-			"mean_ms":    meanMS,
-			"buckets_ms": buckets,
-		},
-		"endpoints": endpoints,
-		"stages":    stages,
-		"cache": map[string]any{
-			"hits":     hits,
-			"misses":   misses,
-			"hit_rate": hitRate,
-			"size":     cacheLen,
-			"capacity": cacheCap,
-		},
-		"reloads": map[string]int64{
-			"completed": m.reloads.Load(),
-			"failed":    m.reloadFailures.Load(),
-		},
-		"segments": map[string]int64{
-			"ingests":     m.ingests.Load(),
-			"compactions": m.compactions.Load(),
-		},
-		"query": map[string]int64{
-			"matches":     m.matches.Load(),
-			"io_bytes":    m.ioBytes.Load(),
-			"io_time_ns":  m.ioTimeNS.Load(),
-			"cpu_time_ns": m.cpuTimeNS.Load(),
-		},
-		"trace": map[string]any{
-			"sampled":  m.traceSampled.Load(),
-			"retained": traceRetainedMap(m),
-			"evicted":  m.traceEvicted.Load(),
-		},
-		"index":   ix,
-		"runtime": sampleRuntime(),
+	// A sharded backend (the scatter–gather coordinator) adds its
+	// fan-out accounting, discovered structurally so the server keeps
+	// working with any Backend.
+	if p, ok := b.(interface{ ShardMetrics() shard.Metrics }); ok {
+		rows = append(rows, shardRows(p.ShardMetrics())...)
 	}
-	if sm != nil {
-		shards := make([]map[string]any, len(sm.Shards))
-		for i, sh := range sm.Shards {
-			shards[i] = map[string]any{
-				"shard":    sh.Shard,
-				"build_id": sh.BuildID,
-				"requests": sh.Requests,
-				"errors":   sh.Errors,
-				"latency": map[string]int64{
-					"count":  sh.Latency.Count,
-					"sum_ns": sh.Latency.SumNS,
-				},
-			}
-			if rs := sh.ReplicaSet; rs != nil {
-				replicas := make([]map[string]any, len(rs.Replicas))
-				for j, r := range rs.Replicas {
-					replicas[j] = map[string]any{
-						"replica":     r.Replica,
-						"build_id":    r.BuildID,
-						"requests":    r.Requests,
-						"errors":      r.Errors,
-						"retries":     r.Retries,
-						"hedges":      r.Hedges,
-						"breaker":     r.Breaker.String(),
-						"quarantined": r.Quarantined,
-					}
-				}
-				shards[i]["replicas"] = replicas
-				shards[i]["hedge_wins"] = rs.HedgeWins
-				shards[i]["retry_budget_denied"] = rs.BudgetDenied
-			}
-		}
-		out["shards"] = map[string]any{
-			"partial_results": sm.PartialResults,
-			"shards":          shards,
-		}
-	}
-	return out
+
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	// The JSON runtime object keeps this member order.
+	return append(rows, []metricRow{
+		{name: "go_goroutines", typ: "gauge", help: "Number of goroutines.",
+			path: at("runtime", "goroutines"), val: runtime.NumGoroutine()},
+		{name: "go_memstats_heap_alloc_bytes", typ: "gauge", help: "Heap bytes allocated and in use.",
+			path: at("runtime", "heap_alloc_bytes"), val: int64(ms.HeapAlloc)},
+		{name: "go_memstats_heap_sys_bytes", typ: "gauge", help: "Heap bytes obtained from the OS.",
+			path: at("runtime", "heap_sys_bytes"), val: int64(ms.HeapSys)},
+		{name: "go_memstats_heap_objects", typ: "gauge", help: "Allocated heap objects.",
+			path: at("runtime", "heap_objects"), val: int64(ms.HeapObjects)},
+		{name: "go_gc_pause_seconds_total", typ: "counter", help: "Cumulative GC stop-the-world pause time.",
+			path: at("runtime", "gc_pause_total_ns"), val: int64(ms.PauseTotalNs), ns: true},
+		{name: "go_gc_cycles_total", typ: "counter", help: "Completed GC cycles.",
+			path: at("runtime", "num_gc"), val: int64(ms.NumGC)},
+	}...)
 }
 
-// indexSnapshot is the index-level slice of /metrics.
-type indexSnapshot struct {
-	BuildID    string `json:"build_id"`
-	K          int    `json:"k"`
-	T          int    `json:"t"`
-	NumTexts   int    `json:"num_texts"`
-	Segments   int    `json:"segments"`
-	BytesRead  int64  `json:"bytes_read"`
-	ReadTimeNS int64  `json:"read_time_ns"`
-}
-
-func formatMS(ub float64) string {
-	return strconv.FormatFloat(ub, 'g', -1, 64)
+// shardRows renders a coordinator's per-shard and per-replica
+// accounting. Shard and replica label values come from the serving
+// topology (index dirs or URLs fixed at startup), never from request
+// data. The replica families appear only when a replica set does.
+func shardRows(sm shard.Metrics) []metricRow {
+	requests := metricRow{name: "ndss_shard_requests_total", typ: "counter", help: "Fan-out query legs per shard."}
+	errs := metricRow{name: "ndss_shard_errors_total", typ: "counter", help: "Fan-out query legs that failed or missed their budget, per shard."}
+	latency := metricRow{name: "ndss_shard_request_duration_seconds", typ: "histogram", help: "Fan-out leg latency per shard."}
+	rows := []metricRow{
+		requests,
+		errs,
+		{name: "ndss_shard_partial_results_total", typ: "counter", help: "Queries answered with at least one shard missing.",
+			path: at("shards", "partial_results"), val: sm.PartialResults},
+		latency,
+	}
+	for i, sh := range sm.Shards {
+		shardAt := func(keys ...any) []any { return append(at("shards", "shards", i), keys...) }
+		label := labelPairs("shard", sh.Shard)
+		leg := latency.series(label, shardAt("latency"), sh.Latency)
+		if sh.Latency.Count == 0 {
+			leg.name = "" // keep the exposition compact: only shards that served
+		}
+		rows = append(rows,
+			metricRow{path: shardAt("shard"), val: sh.Shard},
+			metricRow{path: shardAt("build_id"), val: sh.BuildID},
+			requests.series(label, shardAt("requests"), sh.Requests),
+			errs.series(label, shardAt("errors"), sh.Errors),
+			leg)
+		rs := sh.ReplicaSet
+		if rs == nil {
+			continue
+		}
+		for j, r := range rs.Replicas {
+			replicaAt := func(key string) []any { return shardAt("replicas", j, key) }
+			label := labelPairs("shard", sh.Shard, "replica", r.Replica)
+			rows = append(rows, []metricRow{
+				{path: replicaAt("replica"), val: r.Replica},
+				{path: replicaAt("build_id"), val: r.BuildID},
+				{name: "ndss_shard_replica_requests_total", typ: "counter", help: "Attempts launched at each replica (primaries, retries, hedges).",
+					labels: label, path: replicaAt("requests"), val: r.Requests},
+				{name: "ndss_shard_replica_errors_total", typ: "counter", help: "Attempts that failed at each replica (cancellations excluded).",
+					labels: label, path: replicaAt("errors"), val: r.Errors},
+				{name: "ndss_shard_retries_total", typ: "counter", help: "Retry attempts routed to each replica after a transient failure elsewhere.",
+					labels: label, path: replicaAt("retries"), val: r.Retries},
+				{name: "ndss_shard_hedges_total", typ: "counter", help: "Hedged (speculative) attempts routed to each replica.",
+					labels: label, path: replicaAt("hedges"), val: r.Hedges},
+				{name: "ndss_shard_breaker_state", typ: "gauge", help: "Replica circuit-breaker state: 0 closed, 1 half-open, 2 open.",
+					labels: label, path: replicaAt("breaker"), val: r.Breaker},
+				{name: "ndss_shard_replica_quarantined", typ: "gauge", help: "1 while the replica is quarantined for a diverging build id.",
+					labels: label, path: replicaAt("quarantined"), val: r.Quarantined},
+			}...)
+		}
+		rows = append(rows, []metricRow{
+			{name: "ndss_shard_hedge_wins_total", typ: "counter", help: "Legs won by the hedged attempt.",
+				labels: label, path: shardAt("hedge_wins"), val: rs.HedgeWins},
+			{name: "ndss_shard_retry_budget_denied_total", typ: "counter", help: "Retries/hedges suppressed by an exhausted retry budget.",
+				labels: label, path: shardAt("retry_budget_denied"), val: rs.BudgetDenied},
+		}...)
+	}
+	return rows
 }

@@ -349,13 +349,13 @@ func TestMetricsContentNegotiation(t *testing.T) {
 }
 
 // TestHistogramConcurrentConsistency hammers one latency cell and the
-// full metrics snapshot from concurrent observers while readers load
+// full metrics scrape from concurrent observers while readers load
 // them; run under -race in CI. The count must always equal the bucket
 // sum. (The histogram's own edge and consistency tests live with it in
 // internal/obs.)
 func TestHistogramConcurrentConsistency(t *testing.T) {
-	var m metrics
-	m.start = time.Now()
+	srv := New(newStubBackend(t, "b", 1, false), Config{})
+	m := &srv.met
 	const writers, perWriter = 8, 500
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -387,7 +387,7 @@ func TestHistogramConcurrentConsistency(t *testing.T) {
 				return
 			default:
 			}
-			m.snapshot(0, 0, indexSnapshot{}, nil)
+			srv.scrape()
 		}
 	}()
 

@@ -58,7 +58,6 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/pprof"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -953,44 +952,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Status, status = "shutting_down", http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, h)
-}
-
-// wantsJSON implements /metrics content negotiation: JSON only when the
-// client explicitly accepts application/json (scrapers send text/plain
-// or nothing and get the exposition format).
-func wantsJSON(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "application/json")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	cacheLen, cacheCap := 0, 0
-	if s.cache != nil {
-		cacheLen, cacheCap = s.cache.len(), s.cfg.CacheEntries
-	}
-	b, release := s.acquire()
-	defer release()
-	meta := b.Meta()
-	ios := b.IOStats()
-	ix := indexSnapshot{
-		BuildID: b.BuildID(), K: meta.K, T: meta.T, NumTexts: meta.NumTexts,
-		BytesRead: ios.BytesRead, ReadTimeNS: int64(ios.ReadTime),
-		Segments: segmentCount(b),
-	}
-	// A sharded backend (the scatter–gather coordinator) additionally
-	// exposes per-shard request counters, discovered structurally so the
-	// server keeps working with any Backend.
-	var sm *shard.Metrics
-	if p, ok := b.(interface{ ShardMetrics() shard.Metrics }); ok {
-		snap := p.ShardMetrics()
-		sm = &snap
-	}
-	if wantsJSON(r) {
-		writeJSON(w, http.StatusOK, s.met.snapshot(cacheLen, cacheCap, ix, sm))
-		return
-	}
-	w.Header().Set("Content-Type", promContentType)
-	slowest, retained := s.rec.counts()
-	s.met.writePrometheus(w, cacheLen, cacheCap, ix, slowest, retained, sm)
 }
 
 // handleSlowlog serves the flight recorder: the slowest and the most
