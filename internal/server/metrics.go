@@ -227,8 +227,10 @@ func (s *Server) scrape() []metricRow {
 			path: at("requests", "refused"), val: m.refused.Load()},
 		{name: "ndss_requests_too_large_total", typ: "counter", help: "Requests rejected for an over-limit body (413).",
 			path: at("requests", "too_large"), val: m.tooLarge.Load()},
-		{path: at("requests", "bad_request"), val: m.badInput.Load()},
-		{path: at("requests", "internal_error"), val: m.internals.Load()},
+		{name: "ndss_requests_bad_request_total", typ: "counter", help: "Requests answered 400 (malformed or invalid).",
+			path: at("requests", "bad_request"), val: m.badInput.Load()},
+		{name: "ndss_requests_internal_error_total", typ: "counter", help: "Requests answered 500 (internal failure).",
+			path: at("requests", "internal_error"), val: m.internals.Load()},
 		duration,
 	}
 
