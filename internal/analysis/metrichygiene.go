@@ -44,16 +44,6 @@ var labelPairRe = regexp.MustCompile(`([A-Za-z0-9_.-]+)=(?:%q|"(?:[^"\\]|\\.)*")
 // preformatted label string.
 var emissionMethods = map[string]bool{"header": true, "sample": true, "histogramSamples": true}
 
-// The /metrics registry: rows are literals of metricRow whose name
-// field is the metric name and whose labels field is a label string,
-// usually built by labelPairs from alternating keys and values; a
-// family row's series method takes the label string first.
-const (
-	registryRow    = "metricRow"
-	registryLabel  = "labelPairs"
-	registrySeries = "series"
-)
-
 // MetricHygiene checks the hand-written Prometheus exposition: metric
 // name literals (promWriter calls and registry rows) must match the
 // documented catalog regex, label keys must be snake_case, label values
@@ -149,15 +139,14 @@ func checkEmissions(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// checkRegistry checks the /metrics registry: the name of every
-// metricRow literal, its labels field and a family row's series labels
-// like any label-string argument, and every labelPairs call's keys and
-// values.
+// checkRegistry checks the /metrics registry: the name and labels of
+// every metricRow literal, the labels handed to a family row's series
+// method, and the keys and values of every labelPairs call.
 func checkRegistry(pass *Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
-			if !isNamedIn(pass.TypesInfo.TypeOf(n), pass.PkgPath(), registryRow) {
+			if !isNamedIn(pass.TypesInfo.TypeOf(n), pass.PkgPath(), "metricRow") {
 				return true
 			}
 			for _, elt := range n.Elts {
@@ -165,35 +154,29 @@ func checkRegistry(pass *Pass, fd *ast.FuncDecl) {
 				if !ok {
 					continue
 				}
-				key, ok := kv.Key.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				switch key.Name {
+				switch kv.Key.(*ast.Ident).Name { // a struct literal's keys are field names
 				case "name":
-					if name, ok := constString(pass, kv.Value); ok && name != "" && !metricNameRe.MatchString(name) {
-						pass.Reportf(kv.Value.Pos(),
-							"metric name %q does not match the catalog shape %s", name, metricNameRe)
+					if name, ok := constString(pass, kv.Value); ok && !metricNameRe.MatchString(name) {
+						pass.Reportf(kv.Value.Pos(), "metric name %q does not match the catalog shape %s", name, metricNameRe)
 					}
 				case "labels":
 					checkLabelArg(pass, kv.Value)
 				}
 			}
 		case *ast.CallExpr:
-			fn := staticCallee(pass.TypesInfo, n)
-			switch {
-			case fn == nil || fn.Pkg() != pass.Pkg:
-			case fn.Name() == registrySeries && methodOnNamed(fn, pass.PkgPath(), registryRow) && len(n.Args) > 0:
+			if isRegistryCall(pass, n, "series") && len(n.Args) > 0 {
 				checkLabelArg(pass, n.Args[0])
-			case fn.Name() == registryLabel:
-				for i, arg := range n.Args {
-					if key, ok := constString(pass, arg); ok && i%2 == 0 && !labelKeyRe.MatchString(key) {
-						pass.Reportf(arg.Pos(), "label key %q is not snake_case", key)
-					}
-					if id := requestDerived(pass, arg); id != nil {
-						pass.Reportf(arg.Pos(),
-							"label value derived from request input (%s): unbounded label cardinality; use a fixed enum", id.Name)
-					}
+			}
+			if !isRegistryCall(pass, n, "labelPairs") {
+				return true
+			}
+			for i, arg := range n.Args {
+				if key, ok := constString(pass, arg); ok && i%2 == 0 && !labelKeyRe.MatchString(key) {
+					pass.Reportf(arg.Pos(), "label key %q is not snake_case", key)
+				}
+				if id := requestDerived(pass, arg); id != nil {
+					pass.Reportf(arg.Pos(),
+						"label value derived from request input (%s): unbounded label cardinality; use a fixed enum", id.Name)
 				}
 			}
 		}
@@ -201,15 +184,20 @@ func checkRegistry(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
+// isRegistryCall reports whether call is to the named function or
+// method of the package under analysis.
+func isRegistryCall(pass *Pass, call *ast.CallExpr, name string) bool {
+	fn := staticCallee(pass.TypesInfo, call)
+	return fn != nil && fn.Pkg() == pass.Pkg && fn.Name() == name
+}
+
 // checkLabelArg validates one preformatted label-string argument:
 // snake_case keys in any constant portion (including a Sprintf format
 // literal), and no value derived from request input. A labelPairs call
 // is checked where it is made.
 func checkLabelArg(pass *Pass, arg ast.Expr) {
-	if call, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
-		if fn := staticCallee(pass.TypesInfo, call); fn != nil && fn.Pkg() == pass.Pkg && fn.Name() == registryLabel {
-			return
-		}
+	if call, ok := ast.Unparen(arg).(*ast.CallExpr); ok && isRegistryCall(pass, call, "labelPairs") {
+		return
 	}
 	lit := ""
 	if s, ok := constString(pass, arg); ok {

@@ -254,7 +254,10 @@ func TestCompactUnconfirmedCommitSwapsIn(t *testing.T) {
 	if id := healthzBuildID(t, ts); id != cr.CommittedBuildID {
 		t.Fatalf("healthz build id = %q, want the committed %q", id, cr.CommittedBuildID)
 	}
-	if n := segmentCount(srv.backend()); n != 1 {
+	b, release := srv.acquire()
+	n := segmentCount(b)
+	release()
+	if n != 1 {
 		t.Fatalf("serving %d segments after the compaction, want 1", n)
 	}
 	if ms := searchMatches(t, ts, snippet(5, 30), 0.9); len(ms) != 1 {

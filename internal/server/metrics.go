@@ -23,17 +23,9 @@ const (
 	numEndpoints
 )
 
-func (e endpoint) String() string {
-	switch e {
-	case epSearch:
-		return "search"
-	case epTopK:
-		return "topk"
-	case epExplain:
-		return "explain"
-	}
-	return "unknown"
-}
+var endpointNames = [numEndpoints]string{"search", "topk", "explain"}
+
+func (e endpoint) String() string { return endpointNames[e] }
 
 // outcome enumerates how an admitted request ended. Every admitted
 // request records exactly one latency observation tagged with its
@@ -51,23 +43,9 @@ const (
 	numOutcomes
 )
 
-func (o outcome) String() string {
-	switch o {
-	case outOK:
-		return "ok"
-	case outCached:
-		return "cached"
-	case outBadRequest:
-		return "bad_request"
-	case outTimeout:
-		return "timeout"
-	case outCanceled:
-		return "canceled"
-	case outInternal:
-		return "internal"
-	}
-	return "unknown"
-}
+var outcomeNames = [numOutcomes]string{"ok", "cached", "bad_request", "timeout", "canceled", "internal"}
+
+func (o outcome) String() string { return outcomeNames[o] }
 
 // metrics is the server's counter surface, exposed by /metrics as
 // Prometheus text exposition (default) or JSON (content negotiation).
@@ -154,7 +132,7 @@ type metricRow struct {
 	// path is the JSON key path: a string names an object member, an
 	// int indexes a list.
 	path []any
-	// val is an int, int64, float64, string, bool, shard.BreakerState or
+	// val is an int64, float64, string, bool, shard.BreakerState or
 	// obs.HistogramSnapshot (JSON {count, sum_ns}; exposition buckets,
 	// sum and count). A nil val declares the family, or the JSON object
 	// at path, with nothing in it yet.
@@ -241,7 +219,7 @@ func (s *Server) scrape() []metricRow {
 	var all obs.HistogramSnapshot
 	var perOutcome [numOutcomes]int64
 	for e := range m.latency {
-		ep := endpoint(e).String()
+		ep := endpointNames[e]
 		rows = append(rows, metricRow{path: at("endpoints", ep)})
 		var perEndpoint int64
 		for o := range m.latency[e] {
@@ -253,10 +231,10 @@ func (s *Server) scrape() []metricRow {
 			all.SumNS += h.SumNS
 			perEndpoint += h.Count
 			perOutcome[o] += h.Count
-			labels := labelPairs("endpoint", ep, "outcome", outcome(o).String())
+			labels := labelPairs("endpoint", ep, "outcome", outcomeNames[o])
 			rows = append(rows, requests.series(labels, nil, h.Count))
 			if h.Count > 0 {
-				rows = append(rows, duration.series(labels, at("endpoints", ep, outcome(o).String()), h))
+				rows = append(rows, duration.series(labels, at("endpoints", ep, outcomeNames[o]), h))
 			}
 		}
 		rows = append(rows, metricRow{path: at("requests", ep), val: perEndpoint})
@@ -285,9 +263,9 @@ func (s *Server) scrape() []metricRow {
 	if hits+misses > 0 {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
-	cacheLen, cacheCap := 0, 0
+	var cacheLen, cacheCap int64
 	if s.cache != nil {
-		cacheLen, cacheCap = s.cache.len(), s.cfg.CacheEntries
+		cacheLen, cacheCap = int64(s.cache.len()), int64(s.cfg.CacheEntries)
 	}
 	reloads := metricRow{name: "ndss_reloads_total", typ: "counter", help: "Backend hot reloads by result."}
 	retainedBy := metricRow{name: "ndss_trace_retained_total", typ: "counter",
@@ -320,27 +298,27 @@ func (s *Server) scrape() []metricRow {
 			path: at("query", "cpu_time_ns"), val: m.cpuTimeNS.Load(), ns: true},
 		// The JSON index object keeps this member order.
 		{path: at("index", "build_id"), val: buildID},
-		{path: at("index", "k"), val: meta.K},
-		{path: at("index", "t"), val: meta.T},
+		{path: at("index", "k"), val: int64(meta.K)},
+		{path: at("index", "t"), val: int64(meta.T)},
 		{name: "ndss_index_info", typ: "gauge", help: "Active index build (constant 1, labeled).",
-			labels: labelPairs("build_id", buildID, "k", strconv.Itoa(meta.K), "t", strconv.Itoa(meta.T)), val: 1},
+			labels: labelPairs("build_id", buildID, "k", strconv.Itoa(meta.K), "t", strconv.Itoa(meta.T)), val: int64(1)},
 		{name: "ndss_index_texts", typ: "gauge", help: "Texts in the active index.",
-			path: at("index", "num_texts"), val: meta.NumTexts},
+			path: at("index", "num_texts"), val: int64(meta.NumTexts)},
 		{name: "ndss_segments_total", typ: "gauge", help: "Segments in the active index's manifest.",
-			path: at("index", "segments"), val: segmentCount(b)},
+			path: at("index", "segments"), val: int64(segmentCount(b))},
 		{name: "ndss_index_bytes_read_total", typ: "counter", help: "Cumulative index bytes read since open.",
 			path: at("index", "bytes_read"), val: ios.BytesRead},
 		{name: "ndss_index_read_seconds_total", typ: "counter", help: "Cumulative index read time since open.",
 			path: at("index", "read_time_ns"), val: int64(ios.ReadTime), ns: true},
 		{name: "ndss_slowlog_entries", typ: "gauge", help: "Traces held by the slow-query flight recorder.",
-			val: slowest},
+			val: int64(slowest)},
 		// Distributed-tracing families are in every scrape, zero-valued
 		// when tracing never fired.
 		{name: "ndss_trace_sampled_requests_total", typ: "counter", help: "Executed queries whose trace was head-sampled.",
 			path: at("trace", "sampled"), val: m.traceSampled.Load()},
 		retainedBy,
 		{name: "ndss_trace_store_entries", typ: "gauge", help: "Traces currently held by the trace store.",
-			val: retained},
+			val: int64(retained)},
 		{name: "ndss_trace_evictions_total", typ: "counter", help: "Retained traces evicted by ring capacity.",
 			path: at("trace", "evicted"), val: m.traceEvicted.Load()},
 	}...)
@@ -360,7 +338,7 @@ func (s *Server) scrape() []metricRow {
 	// The JSON runtime object keeps this member order.
 	return append(rows, []metricRow{
 		{name: "go_goroutines", typ: "gauge", help: "Number of goroutines.",
-			path: at("runtime", "goroutines"), val: runtime.NumGoroutine()},
+			path: at("runtime", "goroutines"), val: int64(runtime.NumGoroutine())},
 		{name: "go_memstats_heap_alloc_bytes", typ: "gauge", help: "Heap bytes allocated and in use.",
 			path: at("runtime", "heap_alloc_bytes"), val: int64(ms.HeapAlloc)},
 		{name: "go_memstats_heap_sys_bytes", typ: "gauge", help: "Heap bytes obtained from the OS.",

@@ -49,7 +49,11 @@ func exposition(rows []metricRow) []byte {
 			cum := int64(0)
 			for i, n := range v.Buckets {
 				cum += n
-				b = appendSample(b, r.name+"_bucket", joinLabels(r.labels, labelPairs("le", upperBound(i, 1000))), float64(cum))
+				le := labelPairs("le", upperBound(i, 1000))
+				if r.labels != "" {
+					le = r.labels + "," + le
+				}
+				b = appendSample(b, r.name+"_bucket", le, float64(cum))
 			}
 			b = appendSample(b, r.name+"_sum", r.labels, float64(v.SumNS)/float64(time.Second))
 			b = appendSample(b, r.name+"_count", r.labels, float64(v.Count))
@@ -61,19 +65,10 @@ func exposition(rows []metricRow) []byte {
 }
 
 func appendSample(b []byte, name, labels string, v float64) []byte {
-	b = append(b, name...)
 	if labels != "" {
-		b = append(append(append(b, '{'), labels...), '}')
+		name += "{" + labels + "}"
 	}
-	b = append(b, ' ')
-	return append(strconv.AppendFloat(b, v, 'g', -1, 64), '\n')
-}
-
-func joinLabels(a, b string) string {
-	if a == "" {
-		return b
-	}
-	return a + "," + b
+	return fmt.Appendf(b, "%s %s\n", name, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 // upperBound formats histogram bucket i's upper bound in units of
@@ -88,8 +83,6 @@ func upperBound(i int, unitMS float64) string {
 // promValue is a row's sample value.
 func promValue(r metricRow) float64 {
 	switch v := r.val.(type) {
-	case int:
-		return float64(v)
 	case int64:
 		if r.ns {
 			return float64(v) / float64(time.Second)
@@ -124,7 +117,7 @@ var rowOrderObjects = [...]string{"index", "runtime"}
 // metricsJSON renders the rows with a path as one JSON object and a
 // newline.
 func metricsJSON(rows []metricRow) ([]byte, error) {
-	root := &jsonObject{}
+	root := &jsonObject{vals: map[string]any{}}
 	for _, r := range rows {
 		if r.path != nil {
 			put(root, r.path, jsonValue(r))
@@ -143,7 +136,7 @@ func metricsJSON(rows []metricRow) ([]byte, error) {
 func jsonValue(r metricRow) any {
 	switch v := r.val.(type) {
 	case nil:
-		return &jsonObject{}
+		return &jsonObject{vals: map[string]any{}}
 	case obs.HistogramSnapshot:
 		return map[string]int64{"count": v.Count, "sum_ns": v.SumNS}
 	case shard.BreakerState:
@@ -165,10 +158,7 @@ func put(node any, path []any, leaf any) any {
 	case string:
 		o, _ := node.(*jsonObject)
 		if o == nil {
-			o = &jsonObject{}
-		}
-		if o.vals == nil {
-			o.vals = map[string]any{}
+			o = &jsonObject{vals: map[string]any{}}
 		}
 		if _, ok := o.vals[k]; !ok {
 			o.keys = append(o.keys, k)

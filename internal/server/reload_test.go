@@ -306,7 +306,12 @@ func TestReloadDrainsInFlight(t *testing.T) {
 	// The swap is immediate: new queries hit the new backend even while
 	// the old one still drains.
 	deadline := time.After(5 * time.Second)
-	for srv.backend().BuildID() != "new" {
+	servingID := func() string {
+		b, release := srv.acquire()
+		defer release()
+		return b.BuildID()
+	}
+	for servingID() != "new" {
 		select {
 		case <-deadline:
 			t.Fatal("backend not swapped while old query drains")

@@ -234,14 +234,6 @@ func (s *Server) acquire() (Backend, func()) {
 	return h.b, h.wg.Done
 }
 
-// backend returns the current backend for /healthz, which reads only
-// what a closed backend still answers; it does not pin against a swap.
-func (s *Server) backend() Backend {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.handle.b
-}
-
 // ErrNoReloader is returned by Reload when the server was configured
 // without a Reloader.
 var ErrNoReloader = errors.New("server: no reloader configured")
@@ -941,12 +933,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	b := s.backend()
+	b, release := s.acquire()
 	// The index metadata is additive: shard coordinators discover a
 	// remote's K/Seed/T/NumTexts here to validate the shard set and
 	// assign text-id bases before the first query.
 	meta := b.Meta()
 	h := wire.Health{BuildID: b.BuildID(), Index: &meta, Status: "ok"}
+	release()
 	status := http.StatusOK
 	if s.closing.Load() {
 		h.Status, status = "shutting_down", http.StatusServiceUnavailable
