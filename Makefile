@@ -85,9 +85,9 @@ fuzz-smoke:
 
 # CI "bench-smoke" job: one iteration of the query-path microbenchmarks
 # (internal/search/bench_test.go), of the index ones
-# (internal/index/bench_test.go: build, append, compact, one ingest-churn
-# cycle's mutations in fs ops and opens, list reads in
-# ns/posting and Open), of both window generators (the stack on reused
+# (internal/index/bench_test.go: build, out-of-core build, append,
+# compact, one ingest-churn cycle's mutations in fs ops and opens, list
+# reads in ns/posting and Open), of both window generators (the stack on reused
 # scratch and the segment tree), of the serving path
 # (internal/server/bench_test.go: one uncached /search through
 # ServeHTTP, allocs/op) and of the root benchmarks behind Fig 3(d), AB1
@@ -95,7 +95,7 @@ fuzz-smoke:
 # same command with a real -benchtime and -count.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Search(Hit|Miss|Segmented)|FirstQueryAfterAppend|IntervalScan|CollisionCount' -benchtime 1x ./internal/search/
-	$(GO) test -run '^$$' -bench 'Build$$|Append16|Compact9|ChurnCycle|ReadList$$|Open$$' -benchtime 1x ./internal/index/
+	$(GO) test -run '^$$' -bench 'Build$$|BuildExternal|Append16|Compact9|ChurnCycle|ReadList$$|Open$$' -benchtime 1x ./internal/index/
 	$(GO) test -run '^$$' -bench 'ScratchGenerate|GenerateSegmentTree' -benchtime 1x ./internal/window/
 	$(GO) test -run '^$$' -bench 'ServeSearch' -benchtime 1x -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench 'Fig3_PrefixLength|Ablation_PrefixFilter|Ablation_WindowGen' -benchtime 1x .

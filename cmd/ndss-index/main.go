@@ -3,9 +3,9 @@
 //
 //	ndss-index -corpus corpus.tok -out idx -k 32 -t 50
 //
-// By default the corpus is loaded into memory (Algorithm 1's main path);
-// -external switches to the out-of-core hash-aggregation builder for
-// corpora larger than memory.
+// The corpus is streamed once: a corpus within the -mem budget is built
+// in memory in one pass (Algorithm 1's main path); a larger one is built
+// in budget-sized batches that are then merged into one index.
 //
 // Segment-set maintenance runs through subcommands:
 //
@@ -37,10 +37,8 @@ func main() {
 	k := flag.Int("k", 32, "number of min-hash functions")
 	t := flag.Int("t", 50, "length threshold (minimum indexed sequence length)")
 	seed := flag.Int64("seed", 1, "hash family seed")
-	external := flag.Bool("external", false, "use the out-of-core builder")
-	memBudget := flag.Int64("mem", 256<<20, "memory budget in bytes for the external builder")
+	memBudget := flag.Int64("mem", 256<<20, "memory budget in bytes; a larger corpus is built in batches and merged")
 	parallel := flag.Int("parallel", 0, "window-generation goroutines (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "build this many shard indexes concurrently and merge them")
 	check := flag.Bool("check", false, "verify the integrity of an existing index at -out and exit")
 	flag.Parse()
 	if *check {
@@ -56,7 +54,7 @@ func main() {
 	}
 	if err := run(*corpusPath, *out, index.BuildOptions{
 		K: *k, T: *t, Seed: *seed, MemoryBudget: *memBudget, Parallelism: *parallel,
-	}, *external, *shards); err != nil {
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "ndss-index:", err)
 		os.Exit(1)
 	}
@@ -142,39 +140,15 @@ func runCheck(dir string) error {
 	return nil
 }
 
-func run(corpusPath, out string, opts index.BuildOptions, external bool, shards int) error {
-	if err := os.MkdirAll(out, 0o755); err != nil {
+func run(corpusPath, out string, opts index.BuildOptions) error {
+	r, err := corpus.OpenReader(corpusPath)
+	if err != nil {
 		return err
 	}
-	var stats *index.BuildStats
-	switch {
-	case external:
-		r, err := corpus.OpenReader(corpusPath)
-		if err != nil {
-			return err
-		}
-		defer r.Close()
-		stats, err = index.BuildExternal(r, out, opts)
-		if err != nil {
-			return err
-		}
-	case shards > 1:
-		c, err := corpus.ReadFile(corpusPath)
-		if err != nil {
-			return err
-		}
-		if err := index.BuildSharded(c, out, opts, shards); err != nil {
-			return err
-		}
-	default:
-		c, err := corpus.ReadFile(corpusPath)
-		if err != nil {
-			return err
-		}
-		stats, err = index.Build(c, out, opts)
-		if err != nil {
-			return err
-		}
+	defer r.Close()
+	stats, err := index.BuildExternal(r, out, opts)
+	if err != nil {
+		return err
 	}
 	ix, err := index.Open(out)
 	if err != nil {
@@ -185,11 +159,9 @@ func run(corpusPath, out string, opts index.BuildOptions, external bool, shards 
 		return fmt.Errorf("close reopened index: %w", err)
 	}
 	fmt.Printf("index written to %s (build %s)\n", out, buildID)
-	if stats != nil {
-		fmt.Printf("  compact windows: %d\n", stats.Windows)
-		fmt.Printf("  bytes written:   %d\n", stats.BytesWritten)
-		fmt.Printf("  generation time: %v\n", stats.GenTime)
-		fmt.Printf("  io time:         %v\n", stats.IOTime)
-	}
+	fmt.Printf("  compact windows: %d\n", stats.Windows)
+	fmt.Printf("  bytes written:   %d\n", stats.BytesWritten)
+	fmt.Printf("  generation time: %v\n", stats.GenTime)
+	fmt.Printf("  io time:         %v\n", stats.IOTime)
 	return nil
 }

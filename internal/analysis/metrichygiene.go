@@ -39,14 +39,9 @@ var labelKeyRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 // string (v may contain format verbs or escaped quotes).
 var labelPairRe = regexp.MustCompile(`([A-Za-z0-9_.-]+)=(?:%q|"(?:[^"\\]|\\.)*")`)
 
-// emissionMethods are the promWriter methods whose first argument is a
-// metric name and (for sample/histogramSamples) second argument is a
-// preformatted label string.
-var emissionMethods = map[string]bool{"header": true, "sample": true, "histogramSamples": true}
-
 // MetricHygiene checks the hand-written Prometheus exposition: metric
-// name literals (promWriter calls and registry rows) must match the
-// documented catalog regex, label keys must be snake_case, label values
+// name literals in registry rows must match the documented catalog
+// regex, label keys must be snake_case, label values
 // must never derive from request input, and the per-request latency
 // observation must keep the PR 4 exactly-once shape (observe only in
 // admission-guarded functions, deferred once, inline only immediately
@@ -71,7 +66,6 @@ func runMetricHygiene(pass *Pass) error {
 				continue
 			}
 			if inMetric {
-				checkEmissions(pass, fd)
 				checkRegistry(pass, fd)
 				checkObserveDiscipline(pass, fd)
 			}
@@ -111,29 +105,6 @@ func checkHeaderLiterals(pass *Pass, fd *ast.FuncDecl) {
 			pass.Reportf(lit.Pos(),
 				"propagation header %q spelled as a string literal; use the obs package constant so sender and receiver cannot drift",
 				name)
-		}
-		return true
-	})
-}
-
-func checkEmissions(pass *Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := staticCallee(pass.TypesInfo, call)
-		if fn == nil || !emissionMethods[fn.Name()] || !methodOnNamed(fn, pass.PkgPath(), "promWriter") {
-			return true
-		}
-		if len(call.Args) > 0 {
-			if name, ok := constString(pass, call.Args[0]); ok && !metricNameRe.MatchString(name) {
-				pass.Reportf(call.Args[0].Pos(),
-					"metric name %q does not match the catalog shape %s", name, metricNameRe)
-			}
-		}
-		if fn.Name() != "header" && len(call.Args) > 1 {
-			checkLabelArg(pass, call.Args[1])
 		}
 		return true
 	})

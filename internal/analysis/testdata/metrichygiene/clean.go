@@ -1,17 +1,6 @@
 package server
 
-import (
-	"fmt"
-	"net/http"
-)
-
-// Catalog-shaped names, snake_case keys, enum-valued labels.
-func writeCatalog(w *promWriter, outcome string) {
-	w.header("ndss_requests_total", "requests by outcome", "counter")
-	w.sample("ndss_requests_total", fmt.Sprintf(`endpoint=%q,outcome=%q`, "search", outcome), 1)
-	w.header("go_goroutines", "goroutine count", "gauge")
-	w.histogramSamples("ndss_request_seconds", `endpoint="search"`, nil)
-}
+import "net/http"
 
 // Registry rows with catalog names and enum-valued labels; a JSON-only
 // row has no name.

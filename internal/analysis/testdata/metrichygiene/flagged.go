@@ -5,23 +5,6 @@ import (
 	"net/http"
 )
 
-// Metric names must match the documented catalog shape.
-func writeBadNames(w *promWriter) {
-	w.header("ndss_requestTotal", "requests", "counter") // want `metric name "ndss_requestTotal" does not match the catalog shape`
-	w.sample("http_requests_total", `outcome="ok"`, 1)   // want `metric name "http_requests_total" does not match the catalog shape`
-}
-
-// Label keys are snake_case.
-func writeBadLabel(w *promWriter, outcome string) {
-	w.sample("ndss_requests_total", fmt.Sprintf(`Outcome=%q`, outcome), 1) // want `label key "Outcome" is not snake_case`
-}
-
-// Label values must never come from request input: every distinct URL
-// would mint a new series.
-func writeTainted(w *promWriter, r *http.Request) {
-	w.sample("ndss_requests_total", fmt.Sprintf(`path=%q`, r.URL.Path), 1) // want `label value derived from request input \(r\)`
-}
-
 // Registry rows are held to the same catalog: a row's name, its label
 // keys and its label values, however the label string is built.
 func registryBadRows(r *http.Request, outcome string) []metricRow {

@@ -1,28 +1,9 @@
 // Fixture scaffolding mirroring internal/server's exposition plumbing:
-// a promWriter with emission methods, the registry's row type and label
-// builder, a metrics struct with the exactly-once observe, and the
-// admission gate.
+// the registry's row type and label builder, a metrics struct with the
+// exactly-once observe, and the admission gate.
 package server
 
 import "strings"
-
-type promWriter struct {
-	b strings.Builder
-}
-
-func (w *promWriter) header(name, help, typ string) {
-	w.b.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " " + typ + "\n")
-}
-
-func (w *promWriter) sample(name, labels string, v float64) {
-	w.b.WriteString(name + "{" + labels + "} ...\n")
-	_ = v
-}
-
-func (w *promWriter) histogramSamples(name, labels string, buckets []float64) {
-	w.b.WriteString(name + "{" + labels + "}\n")
-	_ = buckets
-}
 
 type metricRow struct {
 	name, typ, help string

@@ -7,8 +7,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"os"
 
 	"ndss/internal/corpus"
 	"ndss/internal/hash"
@@ -24,21 +22,15 @@ type Engine struct {
 	src      search.TextSource
 }
 
-// BuildIndex builds an index directory from an in-memory corpus,
-// creating dir if needed.
+// BuildIndex builds an index directory from an in-memory corpus.
 func BuildIndex(c *corpus.Corpus, dir string, opts index.BuildOptions) (*index.BuildStats, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: create index dir: %w", err)
-	}
 	return index.Build(c, dir, opts)
 }
 
-// BuildIndexExternal builds an index directory from a corpus file using
-// the out-of-core hash-aggregation builder.
+// BuildIndexExternal builds an index directory from a corpus file with
+// the out-of-core builder: one streaming pass in MemoryBudget-sized
+// batches, merged when there is more than one.
 func BuildIndexExternal(corpusPath, dir string, opts index.BuildOptions) (*index.BuildStats, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: create index dir: %w", err)
-	}
 	r, err := corpus.OpenReader(corpusPath)
 	if err != nil {
 		return nil, err

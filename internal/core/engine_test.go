@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"io/fs"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -71,7 +74,7 @@ func TestEngineExternalBuild(t *testing.T) {
 	}
 	idxDir := filepath.Join(dir, "idx")
 	stats, err := BuildIndexExternal(corpusPath, idxDir, index.BuildOptions{
-		K: 8, Seed: 9, T: 10, BatchTokens: 400,
+		K: 8, Seed: 9, T: 10, MemoryBudget: 10 << 10, // several batches
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +98,37 @@ func TestEngineExternalBuild(t *testing.T) {
 	}
 	if len(matches) == 0 {
 		t.Fatal("self-query found nothing")
+	}
+}
+
+// TestFailedBuildLeavesNoDir: the builders create the index directory
+// only by committing it, so a build that fails on a fresh path leaves
+// nothing there for Open to mistake for an index.
+func TestFailedBuildLeavesNoDir(t *testing.T) {
+	c := testCorpus()
+	corpusPath := filepath.Join(t.TempDir(), "c.tok")
+	if err := corpus.WriteFile(c, corpusPath); err != nil {
+		t.Fatal(err)
+	}
+	bad := index.BuildOptions{K: 0, T: 10}
+	builds := map[string]func(dir string) error{
+		"BuildIndex": func(dir string) error {
+			_, err := BuildIndex(c, dir, bad)
+			return err
+		},
+		"BuildIndexExternal": func(dir string) error {
+			_, err := BuildIndexExternal(corpusPath, dir, bad)
+			return err
+		},
+	}
+	for name, build := range builds {
+		dir := filepath.Join(t.TempDir(), "idx")
+		if build(dir) == nil {
+			t.Fatalf("%s: a K=0 build succeeded", name)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s: the failed build left %s behind (stat: %v)", name, dir, err)
+		}
 	}
 }
 

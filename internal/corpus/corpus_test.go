@@ -165,11 +165,13 @@ func TestStreamBatches(t *testing.T) {
 	defer r.Close()
 	var gotIDs []uint32
 	var batches int
+	var kept [][]uint32 // token slices held past their call
 	err = r.Stream(10, func(firstID uint32, batch [][]uint32) error {
 		batches++
 		for i, text := range batch {
 			id := firstID + uint32(i)
 			gotIDs = append(gotIDs, id)
+			kept = append(kept, text)
 			if !reflect.DeepEqual(text, texts[id]) {
 				t.Fatalf("text %d mismatch in stream", id)
 			}
@@ -188,6 +190,13 @@ func TestStreamBatches(t *testing.T) {
 	for i, id := range gotIDs {
 		if id != uint32(i) {
 			t.Fatalf("ids out of order at %d: %d", i, id)
+		}
+	}
+	// Only the outer slice is reused: token slices kept from earlier
+	// calls still hold their texts after every later call.
+	for id, text := range kept {
+		if !reflect.DeepEqual(text, texts[id]) {
+			t.Fatalf("kept text %d changed after later calls: %v", id, text)
 		}
 	}
 }

@@ -218,8 +218,9 @@ func (r *Reader) ReadText(id uint32) ([]uint32, error) {
 // Stream reads texts sequentially in batches of roughly batchTokens
 // tokens (at least one text per batch) and invokes fn with the id of the
 // first text in the batch and the batch's token slices. This is the
-// access path the out-of-core index builder uses. fn must not retain the
-// slices across calls.
+// access path the out-of-core index builder uses. Each text's token
+// slice is freshly allocated and fn may keep it; only the outer
+// [][]uint32 is reused, so fn must not retain that across calls.
 func (r *Reader) Stream(batchTokens int, fn func(firstID uint32, texts [][]uint32) error) error {
 	if batchTokens < 1 {
 		batchTokens = 1
@@ -277,11 +278,7 @@ func ReadFile(path string) (*Corpus, error) {
 	defer r.Close()
 	c := &Corpus{texts: make([][]uint32, 0, r.NumTexts())}
 	err = r.Stream(1<<20, func(_ uint32, texts [][]uint32) error {
-		for _, t := range texts {
-			cp := make([]uint32, len(t))
-			copy(cp, t)
-			c.texts = append(c.texts, cp)
-		}
+		c.texts = append(c.texts, texts...)
 		return nil
 	})
 	if err != nil {

@@ -98,7 +98,7 @@ func fig3d(e *Env) error {
 
 func fig3ef(e *Env) error {
 	e.printf("## Fig 3(e-f): query latency split and near-duplicates found, SynPile, t=25\n")
-	e.printf("index built with the out-of-core hash-aggregation builder\n\n")
+	e.printf("index built with the out-of-core builder (batched build + merge)\n\n")
 	c := e.synPile(1, 9)
 	// Write the corpus to disk and build externally, as the Pile-scale
 	// path requires.

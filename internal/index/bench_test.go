@@ -42,6 +42,33 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildExternal builds BenchmarkBuild's corpus from its file
+// under a 1 MiB MemoryBudget — several batches, then the merge — with
+// the default Parallelism, and reports tokens/s and the batches built.
+func BenchmarkBuildExternal(b *testing.B) {
+	c := mutationBenchCorpus(1000, 1)
+	path := filepath.Join(b.TempDir(), "c.tok")
+	if err := corpus.WriteFile(c, path); err != nil {
+		b.Fatal(err)
+	}
+	r, err := corpus.OpenReader(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	batches := &batchCountFS{FS: fsio.OS}
+	opts := mutationBenchOpts
+	opts.MemoryBudget, opts.FS = 1<<20, batches
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildExternal(r, filepath.Join(b.TempDir(), "ix"), opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(c.TotalTokens())*float64(b.N)/b.Elapsed().Seconds(), "tokens/s")
+	b.ReportMetric(float64(batches.n.Load())/float64(b.N), "batches/op")
+}
+
 // BenchmarkAppend16 appends one 16-text segment, the benchmark's ingest
 // batch, to a 250-text base.
 func BenchmarkAppend16(b *testing.B) {

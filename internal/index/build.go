@@ -35,12 +35,10 @@ type BuildOptions struct {
 	// ungrouped copy of one each (24 B a record, ~3 MB a function at
 	// 1.6 M tokens). Defaults to GOMAXPROCS.
 	Parallelism int
-	// MemoryBudget bounds the bytes of spill records aggregated in
-	// memory at once during BuildExternal. Defaults to 256 MiB.
+	// MemoryBudget bounds the memory of one BuildExternal batch: its
+	// tokens plus Build's record buffers in flight. A corpus larger than
+	// one batch is built batch by batch and merged. Defaults to 256 MiB.
 	MemoryBudget int64
-	// BatchTokens is the streaming batch size in tokens for
-	// BuildExternal. Defaults to 4M tokens.
-	BatchTokens int
 	// FS is the filesystem the build writes through. Defaults to the
 	// real filesystem; tests inject fault-carrying implementations.
 	FS fsio.FS
@@ -68,9 +66,6 @@ func (o *BuildOptions) setDefaults() error {
 	if o.MemoryBudget <= 0 {
 		o.MemoryBudget = 256 << 20
 	}
-	if o.BatchTokens <= 0 {
-		o.BatchTokens = 4 << 20
-	}
 	if o.FS == nil {
 		o.FS = fsio.OS
 	}
@@ -88,11 +83,12 @@ func (o *BuildOptions) meta(numTexts int, totalTokens int64) Meta {
 }
 
 // BuildStats reports what a build did. GenTime covers hashing, window
-// generation and record grouping (the CPU side); IOTime covers spill and
-// index file writes (the lower/upper bar split of Fig 2(i–l)). Build's
-// GenTime is its workers' summed busy time divided by their number, so
-// GenTime/wall stays in [0, 1]; the writer overlaps the workers, so
-// GenTime+IOTime may exceed wall.
+// generation and record grouping (the CPU side); IOTime covers index
+// file writes, BuildExternal's merge included (the lower/upper bar
+// split of Fig 2(i–l)); BytesWritten is the final segment file's size.
+// Build's GenTime is its workers' summed busy time divided by their
+// number, so GenTime/wall stays in [0, 1]; the writer overlaps the
+// workers, so GenTime+IOTime may exceed wall.
 type BuildStats struct {
 	Windows        int64
 	WindowsPerFunc []int64
@@ -115,7 +111,7 @@ func Build(c *corpus.Corpus, dir string, opts BuildOptions) (*BuildStats, error)
 		return nil, err
 	}
 	stats := &BuildStats{WindowsPerFunc: make([]int64, opts.K)}
-	err = stagedBuild(opts.FS, dir, true, opts.meta(c.NumTexts(), c.TotalTokens()), func(path string) (segSum, error) {
+	err = stagedBuild(opts.FS, dir, opts.meta(c.NumTexts(), c.TotalTokens()), func(path string) (segSum, error) {
 		return buildSegment(c, fam, path, opts, stats)
 	})
 	if err != nil {
@@ -211,17 +207,17 @@ func buildFuncs(c *corpus.Corpus, fam *hash.Family, w *segmentWriter, opts Build
 			return err
 		}
 		stats.IOTime += time.Since(ioStart)
-		stats.WindowsPerFunc[fn] = int64(len(recs))
+		stats.WindowsPerFunc[fn] += int64(len(recs))
 		stats.Windows += int64(len(recs))
 		free <- recs
 	}
-	stats.GenTime = time.Duration(busy.Load() / int64(workers))
+	stats.GenTime += time.Duration(busy.Load() / int64(workers))
 	return nil
 }
 
 // recordGen turns texts into the records of hash function f — tokens →
 // window.Hashes → compact windows → records — on scratch reused from
-// text to text. Build and BuildExternal both generate with it.
+// text to text.
 type recordGen struct {
 	f       hash.Func
 	t       int

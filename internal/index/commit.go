@@ -25,9 +25,9 @@ import (
 // old index parked at dir+".old" with dir absent (crash between the
 // renames; recoverBackup restores it), or the new index in place with
 // a leftover backup (crash before the final remove; recoverBackup
-// deletes it). Staging directories orphaned by crashed builds (spill
-// files included — they live inside) are swept when the next build
-// starts.
+// deletes it). Staging directories orphaned by crashed builds
+// (BuildExternal's batch indexes included — they live inside) are
+// swept when the next build starts.
 
 // backupSuffix names the parked previous index during a commit swap.
 const backupSuffix = ".old"
@@ -39,47 +39,30 @@ func stagingPattern(dir string) (parent, pattern string) {
 	return filepath.Dir(dir), filepath.Base(dir) + ".tmp-*"
 }
 
-// beginBuild prepares a staged build for target dir: it recovers any
-// interrupted commit, optionally sweeps orphaned artifacts of crashed
-// builds, and creates a fresh staging directory next to dir. The
-// caller must either commitDir the staging directory or remove it
+// stagedBuild is the one way an index directory comes into being. It
+// recovers any interrupted commit at dir, sweeps the orphaned staging
+// directories of crashed builds and makes a fresh one next to dir; write
+// fills the segment file at path in it and returns its size and footer
+// checksum; the manifest naming it with meta is added and the staging
+// directory committed as dir. A failure discards the staging directory
 // (best-effort: after an injected crash the removal itself fails, and
-// the orphan is swept by the next build instead).
-//
-// sweep must be false when a live temp workspace for dir already
-// exists nearby (BuildSharded's shard workspace): the sweep matches the
-// same naming pattern and would delete it.
-func beginBuild(fsys fsio.FS, dir string, sweep bool) (staging string, err error) {
+// the next build sweeps the orphan); short of commitDir's renames it
+// leaves a previous index at dir untouched, and after them it is a
+// *CommitUnconfirmedError naming the build now at dir.
+func stagedBuild(fsys fsio.FS, dir string, meta Meta, write func(path string) (segSum, error)) error {
 	parent, pattern := stagingPattern(dir)
 	if err := fsys.MkdirAll(parent, 0o755); err != nil {
-		return "", fmt.Errorf("index: create parent dir: %w", err)
+		return fmt.Errorf("index: create parent dir: %w", err)
 	}
 	if err := recoverBackup(fsys, dir); err != nil {
-		return "", err
-	}
-	if sweep {
-		if err := sweepOrphans(fsys, dir); err != nil {
-			return "", err
-		}
-	}
-	staging, err = fsys.MkdirTemp(parent, pattern)
-	if err != nil {
-		return "", fmt.Errorf("index: create staging dir: %w", err)
-	}
-	return staging, nil
-}
-
-// stagedBuild is the one way an index directory comes into being. write
-// fills the segment file at path, in a fresh staging directory, and
-// returns its size and footer checksum; the manifest naming it with meta
-// is added and the staging directory committed as dir. A failure
-// discards the staging directory; short of commitDir's renames it leaves
-// a previous index at dir untouched, and after them it is a
-// *CommitUnconfirmedError naming the build now at dir.
-func stagedBuild(fsys fsio.FS, dir string, sweep bool, meta Meta, write func(path string) (segSum, error)) error {
-	staging, err := beginBuild(fsys, dir, sweep)
-	if err != nil {
 		return err
+	}
+	if err := sweepOrphans(fsys, dir); err != nil {
+		return err
+	}
+	staging, err := fsys.MkdirTemp(parent, pattern)
+	if err != nil {
+		return fmt.Errorf("index: create staging dir: %w", err)
 	}
 	sum, err := write(filepath.Join(staging, segmentName(0)))
 	if err == nil {

@@ -128,96 +128,115 @@ func TestBuildCrashLoop(t *testing.T) {
 }
 
 // TestBuildSingleFaultCleansUp runs the same loop in single-fault mode
-// (the op fails but the process lives on), which exercises the cleanup
-// code a real crash never runs: no staging directory or partial file
-// may be left behind, unless the fault hit a best-effort step after the
-// commit point, in which case the build legitimately succeeds.
+// (the op fails but the process lives on) over both builders, which
+// exercises the cleanup code a real crash never runs: no staging
+// directory, batch workspace or partial file may be left behind, unless
+// the fault hit a best-effort step after the commit point, in which case
+// the build legitimately succeeds.
 func TestBuildSingleFaultCleansUp(t *testing.T) {
 	oldCorpus := testCorpus(t, 12, 30, 60, 100, 7)
 	newCorpus := testCorpus(t, 20, 30, 60, 100, 8)
 	opts := BuildOptions{K: 2, Seed: 3, T: 10, Parallelism: 1}
-
-	dry := filepath.Join(t.TempDir(), "ix")
-	seedIndex(t, dry, oldCorpus, opts)
-	counter := fsio.NewFaultFS(fsio.OS)
-	dryOpts := opts
-	dryOpts.FS = counter
-	if _, err := Build(newCorpus, dry, dryOpts); err != nil {
-		t.Fatal(err)
+	r := corpusReader(t, newCorpus)
+	builders := []struct {
+		name  string
+		build func(dir string, opts BuildOptions) error
+	}{
+		{"build", func(dir string, opts BuildOptions) error {
+			_, err := Build(newCorpus, dir, opts)
+			return err
+		}},
+		{"external", func(dir string, opts BuildOptions) error {
+			opts.MemoryBudget = externalCrashBudget
+			_, err := BuildExternal(r, dir, opts)
+			return err
+		}},
 	}
-	total := counter.Ops()
-
-	for n := 1; n <= total; n++ {
-		parent := t.TempDir()
-		dir := filepath.Join(parent, "ix")
-		old := seedIndex(t, dir, oldCorpus, opts)
-		ffs := fsio.NewFaultFS(fsio.OS).SetCrash(false).FailAt(n)
-		faultOpts := opts
-		faultOpts.FS = ffs
-		committedDespiteError := false
-		_, err := Build(newCorpus, dir, faultOpts)
-		if err == nil {
-			// The fault hit a best-effort step (e.g. backup removal after
-			// commit): the new index must be fully in place.
-			got := openAndFingerprint(t, dir)
-			if got.numTexts != newCorpus.NumTexts() {
-				t.Fatalf("op %d: silent success with wrong index %+v", n, got)
-			}
-		} else {
-			if !errors.Is(err, fsio.ErrInjected) {
-				t.Fatalf("op %d: unexpected error: %v", n, err)
-			}
-			got := openAndFingerprint(t, dir)
-			if got != old && !(got.buildID != old.buildID && got.numTexts == newCorpus.NumTexts()) {
-				t.Fatalf("op %d: failed build left a mixed state: %+v -> %+v", n, old, got)
-			}
-			// A post-swap fsync failure reports an error with the new
-			// index already in place and the old one parked as backup.
-			committedDespiteError = got != old
-		}
-		// Error paths ran, so nothing may be left next to the index —
-		// except the parked backup in the committed-despite-error case,
-		// which the next open recovers.
-		entries, err := os.ReadDir(parent)
-		if err != nil {
+	for _, b := range builders {
+		dry := filepath.Join(t.TempDir(), "ix")
+		seedIndex(t, dry, oldCorpus, opts)
+		counter := fsio.NewFaultFS(fsio.OS)
+		dryOpts := opts
+		dryOpts.FS = counter
+		if err := b.build(dry, dryOpts); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range entries {
-			if e.Name() == "ix" || (committedDespiteError && e.Name() == "ix"+backupSuffix) {
-				continue
+		total := counter.Ops()
+
+		for n := 1; n <= total; n++ {
+			parent := t.TempDir()
+			dir := filepath.Join(parent, "ix")
+			old := seedIndex(t, dir, oldCorpus, opts)
+			ffs := fsio.NewFaultFS(fsio.OS).SetCrash(false).FailAt(n)
+			faultOpts := opts
+			faultOpts.FS = ffs
+			committedDespiteError := false
+			if err := b.build(dir, faultOpts); err == nil {
+				// The fault hit a best-effort step (e.g. backup removal
+				// after commit): the new index must be fully in place.
+				got := openAndFingerprint(t, dir)
+				if got.numTexts != newCorpus.NumTexts() {
+					t.Fatalf("%s op %d: silent success with wrong index %+v", b.name, n, got)
+				}
+			} else {
+				if !errors.Is(err, fsio.ErrInjected) {
+					t.Fatalf("%s op %d: unexpected error: %v", b.name, n, err)
+				}
+				got := openAndFingerprint(t, dir)
+				if got != old && !(got.buildID != old.buildID && got.numTexts == newCorpus.NumTexts()) {
+					t.Fatalf("%s op %d: failed build left a mixed state: %+v -> %+v", b.name, n, old, got)
+				}
+				// A post-swap fsync failure reports an error with the new
+				// index already in place and the old one parked as backup.
+				committedDespiteError = got != old
 			}
-			t.Fatalf("op %d: leftover artifact %q", n, e.Name())
+			// Error paths ran, so nothing may be left next to the index —
+			// except the parked backup in the committed-despite-error
+			// case, which the next open recovers — nor inside it beyond
+			// the manifest and one segment.
+			entries, err := os.ReadDir(parent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if e.Name() == "ix" || (committedDespiteError && e.Name() == "ix"+backupSuffix) {
+					continue
+				}
+				t.Fatalf("%s op %d: leftover artifact %q", b.name, n, e.Name())
+			}
+			if entries, err = os.ReadDir(dir); err != nil || len(entries) != 2 {
+				t.Fatalf("%s op %d: index dir holds %v (%v), want the manifest and one segment", b.name, n, entries, err)
+			}
 		}
 	}
 }
 
+// externalCrashBudget splits the crash tests' 20-text corpus into
+// several BuildExternal batches.
+const externalCrashBudget = 6 << 10
+
 func TestBuildExternalCrashLoop(t *testing.T) {
 	oldCorpus := testCorpus(t, 12, 30, 60, 100, 7)
 	newCorpus := testCorpus(t, 20, 30, 60, 100, 8)
-	opts := BuildOptions{K: 2, Seed: 3, T: 10, Parallelism: 1, BatchTokens: 400}
-
-	path := filepath.Join(t.TempDir(), "c.tok")
-	if err := corpus.WriteFile(newCorpus, path); err != nil {
-		t.Fatal(err)
-	}
-	r, err := corpus.OpenReader(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	opts := BuildOptions{K: 2, Seed: 3, T: 10, Parallelism: 1, MemoryBudget: externalCrashBudget}
+	r := corpusReader(t, newCorpus)
 
 	dry := filepath.Join(t.TempDir(), "ix")
 	seedIndex(t, dry, oldCorpus, opts)
 	counter := fsio.NewFaultFS(fsio.OS)
+	batches := &batchCountFS{FS: counter}
 	dryOpts := opts
-	dryOpts.FS = counter
+	dryOpts.FS = batches
 	if _, err := BuildExternal(r, dry, dryOpts); err != nil {
 		t.Fatal(err)
 	}
+	if batches.n.Load() < 2 {
+		t.Fatalf("the dry run built %d batch indexes, want at least 2", batches.n.Load())
+	}
 	total := counter.Ops()
 
-	// The external build has many more ops (spill files); stride the
-	// loop to keep the test quick while still covering every phase.
+	// Every batch is a staged build of its own; stride the loop to keep
+	// the test quick while still covering every phase.
 	stride := total/40 + 1
 	for n := 1; n <= total; n += stride {
 		dir := filepath.Join(t.TempDir(), "ix")
@@ -537,47 +556,6 @@ func TestDeleteCrashLoop(t *testing.T) {
 		if _, got := tombstoned(t, dir); got != want {
 			t.Fatalf("op %d: retry left %d tombstones, want %d", n, got, want)
 		}
-	}
-}
-
-// TestBuildShardedCrashSurvives spot-checks the sharded builder's
-// commit: crashes spread over its op range must leave the old index
-// openable or the new one fully committed.
-func TestBuildShardedCrashSurvives(t *testing.T) {
-	oldCorpus := testCorpus(t, 12, 30, 60, 100, 7)
-	newCorpus := testCorpus(t, 20, 30, 60, 100, 8)
-	opts := BuildOptions{K: 2, Seed: 3, T: 10, Parallelism: 1}
-
-	dry := filepath.Join(t.TempDir(), "ix")
-	seedIndex(t, dry, oldCorpus, opts)
-	counter := fsio.NewFaultFS(fsio.OS)
-	dryOpts := opts
-	dryOpts.FS = counter
-	if err := BuildSharded(newCorpus, dry, dryOpts, 3); err != nil {
-		t.Fatal(err)
-	}
-	total := counter.Ops()
-
-	// Shard builds run concurrently, so op numbering across shards is
-	// not deterministic — but the invariant must hold at every crash
-	// point regardless of which op the fault lands on.
-	stride := total/30 + 1
-	for n := 1; n <= total; n += stride {
-		dir := filepath.Join(t.TempDir(), "ix")
-		old := seedIndex(t, dir, oldCorpus, opts)
-		ffs := fsio.NewFaultFS(fsio.OS).FailAt(n)
-		crashOpts := opts
-		crashOpts.FS = ffs
-		if err := BuildSharded(newCorpus, dir, crashOpts, 3); err == nil {
-			// Concurrency may shift ops; a run that finishes under the
-			// fault budget simply committed.
-			got := openAndFingerprint(t, dir)
-			if got.numTexts != newCorpus.NumTexts() {
-				t.Fatalf("op %d: success with wrong index %+v", n, got)
-			}
-			continue
-		}
-		checkCrashInvariant(t, dir, n, old, newCorpus.NumTexts())
 	}
 }
 

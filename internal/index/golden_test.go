@@ -12,16 +12,16 @@ import (
 	"testing"
 
 	"ndss/internal/corpus"
+	"ndss/internal/fsio"
 )
 
 // goldenInvertedFiles pins the bytes of every segment file each write
 // path produces over goldenCorpus: "<case>/<path under the index dir>
-// <sha256>". Every writer lays lists out in hash order, so the sharded
-// and external lines equal the build line. A deliberate format change regenerates the
-// table from the failure output, together with docs/FORMAT.md.
+// <sha256>". Every writer lays lists out in hash order, so the external
+// line equals the build line. A deliberate format change regenerates
+// the table from the failure output, together with docs/FORMAT.md.
 const goldenInvertedFiles = `
 build/seg-000000 c4aeed3b1964bfb2e3dda445dafb2ad8cbccded32f2799cf4f4f692b72ee55bd
-sharded/seg-000000 c4aeed3b1964bfb2e3dda445dafb2ad8cbccded32f2799cf4f4f692b72ee55bd
 external/seg-000000 c4aeed3b1964bfb2e3dda445dafb2ad8cbccded32f2799cf4f4f692b72ee55bd
 segmented/seg-000000 a50657083f95884ed614416941f967dd91ce7d2e6875c42471423e6eec2fd68e
 segmented/seg-000001 0ecc4b5f938148568f8c38feeee518fa799cbebb90763d91437d99a7422fb06f
@@ -66,11 +66,18 @@ func goldenCorpus(t *testing.T) *corpus.Corpus {
 	return testCorpus(t, 40, 30, 140, 60, 101)
 }
 
+// goldenExternalOpts is opts with a budget that splits goldenCorpus into
+// at least three BuildExternal batches.
+func goldenExternalOpts(opts BuildOptions) BuildOptions {
+	opts.Parallelism, opts.MemoryBudget = 1, 12<<10
+	return opts
+}
+
 // TestInvertedFilesGolden builds the fixed corpus through every writer —
-// Build, BuildSharded, BuildExternal with recursive partitioning, and
-// base + append + delete + compact — and compares each segment file
-// with its checked-in hash. The small vocabulary makes lists long
-// enough for the low cutoff to give them zone maps.
+// Build, BuildExternal over several batches, and base + append + delete
+// + compact — and compares each segment file with its checked-in hash.
+// The small vocabulary makes lists long enough for the low cutoff to
+// give them zone maps.
 func TestInvertedFilesGolden(t *testing.T) {
 	c := goldenCorpus(t)
 	opts := BuildOptions{K: 3, Seed: 11, T: 12, ZoneMapStep: 8, LongListCutoff: 24}
@@ -82,27 +89,15 @@ func TestInvertedFilesGolden(t *testing.T) {
 	}
 	got = hashInvertedFiles(t, got, "build", buildDir)
 
-	shardedDir := filepath.Join(t.TempDir(), "ix")
-	if err := BuildSharded(c, shardedDir, opts, 3); err != nil {
-		t.Fatal(err)
-	}
-	got = hashInvertedFiles(t, got, "sharded", shardedDir)
-
-	tok := filepath.Join(t.TempDir(), "c.tok")
-	if err := corpus.WriteFile(c, tok); err != nil {
-		t.Fatal(err)
-	}
-	r, err := corpus.OpenReader(tok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	extOpts := opts
-	extOpts.MemoryBudget = 2048 // partitions exceed it and split recursively
-	extOpts.BatchTokens = 300
+	batches := &batchCountFS{FS: fsio.OS}
+	extOpts := goldenExternalOpts(opts)
+	extOpts.FS = batches
 	extDir := filepath.Join(t.TempDir(), "ix")
-	if _, err := BuildExternal(r, extDir, extOpts); err != nil {
+	if _, err := BuildExternal(corpusReader(t, c), extDir, extOpts); err != nil {
 		t.Fatal(err)
+	}
+	if batches.n.Load() < 3 {
+		t.Fatalf("the external build built %d batch indexes, want at least 3", batches.n.Load())
 	}
 	got = hashInvertedFiles(t, got, "external", extDir)
 

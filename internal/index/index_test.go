@@ -48,6 +48,21 @@ func buildIndex(t *testing.T, c *corpus.Corpus, opts BuildOptions) (*Index, *Bui
 	return ix, stats
 }
 
+// corpusReader writes c to a corpus file and opens it for streaming.
+func corpusReader(t *testing.T, c *corpus.Corpus) *corpus.Reader {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "c.tok")
+	if err := corpus.WriteFile(c, path); err != nil {
+		t.Fatal(err)
+	}
+	r, err := corpus.OpenReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
 func TestBuildOptionsValidation(t *testing.T) {
 	c := corpus.New([][]uint32{{1, 2, 3}})
 	dir := t.TempDir()
@@ -252,75 +267,55 @@ func assertIndexesEqual(t *testing.T, a, b *Index) {
 	}
 }
 
+// TestExternalBuildMatchesInMemory builds one corpus out of core under
+// budgets that give one batch (built in place), two batches and one
+// text per batch (merged), and checks each against Build.
 func TestExternalBuildMatchesInMemory(t *testing.T) {
 	c := testCorpus(t, 60, 30, 120, 400, 29)
-	mem, _ := buildIndex(t, c, BuildOptions{K: 3, Seed: 31, T: 10})
-
-	// Write the corpus to disk and external-build from it.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "c.tok")
-	if err := corpus.WriteFile(c, path); err != nil {
-		t.Fatal(err)
+	opts := BuildOptions{K: 3, Seed: 31, T: 10, Parallelism: 1}
+	mem, _ := buildIndex(t, c, opts)
+	r := corpusReader(t, c)
+	for _, tc := range []struct {
+		name        string
+		budget      int64
+		wantBatches int64 // batch indexes merged; 0 is an in-place build
+	}{
+		{"one batch", 0, 0},
+		{"two batches", 50 << 10, 2},
+		{"one text per batch", 1, int64(c.NumTexts())},
+	} {
+		batches := &batchCountFS{FS: fsio.OS}
+		extOpts := opts
+		extOpts.MemoryBudget, extOpts.FS = tc.budget, batches
+		extDir := filepath.Join(t.TempDir(), "ix")
+		stats, err := BuildExternal(r, extDir, extOpts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := batches.n.Load(); got != tc.wantBatches {
+			t.Fatalf("%s: built %d batch indexes, want %d", tc.name, got, tc.wantBatches)
+		}
+		ext, err := Open(extDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIndexesEqual(t, mem, ext)
+		if err := ext.VerifyIntegrity(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if stats.Windows != mem.TotalPostings() {
+			t.Fatalf("%s: stats.Windows = %d, want %d", tc.name, stats.Windows, mem.TotalPostings())
+		}
+		ext.Close()
+		// Only the committed index remains: no batch workspace.
+		entries, err := os.ReadDir(extDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 2 {
+			t.Fatalf("%s: index dir holds %d entries, want the manifest and one segment: %v", tc.name, len(entries), entries)
+		}
 	}
-	r, err := corpus.OpenReader(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	extDir := t.TempDir()
-	stats, err := BuildExternal(r, extDir, BuildOptions{
-		K: 3, Seed: 31, T: 10,
-		BatchTokens: 500, // many small batches
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := Open(extDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ext.Close()
-	assertIndexesEqual(t, mem, ext)
-	if stats.Windows != mem.TotalPostings() {
-		t.Fatalf("external stats.Windows = %d, want %d", stats.Windows, mem.TotalPostings())
-	}
-	// No spill files must remain.
-	matches, _ := filepath.Glob(filepath.Join(extDir, "spill-*"))
-	if len(matches) != 0 {
-		t.Fatalf("leftover spill files: %v", matches)
-	}
-}
-
-// TestExternalBuildRecursivePartitioning forces a minuscule memory budget
-// so partitions recursively split, and verifies output equality.
-func TestExternalBuildRecursivePartitioning(t *testing.T) {
-	c := testCorpus(t, 50, 30, 100, 300, 37)
-	mem, _ := buildIndex(t, c, BuildOptions{K: 2, Seed: 41, T: 8})
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "c.tok")
-	if err := corpus.WriteFile(c, path); err != nil {
-		t.Fatal(err)
-	}
-	r, err := corpus.OpenReader(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	extDir := t.TempDir()
-	if _, err := BuildExternal(r, extDir, BuildOptions{
-		K: 2, Seed: 41, T: 8,
-		MemoryBudget: 2048, // forces recursion
-		BatchTokens:  300,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ext, err := Open(extDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ext.Close()
-	assertIndexesEqual(t, mem, ext)
 }
 
 func TestOpenRejectsBadDirs(t *testing.T) {

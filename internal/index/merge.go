@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"sync"
 
 	"ndss/internal/corpus"
 	"ndss/internal/fsio"
@@ -26,10 +25,6 @@ import (
 // private index state merged and flushed at the end — at directory
 // granularity.
 func MergeShards(shardDirs []string, offsets []uint32, outDir string) error {
-	return mergeShardsFS(fsio.OS, shardDirs, offsets, outDir)
-}
-
-func mergeShardsFS(fsys fsio.FS, shardDirs []string, offsets []uint32, outDir string) error {
 	if len(shardDirs) == 0 {
 		return fmt.Errorf("index: no shards to merge")
 	}
@@ -38,21 +33,20 @@ func mergeShardsFS(fsys fsio.FS, shardDirs []string, offsets []uint32, outDir st
 	}
 	shards := make([]*Index, len(shardDirs))
 	for i, dir := range shardDirs {
-		ix, err := OpenFS(fsys, dir)
+		ix, err := Open(dir)
 		if err != nil {
 			return fmt.Errorf("index: open shard %d: %w", i, err)
 		}
 		defer ix.Close()
 		shards[i] = ix
 	}
-	return mergeInto(fsys, shards, offsets, outDir)
+	return mergeInto(fsio.OS, shards, offsets, outDir)
 }
 
-// mergeInto is the one multi-part writer: it merges the opened shards'
-// lists, shard i's text ids shifted by offsets[i], into a single segment
-// staged next to outDir and committed atomically. A shard may
-// itself be a segment set — each segment is a source of its own, its
-// tombstoned postings dropped — which is all compaction needs.
+// mergeInto merges the opened shards into a single segment staged next
+// to outDir and committed atomically. A shard may itself be a segment
+// set — each segment is a source of its own, its tombstoned postings
+// dropped — which is all compaction needs.
 func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) error {
 	merged := shards[0].Meta()
 	merged.NumTexts, merged.TotalTokens = 0, 0
@@ -65,6 +59,16 @@ func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) e
 		merged.NumTexts += m.NumTexts
 		merged.TotalTokens += m.TotalTokens
 	}
+	return stagedBuild(fsys, outDir, merged, func(path string) (segSum, error) {
+		return mergeSegment(fsys, shards, offsets, path)
+	})
+}
+
+// mergeSegment is the one multi-part writer: it merges the shards'
+// lists, shard i's text ids shifted by offsets[i], into the segment
+// file at path. The shards share K and shard 0's zone-map parameters
+// apply.
+func mergeSegment(fsys fsio.FS, shards []*Index, offsets []uint32, path string) (segSum, error) {
 	// Every (shard, segment) is one merge source, in ascending text-id
 	// order: shard offsets ascend and so do segment bases within a shard.
 	var srcs []mergeSource
@@ -73,21 +77,18 @@ func mergeInto(fsys fsio.FS, shards []*Index, offsets []uint32, outDir string) e
 			srcs = append(srcs, mergeSource{ix: sh, seg: si, base: offsets[i] + seg.base, tomb: seg.tomb})
 		}
 	}
-	// No sweep: BuildSharded's shard workspace matches the orphan pattern
-	// and is still live.
-	return stagedBuild(fsys, outDir, false, merged, func(path string) (segSum, error) {
-		w, err := newSegmentWriter(fsys, path, merged.K, merged.ZoneMapStep, merged.LongListCutoff)
-		if err != nil {
+	m := shards[0].Meta()
+	w, err := newSegmentWriter(fsys, path, m.K, m.ZoneMapStep, m.LongListCutoff)
+	if err != nil {
+		return segSum{}, err
+	}
+	defer w.abort()
+	for fn := 0; fn < m.K; fn++ {
+		if err := mergeFunc(srcs, fn, w); err != nil {
 			return segSum{}, err
 		}
-		defer w.abort()
-		for fn := 0; fn < merged.K; fn++ {
-			if err := mergeFunc(srcs, fn, w); err != nil {
-				return segSum{}, err
-			}
-		}
-		return w.finish()
-	})
+	}
+	return w.finish()
 }
 
 // mergeWindow caps a source's read-ahead window: a function's region is
@@ -306,77 +307,4 @@ func compactFS(fsys fsio.FS, dir string) error {
 	// included), so merging the set as one shard at offset 0 preserves
 	// every surviving text id.
 	return mergeInto(fsys, []*Index{ix}, []uint32{0}, dir)
-}
-
-// BuildSharded splits an in-memory corpus into numShards consecutive
-// chunks, builds a shard index for each concurrently, and merges them
-// into dir with the same atomic-commit protocol as Build. The result
-// is identical to Build over the whole corpus.
-func BuildSharded(c *corpus.Corpus, dir string, opts BuildOptions, numShards int) error {
-	if numShards < 1 {
-		numShards = 1
-	}
-	if numShards > c.NumTexts() && c.NumTexts() > 0 {
-		numShards = c.NumTexts()
-	}
-	if err := opts.setDefaults(); err != nil {
-		return err
-	}
-	fsys := opts.FS
-	// The shard workspace is a staging-pattern sibling of dir, so a crash
-	// leaves it as a sweepable orphan; the final merge stages beside it
-	// and commits into dir atomically.
-	tmp, err := beginBuild(fsys, dir, true)
-	if err != nil {
-		return err
-	}
-	defer fsys.RemoveAll(tmp)
-
-	chunk := (c.NumTexts() + numShards - 1) / numShards
-	var (
-		shardDirs []string
-		offsets   []uint32
-	)
-	type job struct {
-		dir   string
-		start int
-		end   int
-	}
-	var jobs []job
-	for s := 0; s < numShards; s++ {
-		start := s * chunk
-		end := start + chunk
-		if end > c.NumTexts() {
-			end = c.NumTexts()
-		}
-		if start >= end {
-			break
-		}
-		sd := filepath.Join(tmp, fmt.Sprintf("shard-%03d", s))
-		shardDirs = append(shardDirs, sd)
-		offsets = append(offsets, uint32(start))
-		jobs = append(jobs, job{dir: sd, start: start, end: end})
-	}
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			sub := corpus.New(nil)
-			for id := j.start; id < j.end; id++ {
-				sub.Append(c.Text(uint32(id)))
-			}
-			shardOpts := opts
-			shardOpts.Parallelism = 1 // shards are the parallelism unit
-			_, errs[i] = Build(sub, j.dir, shardOpts)
-		}(i, j)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("index: build shard %d: %w", i, err)
-		}
-	}
-	return mergeShardsFS(fsys, shardDirs, offsets, dir)
 }

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,48 +13,6 @@ import (
 	"ndss/internal/corpus"
 	"ndss/internal/fsio"
 )
-
-// TestBuildShardedEqualsDirect: sharded build + merge must reproduce the
-// direct build exactly.
-func TestBuildShardedEqualsDirect(t *testing.T) {
-	c := testCorpus(t, 55, 30, 100, 300, 81)
-	opts := BuildOptions{K: 3, Seed: 13, T: 10}
-	direct, _ := buildIndex(t, c, opts)
-	for _, shards := range []int{1, 2, 4, 7} {
-		dir := t.TempDir()
-		if err := BuildSharded(c, dir, opts, shards); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		merged, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIndexesEqual(t, direct, merged)
-		if err := merged.VerifyIntegrity(); err != nil {
-			t.Fatalf("shards=%d: merged index corrupt: %v", shards, err)
-		}
-		merged.Close()
-	}
-}
-
-func TestBuildShardedMoreShardsThanTexts(t *testing.T) {
-	c := corpus.New([][]uint32{
-		{1, 2, 3, 4, 5, 6, 7, 8},
-		{9, 10, 11, 12, 13, 14, 15, 16},
-	})
-	dir := t.TempDir()
-	if err := BuildSharded(c, dir, BuildOptions{K: 2, Seed: 1, T: 5}, 10); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	if ix.Meta().NumTexts != 2 {
-		t.Fatalf("NumTexts = %d", ix.Meta().NumTexts)
-	}
-}
 
 func TestMergeShardsValidation(t *testing.T) {
 	if err := MergeShards(nil, nil, t.TempDir()); err == nil {
@@ -233,19 +190,19 @@ func TestCompactReadBudget(t *testing.T) {
 	}
 }
 
-// spillLevelFS records the deepest recursion level of the spill files
-// created through it.
-type spillLevelFS struct {
+// batchCountFS counts the batch indexes BuildExternal stages through
+// it: each is staged in a directory made under the build's "batches"
+// workspace.
+type batchCountFS struct {
 	fsio.FS
-	deepest atomic.Int64
+	n atomic.Int64
 }
 
-func (s *spillLevelFS) CreateTemp(dir, pattern string) (fsio.File, error) {
-	var level, part int
-	if n, _ := fmt.Sscanf(pattern, "spill-l%d-p%d-", &level, &part); n == 2 && int64(level) > s.deepest.Load() {
-		s.deepest.Store(int64(level))
+func (b *batchCountFS) MkdirTemp(dir, pattern string) (string, error) {
+	if filepath.Base(dir) == "batches" {
+		b.n.Add(1)
 	}
-	return s.FS.CreateTemp(dir, pattern)
+	return b.FS.MkdirTemp(dir, pattern)
 }
 
 // assertHashOrder fails unless every function of every segment file
@@ -299,10 +256,10 @@ func assertHashOrder(t *testing.T, label, dir string) {
 }
 
 // TestEveryWriterEmitsHashOrder runs every writer over the golden corpus
-// — Build, BuildSharded, BuildExternal under a 2 kB budget that forces
-// recursive partitioning, Append (with a delete) and Compact — and
-// checks that each output lays its lists out in hash order and opens.
-// BuildExternal's segment file must be byte-identical to Build's.
+// — Build, BuildExternal under a budget of several batches, Append
+// (with a delete) and Compact — and checks that each output lays its
+// lists out in hash order and opens. BuildExternal's segment file must
+// be byte-identical to Build's.
 func TestEveryWriterEmitsHashOrder(t *testing.T) {
 	c := goldenCorpus(t)
 	opts := BuildOptions{K: 3, Seed: 11, T: 12, ZoneMapStep: 8, LongListCutoff: 24}
@@ -313,30 +270,15 @@ func TestEveryWriterEmitsHashOrder(t *testing.T) {
 	}
 	assertHashOrder(t, "build", buildDir)
 
-	shardedDir := filepath.Join(t.TempDir(), "ix")
-	if err := BuildSharded(c, shardedDir, opts, 3); err != nil {
-		t.Fatal(err)
-	}
-	assertHashOrder(t, "sharded", shardedDir)
-
-	tok := filepath.Join(t.TempDir(), "c.tok")
-	if err := corpus.WriteFile(c, tok); err != nil {
-		t.Fatal(err)
-	}
-	r, err := corpus.OpenReader(tok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	spills := &spillLevelFS{FS: fsio.OS}
-	extOpts := opts
-	extOpts.MemoryBudget, extOpts.BatchTokens, extOpts.FS = 2048, 300, spills
+	batches := &batchCountFS{FS: fsio.OS}
+	extOpts := goldenExternalOpts(opts)
+	extOpts.FS = batches
 	extDir := filepath.Join(t.TempDir(), "ix")
-	if _, err := BuildExternal(r, extDir, extOpts); err != nil {
+	if _, err := BuildExternal(corpusReader(t, c), extDir, extOpts); err != nil {
 		t.Fatal(err)
 	}
-	if spills.deepest.Load() < 1 {
-		t.Fatal("the external build never re-partitioned a spill")
+	if batches.n.Load() < 2 {
+		t.Fatalf("the external build built %d batch indexes, want at least 2", batches.n.Load())
 	}
 	assertHashOrder(t, "external", extDir)
 	want, err := os.ReadFile(filepath.Join(buildDir, segmentName(0)))

@@ -5,11 +5,11 @@
 // carry zone maps for per-text probing (Algorithm 3's prefix filtering
 // path).
 //
-// Three builders are provided: an in-memory builder for corpora that fit
-// in RAM (Algorithm 1's main path, one worker per hash function in front
-// of one ordered writer), a sharded variant, and an external
-// hash-aggregation builder with recursive partitioning for corpora larger
-// than memory.
+// Build indexes a corpus that fits in RAM (Algorithm 1's main path, one
+// worker per hash function in front of one ordered writer);
+// BuildExternal streams a corpus file once in memory-budget-sized
+// batches, builds each with Build's pipeline and merges them, for
+// corpora larger than memory.
 package index
 
 import (
@@ -55,20 +55,8 @@ type record struct {
 	Posting Posting
 }
 
-// recordSize is the on-disk size of one spill record (external build).
+// recordSize is a record's size in memory.
 const recordSize = 24
-
-func encodeRecord(dst []byte, r record) {
-	binary.LittleEndian.PutUint64(dst[0:], r.Hash)
-	encodePosting(dst[8:], r.Posting)
-}
-
-func decodeRecord(src []byte) record {
-	return record{
-		Hash:    binary.LittleEndian.Uint64(src[0:]),
-		Posting: decodePosting(src[8:]),
-	}
-}
 
 // compareRecords orders records by (hash, text id, L). Postings within
 // a list must be ordered by text id for zone maps and per-text probes.

@@ -77,7 +77,8 @@ func BuildIndex(texts [][]uint32, dir string, opts BuildOptions) (*BuildStats, e
 
 // BuildIndexFromFile builds an index directory from a corpus file
 // (written with WriteCorpusFile) using the out-of-core builder, suitable
-// for corpora larger than memory.
+// for corpora larger than memory: it streams the file once, builds
+// batches of at most opts.MemoryBudget, and merges them into one index.
 func BuildIndexFromFile(corpusPath, dir string, opts BuildOptions) (*BuildStats, error) {
 	return core.BuildIndexExternal(corpusPath, dir, opts)
 }

@@ -96,7 +96,7 @@ func TestPublicAPIFileWorkflow(t *testing.T) {
 	}
 	idxDir := filepath.Join(dir, "idx")
 	if _, err := BuildIndexFromFile(corpusPath, idxDir, BuildOptions{
-		K: 8, Seed: 2, T: 8, BatchTokens: 500,
+		K: 8, Seed: 2, T: 8, MemoryBudget: 16 << 10, // several batches
 	}); err != nil {
 		t.Fatal(err)
 	}
