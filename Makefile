@@ -54,7 +54,7 @@ shard-suite:
 # yield one connected trace tree at /debug/trace).
 chaos-suite:
 	$(GO) test -race -count=1 ./internal/shard/netfault/
-	$(GO) test -race -count=1 -run 'Chaos|Replica|Breaker|TokenBucket|QuantileWindow|NextBackoff' ./internal/shard/
+	$(GO) test -race -count=1 -run 'Chaos|Replica|Breaker|TokenBucket|QuantileWindow' ./internal/shard/
 	$(GO) test -race -count=1 -run 'ReloadRace|ReplicaMetrics|ReplicaRetriesReadError|ChaosTrace' ./internal/server/
 
 # CI "lint" job: the invariant analyzers (docs/INVARIANTS.md), both
@@ -90,14 +90,16 @@ fuzz-smoke:
 # reads in ns/posting and Open), of both window generators (the stack on reused
 # scratch and the segment tree), of the serving path
 # (internal/server/bench_test.go: one uncached /search through
-# ServeHTTP, allocs/op) and of the root benchmarks behind Fig 3(d), AB1
-# and AB2, so they cannot rot. Measuring while you work is the
-# same command with a real -benchtime and -count.
+# ServeHTTP, allocs/op), of the root benchmarks behind Fig 3(d), AB1
+# and AB2, and ten queries per cell of the replica-tier scenario matrix
+# (internal/shard/replica_bench_test.go), so they cannot rot. Measuring
+# while you work is the same command with a real -benchtime and -count.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Search(Hit|Miss|Segmented)|FirstQueryAfterAppend|IntervalScan|CollisionCount' -benchtime 1x ./internal/search/
 	$(GO) test -run '^$$' -bench 'Build$$|BuildExternal|Append16|Compact9|ChurnCycle|ReadList$$|Open$$' -benchtime 1x ./internal/index/
 	$(GO) test -run '^$$' -bench 'ScratchGenerate|GenerateSegmentTree' -benchtime 1x ./internal/window/
 	$(GO) test -run '^$$' -bench 'ServeSearch' -benchtime 1x -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench 'ReplicaScenarios' -benchtime 10x ./internal/shard/
 	$(GO) test -run '^$$' -bench 'Fig3_PrefixLength|Ablation_PrefixFilter|Ablation_WindowGen' -benchtime 1x .
 
 # CI "benchmark-check" job: the repo benchmark (BENCHMARK.json,

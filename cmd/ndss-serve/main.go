@@ -106,11 +106,9 @@ type serveConfig struct {
 	shardTimeout  time.Duration
 	shardInflight int
 
-	shardRetries    int
 	retryBudget     float64
 	hedgeAfter      time.Duration
 	breakerFailures int
-	breakerCooldown time.Duration
 	probeInterval   time.Duration
 }
 
@@ -134,12 +132,10 @@ func main() {
 	flag.StringVar(&c.shards, "shards", "", "comma-separated shard list (index directories and/or http(s):// ndss-serve URLs); serves a scatter–gather coordinator over them instead of -index. Separate interchangeable replicas of one shard with | (url1|url2)")
 	flag.DurationVar(&c.shardTimeout, "shard-timeout", 0, "per-shard deadline budget for fan-out legs; shards that miss it are skipped and the result is flagged partial (0 = request deadline only)")
 	flag.IntVar(&c.shardInflight, "shard-inflight", 0, "per-remote-shard concurrent request cap (0 = the shard package default)")
-	flag.IntVar(&c.shardRetries, "shard-retries", 2, "max extra attempts per shard leg after transient failures, each on a different replica (0 disables)")
-	flag.Float64Var(&c.retryBudget, "retry-budget", 0.1, "retry/hedge token earned per primary attempt: sustained extra attempts stay under this fraction of the request rate")
+	flag.Float64Var(&c.retryBudget, "retry-budget", 0.1, "retry/hedge token earned per primary attempt: sustained extra attempts stay under this fraction of the request rate (0 selects the default)")
 	flag.DurationVar(&c.hedgeAfter, "hedge-after", 5*time.Millisecond, "hedge a shard leg onto another replica once the first attempt exceeds max(replica streaming P95, this floor) (0 disables)")
-	flag.IntVar(&c.breakerFailures, "breaker-failures", 5, "consecutive failures that open a replica's circuit breaker")
-	flag.DurationVar(&c.breakerCooldown, "breaker-cooldown", time.Second, "how long an open breaker rejects a replica before allowing a half-open trial")
-	flag.DurationVar(&c.probeInterval, "probe-interval", 2*time.Second, "background replica health-probe period; recovered replicas rejoin without traffic (0 disables)")
+	flag.IntVar(&c.breakerFailures, "breaker-failures", 5, "consecutive failures that open a replica's circuit breaker (≤ 0 selects the default)")
+	flag.DurationVar(&c.probeInterval, "probe-interval", 2*time.Second, "background replica health-probe period; a probe that reaches a replica closes its breaker and lifts a stale quarantine (≤ 0 selects the default)")
 	flag.Parse()
 
 	if err := run(c); err != nil {
@@ -202,19 +198,14 @@ func openBackend(idxDir, corpusPath string) (*servedBackend, error) {
 }
 
 // replicaConfig maps the resilience flags onto shard.ReplicaConfig.
-// The flags use 0 for "off" where that is the intuitive reading; the
-// config uses negative for "off" so its zero value can mean "default".
+// -hedge-after uses 0 for "off", the intuitive reading; the config uses
+// negative for "off" so its zero value can mean "default".
 func replicaConfig(c serveConfig) shard.ReplicaConfig {
 	cfg := shard.ReplicaConfig{
-		MaxRetries:      c.shardRetries,
 		RetryBudget:     c.retryBudget,
 		HedgeDelayMin:   c.hedgeAfter,
 		BreakerFailures: c.breakerFailures,
-		BreakerCooldown: c.breakerCooldown,
 		ProbeInterval:   c.probeInterval,
-	}
-	if c.shardRetries <= 0 {
-		cfg.MaxRetries = -1
 	}
 	if c.hedgeAfter <= 0 {
 		cfg.HedgeDelayMin = -1
@@ -305,9 +296,7 @@ func openCoordinator(c serveConfig, logger *slog.Logger) (server.Backend, error)
 	if err != nil {
 		return nil, err
 	}
-	if c.probeInterval > 0 {
-		coord.StartProbers(context.Background(), c.probeInterval)
-	}
+	coord.StartProbers(context.Background())
 	ok = true
 	return coord, nil
 }

@@ -398,7 +398,7 @@ func shardRows(sm shard.Metrics) []metricRow {
 					labels: label, path: replicaAt("retries"), val: r.Retries},
 				{name: "ndss_shard_hedges_total", typ: "counter", help: "Hedged (speculative) attempts routed to each replica.",
 					labels: label, path: replicaAt("hedges"), val: r.Hedges},
-				{name: "ndss_shard_breaker_state", typ: "gauge", help: "Replica circuit-breaker state: 0 closed, 1 half-open, 2 open.",
+				{name: "ndss_shard_breaker_state", typ: "gauge", help: "Replica circuit-breaker state: 0 closed, 2 open.",
 					labels: label, path: replicaAt("breaker"), val: r.Breaker},
 				{name: "ndss_shard_replica_quarantined", typ: "gauge", help: "1 while the replica is quarantined for a diverging build id.",
 					labels: label, path: replicaAt("quarantined"), val: r.Quarantined},

@@ -40,7 +40,7 @@ func (goldenBackend) ShardMetrics() shard.Metrics {
 			Shard: "http://127.0.0.1:9002", BuildID: "build-b", Requests: 9, Errors: 2,
 			ReplicaSet: &shard.ReplicaSetMetrics{HedgeWins: 2, BudgetDenied: 3, Replicas: []shard.ReplicaMetrics{
 				{Replica: "http://127.0.0.1:9002", BuildID: "build-b", Requests: 7, Errors: 2, Retries: 1, Hedges: 1, Breaker: shard.BreakerOpen},
-				{Replica: "http://127.0.0.1:9003", BuildID: "build-c", Requests: 5, Errors: 1, Retries: 3, Hedges: 2, Breaker: shard.BreakerHalfOpen, Quarantined: true},
+				{Replica: "http://127.0.0.1:9003", BuildID: "build-c", Requests: 5, Errors: 1, Retries: 3, Hedges: 2, Breaker: shard.BreakerClosed, Quarantined: true},
 			}},
 		}},
 	}

@@ -387,8 +387,7 @@ func TestRecordLogLine(t *testing.T) {
 		rs, err := shard.NewReplicaSet("rset", []shard.ShardClient{
 			shard.NewLocal("rep0", failing), shard.NewLocal("rep1", newSlowShardBackend(t, false, 2)),
 		}, shard.ReplicaConfig{
-			MaxRetries: 2, RetryBurst: 10, HedgeDelayMin: -1,
-			BreakerFailures: 100, BreakerCooldown: time.Hour, Seed: 1,
+			RetryBurst: 10, HedgeDelayMin: -1, BreakerFailures: 100, Seed: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

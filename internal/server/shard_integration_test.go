@@ -450,8 +450,7 @@ func TestReplicaRetriesReadError(t *testing.T) {
 	healthy := serve(func(ix search.IndexReader) search.IndexReader { return ix })
 	// Ties go to the lower index, so the broken replica is the primary.
 	rs, err := shard.NewReplicaSet("rset", []shard.ShardClient{broken, healthy}, shard.ReplicaConfig{
-		MaxRetries: 2, RetryBurst: 10, HedgeDelayMin: -1,
-		BreakerFailures: 100, BreakerCooldown: time.Hour, Seed: 1,
+		RetryBurst: 10, HedgeDelayMin: -1, BreakerFailures: 100, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -531,8 +530,7 @@ func TestShardedReplicaMetricsExposition(t *testing.T) {
 	rs, err := shard.NewReplicaSet("rset", []shard.ShardClient{
 		shard.NewLocal("rep0", failing), shard.NewLocal("rep1", good),
 	}, shard.ReplicaConfig{
-		MaxRetries: 2, RetryBurst: 10, HedgeDelayMin: -1,
-		BreakerFailures: 100, BreakerCooldown: time.Hour, Seed: 1,
+		RetryBurst: 10, HedgeDelayMin: -1, BreakerFailures: 100, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

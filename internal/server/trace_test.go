@@ -282,14 +282,10 @@ func TestChaosTraceRetryHedgeTree(t *testing.T) {
 			reps[j] = hs
 		}
 		rs, err := shard.NewReplicaSet(fmt.Sprintf("range%d", r), reps, shard.ReplicaConfig{
-			MaxRetries:      2,
 			RetryBudget:     1.0,
 			RetryBurst:      1000,
-			BackoffBase:     100 * time.Microsecond,
-			BackoffMax:      time.Millisecond,
 			HedgeDelayMin:   5 * time.Millisecond,
 			BreakerFailures: 3,
-			BreakerCooldown: 50 * time.Millisecond,
 			Seed:            42,
 		})
 		if err != nil {
@@ -305,9 +301,9 @@ func TestChaosTraceRetryHedgeTree(t *testing.T) {
 	ts := httptest.NewServer(New(coord, Config{TraceSampleRate: 1, CacheEntries: -1}))
 	defer ts.Close()
 
-	// One scripted reset on each replica of range 0: whichever replica
-	// the primary picks dies, and within MaxRetries a retry lands on a
-	// consumed script and wins. One scripted delay on each replica of
+	// One scripted reset on replica 0 of range 0: idle replicas tie to
+	// the lower index, so the primary dies there and the retry, on the
+	// other replica, wins. One scripted delay on each replica of
 	// range 1, well past HedgeDelayMin: the primary stalls, a hedge
 	// launches, both eventually answer and the faster wins. Scripts are
 	// indexed by a per-host request counter that the construction-time
@@ -317,7 +313,6 @@ func TestChaosTraceRetryHedgeTree(t *testing.T) {
 		ft.Script(host, append(make([]netfault.Fault, ft.Calls(host)), f)...)
 	}
 	scriptNext(hosts[0][0], netfault.Fault{Kind: netfault.Reset})
-	scriptNext(hosts[0][1], netfault.Fault{Kind: netfault.Reset})
 	scriptNext(hosts[1][0], netfault.Fault{Kind: netfault.Delay, Delay: 30 * time.Millisecond})
 	scriptNext(hosts[1][1], netfault.Fault{Kind: netfault.Delay, Delay: 30 * time.Millisecond})
 

@@ -1,34 +1,26 @@
 package shard
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // BreakerState enumerates the circuit-breaker states. The zero value is
 // Closed: a fresh replica is assumed healthy until it proves otherwise.
+// The numeric values are the ndss_shard_breaker_state gauge encoding.
 type BreakerState int32
 
 const (
 	// BreakerClosed: requests flow normally; consecutive failures are
 	// counted and trip the breaker at the configured threshold.
-	BreakerClosed BreakerState = iota
-	// BreakerHalfOpen: the cooldown elapsed and exactly one trial
-	// request is allowed through; its outcome decides between Closed
-	// and another Open period.
-	BreakerHalfOpen
+	BreakerClosed BreakerState = 0
 	// BreakerOpen: the replica exceeded the failure threshold and is
-	// skipped by routing until the cooldown elapses (or a successful
-	// health probe resets the breaker early).
-	BreakerOpen
+	// skipped by routing until a successful attempt or health probe
+	// closes the breaker.
+	BreakerOpen BreakerState = 2
 )
 
 func (s BreakerState) String() string {
 	switch s {
 	case BreakerClosed:
 		return "closed"
-	case BreakerHalfOpen:
-		return "half_open"
 	case BreakerOpen:
 		return "open"
 	}
@@ -36,76 +28,27 @@ func (s BreakerState) String() string {
 }
 
 // breaker is a consecutive-failure circuit breaker guarding one
-// replica. It is deliberately pessimistic about per-query traffic and
-// optimistic about health probes: query failures accumulate toward the
-// threshold, while one successful CheckHealth (reset) closes the
-// breaker outright — the background prober is the cheap path back into
-// rotation for a recovered replica.
-//
-// State machine:
+// replica:
 //
 //	Closed --(threshold consecutive failures)--> Open
-//	Open --(cooldown elapsed, next allow())--> HalfOpen (one trial)
-//	HalfOpen --(trial succeeds)--> Closed
-//	HalfOpen --(trial fails)--> Open (fresh cooldown)
-//	any --(reset: successful health probe)--> Closed
+//	any --(successful attempt or health probe)--> Closed
 //
-// The half-open trial slot is claimed by allow() and released by the
-// next onSuccess/onFailure, so concurrent legs cannot stampede a
-// barely-recovered replica.
+// Routing skips an open replica while any closed one is left, so the
+// background prober (CheckHealth) is the path back into rotation; an
+// open replica only sees fail-open traffic when nothing else can serve.
 type breaker struct {
 	mu        sync.Mutex
-	state     BreakerState  // guarded by mu
-	fails     int           // guarded by mu; consecutive failures while Closed
-	threshold int           // set before the replica set is shared; read-only after
-	cooldown  time.Duration // set before the replica set is shared; read-only after
-	openedAt  time.Time     // guarded by mu
-	trialOut  bool          // guarded by mu; a half-open trial request is in flight
+	state     BreakerState // guarded by mu
+	fails     int          // guarded by mu; consecutive failures
+	threshold int          // set before the replica set is shared; read-only after
 }
 
-// allow reports whether routing may send this replica a request now.
-// It transitions Open → HalfOpen when the cooldown has elapsed, and in
-// HalfOpen claims the single trial slot for the caller: trial is true
-// when this call claimed it, and the claimant MUST eventually call
-// exactly one of onSuccess, onFailure, or releaseTrial.
-func (b *breaker) allow() (ok, trial bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		return true, false
-	case BreakerOpen:
-		if time.Since(b.openedAt) < b.cooldown {
-			return false, false
-		}
-		b.state = BreakerHalfOpen
-		b.trialOut = true
-		return true, true
-	case BreakerHalfOpen:
-		if b.trialOut {
-			return false, false
-		}
-		b.trialOut = true
-		return true, true
-	}
-	return false, false
-}
-
-// releaseTrial returns an unused half-open trial slot: the claiming
-// attempt was canceled (a hedge loser) before it could prove anything
-// about the replica, so another attempt may try.
-func (b *breaker) releaseTrial() {
-	b.mu.Lock()
-	b.trialOut = false
-	b.mu.Unlock()
-}
-
-// onSuccess records a request that completed successfully.
+// onSuccess records a request that completed successfully, or a health
+// probe that proved the replica serving.
 func (b *breaker) onSuccess() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails = 0
-	b.trialOut = false
 	b.state = BreakerClosed
 }
 
@@ -114,37 +57,13 @@ func (b *breaker) onSuccess() {
 func (b *breaker) onFailure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerHalfOpen:
-		// The trial failed: back to a fresh cooldown.
-		b.trialOut = false
+	b.fails++
+	if b.fails >= b.threshold {
 		b.state = BreakerOpen
-		b.openedAt = time.Now()
-	case BreakerClosed:
-		b.fails++
-		if b.fails >= b.threshold {
-			b.state = BreakerOpen
-			b.openedAt = time.Now()
-		}
-	case BreakerOpen:
-		// A fail-open request (no alternative replica) failed while the
-		// breaker was already open; re-arm the cooldown so a steady
-		// failure stream keeps the replica out of preferred rotation.
-		b.openedAt = time.Now()
 	}
 }
 
-// reset force-closes the breaker: a successful health probe proved the
-// replica is serving again, no trial traffic needed.
-func (b *breaker) reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.fails = 0
-	b.trialOut = false
-	b.state = BreakerClosed
-}
-
-// current returns the state for metrics.
+// current returns the state for routing and metrics.
 func (b *breaker) current() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()

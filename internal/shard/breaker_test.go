@@ -1,18 +1,15 @@
 package shard
 
 import (
-	"context"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func TestBreakerTripsAfterThreshold(t *testing.T) {
-	b := &breaker{threshold: 3, cooldown: time.Hour}
+	b := &breaker{threshold: 3}
 	for i := 0; i < 2; i++ {
 		b.onFailure()
-		if ok, _ := b.allow(); !ok {
+		if b.current() != BreakerClosed {
 			t.Fatalf("breaker opened after %d failures, threshold is 3", i+1)
 		}
 	}
@@ -20,13 +17,10 @@ func TestBreakerTripsAfterThreshold(t *testing.T) {
 	if b.current() != BreakerOpen {
 		t.Fatalf("state after 3 failures = %v, want open", b.current())
 	}
-	if ok, _ := b.allow(); ok {
-		t.Fatal("open breaker within cooldown must refuse")
-	}
 }
 
 func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
-	b := &breaker{threshold: 3, cooldown: time.Hour}
+	b := &breaker{threshold: 3}
 	b.onFailure()
 	b.onFailure()
 	b.onSuccess()
@@ -37,80 +31,27 @@ func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 	}
 }
 
-func TestBreakerHalfOpenSingleTrial(t *testing.T) {
-	b := &breaker{threshold: 1, cooldown: time.Millisecond}
-	b.onFailure()
-	if b.current() != BreakerOpen {
-		t.Fatal("threshold 1 breaker should open on first failure")
-	}
-	time.Sleep(2 * time.Millisecond)
-	ok, trial := b.allow()
-	if !ok || !trial {
-		t.Fatalf("allow after cooldown = (%v, %v), want a claimed half-open trial", ok, trial)
-	}
-	if b.current() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half_open", b.current())
-	}
-	// The trial slot is held: a second caller is refused.
-	if ok, _ := b.allow(); ok {
-		t.Fatal("second caller must not get a concurrent half-open trial")
-	}
-	// A failed trial re-opens with a fresh cooldown.
-	b.onFailure()
-	if b.current() != BreakerOpen {
-		t.Fatal("failed trial should re-open the breaker")
-	}
-	time.Sleep(2 * time.Millisecond)
-	if ok, _ := b.allow(); !ok {
-		t.Fatal("cooldown elapsed again; a new trial is due")
-	}
-	b.onSuccess()
-	if b.current() != BreakerClosed {
-		t.Fatal("successful trial should close the breaker")
-	}
-}
-
-func TestBreakerReleaseTrial(t *testing.T) {
-	b := &breaker{threshold: 1, cooldown: time.Millisecond}
-	b.onFailure()
-	time.Sleep(2 * time.Millisecond)
-	if ok, trial := b.allow(); !ok || !trial {
-		t.Fatal("expected to claim the trial")
-	}
-	// The trial attempt was canceled (hedge loser): releasing the slot
-	// lets the next attempt try, instead of wedging until a probe.
-	b.releaseTrial()
-	if ok, trial := b.allow(); !ok || !trial {
-		t.Fatal("released trial slot must be claimable again")
-	}
-}
-
 func TestBreakerResetClosesFromAnyState(t *testing.T) {
-	b := &breaker{threshold: 1, cooldown: time.Hour}
+	b := &breaker{threshold: 1}
 	b.onFailure()
 	if b.current() != BreakerOpen {
 		t.Fatal("setup: breaker should be open")
 	}
-	b.reset()
+	b.onSuccess() // a successful attempt or health probe
 	if b.current() != BreakerClosed {
-		t.Fatal("reset (health probe success) must close the breaker outright")
-	}
-	if ok, trial := b.allow(); !ok || trial {
-		t.Fatal("closed breaker allows without a trial claim")
+		t.Fatal("a success must close an open breaker outright")
 	}
 }
 
 func TestBreakerStateStrings(t *testing.T) {
-	cases := map[BreakerState]string{
-		BreakerClosed: "closed", BreakerHalfOpen: "half_open", BreakerOpen: "open",
-	}
+	cases := map[BreakerState]string{BreakerClosed: "closed", BreakerOpen: "open"}
 	for s, want := range cases {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
 		}
 	}
 	// The numeric values are the ndss_shard_breaker_state gauge encoding.
-	if BreakerClosed != 0 || BreakerHalfOpen != 1 || BreakerOpen != 2 {
+	if BreakerClosed != 0 || BreakerOpen != 2 {
 		t.Error("breaker gauge encoding changed; update the /metrics docs")
 	}
 }
@@ -164,168 +105,5 @@ func TestQuantileWindow(t *testing.T) {
 	}
 	if got := q.quantile(0.95); got != time.Millisecond {
 		t.Fatalf("P95 after window turnover = %v, want 1ms", got)
-	}
-}
-
-func TestNextBackoffDecorrelatedJitter(t *testing.T) {
-	rng := newLockedRand(1)
-	base, max := time.Millisecond, 50*time.Millisecond
-	prev := time.Duration(0)
-	for i := 0; i < 100; i++ {
-		d := nextBackoff(rng, base, prev, max)
-		if d < base || d > max {
-			t.Fatalf("backoff %v outside [%v, %v]", d, base, max)
-		}
-		prev = d
-	}
-	if nextBackoff(rng, 0, prev, max) != 0 {
-		t.Fatal("zero base disables backoff")
-	}
-}
-
-func TestSleepCtx(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	if !sleepCtx(ctx, 0) {
-		t.Fatal("zero sleep on a live context reports true")
-	}
-	cancel()
-	if sleepCtx(ctx, time.Hour) {
-		t.Fatal("sleep on a dead context returns false immediately")
-	}
-}
-
-// TestBreakerReleaseTrialProberRace pins the interaction between the
-// half-open trial slot and the background prober's reset (CheckHealth
-// success). Two properties, both of which -race alone cannot assert:
-//
-//  1. Trial accounting: while a claimed trial is unsettled (and no
-//     prober intervenes), no other allow() may claim a second trial;
-//     releaseTrial must hand the slot to exactly one next claimant.
-//  2. A prober reset during half-open zeroes the failure streak, so the
-//     stale trial's later onFailure is one Closed-state failure — the
-//     gauge-encoded state must not skip closed→open without fresh
-//     threshold (or half-open trial) accounting.
-func TestBreakerReleaseTrialProberRace(t *testing.T) {
-	// Deterministic interleaving first: trial claimed, prober resets,
-	// stale claimant fails.
-	b := &breaker{threshold: 3, cooldown: time.Millisecond}
-	for i := 0; i < 3; i++ {
-		b.onFailure()
-	}
-	if b.current() != BreakerOpen {
-		t.Fatalf("state after threshold failures = %v, want open", b.current())
-	}
-	time.Sleep(2 * time.Millisecond)
-	ok, trial := b.allow()
-	if !ok || !trial {
-		t.Fatalf("allow after cooldown = (%v, %v), want trial grant", ok, trial)
-	}
-	b.reset() // prober: successful CheckHealth while the trial is in flight
-	if b.current() != BreakerClosed {
-		t.Fatalf("state after prober reset = %v, want closed", b.current())
-	}
-	b.onFailure() // the stale trial settles as a failure
-	if got := b.current(); got == BreakerOpen {
-		t.Fatalf("one stale-trial failure after reset re-opened the breaker (state %v): closed→open without threshold accounting", got)
-	}
-
-	// Slot exclusivity under contention: with no settlement and no
-	// prober, concurrent allow() calls on a half-open breaker must grant
-	// exactly one trial; after releaseTrial, exactly one more.
-	b = &breaker{threshold: 1, cooldown: time.Millisecond}
-	b.onFailure()
-	time.Sleep(2 * time.Millisecond)
-	var trials atomic.Int64
-	hammer := func() {
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 200; i++ {
-					if _, trial := b.allow(); trial {
-						trials.Add(1)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	hammer()
-	if got := trials.Load(); got != 1 {
-		t.Fatalf("unsettled half-open breaker granted %d trials, want exactly 1", got)
-	}
-	b.releaseTrial()
-	hammer()
-	if got := trials.Load(); got != 2 {
-		t.Fatalf("after releaseTrial total trials = %d, want exactly 2 (one per settlement)", got)
-	}
-
-	// Full stress under the race detector: claimants settling through
-	// every path vs. a hot prober loop, with a sampler asserting the
-	// gauge-encoded state stays within the enum the whole time.
-	b = &breaker{threshold: 2, cooldown: time.Microsecond}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // prober
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				b.reset()
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() { // metrics sampler
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				if s := b.current(); s != BreakerClosed && s != BreakerHalfOpen && s != BreakerOpen {
-					t.Errorf("gauge-encoded state %d outside the enum", s)
-					return
-				}
-			}
-		}
-	}()
-	var workers sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		workers.Add(1)
-		go func(seed int) {
-			defer workers.Done()
-			for i := 0; i < 2000; i++ {
-				ok, trial := b.allow()
-				if !ok {
-					continue
-				}
-				switch (i + seed) % 3 {
-				case 0:
-					b.onSuccess()
-				case 1:
-					b.onFailure()
-				case 2:
-					if trial {
-						b.releaseTrial()
-					} else {
-						b.onSuccess()
-					}
-				}
-			}
-		}(g)
-	}
-	workers.Wait()
-	close(stop)
-	wg.Wait()
-
-	// Quiesce: every slot settled, so a reset breaker serves again.
-	b.reset()
-	if ok, _ := b.allow(); !ok {
-		t.Fatal("breaker wedged after stress: allow refused on a freshly reset closed breaker")
 	}
 }

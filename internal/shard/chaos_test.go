@@ -32,44 +32,47 @@ type chaosFixture struct {
 	coord *shard.Coordinator
 	ft    *netfault.Transport
 	// hosts[range][replica] is the host:port key netfault faults key on.
-	hosts [3][2]string
-	sets  [3]*shard.ReplicaSet
+	hosts [][2]string
+	sets  []*shard.ReplicaSet
 }
 
 // chaosReplicaCfg is tuned for the chaos runs: a generous retry budget
-// (the point is masking faults, not load shedding), fast backoff, a
-// breaker that trips quickly and re-probes quickly, and a fixed seed so
-// routing decisions replay.
+// (the point is masking faults, not load shedding), a breaker that
+// trips quickly, and a fixed seed so routing decisions replay.
 func chaosReplicaCfg() shard.ReplicaConfig {
 	return shard.ReplicaConfig{
-		MaxRetries:      2,
 		RetryBudget:     1.0,
 		RetryBurst:      1000,
-		BackoffBase:     100 * time.Microsecond,
-		BackoffMax:      time.Millisecond,
 		HedgeDelayMin:   5 * time.Millisecond,
 		BreakerFailures: 3,
-		BreakerCooldown: 50 * time.Millisecond,
 		Seed:            42,
 	}
 }
 
-// newChaosFixture builds the 48-text corpus split into 3 ranges of 16,
-// each range served by two replica servers sharing one engine (so the
+// newChaosFixture builds the 48-text corpus split into 3 ranges of 16.
+func newChaosFixture(t *testing.T) *chaosFixture {
+	return newReplicaFixture(t, 3, chaosReplicaCfg())
+}
+
+// newReplicaFixture splits the 48-text corpus into ranges equal doc
+// ranges, each served by two replica servers sharing one engine (so the
 // replicas agree on build id by construction), all spoken to through
 // one fault-injecting transport.
-func newChaosFixture(t *testing.T) *chaosFixture {
+func newReplicaFixture(t testing.TB, ranges int, cfg shard.ReplicaConfig) *chaosFixture {
 	t.Helper()
 	texts := fixtureTexts(t)
 	single := buildEngine(t, texts)
 	t.Cleanup(func() { single.Close() })
 
-	f := &chaosFixture{texts: texts, single: single, ft: netfault.New(nil)}
+	f := &chaosFixture{
+		texts: texts, single: single, ft: netfault.New(nil),
+		hosts: make([][2]string, ranges), sets: make([]*shard.ReplicaSet, ranges),
+	}
 	fc := &http.Client{Transport: f.ft}
 
-	const per = 16
-	clients := make([]shard.ShardClient, 0, 3)
-	for r := 0; r < 3; r++ {
+	per := len(texts) / ranges
+	clients := make([]shard.ShardClient, 0, ranges)
+	for r := 0; r < ranges; r++ {
 		e := buildEngine(t, texts[r*per:(r+1)*per])
 		t.Cleanup(func() { e.Close() })
 		reps := make([]shard.ShardClient, 2)
@@ -87,7 +90,7 @@ func newChaosFixture(t *testing.T) *chaosFixture {
 			}
 			reps[j] = hs
 		}
-		rs, err := shard.NewReplicaSet("", reps, chaosReplicaCfg())
+		rs, err := shard.NewReplicaSet("", reps, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

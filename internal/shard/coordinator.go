@@ -156,12 +156,10 @@ func (c *Coordinator) CheckHealth(ctx context.Context) error {
 // has one (replica sets): recovered replicas rejoin, diverging builds
 // are quarantined, all without query traffic. The loops stop when ctx
 // is canceled or the coordinator is closed.
-func (c *Coordinator) StartProbers(ctx context.Context, interval time.Duration) {
+func (c *Coordinator) StartProbers(ctx context.Context) {
 	for _, sl := range c.slots {
-		if p, ok := sl.client.(interface {
-			StartProber(ctx context.Context, interval time.Duration)
-		}); ok {
-			p.StartProber(ctx, interval)
+		if p, ok := sl.client.(interface{ StartProber(ctx context.Context) }); ok {
+			p.StartProber(ctx)
 		}
 	}
 }

@@ -28,6 +28,7 @@ type stubShard struct {
 	err     error
 	block   bool // park until the leg context is done, then return its error
 	calls   atomic.Int64
+	probes  atomic.Int64 // CheckHealth calls
 
 	// hook, when set, fully overrides SearchContext (call is 1-based).
 	hook func(ctx context.Context, call int64) ([]search.Match, *search.Stats, error)
@@ -50,9 +51,12 @@ func (s *stubShard) BuildID() string {
 	}
 	return "stub-" + s.name
 }
-func (s *stubShard) IOStats() index.IOStats                { return index.IOStats{} }
-func (s *stubShard) Close() error                          { return nil }
-func (s *stubShard) CheckHealth(ctx context.Context) error { return ctx.Err() }
+func (s *stubShard) IOStats() index.IOStats { return index.IOStats{} }
+func (s *stubShard) Close() error           { return nil }
+func (s *stubShard) CheckHealth(ctx context.Context) error {
+	s.probes.Add(1)
+	return ctx.Err()
+}
 
 func (s *stubShard) SearchContext(ctx context.Context, q []uint32, o search.Options) ([]search.Match, *search.Stats, error) {
 	call := s.calls.Add(1)

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 	"sync"
@@ -92,9 +91,9 @@ func (b *tokenBucket) take() bool {
 	return true
 }
 
-// lockedRand is a mutex-guarded rand.Rand: routing and jitter draw
-// from one deterministic stream (seeded per ReplicaSet) so chaos tests
-// replay exactly.
+// lockedRand is a mutex-guarded rand.Rand: routing draws from one
+// deterministic stream (seeded per ReplicaSet) so chaos tests replay
+// exactly.
 type lockedRand struct {
 	mu  sync.Mutex
 	rnd *rand.Rand // guarded by mu
@@ -108,46 +107,4 @@ func (r *lockedRand) intn(n int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.rnd.Intn(n)
-}
-
-func (r *lockedRand) int63n(n int64) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rnd.Int63n(n)
-}
-
-// nextBackoff computes the decorrelated-jitter backoff ("sleep =
-// min(cap, rand(base, prev*3))", Exponential Backoff And Jitter,
-// AWS Architecture Blog): successive retries spread out over an
-// exponentially growing but randomized interval, so a fleet of
-// coordinators retrying into a recovering shard does not thundering-herd
-// it on synchronized boundaries.
-func nextBackoff(rng *lockedRand, base, prev, max time.Duration) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	hi := prev * 3
-	if hi <= base {
-		hi = base + 1
-	}
-	d := base + time.Duration(rng.int63n(int64(hi-base)))
-	if d > max {
-		d = max
-	}
-	return d
-}
-
-// sleepCtx sleeps for d, returning early with false when ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

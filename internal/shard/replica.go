@@ -18,13 +18,9 @@ import (
 )
 
 // ReplicaConfig tunes a ReplicaSet's resilience behaviour. The zero
-// value selects the documented defaults; negative values disable the
-// corresponding mechanism where noted.
+// value selects the documented defaults; a negative HedgeDelayMin
+// disables hedging.
 type ReplicaConfig struct {
-	// MaxRetries caps the extra attempts (beyond the primary) a single
-	// leg may make after transient failures. Default 2; negative
-	// disables retries.
-	MaxRetries int
 	// RetryBudget is the fraction of a retry token each primary attempt
 	// earns: sustained retries+hedges cannot exceed this fraction of
 	// the recent primary request rate. Default 0.1.
@@ -32,10 +28,6 @@ type ReplicaConfig struct {
 	// RetryBurst is the token bucket's capacity — how many retries a
 	// brief blip may issue back-to-back. Default 10.
 	RetryBurst float64
-	// BackoffBase/BackoffMax bound the decorrelated-jitter backoff
-	// between retries. Defaults 1ms / 50ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// HedgeDelayMin floors the hedge trigger: a leg hedges once its
 	// first attempt has run for max(replica streaming P95,
 	// HedgeDelayMin). Default 5ms; negative disables hedging.
@@ -43,43 +35,27 @@ type ReplicaConfig struct {
 	// BreakerFailures consecutive failures open a replica's circuit
 	// breaker. Default 5.
 	BreakerFailures int
-	// BreakerCooldown is how long an open breaker rejects traffic
-	// before letting one half-open trial through. Default 1s.
-	BreakerCooldown time.Duration
-	// ProbeInterval paces StartProber's background health checks.
+	// ProbeInterval paces StartProber's background health checks, the
+	// path by which an open or quarantined replica rejoins rotation.
 	// Default 2s.
 	ProbeInterval time.Duration
-	// Seed fixes the routing/jitter RNG for reproducible tests; 0
+	// Seed fixes the routing RNG for reproducible tests; 0
 	// derives a seed from the set's name.
 	Seed int64
 }
 
 func (c ReplicaConfig) withDefaults() ReplicaConfig {
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	} else if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
 	if c.RetryBudget == 0 {
 		c.RetryBudget = 0.1
 	}
 	if c.RetryBurst == 0 {
 		c.RetryBurst = 10
 	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = time.Millisecond
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 50 * time.Millisecond
-	}
 	if c.HedgeDelayMin == 0 {
 		c.HedgeDelayMin = 5 * time.Millisecond
 	}
 	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
@@ -113,16 +89,17 @@ type replica struct {
 //     breaker-permitting) replica, chosen by power-of-two-choices on
 //     in-flight count (ties to the lower index, so tests are
 //     deterministic under a fixed seed).
-//   - Retry: a transiently-failing attempt retries on a different
-//     replica under decorrelated-jitter backoff, a per-leg retry cap,
-//     and a token-bucket budget earned by primary traffic.
+//   - Retry: a transiently-failing attempt retries at once on a
+//     different replica, each replica tried at most once per leg, under
+//     a token-bucket budget earned by primary traffic.
 //   - Hedging: when the first attempt outruns the replica's streaming
 //     P95, one speculative attempt goes to another replica; the first
 //     answer wins and the loser is canceled.
 //   - Breaker + quarantine: consecutive failures open a per-replica
-//     breaker (half-open single-trial recovery); a replica whose build
-//     id diverges from the group majority is quarantined outright, so
-//     mixed builds are never merged.
+//     breaker, and the background prober closes it again once the
+//     replica answers; a replica whose build id diverges from the group
+//     majority is quarantined outright, so mixed builds are never
+//     merged.
 //
 // All replicas must serve the same index build: identical K, Seed, T,
 // and NumTexts. Results from any replica are interchangeable, which is
@@ -183,7 +160,6 @@ func NewReplicaSet(name string, clients []ShardClient, cfg ReplicaConfig) (*Repl
 		}
 		reps[i] = &replica{client: cl, idx: i}
 		reps[i].br.threshold = cfg.BreakerFailures
-		reps[i].br.cooldown = cfg.BreakerCooldown
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -283,12 +259,10 @@ func (r *ReplicaSet) requarantine(fresh []bool) {
 // pick chooses the replica for the next attempt, skipping quarantined
 // and already-tried replicas. Preference order: power-of-two-choices
 // on in-flight count among breaker-closed candidates (ties to the
-// lower index); then a half-open trial slot if any breaker grants one;
-// then fail-open to the least-loaded remaining candidate — when every
-// replica's breaker is open, refusing to try at all would turn a
-// recovered-but-unprobed group into a hard outage. trial reports that
-// the pick claimed a half-open slot the attempt must settle.
-func (r *ReplicaSet) pick(tried map[int]bool) (rep *replica, trial, ok bool) {
+// lower index); then fail-open to the least-loaded remaining candidate
+// — when every replica's breaker is open, refusing to try at all would
+// turn a recovered-but-unprobed group into a hard outage.
+func (r *ReplicaSet) pick(tried map[int]bool) (*replica, bool) {
 	var closed, rest []*replica
 	collect := func(skipTried bool) {
 		closed, rest = closed[:0], rest[:0]
@@ -324,12 +298,7 @@ func (r *ReplicaSet) pick(tried map[int]bool) (rep *replica, trial, ok bool) {
 				best = b
 			}
 		}
-		return best, false, true
-	}
-	for _, c := range rest {
-		if allowed, claimed := c.br.allow(); allowed {
-			return c, claimed, true
-		}
+		return best, true
 	}
 	var best *replica
 	for _, c := range rest {
@@ -337,10 +306,7 @@ func (r *ReplicaSet) pick(tried map[int]bool) (rep *replica, trial, ok bool) {
 			best = c
 		}
 	}
-	if best != nil {
-		return best, false, true
-	}
-	return nil, false, false
+	return best, best != nil
 }
 
 // retryableErr classifies failures worth retrying on another replica:
@@ -389,7 +355,6 @@ type attemptState struct {
 	rep     *replica
 	attempt int
 	hedge   bool
-	trial   bool
 	start   time.Duration // offset from leg start
 	spanID  string        // the attempt's span id when the query is traced
 	cancel  context.CancelFunc
@@ -406,8 +371,11 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 	legStart := time.Now()
 	r.budget.earn(r.cfg.RetryBudget)
 
-	maxAttempts := 2 + r.cfg.MaxRetries // primary + retries + one hedge
-	resCh := make(chan attemptOutcome, maxAttempts)
+	// A leg tries each replica at most once before giving up (a hedge
+	// may repeat one), so the buffer holds the primary, its
+	// len(replicas)-1 retries and one hedge.
+	maxRetries := len(r.replicas) - 1
+	resCh := make(chan attemptOutcome, maxRetries+2)
 	var pendings []*attemptState
 	defer func() {
 		// Losers keep running until their cancel lands; the buffered
@@ -418,7 +386,7 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 	}()
 	tried := make(map[int]bool, len(r.replicas))
 
-	launch := func(rep *replica, trial, hedge bool) {
+	launch := func(rep *replica, hedge bool) {
 		pi := len(pendings)
 		// Every attempt — primary, retry, hedge — runs under its own
 		// child span id, so the remote side's spans (and the wire
@@ -426,7 +394,7 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 		actx, spanID := childTraceContextID(ctx)
 		actx, cancel := context.WithCancel(actx)
 		p := &attemptState{
-			rep: rep, attempt: pi, hedge: hedge, trial: trial,
+			rep: rep, attempt: pi, hedge: hedge,
 			start: time.Since(legStart), spanID: spanID, cancel: cancel,
 		}
 		pendings = append(pendings, p)
@@ -445,16 +413,13 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 			rep.inflight.Add(-1)
 			// Breaker and latency accounting happens here, in the
 			// attempt's own goroutine: a hedge loser that limps home
-			// after the leg returned must still settle its trial slot.
+			// after the leg returned still counts.
 			switch {
 			case err == nil:
 				rep.br.onSuccess()
 				rep.lat.observe(dur)
 			case errors.Is(err, context.Canceled):
 				// A canceled attempt says nothing about the replica.
-				if trial {
-					rep.br.releaseTrial()
-				}
 			case retryableErr(err) || errors.Is(err, context.DeadlineExceeded):
 				rep.errors.Add(1)
 				rep.br.onFailure()
@@ -495,7 +460,7 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 		return nil, &search.Stats{Attempts: finish(attempts, reason)}, err
 	}
 
-	rep, trial, ok := r.pick(tried)
+	rep, ok := r.pick(tried)
 	if !ok {
 		return nil, nil, fmt.Errorf("shard %s: no replica available (all quarantined)", r.name)
 	}
@@ -509,13 +474,12 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 		defer ht.Stop()
 		hedgeC = ht.C
 	}
-	launch(rep, trial, false)
+	launch(rep, false)
 
 	var attempts []search.ShardAttempt
 	outstanding := 1
 	retriesUsed := 0
 	var lastErr error
-	var backoff time.Duration
 	for {
 		select {
 		case res := <-resCh:
@@ -545,30 +509,26 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 			if ctx.Err() != nil {
 				return fail(attempts, "", ctx.Err())
 			}
-			if !r.multi() || !retryableErr(res.err) || retriesUsed >= r.cfg.MaxRetries {
+			if !retryableErr(res.err) || retriesUsed >= maxRetries {
 				return fail(attempts, "", lastErr)
 			}
 			if !r.budget.take() {
 				r.budgetDenied.Add(1)
 				return fail(attempts, "", lastErr)
 			}
-			backoff = nextBackoff(r.rng, r.cfg.BackoffBase, backoff, r.cfg.BackoffMax)
-			if !sleepCtx(ctx, backoff) {
-				return fail(attempts, "", ctx.Err())
-			}
-			nrep, ntrial, ok := r.pick(tried)
+			nrep, ok := r.pick(tried)
 			if !ok {
 				return fail(attempts, "", lastErr)
 			}
 			retriesUsed++
 			outstanding++
-			launch(nrep, ntrial, false)
+			launch(nrep, false)
 		case <-hedgeC:
 			hedgeC = nil // one hedge per leg
 			if outstanding == 0 {
 				continue
 			}
-			hrep, htrial, ok := r.pick(tried)
+			hrep, ok := r.pick(tried)
 			if !ok {
 				continue
 			}
@@ -577,7 +537,7 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 				continue
 			}
 			outstanding++
-			launch(hrep, htrial, true)
+			launch(hrep, true)
 		case <-ctx.Done():
 			return fail(attempts, shardErrString(ctx.Err()), ctx.Err())
 		}
@@ -599,27 +559,17 @@ func (r *ReplicaSet) SearchTopKContext(ctx context.Context, query []uint32, opts
 // Explain routes a plan request to one healthy replica.
 // Planning is cheap and advisory, so it gets routing but no retries.
 func (r *ReplicaSet) Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error) {
-	rep, trial, ok := r.pick(nil)
+	rep, ok := r.pick(nil)
 	if !ok {
 		return nil, fmt.Errorf("shard %s: no replica available (all quarantined)", r.name)
 	}
-	plan, err := rep.client.Explain(ctx, query, opts)
-	if trial {
-		if err == nil {
-			rep.br.onSuccess()
-		} else if !errors.Is(err, context.Canceled) {
-			rep.br.onFailure()
-		} else {
-			rep.br.releaseTrial()
-		}
-	}
-	return plan, err
+	return rep.client.Explain(ctx, query, opts)
 }
 
-// CheckHealth probes every replica concurrently, resets the breaker of
-// each replica that answers (the probe proved it serving — no trial
-// traffic needed), and recomputes build-id quarantine from the
-// replicas that answered. The group is healthy while any replica is.
+// CheckHealth probes every replica concurrently, closes the breaker of
+// each replica that answers (the probe proved it serving), and
+// recomputes build-id quarantine from the replicas that answered. The
+// group is healthy while any replica is.
 func (r *ReplicaSet) CheckHealth(ctx context.Context) error {
 	errs := make([]error, len(r.replicas))
 	fresh := make([]bool, len(r.replicas))
@@ -634,7 +584,7 @@ func (r *ReplicaSet) CheckHealth(ctx context.Context) error {
 				return
 			}
 			fresh[i] = true
-			rep.br.reset()
+			rep.br.onSuccess()
 		}(i, rep)
 	}
 	wg.Wait()
@@ -647,15 +597,13 @@ func (r *ReplicaSet) CheckHealth(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// StartProber launches the background health loop: every interval
-// (ProbeInterval when interval <= 0) it re-runs CheckHealth so a
-// recovered or rebuilt replica rejoins — or is quarantined — without
-// needing query traffic to find out. The loop stops when ctx is
-// canceled or the set is closed. Starting twice is a no-op.
-func (r *ReplicaSet) StartProber(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = r.cfg.ProbeInterval
-	}
+// StartProber launches the background health loop: every
+// ProbeInterval it re-runs CheckHealth so a recovered or rebuilt
+// replica rejoins — or is quarantined — without needing query traffic
+// to find out. The loop stops when ctx is canceled or the set is
+// closed. Starting twice is a no-op.
+func (r *ReplicaSet) StartProber(ctx context.Context) {
+	interval := r.cfg.ProbeInterval
 	r.mu.Lock()
 	if r.probeStop != nil {
 		r.mu.Unlock()

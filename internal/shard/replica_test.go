@@ -24,17 +24,13 @@ func replicaStub(name string, matches ...search.Match) *stubShard {
 }
 
 // testReplicaCfg is fast and deterministic: no hedging unless a test
-// opts in, near-zero backoff, fixed seed.
+// opts in, fixed seed.
 func testReplicaCfg() shard.ReplicaConfig {
 	return shard.ReplicaConfig{
-		MaxRetries:      2,
 		RetryBudget:     0.5,
 		RetryBurst:      100,
-		BackoffBase:     time.Microsecond,
-		BackoffMax:      10 * time.Microsecond,
 		HedgeDelayMin:   -1, // off by default; hedge tests override
 		BreakerFailures: 100,
-		BreakerCooldown: time.Hour,
 		Seed:            1,
 	}
 }
@@ -112,10 +108,10 @@ func TestReplicaRetriesExhausted(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("all replicas failing: err = %v, want the last RemoteError", err)
 	}
-	// MaxRetries 2: primary + 2 retries, every attempt recorded even
-	// though the leg failed.
-	if st == nil || len(st.Attempts) != 3 {
-		t.Fatalf("failed leg attempts = %+v, want 3 recorded", st)
+	// Each replica is tried once: the primary plus one retry, every
+	// attempt recorded even though the leg failed.
+	if st == nil || len(st.Attempts) != 2 {
+		t.Fatalf("failed leg attempts = %+v, want 2 recorded", st)
 	}
 	for i, a := range st.Attempts {
 		if a.Err == "" || a.Attempt != i {
@@ -197,8 +193,7 @@ func TestReplicaBreakerRoutesAroundAndProbeRecovers(t *testing.T) {
 	if bad.calls.Load() != before {
 		t.Fatalf("open breaker leaked %d requests to r0", bad.calls.Load()-before)
 	}
-	// The replica recovers; a health probe resets the breaker without
-	// waiting out the (1h) cooldown.
+	// The replica recovers; a health probe closes the breaker.
 	bad.err = nil
 	bad.matches = good.matches
 	if err := rs.CheckHealth(ctx); err != nil {
@@ -212,6 +207,51 @@ func TestReplicaBreakerRoutesAroundAndProbeRecovers(t *testing.T) {
 	}
 	if bad.calls.Load() == before {
 		t.Fatal("recovered replica took no traffic after the probe reset")
+	}
+}
+
+// TestReplicaProberClosesBreaker drives the background loop itself: a
+// replica whose breaker opened, then healed, rejoins rotation with no
+// query traffic at all, and Close stops the loop (TestMain's leakcheck
+// also fails the binary if it keeps running).
+func TestReplicaProberClosesBreaker(t *testing.T) {
+	bad := replicaStub("r0")
+	bad.err = &shard.RemoteError{Shard: "r0", Status: 503, Msg: "down"}
+	good := replicaStub("r1", search.Match{TextID: 1, Collisions: 5})
+
+	const interval = 5 * time.Millisecond
+	cfg := testReplicaCfg()
+	cfg.BreakerFailures = 1
+	cfg.ProbeInterval = interval
+	rs := newReplicaSet(t, cfg, bad, good)
+	if _, _, err := rs.SearchContext(context.Background(), []uint32{1}, search.Options{Theta: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if st := rs.ReplicaMetrics().Replicas[0].Breaker; st != shard.BreakerOpen {
+		t.Fatalf("r0 breaker = %v after a failure at threshold 1, want open", st)
+	}
+
+	bad.err = nil
+	calls := bad.calls.Load()
+	rs.StartProber(context.Background())
+	deadline := time.Now().Add(200 * interval)
+	for rs.ReplicaMetrics().Replicas[0].Breaker != shard.BreakerClosed {
+		if time.Now().After(deadline) {
+			t.Fatalf("r0 breaker still open %v after healing; the prober never closed it", 200*interval)
+		}
+		time.Sleep(interval)
+	}
+	if bad.calls.Load() != calls {
+		t.Fatal("r0 took query traffic; the prober alone must close the breaker")
+	}
+
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	probes := bad.probes.Load()
+	time.Sleep(5 * interval)
+	if n := bad.probes.Load(); n != probes {
+		t.Fatalf("prober ran %d more probes after Close", n-probes)
 	}
 }
 

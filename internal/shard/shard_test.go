@@ -26,7 +26,7 @@ var buildOpts = index.BuildOptions{K: 8, Seed: 21, T: 5, ZoneMapStep: 4, LongLis
 
 // fixtureTexts synthesizes a corpus with planted near-duplicates spread
 // across what will become all four shards.
-func fixtureTexts(t *testing.T) [][]uint32 {
+func fixtureTexts(t testing.TB) [][]uint32 {
 	t.Helper()
 	c := corpus.MustSynthesize(corpus.SynthConfig{
 		NumTexts: 48, MinLength: 40, MaxLength: 120, VocabSize: 40,
@@ -41,7 +41,7 @@ func fixtureTexts(t *testing.T) [][]uint32 {
 
 // buildEngine builds an index over texts in a fresh directory and opens
 // it with the texts attached (so Verify works).
-func buildEngine(t *testing.T, texts [][]uint32) *core.Engine {
+func buildEngine(t testing.TB, texts [][]uint32) *core.Engine {
 	t.Helper()
 	c := corpus.New(texts)
 	dir := t.TempDir()
