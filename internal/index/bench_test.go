@@ -166,12 +166,14 @@ func BenchmarkBuildDisk(b *testing.B) {
 	}
 }
 
+// BenchmarkOpen opens a 1000-text index at the repo benchmark's
+// parameters: what a reload after an ingest or compaction pays.
 func BenchmarkOpen(b *testing.B) {
-	c := benchBuildCorpus(b)
 	dir := b.TempDir()
-	if _, err := Build(c, dir, BuildOptions{K: 4, Seed: 3, T: 50}); err != nil {
+	if _, err := Build(mutationBenchCorpus(1000, 1), dir, mutationBenchOpts); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix, err := Open(dir)

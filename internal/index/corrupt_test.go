@@ -56,17 +56,26 @@ func TestCleanIndexPassesIntegrity(t *testing.T) {
 	}
 }
 
+// TestCorruptDirectoryRejectedAtOpen flips a byte of the last
+// function's hashes column, then of its starts column: the directory
+// checksum covers both.
 func TestCorruptDirectoryRejectedAtOpen(t *testing.T) {
-	dir, file := buildOnDisk(t)
-	st, err := os.Stat(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte in the middle of the last directory (just before the
-	// footer).
-	flipByteAt(t, file, st.Size()-footerLen(2)-dirEntrySize/2)
-	if _, err := Open(dir); err == nil {
-		t.Fatal("corrupt directory should fail to open")
+	for _, col := range []string{"hashes", "starts"} {
+		dir, file := buildOnDisk(t)
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		funcs := rawSegment(t, data)
+		last := funcs[len(funcs)-1]
+		off := int64(last.dirOff) + 8*int64(len(last.hashes))/2
+		if col == "starts" {
+			off = int64(last.dirOff+last.dirLen()) - 6
+		}
+		flipByteAt(t, file, off)
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "directory checksum mismatch") {
+			t.Fatalf("corrupt %s column: %v, want a directory checksum mismatch", col, err)
+		}
 	}
 }
 
@@ -86,10 +95,10 @@ func TestCorruptPostingsCaughtByVerify(t *testing.T) {
 	}
 }
 
-// TestCorruptZoneMapRejectedAtOpen flips the high byte of a zone entry's
-// ordinal. The zone maps lie in the region only VerifyIntegrity
-// checksums, but Open loads them for the probes and must reject one
-// whose ordinals leave the list rather than let a probe read outside it.
+// TestCorruptZoneMapRejectedAtOpen flips the high byte of a zone map's
+// first entry, so its first text ids descend. The zone maps lie in the
+// region only VerifyIntegrity checksums, but Open loads them for the
+// probes and must reject one their binary search cannot trust.
 func TestCorruptZoneMapRejectedAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Build(testCorpus(t, 30, 40, 100, 50, 61), dir, BuildOptions{K: 2, Seed: 5, T: 5, ZoneMapStep: 4, LongListCutoff: 8}); err != nil {
@@ -104,9 +113,43 @@ func TestCorruptZoneMapRejectedAtOpen(t *testing.T) {
 	if len(ff.zones) == 0 {
 		t.Fatal("degenerate fixture: no zone maps")
 	}
-	flipByteAt(t, ff.path, ff.zoneOff(ff.zones[0])+zoneEntrySize+7)
+	if ff.zones[0].count < 2 {
+		t.Fatal("degenerate fixture: a zone map of one entry")
+	}
+	flipByteAt(t, ff.path, ff.zoneOff(ff.zones[0])+3)
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt zone map") {
 		t.Fatalf("want a corrupt zone map error at Open, got %v", err)
+	}
+}
+
+// TestZoneParametersMismatchRejected: every zone map's place follows
+// from the header's zone map step and long-list cutoff, which no
+// checksum covers, so Open checks them against the manifest: a flipped
+// header byte, and a manifest record that disagrees with an intact
+// file, are both refused with an error naming the file.
+func TestZoneParametersMismatchRejected(t *testing.T) {
+	for _, off := range []int64{12, 16} {
+		dir, file := buildOnDisk(t)
+		flipByteAt(t, file, off)
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), file) || !strings.Contains(err.Error(), "manifest says") {
+			t.Fatalf("header byte %d flipped: %v, want a mismatch with the manifest naming %s", off, err, file)
+		}
+	}
+	dir, file := buildOnDisk(t)
+	man, err := readManifest(fsio.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Segments[0].Meta.LongListCutoff++
+	data, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestFileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), file) || !strings.Contains(err.Error(), "manifest says") {
+		t.Fatalf("manifest cutoff off by one: %v, want a mismatch naming %s", err, file)
 	}
 }
 

@@ -2,10 +2,16 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+
+	"ndss/internal/fsio"
 )
 
 // FuzzManifestParse checks that manifest parsing is total: arbitrary
@@ -151,6 +157,106 @@ func FuzzTombstoneParse(f *testing.F) {
 		}
 		if out, _ := encodeTombstone(ts); !bytes.Equal(out, data) {
 			t.Fatalf("accepted bytes do not re-encode to themselves")
+		}
+	})
+}
+
+// FuzzOpenSegment mutates the directory columns, zone maps and footer
+// rows of a small valid segment file — each edit is three bytes: a
+// little-endian index into those bytes and a mask it is XORed with —
+// then re-seals every checksum and the manifest record, so the mutation
+// gets past them to the checks on the columns. Open must never panic,
+// and an index it accepts must serve every row of every function, whole
+// through ReadListInto and per text through ReadListForTextInto,
+// without error and without a read outside the function's lists.
+func FuzzOpenSegment(f *testing.F) {
+	src := f.TempDir()
+	if _, err := Build(testCorpus(f, 12, 30, 60, 40, 61), src, BuildOptions{K: 2, Seed: 5, T: 5, ZoneMapStep: 4, LongListCutoff: 8}); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(src, segmentName(0)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(src, manifestFileName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The bytes an edit may touch: directory columns, zone entries, and
+	// the footer rows' dirOff and numLists.
+	var mutable []int
+	span := func(from, to uint64) {
+		for p := from; p < to; p++ {
+			mutable = append(mutable, int(p))
+		}
+	}
+	var zoned []int
+	for fn, fun := range rawSegment(f, valid) {
+		for _, r := range fun.rows() {
+			if r.zoneCount > 0 {
+				zoned = append(zoned, len(mutable))
+				zones := r.off + uint64(r.count)*postingSize
+				span(zones, zones+uint64(r.zoneCount)*zoneEntrySize)
+			}
+		}
+		span(fun.dirOff, fun.dirOff+fun.dirLen())
+		row := uint64(int64(len(valid))-footerLen(2)) + uint64(fn*footerRowLen)
+		span(row, row+16)
+	}
+	if len(zoned) == 0 {
+		f.Fatal("degenerate fixture: no zone maps")
+	}
+	edit := func(at int, mask byte) []byte {
+		return append(binary.LittleEndian.AppendUint16(nil, uint16(at)), mask)
+	}
+	f.Add([]byte{})
+	f.Add(edit(zoned[0]+3, 0xff))          // a zone map's first entry
+	f.Add(edit(zoned[0]+zoneEntrySize, 1)) // its second
+	f.Add(edit(len(mutable)-1, 1))         // the last footer row's numLists
+	f.Add(edit(len(mutable)-16, 4))        // the last footer row's dirOff
+	f.Add(edit(len(mutable)-20, 0x80))     // the last starts entry
+	f.Add(slices.Concat(edit(len(mutable)/2, 1), edit(len(mutable)/3, 0x10)))
+	f.Fuzz(func(t *testing.T, edits []byte) {
+		data := slices.Clone(valid)
+		for e := 0; e+3 <= len(edits); e += 3 {
+			data[mutable[int(binary.LittleEndian.Uint16(edits[e:]))%len(mutable)]] ^= edits[e+2]
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestFileName), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resealSegment(t, dir, filepath.Join(dir, segmentName(0)), data)
+		fsys := &readCountFS{FS: fsio.OS}
+		ix, err := OpenFS(fsys, dir)
+		if err != nil {
+			if len(edits) < 3 {
+				t.Fatalf("unedited segment refused: %v", err)
+			}
+			return
+		}
+		defer ix.Close()
+		for fn, ff := range ix.segs[0].funcs {
+			for i, h := range ff.hashes {
+				// Checked before the read, which sizes its buffer by the count.
+				if off, end := ff.off(i), ff.off(i)+int64(ff.count(i))*postingSize; off < int64(ff.region) || end > int64(ff.dirOff) {
+					t.Fatalf("fn %d list %x: postings at [%d, %d), outside the lists at [%d, %d)", fn, h, off, end, ff.region, ff.dirOff)
+				}
+				seen := len(fsys.readLog())
+				ps, err := ix.ReadListInto(nil, fn, h, nil)
+				if err != nil || len(ps) != ff.count(i) {
+					t.Fatalf("fn %d list %x: read %d postings of %d: %v", fn, h, len(ps), ff.count(i), err)
+				}
+				for id := uint32(0); id <= uint32(ix.Meta().NumTexts); id++ {
+					if _, err := ix.ReadListForTextInto(ps[:0], fn, h, id, nil); err != nil {
+						t.Fatalf("fn %d list %x text %d: %v", fn, h, id, err)
+					}
+				}
+				for _, r := range fsys.readLog()[seen:] {
+					if uint64(r.off) < ff.region || uint64(r.off)+uint64(r.n) > ff.dirOff {
+						t.Fatalf("fn %d list %x: read %d bytes at %d, outside the lists at [%d, %d)", fn, h, r.n, r.off, ff.region, ff.dirOff)
+					}
+				}
+			}
 		}
 	})
 }

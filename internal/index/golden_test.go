@@ -21,11 +21,11 @@ import (
 // line equals the build line. A deliberate format change regenerates
 // the table from the failure output, together with docs/FORMAT.md.
 const goldenInvertedFiles = `
-build/seg-000000 c4aeed3b1964bfb2e3dda445dafb2ad8cbccded32f2799cf4f4f692b72ee55bd
-external/seg-000000 c4aeed3b1964bfb2e3dda445dafb2ad8cbccded32f2799cf4f4f692b72ee55bd
-segmented/seg-000000 a50657083f95884ed614416941f967dd91ce7d2e6875c42471423e6eec2fd68e
-segmented/seg-000001 0ecc4b5f938148568f8c38feeee518fa799cbebb90763d91437d99a7422fb06f
-compacted/seg-000000 2697ca4b331290ef02024a09150cb835502038148e0d1846a0ddd04fe3e268a1
+build/seg-000000 36bffcff1bb12a1cb6a8976fc4cf9cdfc8562e9b1ff260daf054ac7a7cca3d64
+external/seg-000000 36bffcff1bb12a1cb6a8976fc4cf9cdfc8562e9b1ff260daf054ac7a7cca3d64
+segmented/seg-000000 a06ab5543c1a67864cbe55ad5ffa46a5630eeacc76d53a21654198dab5adcfd3
+segmented/seg-000001 a1d25f0bcf85daf9534302cb482710f41e21bac535ffb0c9ccdd855a23dc8f10
+compacted/seg-000000 eb29c2a35d84d7b12ad45c33012b705b22d07ef8b6c131aaac2862a182220134
 `
 
 var segmentFileName = regexp.MustCompile(`^seg-[0-9]{6}$`)

@@ -14,7 +14,7 @@ import (
 	"ndss/internal/window"
 )
 
-func testCorpus(t *testing.T, numTexts, minLen, maxLen, vocab int, seed int64) *corpus.Corpus {
+func testCorpus(t testing.TB, numTexts, minLen, maxLen, vocab int, seed int64) *corpus.Corpus {
 	t.Helper()
 	c, err := corpus.Synthesize(corpus.SynthConfig{
 		NumTexts:      numTexts,

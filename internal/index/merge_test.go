@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -92,10 +93,12 @@ type readCountFS struct {
 	log []readAt // guarded by mu
 }
 
-// readAt is one logged ReadAt: the file and the offset it started at.
+// readAt is one logged ReadAt: the file, the offset it started at and
+// the bytes it asked for.
 type readAt struct {
 	path string
 	off  int64
+	n    int
 }
 
 func (c *readCountFS) Open(name string) (fsio.File, error) {
@@ -128,7 +131,7 @@ type readCountFile struct {
 func (f *readCountFile) ReadAt(p []byte, off int64) (int, error) {
 	f.fs.reads.Add(1)
 	f.fs.mu.Lock()
-	f.fs.log = append(f.fs.log, readAt{f.Name(), off})
+	f.fs.log = append(f.fs.log, readAt{f.Name(), off, len(p)})
 	f.fs.mu.Unlock()
 	return f.File.ReadAt(p, off)
 }
@@ -178,7 +181,7 @@ func TestCompactReadBudget(t *testing.T) {
 	if err := compactFS(fsys, dir); err != nil {
 		t.Fatal(err)
 	}
-	if openReads <= int64(9*(2+opts.K)) {
+	if openReads <= int64(9*(2+2*opts.K)) {
 		t.Fatalf("Open issued %d reads for 9 segment files: the fixture has no zone tables to read", openReads)
 	}
 	merged := fsys.reads.Load() - openReads
@@ -208,8 +211,9 @@ func (b *batchCountFS) MkdirTemp(dir, pattern string) (string, error) {
 // assertHashOrder fails unless every function of every segment file
 // under dir lays its lists out back to back, from where the previous
 // function's directory ends to its own directory, in strictly ascending
-// hash order, zone entries right after their postings — read from the
-// raw directory rows — and Open accepts the index.
+// hash order, none empty, each zone entry holding the text id of the
+// posting it marks — walked from the raw directory columns — and Open
+// accepts the index.
 func assertHashOrder(t *testing.T, label, dir string) {
 	t.Helper()
 	files := 0
@@ -224,20 +228,28 @@ func assertHashOrder(t *testing.T, label, dir string) {
 		}
 		funcs := rawSegment(t, data)
 		for fn, f := range funcs {
+			if f.starts[0] != 0 {
+				t.Fatalf("%s: %s function %d: first list starts at posting %d", label, path, fn, f.starts[0])
+			}
 			pos := f.region
-			for i, r := range f.rows {
-				if i > 0 && r.hash <= f.rows[i-1].hash || r.off != pos ||
-					r.zoneCount > 0 && r.zoneOff != pos+uint64(r.count)*postingSize {
-					t.Fatalf("%s: %s function %d row %d (hash %x at %d, zones at %d) breaks hash order at %d", label, path, fn, i, r.hash, r.off, r.zoneOff, pos)
+			for i, r := range f.rows() {
+				if i > 0 && r.hash <= f.hashes[i-1] || r.count == 0 {
+					t.Fatalf("%s: %s function %d row %d (hash %x, %d postings) breaks hash order", label, path, fn, i, r.hash, r.count)
 				}
-				pos += uint64(r.count)*postingSize + uint64(r.zoneCount)*zoneEntrySize
+				zones := r.off + uint64(r.count)*postingSize
+				for z := uint64(0); z < uint64(r.zoneCount); z++ {
+					if got, want := binary.LittleEndian.Uint32(data[zones+z*zoneEntrySize:]), decodePosting(data[r.off+z*uint64(f.zoneStep)*postingSize:]).TextID; got != want {
+						t.Fatalf("%s: %s function %d row %d zone %d: text id %d, posting has %d", label, path, fn, i, z, got, want)
+					}
+				}
+				pos = zones + uint64(r.zoneCount)*zoneEntrySize
 			}
 			if pos != f.dirOff {
 				t.Fatalf("%s: %s function %d: lists end at %d, directory at %d", label, path, fn, pos, f.dirOff)
 			}
 		}
 		last := funcs[len(funcs)-1]
-		if end := int64(last.dirOff) + int64(len(last.rows))*dirEntrySize; end != int64(len(data))-footerLen(len(funcs)) {
+		if end := int64(last.dirOff + last.dirLen()); end != int64(len(data))-footerLen(len(funcs)) {
 			t.Fatalf("%s: %s: functions end at %d, footer at %d", label, path, end, int64(len(data))-footerLen(len(funcs)))
 		}
 		return nil

@@ -33,11 +33,11 @@ type Posting struct {
 // postingSize is the on-disk size of one posting.
 const postingSize = 16
 
-func encodePosting(dst []byte, p Posting) {
-	binary.LittleEndian.PutUint32(dst[0:], p.TextID)
-	binary.LittleEndian.PutUint32(dst[4:], p.L)
-	binary.LittleEndian.PutUint32(dst[8:], p.C)
-	binary.LittleEndian.PutUint32(dst[12:], p.R)
+func appendPosting(dst []byte, p Posting) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, p.TextID)
+	dst = binary.LittleEndian.AppendUint32(dst, p.L)
+	dst = binary.LittleEndian.AppendUint32(dst, p.C)
+	return binary.LittleEndian.AppendUint32(dst, p.R)
 }
 
 func decodePosting(src []byte) Posting {

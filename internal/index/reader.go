@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -51,9 +50,9 @@ type segment struct {
 }
 
 // funcFile is the resident view of one function's inverted file inside
-// a segment file. The directory is held column-wise — row i describes
-// the list of hashes[i], rows ascend by hash — in 12 bytes a list
-// instead of the 32 of a dirEntry: lists lie back to back in hash order
+// a segment file. The directory is the file's two columns — row i
+// describes the list of hashes[i], rows ascend by hash — read straight
+// into memory, 12 bytes a list: lists lie back to back in hash order
 // from the region's start (Open refuses any other layout), so a row's
 // count and offset derive from the running posting count in starts and
 // the zone side table, kept only for the few (long) lists that have a
@@ -67,25 +66,26 @@ type funcFile struct {
 	hashes    []uint64
 	starts    []uint32  // starts[i]: postings in rows before i; len(hashes)+1 entries
 	zones     []zoneRef // rows with a zone map, ascending by row
-	zoneTab   []uint32  // every zone map's (firstTextID, ord) pairs, back to back
+	zoneTab   []uint32  // every zone map's first text ids, back to back
+	zoneStep  int       // postings per zone entry
 	dirOff    uint64
 	regionCRC uint32
 }
 
 // zoneRef is the zone-map part of directory row idx: count entries,
 // stored right after the row's postings in the file and at
-// zoneTab[2*at:] in memory. at is also the number of zone entries in
-// the region before them.
+// zoneTab[at:] in memory. at is also the number of zone entries in the
+// region before them.
 type zoneRef struct {
 	idx, count, at uint32
 }
 
-// ListOrderError reports a segment file whose lists do not lie back to
-// back in strictly ascending hash order, each function's from where the
-// previous function's directory ends to its own directory, or a
-// function that holds more postings than a uint32 counts. The resident
-// directory derives every list's offset from that layout, so such a
-// file is refused rather than served: rebuild the index.
+// ListOrderError reports a segment file whose directory columns do not
+// describe lists lying back to back in strictly ascending hash order,
+// each function's from where the previous function's directory ends to
+// its own directory, none empty. The resident directory derives every
+// list's offset from that layout, so such a file is refused rather than
+// served: rebuild the index.
 type ListOrderError struct {
 	Path   string // segment file
 	Reason string // the first row that breaks the layout
@@ -157,7 +157,7 @@ func OpenFS(fsys fsio.FS, dir string) (*Index, error) {
 // openSegment opens one segment file, cross-checks it against its
 // manifest record, and loads its tombstone bitmap.
 func openSegment(fsys fsio.FS, dir string, mseg ManifestSegment, base uint32) (*segment, error) {
-	seg, err := openSegmentFile(fsys, filepath.Join(dir, mseg.Name), mseg.Meta.K)
+	seg, err := openSegmentFile(fsys, filepath.Join(dir, mseg.Name), mseg.Meta)
 	if err != nil {
 		return nil, err
 	}
@@ -188,17 +188,17 @@ func (s *segment) close() error {
 	return err
 }
 
-// openSegmentFile opens the k-function segment file at path and loads
-// its resident function views: one open, one fstat, a read of the header
-// and of the footer, one read per non-empty directory and one per zone
-// map.
-func openSegmentFile(fsys fsio.FS, path string, k int) (*segment, error) {
+// openSegmentFile opens the segment file at path, whose header must
+// carry meta's K, ZoneMapStep and LongListCutoff, and loads its resident
+// function views: one open, one fstat, a read of the header and of the
+// footer, a read of each directory column and one per zone map.
+func openSegmentFile(fsys fsio.FS, path string, meta Meta) (*segment, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: open segment file: %w", err)
 	}
 	seg := &segment{path: path, f: f}
-	if err := seg.load(k); err != nil {
+	if err := seg.load(meta); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -213,7 +213,8 @@ func (s *segment) read(buf []byte, off int64) error {
 	return nil
 }
 
-func (s *segment) load(k int) error {
+func (s *segment) load(meta Meta) error {
+	k := meta.K
 	st, err := s.f.Stat()
 	if err != nil {
 		return err
@@ -227,11 +228,17 @@ func (s *segment) load(k int) error {
 	if err := s.read(hdr[:], 0); err != nil {
 		return err
 	}
-	if string(hdr[:8]) != segMagic {
+	switch string(hdr[:8]) {
+	case segMagic:
+	case "NDSSSEG1":
+		return fmt.Errorf("index: %s: segment format 1 (32-byte directory rows) is no longer read; rebuild the index", s.path)
+	default:
 		return fmt.Errorf("index: %s: bad magic %q", s.path, hdr[:8])
 	}
-	if got := binary.LittleEndian.Uint32(hdr[8:]); got != uint32(k) {
-		return fmt.Errorf("index: %s: holds %d functions, want %d", s.path, got, k)
+	fileK, step, cutoff := int(binary.LittleEndian.Uint32(hdr[8:])), int(binary.LittleEndian.Uint32(hdr[12:])), int(binary.LittleEndian.Uint32(hdr[16:]))
+	if fileK != k || step != meta.ZoneMapStep || cutoff != meta.LongListCutoff || step == 0 {
+		return fmt.Errorf("index: %s: holds %d functions with zone map step %d and long-list cutoff %d, manifest says %d, %d and %d",
+			s.path, fileK, step, cutoff, k, meta.ZoneMapStep, meta.LongListCutoff)
 	}
 	foot := make([]byte, footerLen(k))
 	if err := s.read(foot, footStart); err != nil {
@@ -250,23 +257,31 @@ func (s *segment) load(k int) error {
 			f:         s.f,
 			path:      s.path,
 			region:    region,
+			zoneStep:  step,
 			dirOff:    binary.LittleEndian.Uint64(row[0:]),
 			regionCRC: binary.LittleEndian.Uint32(row[16:]),
 		}
 		numLists, dirCRC := binary.LittleEndian.Uint64(row[8:]), binary.LittleEndian.Uint32(row[20:])
-		if ff.dirOff > uint64(footStart) || numLists > (uint64(footStart)-ff.dirOff)/dirEntrySize {
+		// A directory is 8 bytes of hash and 4 of start a list, plus the
+		// closing start.
+		if room := uint64(footStart) - ff.dirOff; ff.dirOff > uint64(footStart) || room < 4 || numLists > (room-4)/12 {
 			return fmt.Errorf("index: %s: function %d directory (%d lists at %d) runs past the footer", s.path, fn, numLists, ff.dirOff)
 		}
-		buf := make([]byte, numLists*dirEntrySize)
-		if len(buf) > 0 {
-			if err := s.read(buf, int64(ff.dirOff)); err != nil {
-				return err
-			}
+		ff.hashes, ff.starts = make([]uint64, numLists), make([]uint32, numLists+1)
+		hashBytes, startBytes := bytesOf(ff.hashes), bytesOf(ff.starts)
+		if err := s.read(hashBytes, int64(ff.dirOff)); err != nil {
+			return err
 		}
-		if got := crc32.ChecksumIEEE(buf); got != dirCRC {
+		if err := s.read(startBytes, int64(ff.dirOff)+int64(len(hashBytes))); err != nil {
+			return err
+		}
+		if got := crc32.Update(crc32.ChecksumIEEE(hashBytes), crc32.IEEETable, startBytes); got != dirCRC {
 			return fmt.Errorf("index: %s: function %d directory checksum mismatch (%08x != %08x)", s.path, fn, got, dirCRC)
 		}
-		entries, err := ff.decodeDirectory(buf)
+		if !hostLittleEndian {
+			swapColumns(ff.hashes, ff.starts)
+		}
+		entries, err := ff.decodeDirectory(cutoff)
 		if err == nil {
 			err = ff.loadZones(entries)
 		}
@@ -274,7 +289,7 @@ func (s *segment) load(k int) error {
 			return err
 		}
 		s.funcs[fn] = ff
-		region = ff.dirOff + uint64(len(buf))
+		region = ff.dirOff + uint64(len(hashBytes)+len(startBytes))
 	}
 	if region != uint64(footStart) {
 		return &ListOrderError{Path: s.path, Reason: fmt.Sprintf("functions end at %d, footer starts at %d", region, footStart)}
@@ -282,50 +297,33 @@ func (s *segment) load(k int) error {
 	return nil
 }
 
-// decodeDirectory loads the directory rows in buf into the resident
-// columns and returns the function's number of zone entries. Every row's
-// postingsOff and zoneOff must be the offset the columns derive — lists
-// back to back from the region's start to dirOff in strictly ascending
-// hash order — and the function may hold at most MaxUint32 postings;
-// anything else is a *ListOrderError.
-func (ff *funcFile) decodeDirectory(buf []byte) (uint32, error) {
-	n := len(buf) / dirEntrySize
-	ff.hashes = make([]uint64, n)
-	ff.starts = make([]uint32, n+1)
-	var postings uint64
+// decodeDirectory checks the resident columns against the back-to-back
+// layout and derives the zone side table, returning the function's
+// number of zone entries: hashes strictly ascend, starts strictly ascend
+// from 0 (no list is empty), a list has a zone map exactly when it holds
+// more than longCutoff postings, and the lists with their zone maps end
+// exactly at dirOff. Anything else is a *ListOrderError.
+func (ff *funcFile) decodeDirectory(longCutoff int) (uint32, error) {
+	if ff.starts[0] != 0 {
+		return 0, ff.orderError("first list starts at posting %d", ff.starts[0])
+	}
 	var entries uint32
-	pos := ff.region
-	for i := range ff.hashes {
-		b := buf[i*dirEntrySize:]
-		h, off := binary.LittleEndian.Uint64(b[0:]), binary.LittleEndian.Uint64(b[8:])
-		count, zc := uint64(binary.LittleEndian.Uint32(b[16:])), binary.LittleEndian.Uint32(b[20:])
+	for i, h := range ff.hashes {
 		if i > 0 && h <= ff.hashes[i-1] {
 			return 0, ff.orderError("list %x follows list %x", h, ff.hashes[i-1])
 		}
-		if off != pos {
-			return 0, ff.orderError("list %x at offset %d, want %d", h, off, pos)
+		if ff.starts[i+1] <= ff.starts[i] {
+			return 0, ff.orderError("list %x runs from posting %d to %d", h, ff.starts[i], ff.starts[i+1])
 		}
-		ff.hashes[i], ff.starts[i] = h, uint32(postings)
-		if postings += count; postings > math.MaxUint32 {
-			return 0, ff.orderError("%d postings by list %x exceed %d", postings, h, uint32(math.MaxUint32))
-		}
-		pos += count * postingSize
-		if zc > 0 {
-			if zoff := binary.LittleEndian.Uint64(b[24:]); zoff != pos {
-				return 0, ff.orderError("zone map of list %x at offset %d, want %d", h, zoff, pos)
-			}
+		if n := ff.count(i); n > longCutoff {
+			zc := uint32((n + ff.zoneStep - 1) / ff.zoneStep)
 			ff.zones = append(ff.zones, zoneRef{idx: uint32(i), count: zc, at: entries})
 			entries += zc
-			pos += uint64(zc) * zoneEntrySize
-		}
-		if pos > ff.dirOff {
-			return 0, ff.orderError("list %x ends at %d, past the directory at %d", h, pos, ff.dirOff)
 		}
 	}
-	if pos != ff.dirOff {
-		return 0, ff.orderError("lists end at %d, directory starts at %d", pos, ff.dirOff)
+	if end := ff.region + postingSize*uint64(ff.postings()) + zoneEntrySize*uint64(entries); end != ff.dirOff {
+		return 0, ff.orderError("lists end at %d, directory starts at %d", end, ff.dirOff)
 	}
-	ff.starts[n] = uint32(postings)
 	return entries, nil
 }
 
@@ -333,33 +331,26 @@ func (ff *funcFile) orderError(format string, args ...any) error {
 	return &ListOrderError{Path: ff.path, Reason: fmt.Sprintf(format, args...)}
 }
 
-// loadZones reads every zone map of the function into zoneTab, one read
-// per zone-mapped list: 8 bytes of memory per ZoneMapStep postings of
-// the long lists. A map's ordinals must start at 0 and ascend within its
-// list, and its first text ids must not descend — the probe's block
-// arithmetic relies on both — so a corrupt one fails Open instead of a
-// query.
+// loadZones reads every zone map of the function straight into zoneTab,
+// one read per zone-mapped list: 4 bytes of memory per ZoneMapStep
+// postings of the long lists. A map's first text ids must not descend —
+// the probe's binary search relies on it — so a corrupt one fails Open
+// instead of a query.
 func (ff *funcFile) loadZones(entries uint32) error {
-	ff.zoneTab = make([]uint32, 0, 2*int(entries))
-	var buf []byte
+	ff.zoneTab = make([]uint32, entries)
 	for _, z := range ff.zones {
-		n := int(z.count) * zoneEntrySize
-		if cap(buf) < n {
-			buf = make([]byte, n)
-		}
-		b := buf[:n]
-		off := ff.zoneOff(z)
+		tab := ff.zoneTab[z.at : z.at+z.count]
+		b, off := bytesOf(tab), ff.zoneOff(z)
 		if _, err := ff.f.ReadAt(b, off); err != nil {
-			return &ReadError{Path: ff.path, Off: off, Len: n, Err: err}
+			return &ReadError{Path: ff.path, Off: off, Len: len(b), Err: err}
 		}
-		prevFirst, prevOrd := uint32(0), uint32(0)
-		for e := 0; e < n; e += zoneEntrySize {
-			first, ord := binary.LittleEndian.Uint32(b[e:]), binary.LittleEndian.Uint32(b[e+4:])
-			if ord >= uint32(ff.count(int(z.idx))) || e == 0 && ord != 0 || e > 0 && (ord <= prevOrd || first < prevFirst) {
-				return fmt.Errorf("index: %s: corrupt zone map of list %x", ff.path, ff.hashes[z.idx])
+		if !hostLittleEndian {
+			swapColumns(nil, tab)
+		}
+		for e := 1; e < len(tab); e++ {
+			if tab[e] < tab[e-1] {
+				return fmt.Errorf("index: %s: corrupt zone map of list %x: first text ids descend; rebuild the index", ff.path, ff.hashes[z.idx])
 			}
-			ff.zoneTab = append(ff.zoneTab, first, ord)
-			prevFirst, prevOrd = first, ord
 		}
 	}
 	return nil
@@ -662,22 +653,23 @@ func (ix *Index) ReadListForTextInto(dst []Posting, fn int, h uint64, textID uin
 	}
 	startOrd, endOrd := 0, ff.count(i)
 	if z, ok := ff.zone(i); ok {
-		// The first zone whose FirstTextID > local bounds the probe on
-		// the right; it starts one zone before the first zone with
-		// FirstTextID >= local (the text's postings may begin mid-zone).
-		tab, n := ff.zoneTab[2*z.at:2*(z.at+z.count)], int(z.count)
-		hi := sort.Search(n, func(j int) bool { return tab[2*j] > local })
+		// The first zone whose first text id > local bounds the probe on
+		// the right; it starts one zone before the first zone whose
+		// first text id >= local (the text's postings may begin
+		// mid-zone). Zone j starts at posting j*zoneStep.
+		tab := ff.zoneTab[z.at : z.at+z.count]
+		hi := sort.Search(len(tab), func(j int) bool { return tab[j] > local })
 		if hi == 0 {
 			// The list's very first posting already has a larger text id.
 			return dst, nil
 		}
-		lo := sort.Search(hi, func(j int) bool { return tab[2*j] >= local })
+		lo := sort.Search(hi, func(j int) bool { return tab[j] >= local })
 		if lo > 0 {
 			lo--
 		}
-		startOrd = int(tab[2*lo+1])
-		if hi < n {
-			endOrd = int(tab[2*hi+1])
+		startOrd = lo * ff.zoneStep
+		if hi < len(tab) {
+			endOrd = hi * ff.zoneStep
 		}
 	}
 	out, err := ix.readPostings(dst, ff, si, ff.off(i)+int64(startOrd)*postingSize, endOrd-startOrd, sink)
@@ -723,7 +715,7 @@ func keepText(dst []Posting, at int, local, base uint32) []Posting {
 func (ix *Index) readPostings(dst []Posting, ff *funcFile, si int, off int64, n int, sink *IOStats) ([]Posting, error) {
 	at := len(dst)
 	dst = slices.Grow(dst, n)[:at+n]
-	if err := ix.readAt(ff, si, postingBytes(dst[at:]), off, sink); err != nil {
+	if err := ix.readAt(ff, si, bytesOf(dst[at:]), off, sink); err != nil {
 		return dst[:at], err
 	}
 	if !hostLittleEndian {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"ndss/internal/fsio"
 )
@@ -13,57 +14,42 @@ import (
 // Segment file layout (little-endian): one file holds a segment's k
 // inverted files, one region per hash function.
 //
-//	header:  magic [8]byte "NDSSSEG1" | k uint32 | flags uint32
+//	header:  magic [8]byte "NDSSSEG2" | k u32 | zoneMapStep u32 |
+//	         longListCutoff u32
 //	for each function in order, back to back:
 //	  lists:     in ascending hash order, back to back: for each list,
 //	             count postings of 16 bytes (sorted by text id),
-//	             immediately followed by its zone entries (8 bytes each)
-//	             when the list is long enough to carry a zone map
-//	  directory: numLists entries of 32 bytes, in the same (hash) order:
-//	             hash u64 | postingsOff u64 | count u32 | zoneCount u32 |
-//	             zoneOff u64
+//	             immediately followed, when count > longListCutoff, by
+//	             ceil(count/zoneMapStep) zone entries: the text id u32 of
+//	             every zoneMapStep-th posting
+//	  directory: the columns the reader keeps resident, in hash order:
+//	             hashes [numLists]u64, then starts [numLists+1]u32, the
+//	             running posting count (starts[i]: postings before list i)
 //	footer:  k rows of dirOff u64 | numLists u64 | regionCRC u32 | dirCRC u32,
 //	         then footerCRC u32, the CRC-32 of the k rows
 //
 // Offsets are absolute. A function's region starts where the previous
 // function's directory ends (function 0's right after the header), and
-// the last directory ends where the footer starts. The footer is
-// verified when the file is opened and its CRC is recorded in the
-// manifest, so Open rejects a file from a different build; each dirCRC
-// (IEEE CRC-32 of a directory) is verified as the directory is loaded,
-// and each regionCRC, covering a function's postings/zones region, on
-// demand by Index.VerifyIntegrity, since validating it requires reading
-// the whole file. Open also refuses a function whose directory offsets
-// are not the ones the back-to-back layout implies (ListOrderError): the
-// reader keeps only hashes and running posting counts resident and
-// derives offsets from them.
+// the last directory ends where the footer starts; a list's offset and
+// its zone map follow from the counts before it, so the file stores
+// neither. The footer is verified when the file is opened and its CRC
+// is recorded in the manifest, so Open rejects a file from a different
+// build; the header's zone parameters are checked against the manifest;
+// each dirCRC (IEEE CRC-32 of a directory) is verified as the directory
+// is loaded, and each regionCRC, covering a function's postings/zones
+// region, on demand by Index.VerifyIntegrity, since validating it
+// requires reading the whole file. Open refuses a function whose columns
+// do not describe that back-to-back layout (ListOrderError).
 
 const (
-	segMagic      = "NDSSSEG1"
-	segHeaderLen  = 16
-	dirEntrySize  = 32
-	zoneEntrySize = 8
+	segMagic      = "NDSSSEG2"
+	segHeaderLen  = 20
+	zoneEntrySize = 4
 	footerRowLen  = 24
 )
 
 // footerLen is the size of a k-function segment file's footer.
 func footerLen(k int) int64 { return int64(k)*footerRowLen + 4 }
-
-// dirEntry is one directory row describing an inverted list.
-type dirEntry struct {
-	Hash      uint64
-	Off       uint64 // absolute offset of the postings run
-	Count     uint32 // number of postings
-	ZoneCount uint32 // number of zone entries (0 = no zone map)
-	ZoneOff   uint64 // absolute offset of the zone entries
-}
-
-// zoneEntry marks the first text id of a fixed-size run of postings,
-// enabling per-text probes into long lists without reading them fully.
-type zoneEntry struct {
-	FirstTextID uint32
-	Ordinal     uint32 // index of the zone's first posting within the list
-}
 
 // segSum describes a finished segment file for the build manifest.
 type segSum struct {
@@ -86,8 +72,9 @@ type segmentWriter struct {
 	w          *bufio.Writer
 	k          int
 	pos        uint64
-	entries    []dirEntry // the current function's directory
-	footer     []byte     // the finished functions' footer rows
+	hashes     []uint64 // the current function's directory columns
+	starts     []uint32 // one more entry than hashes; the last is the running count
+	footer     []byte   // the finished functions' footer rows
 	zoneStep   int
 	longCutoff int
 	buf        []byte
@@ -95,10 +82,26 @@ type segmentWriter struct {
 	closed     bool
 }
 
+// PostingOverflowError reports a list that would take one function of a
+// segment file past the MaxUint32 postings its running-count column
+// holds. The writer refuses the list before writing any of it; index
+// such a corpus as several shards.
+type PostingOverflowError struct {
+	Path     string // segment file being written
+	Hash     uint64 // the list that does not fit
+	Postings uint64 // the function's postings with the list
+}
+
+func (e *PostingOverflowError) Error() string {
+	return fmt.Sprintf("index: %s: list %x takes a function to %d postings, more than a segment file counts (%d)",
+		e.Path, e.Hash, e.Postings, uint32(math.MaxUint32))
+}
+
 // newSegmentWriter creates the segment file at path for k functions.
 func newSegmentWriter(fsys fsio.FS, path string, k, zoneStep, longCutoff int) (*segmentWriter, error) {
-	if zoneStep < 1 {
-		return nil, fmt.Errorf("index: zone step must be positive, got %d", zoneStep)
+	// The header holds both as u32; a negative cutoff wraps above the bound.
+	if zoneStep < 1 || uint64(zoneStep) > math.MaxUint32 || uint64(longCutoff) > math.MaxUint32 {
+		return nil, fmt.Errorf("index: zone step %d must be positive and long-list cutoff %d not negative, both within a uint32", zoneStep, longCutoff)
 	}
 	f, err := fsys.Create(path)
 	if err != nil {
@@ -110,13 +113,14 @@ func newSegmentWriter(fsys fsio.FS, path string, k, zoneStep, longCutoff int) (*
 		f:          f,
 		w:          bufio.NewWriterSize(f, 1<<20),
 		k:          k,
+		starts:     []uint32{0},
 		zoneStep:   zoneStep,
 		longCutoff: longCutoff,
 	}
-	var hdr [segHeaderLen]byte
-	copy(hdr[:8], segMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(k))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32([]byte(segMagic), uint32(k))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(zoneStep))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(longCutoff))
+	if _, err := w.w.Write(hdr); err != nil {
 		w.abort()
 		return nil, err
 	}
@@ -127,19 +131,20 @@ func newSegmentWriter(fsys fsio.FS, path string, k, zoneStep, longCutoff int) (*
 // addList writes one inverted list of the current function. recs must
 // all carry the hash h and be strictly ascending in (text id, L): zone
 // maps and per-text probes search on that order, so breaking it is a
-// build error here rather than postings a query silently misses. A hash
-// written twice (lists must be aggregated before reaching the writer) or
-// out of hash order is detected at endFunc.
+// build error here rather than postings a query silently misses. A list
+// that would take the function past MaxUint32 postings is a
+// *PostingOverflowError before any of it is written. A hash written
+// twice (lists must be aggregated before reaching the writer) or out of
+// hash order is detected at endFunc.
 func (w *segmentWriter) addList(h uint64, recs []record) error {
 	if len(recs) == 0 {
 		return errors.New("index: empty inverted list")
 	}
-	entry := dirEntry{Hash: h, Off: w.pos, Count: uint32(len(recs))}
-	need := len(recs) * postingSize
-	if cap(w.buf) < need {
-		w.buf = make([]byte, need)
+	total := uint64(w.starts[len(w.starts)-1]) + uint64(len(recs))
+	if total > math.MaxUint32 {
+		return &PostingOverflowError{Path: w.path, Hash: h, Postings: total}
 	}
-	buf := w.buf[:need]
+	buf := w.buf[:0]
 	for i, r := range recs {
 		if r.Hash != h {
 			return fmt.Errorf("index: mixed hashes in list: %x vs %x", r.Hash, h)
@@ -147,31 +152,20 @@ func (w *segmentWriter) addList(h uint64, recs []record) error {
 		if i > 0 && compareRecords(recs[i-1], r) >= 0 {
 			return fmt.Errorf("index: list %x out of order: %v before %v", h, recs[i-1].Posting, r.Posting)
 		}
-		encodePosting(buf[i*postingSize:], r.Posting)
+		buf = appendPosting(buf, r.Posting)
 	}
+	if len(recs) > w.longCutoff {
+		for ord := 0; ord < len(recs); ord += w.zoneStep {
+			buf = binary.LittleEndian.AppendUint32(buf, recs[ord].Posting.TextID)
+		}
+	}
+	w.buf = buf
 	if _, err := w.w.Write(buf); err != nil {
 		return err
 	}
 	w.regionCRC = crc32.Update(w.regionCRC, crc32.IEEETable, buf)
-	w.pos += uint64(need)
-
-	if len(recs) > w.longCutoff {
-		nz := (len(recs) + w.zoneStep - 1) / w.zoneStep
-		entry.ZoneOff = w.pos
-		entry.ZoneCount = uint32(nz)
-		var zb [zoneEntrySize]byte
-		for z := 0; z < nz; z++ {
-			ord := z * w.zoneStep
-			binary.LittleEndian.PutUint32(zb[0:], recs[ord].Posting.TextID)
-			binary.LittleEndian.PutUint32(zb[4:], uint32(ord))
-			if _, err := w.w.Write(zb[:]); err != nil {
-				return err
-			}
-			w.regionCRC = crc32.Update(w.regionCRC, crc32.IEEETable, zb[:])
-		}
-		w.pos += uint64(nz * zoneEntrySize)
-	}
-	w.entries = append(w.entries, entry)
+	w.pos += uint64(len(buf))
+	w.hashes, w.starts = append(w.hashes, h), append(w.starts, uint32(total))
 	return nil
 }
 
@@ -193,33 +187,30 @@ func (w *segmentWriter) writeDirectory() error {
 	if len(w.footer) == w.k*footerRowLen {
 		return fmt.Errorf("index: segment file already holds its %d functions", w.k)
 	}
-	for i := 1; i < len(w.entries); i++ {
-		if h, prev := w.entries[i].Hash, w.entries[i-1].Hash; h == prev {
+	for i := 1; i < len(w.hashes); i++ {
+		if h, prev := w.hashes[i], w.hashes[i-1]; h == prev {
 			return fmt.Errorf("index: hash %x written as two lists", h)
 		} else if h < prev {
 			return fmt.Errorf("index: list %x written after list %x: lists must arrive in hash order", h, prev)
 		}
 	}
-	dirOff := w.pos
-	dirCRC := uint32(0)
-	var eb [dirEntrySize]byte
-	for _, e := range w.entries {
-		binary.LittleEndian.PutUint64(eb[0:], e.Hash)
-		binary.LittleEndian.PutUint64(eb[8:], e.Off)
-		binary.LittleEndian.PutUint32(eb[16:], e.Count)
-		binary.LittleEndian.PutUint32(eb[20:], e.ZoneCount)
-		binary.LittleEndian.PutUint64(eb[24:], e.ZoneOff)
-		if _, err := w.w.Write(eb[:]); err != nil {
-			return err
-		}
-		dirCRC = crc32.Update(dirCRC, crc32.IEEETable, eb[:])
+	dir := w.buf[:0]
+	for _, h := range w.hashes {
+		dir = binary.LittleEndian.AppendUint64(dir, h)
 	}
-	w.pos += uint64(len(w.entries) * dirEntrySize)
-	w.footer = binary.LittleEndian.AppendUint64(w.footer, dirOff)
-	w.footer = binary.LittleEndian.AppendUint64(w.footer, uint64(len(w.entries)))
+	for _, s := range w.starts {
+		dir = binary.LittleEndian.AppendUint32(dir, s)
+	}
+	w.buf = dir
+	if _, err := w.w.Write(dir); err != nil {
+		return err
+	}
+	w.footer = binary.LittleEndian.AppendUint64(w.footer, w.pos)
+	w.footer = binary.LittleEndian.AppendUint64(w.footer, uint64(len(w.hashes)))
 	w.footer = binary.LittleEndian.AppendUint32(w.footer, w.regionCRC)
-	w.footer = binary.LittleEndian.AppendUint32(w.footer, dirCRC)
-	w.entries, w.regionCRC = w.entries[:0], 0
+	w.footer = binary.LittleEndian.AppendUint32(w.footer, crc32.ChecksumIEEE(dir))
+	w.pos += uint64(len(dir))
+	w.hashes, w.starts, w.regionCRC = w.hashes[:0], w.starts[:1], 0
 	return nil
 }
 
@@ -230,7 +221,7 @@ func (w *segmentWriter) finish() (segSum, error) {
 	if w.closed {
 		return segSum{}, errors.New("index: writer already finished")
 	}
-	if n := len(w.footer) / footerRowLen; n != w.k || len(w.entries) > 0 {
+	if n := len(w.footer) / footerRowLen; n != w.k || len(w.hashes) > 0 {
 		w.abort()
 		return segSum{}, fmt.Errorf("index: segment file finished after %d of %d functions", n, w.k)
 	}

@@ -92,6 +92,9 @@ func TestWriterInvalidZoneStep(t *testing.T) {
 	if _, err := newSegmentWriter(fsio.OS, filepath.Join(t.TempDir(), segmentName(0)), 1, 0, 8); err == nil {
 		t.Fatal("zone step 0 should be rejected")
 	}
+	if _, err := newSegmentWriter(fsio.OS, filepath.Join(t.TempDir(), segmentName(0)), 1, 4, -1); err == nil {
+		t.Fatal("a negative long-list cutoff, which the header cannot hold, should be rejected")
+	}
 }
 
 func TestWriterZoneMapThreshold(t *testing.T) {
@@ -113,7 +116,7 @@ func TestWriterZoneMapThreshold(t *testing.T) {
 	if _, err := w.finish(); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := openSegmentFile(fsio.OS, path, 1)
+	seg, err := openSegmentFile(fsio.OS, path, Meta{K: 1, ZoneMapStep: 2, LongListCutoff: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +147,7 @@ func TestWriterAbortRemovesFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.abort()
-	if _, err := openSegmentFile(fsio.OS, path, 1); err == nil {
+	if _, err := openSegmentFile(fsio.OS, path, Meta{K: 1, ZoneMapStep: 4, LongListCutoff: 8}); err == nil {
 		t.Fatal("aborted file should not exist or open")
 	}
 }
