@@ -80,6 +80,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index/ -run FuzzManifestParse -fuzz FuzzManifestParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run FuzzTombstoneParse -fuzz FuzzTombstoneParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/index/ -run FuzzOpenSegment -fuzz FuzzOpenSegment -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/index/ -run FuzzGroupByHash -fuzz FuzzGroupByHash -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search/ -run FuzzIntervalScan -fuzz FuzzIntervalScan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search/ -run FuzzCollisionCount -fuzz FuzzCollisionCount -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run FuzzParseTraceparent -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME)

@@ -413,8 +413,9 @@ func BenchmarkTheorem1_WindowCount(b *testing.B) {
 }
 
 // BenchmarkAblation_WindowGen compares the two window generators
-// (DESIGN.md AB1): the O(n) stack on one reused Scratch, as the builders
-// run it, and Algorithm 2 over ALIGN's segment tree.
+// (DESIGN.md AB1): the O(n) candidate-first stack on one reused
+// Scratch, as the builders run it, and Algorithm 2 over ALIGN's
+// segment tree.
 func BenchmarkAblation_WindowGen(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	n := 1 << 17

@@ -18,7 +18,7 @@ import (
 
 func init() {
 	register("th1", "Theorem 1: measured window count vs 2(n+1)/(t+1)-1", th1)
-	register("ab1", "Ablation: O(n) stack vs ALIGN's segment tree in window generation", ab1)
+	register("ab1", "Ablation: O(n) candidate-first stack vs ALIGN's segment tree in window generation", ab1)
 	register("ab2", "Ablation: prefix filtering and zone maps on/off", ab2)
 	register("ab3", "Baselines: index search vs brute force vs seed-and-extend (time + recall)", ab3)
 }
@@ -53,7 +53,7 @@ func th1(e *Env) error {
 
 func ab1(e *Env) error {
 	const t, passes = 50, 7
-	e.printf("## Ablation: window generation, O(n) stack vs ALIGN's segment tree\n")
+	e.printf("## Ablation: window generation, O(n) candidate-first stack vs ALIGN's segment tree\n")
 	e.printf("SynWeb 1x token hashes (hashed once, untimed), t=%d; %d passes per generator in alternating order\n\n", t, passes)
 	c := e.synWeb(1, 32000, 1)
 	f := hash.MustNewFamily(1, 1).Func(0)
@@ -68,7 +68,7 @@ func ab1(e *Env) error {
 		windows int
 		times   []time.Duration
 	}{
-		{name: "stack (ours, O(n), reused Scratch)", gen: func(v []uint64, dst []window.Window) []window.Window {
+		{name: "candidate-first stack (ours, O(n), reused Scratch)", gen: func(v []uint64, dst []window.Window) []window.Window {
 			return s.Generate(v, t, dst)
 		}},
 		{name: "segment tree (ALIGN, O(n log n))", gen: func(v []uint64, dst []window.Window) []window.Window {

@@ -210,6 +210,17 @@ func TestReadListIntoMatchesDecode(t *testing.T) {
 	}
 }
 
+// decodePosting reads a posting's on-disk bytes field by field: the
+// oracle the tests hold the byte views to.
+func decodePosting(src []byte) Posting {
+	return Posting{
+		TextID: binary.LittleEndian.Uint32(src[0:]),
+		L:      binary.LittleEndian.Uint32(src[4:]),
+		C:      binary.LittleEndian.Uint32(src[8:]),
+		R:      binary.LittleEndian.Uint32(src[12:]),
+	}
+}
+
 // TestSwapPostings drives the big-endian fix-up directly, whatever the
 // host: it reverses the bytes of every field, and raw little-endian
 // bytes landed in the arena read back as decodePosting's postings once
@@ -438,11 +449,11 @@ func TestWriterRejectsPostingOverflow(t *testing.T) {
 	w := newTestWriter(t)
 	defer w.abort()
 	w.hashes, w.starts = []uint64{1}, []uint32{0, math.MaxUint32 - 1}
-	if err := w.addList(2, recs(2, 1)); err != nil {
+	if err := w.addList(2, listOf(1)); err != nil {
 		t.Fatalf("list reaching MaxUint32 postings: %v", err)
 	}
 	pos, buffered := w.pos, w.w.Buffered()
-	err := w.addList(3, recs(3, 1))
+	err := w.addList(3, listOf(1))
 	var poe *PostingOverflowError
 	if !errors.As(err, &poe) || poe.Path != w.path || poe.Hash != 3 || poe.Postings != math.MaxUint32+1 {
 		t.Fatalf("list past MaxUint32 postings: %v, want a *PostingOverflowError for list 3 at %d postings", err, uint64(math.MaxUint32)+1)

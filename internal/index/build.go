@@ -31,13 +31,16 @@ type BuildOptions struct {
 	LongListCutoff int
 	// Parallelism is the number of hash functions Build generates and
 	// groups concurrently, in front of its one ordered writer. Peak
-	// memory is Parallelism+1 functions' grouped records plus a worker's
-	// ungrouped copy of one each (24 B a record, ~3 MB a function at
-	// 1.6 M tokens). Defaults to GOMAXPROCS.
+	// memory is Parallelism+1 functions' grouped postings and run tables
+	// (at most 32 B a record, ~4 MB a function at 1.6 M tokens and
+	// T=25) plus, per worker, one function's records and the grouping's
+	// sort scratch (48 B a record).
+	// Defaults to GOMAXPROCS.
 	Parallelism int
 	// MemoryBudget bounds the memory of one BuildExternal batch: its
-	// tokens plus Build's record buffers in flight. A corpus larger than
-	// one batch is built batch by batch and merged. Defaults to 256 MiB.
+	// tokens plus Build's buffers in flight (see Parallelism). A corpus
+	// larger than one batch is built batch by batch and merged. Defaults
+	// to 256 MiB.
 	MemoryBudget int64
 	// FS is the filesystem the build writes through. Defaults to the
 	// real filesystem; tests inject fault-carrying implementations.
@@ -143,19 +146,19 @@ func buildSegment(c *corpus.Corpus, fam *hash.Family, path string, opts BuildOpt
 // calling goroutine alone touches the filesystem, writing the finished
 // functions into w in function order: the writes come in the order and
 // number of a one-function-at-a-time build, whatever the worker count. A
-// worker draws a record buffer from free before it claims the next
+// worker draws an output buffer from free before it claims the next
 // function and the writer returns it once the function is written, so
 // at most workers+1 functions are in flight and the lowest unwritten one
 // always holds a buffer.
 func buildFuncs(c *corpus.Corpus, fam *hash.Family, w *segmentWriter, opts BuildOptions, stats *BuildStats) error {
 	workers := min(opts.Parallelism, opts.K)
-	free := make(chan []record, workers+1) // the in-flight bound, see above
+	free := make(chan grouped, workers+1) // the in-flight bound, see above
 	for i := 0; i < cap(free); i++ {
-		free <- nil
+		free <- grouped{}
 	}
-	built := make([]chan []record, opts.K)
+	built := make([]chan grouped, opts.K)
 	for fn := range built {
-		built[fn] = make(chan []record, 1)
+		built[fn] = make(chan grouped, 1)
 	}
 	var (
 		next atomic.Int64 // next function to claim
@@ -168,9 +171,9 @@ func buildFuncs(c *corpus.Corpus, fam *hash.Family, w *segmentWriter, opts Build
 		go func() {
 			defer wg.Done()
 			rg := recordGen{t: opts.T}
-			var gen []record // the function's records in generation order
+			var gen, tmp []record // the function's records, and the sort's scratch
 			for {
-				var out []record
+				var out grouped
 				select {
 				case out = <-free:
 				case <-stop:
@@ -186,7 +189,7 @@ func buildFuncs(c *corpus.Corpus, fam *hash.Family, w *segmentWriter, opts Build
 				for id := 0; id < c.NumTexts(); id++ {
 					gen = rg.appendText(gen, uint32(id), c.Text(uint32(id)))
 				}
-				out = groupByHash(gen, out)
+				out, tmp = groupByHash(gen, out, tmp)
 				busy.Add(int64(time.Since(start)))
 				built[fn] <- out
 			}
@@ -198,18 +201,22 @@ func buildFuncs(c *corpus.Corpus, fam *hash.Family, w *segmentWriter, opts Build
 	defer close(stop)
 
 	for fn := 0; fn < opts.K; fn++ {
-		recs := <-built[fn]
+		g := <-built[fn]
 		ioStart := time.Now()
-		if err := addSortedRuns(w, recs); err != nil {
-			return err
+		from := 0
+		for _, r := range g.runs {
+			if err := w.addList(r.hash, g.ps[from:r.end]); err != nil {
+				return err
+			}
+			from = r.end
 		}
 		if err := w.endFunc(); err != nil {
 			return err
 		}
 		stats.IOTime += time.Since(ioStart)
-		stats.WindowsPerFunc[fn] += int64(len(recs))
-		stats.Windows += int64(len(recs))
-		free <- recs
+		stats.WindowsPerFunc[fn] += int64(len(g.ps))
+		stats.Windows += int64(len(g.ps))
+		free <- g
 	}
 	stats.GenTime += time.Duration(busy.Load() / int64(workers))
 	return nil
@@ -242,20 +249,4 @@ func (g *recordGen) appendText(dst []record, id uint32, tokens []uint32) []recor
 		})
 	}
 	return dst
-}
-
-// addSortedRuns feeds runs of equal-hash records from a sorted slice to
-// the writer.
-func addSortedRuns(w *segmentWriter, recs []record) error {
-	for i := 0; i < len(recs); {
-		j := i + 1
-		for j < len(recs) && recs[j].Hash == recs[i].Hash {
-			j++
-		}
-		if err := w.addList(recs[i].Hash, recs[i:j]); err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"os"
@@ -37,10 +38,10 @@ func TestBuildParallelismSameBytes(t *testing.T) {
 	}
 }
 
-// TestGroupByHashEqualsSort: on generator output the counting scatter
-// is the sort by (Hash, TextID, L) it replaced — also when one hash
-// holds every record, when every record has its own hash, and into an
-// output buffer left over from a larger input.
+// TestGroupByHashEqualsSort: on generator output the grouping is the
+// sort by (Hash, TextID, L) it replaced — also when one hash holds
+// every record, when every record has its own hash, and into output
+// and scratch buffers left over from a larger input.
 func TestGroupByHashEqualsSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	fam, err := hash.NewFamily(1, 9)
@@ -59,7 +60,8 @@ func TestGroupByHashEqualsSort(t *testing.T) {
 			next++
 		}
 	}
-	spare := make([]record, 5000)
+	spare := grouped{ps: make([]Posting, 5000), runs: make([]run, 5000)}
+	var tmp []record
 	for _, tc := range []struct {
 		name   string
 		c      *corpus.Corpus
@@ -76,11 +78,13 @@ func TestGroupByHashEqualsSort(t *testing.T) {
 			gen = rg.appendText(gen, uint32(id), tc.c.Text(uint32(id)))
 		}
 		want := slices.Clone(gen)
-		slices.SortFunc(want, compareRecords)
-		for _, out := range [][]record{nil, spare} {
-			if got := groupByHash(gen, out); !slices.Equal(got, want) {
-				t.Errorf("%s: scatter differs from sort (%d records)", tc.name, len(gen))
-			}
+		slices.SortFunc(want, func(a, b record) int {
+			return cmp.Or(cmp.Compare(a.Hash, b.Hash),
+				cmp.Compare(a.Posting.TextID, b.Posting.TextID), cmp.Compare(a.Posting.L, b.Posting.L))
+		})
+		for _, out := range []grouped{{}, spare} {
+			out, tmp = groupByHash(slices.Clone(gen), out, tmp)
+			checkGrouped(t, tc.name, out, want)
 		}
 		runs := len(slices.CompactFunc(want, func(a, b record) bool { return a.Hash == b.Hash }))
 		if tc.hashes != nil && runs != tc.hashes(len(gen)) {
@@ -89,9 +93,36 @@ func TestGroupByHashEqualsSort(t *testing.T) {
 	}
 }
 
-// TestWriterRejectsUnorderedList: the scatter sorts only because the
-// generator emits in (TextID, L) order; a list that reaches the writer
-// out of that order, or with a repeated key, must fail the build.
+// checkGrouped fails t unless g holds the records of want, which is
+// sorted by hash, as postings in want's order and one run per hash.
+func checkGrouped(t testing.TB, name string, g grouped, want []record) {
+	t.Helper()
+	if len(g.ps) != len(want) {
+		t.Fatalf("%s: %d postings grouped from %d records", name, len(g.ps), len(want))
+	}
+	r := 0
+	for i, rec := range want {
+		if g.ps[i] != rec.Posting {
+			t.Fatalf("%s: posting %d is %v, want %v", name, i, g.ps[i], rec.Posting)
+		}
+		if r == len(g.runs) || g.runs[r].hash != rec.Hash {
+			t.Fatalf("%s: posting %d (hash %x) outside a run of its hash", name, i, rec.Hash)
+		}
+		if last := i+1 == len(want) || want[i+1].Hash != rec.Hash; last != (g.runs[r].end == i+1) {
+			t.Fatalf("%s: run %d of hash %x ends at %d, its last posting is %d", name, r, rec.Hash, g.runs[r].end, i)
+		} else if last {
+			r++
+		}
+	}
+	if r != len(g.runs) {
+		t.Fatalf("%s: %d runs for %d hashes", name, len(g.runs), r)
+	}
+}
+
+// TestWriterRejectsUnorderedList: the grouping keeps generation order,
+// which is (TextID, L) order only because of how the generator emits;
+// a list that reaches the writer out of that order, or with a repeated
+// key, must fail the build.
 func TestWriterRejectsUnorderedList(t *testing.T) {
 	for name, ps := range map[string][]Posting{
 		"text ids descend": {{TextID: 2, L: 0, C: 1, R: 9}, {TextID: 1, L: 0, C: 1, R: 9}},
@@ -99,8 +130,7 @@ func TestWriterRejectsUnorderedList(t *testing.T) {
 		"repeated":         {{TextID: 1, L: 0, C: 1, R: 9}, {TextID: 1, L: 0, C: 2, R: 9}},
 	} {
 		w := newTestWriter(t)
-		list := []record{{Hash: 5, Posting: ps[0]}, {Hash: 5, Posting: ps[1]}}
-		if err := w.addList(5, list); err == nil {
+		if err := w.addList(5, ps); err == nil {
 			t.Errorf("%s: out-of-order list accepted", name)
 		}
 		w.abort()

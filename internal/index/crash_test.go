@@ -636,7 +636,7 @@ func TestWriterFinishFailureRemovesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.addList(42, []record{{Hash: 42, Posting: Posting{TextID: 1}}}); err != nil {
+	if err := w.addList(42, []Posting{{TextID: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.endFunc(); err != nil {

@@ -92,11 +92,14 @@ func BuildExternal(r *corpus.Reader, dir string, opts BuildOptions) (*BuildStats
 }
 
 // batchTokens is how many corpus tokens BuildExternal builds at once so
-// that a batch fits MemoryBudget: 4 B a token, plus Build's 2·workers+1
-// record buffers in flight, each holding ≈2/(T+1) records a token
-// (24 B a record).
+// that a batch fits MemoryBudget: 4 B a token plus what Build holds per
+// record of a function, ≈2/(T+1) records a token. Each worker holds its
+// function's records and the grouping's sort scratch; each of the
+// workers+1 functions in flight holds its grouped postings and a run
+// table of at most one row a record.
 func (o *BuildOptions) batchTokens() int {
-	buffers := int64(2*min(o.Parallelism, o.K) + 1)
-	n := o.MemoryBudget * int64(o.T+1) / (4*int64(o.T+1) + buffers*2*recordSize)
+	workers := int64(min(o.Parallelism, o.K))
+	perRecord := workers*2*recordSize + (workers+1)*(postingSize+runSize)
+	n := o.MemoryBudget * int64(o.T+1) / (4*int64(o.T+1) + 2*perRecord)
 	return int(max(n, 1))
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
@@ -258,5 +259,47 @@ func FuzzOpenSegment(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzGroupByHash checks the grouping on record streams with arbitrary
+// hashes — hashes that differ only in their top byte, only in their low
+// bits, only above a shared low half, or anywhere — and long runs of
+// one hash: the postings must come out as a stable sort by hash (ties
+// in input order), and the run table must end each hash's run. One
+// output and one scratch serve every input, so leftovers of a larger
+// one must not show.
+func FuzzGroupByHash(f *testing.F) {
+	var (
+		out grouped
+		tmp []record
+	)
+	f.Add([]byte{})
+	f.Add([]byte{0, 7, 0, 1, 7, 0, 2, 7, 0, 3, 7, 0})
+	f.Add([]byte{0, 1, 63, 0, 2, 63, 1, 1, 63, 0, 1, 5}) // long runs
+	f.Add(bytes.Repeat([]byte{3, 9, 2, 3, 200, 0, 2, 9, 1, 1, 9, 0}, 20))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var recs []record
+		for i := 0; i+3 <= len(raw) && len(recs) < 4096; i += 3 {
+			sel, x, rep := raw[i], uint64(raw[i+1]), 1+int(raw[i+2]%64)
+			var h uint64
+			switch sel % 4 {
+			case 0:
+				h = x << 56 // low bits all shared
+			case 1:
+				h = x // high bits all shared
+			case 2:
+				h = x<<32 | 0xffffffff
+			default:
+				h = x * 0x9e3779b97f4a7c15
+			}
+			for ; rep > 0; rep-- {
+				recs = append(recs, record{Hash: h, Posting: Posting{TextID: uint32(len(recs)), C: uint32(sel)}})
+			}
+		}
+		want := slices.Clone(recs)
+		slices.SortStableFunc(want, func(a, b record) int { return cmp.Compare(a.Hash, b.Hash) })
+		out, tmp = groupByHash(recs, out, tmp)
+		checkGrouped(t, "fuzz", out, want)
 	})
 }

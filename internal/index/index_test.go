@@ -281,7 +281,7 @@ func TestExternalBuildMatchesInMemory(t *testing.T) {
 		wantBatches int64 // batch indexes merged; 0 is an in-place build
 	}{
 		{"one batch", 0, 0},
-		{"two batches", 50 << 10, 2},
+		{"two batches", 76 << 10, 2},
 		{"one text per batch", 1, int64(c.NumTexts())},
 	} {
 		batches := &batchCountFS{FS: fsio.OS}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 
 	"ndss/internal/corpus"
 	"ndss/internal/fsio"
@@ -117,13 +118,14 @@ func (s *mergeSource) start(fn int) {
 	s.row, s.win, s.winOff = 0, nil, 0
 }
 
-// appendList appends the postings of the list at the cursor to dst as
-// records of its hash — tombstoned ids dropped, the rest shifted by
-// base — and advances the cursor. Lists lie in the region in hash order,
-// the cursor's order, so a list past the window refills it at the
-// list's offset with up to mergeWindow bytes of the lists that follow.
-func (s *mergeSource) appendList(dst []record) ([]record, error) {
-	h, off, n := s.ff.hashes[s.row], uint64(s.ff.off(s.row)), uint64(s.ff.count(s.row))*postingSize
+// appendList appends the postings of the list at the cursor to dst —
+// tombstoned ids dropped, the rest shifted by base — and advances the
+// cursor. Lists lie in the region in hash order, the cursor's order, so
+// a list past the window refills it at the list's offset with up to
+// mergeWindow bytes of the lists that follow.
+func (s *mergeSource) appendList(dst []Posting) ([]Posting, error) {
+	h, off, count := s.ff.hashes[s.row], uint64(s.ff.off(s.row)), s.ff.count(s.row)
+	n := uint64(count) * postingSize
 	s.row++
 	if off+n > s.winOff+uint64(len(s.win)) {
 		size := max(n, min(mergeWindow, s.ff.dirOff-off))
@@ -135,16 +137,24 @@ func (s *mergeSource) appendList(dst []record) ([]record, error) {
 			return dst, fmt.Errorf("index: read list %x: %w", h, err)
 		}
 	}
-	b := s.win[off-s.winOff:][:n]
-	for i := 0; i < len(b); i += postingSize {
-		p := decodePosting(b[i:])
+	// One copy into dst, then the ids are filtered and shifted in place,
+	// as readListEntry does.
+	at := len(dst)
+	dst = slices.Grow(dst, count)[:at+count]
+	copy(bytesOf(dst[at:]), s.win[off-s.winOff:][:n])
+	if !hostLittleEndian {
+		swapPostings(dst[at:])
+	}
+	w := at
+	for _, p := range dst[at:] {
 		if s.tomb.has(p.TextID) {
 			continue
 		}
 		p.TextID += s.base
-		dst = append(dst, record{Hash: h, Posting: p})
+		dst[w] = p
+		w++
 	}
-	return dst, nil
+	return dst[:w], nil
 }
 
 // mergeFunc k-way merges one hash function's lists across the sources
@@ -154,7 +164,7 @@ func mergeFunc(srcs []mergeSource, fn int, w *segmentWriter) error {
 	for i := range srcs {
 		srcs[i].start(fn)
 	}
-	var recs []record
+	var ps []Posting
 	for {
 		// Find the smallest pending hash across sources.
 		var cur uint64
@@ -170,23 +180,23 @@ func mergeFunc(srcs []mergeSource, fn int, w *segmentWriter) error {
 		}
 		// Collect its postings from every source holding it, in source
 		// order (ascending text-id ranges keep the list sorted).
-		recs = recs[:0]
+		ps = ps[:0]
 		for i := range srcs {
 			s := &srcs[i]
 			if s.row >= len(s.ff.hashes) || s.ff.hashes[s.row] != cur {
 				continue
 			}
 			var err error
-			if recs, err = s.appendList(recs); err != nil {
+			if ps, err = s.appendList(ps); err != nil {
 				return err
 			}
 		}
 		// Every posting of this hash may be tombstoned; a list with no
 		// survivors is simply not written.
-		if len(recs) == 0 {
+		if len(ps) == 0 {
 			continue
 		}
-		if err := w.addList(cur, recs); err != nil {
+		if err := w.addList(cur, ps); err != nil {
 			return err
 		}
 	}

@@ -13,9 +13,9 @@
 package index
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -40,15 +40,6 @@ func appendPosting(dst []byte, p Posting) []byte {
 	return binary.LittleEndian.AppendUint32(dst, p.R)
 }
 
-func decodePosting(src []byte) Posting {
-	return Posting{
-		TextID: binary.LittleEndian.Uint32(src[0:]),
-		L:      binary.LittleEndian.Uint32(src[4:]),
-		C:      binary.LittleEndian.Uint32(src[8:]),
-		R:      binary.LittleEndian.Uint32(src[12:]),
-	}
-}
-
 // record pairs a posting with its min-hash value during construction.
 type record struct {
 	Hash    uint64
@@ -58,56 +49,92 @@ type record struct {
 // recordSize is a record's size in memory.
 const recordSize = 24
 
-// compareRecords orders records by (hash, text id, L). Postings within
-// a list must be ordered by text id for zone maps and per-text probes.
-func compareRecords(a, b record) int {
-	return cmp.Or(cmp.Compare(a.Hash, b.Hash),
-		cmp.Compare(a.Posting.TextID, b.Posting.TextID), cmp.Compare(a.Posting.L, b.Posting.L))
+// grouped is one hash function's postings grouped into its inverted
+// lists, ascending by hash: list i is ps[runs[i-1].end:runs[i].end]
+// (from 0 for i = 0) and holds the postings of hash runs[i].hash.
+type grouped struct {
+	ps   []Posting
+	runs []run
 }
 
-// groupByHash copies recs into out (grown when too small) as one run per
-// distinct hash, runs ascending by hash and each in its input order, and
-// returns out: a stable counting scatter that sorts only the distinct
-// hashes, a few thousand per function. recordGen emits a hash's records
-// in ascending (TextID, L), so on its output this equals a sort by
-// compareRecords; addList checks that order on every list written.
-func groupByHash(recs, out []record) []record {
-	ids := make(map[uint64]int32)
-	group := make([]int32, len(recs)) // group[i] numbers recs[i].Hash in first-seen order
-	var hashes []uint64
-	var next []int // next[g]: group g's size, then the slot of its next record
+// run is one row of grouped's run table.
+type run struct {
+	hash uint64
+	end  int
+}
+
+// runSize is a run's size in memory.
+const runSize = 16
+
+// groupByHash groups recs into out, reusing its slices: out.ps holds
+// one run per distinct hash, runs ascending by hash and each in its
+// input order, and out.runs ends each. It sorts recs in place, stably
+// by hash, with tmp (grown to len(recs) when shorter) as scratch, and
+// returns tmp for reuse. recordGen emits a hash's records in ascending
+// (TextID, L), so on its output each list is in the order the writer
+// checks.
+func groupByHash(recs []record, out grouped, tmp []record) (grouped, []record) {
+	n := len(recs)
+	tmp = slices.Grow(tmp[:0], n)[:n]
+	sortRecords(recs, tmp)
+	out.ps, out.runs = slices.Grow(out.ps[:0], n)[:n], out.runs[:0]
 	for i, r := range recs {
-		g, ok := ids[r.Hash]
-		if !ok {
-			g = int32(len(hashes))
-			ids[r.Hash] = g
-			hashes = append(hashes, r.Hash)
-			next = append(next, 0)
+		out.ps[i] = r.Posting
+		if i+1 == n || recs[i+1].Hash != r.Hash {
+			out.runs = append(out.runs, run{hash: r.Hash, end: i + 1})
 		}
-		next[g]++
-		group[i] = g
 	}
-	byHash := make([]int32, len(hashes))
-	for g := range byHash {
-		byHash[g] = int32(g)
+	return out, tmp
+}
+
+// insertionMax is the longest run sortRecords sorts by insertion.
+const insertionMax = 24
+
+// sortRecords stably sorts recs by hash, using tmp (as long) as
+// scratch. It is a most-significant-digit radix sort whose digit is the
+// top 8 bits in which the hashes still differ, so it splits their
+// actual range, not the full 64 bits, and a run of one hash costs a
+// scan; records of one hash keep their input order. Each level fixes
+// at least 8 bits, so there are at most 8.
+func sortRecords(recs, tmp []record) {
+	if len(recs) <= insertionMax {
+		for i := 1; i < len(recs); i++ {
+			r := recs[i]
+			j := i
+			for ; j > 0 && recs[j-1].Hash > r.Hash; j-- {
+				recs[j] = recs[j-1]
+			}
+			recs[j] = r
+		}
+		return
 	}
-	slices.SortFunc(byHash, func(a, b int32) int { return cmp.Compare(hashes[a], hashes[b]) })
-	off := 0
-	for _, g := range byHash {
-		size := next[g]
-		next[g] = off
-		off += size
+	var diff uint64
+	for _, r := range recs {
+		diff |= r.Hash ^ recs[0].Hash
 	}
-	if cap(out) < len(recs) {
-		out = make([]record, len(recs))
+	if diff == 0 {
+		return
 	}
-	out = out[:len(recs)]
-	for i, r := range recs {
-		g := group[i]
-		out[next[g]] = r
-		next[g]++
+	shift := max(bits.Len64(diff)-8, 0)
+	var start [257]int
+	for _, r := range recs {
+		start[int(byte(r.Hash>>shift))+1]++
 	}
-	return out
+	for d := 1; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	next := start
+	for _, r := range recs {
+		d := byte(r.Hash >> shift)
+		tmp[next[d]] = r
+		next[d]++
+	}
+	copy(recs, tmp)
+	for d := 0; d < 256; d++ {
+		if lo, hi := start[d], start[d+1]; hi-lo > 1 {
+			sortRecords(recs[lo:hi], tmp[lo:hi])
+		}
+	}
 }
 
 func (p Posting) String() string {

@@ -128,44 +128,62 @@ func newSegmentWriter(fsys fsio.FS, path string, k, zoneStep, longCutoff int) (*
 	return w, nil
 }
 
-// addList writes one inverted list of the current function. recs must
-// all carry the hash h and be strictly ascending in (text id, L): zone
-// maps and per-text probes search on that order, so breaking it is a
-// build error here rather than postings a query silently misses. A list
-// that would take the function past MaxUint32 postings is a
-// *PostingOverflowError before any of it is written. A hash written
-// twice (lists must be aggregated before reaching the writer) or out of
-// hash order is detected at endFunc.
-func (w *segmentWriter) addList(h uint64, recs []record) error {
-	if len(recs) == 0 {
+// addList writes ps as the inverted list of hash h in the current
+// function. ps must be strictly ascending in (text id, L): zone maps and
+// per-text probes search on that order, so breaking it is a build error
+// here rather than postings a query silently misses. A list that would
+// take the function past MaxUint32 postings is a *PostingOverflowError
+// before any of it is written. A hash written twice (lists must be
+// aggregated before reaching the writer) or out of hash order is
+// detected at endFunc.
+func (w *segmentWriter) addList(h uint64, ps []Posting) error {
+	if len(ps) == 0 {
 		return errors.New("index: empty inverted list")
 	}
-	total := uint64(w.starts[len(w.starts)-1]) + uint64(len(recs))
+	total := uint64(w.starts[len(w.starts)-1]) + uint64(len(ps))
 	if total > math.MaxUint32 {
 		return &PostingOverflowError{Path: w.path, Hash: h, Postings: total}
 	}
-	buf := w.buf[:0]
-	for i, r := range recs {
-		if r.Hash != h {
-			return fmt.Errorf("index: mixed hashes in list: %x vs %x", r.Hash, h)
-		}
-		if i > 0 && compareRecords(recs[i-1], r) >= 0 {
-			return fmt.Errorf("index: list %x out of order: %v before %v", h, recs[i-1].Posting, r.Posting)
-		}
-		buf = appendPosting(buf, r.Posting)
-	}
-	if len(recs) > w.longCutoff {
-		for ord := 0; ord < len(recs); ord += w.zoneStep {
-			buf = binary.LittleEndian.AppendUint32(buf, recs[ord].Posting.TextID)
+	for i := 1; i < len(ps); i++ {
+		if a, b := ps[i-1], ps[i]; a.TextID > b.TextID || a.TextID == b.TextID && a.L >= b.L {
+			return fmt.Errorf("index: list %x out of order: %v before %v", h, a, b)
 		}
 	}
-	w.buf = buf
-	if _, err := w.w.Write(buf); err != nil {
+	// A posting's in-memory bytes are its on-disk bytes on a
+	// little-endian host, so the list is copied once, into the buffered
+	// writer; a big-endian host encodes it field by field.
+	data := bytesOf(ps)
+	if !hostLittleEndian {
+		data = w.buf[:0]
+		for _, p := range ps {
+			data = appendPosting(data, p)
+		}
+		w.buf = data
+	}
+	if err := w.write(data); err != nil {
 		return err
 	}
-	w.regionCRC = crc32.Update(w.regionCRC, crc32.IEEETable, buf)
-	w.pos += uint64(len(buf))
+	if len(ps) > w.longCutoff {
+		zones := w.buf[:0]
+		for ord := 0; ord < len(ps); ord += w.zoneStep {
+			zones = binary.LittleEndian.AppendUint32(zones, ps[ord].TextID)
+		}
+		w.buf = zones
+		if err := w.write(zones); err != nil {
+			return err
+		}
+	}
 	w.hashes, w.starts = append(w.hashes, h), append(w.starts, uint32(total))
+	return nil
+}
+
+// write appends b to the current function's region.
+func (w *segmentWriter) write(b []byte) error {
+	if _, err := w.w.Write(b); err != nil {
+		return err
+	}
+	w.regionCRC = crc32.Update(w.regionCRC, crc32.IEEETable, b)
+	w.pos += uint64(len(b))
 	return nil
 }
 

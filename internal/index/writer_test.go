@@ -17,10 +17,11 @@ func newTestWriter(t *testing.T) *segmentWriter {
 	return w
 }
 
-func recs(h uint64, ids ...uint32) []record {
-	out := make([]record, len(ids))
+// listOf returns a list of one posting per text id.
+func listOf(ids ...uint32) []Posting {
+	out := make([]Posting, len(ids))
 	for i, id := range ids {
-		out[i] = record{Hash: h, Posting: Posting{TextID: id, L: 0, C: 1, R: 2}}
+		out[i] = Posting{TextID: id, L: 0, C: 1, R: 2}
 	}
 	return out
 }
@@ -33,21 +34,12 @@ func TestWriterRejectsEmptyList(t *testing.T) {
 	}
 }
 
-func TestWriterRejectsMixedHashes(t *testing.T) {
-	w := newTestWriter(t)
-	defer w.abort()
-	mixed := append(recs(5, 1), recs(6, 2)...)
-	if err := w.addList(5, mixed); err == nil {
-		t.Fatal("mixed-hash list should be rejected")
-	}
-}
-
 func TestWriterRejectsDuplicateHash(t *testing.T) {
 	w := newTestWriter(t)
-	if err := w.addList(5, recs(5, 1)); err != nil {
+	if err := w.addList(5, listOf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.addList(5, recs(5, 2)); err != nil {
+	if err := w.addList(5, listOf(2)); err != nil {
 		t.Fatal(err) // the duplicate is detected at endFunc
 	}
 	if err := w.endFunc(); err == nil {
@@ -57,14 +49,14 @@ func TestWriterRejectsDuplicateHash(t *testing.T) {
 
 func TestWriterDoubleFinish(t *testing.T) {
 	w := newTestWriter(t)
-	if err := w.addList(5, recs(5, 1)); err != nil {
+	if err := w.addList(5, listOf(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.finish(); err == nil {
 		t.Fatal("finish before the last function ended should fail")
 	}
 	w = newTestWriter(t)
-	if err := w.addList(5, recs(5, 1)); err != nil {
+	if err := w.addList(5, listOf(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.endFunc(); err != nil {
@@ -74,7 +66,7 @@ func TestWriterDoubleFinish(t *testing.T) {
 		t.Fatal("ending more functions than the file holds should fail")
 	}
 	w = newTestWriter(t)
-	if err := w.addList(5, recs(5, 1)); err != nil {
+	if err := w.addList(5, listOf(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.endFunc(); err != nil {
@@ -104,10 +96,10 @@ func TestWriterZoneMapThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.addList(5, recs(5, 1, 2, 3)); err != nil { // == cutoff
+	if err := w.addList(5, listOf(1, 2, 3)); err != nil { // == cutoff
 		t.Fatal(err)
 	}
-	if err := w.addList(6, recs(6, 1, 2, 3, 4)); err != nil { // > cutoff
+	if err := w.addList(6, listOf(1, 2, 3, 4)); err != nil { // > cutoff
 		t.Fatal(err)
 	}
 	if err := w.endFunc(); err != nil {
@@ -143,7 +135,7 @@ func TestWriterAbortRemovesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.addList(5, recs(5, 1)); err != nil {
+	if err := w.addList(5, listOf(1)); err != nil {
 		t.Fatal(err)
 	}
 	w.abort()

@@ -14,7 +14,8 @@ func ExampleScratch_Generate() {
 	vals := []uint64{50, 30, 80, 10, 90, 20, 70}
 	var s window.Scratch
 	for _, w := range s.Generate(vals, 3, nil) {
-		fmt.Printf("window (%d, %d, %d) covers %d sequences\n", w.L, w.C, w.R, w.Count())
+		// Sequences start anywhere in [L, C] and end anywhere in [C, R].
+		fmt.Printf("window (%d, %d, %d) covers %d sequences\n", w.L, w.C, w.R, (w.C-w.L+1)*(w.R-w.C+1))
 	}
 	fmt.Printf("expected count for n=7, t=3: %.2f\n", window.ExpectedCount(7, 3))
 	// Output:

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// FuzzGenerateLinear checks the O(n) stack generator, for arbitrary hash
+// FuzzGenerateLinear checks the O(n) generator, for arbitrary hash
 // arrays and thresholds: (1) on reused scratch it emits, in strictly
 // ascending C, the same windows as the segment-tree recursion, (2) every
 // window is maximal and annotated with the true range minimum, and (3)
@@ -58,7 +58,7 @@ func FuzzGenerateLinear(f *testing.F) {
 	})
 }
 
-// FuzzCompactWindows cross-checks the O(n) monotonic-stack generator
+// FuzzCompactWindows cross-checks the O(n) candidate-first generator
 // against Algorithm 2's divide-and-conquer recursion over the segment
 // tree on wide-range hash values (8 bytes per value, so ties are rare
 // and the Cartesian tree is deep and skewed). The two implementations

@@ -10,19 +10,21 @@
 // (Theorem 1). In expectation a text with n distinct tokens yields
 // 2(n+1)/(t+1) - 1 valid windows.
 //
-// Scratch.Generate is the generator every builder runs: a
-// monotonic-stack formulation that computes each position's maximal
-// window directly via previous-smaller-or-equal / next-smaller bounds in
-// one O(n) pass with no recursion, in ascending C. GenerateSegmentTree
-// is the paper's divide-and-conquer Algorithm 2 over ALIGN's segment
-// tree, O(n log n); it is the ablation baseline and the reference the
-// tests hold the stack to.
+// Scratch.Generate is the generator every builder runs, O(n) with no
+// recursion, in ascending C. It finds the centres first — exactly the
+// leftmost minima of the length-t windows, by a blocked sliding minimum
+// — and then runs a monotonic stack over those alone, about 2n/(t+1) of
+// them, for each centre's previous-smaller-or-equal / next-smaller
+// bounds. GenerateSegmentTree is the paper's divide-and-conquer
+// Algorithm 2 over ALIGN's segment tree, O(n log n); it is the ablation
+// baseline and the reference the tests hold Generate to.
 //
 // Positions are 0-based; L, C, R are all inclusive.
 package window
 
 import (
 	"fmt"
+	"slices"
 
 	"ndss/internal/hash"
 )
@@ -32,38 +34,6 @@ import (
 // min-hash equal to the hash of the token at C.
 type Window struct {
 	L, C, R int32
-}
-
-// Width returns the number of tokens the window spans.
-func (w Window) Width() int { return int(w.R - w.L + 1) }
-
-// Contains reports whether the sequence [i, j] is represented by w.
-func (w Window) Contains(i, j int32) bool {
-	return w.L <= i && i <= w.C && w.C <= j && j <= w.R
-}
-
-// Count returns the number of sequences represented by w: sequences may
-// start anywhere in [L, C] and end anywhere in [C, R].
-func (w Window) Count() int64 {
-	return int64(w.C-w.L+1) * int64(w.R-w.C+1)
-}
-
-// CountAtLeast returns the number of sequences of length >= t that w
-// represents.
-func (w Window) CountAtLeast(t int) int64 {
-	n := int64(0)
-	for i := w.L; i <= w.C; i++ {
-		// j ranges over [max(C, i+t-1), R].
-		lo := i + int32(t) - 1
-		if lo < w.C {
-			lo = w.C
-		}
-		if lo > w.R {
-			continue
-		}
-		n += int64(w.R - lo + 1)
-	}
-	return n
 }
 
 func (w Window) String() string {
@@ -88,13 +58,13 @@ func Hashes(tokens []uint32, f hash.Func, dst []uint64) []uint64 {
 // many texts keeps one and pays for the arrays once; the zero value is
 // ready to use. Not safe for concurrent use.
 type Scratch struct {
-	bounds []struct{ l, r int32 } // each position's maximal window
-	stack  []stackEntry
+	suffix []argmin // a t-block's suffix minima
+	cands  []int32  // the centres, ascending
+	stack  []int32  // indexes into cands of the centres on the stack
 }
 
-// stackEntry carries a stacked position's value, sparing the pop loop a
-// trip to the hash array.
-type stackEntry struct {
+// argmin is a position and its value: the leftmost minimum of a range.
+type argmin struct {
 	val uint64
 	pos int32
 }
@@ -105,15 +75,19 @@ type stackEntry struct {
 // values are broken toward the leftmost position, matching
 // GenerateSegmentTree.
 //
-// For each position c the maximal window is [L, R] where L-1 is the
-// closest previous position with value <= vals[c] and R+1 is the closest
-// next position with value < vals[c]; c is then the leftmost minimum of
-// [L, R]. One pass over a stack of positions with strictly increasing
-// values finds both: L is known when c is pushed (one past the position
-// then below it), and R when a strictly smaller value pops c (one before
-// the popping position). The window is emitted iff R-L+1 >= t. Equal
-// values at C1 < C2 have L2 > C1 >= L1, so within one hash value the
-// output also ascends strictly in L — the order inverted lists keep.
+// Position c's maximal window is [L, R], where L-1 is the closest
+// previous position with value <= vals[c] and R+1 the closest next one
+// with value < vals[c]; c is the leftmost minimum of [L, R], and the
+// window is valid iff R-L+1 >= t. That holds exactly when c is the
+// leftmost minimum of some length-t window, so the centres are found
+// first (candidates) and a monotonic stack then runs over them alone,
+// about 2n/(t+1) values instead of n: a centre learns L when it is
+// pushed and R from the centre that pops it. It finds the same bounds: a
+// centre's previous-<= and next-< neighbours are centres too, since
+// every value between the two is larger and the neighbour's own maximal
+// window covers the centre's. Equal values at C1 < C2 have L2 > C1 >=
+// L1, so within one hash value the output also ascends strictly in L —
+// the order inverted lists keep.
 func (s *Scratch) Generate(vals []uint64, t int, dst []Window) []Window {
 	n := len(vals)
 	if t < 1 {
@@ -122,38 +96,108 @@ func (s *Scratch) Generate(vals []uint64, t int, dst []Window) []Window {
 	if n < t {
 		return dst
 	}
-	if cap(s.bounds) < n {
-		s.bounds = make([]struct{ l, r int32 }, n)
-		s.stack = make([]stackEntry, n+1)
-	}
-	// Every position is pushed once and popped once, here or in the
-	// final drain, so bounds[:n] keeps nothing of an earlier input.
-	bounds, stack := s.bounds[:n], s.stack[:n+1]
-	// stack[0] is a sentinel "position -1" that no value pops: L = 0 when
-	// nothing smaller-or-equal precedes c. e mirrors the top entry.
-	e := stackEntry{val: 0, pos: -1}
-	stack[0] = e
-	top := 0
-	for c, v := range vals {
-		for e.val > v {
-			bounds[e.pos].r = int32(c - 1)
-			top--
-			e = stack[top]
+	cands := s.candidates(vals, t)
+	at := len(dst)
+	dst = slices.Grow(dst, len(cands))[:at+len(cands)]
+	ws := dst[at:] // ws[i] is centre cands[i]'s window
+	stack := s.stack[:0]
+	for i, c := range cands {
+		l := int32(0)
+		for len(stack) > 0 {
+			top := stack[len(stack)-1]
+			if vals[cands[top]] <= vals[c] {
+				l = cands[top] + 1
+				break
+			}
+			ws[top].R = c - 1
+			stack = stack[:len(stack)-1]
 		}
-		bounds[c].l = e.pos + 1
-		top++
-		e = stackEntry{val: v, pos: int32(c)}
-		stack[top] = e
+		ws[i] = Window{L: l, C: c}
+		stack = append(stack, int32(i))
 	}
-	for ; top > 0; top-- {
-		bounds[stack[top].pos].r = int32(n - 1)
+	for _, top := range stack {
+		ws[top].R = int32(n - 1)
 	}
-	for c, b := range bounds {
-		if int(b.r)-int(b.l)+1 >= t {
-			dst = append(dst, Window{L: b.l, C: int32(c), R: b.r})
-		}
-	}
+	s.stack = stack
 	return dst
+}
+
+// candidates returns each distinct leftmost minimum of a length-t
+// window of vals, ascending; len(vals) >= t >= 1. It is the blocked
+// sliding minimum: vals is cut into t-blocks, and the window starting
+// at s in block [b, b+t) is the block's suffix [s, b+t) joined with the
+// next block's prefix [b+t, s+t), so the suffix minima of the block and
+// a running prefix minimum of the next answer every window in O(1),
+// without a branch on the values. Ties go left throughout. Consecutive
+// windows' minima never descend, so a repeat of the last centre is the
+// only duplicate.
+func (s *Scratch) candidates(vals []uint64, t int) []int32 {
+	n := len(vals)
+	if cap(s.suffix) < t {
+		s.suffix = make([]argmin, t)
+	}
+	if cap(s.cands) < n-t+1 {
+		s.cands = make([]int32, n-t+1)
+	}
+	suffix, cands := s.suffix[:t], s.cands[:n-t+1]
+	k, last := 0, int32(-1)
+	for b := 0; b+t <= n; b += t {
+		suffixMinima(vals[b:b+t], int32(b), suffix)
+		k, last = windowMinima(vals[b+t:min(b+2*t-1, n)], int32(b+t), suffix, cands, k, last)
+	}
+	return cands[:k]
+}
+
+// windowMinima appends to cands[:k] the leftmost minimum of each window
+// starting in a block, skipping a repeat of last, and returns the new
+// length and last centre. suffix holds the block's suffix minima and
+// next the positions, from base on, of the block after it that the
+// windows reach into: the window starting at the block's i-th position
+// is suffix[i] joined with next[:i]. It and suffixMinima are kept out
+// of line: inlined into candidates' loop, their running minimum is
+// spilled to the stack on every step.
+//
+//go:noinline
+func windowMinima(next []uint64, base int32, suffix []argmin, cands []int32, k int, last int32) (int, int32) {
+	suffix = suffix[:len(next)+1]
+	// The first window is the block itself.
+	c := suffix[0].pos
+	cands[k] = c
+	if c != last {
+		k++
+	}
+	last = c
+	p := argmin{val: ^uint64(0)}
+	for i, v := range next {
+		if v < p.val {
+			p = argmin{val: v, pos: base + int32(i)}
+		}
+		c := suffix[i+1].pos
+		if p.val < suffix[i+1].val {
+			c = p.pos
+		}
+		cands[k] = c
+		if c != last {
+			k++
+		}
+		last = c
+	}
+	return k, last
+}
+
+// suffixMinima sets suffix[i] to the leftmost minimum of block[i:], its
+// position offset by base.
+//
+//go:noinline
+func suffixMinima(block []uint64, base int32, suffix []argmin) {
+	suffix = suffix[:len(block)]
+	m := argmin{val: ^uint64(0)}
+	for i := len(block) - 1; i >= 0; i-- {
+		if v := block[i]; v <= m.val {
+			m = argmin{val: v, pos: base + int32(i)}
+		}
+		suffix[i] = m
+	}
 }
 
 // GenerateSegmentTree appends to dst every valid compact window of vals
