@@ -83,6 +83,7 @@ fuzz-smoke:
 	$(GO) test ./internal/index/ -run FuzzGroupByHash -fuzz FuzzGroupByHash -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search/ -run FuzzIntervalScan -fuzz FuzzIntervalScan -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search/ -run FuzzCollisionCount -fuzz FuzzCollisionCount -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/search/ -run FuzzSegmentedSearch -fuzz FuzzSegmentedSearch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run FuzzParseTraceparent -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME)
 
 # CI "bench-smoke" job: one iteration of the query-path microbenchmarks

@@ -64,3 +64,23 @@ func Sync(ctx context.Context, s *Store) error {
 	}
 	return s.Fetch("state") // want `call FetchContext and forward the context instead of Fetch`
 }
+
+// rowReader has the index's row-keyed read surface.
+type rowReader struct{}
+
+func (rowReader) ReadRowsForTextInto(dst []uint64, fn int, textID uint32) ([]uint64, error) {
+	return dst, nil
+}
+
+// Probing a list by its resolved row reads the index, so an exported
+// entry point that probes must be cancellable.
+func ProbeText(r rowReader, k int, textID uint32) ([]uint64, error) { // want `exported ProbeText performs I/O but takes no context\.Context`
+	var out []uint64
+	for fn := 0; fn < k; fn++ {
+		var err error
+		if out, err = r.ReadRowsForTextInto(out, fn, textID); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}

@@ -164,7 +164,7 @@ func decodedLists(t *testing.T, dir string, ix *Index) (lists map[int]map[uint64
 // TestReadListIntoMatchesDecode checks the arena reads against a
 // reference decode of the file bytes: every list of every function
 // through ReadListInto, and every text's postings of every list through
-// ReadListForTextInto, on one segment and on a base with two appends and
+// ReadRowsForTextInto, on one segment and on a base with two appends and
 // tombstones, over zone-mapped and zone-less portions alike.
 func TestReadListIntoMatchesDecode(t *testing.T) {
 	dirs := probeFixtures(t)
@@ -197,7 +197,7 @@ func TestReadListIntoMatchesDecode(t *testing.T) {
 							wantText = append(wantText, p)
 						}
 					}
-					if got, err = ix.ReadListForTextInto(got[:0], fn, h, id, nil); err != nil {
+					if got, err = probeText(ix, got[:0], fn, h, id, nil); err != nil {
 						t.Fatal(err)
 					}
 					if !slices.Equal(got, wantText) {
@@ -300,7 +300,8 @@ func TestSwapColumns(t *testing.T) {
 
 // TestReadListIntoWarmDstAllocsNothing: with a dst already large enough,
 // a list read and a per-text probe land in it without allocating, on
-// one segment and through the tombstone-filtering path.
+// one segment and through the tombstone-filtering path, and resolving a
+// sketch again into the same Rows allocates nothing either.
 func TestReadListIntoWarmDstAllocsNothing(t *testing.T) {
 	dirs := probeFixtures(t)
 	for _, name := range []string{"single", "segmented"} {
@@ -310,7 +311,7 @@ func TestReadListIntoWarmDstAllocsNothing(t *testing.T) {
 		}
 		fn, h, longest := 0, uint64(0), -1
 		for _, hh := range ix.Hashes(fn) {
-			if n := ix.ListLength(fn, hh); n > longest {
+			if n := rowsOf(ix, hh).Len(fn); n > longest {
 				h, longest = hh, n
 			}
 		}
@@ -322,9 +323,12 @@ func TestReadListIntoWarmDstAllocsNothing(t *testing.T) {
 		if len(dst) == 0 {
 			t.Fatalf("%s: read nothing", name)
 		}
-		id := dst[len(dst)/2].TextID
-		if n := testing.AllocsPerRun(50, func() { dst, err = ix.ReadListForTextInto(dst[:0], fn, h, id, &sink) }); n != 0 || err != nil {
-			t.Fatalf("%s: ReadListForTextInto with a warm dst: %v allocations, err %v", name, n, err)
+		id, rows := dst[len(dst)/2].TextID, rowsOf(ix, h)
+		if n := testing.AllocsPerRun(50, func() { dst, err = ix.ReadRowsForTextInto(dst[:0], rows, fn, id, &sink) }); n != 0 || err != nil {
+			t.Fatalf("%s: ReadRowsForTextInto with a warm dst: %v allocations, err %v", name, n, err)
+		}
+		if n := testing.AllocsPerRun(50, func() { ix.ResolveRows(rows, rows.hashes) }); n != 0 {
+			t.Fatalf("%s: ResolveRows into a resolved Rows: %v allocations", name, n)
 		}
 		ix.Close()
 	}

@@ -248,7 +248,7 @@ func FuzzOpenSegment(f *testing.F) {
 					t.Fatalf("fn %d list %x: read %d postings of %d: %v", fn, h, len(ps), ff.count(i), err)
 				}
 				for id := uint32(0); id <= uint32(ix.Meta().NumTexts); id++ {
-					if _, err := ix.ReadListForTextInto(ps[:0], fn, h, id, nil); err != nil {
+					if _, err := probeText(ix, ps[:0], fn, h, id, nil); err != nil {
 						t.Fatalf("fn %d list %x text %d: %v", fn, h, id, err)
 					}
 				}

@@ -157,7 +157,7 @@ func TestReadListMissingHash(t *testing.T) {
 	if err != nil || ps != nil {
 		t.Fatalf("missing hash: ps=%v err=%v", ps, err)
 	}
-	if n := ix.ListLength(0, 0xdeadbeef12345); n != 0 {
+	if n := rowsOf(ix, 0xdeadbeef12345).Len(0); n != 0 {
 		t.Fatalf("ListLength of missing hash = %d", n)
 	}
 }
@@ -185,7 +185,7 @@ func TestZoneMapProbe(t *testing.T) {
 			ids[79] = true
 			ids[1000] = true // absent entirely
 			for id := range ids {
-				got, err := ix.ReadListForTextInto(nil, fn, h, id, nil)
+				got, err := probeText(ix, nil, fn, h, id, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -213,7 +213,7 @@ func TestZoneMapReducesIO(t *testing.T) {
 	var bestHash uint64
 	bestLen := 0
 	for _, h := range ix.Hashes(0) {
-		if n := ix.ListLength(0, h); n > bestLen {
+		if n := rowsOf(ix, h).Len(0); n > bestLen {
 			bestLen, bestHash = n, h
 		}
 	}
@@ -224,7 +224,7 @@ func TestZoneMapReducesIO(t *testing.T) {
 	if _, err := ix.ReadListInto(nil, 0, bestHash, &full); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.ReadListForTextInto(nil, 0, bestHash, 100, &probe); err != nil {
+	if _, err := probeText(ix, nil, 0, bestHash, 100, &probe); err != nil {
 		t.Fatal(err)
 	}
 	if probe.BytesRead >= full.BytesRead {

@@ -99,13 +99,13 @@ func shiftedCorpus(c *corpus.Corpus, delta uint32) *corpus.Corpus {
 	return out
 }
 
-// TestHasZoneMap pins the per-(list, segment) deferral rule: a list is
+// TestProbeable pins the per-(list, segment) deferral rule: a list is
 // probeable when some segment's portion carries a zone map and every
 // portion without one is at most ZoneMapStep postings. The fixture is a
 // zone-mapped base, two small appends over the same vocabulary (their
 // portions straddle the zone step) and one over a disjoint vocabulary
 // (lists found only in small segments).
-func TestHasZoneMap(t *testing.T) {
+func TestProbeable(t *testing.T) {
 	opts := BuildOptions{K: 2, Seed: 9, T: 5, ZoneMapStep: 2, LongListCutoff: 8}
 	dir := buildSegmented(t, opts,
 		testCorpus(t, 30, 30, 80, 20, 5),
@@ -124,17 +124,17 @@ func TestHasZoneMap(t *testing.T) {
 			var inBase, zoned, bare, bareLong bool
 			for si, seg := range ix.segs {
 				ff := seg.funcs[fn]
-				i, ok := ff.find(h)
+				i, ok := slices.BinarySearch(ff.hashes, h)
 				if !ok {
 					continue
 				}
-				_, z := ff.zone(i)
+				_, z := ff.zonePos(i)
 				inBase = inBase || si == 0
 				zoned = zoned || z
 				bare = bare || !z
 				bareLong = bareLong || !z && ff.count(i) > opts.ZoneMapStep
 			}
-			got := ix.HasZoneMap(fn, h)
+			got := rowsOf(ix, h).Probeable(fn)
 			switch {
 			case zoned && bareLong:
 				longBare++
@@ -153,11 +153,11 @@ func TestHasZoneMap(t *testing.T) {
 				}
 			default:
 				if got != zoned {
-					t.Fatalf("fn %d hash %x: HasZoneMap %v, zone-mapped %v", fn, h, got, zoned)
+					t.Fatalf("fn %d hash %x: Probeable %v, zone-mapped %v", fn, h, got, zoned)
 				}
 			}
 		}
-		if ix.HasZoneMap(fn, 0xdeadbeefdeadbeef) {
+		if rowsOf(ix, 0xdeadbeefdeadbeef).Probeable(fn) {
 			t.Fatal("missing hash reports a zone map")
 		}
 	}
@@ -209,7 +209,7 @@ func probeFixtures(t *testing.T) map[string]string {
 
 // TestProbeFromResidentZones checks every per-text probe against the
 // full list read: for every (function, hash, text id) — tombstoned and
-// out-of-range ids included — ReadListForTextInto must return exactly
+// out-of-range ids included — ReadRowsForTextInto must return exactly
 // the text's postings of ReadListInto, on every index shape.
 func TestProbeFromResidentZones(t *testing.T) {
 	for name, dir := range probeFixtures(t) {
@@ -244,7 +244,7 @@ func TestProbeFromResidentZones(t *testing.T) {
 							want = append(want, p)
 						}
 					}
-					if got, err = ix.ReadListForTextInto(got[:0], fn, h, id, nil); err != nil {
+					if got, err = probeText(ix, got[:0], fn, h, id, nil); err != nil {
 						t.Fatal(err)
 					}
 					if !slices.Equal(got, want) {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -439,36 +438,27 @@ func (ix *Index) Segments() []SegmentInfo {
 	return out
 }
 
-// find returns the directory row of the list for hash h.
-func (ff *funcFile) find(h uint64) (int, bool) {
-	return slices.BinarySearch(ff.hashes, h)
-}
-
 // zonePos returns the position in zones of directory row i's zone map,
 // or where it would be: the number of zone-mapped rows before i.
 func (ff *funcFile) zonePos(i int) (int, bool) {
 	return slices.BinarySearchFunc(ff.zones, uint32(i), func(r zoneRef, idx uint32) int { return cmp.Compare(r.idx, idx) })
 }
 
-// zone returns the zone-map reference of directory row i, if the list
-// has a zone map.
-func (ff *funcFile) zone(i int) (zoneRef, bool) {
-	z, ok := ff.zonePos(i)
-	if !ok {
-		return zoneRef{}, false
-	}
-	return ff.zones[z], true
-}
-
 // count returns the posting count of directory row i.
 func (ff *funcFile) count(i int) int { return int(ff.starts[i+1] - ff.starts[i]) }
 
-// off returns the file offset of directory row i's postings: the
-// region's start, then the postings and zone entries of every earlier
-// row.
+// off returns the file offset of directory row i's postings.
 func (ff *funcFile) off(i int) int64 {
+	z, _ := ff.zonePos(i)
+	return ff.rowOff(i, z)
+}
+
+// rowOff returns the file offset of directory row i's postings, given
+// z, the row's position in zones (zonePos): the region's start, then the
+// postings and zone entries of every earlier row.
+func (ff *funcFile) rowOff(i, z int) int64 {
 	var zoneEntries uint32
-	if z, _ := ff.zonePos(i); z < len(ff.zones) {
+	if z < len(ff.zones) {
 		zoneEntries = ff.zones[z].at
 	} else if z > 0 {
 		zoneEntries = ff.zones[z-1].at + ff.zones[z-1].count
@@ -484,45 +474,6 @@ func (ff *funcFile) zoneOff(z zoneRef) int64 {
 
 // postings returns the function's total posting count.
 func (ff *funcFile) postings() int64 { return int64(ff.starts[len(ff.hashes)]) }
-
-// ListLength returns the posting count of the inverted list for hash h
-// in function fn across all segments, without any I/O (directories are
-// memory-resident). Tombstoned postings are included: the count is the
-// on-disk list length the planner budgets reads with.
-func (ix *Index) ListLength(fn int, h uint64) int {
-	n := 0
-	for _, seg := range ix.segs {
-		if i, ok := seg.funcs[fn].find(h); ok {
-			n += seg.funcs[fn].count(i)
-		}
-	}
-	return n
-}
-
-// HasZoneMap reports whether per-text probes (ReadListForTextInto) into the
-// list for hash h of function fn stay within about one zone block each.
-// A probe touches only the segment owning the text, so the rule is per
-// (list, segment) portion: at least one portion carries a zone map, and
-// every portion without one is at most its segment's ZoneMapStep
-// postings, which a probe reads whole and filters. On one segment that
-// is exactly "the list has a zone map"; on a segmented index a
-// zone-mapped base keeps the list probeable beside small appends.
-func (ix *Index) HasZoneMap(fn int, h uint64) bool {
-	zoned := false
-	for _, seg := range ix.segs {
-		ff := seg.funcs[fn]
-		i, ok := ff.find(h)
-		if !ok {
-			continue
-		}
-		if _, ok := ff.zone(i); ok {
-			zoned = true
-		} else if ff.count(i) > seg.meta.ZoneMapStep {
-			return false
-		}
-	}
-	return zoned
-}
 
 // Hashes returns every min-hash value that has an inverted list in
 // function fn, in ascending order, deduplicated across segments.
@@ -595,25 +546,19 @@ func (ix *Index) readAt(ff *funcFile, seg int, buf []byte, off int64, sink *IOSt
 }
 
 // ReadListInto appends the postings of the list for hash h of function
-// fn to dst and returns the extended slice, recording the read's bytes
-// and latency into sink (when non-nil) in addition to the index-wide
-// cumulative counters. Per-segment lists are concatenated in segment
-// order with text ids remapped to the global id space (the result stays
-// sorted by text id) and tombstoned postings dropped. dst may be nil;
-// reusing it across reads avoids per-list allocations: postings are read
-// straight into dst's tail, so a warm dst makes a read allocation-free.
-// The appended postings never alias index storage. On error dst comes
-// back as passed; a nil dst that gains nothing stays nil.
+// fn to dst, with ReadRowsInto's contract: it resolves the one list in
+// every segment, none dropped, and reads each portion as ReadRowsInto
+// does.
 func (ix *Index) ReadListInto(dst []Posting, fn int, h uint64, sink *IOStats) ([]Posting, error) {
 	out := dst
 	for si, seg := range ix.segs {
 		ff := seg.funcs[fn]
-		i, ok := ff.find(h)
-		if !ok {
+		ref := ff.resolve(h)
+		if ref.n == 0 {
 			continue
 		}
 		var err error
-		if out, err = ix.readListEntry(out, si, seg, ff, i, sink); err != nil {
+		if out, err = ix.readRow(out, si, seg, ff, ref, sink); err != nil {
 			return dst, fmt.Errorf("index: read list %x: %w", h, err)
 		}
 	}
@@ -628,55 +573,6 @@ func nilIfNothing(dst, out []Posting) []Posting {
 		return nil
 	}
 	return out
-}
-
-// ReadListForTextInto appends only the postings of (global) textID
-// within the list for hash h of function fn to dst, recording I/O into
-// sink, with the same reuse contract as ReadListInto. Only the segment
-// owning the id is touched: a portion with a zone map is probed through
-// its resident table, one read proportional to the zone step rather
-// than the list length; a portion without one is read fully and
-// filtered.
-func (ix *Index) ReadListForTextInto(dst []Posting, fn int, h uint64, textID uint32, sink *IOStats) ([]Posting, error) {
-	si, seg := ix.owningSegment(textID)
-	if seg == nil {
-		return dst, nil
-	}
-	local := textID - seg.base
-	if seg.tomb.has(local) {
-		return dst, nil
-	}
-	ff := seg.funcs[fn]
-	i, ok := ff.find(h)
-	if !ok {
-		return dst, nil
-	}
-	startOrd, endOrd := 0, ff.count(i)
-	if z, ok := ff.zone(i); ok {
-		// The first zone whose first text id > local bounds the probe on
-		// the right; it starts one zone before the first zone whose
-		// first text id >= local (the text's postings may begin
-		// mid-zone). Zone j starts at posting j*zoneStep.
-		tab := ff.zoneTab[z.at : z.at+z.count]
-		hi := sort.Search(len(tab), func(j int) bool { return tab[j] > local })
-		if hi == 0 {
-			// The list's very first posting already has a larger text id.
-			return dst, nil
-		}
-		lo := sort.Search(hi, func(j int) bool { return tab[j] >= local })
-		if lo > 0 {
-			lo--
-		}
-		startOrd = lo * ff.zoneStep
-		if hi < len(tab) {
-			endOrd = hi * ff.zoneStep
-		}
-	}
-	out, err := ix.readPostings(dst, ff, si, ff.off(i)+int64(startOrd)*postingSize, endOrd-startOrd, sink)
-	if err != nil {
-		return dst, fmt.Errorf("index: probe list %x: %w", h, err)
-	}
-	return nilIfNothing(dst, keepText(out, len(dst), local, seg.base)), nil
 }
 
 // owningSegment locates the segment whose id range covers the global
@@ -724,12 +620,12 @@ func (ix *Index) readPostings(dst []Posting, ff *funcFile, si int, off int64, n 
 	return dst, nil
 }
 
-// readListEntry reads directory row i, one segment's portion of a list,
+// readRow reads a resolved row, segment si's portion of a list,
 // remapping text ids into the global space and dropping tombstoned
 // postings in place.
-func (ix *Index) readListEntry(dst []Posting, si int, seg *segment, ff *funcFile, i int, sink *IOStats) ([]Posting, error) {
+func (ix *Index) readRow(dst []Posting, si int, seg *segment, ff *funcFile, ref rowRef, sink *IOStats) ([]Posting, error) {
 	at := len(dst)
-	dst, err := ix.readPostings(dst, ff, si, ff.off(i), ff.count(i), sink)
+	dst, err := ix.readPostings(dst, ff, si, ref.off, int(ref.n), sink)
 	if err != nil || seg.base == 0 && seg.tomb == nil {
 		return dst, err
 	}

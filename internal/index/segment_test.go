@@ -295,7 +295,7 @@ func TestDeleteTombstones(t *testing.T) {
 				}
 			}
 			for _, id := range victims {
-				ps, err := ix.ReadListForTextInto(nil, fn, h, id, nil)
+				ps, err := probeText(ix, nil, fn, h, id, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -88,7 +88,7 @@ func TestReadListIntoAppends(t *testing.T) {
 	}
 }
 
-func TestReadListForTextIntoMatchesAndAccounts(t *testing.T) {
+func TestReadRowsForTextIntoMatchesAndAccounts(t *testing.T) {
 	ix, c := buildSinkTestIndex(t)
 	for fn := 0; fn < ix.K(); fn++ {
 		for _, h := range ix.Hashes(fn) {
@@ -105,7 +105,7 @@ func TestReadListForTextIntoMatchesAndAccounts(t *testing.T) {
 				}
 				var sink IOStats
 				before := ix.IOStats()
-				got, err := ix.ReadListForTextInto(nil, fn, h, uint32(id), &sink)
+				got, err := probeText(ix, nil, fn, h, uint32(id), &sink)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,8 +131,8 @@ func TestIndexIntoVariantsCopy(t *testing.T) {
 		"ReadListInto": func(dst []Posting, fn int, h uint64, _ uint32) ([]Posting, error) {
 			return ix.ReadListInto(dst, fn, h, nil)
 		},
-		"ReadListForTextInto": func(dst []Posting, fn int, h uint64, id uint32) ([]Posting, error) {
-			return ix.ReadListForTextInto(dst, fn, h, id, nil)
+		"ReadRowsForTextInto": func(dst []Posting, fn int, h uint64, id uint32) ([]Posting, error) {
+			return probeText(ix, dst, fn, h, id, nil)
 		},
 	}
 	for name, readInto := range read {

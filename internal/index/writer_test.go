@@ -115,7 +115,10 @@ func TestWriterZoneMapThreshold(t *testing.T) {
 	defer seg.close()
 	ff := seg.funcs[0]
 	for i, h := range ff.hashes {
-		z, _ := ff.zone(i)
+		var z zoneRef
+		if at, ok := ff.zonePos(i); ok {
+			z = ff.zones[at]
+		}
 		switch h {
 		case 5:
 			if z.count != 0 {

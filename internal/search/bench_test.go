@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ndss/internal/corpus"
+	"ndss/internal/fsio"
 	"ndss/internal/index"
 )
 
@@ -46,11 +47,16 @@ func benchFixture(tb testing.TB) (s *Searcher, hit, miss []uint32, opts Options)
 }
 
 // benchSearch times q and reports, beside ns and allocs, the lists the
-// plan defers and the bytes one query reads.
-func benchSearch(b *testing.B, s *Searcher, q []uint32, opts Options) {
+// plan defers and the bytes one query reads, and when fsys (which the
+// index was opened through) is non-nil the reads it issues.
+func benchSearch(b *testing.B, s *Searcher, q []uint32, opts Options, fsys *ReadCountFS) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var st *Stats
+	var before int64
+	if fsys != nil {
+		before = fsys.Total()
+	}
 	for i := 0; i < b.N; i++ {
 		var err error
 		if _, st, err = s.Search(q, opts); err != nil {
@@ -59,23 +65,26 @@ func benchSearch(b *testing.B, s *Searcher, q []uint32, opts Options) {
 	}
 	b.ReportMetric(float64(st.LongLists), "long/op")
 	b.ReportMetric(float64(st.IOBytes), "read-B/op")
+	if fsys != nil {
+		b.ReportMetric(float64(fsys.Total()-before)/float64(b.N), "reads/op")
+	}
 }
 
 func BenchmarkSearchHit(b *testing.B) {
 	s, hit, _, opts := benchFixture(b)
-	benchSearch(b, s, hit, opts)
+	benchSearch(b, s, hit, opts, nil)
 }
 
 func BenchmarkSearchMiss(b *testing.B) {
 	s, _, miss, opts := benchFixture(b)
-	benchSearch(b, s, miss, opts)
+	benchSearch(b, s, miss, opts, nil)
 }
 
 // segmentedBenchIndex builds an index shaped like ingest-churn's between
 // two compactions — a base of baseTexts benchmark-shaped texts plus eight
 // 16-text appends, K=32, T=25 — and returns it opened, with the base
-// corpus.
-func segmentedBenchIndex(b *testing.B, baseTexts int) (*index.Index, *corpus.Corpus) {
+// corpus and the filesystem it reads through, which counts the reads.
+func segmentedBenchIndex(b *testing.B, baseTexts int) (*index.Index, *corpus.Corpus, *ReadCountFS) {
 	b.Helper()
 	cfg := corpus.SynthConfig{
 		NumTexts: baseTexts, MinLength: 100, MaxLength: 700, VocabSize: 32000,
@@ -92,12 +101,13 @@ func segmentedBenchIndex(b *testing.B, baseTexts int) (*index.Index, *corpus.Cor
 			b.Fatal(err)
 		}
 	}
-	ix, err := index.Open(dir)
+	fsys := &ReadCountFS{FS: fsio.OS}
+	ix, err := index.OpenFS(fsys, dir)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { ix.Close() })
-	return ix, c
+	return ix, c, fsys
 }
 
 // BenchmarkFirstQueryAfterAppend times what an ingest-churn client waits
@@ -105,15 +115,21 @@ func segmentedBenchIndex(b *testing.B, baseTexts int) (*index.Index, *corpus.Cor
 // nine-segment index (a 300-text base plus eight 16-text appends),
 // everything it computes lazily included.
 func BenchmarkFirstQueryAfterAppend(b *testing.B) {
-	ix, c := segmentedBenchIndex(b, 300)
+	ix, c, fsys := segmentedBenchIndex(b, 300)
 	hit, opts := c.Text(7)[20:84], Options{Theta: 0.8, PrefixFilter: true}
 	b.ReportAllocs()
 	b.ResetTimer()
+	before := fsys.Total()
+	var st *Stats
 	for i := 0; i < b.N; i++ {
-		if ms, _, err := New(ix, nil).Search(hit, opts); err != nil || len(ms) == 0 {
+		var ms []Match
+		var err error
+		if ms, st, err = New(ix, nil).Search(hit, opts); err != nil || len(ms) == 0 {
 			b.Fatalf("hit query: %d matches, err %v", len(ms), err)
 		}
 	}
+	b.ReportMetric(float64(st.IOBytes), "read-B/op")
+	b.ReportMetric(float64(fsys.Total()-before)/float64(b.N), "reads/op")
 }
 
 // BenchmarkSearchSegmented is BenchmarkSearchHit/Miss on ingest-churn's
@@ -121,7 +137,7 @@ func BenchmarkFirstQueryAfterAppend(b *testing.B) {
 // prefix filter there defers the base's zone-mapped lists and probes the
 // small appended portions whole.
 func BenchmarkSearchSegmented(b *testing.B) {
-	ix, c := segmentedBenchIndex(b, 1000)
+	ix, c, fsys := segmentedBenchIndex(b, 1000)
 	unrelated := corpus.MustSynthesize(corpus.SynthConfig{
 		NumTexts: 1, MinLength: 100, MaxLength: 700, VocabSize: 32000, ZipfS: 1.07, Seed: 100,
 	})
@@ -136,8 +152,8 @@ func BenchmarkSearchSegmented(b *testing.B) {
 			b.Fatalf("miss query: %d matches, err %v", len(ms), err)
 		}
 	}
-	b.Run("Hit", func(b *testing.B) { benchSearch(b, s, hit, opts) })
-	b.Run("Miss", func(b *testing.B) { benchSearch(b, s, miss, opts) })
+	b.Run("Hit", func(b *testing.B) { benchSearch(b, s, hit, opts, fsys) })
+	b.Run("Miss", func(b *testing.B) { benchSearch(b, s, miss, opts, fsys) })
 }
 
 // errListRead is failingReader's one error value, so failing a read
@@ -150,7 +166,7 @@ type failingReader struct {
 	IndexReader
 }
 
-func (failingReader) ReadListInto([]index.Posting, int, uint64, *index.IOStats) ([]index.Posting, error) {
+func (failingReader) ReadRowsInto([]index.Posting, *index.Rows, int, *index.IOStats) ([]index.Posting, error) {
 	return nil, errListRead
 }
 

@@ -2,9 +2,12 @@ package search
 
 import (
 	"math"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
+	"ndss/internal/corpus"
 	"ndss/internal/index"
 )
 
@@ -135,6 +138,88 @@ func FuzzCollisionCount(f *testing.F) {
 				if want < alpha && hits != 0 {
 					t.Fatalf("seq [%d,%d] below alpha but reported", i, j)
 				}
+			}
+		}
+	})
+}
+
+// fuzzSegCorpus is the corpus FuzzSegmentedSearch carves segments from:
+// short texts over a small vocabulary, so lists overlap and queries
+// match.
+var fuzzSegCorpus = smallDupCorpus(24, 6, 30, 12, 29)
+
+// FuzzSegmentedSearch builds a segmented index from the input — a base
+// and appends of fuzzer-chosen sizes, then fuzzer-chosen deletions — and
+// checks Search, with and without the prefix filter, against the
+// Definition 2 brute force over the live texts, for a fuzzer-chosen
+// theta and a query cut from one text plus fuzzer-chosen tokens (ids
+// past the vocabulary included).
+func FuzzSegmentedSearch(f *testing.F) {
+	f.Add([]byte{10, 2, 1, 1, 3}, []byte{3, 11}, uint8(7), uint8(0), uint8(2), uint8(12), []byte{})
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, []byte{}, uint8(9), uint8(5), uint8(0), uint8(30), []byte{20, 21})
+	f.Add([]byte{23}, []byte{0, 1, 2}, uint8(4), uint8(3), uint8(1), uint8(6), []byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, sizes, deleted []byte, thetaRaw, qText, qStart, qLen uint8, extra []byte) {
+		c := fuzzSegCorpus
+		var parts []*corpus.Corpus
+		for next := 0; next < c.NumTexts(); {
+			n := c.NumTexts() - next
+			if len(parts) < len(sizes) && len(parts) < 9 {
+				n = min(n, int(sizes[len(parts)]%8)+1)
+			}
+			part := corpus.New(nil)
+			for ; part.NumTexts() < n; next++ {
+				part.Append(c.Text(uint32(next)))
+			}
+			parts = append(parts, part)
+		}
+		dir := filepath.Join(t.TempDir(), "ix")
+		if _, err := index.Build(parts[0], dir, index.BuildOptions{K: 8, Seed: 41, T: 4, ZoneMapStep: 2, LongListCutoff: 4}); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parts[1:] {
+			if _, err := index.Append(dir, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dead := map[uint32]bool{}
+		var ids []uint32
+		for _, b := range deleted[:min(len(deleted), 6)] {
+			if id := uint32(b) % uint32(c.NumTexts()); !dead[id] {
+				dead[id] = true
+				ids = append(ids, id)
+			}
+		}
+		if len(ids) > 0 {
+			if err := index.Delete(dir, ids); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix, err := index.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+
+		text := c.Text(uint32(qText) % uint32(c.NumTexts()))
+		start := int(qStart) % len(text)
+		q := slices.Clone(text[start:min(len(text), start+int(qLen%24)+1)])
+		for _, b := range extra[:min(len(extra), 8)] {
+			q = append(q, uint32(b%16))
+		}
+		theta := float64(thetaRaw%10+1) / 10
+		want := oracleSpans(c, ix.Family(), q, theta, ix.Meta().T)
+		for id := range dead {
+			delete(want, id)
+		}
+		s := New(ix, nil)
+		for _, prefix := range []bool{false, true} {
+			ms, _, err := s.Search(q, Options{Theta: theta, PrefixFilter: prefix})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := matchesToSpans(ms); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d segments, deleted %v, theta %v, prefix filter %v, query %v:\ngot  %v\nwant %v",
+					ix.SegmentCount(), ids, theta, prefix, q, got, want)
 			}
 		}
 	})

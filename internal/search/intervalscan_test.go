@@ -206,10 +206,28 @@ func TestCollisionCountMatchesOracle(t *testing.T) {
 	}
 }
 
+// enumerateSequences expands a rectangle into the concrete (start, end)
+// pairs of length >= minLen it contains, calling fn for each, and stops
+// early if fn returns false: Algorithm 3's final enumeration, which
+// pins what a Rect's bounds mean.
+func enumerateSequences(r Rect, minLen int, fn func(i, j int32) bool) {
+	for i := r.ILo; i <= r.IHi; i++ {
+		jLo := r.JLo
+		if need := i + int32(minLen) - 1; jLo < need {
+			jLo = need
+		}
+		for j := jLo; j <= r.JHi; j++ {
+			if !fn(i, j) {
+				return
+			}
+		}
+	}
+}
+
 func TestEnumerateSequences(t *testing.T) {
 	r := Rect{ILo: 2, IHi: 4, JLo: 5, JHi: 7, Count: 3}
 	var got [][2]int32
-	EnumerateSequences(r, 1, func(i, j int32) bool {
+	enumerateSequences(r, 1, func(i, j int32) bool {
 		got = append(got, [2]int32{i, j})
 		return true
 	})
@@ -219,7 +237,7 @@ func TestEnumerateSequences(t *testing.T) {
 	// With a minimum length of 5: i=2 allows j in [6,7]; i=3 allows
 	// j=7; i=4 allows none.
 	got = got[:0]
-	EnumerateSequences(r, 5, func(i, j int32) bool {
+	enumerateSequences(r, 5, func(i, j int32) bool {
 		got = append(got, [2]int32{i, j})
 		if int(j-i+1) < 5 {
 			t.Fatalf("sequence [%d,%d] shorter than 5", i, j)
@@ -231,7 +249,7 @@ func TestEnumerateSequences(t *testing.T) {
 	}
 	// Early stop.
 	count := 0
-	EnumerateSequences(r, 1, func(i, j int32) bool {
+	enumerateSequences(r, 1, func(i, j int32) bool {
 		count++
 		return count < 4
 	})

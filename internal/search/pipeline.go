@@ -5,9 +5,10 @@ package search
 //	sketch → plan → gather → count → merge → verify
 //
 // over a per-query execution context (queryCtx) that owns every piece
-// of mutable query state: the min-hash sketch, the deferral plan, the
-// posting arena with one cursor per short list, the count kernels'
-// scratch, and a private I/O stats sink the index reads report into.
+// of mutable query state: the min-hash sketch, its resolved directory
+// rows, the deferral plan, the posting arena with one cursor per short
+// list, the count kernels' scratch, and a private I/O stats sink the
+// index reads report into.
 // Contexts are pooled per Searcher, so steady-state queries allocate
 // little beyond their results, and because no state is shared between
 // in-flight queries, Stats.IOBytes/IOTime are exact at any concurrency.
@@ -51,6 +52,7 @@ type queryCtx struct {
 	minLen int
 
 	sketch []uint64
+	rows   index.Rows // the sketch's directory rows, less dropped segments
 	plan   Plan
 
 	lens  []int // scratch: per-function list lengths
@@ -142,11 +144,16 @@ func (s *Searcher) stageSketch(qc *queryCtx, query []uint32) error {
 	return nil
 }
 
-// stagePlan splits the k lists into short (read fully) and long
-// (deferred to zone-map probes). With PrefixFilter, a list is long when
-// it has more postings than the build-time Meta().LongListCutoff. At
-// most beta-1 lists go long so a candidate must still hit at least one
-// short list.
+// stagePlan resolves the sketch against every segment directory, drops
+// the segments that cannot hold a match, and splits the k lists into
+// short (read fully) and long (deferred to zone-map probes) over the
+// segments left. A qualifying sequence collides on at least beta of the
+// k hashes (Definition 2), and each collision is a posting in the
+// segment owning the text, so a segment holding lists for fewer than
+// beta of the hashes contributes nothing: none of its lists is read,
+// probed or counted. With PrefixFilter, a list is long when it has more
+// postings than the build-time Meta().LongListCutoff. At most beta-1
+// lists go long so a candidate must still hit at least one short list.
 func (s *Searcher) stagePlan(qc *queryCtx) {
 	k := len(qc.sketch)
 	if cap(qc.plan.Long) < k {
@@ -159,12 +166,18 @@ func (s *Searcher) stagePlan(qc *queryCtx) {
 	qc.plan.NumLong, qc.plan.Cutoff = 0, 0
 	beta := qc.plan.Beta
 
+	s.ix.ResolveRows(&qc.rows, qc.sketch)
+	for si := 0; si < qc.rows.Segments(); si++ {
+		if qc.rows.Present(si) < beta {
+			qc.rows.Drop(si)
+		}
+	}
 	if qc.opts.PrefixFilter {
 		cutoff := s.ix.Meta().LongListCutoff
 		qc.plan.Cutoff = cutoff
 		qc.lens, qc.order = qc.lens[:0], qc.order[:0]
 		for fn := 0; fn < k; fn++ {
-			n := s.ix.ListLength(fn, qc.sketch[fn])
+			n := qc.rows.Len(fn)
 			qc.lens = append(qc.lens, n)
 			qc.order = append(qc.order, fn)
 			if n > cutoff {
@@ -195,7 +208,7 @@ func (s *Searcher) stagePlan(qc *queryCtx) {
 	// segmented index has such lists above the cutoff.
 	if qc.plan.NumLong > 0 {
 		for fn := range qc.plan.Long {
-			if qc.plan.Long[fn] && !s.ix.HasZoneMap(fn, qc.sketch[fn]) {
+			if qc.plan.Long[fn] && !qc.rows.Probeable(fn) {
 				qc.plan.Long[fn] = false
 				qc.plan.NumLong--
 			}
@@ -221,7 +234,7 @@ func (s *Searcher) stageGather(qc *queryCtx) error {
 		}
 		qc.st.ShortLists++
 		pos := len(qc.postings)
-		ps, err := s.ix.ReadListInto(qc.postings, fn, qc.sketch[fn], &qc.io)
+		ps, err := s.ix.ReadRowsInto(qc.postings, &qc.rows, fn, &qc.io)
 		if err != nil {
 			return err
 		}
@@ -379,7 +392,7 @@ func (s *Searcher) countText(qc *queryCtx, textID uint32, matches []Match) ([]Ma
 				qc.trace.Annotate(probe, "fn", int64(fn))
 				qc.trace.Annotate(probe, "text", int64(textID))
 			}
-			ws, err := s.ix.ReadListForTextInto(qc.windows, fn, qc.sketch[fn], textID, &qc.io)
+			ws, err := s.ix.ReadRowsForTextInto(qc.windows, &qc.rows, fn, textID, &qc.io)
 			qc.trace.End(probe)
 			if err != nil {
 				return nil, err
@@ -473,10 +486,7 @@ func (s *Searcher) Explain(query []uint32, opts Options) (*Plan, error) {
 		return nil, fmt.Errorf("search: empty query")
 	}
 	k := s.ix.K()
-	beta := int(math.Ceil(float64(k) * opts.Theta))
-	if beta < 1 {
-		beta = 1
-	}
+	beta := requiredCollisions(k, opts.Theta)
 	//lint:ignore ctxflow Explain only sketches and plans; it issues no I/O to cancel
 	qc := s.acquireCtx(context.Background(), opts, minLen, beta, &Stats{K: k, Beta: beta})
 	defer s.releaseCtx(qc)

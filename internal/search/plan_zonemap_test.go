@@ -16,7 +16,7 @@ import (
 // a segmented index can produce such a list: one longer than the cutoff
 // in total while no segment's portion is. The other segmented half of
 // the rule — a zone-mapped base beside small appended portions stays
-// deferrable — is TestHasZoneMap's and TestSegmentedDeferralExact's.
+// deferrable — is TestProbeable's and TestSegmentedDeferralExact's.
 
 func zonemapTestCorpus() *corpus.Corpus {
 	return corpus.MustSynthesize(corpus.SynthConfig{
@@ -59,6 +59,7 @@ func TestPlanNeverDefersZoneMapLessLists(t *testing.T) {
 
 	sSeg, sTwin := New(segmented, c), New(twin, c)
 	opts := Options{Theta: 1, PrefixFilter: true}
+	var rows index.Rows
 	demoted := 0
 	for id := 0; id < c.NumTexts(); id++ {
 		q := c.Text(uint32(id))[:12]
@@ -74,10 +75,18 @@ func TestPlanNeverDefersZoneMapLessLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The plan sees the segments the query reads: at Theta 1, those
+		// holding all K hashes.
+		segmented.ResolveRows(&rows, sketch)
+		for si := 0; si < rows.Segments(); si++ {
+			if rows.Present(si) < segmented.K() {
+				rows.Drop(si)
+			}
+		}
 		for fn, long := range segPlan.Long {
-			zoned := segmented.HasZoneMap(fn, sketch[fn])
+			zoned := rows.Probeable(fn)
 			if long && !zoned {
-				t.Fatalf("query %d: deferred list %d (%d postings) has no probeable zone map", id, fn, segmented.ListLength(fn, sketch[fn]))
+				t.Fatalf("query %d: deferred list %d (%d postings) has no probeable zone map", id, fn, rows.Len(fn))
 			}
 			if twinPlan.Long[fn] && !zoned {
 				demoted++

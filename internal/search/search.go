@@ -32,21 +32,18 @@ type TextSource interface {
 // Every list read must come back non-decreasing in (global) TextID, with
 // a text's postings adjacent: the count stage merges the short lists on
 // that order instead of grouping them (mergeCandidates).
+//
+// A query resolves its sketch against every segment directory once
+// (ResolveRows) and reads, measures and probes its lists by the resolved
+// rows from then on; the rows' lengths and probeability are what the
+// planner decides deferral with.
 type IndexReader interface {
 	K() int
 	Meta() index.Meta
 	Family() *hash.Family
-	ListLength(fn int, h uint64) int
-	// HasZoneMap reports whether per-text probes into the list for hash
-	// h of function fn stay within about one zone block each: some
-	// segment's portion of the list is zone-mapped and every portion
-	// without a zone map is at most one ZoneMapStep long (a probe
-	// touches only the segment owning the text). The
-	// planner defers no other list: probing it would read a long portion
-	// whole per candidate, worse than reading the list once up front.
-	HasZoneMap(fn int, h uint64) bool
-	ReadListInto(dst []index.Posting, fn int, h uint64, sink *index.IOStats) ([]index.Posting, error)
-	ReadListForTextInto(dst []index.Posting, fn int, h uint64, textID uint32, sink *index.IOStats) ([]index.Posting, error)
+	ResolveRows(rows *index.Rows, sketch []uint64)
+	ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, sink *index.IOStats) ([]index.Posting, error)
+	ReadRowsForTextInto(dst []index.Posting, rows *index.Rows, fn int, textID uint32, sink *index.IOStats) ([]index.Posting, error)
 }
 
 // Options configures one search.
@@ -343,10 +340,7 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 		return nil, nil, err
 	}
 	k := s.ix.K()
-	beta := int(math.Ceil(float64(k) * opts.Theta))
-	if beta < 1 {
-		beta = 1
-	}
+	beta := requiredCollisions(k, opts.Theta)
 	st := &Stats{K: k, Beta: beta}
 	qc := s.acquireCtx(ctx, opts, minLen, beta, st)
 	defer s.releaseCtx(qc)
@@ -410,21 +404,12 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 	return matches, st, nil
 }
 
-// EnumerateSequences expands a rectangle into the concrete (start, end)
-// pairs of length >= minLen it contains, calling fn for each. It stops
-// early if fn returns false. This realizes Algorithm 3's final
-// enumeration for callers that need individual sequences rather than
-// merged spans.
-func EnumerateSequences(r Rect, minLen int, fn func(i, j int32) bool) {
-	for i := r.ILo; i <= r.IHi; i++ {
-		jLo := r.JLo
-		if need := i + int32(minLen) - 1; jLo < need {
-			jLo = need
-		}
-		for j := jLo; j <= r.JHi; j++ {
-			if !fn(i, j) {
-				return
-			}
-		}
+// requiredCollisions is Definition 2's β = ⌈kθ⌉, at least 1: the min-hash
+// collisions a sequence needs to qualify at threshold theta.
+func requiredCollisions(k int, theta float64) int {
+	beta := int(math.Ceil(float64(k) * theta))
+	if beta < 1 {
+		beta = 1
 	}
+	return beta
 }

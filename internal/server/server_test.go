@@ -363,9 +363,9 @@ type slowReader struct {
 	delay time.Duration
 }
 
-func (r slowReader) ReadListInto(dst []index.Posting, fn int, h uint64, sink *index.IOStats) ([]index.Posting, error) {
+func (r slowReader) ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, sink *index.IOStats) ([]index.Posting, error) {
 	time.Sleep(r.delay)
-	return r.IndexReader.ReadListInto(dst, fn, h, sink)
+	return r.IndexReader.ReadRowsInto(dst, rows, fn, sink)
 }
 
 // searcherBackend adapts a search.Searcher over a wrapped reader to the
@@ -470,10 +470,10 @@ type blockingReader struct {
 	once    sync.Once
 }
 
-func (r *blockingReader) ReadListInto(dst []index.Posting, fn int, h uint64, sink *index.IOStats) ([]index.Posting, error) {
+func (r *blockingReader) ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, sink *index.IOStats) ([]index.Posting, error) {
 	r.once.Do(func() { close(r.entered) })
 	<-r.gate
-	return r.IndexReader.ReadListInto(dst, fn, h, sink)
+	return r.IndexReader.ReadRowsInto(dst, rows, fn, sink)
 }
 
 func blockingFixture(t *testing.T) (*blockingReader, Backend, []uint32) {
