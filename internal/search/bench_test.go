@@ -1,9 +1,11 @@
 package search
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ndss/internal/corpus"
@@ -227,14 +229,140 @@ func BenchmarkIntervalScan(b *testing.B) {
 	}
 }
 
-func BenchmarkCollisionCount(b *testing.B) {
-	ws := benchWindows(32)
-	var cs countScratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(cs.count(ws, 8)) == 0 {
-			b.Fatal("no rectangles")
+// queryLists reads the k inverted lists q's sketch selects.
+func queryLists(tb testing.TB, ix *index.Index, q []uint32) [][]index.Posting {
+	tb.Helper()
+	sketch, err := ix.Family().Sketch(q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lists := make([][]index.Posting, len(sketch))
+	for fn, h := range sketch {
+		if lists[fn], err = ix.ReadListInto(nil, fn, h, nil); err != nil {
+			tb.Fatal(err)
 		}
+	}
+	return lists
+}
+
+// textWindows gathers text id's windows from the lists skip does not
+// mark, in function order.
+func textWindows(lists [][]index.Posting, id uint32, skip []bool) []index.Posting {
+	var ws []index.Posting
+	for fn, l := range lists {
+		if skip != nil && skip[fn] {
+			continue
+		}
+		for _, w := range l {
+			if w.TextID == id {
+				ws = append(ws, w)
+			}
+		}
+	}
+	return ws
+}
+
+// largestGroups returns the windows of the n texts holding the most
+// postings of lists, if they hold at least least: the groups the kernel
+// replay of benchmark/replay.go feeds CollisionCount.
+func largestGroups(lists [][]index.Posting, n, least int) [][]index.Posting {
+	perText := map[uint32]int{}
+	for _, l := range lists {
+		for _, w := range l {
+			perText[w.TextID]++
+		}
+	}
+	var ids []uint32
+	for id, c := range perText {
+		if c >= least {
+			ids = append(ids, id)
+		}
+	}
+	slices.SortFunc(ids, func(a, b uint32) int {
+		if perText[a] != perText[b] {
+			return perText[b] - perText[a]
+		}
+		return cmp.Compare(a, b)
+	})
+	var groups [][]index.Posting
+	for _, id := range ids[:min(n, len(ids))] {
+		groups = append(groups, textWindows(lists, id, nil))
+	}
+	return groups
+}
+
+// longTextWindows indexes one 20000-token benchmark-shaped text, whose
+// most frequent tokens recur hundreds of times, and returns the windows
+// that its 64-token slice with the most of them collects over all k
+// lists: the largest group one text hands the kernel.
+func longTextWindows(b *testing.B) []index.Posting {
+	c := corpus.MustSynthesize(corpus.SynthConfig{
+		NumTexts: 1, MinLength: 20000, MaxLength: 20000, VocabSize: 32000, ZipfS: 1.07, Seed: 3,
+	})
+	dir := b.TempDir()
+	if _, err := index.Build(c, dir, index.BuildOptions{K: 32, Seed: 1, T: 25}); err != nil {
+		b.Fatal(err)
+	}
+	ix, err := index.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ix.Close()
+	var most []index.Posting
+	for start := 0; start+64 <= len(c.Text(0)); start += 500 {
+		if ws := textWindows(queryLists(b, ix, c.Text(0)[start:start+64]), 0, nil); len(ws) > len(most) {
+			most = ws
+		}
+	}
+	return most
+}
+
+// BenchmarkCollisionCount times the count kernel on the window groups
+// queries hand it, per group and per window: the planted text of
+// benchFixture's hit query at the plan's alpha (its short lists) and at
+// beta (all k lists, as after the probes), the kernel replay's groups
+// over the hit and miss queries at alpha 4, the long text's group at
+// alpha 4, and a random crowded group.
+func BenchmarkCollisionCount(b *testing.B) {
+	s, hit, miss, opts := benchFixture(b)
+	ix := s.ix.(*index.Index)
+	plan, err := s.Explain(hit, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hitLists := queryLists(b, ix, hit)
+	const planted = 7 // benchFixture cuts hit from text 7
+	for _, tc := range []struct {
+		name   string
+		groups [][]index.Posting
+		alpha  int
+	}{
+		{"hit-alpha", [][]index.Posting{textWindows(hitLists, planted, plan.Long)}, plan.Alpha},
+		{"hit-beta", [][]index.Posting{textWindows(hitLists, planted, nil)}, plan.Beta},
+		{"replay", append(largestGroups(hitLists, 16, 4), largestGroups(queryLists(b, ix, miss), 16, 4)...), 4},
+		{"long", [][]index.Posting{longTextWindows(b)}, 4},
+		{"random", [][]index.Posting{benchWindows(32)}, 8},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var cs countScratch
+			windows, rects := 0, 0
+			for _, g := range tc.groups {
+				windows += len(g)
+				rects += len(cs.count(g, tc.alpha))
+			}
+			if rects == 0 {
+				b.Fatal("no rectangles")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, g := range tc.groups {
+					cs.count(g, tc.alpha)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows), "ns/window")
+			b.ReportMetric(float64(windows)/float64(len(tc.groups)), "windows/group")
+			b.ReportMetric(float64(rects)/float64(len(tc.groups)), "rects/group")
+		})
 	}
 }

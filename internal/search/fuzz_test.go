@@ -97,31 +97,48 @@ func FuzzIntervalScan(f *testing.F) {
 	})
 }
 
-// FuzzCollisionCount checks rectangle counts against the brute-force
-// oracle for arbitrary window groups.
+// FuzzCollisionCount checks the kernel against Algorithm 4's two-scan
+// composition (referenceCount) and the brute-force oracle for up to 48
+// windows and any alpha from 1 to the window count. Each window takes
+// four bytes: L's low byte, C-L and R-C as small signed steps (so L > C
+// and C > R occur), and a byte choosing where the group sits: near 0,
+// across 2^31, past 2^31 (negative as an int32 position) or high below
+// it. testdata/fuzz/FuzzCollisionCount holds seeds of each shape.
 func FuzzCollisionCount(f *testing.F) {
-	f.Add([]byte{0, 2, 4, 1, 3, 5}, uint8(2))
-	f.Add([]byte{0, 0, 0}, uint8(1))
+	f.Add([]byte{0, 2, 4, 0, 1, 3, 5, 0}, uint8(1))
+	f.Add([]byte{0, 0, 0, 0}, uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, aRaw uint8) {
-		if len(raw) > 18 {
-			raw = raw[:18]
+		if len(raw) > 48*4 {
+			raw = raw[:48*4]
 		}
 		var ws []index.Posting
-		for i := 0; i+2 < len(raw); i += 3 {
-			l := uint32(raw[i] % 16)
-			c := l + uint32(raw[i+1]%8)
-			r := c + uint32(raw[i+2]%8)
+		for i := 0; i+3 < len(raw); i += 4 {
+			var base uint32
+			switch h := uint32(raw[i+3]); h % 4 {
+			case 1:
+				base = 1<<31 - 48
+			case 2:
+				base = 1<<31 + h<<20
+			case 3:
+				base = h << 22
+			}
+			l := base + uint32(raw[i]%32)
+			c := l + uint32(int32(raw[i+1]%24)-3)
+			r := c + uint32(int32(raw[i+2]%40)-3)
 			ws = append(ws, index.Posting{TextID: 0, L: l, C: c, R: r})
 		}
-		alpha := int(aRaw%3) + 1
+		alpha := int(aRaw)%max(len(ws), 1) + 1
 		rects := CollisionCount(ws, alpha)
+		if want := referenceCount(ws, alpha); !reflect.DeepEqual(rects, want) {
+			t.Fatalf("alpha %d, windows %v:\ngot  %+v\nwant %+v", alpha, ws, rects, want)
+		}
 		for pass := 0; pass < 2; pass++ {
 			if reused := fuzzCount.count(ws, alpha); !reflect.DeepEqual(append([]Rect(nil), reused...), rects) {
 				t.Fatalf("reused scratch pass %d: %+v, fresh scratch %+v", pass, reused, rects)
 			}
 		}
-		for i := int32(0); i < 36; i++ {
-			for j := i; j < 36; j++ {
+		for i := int32(-4); i < 64; i++ {
+			for j := i; j < 64; j++ {
 				want := collisionCountOfSequence(ws, i, j)
 				hits := 0
 				for _, r := range rects {

@@ -37,11 +37,40 @@ func IntervalScan(intervals []Interval, alpha int) []Overlap {
 // result (and the Members of every Overlap in it) is valid until the
 // next scan on the same scratch.
 type scanScratch struct {
-	events  []uint64  // packed endpoint events, see packEvent
-	active  []int32   // indices of the intervals covering the sweep position
-	where   []int32   // where[idx] = position of idx in active
+	events  []uint64 // packed endpoint events, see packEvent
+	set     sweepSet
 	members []int32   // arena the reported Members are sub-slices of
 	out     []Overlap // result buffer
+}
+
+// sweepSet is the set of intervals covering a sweep position, kept so
+// that a start or an exit costs O(1).
+type sweepSet struct {
+	active []int32 // indices of the intervals covering the sweep position
+	where  []int32 // where[idx] = position of idx in active
+}
+
+// reset empties the set for a sweep over n intervals.
+func (s *sweepSet) reset(n int) {
+	s.active = s.active[:0]
+	s.where = slices.Grow(s.where[:0], n)[:n]
+}
+
+// apply applies one packed endpoint event and returns the index of its
+// interval and whether the event is its start.
+func (s *sweepSet) apply(ev uint64) (idx int32, start bool) {
+	idx = int32(ev >> 1 & (1<<eventIdxBits - 1))
+	if ev&1 == 1 {
+		s.where[idx] = int32(len(s.active))
+		s.active = append(s.active, idx)
+		return idx, true
+	}
+	// An interval's start sorts before its exit, so where[idx] was
+	// written by this sweep: swap-remove in O(1).
+	p, last := s.where[idx], s.active[len(s.active)-1]
+	s.active[p], s.where[last] = last, p
+	s.active = s.active[:len(s.active)-1]
+	return idx, false
 }
 
 // An endpoint event packs (position, interval index, start flag) into
@@ -59,6 +88,15 @@ func packEvent(pos int64, idx int, start uint64) uint64 {
 
 func eventPos(e uint64) int64 { return int64(e>>(eventIdxBits+1)) - eventPosBias }
 
+// appendEvents appends the start and exit events of interval idx, [lo, hi],
+// and nothing when it is empty.
+func appendEvents(events []uint64, lo, hi int32, idx int) []uint64 {
+	if lo > hi {
+		return events
+	}
+	return append(events, packEvent(int64(lo), idx, 1), packEvent(int64(hi)+1, idx, 0))
+}
+
 func (sc *scanScratch) scan(intervals []Interval, alpha int) []Overlap {
 	if alpha < 1 {
 		alpha = 1
@@ -73,33 +111,18 @@ func (sc *scanScratch) scan(intervals []Interval, alpha int) []Overlap {
 	// Endpoint events: interval [lo, hi] starts at lo and exits at hi+1.
 	sc.events = sc.events[:0]
 	for i, iv := range intervals {
-		if iv.Empty() {
-			continue
-		}
-		sc.events = append(sc.events, packEvent(int64(iv.Lo), i, 1), packEvent(int64(iv.Hi)+1, i, 0))
+		sc.events = appendEvents(sc.events, iv.Lo, iv.Hi, i)
 	}
 	slices.Sort(sc.events)
 
-	sc.where = slices.Grow(sc.where[:0], len(intervals))
-	where := sc.where[:len(intervals)]
-	active, members, events := sc.active[:0], sc.members[:0], sc.events
+	sc.set.reset(len(intervals))
+	members, events := sc.members[:0], sc.events
 	for e := 0; e < len(events); {
 		pos := eventPos(events[e])
-		for e < len(events) && eventPos(events[e]) == pos {
-			idx := int32(events[e] >> 1 & (1<<eventIdxBits - 1))
-			if events[e]&1 == 1 {
-				where[idx] = int32(len(active))
-				active = append(active, idx)
-			} else {
-				// An interval's start sorts before its exit, so where[idx]
-				// was written by this scan: swap-remove in O(1).
-				p, last := where[idx], active[len(active)-1]
-				active[p], where[last] = last, p
-				active = active[:len(active)-1]
-			}
-			e++
+		for ; e < len(events) && eventPos(events[e]) == pos; e++ {
+			sc.set.apply(events[e])
 		}
-		if len(active) >= alpha && e < len(events) {
+		if active := sc.set.active; len(active) >= alpha && e < len(events) {
 			at := len(members)
 			members = append(members, active...)
 			sc.out = append(sc.out, Overlap{
@@ -108,6 +131,6 @@ func (sc *scanScratch) scan(intervals []Interval, alpha int) []Overlap {
 			})
 		}
 	}
-	sc.active, sc.members = active, members
+	sc.members = members
 	return sc.out
 }

@@ -63,7 +63,7 @@ type queryCtx struct {
 	heap     []uint64        // driver merge heap, see mergeCandidates
 	runs     []listCursor    // one candidate text's run in each list hit
 	windows  []index.Posting // one surviving text's windows
-	count    countScratch    // CollisionCount / IntervalScan scratch
+	count    countScratch    // CollisionCount scratch
 	qual     []spanRect      // scratch for span merging
 
 	io    index.IOStats // private per-query I/O sink
