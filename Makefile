@@ -54,7 +54,7 @@ shard-suite:
 # yield one connected trace tree at /debug/trace).
 chaos-suite:
 	$(GO) test -race -count=1 ./internal/shard/netfault/
-	$(GO) test -race -count=1 -run 'Chaos|Replica|Breaker|TokenBucket|QuantileWindow' ./internal/shard/
+	$(GO) test -race -count=1 -run 'Chaos|Replica|Breaker|QuantileWindow' ./internal/shard/
 	$(GO) test -race -count=1 -run 'ReloadRace|ReplicaMetrics|ReplicaRetriesReadError|ChaosTrace' ./internal/server/
 
 # CI "lint" job: the invariant analyzers (docs/INVARIANTS.md), both

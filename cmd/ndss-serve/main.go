@@ -106,7 +106,6 @@ type serveConfig struct {
 	shardTimeout  time.Duration
 	shardInflight int
 
-	retryBudget     float64
 	hedgeAfter      time.Duration
 	breakerFailures int
 	probeInterval   time.Duration
@@ -132,7 +131,6 @@ func main() {
 	flag.StringVar(&c.shards, "shards", "", "comma-separated shard list (index directories and/or http(s):// ndss-serve URLs); serves a scatter–gather coordinator over them instead of -index. Separate interchangeable replicas of one shard with | (url1|url2)")
 	flag.DurationVar(&c.shardTimeout, "shard-timeout", 0, "per-shard deadline budget for fan-out legs; shards that miss it are skipped and the result is flagged partial (0 = request deadline only)")
 	flag.IntVar(&c.shardInflight, "shard-inflight", 0, "per-remote-shard concurrent request cap (0 = the shard package default)")
-	flag.Float64Var(&c.retryBudget, "retry-budget", 0.1, "retry/hedge token earned per primary attempt: sustained extra attempts stay under this fraction of the request rate (0 selects the default)")
 	flag.DurationVar(&c.hedgeAfter, "hedge-after", 5*time.Millisecond, "hedge a shard leg onto another replica once the first attempt exceeds max(replica streaming P95, this floor) (0 disables)")
 	flag.IntVar(&c.breakerFailures, "breaker-failures", 5, "consecutive failures that open a replica's circuit breaker (≤ 0 selects the default)")
 	flag.DurationVar(&c.probeInterval, "probe-interval", 2*time.Second, "background replica health-probe period; a probe that reaches a replica closes its breaker and lifts a stale quarantine (≤ 0 selects the default)")
@@ -202,7 +200,6 @@ func openBackend(idxDir, corpusPath string) (*servedBackend, error) {
 // negative for "off" so its zero value can mean "default".
 func replicaConfig(c serveConfig) shard.ReplicaConfig {
 	cfg := shard.ReplicaConfig{
-		RetryBudget:     c.retryBudget,
 		HedgeDelayMin:   c.hedgeAfter,
 		BreakerFailures: c.breakerFailures,
 		ProbeInterval:   c.probeInterval,

@@ -107,15 +107,3 @@ func (c *Corpus) Stats() Stats {
 	s.MeanTextLen = float64(s.TotalTokens) / float64(s.NumTexts)
 	return s
 }
-
-// TokenFrequencies returns the occurrence count of every token id seen in
-// the corpus.
-func (c *Corpus) TokenFrequencies() map[uint32]int64 {
-	freq := make(map[uint32]int64)
-	for _, t := range c.texts {
-		for _, tok := range t {
-			freq[tok]++
-		}
-	}
-	return freq
-}

@@ -68,15 +68,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestTokenFrequencies(t *testing.T) {
-	c := New([][]uint32{{1, 1, 2}, {2, 3}})
-	freq := c.TokenFrequencies()
-	want := map[uint32]int64{1: 2, 2: 2, 3: 1}
-	if !reflect.DeepEqual(freq, want) {
-		t.Fatalf("freq = %v, want %v", freq, want)
-	}
-}
-
 func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.tok")
@@ -340,7 +331,12 @@ func TestSynthesizeZipfSkew(t *testing.T) {
 		Seed:      11,
 	}
 	c := MustSynthesize(cfg)
-	freq := c.TokenFrequencies()
+	freq := make(map[uint32]int64)
+	for id := uint32(0); id < uint32(c.NumTexts()); id++ {
+		for _, tok := range c.Text(id) {
+			freq[tok]++
+		}
+	}
 	var maxFreq, total int64
 	for _, f := range freq {
 		if f > maxFreq {

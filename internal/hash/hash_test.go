@@ -335,15 +335,6 @@ func TestJaccardProperties(t *testing.T) {
 	}
 }
 
-func TestDistinctCount(t *testing.T) {
-	if got := DistinctCount(nil); got != 0 {
-		t.Fatalf("DistinctCount(nil) = %d", got)
-	}
-	if got := DistinctCount([]uint32{1, 1, 2, 3, 3, 3}); got != 3 {
-		t.Fatalf("DistinctCount = %d, want 3", got)
-	}
-}
-
 // TestMinHashCollisionMatchesSetEquality: under one hash function, two
 // sequences with the same distinct token set always share the min-hash.
 func TestMinHashCollisionSetInvariance(t *testing.T) {

@@ -67,12 +67,3 @@ func MultisetJaccard(a, b []uint32) float64 {
 	}
 	return float64(inter) / float64(union)
 }
-
-// DistinctCount returns the number of distinct tokens in seq.
-func DistinctCount(seq []uint32) int {
-	seen := make(map[uint32]struct{}, len(seq))
-	for _, tok := range seq {
-		seen[tok] = struct{}{}
-	}
-	return len(seen)
-}

@@ -8,13 +8,18 @@ import (
 	"time"
 )
 
+// DefaultFloorTheta is the candidate-sweep floor SearchTopK uses when
+// TopKOptions.FloorTheta is zero.
+const DefaultFloorTheta = 0.5
+
 // TopKOptions configures SearchTopK.
 type TopKOptions struct {
 	// N is the number of spans to return.
 	N int
 	// FloorTheta bounds the candidate sweep from below: spans whose
 	// estimated similarity falls under it are never considered. Lower
-	// values see more candidates but cost more. Defaults to 0.5.
+	// values see more candidates but cost more. Zero selects
+	// DefaultFloorTheta.
 	FloorTheta float64
 	// Search carries through the underlying query options (prefix
 	// filtering etc.); Theta is overridden by the sweep.
@@ -40,7 +45,7 @@ func (s *Searcher) SearchTopKContext(ctx context.Context, query []uint32, opts T
 	}
 	floor := opts.FloorTheta
 	if floor == 0 {
-		floor = 0.5
+		floor = DefaultFloorTheta
 	}
 	if !(floor > 0 && floor <= 1) { // also rejects NaN
 		return nil, nil, ValidationError(fmt.Sprintf("search: FloorTheta must be in (0, 1], got %v", floor))

@@ -407,8 +407,6 @@ func shardRows(sm shard.Metrics) []metricRow {
 		rows = append(rows, []metricRow{
 			{name: "ndss_shard_hedge_wins_total", typ: "counter", help: "Legs won by the hedged attempt.",
 				labels: label, path: shardAt("hedge_wins"), val: rs.HedgeWins},
-			{name: "ndss_shard_retry_budget_denied_total", typ: "counter", help: "Retries/hedges suppressed by an exhausted retry budget.",
-				labels: label, path: shardAt("retry_budget_denied"), val: rs.BudgetDenied},
 		}...)
 	}
 	return rows

@@ -780,7 +780,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 	if topk {
 		theta = req.FloorTheta
 		if theta == 0 {
-			theta = 0.5 // SearchTopK's default floor; keep the key aligned
+			theta = search.DefaultFloorTheta // keep the cache key aligned with SearchTopK
 		}
 	}
 	if theta <= 0 || theta > 1 {

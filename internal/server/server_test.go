@@ -216,6 +216,35 @@ func TestServeCacheHit(t *testing.T) {
 	}
 }
 
+// TestServeTopKDefaultFloorSharesCacheEntry: a top-k request without
+// floor_theta runs at search.DefaultFloorTheta, so it and one naming
+// that floor are the same query and share one cache entry.
+func TestServeTopKDefaultFloorSharesCacheEntry(t *testing.T) {
+	_, engine, q := testFixture(t)
+	ts := httptest.NewServer(New(engine, Config{}))
+	defer ts.Close()
+
+	var rs [2]wire.Response
+	for i, req := range []wire.Request{
+		{Tokens: q, N: 2},
+		{Tokens: q, N: 2, FloorTheta: search.DefaultFloorTheta},
+	} {
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/search/topk", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, &rs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rs[0].Cached || !rs[1].Cached {
+		t.Fatalf("cache flags: default floor %v, explicit floor %v; want a miss then a hit", rs[0].Cached, rs[1].Cached)
+	}
+	if len(rs[0].Matches) == 0 || len(rs[0].Matches) != len(rs[1].Matches) {
+		t.Fatalf("matches: %d vs %d", len(rs[0].Matches), len(rs[1].Matches))
+	}
+}
+
 func TestServeConcurrentSearches(t *testing.T) {
 	c, engine, _ := testFixture(t)
 	srv := New(engine, Config{MaxInFlight: 32, CacheEntries: -1})

@@ -450,7 +450,7 @@ func TestReplicaRetriesReadError(t *testing.T) {
 	healthy := serve(func(ix search.IndexReader) search.IndexReader { return ix })
 	// Ties go to the lower index, so the broken replica is the primary.
 	rs, err := shard.NewReplicaSet("rset", []shard.ShardClient{broken, healthy}, shard.ReplicaConfig{
-		RetryBurst: 10, HedgeDelayMin: -1, BreakerFailures: 100, Seed: 1,
+		HedgeDelayMin: -1, BreakerFailures: 100, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -530,7 +530,7 @@ func TestShardedReplicaMetricsExposition(t *testing.T) {
 	rs, err := shard.NewReplicaSet("rset", []shard.ShardClient{
 		shard.NewLocal("rep0", failing), shard.NewLocal("rep1", good),
 	}, shard.ReplicaConfig{
-		RetryBurst: 10, HedgeDelayMin: -1, BreakerFailures: 100, Seed: 1,
+		HedgeDelayMin: -1, BreakerFailures: 100, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -582,7 +582,6 @@ func TestShardedReplicaMetricsExposition(t *testing.T) {
 		`ndss_shard_breaker_state{shard="rset",replica="rep0"} 0`,
 		`ndss_shard_replica_quarantined{shard="rset",replica="rep0"} 0`,
 		`ndss_shard_hedge_wins_total{shard="rset"} 0`,
-		`ndss_shard_retry_budget_denied_total{shard="rset"} 0`,
 		// The trace families ride in the same scrape: with a 1ns slow
 		// threshold and one masked retry, the single query is retained
 		// for both reasons, head sampling stays off, and nothing has

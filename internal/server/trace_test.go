@@ -282,8 +282,6 @@ func TestChaosTraceRetryHedgeTree(t *testing.T) {
 			reps[j] = hs
 		}
 		rs, err := shard.NewReplicaSet(fmt.Sprintf("range%d", r), reps, shard.ReplicaConfig{
-			RetryBudget:     1.0,
-			RetryBurst:      1000,
 			HedgeDelayMin:   5 * time.Millisecond,
 			BreakerFailures: 3,
 			Seed:            42,

@@ -35,7 +35,8 @@ func (s BreakerState) String() string {
 //
 // Routing skips an open replica while any closed one is left, so the
 // background prober (CheckHealth) is the path back into rotation; an
-// open replica only sees fail-open traffic when nothing else can serve.
+// open replica only sees a fail-open primary when nothing else can
+// serve, and never a retry or hedge.
 type breaker struct {
 	mu        sync.Mutex
 	state     BreakerState // guarded by mu
@@ -53,7 +54,8 @@ func (b *breaker) onSuccess() {
 }
 
 // onFailure records a request that failed for a reason attributable to
-// the replica (not a caller-side cancellation).
+// the replica (not a caller-side cancellation), or one a winning hedge
+// beat.
 func (b *breaker) onFailure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -56,37 +56,6 @@ func TestBreakerStateStrings(t *testing.T) {
 	}
 }
 
-func TestTokenBucketBudget(t *testing.T) {
-	b := newTokenBucket(2)
-	if !b.take() || !b.take() {
-		t.Fatal("bucket starts full: the first two takes succeed")
-	}
-	if b.take() {
-		t.Fatal("empty bucket must refuse")
-	}
-	// Four primary attempts at 25% budget earn one retry token (0.25 is
-	// exact in binary, so no float drift in the assertion).
-	for i := 0; i < 4; i++ {
-		b.earn(0.25)
-	}
-	if !b.take() {
-		t.Fatal("earned a full token; take should succeed")
-	}
-	if b.take() {
-		t.Fatal("only one token was earned")
-	}
-	// Earnings cap at the burst size.
-	for i := 0; i < 100; i++ {
-		b.earn(1)
-	}
-	if !b.take() || !b.take() {
-		t.Fatal("bucket should be at capacity 2")
-	}
-	if b.take() {
-		t.Fatal("earnings past the burst capacity must not accumulate")
-	}
-}
-
 func TestQuantileWindow(t *testing.T) {
 	var q quantileWindow
 	if q.quantile(0.95) != 0 {

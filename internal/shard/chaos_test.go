@@ -36,13 +36,10 @@ type chaosFixture struct {
 	sets  []*shard.ReplicaSet
 }
 
-// chaosReplicaCfg is tuned for the chaos runs: a generous retry budget
-// (the point is masking faults, not load shedding), a breaker that
-// trips quickly, and a fixed seed so routing decisions replay.
+// chaosReplicaCfg is tuned for the chaos runs: a breaker that trips
+// quickly and a fixed seed so routing decisions replay.
 func chaosReplicaCfg() shard.ReplicaConfig {
 	return shard.ReplicaConfig{
-		RetryBudget:     1.0,
-		RetryBurst:      1000,
 		HedgeDelayMin:   5 * time.Millisecond,
 		BreakerFailures: 3,
 		Seed:            42,
@@ -282,5 +279,41 @@ func TestChaosBlackHoleRespectsParentDeadline(t *testing.T) {
 	}
 	if len(got) == 0 {
 		t.Fatal("budgeted partial lost the live ranges' matches")
+	}
+}
+
+// TestChaosFlappingReplicaNeverPartial runs the default configuration
+// against a replica that answers 503 to every other request: each
+// failed primary retries on its live sibling, so no answer comes back
+// partial. The failures never run consecutively, so the flapping
+// replica's breaker stays closed and it keeps taking primaries.
+func TestChaosFlappingReplicaNeverPartial(t *testing.T) {
+	f := newReplicaFixture(t, 2, shard.ReplicaConfig{Seed: 1})
+	const n = 200
+	everyNth(f.ft, f.hosts[0][0], 2, n, netfault.Fault{Kind: netfault.Status, Status: 503})
+
+	ctx := context.Background()
+	qs := f.queries()
+	for i := 0; i < n; i++ {
+		q := qs[i%len(qs)]
+		opts := search.Options{Theta: 0.5}
+		want, _, err := f.single.SearchContext(ctx, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := f.coord.SearchContext(ctx, q, opts)
+		if err != nil {
+			t.Fatalf("query %d: client-visible error: %v", i, err)
+		}
+		if st.Partial() {
+			t.Fatalf("query %d: flagged partial with a live replica in every range: %+v", i, st.PerShard)
+		}
+		if !sameMatches(got, want) {
+			t.Fatalf("query %d: diverged from the merged index:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+	m := f.sets[0].ReplicaMetrics()
+	if m.Replicas[0].Errors == 0 || m.Replicas[1].Retries == 0 {
+		t.Fatalf("range 0 replicas = %+v; the flapping replica should have forced retries", m.Replicas)
 	}
 }

@@ -53,44 +53,6 @@ func (q *quantileWindow) quantile(p float64) time.Duration {
 	return time.Duration(s[i])
 }
 
-// tokenBucket is the retry budget: retries and hedges spend whole
-// tokens, while every primary attempt earns a fractional token
-// (ReplicaConfig.RetryBudget). Sustained extra attempts are therefore
-// capped at that fraction of the recent primary request rate — during
-// a full outage retries cannot amplify load by more than RetryBudget —
-// while the burst capacity lets a brief blip retry immediately.
-type tokenBucket struct {
-	mu     sync.Mutex
-	tokens float64 // guarded by mu
-	max    float64 // immutable after newTokenBucket
-}
-
-func newTokenBucket(burst float64) *tokenBucket {
-	// Start full: the first failures after startup may retry.
-	return &tokenBucket{tokens: burst, max: burst}
-}
-
-func (b *tokenBucket) earn(x float64) {
-	b.mu.Lock()
-	b.tokens += x
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-	b.mu.Unlock()
-}
-
-// take consumes one token, reporting false (and consuming nothing)
-// when the budget is exhausted.
-func (b *tokenBucket) take() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
 // lockedRand is a mutex-guarded rand.Rand: routing draws from one
 // deterministic stream (seeded per ReplicaSet) so chaos tests replay
 // exactly.

@@ -33,9 +33,6 @@ type ReplicaSetMetrics struct {
 	// HedgeWins counts legs where the speculative second attempt
 	// answered before the first.
 	HedgeWins int64
-	// BudgetDenied counts retries and hedges suppressed by an empty
-	// retry-token bucket.
-	BudgetDenied int64
 	// Replicas holds one entry per replica in configuration order.
 	Replicas []ReplicaMetrics
 }

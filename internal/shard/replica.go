@@ -21,19 +21,13 @@ import (
 // value selects the documented defaults; a negative HedgeDelayMin
 // disables hedging.
 type ReplicaConfig struct {
-	// RetryBudget is the fraction of a retry token each primary attempt
-	// earns: sustained retries+hedges cannot exceed this fraction of
-	// the recent primary request rate. Default 0.1.
-	RetryBudget float64
-	// RetryBurst is the token bucket's capacity — how many retries a
-	// brief blip may issue back-to-back. Default 10.
-	RetryBurst float64
 	// HedgeDelayMin floors the hedge trigger: a leg hedges once its
 	// first attempt has run for max(replica streaming P95,
 	// HedgeDelayMin). Default 5ms; negative disables hedging.
 	HedgeDelayMin time.Duration
 	// BreakerFailures consecutive failures open a replica's circuit
-	// breaker. Default 5.
+	// breaker; retries and hedges go only to closed replicas, so this
+	// is also what bounds their amplification. Default 5.
 	BreakerFailures int
 	// ProbeInterval paces StartProber's background health checks, the
 	// path by which an open or quarantined replica rejoins rotation.
@@ -45,12 +39,6 @@ type ReplicaConfig struct {
 }
 
 func (c ReplicaConfig) withDefaults() ReplicaConfig {
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 0.1
-	}
-	if c.RetryBurst == 0 {
-		c.RetryBurst = 10
-	}
 	if c.HedgeDelayMin == 0 {
 		c.HedgeDelayMin = 5 * time.Millisecond
 	}
@@ -90,16 +78,18 @@ type replica struct {
 //     in-flight count (ties to the lower index, so tests are
 //     deterministic under a fixed seed).
 //   - Retry: a transiently-failing attempt retries at once on a
-//     different replica, each replica tried at most once per leg, under
-//     a token-bucket budget earned by primary traffic.
+//     different breaker-closed replica, each replica tried at most once
+//     per leg.
 //   - Hedging: when the first attempt outruns the replica's streaming
-//     P95, one speculative attempt goes to another replica; the first
-//     answer wins and the loser is canceled.
+//     P95, one speculative attempt goes to another breaker-closed
+//     replica; the first answer wins, the loser is canceled, and a
+//     winning hedge counts one failure against each attempt it beat.
 //   - Breaker + quarantine: consecutive failures open a per-replica
 //     breaker, and the background prober closes it again once the
-//     replica answers; a replica whose build id diverges from the group
-//     majority is quarantined outright, so mixed builds are never
-//     merged.
+//     replica answers. Only a primary may fail open to an open replica,
+//     so the breakers alone bound retry and hedge amplification. A
+//     replica whose build id diverges from the group majority is
+//     quarantined outright, so mixed builds are never merged.
 //
 // All replicas must serve the same index build: identical K, Seed, T,
 // and NumTexts. Results from any replica are interchangeable, which is
@@ -110,10 +100,8 @@ type ReplicaSet struct {
 	replicas []*replica
 	meta     index.Meta
 	rng      *lockedRand
-	budget   *tokenBucket
 
-	hedgeWins    atomic.Int64
-	budgetDenied atomic.Int64
+	hedgeWins atomic.Int64
 
 	mu         sync.Mutex
 	groupBuild string             // guarded by mu
@@ -173,7 +161,6 @@ func NewReplicaSet(name string, clients []ShardClient, cfg ReplicaConfig) (*Repl
 		replicas: reps,
 		meta:     meta,
 		rng:      newLockedRand(seed),
-		budget:   newTokenBucket(cfg.RetryBurst),
 	}
 	rs.requarantine(nil)
 	return rs, nil
@@ -257,10 +244,11 @@ func (r *ReplicaSet) requarantine(fresh []bool) {
 }
 
 // pick chooses the replica for the next attempt, skipping quarantined
-// and already-tried replicas. Preference order: power-of-two-choices
-// on in-flight count among breaker-closed candidates (ties to the
-// lower index); then fail-open to the least-loaded remaining candidate
-// — when every replica's breaker is open, refusing to try at all would
+// and already-tried replicas, by power-of-two-choices on in-flight
+// count among breaker-closed candidates (ties to the lower index). A
+// retry or hedge (tried non-empty) goes to a closed replica or not at
+// all. Only a primary fails open to the least-loaded open replica —
+// when every replica's breaker is open, refusing to try at all would
 // turn a recovered-but-unprobed group into a hard outage.
 func (r *ReplicaSet) pick(tried map[int]bool) (*replica, bool) {
 	var closed, rest []*replica
@@ -299,6 +287,9 @@ func (r *ReplicaSet) pick(tried map[int]bool) (*replica, bool) {
 			}
 		}
 		return best, true
+	}
+	if len(tried) > 0 {
+		return nil, false
 	}
 	var best *replica
 	for _, c := range rest {
@@ -364,12 +355,11 @@ type attemptState struct {
 // do is the resilient control loop behind every query entry point: it
 // launches a primary attempt on the picked replica, hedges once if the
 // attempt outruns the replica's P95, retries transient failures on a
-// different replica under the budget, and returns the first success
+// different breaker-closed replica, and returns the first success
 // with every attempt (winner, losers, cancellations) recorded in
 // Stats.Attempts for the coordinator to attribute.
 func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error)) ([]search.Match, *search.Stats, error) {
 	legStart := time.Now()
-	r.budget.earn(r.cfg.RetryBudget)
 
 	// A leg tries each replica at most once before giving up (a hedge
 	// may repeat one), so the buffer holds the primary, its
@@ -490,6 +480,16 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 			if res.err == nil {
 				if p.hedge {
 					r.hedgeWins.Add(1)
+					// Every attempt the hedge beat has run for at least
+					// the hedge delay: one failure on its breaker, so a
+					// black-holed replica opens instead of being hedged
+					// around forever. Its own goroutine sees Canceled
+					// and adds nothing.
+					for _, q := range pendings {
+						if !q.done && q.rep != p.rep {
+							q.rep.br.onFailure()
+						}
+					}
 				}
 				st := res.stats
 				if r.multi() {
@@ -512,10 +512,6 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 			if !retryableErr(res.err) || retriesUsed >= maxRetries {
 				return fail(attempts, "", lastErr)
 			}
-			if !r.budget.take() {
-				r.budgetDenied.Add(1)
-				return fail(attempts, "", lastErr)
-			}
 			nrep, ok := r.pick(tried)
 			if !ok {
 				return fail(attempts, "", lastErr)
@@ -530,10 +526,6 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 			}
 			hrep, ok := r.pick(tried)
 			if !ok {
-				continue
-			}
-			if !r.budget.take() {
-				r.budgetDenied.Add(1)
 				continue
 			}
 			outstanding++
@@ -650,9 +642,8 @@ func (r *ReplicaSet) Close() error {
 // /metrics exposition.
 func (r *ReplicaSet) ReplicaMetrics() ReplicaSetMetrics {
 	out := ReplicaSetMetrics{
-		HedgeWins:    r.hedgeWins.Load(),
-		BudgetDenied: r.budgetDenied.Load(),
-		Replicas:     make([]ReplicaMetrics, len(r.replicas)),
+		HedgeWins: r.hedgeWins.Load(),
+		Replicas:  make([]ReplicaMetrics, len(r.replicas)),
 	}
 	for i, rep := range r.replicas {
 		out.Replicas[i] = ReplicaMetrics{

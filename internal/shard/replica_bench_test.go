@@ -102,7 +102,6 @@ var replicaVariants = []replicaVariant{
 	{name: "all-on"},
 	{name: "-hedge", cfg: shard.ReplicaConfig{HedgeDelayMin: -1}},
 	{name: "-breaker", cfg: shard.ReplicaConfig{BreakerFailures: 1 << 30}},
-	{name: "-budget", cfg: shard.ReplicaConfig{RetryBurst: 1 << 30}}, // a bucket that never runs dry
 	{name: "-prober", noProber: true},
 }
 

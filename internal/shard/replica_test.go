@@ -27,8 +27,6 @@ func replicaStub(name string, matches ...search.Match) *stubShard {
 // opts in, fixed seed.
 func testReplicaCfg() shard.ReplicaConfig {
 	return shard.ReplicaConfig{
-		RetryBudget:     0.5,
-		RetryBurst:      100,
 		HedgeDelayMin:   -1, // off by default; hedge tests override
 		BreakerFailures: 100,
 		Seed:            1,
@@ -294,35 +292,110 @@ func TestReplicaQuarantineOnBuildMismatch(t *testing.T) {
 	}
 }
 
-func TestReplicaRetryBudgetExhausts(t *testing.T) {
-	bad := replicaStub("r0")
-	bad.err = &shard.RemoteError{Shard: "r0", Status: 503, Msg: "down"}
-	good := replicaStub("r1", search.Match{TextID: 1, Collisions: 5})
+// TestReplicaOutageMakesOneAttempt: once both breakers of a fully
+// failed set are open, a query fails open to one replica and returns
+// its error; the retry finds no closed replica and does not run. This
+// is what bounds retry amplification during an outage.
+func TestReplicaOutageMakesOneAttempt(t *testing.T) {
+	r0 := replicaStub("r0")
+	r0.err = &shard.RemoteError{Shard: "r0", Status: 503, Msg: "down"}
+	r1 := replicaStub("r1")
+	r1.err = &shard.RemoteError{Shard: "r1", Status: 503, Msg: "down"}
 
 	cfg := testReplicaCfg()
-	cfg.RetryBurst = 2
-	cfg.RetryBudget = 1e-9 // effectively no earnings: only the burst retries
-	rs := newReplicaSet(t, cfg, bad, good)
+	cfg.BreakerFailures = 2
+	rs := newReplicaSet(t, cfg, r0, r1)
 	ctx := context.Background()
-	ok, failed := 0, 0
-	for i := 0; i < 6; i++ {
-		if _, _, err := rs.SearchContext(ctx, []uint32{1}, search.Options{Theta: 0.5}); err != nil {
-			failed++
-		} else {
-			ok++
+	// Two legs of two attempts each open both breakers.
+	for i := 0; i < 2; i++ {
+		if _, _, err := rs.SearchContext(ctx, []uint32{1}, search.Options{Theta: 0.5}); err == nil {
+			t.Fatalf("query %d succeeded with every replica down", i)
 		}
 	}
-	// The first two queries spend the burst; later primaries landing on
-	// r0 cannot retry and surface the error (the coordinator above would
-	// flag them partial).
-	if ok != 2 {
-		t.Fatalf("%d queries retried successfully, want exactly the burst of 2", ok)
+	for _, rep := range rs.ReplicaMetrics().Replicas {
+		if rep.Breaker != shard.BreakerOpen {
+			t.Fatalf("replica %s breaker = %v after 2 failures at threshold 2, want open", rep.Replica, rep.Breaker)
+		}
 	}
-	if failed != 4 {
-		t.Fatalf("%d queries failed, want 4 budget-denied", failed)
+	before := r0.calls.Load() + r1.calls.Load()
+	const queries = 6
+	for i := 0; i < queries; i++ {
+		_, st, err := rs.SearchContext(ctx, []uint32{1}, search.Options{Theta: 0.5})
+		var re *shard.RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("query %d: err = %v, want the replica's RemoteError", i, err)
+		}
+		if st == nil || len(st.Attempts) != 1 {
+			t.Fatalf("query %d attempts = %+v, want exactly one", i, st)
+		}
 	}
-	if d := rs.ReplicaMetrics().BudgetDenied; d != 4 {
-		t.Fatalf("budget_denied = %d, want 4", d)
+	if n := r0.calls.Load() + r1.calls.Load() - before; n != queries {
+		t.Fatalf("%d queries made %d attempts with both breakers open, want %d", queries, n, queries)
+	}
+}
+
+// TestReplicaHedgeWinOpensBlackHoledBreaker: a primary that never
+// answers loses every leg to a hedge, and each win counts one failure
+// against it, so its breaker opens within BreakerFailures legs and
+// later primaries go to the live replica without waiting for a hedge.
+func TestReplicaHedgeWinOpensBlackHoledBreaker(t *testing.T) {
+	hole := replicaStub("r0")
+	returned := make(chan struct{}, 64)
+	hole.hook = func(ctx context.Context, call int64) ([]search.Match, *search.Stats, error) {
+		<-ctx.Done()
+		returned <- struct{}{}
+		return nil, nil, ctx.Err()
+	}
+	live := replicaStub("r1", search.Match{TextID: 2, Start: 0, End: 8, Collisions: 7})
+
+	cfg := testReplicaCfg()
+	cfg.HedgeDelayMin = 2 * time.Millisecond
+	cfg.BreakerFailures = 3
+	rs := newReplicaSet(t, cfg, hole, live)
+	ctx := context.Background()
+	// A beaten primary is still in flight for a moment after its leg
+	// returns, and routing prefers the idle replica, so a leg counts
+	// only when its primary reached r0.
+	lost := 0
+	for leg := 0; lost < cfg.BreakerFailures; leg++ {
+		if leg == 10*cfg.BreakerFailures {
+			t.Fatalf("only %d of %d legs put their primary on r0", lost, leg)
+		}
+		if st := rs.ReplicaMetrics().Replicas[0].Breaker; st != shard.BreakerClosed {
+			t.Fatalf("r0 breaker = %v after %d lost legs, threshold %d", st, lost, cfg.BreakerFailures)
+		}
+		_, st, err := rs.SearchContext(ctx, []uint32{1}, search.Options{Theta: 0.5})
+		if err != nil {
+			t.Fatalf("leg %d: %v", leg, err)
+		}
+		if st.Attempts[0].Replica != "r0" {
+			continue
+		}
+		if len(st.Attempts) != 2 || !st.Attempts[1].Hedge || st.Attempts[1].Err != "" {
+			t.Fatalf("leg %d attempts = %+v, want the r0 primary beaten by a hedge", leg, st.Attempts)
+		}
+		lost++
+		<-returned
+	}
+	m := rs.ReplicaMetrics()
+	if m.Replicas[0].Breaker != shard.BreakerOpen {
+		t.Fatalf("r0 breaker = %v after %d lost legs, want open", m.Replicas[0].Breaker, cfg.BreakerFailures)
+	}
+	if m.Replicas[0].Errors != 0 {
+		t.Errorf("r0 errors = %d; a beaten attempt votes on the breaker only", m.Replicas[0].Errors)
+	}
+	calls := hole.calls.Load()
+	for i := 0; i < 5; i++ {
+		_, st, err := rs.SearchContext(ctx, []uint32{1}, search.Options{Theta: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Attempts) != 1 || st.Attempts[0].Replica != "r1" {
+			t.Fatalf("attempts = %+v, want one primary on r1", st.Attempts)
+		}
+	}
+	if n := hole.calls.Load() - calls; n != 0 {
+		t.Fatalf("open breaker let %d primaries reach the black hole", n)
 	}
 }
 

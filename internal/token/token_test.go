@@ -178,15 +178,3 @@ func TestWordTokenizer(t *testing.T) {
 		t.Fatalf("unknown decode: %q", got)
 	}
 }
-
-func TestWordTokenizerFrozen(t *testing.T) {
-	wt := NewWordTokenizer()
-	wt.Encode("alpha beta gamma")
-	ids, unknown := wt.EncodeFrozen("alpha delta beta")
-	if len(ids) != 2 || len(unknown) != 1 || unknown[0] != "delta" {
-		t.Fatalf("ids=%v unknown=%v", ids, unknown)
-	}
-	if wt.VocabSize() != 3 {
-		t.Fatal("frozen encode grew the vocab")
-	}
-}

@@ -37,19 +37,6 @@ func (t *WordTokenizer) Encode(text string) []uint32 {
 	return out
 }
 
-// EncodeFrozen tokenizes text without growing the vocabulary; unknown
-// words are skipped and reported.
-func (t *WordTokenizer) EncodeFrozen(text string) (ids []uint32, unknown []string) {
-	for _, w := range splitWords(text) {
-		if id, ok := t.vocab[w]; ok {
-			ids = append(ids, id)
-		} else {
-			unknown = append(unknown, w)
-		}
-	}
-	return ids, unknown
-}
-
 // Decode reconstructs a space-joined approximation of the source text.
 func (t *WordTokenizer) Decode(ids []uint32) string {
 	parts := make([]string, 0, len(ids))
