@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"os"
 
-	"ndss/internal/core"
+	"ndss"
 	"ndss/internal/corpus"
 	"ndss/internal/dedup"
 	"ndss/internal/search"
@@ -42,13 +42,16 @@ func run(corpusPath, idxDir string, theta float64, window, stride, parallel, max
 	if err != nil {
 		return err
 	}
-	engine, err := core.Open(idxDir, c)
+	db, err := ndss.Open(idxDir)
 	if err != nil {
 		return err
 	}
-	defer engine.Close()
+	defer db.Close()
+	if err := db.Attach(c); err != nil {
+		return err
+	}
 
-	pairs, stats, err := dedup.ScanCorpus(engine.Searcher(), c, dedup.Options{
+	pairs, stats, err := dedup.ScanCorpus(db.Searcher(), c, dedup.Options{
 		Theta:       theta,
 		Window:      window,
 		Stride:      stride,

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"os"
 
-	"ndss/internal/core"
+	"ndss"
 	"ndss/internal/corpus"
 	"ndss/internal/lm"
 	"ndss/internal/memorize"
@@ -49,11 +49,14 @@ func run(corpusPath, idxDir string, order, maxContexts, numTexts, textLen, x, to
 	if err != nil {
 		return err
 	}
-	engine, err := core.Open(idxDir, c)
+	db, err := ndss.Open(idxDir)
 	if err != nil {
 		return err
 	}
-	defer engine.Close()
+	defer db.Close()
+	if err := db.Attach(c); err != nil {
+		return err
+	}
 
 	fmt.Printf("training order-%d model (max contexts %d) on %d texts...\n", order, maxContexts, c.NumTexts())
 	model, err := lm.Train(c, lm.Config{Order: order, MaxContexts: maxContexts})
@@ -74,7 +77,7 @@ func run(corpusPath, idxDir string, order, maxContexts, numTexts, textLen, x, to
 	}
 	fmt.Printf("generated %d query sequences (x=%d, top-%d sampling, unprompted)\n", len(queries), x, topK)
 
-	res, err := memorize.Evaluate(engine.Searcher(), queries, memorize.EvalConfig{
+	res, err := memorize.Evaluate(db.Searcher(), queries, memorize.EvalConfig{
 		Options:     search.Options{Theta: theta, PrefixFilter: true, Verify: true},
 		MaxExamples: examples,
 	})

@@ -27,7 +27,7 @@ import (
 	"strconv"
 	"strings"
 
-	"ndss/internal/core"
+	"ndss"
 	"ndss/internal/corpus"
 	"ndss/internal/search"
 )
@@ -65,25 +65,24 @@ func run(idxDir, corpusPath string, theta float64, tokens string, fromText, at, 
 	if queriesPath != "" && (tokens != "" || fromText >= 0) {
 		return fmt.Errorf("-queries (batch mode) conflicts with -tokens/-from-text; provide one query source")
 	}
-	var src search.TextSource
-	var reader *corpus.Reader
-	if corpusPath != "" {
-		r, err := corpus.OpenReader(corpusPath)
-		if err != nil {
-			return err
-		}
-		defer r.Close()
-		src, reader = r, r
-	}
-	engine, err := core.Open(idxDir, src)
+	db, err := ndss.Open(idxDir)
 	if err != nil {
 		return err
 	}
-	defer engine.Close()
+	defer db.Close()
+	var reader *corpus.Reader
+	if corpusPath != "" {
+		if reader, err = corpus.OpenReader(corpusPath); err != nil {
+			return err
+		}
+		if err := db.Attach(reader); err != nil { // db now owns reader
+			return err
+		}
+	}
 
 	opts := search.Options{Theta: theta, PrefixFilter: prefix, Verify: verify}
 	if queriesPath != "" {
-		return runBatch(engine, queriesPath, opts, parallel, verbose)
+		return runBatch(db, queriesPath, opts, parallel, verbose)
 	}
 
 	var query []uint32
@@ -109,7 +108,7 @@ func run(idxDir, corpusPath string, theta float64, tokens string, fromText, at, 
 		return fmt.Errorf("provide -tokens, -from-text or -queries")
 	}
 
-	matches, stats, err := engine.Search(query, opts)
+	matches, stats, err := db.Search(query, opts)
 	if err != nil {
 		return err
 	}
@@ -149,7 +148,7 @@ func printStageSplit(label string, t search.StageTimes) {
 
 // runBatch runs the queries in path over a worker pool and prints each
 // query's result with its exact per-query I/O/CPU split.
-func runBatch(engine *core.Engine, path string, opts search.Options, parallel int, verbose bool) error {
+func runBatch(db *ndss.DB, path string, opts search.Options, parallel int, verbose bool) error {
 	queries, lines, err := readQueriesFile(path)
 	if err != nil {
 		return err
@@ -157,7 +156,7 @@ func runBatch(engine *core.Engine, path string, opts search.Options, parallel in
 	if len(queries) == 0 {
 		return fmt.Errorf("%s: no queries", path)
 	}
-	results := engine.SearchBatch(queries, opts, parallel)
+	results := db.SearchBatch(queries, opts, parallel)
 	failed := 0
 	var ioBytes int64
 	for i, res := range results {

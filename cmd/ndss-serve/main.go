@@ -75,10 +75,9 @@ import (
 	"syscall"
 	"time"
 
-	"ndss/internal/core"
+	"ndss"
 	"ndss/internal/corpus"
 	"ndss/internal/index"
-	"ndss/internal/search"
 	"ndss/internal/server"
 	"ndss/internal/shard"
 )
@@ -152,47 +151,20 @@ func newLogger(format string) (*slog.Logger, error) {
 	return nil, fmt.Errorf("unknown -log format %q (want text or json)", format)
 }
 
-// servedBackend is an opened engine plus the corpus reader backing its
-// verification source, closed together when a reload retires it.
-type servedBackend struct {
-	*core.Engine
-	src *corpus.Reader // nil when serving without -corpus
-}
-
-func (b *servedBackend) Close() error {
-	err := b.Engine.Close()
-	if b.src != nil {
-		if cerr := b.src.Close(); err == nil {
-			err = cerr
-		}
+// openBackend opens the index directory and, when configured, attaches
+// the corpus, which the DB then owns. It is also the server's Reloader:
+// each reload opens fresh handles so the retiring backend can be closed
+// safely.
+func openBackend(idxDir, corpusPath string) (*ndss.DB, error) {
+	db, err := ndss.Open(idxDir)
+	if err != nil || corpusPath == "" {
+		return db, err
 	}
-	return err
-}
-
-// openBackend opens the index directory (and corpus, when configured)
-// as one closable unit. It is also the server's Reloader: each reload
-// opens fresh handles so the retiring backend can be closed safely.
-func openBackend(idxDir, corpusPath string) (*servedBackend, error) {
-	var (
-		src search.TextSource
-		r   *corpus.Reader
-	)
-	if corpusPath != "" {
-		var err error
-		r, err = corpus.OpenReader(corpusPath)
-		if err != nil {
-			return nil, err
-		}
-		src = r
-	}
-	engine, err := core.Open(idxDir, src)
-	if err != nil {
-		if r != nil {
-			_ = r.Close() // the Open error is the one to report
-		}
+	if err := db.AttachCorpusFile(corpusPath); err != nil {
+		_ = db.Close() // the attach error is the one to report
 		return nil, err
 	}
-	return &servedBackend{Engine: engine, src: r}, nil
+	return db, nil
 }
 
 // replicaConfig maps the resilience flags onto shard.ReplicaConfig.
@@ -293,7 +265,6 @@ func openCoordinator(c serveConfig, logger *slog.Logger) (server.Backend, error)
 	if err != nil {
 		return nil, err
 	}
-	coord.StartProbers(context.Background())
 	ok = true
 	return coord, nil
 }

@@ -27,6 +27,13 @@ func TestCtxFlowTrace(t *testing.T) {
 	atest.Run(t, analysis.CtxFlow, "testdata/ctxflow_trace", "ndss/internal/shard")
 }
 
+// The root package holds the engine, so the cancellation contract
+// covers it; it is matched exactly, never as a prefix of the module.
+func TestCtxFlowRoot(t *testing.T) {
+	atest.Run(t, analysis.CtxFlow, "testdata/ctxflow_root", "ndss")
+	atest.Run(t, analysis.CtxFlow, "testdata/ctxflow_rootexact", "ndss/internal/dedup")
+}
+
 func TestMetricHygiene(t *testing.T) {
 	atest.Run(t, analysis.MetricHygiene, "testdata/metrichygiene", "ndss/internal/server")
 }

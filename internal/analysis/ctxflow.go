@@ -13,9 +13,14 @@ import (
 // context instead of minting its own.
 var ctxScope = []string{"ndss/internal/search", "ndss/internal/server", "ndss/internal/core", "ndss/internal/shard"}
 
+// ctxRootPkg is the root package, where the engine (ndss.DB) lives. It
+// is in ctxflow's scope on its own: as a prefix it would pull in every
+// package of the module.
+const ctxRootPkg = "ndss"
+
 // ctxExportScope is the narrower scope in which exported I/O entry
 // points must accept a context: the serving path. Offline builders
-// (internal/core's index-construction facade) are batch CLI work where
+// (the root package's BuildIndex facade) are batch CLI work where
 // cancellation is process-level. The shard coordinator is serving-path
 // code through and through — every ShardClient entry point fans out
 // network or index I/O — so it carries the full obligation.
@@ -63,7 +68,7 @@ var CtxFlow = &Analyzer{
 }
 
 func runCtxFlow(pass *Pass) error {
-	if !underAny(pass.PkgPath(), ctxScope...) {
+	if pass.PkgPath() != ctxRootPkg && !underAny(pass.PkgPath(), ctxScope...) {
 		return nil
 	}
 	doesIO := ioClosure(pass)

@@ -153,13 +153,3 @@ func Collisions(a, b []uint64) int {
 	}
 	return n
 }
-
-// EstimateJaccard estimates the Jaccard similarity of the sequences whose
-// sketches are a and b as the collision fraction. The estimator is
-// unbiased with variance O(1/k).
-func EstimateJaccard(a, b []uint64) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	return float64(Collisions(a, b)) / float64(len(a))
-}

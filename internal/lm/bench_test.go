@@ -38,15 +38,3 @@ func BenchmarkGenerateTopK(b *testing.B) {
 		_ = m.Generate(nil, 128, TopK{K: 50}, rng)
 	}
 }
-
-func BenchmarkBeamSearch(b *testing.B) {
-	c := benchTrainCorpus(b)
-	m, err := Train(c, Config{Order: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.BeamSearch(nil, 32, 4)
-	}
-}

@@ -7,9 +7,9 @@
 // verbatim, which is exactly the behaviour the evaluation pipeline
 // measures — see DESIGN.md's substitution table.
 //
-// All of the paper's generation strategies are implemented: greedy
-// search, random sampling, top-k sampling, top-p (nucleus) sampling and
-// beam search.
+// The generation strategies are the paper's samplers: greedy search,
+// random sampling, top-k sampling and top-p (nucleus) sampling. Beam
+// search is not implemented; no evaluation here decodes with it.
 package lm
 
 import (

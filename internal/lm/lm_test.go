@@ -216,23 +216,40 @@ func TestRandomSamplerProportions(t *testing.T) {
 	}
 }
 
-func TestBeamSearch(t *testing.T) {
-	// Chain with a fork: 1->2 (2x), 1->3 (1x); 2->4; 3->5.
-	m := trainOn(t, [][]uint32{{1, 2, 4, 1, 2, 4, 1, 3, 5}}, Config{Order: 2})
-	got := m.BeamSearch([]uint32{1}, 2, 3)
-	if !reflect.DeepEqual(got, []uint32{2, 4}) {
-		t.Fatalf("beam = %v, want [2 4]", got)
+// TestCapacityFitsTrainingText: Fig 4's four model sizes are ordered by
+// capacity, and a larger one predicts its training text better. The
+// count is of positions where the greedy next token is the text's own
+// (one position at a time, each from the true prefix), summed over the
+// first texts of the corpus.
+func TestCapacityFitsTrainingText(t *testing.T) {
+	c := corpus.MustSynthesize(corpus.SynthConfig{
+		NumTexts: 50, MinLength: 100, MaxLength: 200, VocabSize: 500,
+		ZipfS: 1.3, Seed: 9,
+	})
+	hits := func(cfg Config) int {
+		m, err := Train(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for id := uint32(0); id < 5; id++ {
+			text := c.Text(id)
+			for i := range text {
+				if cands := m.NextDistribution(text[:i]); len(cands) > 0 && (Greedy{}).Pick(cands, nil) == text[i] {
+					n++
+				}
+			}
+		}
+		return n
 	}
-	// Width 1 equals greedy.
-	greedy := m.BeamSearch([]uint32{1}, 2, 1)
-	if !reflect.DeepEqual(greedy, []uint32{2, 4}) {
-		t.Fatalf("width-1 beam = %v", greedy)
-	}
-}
-
-func TestBeamSearchDeadEnd(t *testing.T) {
-	m := trainOn(t, nil, Config{Order: 2})
-	if got := m.BeamSearch(nil, 5, 2); len(got) != 0 {
-		t.Fatalf("empty model beam = %v", got)
+	sizes := []Config{{Order: 3, MaxContexts: 300}, {Order: 3}, {Order: 4}, {Order: 5}}
+	prev := -1
+	for _, cfg := range sizes {
+		n := hits(cfg)
+		t.Logf("%+v: %d greedy hits", cfg, n)
+		if n <= prev {
+			t.Errorf("%+v predicts %d training tokens, the next smaller model %d: capacity must help", cfg, n, prev)
+		}
+		prev = n
 	}
 }

@@ -1,10 +1,6 @@
 package lm
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Sampler picks the next token from a candidate distribution. Candidates
 // arrive sorted by descending count.
@@ -88,57 +84,4 @@ func weightedPick(cands []Cand, rng *rand.Rand) uint32 {
 		}
 	}
 	return cands[len(cands)-1].Token
-}
-
-// BeamSearch generates length tokens after prompt keeping the width most
-// probable partial sequences at each step (the paper's beam search). It
-// returns the highest-scoring beam. Scores are sums of log-probability
-// surrogates (log of count fractions).
-func (m *Model) BeamSearch(prompt []uint32, length, width int) []uint32 {
-	if width < 1 {
-		width = 1
-	}
-	type beam struct {
-		tokens []uint32
-		score  float64
-	}
-	beams := []beam{{tokens: append([]uint32{}, prompt...)}}
-	for step := 0; step < length; step++ {
-		var next []beam
-		for _, b := range beams {
-			cands := m.NextDistribution(b.tokens)
-			if len(cands) == 0 {
-				next = append(next, b)
-				continue
-			}
-			var total int64
-			for _, c := range cands {
-				total += c.Count
-			}
-			limit := width
-			if limit > len(cands) {
-				limit = len(cands)
-			}
-			for _, c := range cands[:limit] {
-				tokens := make([]uint32, len(b.tokens), len(b.tokens)+1)
-				copy(tokens, b.tokens)
-				next = append(next, beam{
-					tokens: append(tokens, c.Token),
-					score:  b.score + logFrac(c.Count, total),
-				})
-			}
-		}
-		sort.Slice(next, func(i, j int) bool { return next[i].score > next[j].score })
-		if len(next) > width {
-			next = next[:width]
-		}
-		beams = next
-	}
-	best := beams[0].tokens
-	return best[len(prompt):]
-}
-
-// logFrac is the log-probability surrogate log(num/den).
-func logFrac(num, den int64) float64 {
-	return math.Log(float64(num)) - math.Log(float64(den))
 }

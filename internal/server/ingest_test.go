@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"ndss/internal/core"
+	"ndss"
 	"ndss/internal/corpus"
 	"ndss/internal/index"
 	"ndss/internal/wire"
@@ -33,13 +33,13 @@ func ingestFixture(t *testing.T, compactAfter int) (*Server, string) {
 	})
 	dir := t.TempDir() + "/ix"
 	buildCorpusAt(t, c, dir)
-	backend, err := core.Open(dir, nil)
+	backend, err := ndss.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := New(backend, Config{
 		MaxInFlight:  128,
-		Reloader:     func() (Backend, error) { return core.Open(dir, nil) },
+		Reloader:     func() (Backend, error) { return ndss.Open(dir) },
 		Ingester:     func(texts [][]uint32) (string, error) { return index.Append(dir, corpus.New(texts)) },
 		Compactor:    func() error { return index.Compact(dir) },
 		CompactAfter: compactAfter,

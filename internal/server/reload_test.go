@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"ndss/internal/core"
+	"ndss"
 	"ndss/internal/corpus"
 	"ndss/internal/hash"
 	"ndss/internal/index"
@@ -43,14 +43,14 @@ func reloadFixture(t *testing.T) (srv *Server, dir string, c1, c2 *corpus.Corpus
 	})
 	dir = t.TempDir() + "/ix"
 	buildCorpusAt(t, c1, dir)
-	backend, err := core.Open(dir, nil)
+	backend, err := ndss.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv = New(backend, Config{
 		MaxInFlight: 128,
 		Reloader: func() (Backend, error) {
-			return core.Open(dir, nil)
+			return ndss.Open(dir)
 		},
 	})
 	return srv, dir, c1, c2, c1.Text(0)[:12]

@@ -451,7 +451,7 @@ func (s *Server) maybeAutoCompact() {
 }
 
 // segmentCount reports how many segments back the given backend, via
-// the optional interface *core.Engine (and *index.Index) implement.
+// the optional interface *ndss.DB (and *index.Index) implement.
 // Backends without segment awareness count as one segment.
 func segmentCount(b Backend) int {
 	if sc, ok := b.(interface{ SegmentCount() int }); ok {

@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"ndss/internal/core"
+	"ndss"
 	"ndss/internal/corpus"
 	"ndss/internal/hash"
 	"ndss/internal/index"
@@ -23,7 +23,7 @@ import (
 
 // testFixture builds a small on-disk index and returns the corpus, the
 // opened engine, and a query planted to have near-duplicates.
-func testFixture(t testing.TB) (*corpus.Corpus, *core.Engine, []uint32) {
+func testFixture(t testing.TB) (*corpus.Corpus, *ndss.DB, []uint32) {
 	t.Helper()
 	c := corpus.MustSynthesize(corpus.SynthConfig{
 		NumTexts: 40, MinLength: 40, MaxLength: 120, VocabSize: 40,
@@ -33,12 +33,22 @@ func testFixture(t testing.TB) (*corpus.Corpus, *core.Engine, []uint32) {
 	if _, err := index.Build(c, dir, index.BuildOptions{K: 8, Seed: 21, T: 5, ZoneMapStep: 4, LongListCutoff: 8}); err != nil {
 		t.Fatal(err)
 	}
-	engine, err := core.Open(dir, c)
+	engine := openDB(t, dir, c)
+	t.Cleanup(func() { engine.Close() })
+	return c, engine, c.Text(0)[:12]
+}
+
+// openDB opens the index at dir with src attached for verification.
+func openDB(t testing.TB, dir string, src search.TextSource) *ndss.DB {
+	t.Helper()
+	db, err := ndss.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { engine.Close() })
-	return c, engine, c.Text(0)[:12]
+	if err := db.Attach(src); err != nil {
+		t.Fatal(err)
+	}
+	return db
 }
 
 // getMetricsJSON fetches /metrics with the Accept header that selects

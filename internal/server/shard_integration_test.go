@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"ndss/internal/core"
+	"ndss"
 	"ndss/internal/corpus"
 	"ndss/internal/hash"
 	"ndss/internal/index"
@@ -40,18 +40,14 @@ func shardedServerFixture(t *testing.T, cfg shard.Config) (singleTS, shardedTS *
 	for i := range texts {
 		texts[i] = c.Text(uint32(i))
 	}
-	open := func(sub [][]uint32) *core.Engine {
+	open := func(sub [][]uint32) *ndss.DB {
 		t.Helper()
 		dir := t.TempDir()
 		cc := corpus.New(sub)
 		if _, err := index.Build(cc, dir, index.BuildOptions{K: 8, Seed: 21, T: 5}); err != nil {
 			t.Fatal(err)
 		}
-		e, err := core.Open(dir, cc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
+		return openDB(t, dir, cc)
 	}
 
 	single := open(texts)
@@ -310,11 +306,11 @@ func TestShardedServerReloadRace(t *testing.T) {
 	buildCorpusAt(t, corpus.New(texts[20:]), d1)
 
 	openCoord := func() (Backend, error) {
-		e0, err := core.Open(d0, nil)
+		e0, err := ndss.Open(d0)
 		if err != nil {
 			return nil, err
 		}
-		e1, err := core.Open(d1, nil)
+		e1, err := ndss.Open(d1)
 		if err != nil {
 			e0.Close()
 			return nil, err

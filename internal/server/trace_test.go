@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"ndss/internal/core"
 	"ndss/internal/corpus"
 	"ndss/internal/index"
 	"ndss/internal/obs"
@@ -261,10 +260,7 @@ func TestChaosTraceRetryHedgeTree(t *testing.T) {
 		if _, err := index.Build(cc, dir, index.BuildOptions{K: 8, Seed: 21, T: 5}); err != nil {
 			t.Fatal(err)
 		}
-		e, err := core.Open(dir, cc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := openDB(t, dir, cc)
 		t.Cleanup(func() { e.Close() })
 		reps := make([]shard.ShardClient, 2)
 		for j := 0; j < 2; j++ {

@@ -152,18 +152,6 @@ func (c *Coordinator) CheckHealth(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// StartProbers launches the background health loop of every shard that
-// has one (replica sets): recovered replicas rejoin, diverging builds
-// are quarantined, all without query traffic. The loops stop when ctx
-// is canceled or the coordinator is closed.
-func (c *Coordinator) StartProbers(ctx context.Context) {
-	for _, sl := range c.slots {
-		if p, ok := sl.client.(interface{ StartProber(ctx context.Context) }); ok {
-			p.StartProber(ctx)
-		}
-	}
-}
-
 // Close closes every shard and returns their joined errors.
 func (c *Coordinator) Close() error {
 	errs := make([]error, len(c.slots))

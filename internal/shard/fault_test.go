@@ -29,6 +29,7 @@ type stubShard struct {
 	block   bool // park until the leg context is done, then return its error
 	calls   atomic.Int64
 	probes  atomic.Int64 // CheckHealth calls
+	down    atomic.Bool  // CheckHealth fails while set
 
 	// hook, when set, fully overrides SearchContext (call is 1-based).
 	hook func(ctx context.Context, call int64) ([]search.Match, *search.Stats, error)
@@ -55,6 +56,9 @@ func (s *stubShard) IOStats() index.IOStats { return index.IOStats{} }
 func (s *stubShard) Close() error           { return nil }
 func (s *stubShard) CheckHealth(ctx context.Context) error {
 	s.probes.Add(1)
+	if s.down.Load() {
+		return errors.New("stub: down")
+	}
 	return ctx.Err()
 }
 

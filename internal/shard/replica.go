@@ -29,9 +29,9 @@ type ReplicaConfig struct {
 	// breaker; retries and hedges go only to closed replicas, so this
 	// is also what bounds their amplification. Default 5.
 	BreakerFailures int
-	// ProbeInterval paces StartProber's background health checks, the
-	// path by which an open or quarantined replica rejoins rotation.
-	// Default 2s.
+	// ProbeInterval paces the background health checks of a set of two
+	// or more replicas, the path by which an open or quarantined
+	// replica rejoins rotation. Default 2s.
 	ProbeInterval time.Duration
 	// Seed fixes the routing RNG for reproducible tests; 0
 	// derives a seed from the set's name.
@@ -104,9 +104,10 @@ type ReplicaSet struct {
 	hedgeWins atomic.Int64
 
 	mu         sync.Mutex
-	groupBuild string             // guarded by mu
-	probeStop  context.CancelFunc // guarded by mu
-	probeWG    sync.WaitGroup
+	groupBuild string // guarded by mu
+
+	probeStop context.CancelFunc // nil for a single replica
+	probeWG   sync.WaitGroup
 }
 
 // NewReplicaSet groups clients as interchangeable replicas of one
@@ -115,7 +116,8 @@ type ReplicaSet struct {
 // quarantined until a health probe learns its build); replicas with
 // known metadata must agree exactly, NumTexts included — a replica
 // serving a different corpus slice would corrupt global text ids. The
-// set takes ownership of the clients: Close closes them.
+// set takes ownership of the clients: Close closes them. A set of two
+// or more replicas runs its health prober from construction to Close.
 func NewReplicaSet(name string, clients []ShardClient, cfg ReplicaConfig) (*ReplicaSet, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("shard: replica set needs at least one replica")
@@ -163,6 +165,9 @@ func NewReplicaSet(name string, clients []ShardClient, cfg ReplicaConfig) (*Repl
 		rng:      newLockedRand(seed),
 	}
 	rs.requarantine(nil)
+	if rs.multi() {
+		rs.startProber()
+	}
 	return rs, nil
 }
 
@@ -589,21 +594,15 @@ func (r *ReplicaSet) CheckHealth(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// StartProber launches the background health loop: every
+// startProber launches the background health loop: every
 // ProbeInterval it re-runs CheckHealth so a recovered or rebuilt
 // replica rejoins — or is quarantined — without needing query traffic
-// to find out. The loop stops when ctx is canceled or the set is
-// closed. Starting twice is a no-op.
-func (r *ReplicaSet) StartProber(ctx context.Context) {
+// to find out. Close stops it.
+func (r *ReplicaSet) startProber() {
 	interval := r.cfg.ProbeInterval
-	r.mu.Lock()
-	if r.probeStop != nil {
-		r.mu.Unlock()
-		return
-	}
-	pctx, cancel := context.WithCancel(ctx)
+	//lint:ignore ctxflow the loop lives from NewReplicaSet to Close, not within any request; Close cancels it
+	ctx, cancel := context.WithCancel(context.Background())
 	r.probeStop = cancel
-	r.mu.Unlock()
 	r.probeWG.Add(1)
 	go func() {
 		defer r.probeWG.Done()
@@ -611,10 +610,10 @@ func (r *ReplicaSet) StartProber(ctx context.Context) {
 		defer t.Stop()
 		for {
 			select {
-			case <-pctx.Done():
+			case <-ctx.Done():
 				return
 			case <-t.C:
-				hctx, hcancel := context.WithTimeout(pctx, interval)
+				hctx, hcancel := context.WithTimeout(ctx, interval)
 				_ = r.CheckHealth(hctx) // per-replica state is the point; the joined error has no reader
 				hcancel()
 			}
@@ -624,11 +623,8 @@ func (r *ReplicaSet) StartProber(ctx context.Context) {
 
 // Close stops the prober and closes every replica.
 func (r *ReplicaSet) Close() error {
-	r.mu.Lock()
-	stop := r.probeStop
-	r.mu.Unlock()
-	if stop != nil {
-		stop()
+	if r.probeStop != nil {
+		r.probeStop()
 		r.probeWG.Wait()
 	}
 	errs := make([]error, len(r.replicas))

@@ -17,9 +17,9 @@ import (
 // chaos fixture's fault-injecting transport. Every cell runs b.N
 // sequential queries, each under a 250 ms deadline, with one scripted
 // fault scenario (on replica 0 of range 0 unless noted) and one
-// configuration variant: all-on is the production default with the
-// background prober started, every other variant switches exactly one
-// mechanism off.
+// configuration variant: all-on is the production default, every other
+// variant switches exactly one mechanism off. The prober is not a
+// variant: every set of two or more replicas runs it.
 //
 // Reported per cell:
 //
@@ -93,26 +93,21 @@ var replicaScenarios = []replicaScenario{
 }
 
 type replicaVariant struct {
-	name     string
-	cfg      shard.ReplicaConfig
-	noProber bool
+	name string
+	cfg  shard.ReplicaConfig
 }
 
 var replicaVariants = []replicaVariant{
 	{name: "all-on"},
 	{name: "-hedge", cfg: shard.ReplicaConfig{HedgeDelayMin: -1}},
 	{name: "-breaker", cfg: shard.ReplicaConfig{BreakerFailures: 1 << 30}},
-	{name: "-prober", noProber: true},
 }
 
 func runReplicaCell(b *testing.B, sc replicaScenario, v replicaVariant) {
 	cfg := v.cfg
 	cfg.Seed = 1
 	f := newReplicaFixture(b, 2, cfg)
-	defer f.coord.Close() // stop this run's prober before the next run's topology starts
-	if !v.noProber {
-		f.coord.StartProbers(context.Background())
-	}
+	defer f.coord.Close() // stop this run's probers before the next run's topology starts
 	sc.apply(f.ft, f.hosts, b.N)
 	queries := f.queries()
 	lat := make([]time.Duration, b.N)

@@ -24,11 +24,13 @@ func replicaStub(name string, matches ...search.Match) *stubShard {
 }
 
 // testReplicaCfg is fast and deterministic: no hedging unless a test
-// opts in, fixed seed.
+// opts in, no background probe within a test's lifetime (tests probe by
+// calling CheckHealth), fixed seed.
 func testReplicaCfg() shard.ReplicaConfig {
 	return shard.ReplicaConfig{
 		HedgeDelayMin:   -1, // off by default; hedge tests override
 		BreakerFailures: 100,
+		ProbeInterval:   time.Hour, // the prober test overrides
 		Seed:            1,
 	}
 }
@@ -208,13 +210,15 @@ func TestReplicaBreakerRoutesAroundAndProbeRecovers(t *testing.T) {
 	}
 }
 
-// TestReplicaProberClosesBreaker drives the background loop itself: a
-// replica whose breaker opened, then healed, rejoins rotation with no
-// query traffic at all, and Close stops the loop (TestMain's leakcheck
-// also fails the binary if it keeps running).
+// TestReplicaProberClosesBreaker: a set of two replicas probes them
+// from construction on, with nothing to start. A replica whose breaker
+// opened, then healed, rejoins rotation with no query traffic at all,
+// and Close stops the loop (TestMain's leakcheck also fails the binary
+// if it keeps running).
 func TestReplicaProberClosesBreaker(t *testing.T) {
 	bad := replicaStub("r0")
 	bad.err = &shard.RemoteError{Shard: "r0", Status: 503, Msg: "down"}
+	bad.down.Store(true) // probes fail too, so nothing closes the breaker early
 	good := replicaStub("r1", search.Match{TextID: 1, Collisions: 5})
 
 	const interval = 5 * time.Millisecond
@@ -231,7 +235,7 @@ func TestReplicaProberClosesBreaker(t *testing.T) {
 
 	bad.err = nil
 	calls := bad.calls.Load()
-	rs.StartProber(context.Background())
+	bad.down.Store(false)
 	deadline := time.Now().Add(200 * interval)
 	for rs.ReplicaMetrics().Replicas[0].Breaker != shard.BreakerClosed {
 		if time.Now().After(deadline) {

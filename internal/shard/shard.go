@@ -38,7 +38,7 @@ import (
 
 // Backend is the serving tier's one query surface: what internal/server
 // serves over HTTP, what Local wraps as a shard, and what a Coordinator
-// itself implements. *core.Engine satisfies it; tests substitute slow
+// itself implements. *ndss.DB satisfies it; tests substitute slow
 // or failing implementations. A Backend that also implements io.Closer
 // is closed when its owner (a server reload, a Local) is done with it.
 type Backend interface {
@@ -95,7 +95,7 @@ func (e *MixedShardsError) Error() string {
 		e.Shard, e.Got.K, e.Got.Seed, e.Got.T, e.Want.K, e.Want.Seed, e.Want.T)
 }
 
-// Local is an in-process shard: a Backend (usually *core.Engine over
+// Local is an in-process shard: a Backend (usually *ndss.DB over
 // one shard's index directory) behind the ShardClient surface.
 type Local struct {
 	Backend

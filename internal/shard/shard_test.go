@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"ndss/internal/core"
+	"ndss"
 	"ndss/internal/corpus"
 	"ndss/internal/index"
 	"ndss/internal/search"
@@ -41,15 +41,18 @@ func fixtureTexts(t testing.TB) [][]uint32 {
 
 // buildEngine builds an index over texts in a fresh directory and opens
 // it with the texts attached (so Verify works).
-func buildEngine(t testing.TB, texts [][]uint32) *core.Engine {
+func buildEngine(t testing.TB, texts [][]uint32) *ndss.DB {
 	t.Helper()
 	c := corpus.New(texts)
 	dir := t.TempDir()
 	if _, err := index.Build(c, dir, buildOpts); err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.Open(dir, c)
+	e, err := ndss.Open(dir)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Attach(c); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -57,7 +60,7 @@ func buildEngine(t testing.TB, texts [][]uint32) *core.Engine {
 
 type shardFixture struct {
 	texts  [][]uint32
-	single *core.Engine
+	single *ndss.DB
 	coord  *shard.Coordinator
 }
 
@@ -277,7 +280,7 @@ func TestMixedShardsRejected(t *testing.T) {
 	if _, err := index.Build(c, dir, other); err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.Open(dir, nil)
+	b, err := ndss.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ import (
 	"context"
 	"io"
 
-	"ndss/internal/core"
 	"ndss/internal/corpus"
+	"ndss/internal/hash"
 	"ndss/internal/index"
 	"ndss/internal/search"
 )
@@ -72,7 +72,7 @@ type TextSource = search.TextSource
 // BuildIndex builds an index directory over in-memory tokenized texts.
 // Text ids are the slice indexes.
 func BuildIndex(texts [][]uint32, dir string, opts BuildOptions) (*BuildStats, error) {
-	return core.BuildIndex(corpus.New(texts), dir, opts)
+	return index.Build(corpus.New(texts), dir, opts)
 }
 
 // BuildIndexFromFile builds an index directory from a corpus file
@@ -80,7 +80,12 @@ func BuildIndex(texts [][]uint32, dir string, opts BuildOptions) (*BuildStats, e
 // for corpora larger than memory: it streams the file once, builds
 // batches of at most opts.MemoryBudget, and merges them into one index.
 func BuildIndexFromFile(corpusPath, dir string, opts BuildOptions) (*BuildStats, error) {
-	return core.BuildIndexExternal(corpusPath, dir, opts)
+	r, err := corpus.OpenReader(corpusPath)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return index.BuildExternal(r, dir, opts)
 }
 
 // WriteCorpusFile writes tokenized texts to the binary corpus format.
@@ -88,71 +93,76 @@ func WriteCorpusFile(texts [][]uint32, path string) error {
 	return corpus.WriteFile(corpus.New(texts), path)
 }
 
-// DB is an opened index ready for queries.
+// DB is an opened index ready for queries: the index, the searcher
+// over it and an optional text source for verification. It is the one
+// engine the commands, the HTTP server and in-process shards run
+// queries through, and it satisfies shard.Backend. Queries may run
+// concurrently; Attach and Close may not run alongside them.
 type DB struct {
-	engine *core.Engine
-	dir    string
-	src    search.TextSource
+	ix       *index.Index
+	searcher *search.Searcher
+	src      TextSource
 }
 
 // Open opens an index directory built by BuildIndex or
 // BuildIndexFromFile.
 func Open(dir string) (*DB, error) {
-	engine, err := core.Open(dir, nil)
+	ix, err := index.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &DB{engine: engine, dir: dir}, nil
+	return &DB{ix: ix, searcher: search.New(ix, nil)}, nil
 }
 
-// AttachTexts provides the corpus content so searches can verify exact
-// Jaccard similarities (SearchOptions.Verify).
+// Attach makes src the text source searches verify against
+// (SearchOptions.Verify) and takes ownership of it: Close, or a later
+// Attach, closes a source that is an io.Closer. The open index is kept;
+// only the searcher over it is replaced. The error is that of closing
+// the previous source.
+func (db *DB) Attach(src TextSource) error {
+	old := db.src
+	db.searcher = search.New(db.ix, src)
+	db.src = src
+	return closeSource(old)
+}
+
+// AttachTexts is Attach over in-memory texts.
 func (db *DB) AttachTexts(texts [][]uint32) error {
-	return db.attach(corpus.New(texts))
+	return db.Attach(corpus.New(texts))
 }
 
-// AttachCorpusFile is AttachTexts reading from a corpus file; texts are
-// fetched lazily per match.
+// AttachCorpusFile is Attach over a corpus file; texts are fetched
+// lazily per match.
 func (db *DB) AttachCorpusFile(path string) error {
 	r, err := corpus.OpenReader(path)
 	if err != nil {
 		return err
 	}
-	return db.attach(r)
+	return db.Attach(r)
 }
 
-func (db *DB) attach(src search.TextSource) error {
-	engine, err := core.Open(db.dir, src)
-	if err != nil {
-		return err
+func closeSource(src TextSource) error {
+	if c, ok := src.(io.Closer); ok {
+		return c.Close()
 	}
-	old, oldSrc := db.engine, db.src
-	db.engine = engine
-	db.src = src
-	err = old.Close()
-	if c, ok := oldSrc.(io.Closer); ok {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return nil
 }
 
 // Search reports every near-duplicate span of query per opts.
 func (db *DB) Search(query []uint32, opts SearchOptions) ([]Match, *QueryStats, error) {
-	return db.engine.Search(query, opts)
+	return db.searcher.Search(query, opts)
 }
 
 // SearchContext is Search honoring a context: when ctx is canceled or
 // its deadline passes, the query stops before its next index read and
 // returns ctx.Err(). Use it to bound query latency in services.
 func (db *DB) SearchContext(ctx context.Context, query []uint32, opts SearchOptions) ([]Match, *QueryStats, error) {
-	return db.engine.SearchContext(ctx, query, opts)
+	return db.searcher.SearchContext(ctx, query, opts)
 }
 
 // Searcher exposes the underlying searcher for pipelines that drive
 // many queries directly (e.g. the memorization evaluator).
-func (db *DB) Searcher() *search.Searcher { return db.engine.Searcher() }
+func (db *DB) Searcher() *search.Searcher { return db.searcher }
 
 // TopKOptions configures SearchTopK.
 type TopKOptions = search.TopKOptions
@@ -160,34 +170,54 @@ type TopKOptions = search.TopKOptions
 // SearchTopK returns the up-to-N most similar near-duplicate spans,
 // best first.
 func (db *DB) SearchTopK(query []uint32, opts TopKOptions) ([]Match, *QueryStats, error) {
-	return db.engine.Searcher().SearchTopK(query, opts)
+	return db.searcher.SearchTopK(query, opts)
 }
 
 // SearchBatch runs many queries concurrently and returns per-query
 // results in order. Every result's QueryStats are exact for that query
 // at any parallelism.
 func (db *DB) SearchBatch(queries [][]uint32, opts SearchOptions, parallelism int) []BatchResult {
-	return db.engine.SearchBatch(queries, opts, parallelism)
+	return db.searcher.SearchBatch(queries, opts, parallelism)
 }
 
 // SearchBatchContext is SearchBatch honoring a context: once ctx is
 // done, in-flight queries stop at their next cancellation checkpoint
 // and unstarted queries fail immediately with ctx.Err().
 func (db *DB) SearchBatchContext(ctx context.Context, queries [][]uint32, opts SearchOptions, parallelism int) []BatchResult {
-	return db.engine.SearchBatchContext(ctx, queries, opts, parallelism)
+	return db.searcher.SearchBatchContext(ctx, queries, opts, parallelism)
 }
 
 // SearchTopKContext is SearchTopK honoring a context; see SearchContext
 // for the cancellation contract.
 func (db *DB) SearchTopKContext(ctx context.Context, query []uint32, opts TopKOptions) ([]Match, *QueryStats, error) {
-	return db.engine.SearchTopKContext(ctx, query, opts)
+	return db.searcher.SearchTopKContext(ctx, query, opts)
 }
 
 // Explain returns the plan a query would execute with under opts,
-// without reading any posting lists.
-func (db *DB) Explain(query []uint32, opts SearchOptions) (*QueryPlan, error) {
-	return db.engine.Explain(context.Background(), query, opts)
+// without reading any posting lists. Planning does no I/O; ctx is only
+// checked once, so Explain matches the other query entry points.
+func (db *DB) Explain(ctx context.Context, query []uint32, opts SearchOptions) (*QueryPlan, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return db.searcher.Explain(query, opts)
 }
+
+// Meta returns the opened index's metadata.
+func (db *DB) Meta() index.Meta { return db.ix.Meta() }
+
+// Family returns the hash family queries are sketched with.
+func (db *DB) Family() *hash.Family { return db.ix.Family() }
+
+// IOStats returns the index-wide cumulative I/O counters.
+func (db *DB) IOStats() index.IOStats { return db.ix.IOStats() }
+
+// BuildID identifies the index build this DB serves.
+func (db *DB) BuildID() string { return db.ix.BuildID() }
+
+// SegmentCount reports how many immutable segments back the index (1
+// until appends grow the set; compaction folds it back to 1).
+func (db *DB) SegmentCount() int { return db.ix.SegmentCount() }
 
 // IndexStats summarizes the opened index.
 type IndexStats struct {
@@ -203,29 +233,27 @@ type IndexStats struct {
 
 // Stats summarizes the opened index.
 func (db *DB) Stats() (IndexStats, error) {
-	ix := db.engine.Index()
-	size, err := ix.SizeOnDisk()
+	size, err := db.ix.SizeOnDisk()
 	if err != nil {
 		return IndexStats{}, err
 	}
-	m := ix.Meta()
+	m := db.ix.Meta()
 	return IndexStats{
 		K:           m.K,
 		T:           m.T,
 		NumTexts:    m.NumTexts,
 		TotalTokens: m.TotalTokens,
-		Windows:     ix.TotalPostings(),
+		Windows:     db.ix.TotalPostings(),
 		SizeOnDisk:  size,
 	}, nil
 }
 
-// Close releases the index files and any attached corpus file.
+// Close releases the index files and closes the attached source when
+// it is an io.Closer.
 func (db *DB) Close() error {
-	err := db.engine.Close()
-	if c, ok := db.src.(io.Closer); ok {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
+	err := db.ix.Close()
+	if cerr := closeSource(db.src); err == nil {
+		err = cerr
 	}
 	return err
 }
