@@ -16,6 +16,7 @@ import (
 
 	"ndss"
 	"ndss/internal/corpus"
+	"ndss/internal/hash"
 	"ndss/internal/lm"
 	"ndss/internal/memorize"
 	"ndss/internal/search"
@@ -90,12 +91,33 @@ func run(corpusPath, idxDir string, order, maxContexts, numTexts, textLen, x, to
 	for i, ex := range res.Examples {
 		fmt.Printf("\nexample %d:\n", i+1)
 		fmt.Printf("  generated: %v...\n", head(ex.Query, 12))
-		text := c.Text(ex.Match.TextID)
-		fmt.Printf("  corpus:    %v... (text %d, span [%d, %d], est. J %.3f)\n",
-			head(text[ex.Match.Start:ex.Match.End+1], 12),
-			ex.Match.TextID, ex.Match.Start, ex.Match.End, ex.Match.EstJaccard)
+		span := c.Text(ex.Match.TextID)[ex.Match.Start : ex.Match.End+1]
+		off, j := bestWindow(ex.Query, span)
+		fmt.Printf("  corpus:    %v... (text %d at %d, J %.3f; span [%d, %d], est. J %.3f)\n",
+			head(span[off:], 12), ex.Match.TextID, int(ex.Match.Start)+off, j,
+			ex.Match.Start, ex.Match.End, ex.Match.EstJaccard)
 	}
 	return nil
+}
+
+// bestWindow returns the offset in span of the width-len(query) window
+// with the highest distinct Jaccard similarity to query, the first on a
+// tie, and that similarity. A match's span merges every overlapping
+// qualifying sequence, so it usually starts well before the region the
+// query near-duplicates; this window is that region. A span no longer
+// than the query is its own one window.
+func bestWindow(query, span []uint32) (off int, j float64) {
+	w := len(query)
+	if len(span) <= w {
+		return 0, hash.DistinctJaccard(query, span)
+	}
+	j = -1
+	for i := 0; i+w <= len(span); i++ {
+		if s := hash.DistinctJaccard(query, span[i:i+w]); s > j {
+			off, j = i, s
+		}
+	}
+	return off, j
 }
 
 func head(s []uint32, n int) []uint32 {

@@ -51,7 +51,7 @@ var ioHTTPFuncs = map[string]bool{
 // ioMethodNames are method names that perform index or corpus I/O in
 // this codebase (the IndexReader and TextSource surfaces).
 var ioMethodNames = map[string]bool{
-	"ReadListInto": true, "ReadRowsInto": true, "ReadRowsForTextInto": true,
+	"ReadListInto": true, "ReadRowsInto": true,
 	"ReadText": true, "ReadAt": true,
 }
 

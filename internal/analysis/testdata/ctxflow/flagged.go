@@ -68,7 +68,7 @@ func Sync(ctx context.Context, s *Store) error {
 // rowReader has the index's row-keyed read surface.
 type rowReader struct{}
 
-func (rowReader) ReadRowsForTextInto(dst []uint64, fn int, textID uint32) ([]uint64, error) {
+func (rowReader) ReadRowsInto(dst []uint64, fn int, lo, hi uint32) ([]uint64, error) {
 	return dst, nil
 }
 
@@ -78,7 +78,7 @@ func ProbeText(r rowReader, k int, textID uint32) ([]uint64, error) { // want `e
 	var out []uint64
 	for fn := 0; fn < k; fn++ {
 		var err error
-		if out, err = r.ReadRowsForTextInto(out, fn, textID); err != nil {
+		if out, err = r.ReadRowsInto(out, fn, textID, textID); err != nil {
 			return nil, err
 		}
 	}

@@ -99,23 +99,6 @@ func (fam *Family) Func(i int) Func { return fam.funcs[i] }
 // requested.
 var ErrEmptySequence = errors.New("hash: empty sequence has no min-hash")
 
-// MinHash returns the minimum hash value over the tokens of seq under the
-// i-th function. Duplicate tokens do not affect the result, so this is
-// the min-hash of the distinct token set.
-func (fam *Family) MinHash(i int, seq []uint32) (uint64, error) {
-	if len(seq) == 0 {
-		return 0, ErrEmptySequence
-	}
-	f := fam.funcs[i]
-	min := f.Hash(seq[0])
-	for _, tok := range seq[1:] {
-		if h := f.Hash(tok); h < min {
-			min = h
-		}
-	}
-	return min, nil
-}
-
 // Sketch returns the k-mins sketch of seq: the min-hash under every
 // function of the family, in function order.
 func (fam *Family) Sketch(seq []uint32) ([]uint64, error) {
@@ -129,12 +112,16 @@ func (fam *Family) SketchAppend(seq []uint32, dst []uint64) ([]uint64, error) {
 	if len(seq) == 0 {
 		return dst, ErrEmptySequence
 	}
-	for i := range fam.funcs {
-		h, err := fam.MinHash(i, seq)
-		if err != nil {
-			return dst, err
+	// Duplicate tokens do not change a minimum, so this is the sketch of
+	// seq's distinct token set.
+	for _, f := range fam.funcs {
+		m := f.Hash(seq[0])
+		for _, tok := range seq[1:] {
+			if h := f.Hash(tok); h < m {
+				m = h
+			}
 		}
-		dst = append(dst, h)
+		dst = append(dst, m)
 	}
 	return dst, nil
 }

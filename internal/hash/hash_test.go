@@ -3,6 +3,7 @@ package hash
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -119,32 +120,44 @@ func addMod(a, b, p uint64) uint64 {
 	return s
 }
 
+// minHash is the reference Sketch is held to: the minimum of the i-th
+// function's hash over the tokens of a non-empty seq.
+func minHash(fam *Family, i int, seq []uint32) uint64 {
+	f := fam.Func(i)
+	m := f.Hash(seq[0])
+	for _, tok := range seq[1:] {
+		if h := f.Hash(tok); h < m {
+			m = h
+		}
+	}
+	return m
+}
+
 func TestMinHashIgnoresDuplicates(t *testing.T) {
 	fam := MustNewFamily(8, 11)
 	seq := []uint32{5, 9, 5, 5, 9, 2}
 	dedup := []uint32{5, 9, 2}
-	for i := 0; i < fam.K(); i++ {
-		a, err := fam.MinHash(i, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := fam.MinHash(i, dedup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("min-hash differs between sequence and its distinct set at func %d", i)
-		}
+	a, err := fam.Sketch(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := fam.Sketch(dedup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a, b) {
+		t.Fatalf("sketch differs between sequence and its distinct set: %x vs %x", a, b)
 	}
 }
 
 func TestMinHashEmpty(t *testing.T) {
 	fam := MustNewFamily(2, 1)
-	if _, err := fam.MinHash(0, nil); err != ErrEmptySequence {
-		t.Fatalf("MinHash(empty) err = %v, want ErrEmptySequence", err)
-	}
 	if _, err := fam.Sketch(nil); err != ErrEmptySequence {
 		t.Fatalf("Sketch(empty) err = %v, want ErrEmptySequence", err)
+	}
+	dst := []uint64{7}
+	if got, err := fam.SketchAppend(nil, dst); err != ErrEmptySequence || !slices.Equal(got, dst) {
+		t.Fatalf("SketchAppend(empty) = %v, %v; want dst unchanged and ErrEmptySequence", got, err)
 	}
 }
 
@@ -157,19 +170,13 @@ func TestMinHashIsMinimum(t *testing.T) {
 		for i := range seq {
 			seq[i] = rng.Uint32() % 1000
 		}
-		for j := 0; j < fam.K(); j++ {
-			got, err := fam.MinHash(j, seq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := fam.Func(j).Hash(seq[0])
-			for _, tok := range seq[1:] {
-				if h := fam.Func(j).Hash(tok); h < want {
-					want = h
-				}
-			}
-			if got != want {
-				t.Fatalf("MinHash = %d, want %d", got, want)
+		sk, err := fam.Sketch(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, got := range sk {
+			if want := minHash(fam, j, seq); got != want {
+				t.Fatalf("Sketch[%d] = %d, want the min-hash %d", j, got, want)
 			}
 		}
 	}
@@ -345,14 +352,9 @@ func TestMinHashCollisionSetInvariance(t *testing.T) {
 		}
 		// Shuffled copy with duplicates appended has the same distinct set.
 		dup := append(append([]uint32{}, perm...), perm[0], perm[len(perm)/2])
-		for i := 0; i < fam.K(); i++ {
-			a, _ := fam.MinHash(i, perm)
-			b, _ := fam.MinHash(i, dup)
-			if a != b {
-				return false
-			}
-		}
-		return true
+		a, _ := fam.Sketch(perm)
+		b, _ := fam.Sketch(dup)
+		return slices.Equal(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -365,9 +367,10 @@ func BenchmarkMinHash64Tokens(b *testing.B) {
 	for i := range seq {
 		seq[i] = uint32(i * 7)
 	}
+	dst := make([]uint64, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = fam.MinHash(0, seq)
+		_, _ = fam.SketchAppend(seq, dst)
 	}
 }
 

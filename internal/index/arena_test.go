@@ -164,7 +164,7 @@ func decodedLists(t *testing.T, dir string, ix *Index) (lists map[int]map[uint64
 // TestReadListIntoMatchesDecode checks the arena reads against a
 // reference decode of the file bytes: every list of every function
 // through ReadListInto, and every text's postings of every list through
-// ReadRowsForTextInto, on one segment and on a base with two appends and
+// a one-text ReadRowsInto, on one segment and on a base with two appends and
 // tombstones, over zone-mapped and zone-less portions alike.
 func TestReadListIntoMatchesDecode(t *testing.T) {
 	dirs := probeFixtures(t)
@@ -324,8 +324,8 @@ func TestReadListIntoWarmDstAllocsNothing(t *testing.T) {
 			t.Fatalf("%s: read nothing", name)
 		}
 		id, rows := dst[len(dst)/2].TextID, rowsOf(ix, h)
-		if n := testing.AllocsPerRun(50, func() { dst, err = ix.ReadRowsForTextInto(dst[:0], rows, fn, id, &sink) }); n != 0 || err != nil {
-			t.Fatalf("%s: ReadRowsForTextInto with a warm dst: %v allocations, err %v", name, n, err)
+		if n := testing.AllocsPerRun(50, func() { dst, err = ix.ReadRowsInto(dst[:0], rows, fn, id, id, &sink) }); n != 0 || err != nil {
+			t.Fatalf("%s: one-text ReadRowsInto with a warm dst: %v allocations, err %v", name, n, err)
 		}
 		if n := testing.AllocsPerRun(50, func() { ix.ResolveRows(rows, rows.hashes) }); n != 0 {
 			t.Fatalf("%s: ResolveRows into a resolved Rows: %v allocations", name, n)

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -184,12 +185,17 @@ func BenchmarkOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkReadList reads every list in turn into one reused arena, as
-// the gather stage does, and reports the cost per posting read.
+// BenchmarkReadList resolves every list once, then reads lists in turn
+// through ReadRowsInto into one reused arena and reports the cost per
+// posting read: full reads every list whole, as the gather stage does;
+// probe reads one text's postings (the text in the list's middle) of
+// each list with a zone map, as a deferred list's probe does. The
+// index is built with a small LongListCutoff so that its longer lists
+// carry zone maps.
 func BenchmarkReadList(b *testing.B) {
 	c := benchBuildCorpus(b)
 	dir := b.TempDir()
-	if _, err := Build(c, dir, BuildOptions{K: 1, Seed: 3, T: 50}); err != nil {
+	if _, err := Build(c, dir, BuildOptions{K: 1, Seed: 3, T: 50, ZoneMapStep: 64, LongListCutoff: 256}); err != nil {
 		b.Fatal(err)
 	}
 	ix, err := Open(dir)
@@ -198,16 +204,49 @@ func BenchmarkReadList(b *testing.B) {
 	}
 	defer ix.Close()
 	hashes := ix.Hashes(0)
-	var dst []Posting
-	postings := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if dst, err = ix.ReadListInto(dst[:0], 0, hashes[i%len(hashes)], nil); err != nil {
+	rows := make([]Rows, len(hashes))
+	mid := make([]uint32, len(hashes))
+	var zoned []int
+	for i, h := range hashes {
+		ix.ResolveRows(&rows[i], []uint64{h})
+		ps, err := ix.ReadRowsInto(nil, &rows[i], 0, 0, math.MaxUint32, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
-		postings += len(dst)
+		mid[i] = ps[len(ps)/2].TextID
+		if rows[i].Probeable(0) {
+			zoned = append(zoned, i)
+		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(postings), "ns/posting")
+	if len(zoned) == 0 {
+		b.Fatal("no list has a zone map")
+	}
+	all := make([]int, len(hashes))
+	for i := range all {
+		all[i] = i
+	}
+	for _, bc := range []struct {
+		name  string
+		lists []int
+		probe bool
+	}{{"full", all, false}, {"probe", zoned, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var dst []Posting
+			postings := 0
+			for i := 0; i < b.N; i++ {
+				l := bc.lists[i%len(bc.lists)]
+				lo, hi := uint32(0), uint32(math.MaxUint32)
+				if bc.probe {
+					lo, hi = mid[l], mid[l]
+				}
+				if dst, err = ix.ReadRowsInto(dst[:0], &rows[l], 0, lo, hi, nil); err != nil {
+					b.Fatal(err)
+				}
+				postings += len(dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(postings), "ns/posting")
+		})
+	}
 }
 
 func BenchmarkVerifyIntegrity(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -168,8 +169,11 @@ func FuzzTombstoneParse(f *testing.F) {
 // then re-seals every checksum and the manifest record, so the mutation
 // gets past them to the checks on the columns. Open must never panic,
 // and an index it accepts must serve every row of every function, whole
-// through ReadListInto and per text through ReadListForTextInto,
-// without error and without a read outside the function's lists.
+// through ReadListInto and over one text's id or a random id range
+// through ReadRowsInto, without error and without a read outside the
+// function's lists. Where the row's postings are sorted and its zone
+// map, if any, agrees with them, a range read must equal the whole read
+// filtered to the range.
 func FuzzOpenSegment(f *testing.F) {
 	src := f.TempDir()
 	if _, err := Build(testCorpus(f, 12, 30, 60, 40, 61), src, BuildOptions{K: 2, Seed: 5, T: 5, ZoneMapStep: 4, LongListCutoff: 8}); err != nil {
@@ -236,6 +240,7 @@ func FuzzOpenSegment(f *testing.F) {
 			return
 		}
 		defer ix.Close()
+		rng := rand.New(rand.NewSource(int64(len(edits))))
 		for fn, ff := range ix.segs[0].funcs {
 			for i, h := range ff.hashes {
 				// Checked before the read, which sizes its buffer by the count.
@@ -247,9 +252,25 @@ func FuzzOpenSegment(f *testing.F) {
 				if err != nil || len(ps) != ff.count(i) {
 					t.Fatalf("fn %d list %x: read %d postings of %d: %v", fn, h, len(ps), ff.count(i), err)
 				}
-				for id := uint32(0); id <= uint32(ix.Meta().NumTexts); id++ {
-					if _, err := probeText(ix, ps[:0], fn, h, id, nil); err != nil {
+				n := uint32(ix.Meta().NumTexts)
+				for id := uint32(0); id <= n; id++ {
+					if _, err := probeText(ix, nil, fn, h, id, nil); err != nil {
 						t.Fatalf("fn %d list %x text %d: %v", fn, h, id, err)
+					}
+				}
+				agree := zonesAgree(ff, i, ps)
+				for trial := 0; trial < 8; trial++ {
+					lo, hi := uint32(rng.Intn(int(n)+2)), uint32(rng.Intn(int(n)+2))
+					if lo > hi {
+						lo, hi = hi, lo
+					}
+					got, err := ix.ReadRowsInto(nil, rowsOf(ix, h), fn, lo, hi, nil)
+					if err != nil {
+						t.Fatalf("fn %d list %x [%d, %d]: %v", fn, h, lo, hi, err)
+					}
+					want := slices.DeleteFunc(slices.Clone(ps), func(p Posting) bool { return p.TextID < lo || p.TextID > hi })
+					if agree && !slices.Equal(got, want) {
+						t.Fatalf("fn %d list %x [%d, %d]: read %v, whole read filtered %v", fn, h, lo, hi, got, want)
 					}
 				}
 				for _, r := range fsys.readLog()[seen:] {
@@ -260,6 +281,30 @@ func FuzzOpenSegment(f *testing.F) {
 			}
 		}
 	})
+}
+
+// zonesAgree reports whether ps, the postings of function file ff's
+// directory row i, are sorted by text id and the row's zone map, if
+// any, lists the text id of every zoneStep-th of them: then a zone
+// window holds every posting of the id range it is taken for.
+func zonesAgree(ff *funcFile, i int, ps []Posting) bool {
+	if !slices.IsSortedFunc(ps, func(a, b Posting) int { return cmp.Compare(a.TextID, b.TextID) }) {
+		return false
+	}
+	z, ok := ff.zonePos(i)
+	if !ok {
+		return true
+	}
+	tab := ff.zoneTab[ff.zones[z].at : ff.zones[z].at+ff.zones[z].count]
+	if len(tab) != (len(ps)+ff.zoneStep-1)/ff.zoneStep {
+		return false
+	}
+	for j, id := range tab {
+		if ps[j*ff.zoneStep].TextID != id {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzGroupByHash checks the grouping on record streams with arbitrary

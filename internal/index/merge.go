@@ -138,7 +138,7 @@ func (s *mergeSource) appendList(dst []Posting) ([]Posting, error) {
 		}
 	}
 	// One copy into dst, then the ids are filtered and shifted in place,
-	// as readRow does.
+	// as readRange does.
 	at := len(dst)
 	dst = slices.Grow(dst, count)[:at+count]
 	copy(bytesOf(dst[at:]), s.win[off-s.winOff:][:n])

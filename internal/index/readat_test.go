@@ -209,7 +209,7 @@ func probeFixtures(t *testing.T) map[string]string {
 
 // TestProbeFromResidentZones checks every per-text probe against the
 // full list read: for every (function, hash, text id) — tombstoned and
-// out-of-range ids included — ReadRowsForTextInto must return exactly
+// out-of-range ids included — a one-text ReadRowsInto must return exactly
 // the text's postings of ReadListInto, on every index shape.
 func TestProbeFromResidentZones(t *testing.T) {
 	for name, dir := range probeFixtures(t) {

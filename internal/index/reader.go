@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
 	"slices"
 	"sync/atomic"
@@ -547,18 +548,13 @@ func (ix *Index) readAt(ff *funcFile, seg int, buf []byte, off int64, sink *IOSt
 
 // ReadListInto appends the postings of the list for hash h of function
 // fn to dst, with ReadRowsInto's contract: it resolves the one list in
-// every segment, none dropped, and reads each portion as ReadRowsInto
-// does.
+// every segment, none dropped, and reads each portion whole.
 func (ix *Index) ReadListInto(dst []Posting, fn int, h uint64, sink *IOStats) ([]Posting, error) {
 	out := dst
 	for si, seg := range ix.segs {
 		ff := seg.funcs[fn]
-		ref := ff.resolve(h)
-		if ref.n == 0 {
-			continue
-		}
 		var err error
-		if out, err = ix.readRow(out, si, seg, ff, ref, sink); err != nil {
+		if out, err = ix.readRange(out, si, ff, ff.resolve(h), 0, math.MaxUint32, sink); err != nil {
 			return dst, fmt.Errorf("index: read list %x: %w", h, err)
 		}
 	}
@@ -575,35 +571,6 @@ func nilIfNothing(dst, out []Posting) []Posting {
 	return out
 }
 
-// owningSegment locates the segment whose id range covers the global
-// textID. Segment sets are small, so a linear scan beats a search.
-func (ix *Index) owningSegment(textID uint32) (int, *segment) {
-	for si, seg := range ix.segs {
-		if textID >= seg.base && uint64(textID) < uint64(seg.base)+uint64(seg.meta.NumTexts) {
-			return si, seg
-		}
-	}
-	return -1, nil
-}
-
-// keepText compacts dst[at:], segment-local postings sorted by text id,
-// in place down to those of the local id, remapped by base. The scan
-// stops at the first larger id.
-func keepText(dst []Posting, at int, local, base uint32) []Posting {
-	w := at
-	for _, p := range dst[at:] {
-		if p.TextID > local {
-			break
-		}
-		if p.TextID == local {
-			p.TextID += base
-			dst[w] = p
-			w++
-		}
-	}
-	return dst[:w]
-}
-
 // readPostings appends the n postings at off to dst: it grows dst and
 // reads the file's bytes straight into the new tail, the one copy a
 // posting makes. On a failed or short read dst comes back at its old
@@ -618,27 +585,6 @@ func (ix *Index) readPostings(dst []Posting, ff *funcFile, si int, off int64, n 
 		swapPostings(dst[at:])
 	}
 	return dst, nil
-}
-
-// readRow reads a resolved row, segment si's portion of a list,
-// remapping text ids into the global space and dropping tombstoned
-// postings in place.
-func (ix *Index) readRow(dst []Posting, si int, seg *segment, ff *funcFile, ref rowRef, sink *IOStats) ([]Posting, error) {
-	at := len(dst)
-	dst, err := ix.readPostings(dst, ff, si, ref.off, int(ref.n), sink)
-	if err != nil || seg.base == 0 && seg.tomb == nil {
-		return dst, err
-	}
-	w := at
-	for _, p := range dst[at:] {
-		if seg.tomb.has(p.TextID) {
-			continue
-		}
-		p.TextID += seg.base
-		dst[w] = p
-		w++
-	}
-	return dst[:w], nil
 }
 
 // SegmentIO is one segment's share of a read's I/O accounting.

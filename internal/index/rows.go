@@ -11,8 +11,8 @@ import (
 // the function's list for the sketch's hash, or none, and for each
 // segment how many of the k hashes it holds. A query resolves its
 // sketch once (Index.ResolveRows), may drop segments it has no use for
-// (Drop), and then sizes, reads and probes its lists by row (Len,
-// Probeable, Index.ReadRowsInto, Index.ReadRowsForTextInto) without
+// (Drop), and then sizes its lists (Len, Probeable) and reads them by
+// row (Index.ReadRowsInto, whole or for one text's id range) without
 // searching a directory again. A dropped segment's rows read as absent
 // everywhere, so nothing reads or counts its lists.
 //
@@ -84,15 +84,15 @@ func (r *Rows) Len(fn int) int {
 	return n
 }
 
-// Probeable reports whether per-text probes (Index.ReadRowsForTextInto)
-// into function fn's list stay within about one zone block each. A
-// probe touches only the segment owning the text, so the rule is per
-// (list, segment) portion: at least one kept portion carries a zone
-// map, and every kept portion without one is at most its segment's
-// ZoneMapStep postings, which a probe reads whole and filters. On one
-// segment that is exactly "the list has a zone map"; on a segmented
-// index a zone-mapped base keeps the list probeable beside small
-// appends.
+// Probeable reports whether one-text reads (Index.ReadRowsInto over
+// [id, id]) of function fn's list stay within about one zone block
+// each. Such a read touches only the segment owning the text, so the
+// rule is per (list, segment) portion: at least one kept portion
+// carries a zone map, and every kept portion without one is at most its
+// segment's ZoneMapStep postings, which the read takes whole and
+// filters. On one segment that is exactly "the list has a zone map"; on
+// a segmented index a zone-mapped base keeps the list probeable beside
+// small appends.
 func (r *Rows) Probeable(fn int) bool {
 	zoned := false
 	for si, step := range r.steps {
@@ -122,75 +122,86 @@ func (ff *funcFile) resolve(h uint64) rowRef {
 	return ref
 }
 
-// ReadRowsInto appends function fn's list, as resolved in rows, to dst
-// and returns the extended slice, recording the read's bytes and
-// latency into sink (when non-nil) in addition to the index-wide
-// cumulative counters: one read per segment rows keeps a portion of the
-// list in. Portions are concatenated in segment order with text ids
-// remapped to the global id space (the result stays sorted by text id)
-// and tombstoned postings dropped. dst may be nil; reusing it across
-// reads avoids per-list allocations: postings are read straight into
-// dst's tail, so a warm dst makes a read allocation-free. The appended
-// postings never alias index storage. On error dst comes back as
-// passed; a nil dst that gains nothing stays nil.
-func (ix *Index) ReadRowsInto(dst []Posting, rows *Rows, fn int, sink *IOStats) ([]Posting, error) {
+// ReadRowsInto appends the postings of function fn's list, as resolved
+// in rows, whose global text id lies in [lo, hi] to dst and returns the
+// extended slice, recording the read's bytes and latency into sink
+// (when non-nil) in addition to the index-wide cumulative counters. It
+// is the index's one list read: [0, math.MaxUint32] reads the list
+// whole, [id, id] probes it for one text. Each segment rows keeps a
+// portion of the list in, and whose id range meets [lo, hi], costs one
+// read (readRange). Portions are concatenated in segment order with
+// text ids remapped to the global id space (the result stays sorted by
+// text id) and tombstoned postings dropped. dst may be nil; reusing it
+// across reads avoids per-list allocations: postings are read straight
+// into dst's tail, so a warm dst makes a read allocation-free. The
+// appended postings never alias index storage. On error dst comes back
+// as passed; a nil dst that gains nothing stays nil.
+func (ix *Index) ReadRowsInto(dst []Posting, rows *Rows, fn int, lo, hi uint32, sink *IOStats) ([]Posting, error) {
 	out := dst
 	for si, seg := range ix.segs {
-		ref := rows.ref(si, fn)
-		if ref.n == 0 {
-			continue
-		}
 		var err error
-		if out, err = ix.readRow(out, si, seg, seg.funcs[fn], ref, sink); err != nil {
+		if out, err = ix.readRange(out, si, seg.funcs[fn], rows.ref(si, fn), lo, hi, sink); err != nil {
 			return dst, fmt.Errorf("index: read list %x: %w", rows.hashes[fn], err)
 		}
 	}
 	return nilIfNothing(dst, out), nil
 }
 
-// ReadRowsForTextInto appends only the postings of (global) textID
-// within function fn's list, as resolved in rows, to dst, recording I/O
-// into sink, with the same reuse contract as ReadRowsInto. Only the
-// segment owning the id is touched: a portion with a zone map is probed
-// through its resident table, one read proportional to the zone step
-// rather than the list length; a portion without one is read fully and
-// filtered; an absent or dropped portion, or a tombstoned text, reads
-// nothing.
-func (ix *Index) ReadRowsForTextInto(dst []Posting, rows *Rows, fn int, textID uint32, sink *IOStats) ([]Posting, error) {
-	si, seg := ix.owningSegment(textID)
-	if seg == nil {
+// readRange appends the postings of ref, segment si's row of one list,
+// whose global text id lies in [lo, hi]. It reads nothing when the
+// segment's ids miss the range; the whole row when the range covers
+// the segment or the row has no zone map; and otherwise only the zone
+// window that can hold the range. It then keeps the range's run of what
+// it read, drops tombstoned postings and remaps text ids to the global
+// space in one pass, unless the whole row was read from a base-0
+// segment without tombstones.
+func (ix *Index) readRange(dst []Posting, si int, ff *funcFile, ref rowRef, lo, hi uint32, sink *IOStats) ([]Posting, error) {
+	seg := ix.segs[si]
+	base, n := seg.base, uint64(seg.meta.NumTexts)
+	if ref.n == 0 || hi < base || uint64(lo) >= uint64(base)+n {
 		return dst, nil
 	}
-	ref, local := rows.ref(si, fn), textID-seg.base
-	if ref.n == 0 || seg.tomb.has(local) {
-		return dst, nil
-	}
-	ff := seg.funcs[fn]
-	startOrd, endOrd := 0, int(ref.n)
-	if ref.zone >= 0 {
-		// The first zone whose first text id > local bounds the probe on
-		// the right; it starts one zone before the first zone whose
-		// first text id >= local (the text's postings may begin
-		// mid-zone). Zone j starts at posting j*zoneStep.
+	// The range in segment-local ids, clamped to the segment's [0, n).
+	llo, lhi := max(lo, base)-base, uint32(min(uint64(hi-base), n-1))
+	whole := llo == 0 && uint64(lhi) == n-1
+	start, end := 0, int(ref.n)
+	if !whole && ref.zone >= 0 {
+		// Zone j starts at posting j*zoneStep. The first zone whose first
+		// text id > lhi bounds the window on the right; it starts one
+		// zone before the first zone whose first text id >= llo (the
+		// range's postings may begin mid-zone).
 		z := ff.zones[ref.zone]
 		tab := ff.zoneTab[z.at : z.at+z.count]
-		hi := sort.Search(len(tab), func(j int) bool { return tab[j] > local })
-		if hi == 0 {
-			// The list's very first posting already has a larger text id.
+		zhi := sort.Search(len(tab), func(j int) bool { return tab[j] > lhi })
+		if zhi == 0 {
+			// The row's very first posting already lies past the range.
 			return dst, nil
 		}
-		lo := sort.Search(hi, func(j int) bool { return tab[j] >= local })
-		if lo > 0 {
-			lo--
-		}
-		startOrd = lo * ff.zoneStep
-		if hi < len(tab) {
-			endOrd = hi * ff.zoneStep
+		zlo := sort.Search(zhi, func(j int) bool { return tab[j] >= llo })
+		start = max(zlo-1, 0) * ff.zoneStep
+		if zhi < len(tab) {
+			end = zhi * ff.zoneStep
 		}
 	}
-	out, err := ix.readPostings(dst, ff, si, ref.off+int64(startOrd)*postingSize, endOrd-startOrd, sink)
-	if err != nil {
-		return dst, fmt.Errorf("index: probe list %x: %w", rows.hashes[fn], err)
+	at := len(dst)
+	dst, err := ix.readPostings(dst, ff, si, ref.off+int64(start)*postingSize, end-start, sink)
+	if err != nil || whole && base == 0 && seg.tomb == nil {
+		return dst, err
 	}
-	return nilIfNothing(dst, keepText(out, len(dst), local, seg.base)), nil
+	ps := dst[at:]
+	if !whole { // the row is sorted by text id, so the range is one run of it
+		from := sort.Search(len(ps), func(j int) bool { return ps[j].TextID >= llo })
+		to := sort.Search(len(ps), func(j int) bool { return ps[j].TextID > lhi })
+		ps = ps[from:to]
+	}
+	w := at
+	for _, p := range ps {
+		if seg.tomb.has(p.TextID) {
+			continue
+		}
+		p.TextID += base
+		dst[w] = p
+		w++
+	}
+	return dst[:w], nil
 }

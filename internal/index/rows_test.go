@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,10 +21,10 @@ func rowsOf(ix *Index, h uint64) *Rows {
 	return &rows
 }
 
-// probeText is ReadRowsForTextInto on the one list of function fn for
-// hash h.
+// probeText is ReadRowsInto over the one text id textID, on the one
+// list of function fn for hash h.
 func probeText(ix *Index, dst []Posting, fn int, h uint64, textID uint32, sink *IOStats) ([]Posting, error) {
-	return ix.ReadRowsForTextInto(dst, rowsOf(ix, h), fn, textID, sink)
+	return ix.ReadRowsInto(dst, rowsOf(ix, h), fn, textID, textID, sink)
 }
 
 // TestResolveRowsDrop checks a resolved sketch against the directories
@@ -98,7 +99,7 @@ func TestResolveRowsDrop(t *testing.T) {
 			if got := rows.Len(fn); got != n {
 				t.Fatalf("fn %d: Len %d after the drop, kept portions hold %d", fn, got, n)
 			}
-			got, err := ix.ReadRowsInto(nil, &rows, fn, nil)
+			got, err := ix.ReadRowsInto(nil, &rows, fn, 0, math.MaxUint32, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +107,7 @@ func TestResolveRowsDrop(t *testing.T) {
 				t.Fatalf("fn %d: read %v after dropping segment %d, want %v", fn, got, drop, want)
 			}
 			for id := uint32(0); id < uint32(ix.Meta().NumTexts); id++ {
-				probe, err := ix.ReadRowsForTextInto(nil, &rows, fn, id, nil)
+				probe, err := ix.ReadRowsInto(nil, &rows, fn, id, id, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -88,50 +90,109 @@ func TestReadListIntoAppends(t *testing.T) {
 	}
 }
 
-func TestReadRowsForTextIntoMatchesAndAccounts(t *testing.T) {
-	ix, c := buildSinkTestIndex(t)
-	for fn := 0; fn < ix.K(); fn++ {
-		for _, h := range ix.Hashes(fn) {
-			full, err := ix.ReadListInto(nil, fn, h, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for id := 0; id < c.NumTexts(); id += 7 {
-				var want []Posting
-				for _, p := range full {
-					if p.TextID == uint32(id) {
-						want = append(want, p)
-					}
-				}
-				var sink IOStats
-				before := ix.IOStats()
-				got, err := probeText(ix, nil, fn, h, uint32(id), &sink)
-				if err != nil {
-					t.Fatal(err)
-				}
-				after := ix.IOStats()
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("fn %d hash %x text %d: probe differs\ngot  %v\nwant %v", fn, h, id, got, want)
-				}
-				if sink.BytesRead != after.BytesRead-before.BytesRead {
-					t.Fatalf("fn %d hash %x text %d: sink bytes %d != delta %d",
-						fn, h, id, sink.BytesRead, after.BytesRead-before.BytesRead)
+// TestReadRowsIntoRangeMatchesAndAccounts holds ReadRowsInto over
+// random [lo, hi] ranges — ranges straddling segment bases, over
+// tombstoned texts and past the last id — to the full read filtered to
+// the range, on every probeFixtures shape, and checks that each read
+// charges the sink what it charges the index-wide counters. It also
+// pins the bytes that full reads, and one-text reads of every live
+// text, cost in sum: the zone windows the reads take must not widen.
+func TestReadRowsIntoRangeMatchesAndAccounts(t *testing.T) {
+	wantBytes := map[string][2]int64{ // full reads, one-text reads of live texts
+		"single":    {53312, 270352},
+		"segmented": {68384, 294928},
+		"compacted": {63152, 354448},
+		"merged":    {61200, 317104},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for name, dir := range probeFixtures(t) {
+		ix, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := uint32(ix.Meta().NumTexts)
+		ends := []uint32{0, n, n + 1, math.MaxUint32}
+		live := make([]bool, n)
+		for _, seg := range ix.segs {
+			last := seg.base + uint32(seg.meta.NumTexts) - 1
+			ends = append(ends, seg.base, last, last+1)
+			for id := seg.base; id <= last; id++ {
+				if live[id] = !seg.tomb.has(id - seg.base); !live[id] {
+					ends = append(ends, id)
 				}
 			}
 		}
+		end := func() uint32 {
+			if rng.Intn(2) == 0 {
+				return ends[rng.Intn(len(ends))]
+			}
+			return uint32(rng.Intn(int(n)))
+		}
+		var fullBytes, probeBytes int64
+		read := func(fn int, h uint64, lo, hi uint32) ([]Posting, int64) {
+			t.Helper()
+			var sink IOStats
+			before := ix.IOStats()
+			got, err := ix.ReadRowsInto(nil, rowsOf(ix, h), fn, lo, hi, &sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if delta := ix.IOStats().BytesRead - before.BytesRead; sink.BytesRead != delta {
+				t.Fatalf("%s: fn %d hash %x [%d, %d]: sink bytes %d != counter delta %d", name, fn, h, lo, hi, sink.BytesRead, delta)
+			}
+			return got, sink.BytesRead
+		}
+		for fn := 0; fn < ix.K(); fn++ {
+			for _, h := range ix.Hashes(fn) {
+				full, err := ix.ReadListInto(nil, fn, h, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				whole, b := read(fn, h, 0, math.MaxUint32)
+				if !reflect.DeepEqual(whole, full) {
+					t.Fatalf("%s: fn %d hash %x: full-range read %v, ReadListInto %v", name, fn, h, whole, full)
+				}
+				fullBytes += b
+				for id := uint32(0); id < n; id++ {
+					if _, b := read(fn, h, id, id); live[id] {
+						probeBytes += b
+					}
+				}
+				for trial := 0; trial < 16; trial++ {
+					lo, hi := end(), end()
+					if lo > hi {
+						lo, hi = hi, lo
+					}
+					var want []Posting
+					for _, p := range full {
+						if p.TextID >= lo && p.TextID <= hi {
+							want = append(want, p)
+						}
+					}
+					if got, _ := read(fn, h, lo, hi); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: fn %d hash %x [%d, %d]: read %v, want %v", name, fn, h, lo, hi, got, want)
+					}
+				}
+			}
+		}
+		if got := [2]int64{fullBytes, probeBytes}; got != wantBytes[name] {
+			t.Errorf("%s: full reads and one-text reads took %v bytes, want %v", name, got, wantBytes[name])
+		}
+		ix.Close()
 	}
 }
 
-// TestIndexIntoVariantsCopy: both Into variants hand out postings the
-// caller owns — scribbling over them never reaches a later read — and
-// a dst with room is filled in place rather than reallocated.
+// TestIndexIntoVariantsCopy: a list read and a one-text read hand out
+// postings the caller owns — scribbling over them never reaches a later
+// read — and a dst with room is filled in place rather than
+// reallocated.
 func TestIndexIntoVariantsCopy(t *testing.T) {
 	ix, _ := buildSinkTestIndex(t)
 	read := map[string]func(dst []Posting, fn int, h uint64, id uint32) ([]Posting, error){
 		"ReadListInto": func(dst []Posting, fn int, h uint64, _ uint32) ([]Posting, error) {
 			return ix.ReadListInto(dst, fn, h, nil)
 		},
-		"ReadRowsForTextInto": func(dst []Posting, fn int, h uint64, id uint32) ([]Posting, error) {
+		"ReadRowsInto one text": func(dst []Posting, fn int, h uint64, id uint32) ([]Posting, error) {
 			return probeText(ix, dst, fn, h, id, nil)
 		},
 	}

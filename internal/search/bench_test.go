@@ -162,13 +162,13 @@ func BenchmarkSearchSegmented(b *testing.B) {
 // allocates nothing.
 var errListRead = errors.New("simulated list read failure")
 
-// failingReader fails every full list read: a query against it errors
+// failingReader fails every list read: a query against it errors
 // out of the gather stage, after its context was taken from the pool.
 type failingReader struct {
 	IndexReader
 }
 
-func (failingReader) ReadRowsInto([]index.Posting, *index.Rows, int, *index.IOStats) ([]index.Posting, error) {
+func (failingReader) ReadRowsInto([]index.Posting, *index.Rows, int, uint32, uint32, *index.IOStats) ([]index.Posting, error) {
 	return nil, errListRead
 }
 

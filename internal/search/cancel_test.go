@@ -19,11 +19,11 @@ type cancellingReader struct {
 	reads      atomic.Int32
 }
 
-func (r *cancellingReader) ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, sink *index.IOStats) ([]index.Posting, error) {
+func (r *cancellingReader) ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, lo, hi uint32, sink *index.IOStats) ([]index.Posting, error) {
 	if r.reads.Add(1) >= r.afterReads {
 		r.cancel()
 	}
-	return r.IndexReader.ReadRowsInto(dst, rows, fn, sink)
+	return r.IndexReader.ReadRowsInto(dst, rows, fn, lo, hi, sink)
 }
 
 func TestSearchContextAlreadyCanceled(t *testing.T) {

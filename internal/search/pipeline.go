@@ -94,24 +94,6 @@ func (s *Searcher) acquireCtx(ctx context.Context, opts Options, minLen, beta in
 	qc.plan.Beta = beta
 	qc.st = st
 	qc.io.Reset()
-	// Traced queries against a multi-segment index get per-segment I/O
-	// attribution: the sink carries one slot per segment (capacity kept
-	// across the pool) and the reader charges each read to the segment
-	// it touched. Untraced or single-segment queries skip this — the
-	// sink stays slotless and the reader's fast path is unchanged.
-	if opts.Trace {
-		if sc, ok := s.ix.(interface{ SegmentCount() int }); ok {
-			if n := sc.SegmentCount(); n > 1 {
-				if cap(qc.io.PerSegment) < n {
-					qc.io.PerSegment = make([]index.SegmentIO, n)
-				}
-				qc.io.PerSegment = qc.io.PerSegment[:n]
-				for i := range qc.io.PerSegment {
-					qc.io.PerSegment[i] = index.SegmentIO{}
-				}
-			}
-		}
-	}
 	qc.trace.Reset()
 	return qc
 }
@@ -167,6 +149,15 @@ func (s *Searcher) stagePlan(qc *queryCtx) {
 	beta := qc.plan.Beta
 
 	s.ix.ResolveRows(&qc.rows, qc.sketch)
+	// Traced queries against a multi-segment index get per-segment I/O
+	// attribution: the sink carries one slot per segment (capacity kept
+	// across the pool) and the reader charges each read to the segment
+	// it touched. Untraced or single-segment queries skip this — the
+	// sink stays slotless and the reader's fast path is unchanged.
+	if n := qc.rows.Segments(); qc.opts.Trace && n > 1 {
+		qc.io.PerSegment = slices.Grow(qc.io.PerSegment[:0], n)[:n]
+		clear(qc.io.PerSegment)
+	}
 	for si := 0; si < qc.rows.Segments(); si++ {
 		if qc.rows.Present(si) < beta {
 			qc.rows.Drop(si)
@@ -234,7 +225,7 @@ func (s *Searcher) stageGather(qc *queryCtx) error {
 		}
 		qc.st.ShortLists++
 		pos := len(qc.postings)
-		ps, err := s.ix.ReadRowsInto(qc.postings, &qc.rows, fn, &qc.io)
+		ps, err := s.ix.ReadRowsInto(qc.postings, &qc.rows, fn, 0, math.MaxUint32, &qc.io)
 		if err != nil {
 			return err
 		}
@@ -392,7 +383,7 @@ func (s *Searcher) countText(qc *queryCtx, textID uint32, matches []Match) ([]Ma
 				qc.trace.Annotate(probe, "fn", int64(fn))
 				qc.trace.Annotate(probe, "text", int64(textID))
 			}
-			ws, err := s.ix.ReadRowsForTextInto(qc.windows, &qc.rows, fn, textID, &qc.io)
+			ws, err := s.ix.ReadRowsInto(qc.windows, &qc.rows, fn, textID, textID, &qc.io)
 			qc.trace.End(probe)
 			if err != nil {
 				return nil, err
@@ -478,14 +469,15 @@ func (s *Searcher) stageVerify(qc *queryCtx, query []uint32, matches []Match) er
 // without reading any posting lists. The returned Plan is a private
 // copy the caller may retain.
 func (s *Searcher) Explain(query []uint32, opts Options) (*Plan, error) {
-	minLen, err := opts.validate(s.ix.Meta(), true)
+	meta := s.ix.Meta()
+	minLen, err := opts.validate(meta, true)
 	if err != nil {
 		return nil, err
 	}
 	if len(query) == 0 {
 		return nil, fmt.Errorf("search: empty query")
 	}
-	k := s.ix.K()
+	k := meta.K
 	beta := requiredCollisions(k, opts.Theta)
 	//lint:ignore ctxflow Explain only sketches and plans; it issues no I/O to cancel
 	qc := s.acquireCtx(context.Background(), opts, minLen, beta, &Stats{K: k, Beta: beta})

@@ -34,16 +34,15 @@ type TextSource interface {
 // that order instead of grouping them (mergeCandidates).
 //
 // A query resolves its sketch against every segment directory once
-// (ResolveRows) and reads, measures and probes its lists by the resolved
-// rows from then on; the rows' lengths and probeability are what the
-// planner decides deferral with.
+// (ResolveRows) and reads its lists by the resolved rows from then on:
+// ReadRowsInto over every text id for a short list, over one text's id
+// for each probe of a deferred one. The rows' lengths and probeability
+// are what the planner decides deferral with.
 type IndexReader interface {
-	K() int
 	Meta() index.Meta
 	Family() *hash.Family
 	ResolveRows(rows *index.Rows, sketch []uint64)
-	ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, sink *index.IOStats) ([]index.Posting, error)
-	ReadRowsForTextInto(dst []index.Posting, rows *index.Rows, fn int, textID uint32, sink *index.IOStats) ([]index.Posting, error)
+	ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, lo, hi uint32, sink *index.IOStats) ([]index.Posting, error)
 }
 
 // Options configures one search.
@@ -329,7 +328,8 @@ func (s *Searcher) Search(query []uint32, opts Options) ([]Match, *Stats, error)
 // Stats.
 func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Options) ([]Match, *Stats, error) {
 	start := time.Now()
-	minLen, err := opts.validate(s.ix.Meta(), s.src != nil)
+	meta := s.ix.Meta()
+	minLen, err := opts.validate(meta, s.src != nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -339,7 +339,7 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	k := s.ix.K()
+	k := meta.K
 	beta := requiredCollisions(k, opts.Theta)
 	st := &Stats{K: k, Beta: beta}
 	qc := s.acquireCtx(ctx, opts, minLen, beta, st)

@@ -91,7 +91,7 @@ type failReader struct {
 	search.IndexReader
 }
 
-func (r failReader) ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, sink *index.IOStats) ([]index.Posting, error) {
+func (r failReader) ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, lo, hi uint32, sink *index.IOStats) ([]index.Posting, error) {
 	return nil, errors.New("simulated read failure")
 }
 

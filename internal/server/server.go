@@ -6,7 +6,8 @@
 //
 //	POST /search         near-duplicate search (search.Options over JSON)
 //	POST /search/topk    ranked top-k retrieval
-//	GET|POST /explain    the deferral plan a query would run with (no I/O)
+//	GET|POST /explain    the deferral plan a query would run with (no I/O;
+//	                     behind a coordinator, shard 0's plan)
 //	GET  /healthz        liveness; 503 once shutdown has begun; reports
 //	                     the active index build id
 //	GET  /metrics        Prometheus text exposition (default) or the JSON

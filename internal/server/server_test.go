@@ -395,16 +395,16 @@ func TestCacheHoldsNoSpans(t *testing.T) {
 	}
 }
 
-// slowReader delays every full list read, making queries take long
+// slowReader delays every list read, making queries take long
 // enough for deadlines to expire mid-gather.
 type slowReader struct {
 	search.IndexReader
 	delay time.Duration
 }
 
-func (r slowReader) ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, sink *index.IOStats) ([]index.Posting, error) {
+func (r slowReader) ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, lo, hi uint32, sink *index.IOStats) ([]index.Posting, error) {
 	time.Sleep(r.delay)
-	return r.IndexReader.ReadRowsInto(dst, rows, fn, sink)
+	return r.IndexReader.ReadRowsInto(dst, rows, fn, lo, hi, sink)
 }
 
 // searcherBackend adapts a search.Searcher over a wrapped reader to the
@@ -509,10 +509,10 @@ type blockingReader struct {
 	once    sync.Once
 }
 
-func (r *blockingReader) ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, sink *index.IOStats) ([]index.Posting, error) {
+func (r *blockingReader) ReadRowsInto(dst []index.Posting, rows *index.Rows, fn int, lo, hi uint32, sink *index.IOStats) ([]index.Posting, error) {
 	r.once.Do(func() { close(r.entered) })
 	<-r.gate
-	return r.IndexReader.ReadRowsInto(dst, rows, fn, sink)
+	return r.IndexReader.ReadRowsInto(dst, rows, fn, lo, hi, sink)
 }
 
 func blockingFixture(t *testing.T) (*blockingReader, Backend, []uint32) {

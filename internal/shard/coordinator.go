@@ -266,8 +266,9 @@ func (c *Coordinator) SearchTopKContext(ctx context.Context, query []uint32, opt
 	return c.merge(ctx, base, results, opts.Search.Trace, opts.N)
 }
 
-// Explain returns the first shard's query plan: planning depends only
-// on list-length statistics, so any shard's plan is representative.
+// Explain returns shard 0's query plan. Each shard plans on its own
+// list lengths and drops its own segments, so another shard's Long,
+// NumLong and Alpha can differ from it.
 func (c *Coordinator) Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error) {
 	return c.slots[0].client.Explain(ctx, query, opts)
 }
