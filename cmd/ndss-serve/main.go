@@ -7,7 +7,10 @@
 //
 //	POST /search       {"tokens":[...],"theta":0.8,...} -> matches + stats
 //	POST /search/topk  {"tokens":[...],"n":10,"floor_theta":0.5,...}
-//	GET  /explain?tokens=1,2,3&theta=0.8  -> the query plan, no I/O
+//	                   -> /search at theta floor_theta (default 0.5),
+//	                   keeping the n best matches
+//	GET  /explain?tokens=1,2,3&theta=0.8  -> the query plan, no I/O;
+//	                   501 with -shards (each shard plans alone)
 //	GET  /healthz      200 while serving, 503 once shutdown begins;
 //	                   reports the active index build id
 //	GET  /metrics      Prometheus text exposition; JSON counters for

@@ -56,8 +56,9 @@ func Example() {
 	// text 1: span [6, 43]
 }
 
-// ExampleDB_SearchTopK ranks matches by similarity.
-func ExampleDB_SearchTopK() {
+// ExampleDB_Search_limit ranks matches by similarity: a search with a
+// Limit keeps the best matches, best first.
+func ExampleDB_Search_limit() {
 	texts := exampleTexts()
 	dir, err := os.MkdirTemp("", "ndss-topk-*")
 	if err != nil {
@@ -73,7 +74,7 @@ func ExampleDB_SearchTopK() {
 	}
 	defer db.Close()
 
-	matches, _, err := db.SearchTopK(texts[0][:30], ndss.TopKOptions{N: 1, FloorTheta: 0.5})
+	matches, _, err := db.Search(texts[0][:30], ndss.SearchOptions{Theta: 0.5, Limit: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

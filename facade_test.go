@@ -82,7 +82,7 @@ func TestSearchTopKFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	ms, _, err := db.SearchTopK(texts[3][:15], TopKOptions{N: 3, FloorTheta: 0.5})
+	ms, _, err := db.Search(texts[3][:15], SearchOptions{Theta: 0.5, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"ndss/internal/corpus"
 	"ndss/internal/hash"
+	"ndss/internal/search"
 )
 
 func dupCorpus(seed int64) *corpus.Corpus {
@@ -232,4 +233,46 @@ func TestFingerprintOrderSensitive(t *testing.T) {
 	if a != fingerprint([]uint32{1, 2, 3}) {
 		t.Fatal("fingerprint not deterministic")
 	}
+}
+
+// TrueJaccardScan answers Definition 1 by brute force: sequences whose
+// exact distinct Jaccard similarity with the query is >= theta, merged
+// per text. It maintains the intersection/union sizes incrementally
+// while extending the sequence end. O(n^2) per text.
+func TrueJaccardScan(c *corpus.Corpus, query []uint32, theta float64, t int) []Span {
+	qset := make(map[uint32]bool, len(query))
+	for _, tok := range query {
+		qset[tok] = true
+	}
+	qDistinct := len(qset)
+	var out []Span
+	for id := 0; id < c.NumTexts(); id++ {
+		text := c.Text(uint32(id))
+		var qualifying []search.Interval
+		counts := make(map[uint32]int)
+		for i := 0; i < len(text); i++ {
+			clear(counts)
+			inter, extra := 0, 0 // |S ∩ Q|, |S \ Q| over distinct tokens
+			for j := i; j < len(text); j++ {
+				tok := text[j]
+				if counts[tok] == 0 {
+					if qset[tok] {
+						inter++
+					} else {
+						extra++
+					}
+				}
+				counts[tok]++
+				if j-i+1 < t {
+					continue
+				}
+				union := qDistinct + extra
+				if float64(inter) >= theta*float64(union) {
+					qualifying = append(qualifying, search.Interval{Lo: int32(i), Hi: int32(j)})
+				}
+			}
+		}
+		out = appendMergedSpans(out, uint32(id), qualifying)
+	}
+	return out
 }

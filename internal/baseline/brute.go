@@ -1,14 +1,12 @@
 // Package baseline provides the comparison systems the paper's
 // evaluation is framed against: an exact brute-force scan of Definition
-// 2 (ground truth for the index-based algorithm), a true-Jaccard scan
-// (Definition 1 ground truth, for recall measurements), a suffix-array
+// 2 (ground truth for the index-based algorithm), a suffix-array
 // exact-substring index (the "exact memorization" tooling of prior
 // work), and a seed-and-extend heuristic (the related-work approach
 // without guarantees).
 package baseline
 
 import (
-	"math"
 	"sort"
 
 	"ndss/internal/corpus"
@@ -29,10 +27,6 @@ type Span struct {
 // construction.
 func MinHashScan(c *corpus.Corpus, fam *hash.Family, query []uint32, theta float64, t int) []Span {
 	k := fam.K()
-	beta := int(math.Ceil(float64(k) * theta))
-	if beta < 1 {
-		beta = 1
-	}
 	qs, err := fam.Sketch(query)
 	if err != nil {
 		return nil
@@ -63,49 +57,8 @@ func MinHashScan(c *corpus.Corpus, fam *hash.Family, query []uint32, theta float
 						coll++
 					}
 				}
-				if coll >= beta {
-					qualifying = append(qualifying, search.Interval{Lo: int32(i), Hi: int32(j)})
-				}
-			}
-		}
-		out = appendMergedSpans(out, uint32(id), qualifying)
-	}
-	return out
-}
-
-// TrueJaccardScan answers Definition 1 by brute force: sequences whose
-// exact distinct Jaccard similarity with the query is >= theta, merged
-// per text. It maintains the intersection/union sizes incrementally
-// while extending the sequence end. O(n^2) per text.
-func TrueJaccardScan(c *corpus.Corpus, query []uint32, theta float64, t int) []Span {
-	qset := make(map[uint32]bool, len(query))
-	for _, tok := range query {
-		qset[tok] = true
-	}
-	qDistinct := len(qset)
-	var out []Span
-	for id := 0; id < c.NumTexts(); id++ {
-		text := c.Text(uint32(id))
-		var qualifying []search.Interval
-		counts := make(map[uint32]int)
-		for i := 0; i < len(text); i++ {
-			clear(counts)
-			inter, extra := 0, 0 // |S ∩ Q|, |S \ Q| over distinct tokens
-			for j := i; j < len(text); j++ {
-				tok := text[j]
-				if counts[tok] == 0 {
-					if qset[tok] {
-						inter++
-					} else {
-						extra++
-					}
-				}
-				counts[tok]++
-				if j-i+1 < t {
-					continue
-				}
-				union := qDistinct + extra
-				if float64(inter) >= theta*float64(union) {
+				// Definition 2 per sequence: the estimate coll/k reaches θ.
+				if float64(coll)/float64(k) >= theta {
 					qualifying = append(qualifying, search.Interval{Lo: int32(i), Hi: int32(j)})
 				}
 			}

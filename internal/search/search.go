@@ -48,9 +48,15 @@ type IndexReader interface {
 // Options configures one search.
 type Options struct {
 	// Theta is the Jaccard similarity threshold in (0, 1]. A sequence
-	// qualifies when it shares at least ceil(K*Theta) of the K min-hash
-	// values with the query (Definition 2).
+	// qualifies when it shares at least β of the K min-hash values with
+	// the query, β the least count with β/K ≥ Theta (Definition 2's
+	// ⌈K·Theta⌉ in exact arithmetic).
 	Theta float64
+	// Limit, when positive, keeps only the Limit best matches, ranked
+	// best-first by RankTopK (most collisions, ties by text id then
+	// start): a top-k query is a search at the floor θ with a Limit.
+	// Zero reports every match, ordered by (TextID, Start).
+	Limit int
 	// MinLength overrides the minimum reported sequence length. It must
 	// be at least the index's length threshold T; zero means T.
 	MinLength int
@@ -74,7 +80,7 @@ type Options struct {
 }
 
 // ValidationError is a query the caller got wrong (invalid Options, an
-// empty query, a non-positive top-k N): it fails alike on every index
+// empty query): it fails alike on every index
 // and replica, so a server answers it 400 and any other failure 500.
 type ValidationError string
 
@@ -90,6 +96,9 @@ func (o Options) validate(meta index.Meta, hasSource bool) (minLen int, err erro
 	}
 	if o.MinLength < 0 {
 		return 0, ValidationError(fmt.Sprintf("search: MinLength must not be negative, got %d", o.MinLength))
+	}
+	if o.Limit < 0 {
+		return 0, ValidationError(fmt.Sprintf("search: Limit must not be negative, got %d", o.Limit))
 	}
 	if o.Verify && !hasSource {
 		return 0, ValidationError("search: Verify requires a TextSource")
@@ -373,6 +382,13 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 	if err != nil {
 		return nil, nil, err
 	}
+	if opts.Limit > 0 {
+		// Ranking is merge work: the merge stage absorbs it, and it runs
+		// before verify so only the kept matches are verified.
+		rankStart := time.Now()
+		matches = RankTopK(matches, opts.Limit)
+		st.StageTimes.Merge += time.Since(rankStart)
+	}
 	sp = qc.trace.Start(StageNames[5]) // verify
 	if opts.Verify {
 		if err := s.stageVerify(qc, query, matches); err != nil {
@@ -405,11 +421,14 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 }
 
 // requiredCollisions is Definition 2's β = ⌈kθ⌉, at least 1: the min-hash
-// collisions a sequence needs to qualify at threshold theta.
+// collisions a sequence needs to qualify at threshold theta. It is the
+// least b with b/k ≥ theta — the comparison a reported EstJaccard
+// qualifies by — because math.Ceil(k*theta) rounds one too high where
+// the product lands just above an integer (k=100, θ=0.55 gives 56).
 func requiredCollisions(k int, theta float64) int {
-	beta := int(math.Ceil(float64(k) * theta))
-	if beta < 1 {
-		beta = 1
+	beta := max(int(math.Ceil(float64(k)*theta))-1, 1)
+	for float64(beta)/float64(k) < theta {
+		beta++
 	}
 	return beta
 }

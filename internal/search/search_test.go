@@ -1,7 +1,6 @@
 package search
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -18,7 +17,6 @@ import (
 // disjoint spans per text.
 func oracleSpans(c *corpus.Corpus, fam *hash.Family, query []uint32, theta float64, t int) map[uint32][]Interval {
 	k := fam.K()
-	beta := int(math.Ceil(float64(k) * theta))
 	qs, err := fam.Sketch(query)
 	if err != nil {
 		panic(err)
@@ -50,7 +48,7 @@ func oracleSpans(c *corpus.Corpus, fam *hash.Family, query []uint32, theta float
 						coll++
 					}
 				}
-				if coll >= beta {
+				if float64(coll)/float64(k) >= theta { // EstJaccard ≥ θ
 					qualifying = append(qualifying, Interval{int32(i), int32(j)})
 				}
 			}

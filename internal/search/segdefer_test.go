@@ -1,7 +1,6 @@
 package search_test
 
 import (
-	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -267,7 +266,6 @@ func TestSegmentPigeonholeExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, theta := range thetas {
-			beta := int(math.Ceil(float64(opts.K) * theta))
 			before := make([]int64, len(segFiles))
 			for si, sf := range segFiles {
 				before[si] = counted.Reads(filepath.Join(dir, sf.Name))
@@ -283,10 +281,10 @@ func TestSegmentPigeonholeExact(t *testing.T) {
 			for si, sf := range segFiles {
 				reads := counted.Reads(filepath.Join(dir, sf.Name)) - before[si]
 				switch p := present(sets[si], sketch); {
-				case p < beta:
+				case float64(p)/float64(opts.K) < theta: // fewer than β hashes
 					dropped++
 					if reads != 0 {
-						t.Fatalf("query %d theta %v: segment %d holds %d < beta %d of the hashes, yet was read %d times", qi, theta, si, p, beta, reads)
+						t.Fatalf("query %d theta %v: segment %d holds %d < beta of the %d hashes, yet was read %d times", qi, theta, si, p, opts.K, reads)
 					}
 				case si > 0:
 					keptAppends++

@@ -52,7 +52,7 @@ func runSegQueries(t *testing.T, s *Searcher, queries [][]uint32) []segQueryResu
 			if err != nil {
 				t.Fatal(err)
 			}
-			tk, _, err := s.SearchTopK(q, TopKOptions{N: 3, FloorTheta: 0.5, Search: Options{PrefixFilter: true}})
+			tk, _, err := s.Search(q, Options{Theta: 0.5, PrefixFilter: true, Limit: 3})
 			if err != nil {
 				t.Fatal(err)
 			}

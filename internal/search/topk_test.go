@@ -1,8 +1,7 @@
 package search
 
 import (
-	"math"
-	"strings"
+	"errors"
 	"testing"
 
 	"ndss/internal/corpus"
@@ -30,7 +29,7 @@ func TestSearchTopK(t *testing.T) {
 	ix := buildTestIndex(t, c, 32, 61, 10, 0, 0)
 	s := New(ix, c)
 
-	ms, st, err := s.SearchTopK(base, TopKOptions{N: 2, FloorTheta: 0.5})
+	ms, st, err := s.Search(base, Options{Theta: 0.5, Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +46,8 @@ func TestSearchTopK(t *testing.T) {
 		t.Fatalf("not sorted by collisions: %+v", ms)
 	}
 
-	// N larger than available returns everything above the floor.
-	all, _, err := s.SearchTopK(base, TopKOptions{N: 100, FloorTheta: 0.5})
+	// A Limit larger than available returns everything above the floor.
+	all, _, err := s.Search(base, Options{Theta: 0.5, Limit: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestSearchTopK(t *testing.T) {
 
 // TestSearchTopKTies: when several matches share the boundary collision
 // count, ranking must fall back to (TextID, Start) so the order — and
-// the truncation at N — is deterministic across runs.
+// the truncation at the Limit — is deterministic across runs.
 func TestSearchTopKTies(t *testing.T) {
 	// Five identical copies of one passage: all five matches collide on
 	// every min-hash, a five-way tie at the truncation boundary.
@@ -88,7 +87,7 @@ func TestSearchTopKTies(t *testing.T) {
 	const n = 3
 	var first []Match
 	for run := 0; run < 5; run++ {
-		ms, _, err := s.SearchTopK(passage, TopKOptions{N: n, FloorTheta: 0.5})
+		ms, _, err := s.Search(passage, Options{Theta: 0.5, Limit: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,16 +121,30 @@ func TestSearchTopKValidation(t *testing.T) {
 	ix := buildTestIndex(t, c, 4, 63, 5, 0, 0)
 	s := New(ix, c)
 	q := c.Text(0)[:10]
-	if _, _, err := s.SearchTopK(q, TopKOptions{N: 0}); err == nil {
-		t.Error("N=0 should fail")
+	var invalid ValidationError
+	if _, _, err := s.Search(q, Options{Theta: 0.5, Limit: -1}); !errors.As(err, &invalid) {
+		t.Errorf("Limit -1: got %v, want a ValidationError", err)
 	}
-	if _, _, err := s.SearchTopK(q, TopKOptions{N: 5, FloorTheta: 1.5}); err == nil {
-		t.Error("FloorTheta > 1 should fail")
+	if _, _, err := s.Search(q, Options{Theta: 1.5, Limit: 5}); !errors.As(err, &invalid) {
+		t.Errorf("Theta > 1 with a Limit: got %v, want a ValidationError", err)
 	}
-	if _, _, err := s.SearchTopK(q, TopKOptions{N: 5, FloorTheta: math.NaN()}); err == nil || !strings.Contains(err.Error(), "FloorTheta") {
-		t.Errorf("FloorTheta NaN: got %v, want the FloorTheta range error", err)
+	all, _, err := s.Search(q, Options{Theta: 0.5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := s.SearchTopK(q, TopKOptions{N: 5}); err != nil {
-		t.Errorf("default floor should work: %v", err)
+	// Limit 0 is every match in (TextID, Start) order; a Limit is the
+	// same matches ranked, so ranking them by hand must give it.
+	limited, st, err := s.Search(q, Options{Theta: 0.5, Limit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RankTopK(append([]Match(nil), all...), 2)
+	if len(limited) != len(want) || st.Matches != len(want) {
+		t.Fatalf("Limit 2: %d matches (stats %d), want %d", len(limited), st.Matches, len(want))
+	}
+	for i := range want {
+		if limited[i].TextID != want[i].TextID || limited[i].Start != want[i].Start || limited[i].Collisions != want[i].Collisions {
+			t.Fatalf("Limit 2 rank %d = %+v, want %+v", i, limited[i], want[i])
+		}
 	}
 }

@@ -31,6 +31,7 @@ func TestOptionsValidation(t *testing.T) {
 		// made every single-collision rectangle a match.
 		{"theta NaN", withSrc, Options{Theta: math.NaN()}, "Theta"},
 		{"negative MinLength", withSrc, Options{Theta: 0.8, MinLength: -1}, "MinLength"},
+		{"negative Limit", withSrc, Options{Theta: 0.8, Limit: -1}, "Limit"},
 		{"MinLength below T", withSrc, Options{Theta: 0.8, MinLength: 3}, "length threshold"},
 		{"verify without source", noSrc, Options{Theta: 0.8, Verify: true}, "TextSource"},
 	}

@@ -82,12 +82,11 @@ func (c *resultCache) len() int {
 	return c.ll.Len()
 }
 
-// cacheKey builds the (endpoint, sketch, options) key. kind tags the
-// endpoint ('S' search, 'K' top-k) so the two result shapes never
-// collide. topN and floor are zero for plain searches.
-func cacheKey(kind byte, sketch []uint64, query []uint32, o search.Options, topN int, floor float64) string {
-	b := make([]byte, 0, 1+8*(len(sketch)+7))
-	b = append(b, kind)
+// cacheKey builds the (sketch, options) key. A top-k query is a search
+// with a Limit, so /search and /search/topk share one key space: the
+// same options are the same result.
+func cacheKey(sketch []uint64, query []uint32, o search.Options) string {
+	b := make([]byte, 0, 8*(len(sketch)+6))
 	var tmp [8]byte
 	app64 := func(v uint64) {
 		binary.LittleEndian.PutUint64(tmp[:], v)
@@ -113,8 +112,7 @@ func cacheKey(kind byte, sketch []uint64, query []uint32, o search.Options, topN
 		flags |= 2
 	}
 	app64(flags)
-	app64(uint64(topN))
-	app64(math.Float64bits(floor))
+	app64(uint64(o.Limit))
 	if o.Verify {
 		// Exact Jaccard depends on the query's distinct token set, not
 		// just its sketch.

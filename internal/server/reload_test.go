@@ -260,14 +260,6 @@ func (b *stubBackend) SearchContext(ctx context.Context, q []uint32, o search.Op
 	return []search.Match{b.match}, &search.Stats{Matches: 1}, nil
 }
 
-func (b *stubBackend) SearchTopKContext(ctx context.Context, q []uint32, o search.TopKOptions) ([]search.Match, *search.Stats, error) {
-	return b.SearchContext(ctx, q, o.Search)
-}
-
-func (b *stubBackend) Explain(ctx context.Context, q []uint32, o search.Options) (*search.Plan, error) {
-	return &search.Plan{}, nil
-}
-
 func (b *stubBackend) Meta() index.Meta       { return index.Meta{K: 4, T: 2, NumTexts: 1} }
 func (b *stubBackend) Family() *hash.Family   { return b.fam }
 func (b *stubBackend) IOStats() index.IOStats { return index.IOStats{} }

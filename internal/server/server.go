@@ -5,9 +5,11 @@
 // Endpoints:
 //
 //	POST /search         near-duplicate search (search.Options over JSON)
-//	POST /search/topk    ranked top-k retrieval
+//	POST /search/topk    ranked top-k retrieval: /search at the floor θ
+//	                     with Limit n
 //	GET|POST /explain    the deferral plan a query would run with (no I/O;
-//	                     behind a coordinator, shard 0's plan)
+//	                     501 behind a coordinator, where each shard plans
+//	                     alone)
 //	GET  /healthz        liveness; 503 once shutdown has begun; reports
 //	                     the active index build id
 //	GET  /metrics        Prometheus text exposition (default) or the JSON
@@ -718,52 +720,62 @@ func (s *Server) deadline(r *http.Request, req wire.Request) (context.Context, c
 	return context.WithTimeout(r.Context(), d)
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+// decodePost decodes a query POST body, answering a wrong method or a
+// bad body itself; ok is false when it did.
+func (s *Server) decodePost(w http.ResponseWriter, r *http.Request) (req wire.Request, ok bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
+		return req, false
 	}
 	req, err := decodeRequest(w, r)
 	if err != nil {
 		s.writeError(w, r, decodeStatus(err), err.Error())
-		return
+		return req, false
 	}
-	s.serveQuery(w, r, req, false)
+	return req, true
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	if req, ok := s.decodePost(w, r); ok {
+		s.serveQuery(w, r, req, epSearch)
 	}
-	req, err := decodeRequest(w, r)
-	if err != nil {
-		s.writeError(w, r, decodeStatus(err), err.Error())
+}
+
+// defaultFloorTheta is /search/topk's threshold when the request leaves
+// floor_theta zero.
+const defaultFloorTheta = 0.5
+
+// handleTopK decodes /search/topk onto the /search query: θ is the
+// request's floor_theta (default 0.5) and the Limit is n, which must be
+// positive.
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
+	req, ok := s.decodePost(w, r)
+	if !ok {
 		return
 	}
 	if req.N <= 0 {
 		s.writeError(w, r, http.StatusBadRequest, "n must be positive")
 		return
 	}
-	s.serveQuery(w, r, req, true)
+	req.Theta = req.FloorTheta
+	if req.Theta == 0 {
+		req.Theta = defaultFloorTheta
+	}
+	s.serveQuery(w, r, req, epTopK)
 }
 
 // serveQuery is the shared execution path of /search and /search/topk:
-// validate → cache probe → admission → deadline → query → respond.
+// validate → cache probe → admission → deadline → query → respond. ep
+// labels the request's metrics and records.
 //
 // Latency accounting invariant: every admitted request — one that was
 // served from cache or acquired an execution slot — records exactly one
 // latency observation, tagged with its endpoint and outcome. Requests
 // turned away before admission (malformed, saturated, shutting down)
 // record none. TestLatencyAccounting pins this down.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Request, topk bool) {
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Request, ep endpoint) {
 	start := time.Now()
-	ep := epSearch
-	if topk {
-		ep = epTopK
-	}
 	if s.closing.Load() {
 		s.writeError(w, r, http.StatusServiceUnavailable, "server is shutting down")
 		return
@@ -777,15 +789,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 	// and slow-query log need them, and the copy is one small
 	// allocation per executed query.
 	opts.Trace = true
-	theta := opts.Theta
-	if topk {
-		theta = req.FloorTheta
-		if theta == 0 {
-			theta = search.DefaultFloorTheta // keep the cache key aligned with SearchTopK
-		}
-	}
-	if theta <= 0 || theta > 1 {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Sprintf("theta must be in (0, 1], got %v", theta))
+	if opts.Theta <= 0 || opts.Theta > 1 {
+		s.writeError(w, r, http.StatusBadRequest, fmt.Sprintf("theta must be in (0, 1], got %v", opts.Theta))
 		return
 	}
 	// Pin the backend for the whole request: the sketch and the query
@@ -798,11 +803,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 		return
 	}
 
-	kind, n, floor := byte('S'), 0, 0.0
-	if topk {
-		kind, n, floor = 'K', req.N, theta
-	}
-	key := cacheKey(kind, sketch, req.Tokens, opts, n, floor)
+	key := cacheKey(sketch, req.Tokens, opts)
 	if s.cache != nil {
 		if e, ok := s.cache.get(key); ok {
 			resp := e.resp
@@ -838,13 +839,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 	// flight recorder: samples taken while this query executes carry its
 	// request id and endpoint.
 	pprof.Do(ctx, pprof.Labels("request_id", obs.RequestIDFromContext(ctx), "endpoint", ep.String()), func(ctx context.Context) {
-		if topk {
-			matches, st, err = backend.SearchTopKContext(ctx, req.Tokens, search.TopKOptions{
-				N: req.N, FloorTheta: req.FloorTheta, Search: opts,
-			})
-		} else {
-			matches, st, err = backend.SearchContext(ctx, req.Tokens, opts)
-		}
+		matches, st, err = backend.SearchContext(ctx, req.Tokens, opts)
 	})
 	if err != nil {
 		out = s.writeQueryError(w, r, err)
@@ -894,6 +889,13 @@ func (s *Server) writeQueryError(w http.ResponseWriter, r *http.Request, err err
 	}
 }
 
+// planner is the optional interface /explain answers through: an engine
+// that plans its own queries (*ndss.DB). A coordinator is none, because
+// each shard plans on its own lists and segments.
+type planner interface {
+	Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error)
+}
+
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		w.Header().Set("Allow", "GET, POST")
@@ -910,6 +912,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
+	backend, releaseBackend := s.acquire()
+	defer releaseBackend()
+	p, ok := backend.(planner)
+	if !ok {
+		s.writeError(w, r, http.StatusNotImplemented, "each shard plans alone; ask a shard's /explain")
+		return
+	}
 	release := s.admit(w, r)
 	if release == nil {
 		return
@@ -917,14 +926,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	out := outInternal
 	defer func() { s.met.observe(epExplain, out, time.Since(start)) }()
-	backend, releaseBackend := s.acquire()
-	defer releaseBackend()
-	// Planning does no I/O on a local index, but behind a coordinator
-	// it is a network call: it runs under the request deadline like any
-	// query, so a black-holed shard ends in a 504, not a hung request.
 	ctx, cancel := s.deadline(r, req)
 	defer cancel()
-	plan, err := backend.Explain(ctx, req.Tokens, req.Options())
+	plan, err := p.Explain(ctx, req.Tokens, req.Options())
 	if err != nil {
 		out = s.writeQueryError(w, r, err)
 		return

@@ -227,8 +227,8 @@ func TestServeCacheHit(t *testing.T) {
 }
 
 // TestServeTopKDefaultFloorSharesCacheEntry: a top-k request without
-// floor_theta runs at search.DefaultFloorTheta, so it and one naming
-// that floor are the same query and share one cache entry.
+// floor_theta runs at defaultFloorTheta, so it and one naming that
+// floor are the same query and share one cache entry.
 func TestServeTopKDefaultFloorSharesCacheEntry(t *testing.T) {
 	_, engine, q := testFixture(t)
 	ts := httptest.NewServer(New(engine, Config{}))
@@ -237,7 +237,7 @@ func TestServeTopKDefaultFloorSharesCacheEntry(t *testing.T) {
 	var rs [2]wire.Response
 	for i, req := range []wire.Request{
 		{Tokens: q, N: 2},
-		{Tokens: q, N: 2, FloorTheta: search.DefaultFloorTheta},
+		{Tokens: q, N: 2, FloorTheta: defaultFloorTheta},
 	} {
 		resp, body := postJSON(t, ts.Client(), ts.URL+"/search/topk", req)
 		if resp.StatusCode != http.StatusOK {
@@ -666,7 +666,7 @@ func TestServeTopK(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	want, _, err := engine.SearchTopKContext(context.Background(), q, search.TopKOptions{N: 3, FloorTheta: 0.5})
+	want, _, err := engine.SearchContext(context.Background(), q, search.Options{Theta: 0.5, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,6 +130,25 @@ func TestShardedServerMatchesSingleServer(t *testing.T) {
 	}
 }
 
+// TestShardedExplainAnswers501: each shard plans on its own lists and
+// segments, so a coordinator has no plan to give; its /explain answers a
+// 501 pointing at the shards, while a single index still plans.
+func TestShardedExplainAnswers501(t *testing.T) {
+	singleTS, shardedTS, q := shardedServerFixture(t, shard.Config{})
+	req := wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true}
+	if resp, body := postJSON(t, singleTS.Client(), singleTS.URL+"/explain", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("single /explain: %d (%s)", resp.StatusCode, body)
+	}
+	resp, body := postJSON(t, shardedTS.Client(), shardedTS.URL+"/explain", req)
+	if resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("sharded /explain: %d (%s), want 501", resp.StatusCode, body)
+	}
+	var we wire.Error
+	if err := json.Unmarshal(body, &we); err != nil || !strings.Contains(we.Error, "ask a shard's /explain") {
+		t.Fatalf("sharded /explain body %s (err %v), want the each-shard-plans-alone error", body, err)
+	}
+}
+
 func TestShardedServerMetricsExposition(t *testing.T) {
 	_, shardedTS, q := shardedServerFixture(t, shard.Config{})
 	for i := 0; i < 3; i++ {
@@ -209,14 +228,6 @@ func (b *slowShardBackend) SearchContext(ctx context.Context, q []uint32, o sear
 		return nil, nil, b.err
 	}
 	return []search.Match{b.match}, &search.Stats{Matches: 1}, nil
-}
-
-func (b *slowShardBackend) SearchTopKContext(ctx context.Context, q []uint32, o search.TopKOptions) ([]search.Match, *search.Stats, error) {
-	return b.SearchContext(ctx, q, o.Search)
-}
-
-func (b *slowShardBackend) Explain(ctx context.Context, q []uint32, o search.Options) (*search.Plan, error) {
-	return &search.Plan{}, nil
 }
 
 func (b *slowShardBackend) Meta() index.Meta       { return index.Meta{K: 8, Seed: 1, T: 2, NumTexts: 5} }

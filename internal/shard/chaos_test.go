@@ -27,7 +27,6 @@ type chaosFixture struct {
 	texts  [][]uint32
 	single interface {
 		SearchContext(context.Context, []uint32, search.Options) ([]search.Match, *search.Stats, error)
-		SearchTopKContext(context.Context, []uint32, search.TopKOptions) ([]search.Match, *search.Stats, error)
 	}
 	coord *shard.Coordinator
 	ft    *netfault.Transport
@@ -144,12 +143,12 @@ func (f *chaosFixture) runAll(t *testing.T, phase string) (attempts [3]int64) {
 		// Top-k through the same faults: tie order must survive replica
 		// failover byte-for-byte.
 		for _, n := range []int{1, 3, 100} {
-			opts := search.TopKOptions{N: n, FloorTheta: 0.5}
-			want, _, err := f.single.SearchTopKContext(ctx, q, opts)
+			opts := search.Options{Theta: 0.5, Limit: n}
+			want, _, err := f.single.SearchContext(ctx, q, opts)
 			if err != nil {
 				t.Fatalf("%s query %d n=%d: single: %v", phase, qi, n, err)
 			}
-			got, st, err := f.coord.SearchTopKContext(ctx, q, opts)
+			got, st, err := f.coord.SearchContext(ctx, q, opts)
 			if err != nil {
 				t.Fatalf("%s query %d n=%d: client-visible error: %v", phase, qi, n, err)
 			}

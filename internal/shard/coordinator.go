@@ -234,43 +234,26 @@ func (c *Coordinator) fanOut(ctx context.Context, run func(ctx context.Context, 
 
 // SearchContext fans the query out to every shard and returns the
 // merged matches in global (TextID, Start) order — byte-identical to
-// the same query against one merged index. Shards that miss their
-// budget are skipped and flagged in Stats (ShardsAnswered < ShardsTotal
-// and the PerShard entry); the query only fails when the caller's own
-// context expires or no shard answers at all.
+// the same query against one merged index. With opts.Limit set, it
+// re-ranks the union of the shards' top-Limit answers instead: each
+// shard's local top-Limit is a superset of its members of the global
+// top-Limit, so re-sorting the union under RankTopK's order and
+// truncating reproduces the single-index answer exactly, ties included.
+// Shards that miss their budget are skipped and flagged in Stats
+// (ShardsAnswered < ShardsTotal and the PerShard entry); the query only
+// fails when the caller's own context expires or no shard answers at
+// all.
 func (c *Coordinator) SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error) {
 	if opts.KeepRects {
 		return nil, nil, search.ValidationError("shard: KeepRects is not supported through a coordinator")
 	}
+	if opts.Limit < 0 {
+		return nil, nil, search.ValidationError(fmt.Sprintf("search: Limit must not be negative, got %d", opts.Limit))
+	}
 	results, base := c.fanOut(ctx, func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error) {
 		return cl.SearchContext(ctx, query, opts)
 	})
-	return c.merge(ctx, base, results, opts.Trace, 0)
-}
-
-// SearchTopKContext fans out and re-ranks the union of the shards'
-// top-k answers. Each shard's local top-N is a superset of its members
-// of the global top-N, so re-sorting the union under the same
-// (collisions desc, text id asc, start asc) order and truncating to N
-// reproduces the single-index answer exactly, ties included.
-func (c *Coordinator) SearchTopKContext(ctx context.Context, query []uint32, opts search.TopKOptions) ([]search.Match, *search.Stats, error) {
-	if opts.Search.KeepRects {
-		return nil, nil, search.ValidationError("shard: KeepRects is not supported through a coordinator")
-	}
-	if opts.N <= 0 {
-		return nil, nil, search.ValidationError(fmt.Sprintf("search: TopK N must be positive, got %d", opts.N))
-	}
-	results, base := c.fanOut(ctx, func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error) {
-		return cl.SearchTopKContext(ctx, query, opts)
-	})
-	return c.merge(ctx, base, results, opts.Search.Trace, opts.N)
-}
-
-// Explain returns shard 0's query plan. Each shard plans on its own
-// list lengths and drops its own segments, so another shard's Long,
-// NumLong and Alpha can differ from it.
-func (c *Coordinator) Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error) {
-	return c.slots[0].client.Explain(ctx, query, opts)
+	return c.merge(ctx, base, results, opts.Trace, opts.Limit)
 }
 
 // merge assembles the fan-out legs into one globally-ordered result.

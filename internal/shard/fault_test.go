@@ -80,17 +80,6 @@ func (s *stubShard) SearchContext(ctx context.Context, q []uint32, o search.Opti
 	return ms, &st, nil
 }
 
-func (s *stubShard) SearchTopKContext(ctx context.Context, q []uint32, o search.TopKOptions) ([]search.Match, *search.Stats, error) {
-	return s.SearchContext(ctx, q, o.Search)
-}
-
-func (s *stubShard) Explain(ctx context.Context, q []uint32, o search.Options) (*search.Plan, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return &search.Plan{Beta: 4}, nil
-}
-
 func stubCoordinator(t *testing.T, cfg shard.Config, shards ...*stubShard) *shard.Coordinator {
 	t.Helper()
 	clients := make([]shard.ShardClient, len(shards))
@@ -201,7 +190,9 @@ func TestAllShardsFailingIsAnError(t *testing.T) {
 // TestTopKTieOrderAcrossShards pins the cross-shard tie order: equal
 // collision counts rank by global text id then start, so the merged
 // top-k is byte-identical to a single index's answer no matter which
-// shard each tied span lives on.
+// shard each tied span lives on. The stubs ignore the Limit and answer
+// unranked, as a shard ignoring n would: the coordinator's re-rank
+// alone must produce the order.
 func TestTopKTieOrderAcrossShards(t *testing.T) {
 	s0 := newStubShard("s0", 10,
 		search.Match{TextID: 5, Start: 3, End: 11, Collisions: 7},
@@ -213,7 +204,7 @@ func TestTopKTieOrderAcrossShards(t *testing.T) {
 	)
 
 	c := stubCoordinator(t, shard.Config{}, s0, s1)
-	got, _, err := c.SearchTopKContext(context.Background(), []uint32{1}, search.TopKOptions{N: 3, FloorTheta: 0.5})
+	got, _, err := c.SearchContext(context.Background(), []uint32{1}, search.Options{Theta: 0.5, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +216,8 @@ func TestTopKTieOrderAcrossShards(t *testing.T) {
 	if !sameMatches(got, want) {
 		t.Fatalf("tie-broken top-3:\n got %+v\nwant %+v", got, want)
 	}
-	// Widening N picks up the remaining tied span, in text-id order.
-	got, _, err = c.SearchTopKContext(context.Background(), []uint32{1}, search.TopKOptions{N: 10, FloorTheta: 0.5})
+	// Widening the Limit picks up the remaining tied span, in text-id order.
+	got, _, err = c.SearchContext(context.Background(), []uint32{1}, search.Options{Theta: 0.5, Limit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,34 +211,35 @@ func (h *HTTPShard) CheckHealth(ctx context.Context) error {
 	return nil
 }
 
-// SearchContext runs the query on the remote shard. The context
-// deadline is forwarded as the request's timeout_ms so the remote
-// enforces the same budget server-side.
+// SearchContext runs the query on the remote shard's /search, top-k
+// queries included (opts.Limit crosses as n). The context deadline is
+// forwarded as the request's timeout_ms so the remote enforces the same
+// budget server-side.
 func (h *HTTPShard) SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error) {
-	return h.query(ctx, "/search", wire.NewRequest(query, opts))
-}
-
-// SearchTopKContext runs the top-k query on the remote shard.
-func (h *HTTPShard) SearchTopKContext(ctx context.Context, query []uint32, opts search.TopKOptions) ([]search.Match, *search.Stats, error) {
-	req := wire.NewRequest(query, opts.Search)
-	req.N = opts.N
-	req.FloorTheta = opts.FloorTheta
-	return h.query(ctx, "/search/topk", req)
-}
-
-// Explain fetches the deferral plan the remote would run the query
-// with.
-func (h *HTTPShard) Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error) {
 	release, err := h.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer release()
-	var plan wire.Plan
-	if err := h.post(ctx, "/explain", wire.NewRequest(query, opts), &plan); err != nil {
-		return nil, err
+	req := wire.NewRequest(query, opts)
+	if dl, ok := ctx.Deadline(); ok {
+		rem := time.Until(dl)
+		if rem <= 0 {
+			return nil, nil, context.DeadlineExceeded
+		}
+		req.TimeoutMS = int(rem / time.Millisecond)
+		if req.TimeoutMS == 0 {
+			req.TimeoutMS = 1
+		}
 	}
-	return plan.SearchPlan(), nil
+	var resp wire.Response
+	if err := h.post(ctx, req, &resp); err != nil {
+		return nil, nil, err
+	}
+	matches, st := resp.Result()
+	h.ioBytes.Add(st.IOBytes)
+	h.ioTimeNS.Add(int64(st.IOTime))
+	return matches, st, nil
 }
 
 // acquire takes a per-shard admission slot, waiting until one frees or
@@ -255,32 +256,6 @@ func (h *HTTPShard) acquire(ctx context.Context) (func(), error) {
 	}
 }
 
-func (h *HTTPShard) query(ctx context.Context, path string, req wire.Request) ([]search.Match, *search.Stats, error) {
-	release, err := h.acquire(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-	if dl, ok := ctx.Deadline(); ok {
-		rem := time.Until(dl)
-		if rem <= 0 {
-			return nil, nil, context.DeadlineExceeded
-		}
-		req.TimeoutMS = int(rem / time.Millisecond)
-		if req.TimeoutMS == 0 {
-			req.TimeoutMS = 1
-		}
-	}
-	var resp wire.Response
-	if err := h.post(ctx, path, req, &resp); err != nil {
-		return nil, nil, err
-	}
-	matches, st := resp.Result()
-	h.ioBytes.Add(st.IOBytes)
-	h.ioTimeNS.Add(int64(st.IOTime))
-	return matches, st, nil
-}
-
 // setPropagationHeaders forwards the request id and trace context on
 // an outbound shard call, when the context carries them. The trace
 // context in ctx is the per-attempt child, so everything the remote
@@ -294,15 +269,15 @@ func setPropagationHeaders(ctx context.Context, hdr http.Header) {
 	}
 }
 
-// post issues one JSON POST and decodes the 200 response into out. A
-// non-200 answer becomes a *RemoteError carrying the remote's error
-// string.
-func (h *HTTPShard) post(ctx context.Context, path string, body any, out any) error {
+// post issues one JSON POST to /search and decodes the 200 response
+// into out. A non-200 answer becomes a *RemoteError carrying the
+// remote's error string.
+func (h *HTTPShard) post(ctx context.Context, body wire.Request, out *wire.Response) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return fmt.Errorf("shard %s: %w", h.base, err)
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+path, bytes.NewReader(payload))
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/search", bytes.NewReader(payload))
 	if err != nil {
 		return fmt.Errorf("shard %s: %w", h.base, err)
 	}

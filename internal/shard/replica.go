@@ -547,22 +547,6 @@ func (r *ReplicaSet) SearchContext(ctx context.Context, query []uint32, opts sea
 	})
 }
 
-func (r *ReplicaSet) SearchTopKContext(ctx context.Context, query []uint32, opts search.TopKOptions) ([]search.Match, *search.Stats, error) {
-	return r.do(ctx, func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error) {
-		return cl.SearchTopKContext(ctx, query, opts)
-	})
-}
-
-// Explain routes a plan request to one healthy replica.
-// Planning is cheap and advisory, so it gets routing but no retries.
-func (r *ReplicaSet) Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error) {
-	rep, ok := r.pick(nil)
-	if !ok {
-		return nil, fmt.Errorf("shard %s: no replica available (all quarantined)", r.name)
-	}
-	return rep.client.Explain(ctx, query, opts)
-}
-
 // CheckHealth probes every replica concurrently, closes the breaker of
 // each replica that answers (the probe proved it serving), and
 // recomputes build-id quarantine from the replicas that answered. The

@@ -12,8 +12,9 @@
 //
 //   - Local: an in-process shard wrapping an opened engine (one index
 //     directory per shard). Fan-out is a goroutine per shard.
-//   - HTTPShard: a remote ndss-serve instance speaking the existing
-//     /search + /search/topk HTTP contract, with health checks and
+//   - HTTPShard: a remote ndss-serve instance answering POST /search
+//     (a top-k leg carries its Limit as the request's n), with health
+//     checks and
 //     per-shard admission. Remote shards hot-reload themselves through
 //     their own refcounted backend handles; the coordinator just keeps
 //     querying.
@@ -43,8 +44,6 @@ import (
 // is closed when its owner (a server reload, a Local) is done with it.
 type Backend interface {
 	SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error)
-	SearchTopKContext(ctx context.Context, query []uint32, opts search.TopKOptions) ([]search.Match, *search.Stats, error)
-	Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error)
 	Meta() index.Meta
 	Family() *hash.Family
 	IOStats() index.IOStats
@@ -73,8 +72,6 @@ type ShardClient interface {
 	// shards, the bytes and read time its proxied queries reported).
 	IOStats() index.IOStats
 	SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error)
-	SearchTopKContext(ctx context.Context, query []uint32, opts search.TopKOptions) ([]search.Match, *search.Stats, error)
-	Explain(ctx context.Context, query []uint32, opts search.Options) (*search.Plan, error)
 	// CheckHealth verifies the shard is reachable and serving, and for
 	// remote shards refreshes the cached build id.
 	CheckHealth(ctx context.Context) error

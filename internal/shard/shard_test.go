@@ -185,18 +185,21 @@ func TestCoordinatorSearchMatchesSingleIndex(t *testing.T) {
 	}
 }
 
+// TestCoordinatorTopKMatchesSingleIndex: a Limit through the
+// coordinator — two Local and two HTTP shards — ranks exactly as one
+// merged index does, ties included.
 func TestCoordinatorTopKMatchesSingleIndex(t *testing.T) {
 	f := newShardFixture(t, shard.Config{})
 	ctx := context.Background()
 	sawTie := false
 	for qi, q := range f.queries() {
 		for _, n := range []int{1, 3, 8, 100} {
-			opts := search.TopKOptions{N: n, FloorTheta: 0.5}
-			want, _, err := f.single.SearchTopKContext(ctx, q, opts)
+			opts := search.Options{Theta: 0.5, Limit: n}
+			want, _, err := f.single.SearchContext(ctx, q, opts)
 			if err != nil {
 				t.Fatalf("query %d n=%d: single: %v", qi, n, err)
 			}
-			got, st, err := f.coord.SearchTopKContext(ctx, q, opts)
+			got, st, err := f.coord.SearchContext(ctx, q, opts)
 			if err != nil {
 				t.Fatalf("query %d n=%d: coordinator: %v", qi, n, err)
 			}
@@ -215,25 +218,6 @@ func TestCoordinatorTopKMatchesSingleIndex(t *testing.T) {
 	}
 	if !sawTie {
 		t.Log("warning: no collision ties observed; tie order exercised only by fault_test stubs")
-	}
-}
-
-func TestCoordinatorExplain(t *testing.T) {
-	f := newShardFixture(t, shard.Config{})
-	q := f.queries()[0]
-	opts := search.Options{Theta: 0.5, PrefixFilter: true}
-	want, err := f.single.Explain(context.Background(), q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.coord.Explain(context.Background(), q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plans come from one shard, whose list lengths differ from the
-	// merged index; only the sketch-derived parameters must agree.
-	if got.Beta != want.Beta || got.Alpha != want.Alpha {
-		t.Fatalf("plan beta/alpha = %d/%d, single index has %d/%d", got.Beta, got.Alpha, want.Beta, want.Alpha)
 	}
 }
 
@@ -338,8 +322,9 @@ func TestCoordinatorOptionValidation(t *testing.T) {
 	if _, _, err := f.coord.SearchContext(ctx, q, search.Options{Theta: 0.5, KeepRects: true}); err == nil {
 		t.Error("KeepRects through a coordinator should be rejected")
 	}
-	if _, _, err := f.coord.SearchTopKContext(ctx, q, search.TopKOptions{N: 0, FloorTheta: 0.5}); err == nil {
-		t.Error("top-k with N=0 should be rejected")
+	var invalid search.ValidationError
+	if _, _, err := f.coord.SearchContext(ctx, q, search.Options{Theta: 0.5, Limit: -1}); !errors.As(err, &invalid) {
+		t.Errorf("negative Limit through a coordinator: got %v, want a ValidationError", err)
 	}
 	// Shard-side validation errors surface, not hang: theta out of range.
 	if _, _, err := f.coord.SearchContext(ctx, q, search.Options{Theta: 1.5}); err == nil {

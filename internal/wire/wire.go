@@ -32,14 +32,18 @@ type Request struct {
 	// default.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 
-	// Top-k only.
-	N          int     `json:"n,omitempty"`
+	// N is search.Options.Limit: keep the N best matches (0 = all).
+	// /search/topk requires it positive.
+	N int `json:"n,omitempty"`
+	// FloorTheta is /search/topk's threshold, read there in place of
+	// Theta (0 selects the server's default floor).
 	FloorTheta float64 `json:"floor_theta,omitempty"`
 }
 
 // NewRequest is the request that runs query under opts on a remote
-// server. KeepRects and Trace do not cross the wire: rectangles are
-// never served, and span shipping follows the traceparent header.
+// server's /search. KeepRects and Trace do not cross the wire:
+// rectangles are never served, and span shipping follows the
+// traceparent header.
 func NewRequest(query []uint32, opts search.Options) Request {
 	return Request{
 		Tokens:       query,
@@ -47,6 +51,7 @@ func NewRequest(query []uint32, opts search.Options) Request {
 		MinLength:    opts.MinLength,
 		PrefixFilter: opts.PrefixFilter,
 		Verify:       opts.Verify,
+		N:            opts.Limit,
 	}
 }
 
@@ -57,6 +62,7 @@ func (r Request) Options() search.Options {
 		MinLength:    r.MinLength,
 		PrefixFilter: r.PrefixFilter,
 		Verify:       r.Verify,
+		Limit:        r.N,
 	}
 }
 
@@ -167,11 +173,6 @@ type Plan struct {
 // NewPlan converts a deferral plan for the wire.
 func NewPlan(p *search.Plan) Plan {
 	return Plan{Alpha: p.Alpha, Beta: p.Beta, Cutoff: p.Cutoff, Long: p.Long, NumLong: p.NumLong}
-}
-
-// SearchPlan is the inverse of NewPlan.
-func (p Plan) SearchPlan() *search.Plan {
-	return &search.Plan{Long: p.Long, NumLong: p.NumLong, Cutoff: p.Cutoff, Beta: p.Beta, Alpha: p.Alpha}
 }
 
 // Health is the body of /healthz: status "ok" with a 200, or

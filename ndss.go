@@ -164,15 +164,6 @@ func (db *DB) SearchContext(ctx context.Context, query []uint32, opts SearchOpti
 // many queries directly (e.g. the memorization evaluator).
 func (db *DB) Searcher() *search.Searcher { return db.searcher }
 
-// TopKOptions configures SearchTopK.
-type TopKOptions = search.TopKOptions
-
-// SearchTopK returns the up-to-N most similar near-duplicate spans,
-// best first.
-func (db *DB) SearchTopK(query []uint32, opts TopKOptions) ([]Match, *QueryStats, error) {
-	return db.searcher.SearchTopK(query, opts)
-}
-
 // SearchBatch runs many queries concurrently and returns per-query
 // results in order. Every result's QueryStats are exact for that query
 // at any parallelism.
@@ -185,12 +176,6 @@ func (db *DB) SearchBatch(queries [][]uint32, opts SearchOptions, parallelism in
 // and unstarted queries fail immediately with ctx.Err().
 func (db *DB) SearchBatchContext(ctx context.Context, queries [][]uint32, opts SearchOptions, parallelism int) []BatchResult {
 	return db.searcher.SearchBatchContext(ctx, queries, opts, parallelism)
-}
-
-// SearchTopKContext is SearchTopK honoring a context; see SearchContext
-// for the cancellation contract.
-func (db *DB) SearchTopKContext(ctx context.Context, query []uint32, opts TopKOptions) ([]Match, *QueryStats, error) {
-	return db.searcher.SearchTopKContext(ctx, query, opts)
 }
 
 // Explain returns the plan a query would execute with under opts,

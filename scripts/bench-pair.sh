@@ -1,0 +1,120 @@
+#!/usr/bin/env bash
+# Paired, alternating end-to-end benchmark runs of two commits.
+#
+#   scripts/bench-pair.sh [-n SEEDS] [-s FIRST_SEED] [-w WORKLOADS] [-o FILE] PARENT [CHILD]
+#
+# Clones PARENT and CHILD (default HEAD) of this repository into a
+# temporary directory and, for every workload and every seed, runs
+# `bash benchmark/run.sh -workload W -seed S` once on each side: the
+# parent first on odd seeds, the child first on even ones, so drift on a
+# shared machine falls on both sides alike. Each run's final JSON line is
+# appended to FILE, tagged with side, sha, seed and workload. Then, for
+# every end-to-end metric of BENCHMARK.json, it prints the median
+# [q1–q3] of each side, the ratio of the medians and how many pairs the
+# child won, as a markdown table built from every line of FILE for the
+# two commits.
+#
+#   -n SEEDS      seeds per workload (default 6); 0 prints the table only
+#   -s FIRST_SEED first seed (default 1); seeds run FIRST_SEED..+SEEDS-1
+#   -w WORKLOADS  comma-separated workloads (default: every workload in
+#                 BENCHMARK.json)
+#   -o FILE       the JSON-lines file to append to (default BENCH.jsonl)
+#
+# Quartiles are Python's statistics.quantiles(n=4) (the exclusive method),
+# as in benchmark/README.md "Noise and bounds". Needs git and jq.
+set -euo pipefail
+
+seeds=6 first=1 workloads="" out=BENCH.jsonl
+while getopts "n:s:w:o:" opt; do
+	case $opt in
+	n) seeds=$OPTARG ;;
+	s) first=$OPTARG ;;
+	w) workloads=$OPTARG ;;
+	o) out=$OPTARG ;;
+	*) sed -n '2,/^set -euo/p' "$0" | sed '$d; s/^# \{0,1\}//' >&2; exit 2 ;;
+	esac
+done
+shift $((OPTIND - 1))
+[ $# -ge 1 ] && [ $# -le 2 ] || { echo "usage: $0 [-n SEEDS] [-s FIRST_SEED] [-w WORKLOADS] [-o FILE] PARENT [CHILD]" >&2; exit 2; }
+
+repo=$(git rev-parse --show-toplevel)
+parent=$(git -C "$repo" rev-parse --verify "$1^{commit}")
+child=$(git -C "$repo" rev-parse --verify "${2:-HEAD}^{commit}")
+bench_json=$(git -C "$repo" show "$child:BENCHMARK.json")
+[ -n "$workloads" ] || workloads=$(jq -r '[.workloads[].name] | join(",")' <<<"$bench_json")
+
+if [ "$seeds" -gt 0 ]; then
+	tmp=$(mktemp -d)
+	trap 'rm -rf "$tmp"' EXIT
+	mkdir "$tmp/gocache"
+	for side in parent child; do
+		sha=${!side}
+		git clone -q --no-checkout "$repo" "$tmp/$side"
+		git -C "$tmp/$side" checkout -q --detach "$sha"
+		# One Go build cache for both checkouts: the standard library
+		# compiles once, not once a side.
+		mkdir -p "$tmp/$side/.bench_build"
+		ln -s "$tmp/gocache" "$tmp/$side/.bench_build/gocache"
+	done
+
+	run() { # side workload seed
+		local sha=${!1} line
+		line=$(cd "$tmp/$1" && bash benchmark/run.sh -workload "$2" -seed "$3" | tail -n 1) || true
+		if ! jq -e 'type == "object"' >/dev/null 2>&1 <<<"$line"; then
+			line='{"correct":false,"error":"no result line"}'
+		fi
+		jq -c --arg side "$1" --arg sha "$sha" --argjson seed "$3" --arg workload "$2" \
+			'. + {side: $side, sha: $sha, seed: $seed, workload: $workload}' <<<"$line" >>"$out"
+		echo "$2 seed $3 $1 ${sha:0:12}: $(jq -c '{correct, failed}' <<<"$line")" >&2
+	}
+
+	for w in ${workloads//,/ }; do
+		for ((s = first; s < first + seeds; s++)); do
+			if ((s % 2)); then
+				run parent "$w" "$s"
+				run child "$w" "$s"
+			else
+				run child "$w" "$s"
+				run parent "$w" "$s"
+			fi
+		done
+	done
+fi
+
+echo "parent ${parent:0:12}, child ${child:0:12}"
+echo
+echo "| workload | metric | parent median [q1–q3] | child median [q1–q3] | child/parent | pairs child better |"
+echo "|---|---|---|---|---|---|"
+jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" \
+	--argjson e2e "$(jq -c '.end_to_end' <<<"$bench_json")" '
+	def median: sort | if length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+	# statistics.quantiles(n=4), method="exclusive"; one value is its own quartiles.
+	def quartile($i): sort as $d | ($d | length) as $n | ($i * ($n + 1)) as $p
+		| if $n < 2 then $d[0] else
+			([1, ([($p / 4 | floor), $n - 1] | min)] | max) as $j | ($p - $j * 4) as $delta
+			| ($d[$j - 1] * (4 - $delta) + $d[$j] * $delta) / 4 end;
+	map(select(.sha == $parent or .sha == $child)) as $runs
+	| $workloads | split(",")[] as $w
+	| ($runs | map(select(.workload == $w))) as $wr
+	| ([$wr[] | select(.sha == $child) | .seed]) as $cs
+	| ([$wr[] | select(.sha == $parent) | .seed | select(. as $s | any($cs[]; . == $s))] | unique) as $seeds
+	| $e2e[] as $m
+	| [$seeds[] as $s | {
+		p: ([$wr[] | select(.sha == $parent and .seed == $s) | .metrics[$m.name].value] | first),
+		c: ([$wr[] | select(.sha == $child and .seed == $s) | .metrics[$m.name].value] | first)}
+	  | select(.p != null and .c != null)] as $pairs
+	| select($pairs | length > 0)
+	| [$w, $m.name,
+	   ([$pairs[].p] | median, quartile(1), quartile(3)),
+	   ([$pairs[].c] | median, quartile(1), quartile(3)),
+	   ([$pairs[] | select(if $m.better == "lower" then .c < .p else .c > .p end)] | length),
+	   ($pairs | length)] | @tsv
+' "$out" | awk -F'\t' '{
+	ratio = $3 == 0 ? "n/a" : sprintf("%.3f", $6 / $3)
+	printf "| %s | %s | %.4g [%.4g–%.4g] | %.4g [%.4g–%.4g] | %s | %d/%d |\n", $1, $2, $3, $4, $5, $6, $7, $8, ratio, $9, $10
+}'
+echo
+jq -rs --arg parent "$parent" --arg child "$child" '
+	map(select(.sha == $parent or .sha == $child))
+	| "runs: \(length), correct false: \(map(select(.correct != true)) | length), failed ops: \(map(.failed // 0) | add // 0)"
+' "$out"
