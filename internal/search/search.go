@@ -80,8 +80,8 @@ type Options struct {
 }
 
 // ValidationError is a query the caller got wrong (invalid Options, an
-// empty query): it fails alike on every index
-// and replica, so a server answers it 400 and any other failure 500.
+// empty query): it fails alike on every index and replica, so a server
+// answers it 400 and any other failure 500.
 type ValidationError string
 
 func (e ValidationError) Error() string { return string(e) }
@@ -424,7 +424,8 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 // collisions a sequence needs to qualify at threshold theta. It is the
 // least b with b/k ≥ theta — the comparison a reported EstJaccard
 // qualifies by — because math.Ceil(k*theta) rounds one too high where
-// the product lands just above an integer (k=100, θ=0.55 gives 56).
+// the product lands just above an integer (k=100, θ=0.55 gives 56). It
+// is never more than one too high, so the search starts one below.
 func requiredCollisions(k int, theta float64) int {
 	beta := max(int(math.Ceil(float64(k)*theta))-1, 1)
 	for float64(beta)/float64(k) < theta {
