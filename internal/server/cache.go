@@ -3,7 +3,6 @@ package server
 import (
 	"container/list"
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"sync"
 
@@ -12,11 +11,8 @@ import (
 )
 
 // resultCache is a mutex-guarded LRU of fully computed query results,
-// keyed by (endpoint, sketch, options). Keying on the min-hash sketch
-// rather than the raw tokens means distinct queries that sketch
-// identically — and therefore produce identical collision sets — share
-// an entry. When Verify is on the exact Jaccard values do depend on the
-// raw tokens, so a token digest is folded into the key.
+// keyed by the request: its options and raw tokens (cacheKey). The
+// server never sketches a query; the engine that searches it does.
 type resultCache struct {
 	mu  sync.Mutex
 	max int
@@ -82,28 +78,13 @@ func (c *resultCache) len() int {
 	return c.ll.Len()
 }
 
-// cacheKey builds the (sketch, options) key. A top-k query is a search
-// with a Limit, so /search and /search/topk share one key space: the
-// same options are the same result.
-func cacheKey(sketch []uint64, query []uint32, o search.Options) string {
-	b := make([]byte, 0, 8*(len(sketch)+6))
-	var tmp [8]byte
-	app64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		b = append(b, tmp[:]...)
-	}
-	// Length-prefix the variable-length sketch so its values can never
-	// alias the fixed option fields that follow: without the prefix, a
-	// (K)-sketch key and a (K+1)-sketch key whose extra word equals the
-	// Theta bits (and whose remaining fields shift accordingly) would
-	// serialize identically. Latent while one backend pins one K, but a
-	// shard coordinator and reloads make K a runtime property.
-	app64(uint64(len(sketch)))
-	for _, h := range sketch {
-		app64(h)
-	}
-	app64(math.Float64bits(o.Theta))
-	app64(uint64(o.MinLength))
+// cacheKey builds the request key: θ, MinLength, the flags and Limit
+// as fixed-width words, then the raw tokens. Only the tokens vary in
+// length and they come last, so the key is exact: two requests share an
+// entry only when their options and token sequences are equal. A top-k
+// query is a search with a Limit, so /search and /search/topk share one
+// key space: the same options are the same result.
+func cacheKey(query []uint32, o search.Options) string {
 	var flags uint64
 	if o.PrefixFilter {
 		flags |= 1
@@ -111,17 +92,13 @@ func cacheKey(sketch []uint64, query []uint32, o search.Options) string {
 	if o.Verify {
 		flags |= 2
 	}
-	app64(flags)
-	app64(uint64(o.Limit))
-	if o.Verify {
-		// Exact Jaccard depends on the query's distinct token set, not
-		// just its sketch.
-		d := fnv.New64a()
-		for _, tok := range query {
-			binary.LittleEndian.PutUint32(tmp[:4], tok)
-			d.Write(tmp[:4])
-		}
-		app64(d.Sum64())
+	b := make([]byte, 0, 4*8+4*len(query))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(o.Theta))
+	b = binary.LittleEndian.AppendUint64(b, uint64(o.MinLength))
+	b = binary.LittleEndian.AppendUint64(b, flags)
+	b = binary.LittleEndian.AppendUint64(b, uint64(o.Limit))
+	for _, tok := range query {
+		b = binary.LittleEndian.AppendUint32(b, tok)
 	}
 	return string(b)
 }

@@ -10,7 +10,6 @@ import (
 
 	"ndss/internal/corpus"
 	"ndss/internal/fsio"
-	"ndss/internal/hash"
 	"ndss/internal/index"
 	"ndss/internal/search"
 )
@@ -44,7 +43,6 @@ func (b faultBackend) Explain(ctx context.Context, q []uint32, o search.Options)
 }
 
 func (b faultBackend) Meta() index.Meta       { return b.ix.Meta() }
-func (b faultBackend) Family() *hash.Family   { return b.ix.Family() }
 func (b faultBackend) IOStats() index.IOStats { return b.ix.IOStats() }
 func (b faultBackend) BuildID() string        { return b.ix.BuildID() }
 func (b faultBackend) Close() error           { return b.ix.Close() }

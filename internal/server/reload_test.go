@@ -12,7 +12,6 @@ import (
 
 	"ndss"
 	"ndss/internal/corpus"
-	"ndss/internal/hash"
 	"ndss/internal/index"
 	"ndss/internal/search"
 	"ndss/internal/wire"
@@ -227,7 +226,6 @@ func TestMetricsScrapeDuringReload(t *testing.T) {
 // stubBackend is a fully controllable Backend for drain/cache tests.
 type stubBackend struct {
 	id      string
-	fam     *hash.Family
 	match   search.Match
 	entered chan struct{} // closed when a search has started executing
 	gate    chan struct{} // searches block until closed (nil = no block)
@@ -235,13 +233,8 @@ type stubBackend struct {
 	once    sync.Once
 }
 
-func newStubBackend(t *testing.T, id string, matchID uint32, blocking bool) *stubBackend {
-	t.Helper()
-	fam, err := hash.NewFamily(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &stubBackend{id: id, fam: fam, match: search.Match{TextID: matchID, EstJaccard: 1}}
+func newStubBackend(id string, matchID uint32, blocking bool) *stubBackend {
+	b := &stubBackend{id: id, match: search.Match{TextID: matchID, EstJaccard: 1}}
 	if blocking {
 		b.entered = make(chan struct{})
 		b.gate = make(chan struct{})
@@ -261,7 +254,6 @@ func (b *stubBackend) SearchContext(ctx context.Context, q []uint32, o search.Op
 }
 
 func (b *stubBackend) Meta() index.Meta       { return index.Meta{K: 4, T: 2, NumTexts: 1} }
-func (b *stubBackend) Family() *hash.Family   { return b.fam }
 func (b *stubBackend) IOStats() index.IOStats { return index.IOStats{} }
 func (b *stubBackend) BuildID() string        { return b.id }
 func (b *stubBackend) Close() error           { b.closed.Store(true); return nil }
@@ -270,8 +262,8 @@ func (b *stubBackend) Close() error           { b.closed.Store(true); return nil
 // and checks that Reload waits for the query to finish before closing
 // the old backend — while new queries already run on the new one.
 func TestReloadDrainsInFlight(t *testing.T) {
-	oldB := newStubBackend(t, "old", 1, true)
-	newB := newStubBackend(t, "new", 2, false)
+	oldB := newStubBackend("old", 1, true)
+	newB := newStubBackend("new", 2, false)
 	srv := New(oldB, Config{
 		CacheEntries: -1,
 		Reloader:     func() (Backend, error) { return newB, nil },
@@ -342,8 +334,8 @@ func TestReloadDrainsInFlight(t *testing.T) {
 // TestReloadFlushesCache ensures results cached against the old index
 // are not served after the swap.
 func TestReloadFlushesCache(t *testing.T) {
-	oldB := newStubBackend(t, "old", 1, false)
-	newB := newStubBackend(t, "new", 2, false)
+	oldB := newStubBackend("old", 1, false)
+	newB := newStubBackend("new", 2, false)
 	srv := New(oldB, Config{
 		CacheEntries: 64,
 		Reloader:     func() (Backend, error) { return newB, nil },
@@ -383,7 +375,7 @@ func TestReloadFlushesCache(t *testing.T) {
 }
 
 func TestReloadWithoutReloader(t *testing.T) {
-	b := newStubBackend(t, "only", 1, false)
+	b := newStubBackend("only", 1, false)
 	srv := New(b, Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -397,7 +389,7 @@ func TestReloadWithoutReloader(t *testing.T) {
 // TestReloadFailureKeepsServing: a reloader error must leave the old
 // backend serving untouched and count a failed reload.
 func TestReloadFailureKeepsServing(t *testing.T) {
-	b := newStubBackend(t, "stable", 1, false)
+	b := newStubBackend("stable", 1, false)
 	srv := New(b, Config{
 		CacheEntries: -1,
 		Reloader:     func() (Backend, error) { return nil, context.DeadlineExceeded },

@@ -35,7 +35,8 @@
 // (saturation → 429), applies a per-request deadline (the `timeout_ms`
 // request field, capped by Config.MaxTimeout) whose expiry cancels the
 // query at the pipeline's next checkpoint, and serves repeated queries
-// from an LRU cache keyed by (sketch, options).
+// from an LRU cache keyed by the request (options and raw tokens): only
+// the engine that searches a query sketches it.
 //
 // Every request carries a request ID (client-supplied X-Request-ID or
 // generated), echoed in the response headers and error bodies and
@@ -793,17 +794,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 		s.writeError(w, r, http.StatusBadRequest, fmt.Sprintf("theta must be in (0, 1], got %v", opts.Theta))
 		return
 	}
-	// Pin the backend for the whole request: the sketch and the query
-	// must run against the same index even if a reload swaps mid-way.
-	backend, releaseBackend := s.acquire()
-	defer releaseBackend()
-	sketch, err := backend.Family().Sketch(req.Tokens)
-	if err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	key := cacheKey(sketch, req.Tokens, opts)
+	key := cacheKey(req.Tokens, opts)
 	if s.cache != nil {
 		if e, ok := s.cache.get(key); ok {
 			resp := e.resp
@@ -831,9 +822,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 	ctx, cancel := s.deadline(r, req)
 	defer cancel()
 
+	// Pin the backend for the whole query: a reload that swaps mid-way
+	// waits for it, so its result enters the cache before the flush.
+	backend, releaseBackend := s.acquire()
+	defer releaseBackend()
 	var (
 		matches []search.Match
 		st      *search.Stats
+		err     error
 	)
 	// The pprof labels join CPU profiles to the access log and the
 	// flight recorder: samples taken while this query executes carry its

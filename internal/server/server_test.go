@@ -15,7 +15,6 @@ import (
 
 	"ndss"
 	"ndss/internal/corpus"
-	"ndss/internal/hash"
 	"ndss/internal/index"
 	"ndss/internal/search"
 	"ndss/internal/wire"
@@ -422,7 +421,6 @@ func (b searcherBackend) Explain(ctx context.Context, q []uint32, o search.Optio
 }
 
 func (b searcherBackend) Meta() index.Meta       { return b.ix.Meta() }
-func (b searcherBackend) Family() *hash.Family   { return b.ix.Family() }
 func (b searcherBackend) IOStats() index.IOStats { return b.ix.IOStats() }
 func (b searcherBackend) BuildID() string        { return "test" }
 

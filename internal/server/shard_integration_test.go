@@ -16,7 +16,6 @@ import (
 
 	"ndss"
 	"ndss/internal/corpus"
-	"ndss/internal/hash"
 	"ndss/internal/index"
 	"ndss/internal/search"
 	"ndss/internal/shard"
@@ -204,19 +203,13 @@ func TestShardedServerMetricsExposition(t *testing.T) {
 // slowShardBackend answers instantly or parks until its context is
 // canceled, for driving budget-miss partials through the full server.
 type slowShardBackend struct {
-	fam   *hash.Family
 	slow  bool
 	match search.Match
 	err   error // when set, every search fails with it
 }
 
-func newSlowShardBackend(t *testing.T, slow bool, matchID uint32) *slowShardBackend {
-	t.Helper()
-	fam, err := hash.NewFamily(8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &slowShardBackend{fam: fam, slow: slow, match: search.Match{TextID: matchID, Collisions: 8, EstJaccard: 1}}
+func newSlowShardBackend(slow bool, matchID uint32) *slowShardBackend {
+	return &slowShardBackend{slow: slow, match: search.Match{TextID: matchID, Collisions: 8, EstJaccard: 1}}
 }
 
 func (b *slowShardBackend) SearchContext(ctx context.Context, q []uint32, o search.Options) ([]search.Match, *search.Stats, error) {
@@ -231,7 +224,6 @@ func (b *slowShardBackend) SearchContext(ctx context.Context, q []uint32, o sear
 }
 
 func (b *slowShardBackend) Meta() index.Meta       { return index.Meta{K: 8, Seed: 1, T: 2, NumTexts: 5} }
-func (b *slowShardBackend) Family() *hash.Family   { return b.fam }
 func (b *slowShardBackend) IOStats() index.IOStats { return index.IOStats{} }
 func (b *slowShardBackend) BuildID() string        { return "stub" }
 
@@ -241,8 +233,8 @@ func (b *slowShardBackend) BuildID() string        { return "stub" }
 // ndss_shard_partial_results_total.
 func TestShardedServerPartialResult(t *testing.T) {
 	coord, err := shard.NewCoordinator([]shard.ShardClient{
-		shard.NewLocal("fast", newSlowShardBackend(t, false, 2)),
-		shard.NewLocal("slow", newSlowShardBackend(t, true, 0)),
+		shard.NewLocal("fast", newSlowShardBackend(false, 2)),
+		shard.NewLocal("slow", newSlowShardBackend(true, 0)),
 	}, shard.Config{ShardBudget: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -531,9 +523,9 @@ func TestShardedInvalidQuery(t *testing.T) {
 // attempts in the response stats and /debug/slowlog, and the slow-query
 // log's retry/hedge attrs.
 func TestShardedReplicaMetricsExposition(t *testing.T) {
-	failing := newSlowShardBackend(t, false, 1)
+	failing := newSlowShardBackend(false, 1)
 	failing.err = &shard.RemoteError{Shard: "rep0", Status: 503, Msg: "draining"}
-	good := newSlowShardBackend(t, false, 2)
+	good := newSlowShardBackend(false, 2)
 	rs, err := shard.NewReplicaSet("rset", []shard.ShardClient{
 		shard.NewLocal("rep0", failing), shard.NewLocal("rep1", good),
 	}, shard.ReplicaConfig{

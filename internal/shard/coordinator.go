@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ndss/internal/hash"
 	"ndss/internal/index"
 	"ndss/internal/obs"
 	"ndss/internal/search"
@@ -52,7 +51,6 @@ type shardSlot struct {
 type Coordinator struct {
 	slots  []*shardSlot
 	meta   index.Meta
-	fam    *hash.Family
 	budget time.Duration
 
 	partials atomic.Int64
@@ -67,9 +65,8 @@ func NewCoordinator(clients []ShardClient, cfg Config) (*Coordinator, error) {
 		return nil, errors.New("shard: coordinator needs at least one shard")
 	}
 	want := clients[0].Meta()
-	fam, err := hash.NewFamily(want.K, want.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %s: %w", clients[0].Name(), err)
+	if want.K <= 0 {
+		return nil, fmt.Errorf("shard: %s reports no index metadata (k=%d)", clients[0].Name(), want.K)
 	}
 	agg := want
 	slots := make([]*shardSlot, len(clients))
@@ -86,7 +83,7 @@ func NewCoordinator(clients []ShardClient, cfg Config) (*Coordinator, error) {
 			agg.TotalTokens += m.TotalTokens
 		}
 	}
-	return &Coordinator{slots: slots, meta: agg, fam: fam, budget: cfg.ShardBudget}, nil
+	return &Coordinator{slots: slots, meta: agg, budget: cfg.ShardBudget}, nil
 }
 
 // Shards reports the shard names in fan-out (base) order.
@@ -102,9 +99,6 @@ func (c *Coordinator) Shards() []string {
 // options plus summed corpus sizes, exactly what a merged single index
 // over the same shards would report.
 func (c *Coordinator) Meta() index.Meta { return c.meta }
-
-// Family returns the hash family shared by every shard.
-func (c *Coordinator) Family() *hash.Family { return c.fam }
 
 // BuildID derives a combined build id from the shards' current build
 // ids (order-sensitive), so reloading any shard changes the
@@ -193,7 +187,7 @@ func childTraceContext(ctx context.Context) context.Context {
 // error, and latency counters are updated here, so every fan-out leg is
 // observed exactly once. The returned base is the fan-out start, for
 // charging the merge tail to Stats.Total.
-func (c *Coordinator) fanOut(ctx context.Context, run func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error)) ([]legResult, time.Time) {
+func (c *Coordinator) fanOut(ctx context.Context, query []uint32, opts search.Options) ([]legResult, time.Time) {
 	base := time.Now()
 	results := make([]legResult, len(c.slots))
 	var wg sync.WaitGroup
@@ -217,7 +211,7 @@ func (c *Coordinator) fanOut(ctx context.Context, run func(ctx context.Context, 
 			// taken during the query attributes samples to the leg that
 			// burned them.
 			pprof.Do(legCtx, pprof.Labels("shard", sl.client.Name()), func(legCtx context.Context) {
-				m, st, err = run(legCtx, sl.client)
+				m, st, err = sl.client.SearchContext(legCtx, query, opts)
 			})
 			dur := time.Since(t0)
 			sl.requests.Add(1)
@@ -250,9 +244,7 @@ func (c *Coordinator) SearchContext(ctx context.Context, query []uint32, opts se
 	if opts.Limit < 0 {
 		return nil, nil, search.ValidationError(fmt.Sprintf("search: Limit must not be negative, got %d", opts.Limit))
 	}
-	results, base := c.fanOut(ctx, func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error) {
-		return cl.SearchContext(ctx, query, opts)
-	})
+	results, base := c.fanOut(ctx, query, opts)
 	return c.merge(ctx, base, results, opts.Trace, opts.Limit)
 }
 

@@ -357,13 +357,13 @@ type attemptState struct {
 	done    bool
 }
 
-// do is the resilient control loop behind every query entry point: it
-// launches a primary attempt on the picked replica, hedges once if the
-// attempt outruns the replica's P95, retries transient failures on a
-// different breaker-closed replica, and returns the first success
-// with every attempt (winner, losers, cancellations) recorded in
-// Stats.Attempts for the coordinator to attribute.
-func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error)) ([]search.Match, *search.Stats, error) {
+// SearchContext is the resilient control loop: it launches a primary
+// attempt on the picked replica, hedges once if the attempt outruns the
+// replica's P95, retries transient failures on a different
+// breaker-closed replica, and returns the first success with every
+// attempt (winner, losers, cancellations) recorded in Stats.Attempts for
+// the coordinator to attribute.
+func (r *ReplicaSet) SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error) {
 	legStart := time.Now()
 
 	// A leg tries each replica at most once before giving up (a hedge
@@ -403,7 +403,7 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 		}
 		go func() {
 			t0 := time.Now()
-			m, st, err := run(actx, rep.client)
+			m, st, err := rep.client.SearchContext(actx, query, opts)
 			dur := time.Since(t0)
 			rep.inflight.Add(-1)
 			// Breaker and latency accounting happens here, in the
@@ -539,12 +539,6 @@ func (r *ReplicaSet) do(ctx context.Context, run func(ctx context.Context, cl Sh
 			return fail(attempts, shardErrString(ctx.Err()), ctx.Err())
 		}
 	}
-}
-
-func (r *ReplicaSet) SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error) {
-	return r.do(ctx, func(ctx context.Context, cl ShardClient) ([]search.Match, *search.Stats, error) {
-		return cl.SearchContext(ctx, query, opts)
-	})
 }
 
 // CheckHealth probes every replica concurrently, closes the breaker of

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 
-	"ndss/internal/hash"
 	"ndss/internal/index"
 	"ndss/internal/search"
 )
@@ -42,36 +41,30 @@ import (
 // itself implements. *ndss.DB satisfies it; tests substitute slow
 // or failing implementations. A Backend that also implements io.Closer
 // is closed when its owner (a server reload, a Local) is done with it.
+//
+// The serving tier never sketches a query: SearchContext hands the raw
+// tokens on, and only the engine that searches them sketches them.
 type Backend interface {
 	SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error)
 	Meta() index.Meta
-	Family() *hash.Family
 	IOStats() index.IOStats
 	// BuildID identifies the index build behind this backend, surfaced
 	// in /healthz and /metrics so operators can confirm a reload took.
 	BuildID() string
 }
 
-// ShardClient is one shard as the coordinator sees it. Every query
-// entry point takes the context first and forwards it into the shard's
-// own pipeline (or the network request), so a coordinator deadline
-// cancels shard work promptly.
+// ShardClient is one shard as the coordinator sees it: a Backend with a
+// name, a health check and a Close. SearchContext takes the context
+// first and forwards it into the shard's own pipeline (or the network
+// request), so a coordinator deadline cancels shard work promptly.
 //
 // Implementations must be safe for concurrent use: the coordinator
 // issues one call per in-flight query to every shard.
 type ShardClient interface {
+	Backend
 	// Name identifies the shard in metrics labels, trace spans, and
 	// Stats.PerShard (its index directory or URL).
 	Name() string
-	// Meta describes the shard's index. All shards under one
-	// coordinator must agree on K, Seed, and T.
-	Meta() index.Meta
-	// BuildID identifies the shard's active index build.
-	BuildID() string
-	// IOStats reports the shard's cumulative read counters (for remote
-	// shards, the bytes and read time its proxied queries reported).
-	IOStats() index.IOStats
-	SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error)
 	// CheckHealth verifies the shard is reachable and serving, and for
 	// remote shards refreshes the cached build id.
 	CheckHealth(ctx context.Context) error

@@ -282,6 +282,24 @@ func TestMixedShardsRejected(t *testing.T) {
 	}
 }
 
+// TestShardWithoutMetaRejected: a first shard that reports K ≤ 0 — a
+// deferred HTTPShard that never reached its remote — cannot anchor a
+// coordinator, whose shard set and text-id bases come from that meta.
+func TestShardWithoutMetaRejected(t *testing.T) {
+	hs := shard.NewHTTPShardDeferred("http://127.0.0.1:1", shard.HTTPOptions{})
+	t.Cleanup(func() { hs.Close() })
+	if hs.Meta().K != 0 {
+		t.Fatalf("deferred shard already knows its meta: %+v", hs.Meta())
+	}
+	_, err := shard.NewCoordinator([]shard.ShardClient{hs}, shard.Config{})
+	if err == nil {
+		t.Fatal("NewCoordinator accepted a first shard with k=0")
+	}
+	if !strings.Contains(err.Error(), hs.Name()) {
+		t.Errorf("error %q does not name the shard %s", err, hs.Name())
+	}
+}
+
 func TestHTTPShardHealth(t *testing.T) {
 	texts := fixtureTexts(t)
 	e := buildEngine(t, texts[:12])

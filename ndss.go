@@ -35,7 +35,6 @@ import (
 	"io"
 
 	"ndss/internal/corpus"
-	"ndss/internal/hash"
 	"ndss/internal/index"
 	"ndss/internal/search"
 )
@@ -190,9 +189,6 @@ func (db *DB) Explain(ctx context.Context, query []uint32, opts SearchOptions) (
 
 // Meta returns the opened index's metadata.
 func (db *DB) Meta() index.Meta { return db.ix.Meta() }
-
-// Family returns the hash family queries are sketched with.
-func (db *DB) Family() *hash.Family { return db.ix.Family() }
 
 // IOStats returns the index-wide cumulative I/O counters.
 func (db *DB) IOStats() index.IOStats { return db.ix.IOStats() }

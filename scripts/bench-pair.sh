@@ -8,11 +8,12 @@
 # `bash benchmark/run.sh -workload W -seed S` once on each side: the
 # parent first on odd seeds, the child first on even ones, so drift on a
 # shared machine falls on both sides alike. Each run's final JSON line is
-# appended to FILE, tagged with side, sha, seed and workload. Then, for
-# every end-to-end metric of BENCHMARK.json, it prints the median
-# [q1–q3] of each side, the ratio of the medians and how many pairs the
-# child won, as a markdown table built from every line of FILE for the
-# two commits.
+# appended to FILE, tagged with side, sha, seed, workload and the machine
+# (nproc, CPU model, go version). Then, for every end-to-end metric of
+# BENCHMARK.json, it prints the median [q1–q3] of each side, the ratio of
+# the medians beside the metric's bound (a ratio worse than the bound is
+# marked "beyond") and how many pairs the child won, as a markdown table
+# built from every line of FILE for the two commits.
 #
 #   -n SEEDS      seeds per workload (default 6); 0 prints the table only
 #   -s FIRST_SEED first seed (default 1); seeds run FIRST_SEED..+SEEDS-1
@@ -44,6 +45,9 @@ bench_json=$(git -C "$repo" show "$child:BENCHMARK.json")
 [ -n "$workloads" ] || workloads=$(jq -r '[.workloads[].name] | join(",")' <<<"$bench_json")
 
 if [ "$seeds" -gt 0 ]; then
+	cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)
+	machine=$(jq -nc --argjson nproc "$(nproc)" --arg cpu "${cpu:-unknown}" --arg go "$(go version)" \
+		'{nproc: $nproc, cpu: $cpu, go: $go}')
 	tmp=$(mktemp -d)
 	trap 'rm -rf "$tmp"' EXIT
 	mkdir "$tmp/gocache"
@@ -63,8 +67,8 @@ if [ "$seeds" -gt 0 ]; then
 		if ! jq -e 'type == "object"' >/dev/null 2>&1 <<<"$line"; then
 			line='{"correct":false,"error":"no result line"}'
 		fi
-		jq -c --arg side "$1" --arg sha "$sha" --argjson seed "$3" --arg workload "$2" \
-			'. + {side: $side, sha: $sha, seed: $seed, workload: $workload}' <<<"$line" >>"$out"
+		jq -c --arg side "$1" --arg sha "$sha" --argjson seed "$3" --arg workload "$2" --argjson machine "$machine" \
+			'. + {side: $side, sha: $sha, seed: $seed, workload: $workload, machine: $machine}' <<<"$line" >>"$out"
 		echo "$2 seed $3 $1 ${sha:0:12}: $(jq -c '{correct, failed}' <<<"$line")" >&2
 	}
 
@@ -83,8 +87,8 @@ fi
 
 echo "parent ${parent:0:12}, child ${child:0:12}"
 echo
-echo "| workload | metric | parent median [q1–q3] | child median [q1–q3] | child/parent | pairs child better |"
-echo "|---|---|---|---|---|---|"
+echo "| workload | metric | parent median [q1–q3] | child median [q1–q3] | child/parent | bound | pairs child better |"
+echo "|---|---|---|---|---|---|---|"
 jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" \
 	--argjson e2e "$(jq -c '.end_to_end' <<<"$bench_json")" '
 	def median: sort | if length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
@@ -108,10 +112,12 @@ jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" 
 	   ([$pairs[].p] | median, quartile(1), quartile(3)),
 	   ([$pairs[].c] | median, quartile(1), quartile(3)),
 	   ([$pairs[] | select(if $m.better == "lower" then .c < .p else .c > .p end)] | length),
-	   ($pairs | length)] | @tsv
+	   ($pairs | length), $m.bound, $m.better] | @tsv
 ' "$out" | awk -F'\t' '{
 	ratio = $3 == 0 ? "n/a" : sprintf("%.3f", $6 / $3)
-	printf "| %s | %s | %.4g [%.4g–%.4g] | %.4g [%.4g–%.4g] | %s | %d/%d |\n", $1, $2, $3, $4, $5, $6, $7, $8, ratio, $9, $10
+	# Worse than the parent by more than the bound, as the gate reads it.
+	if ($3 != 0 && ($12 == "lower" ? $6 / $3 > 1 + $11 : $6 / $3 < 1 - $11)) ratio = ratio " **beyond**"
+	printf "| %s | %s | %.4g [%.4g–%.4g] | %.4g [%.4g–%.4g] | %s | %g %% | %d/%d |\n", $1, $2, $3, $4, $5, $6, $7, $8, ratio, $11 * 100, $9, $10
 }'
 echo
 jq -rs --arg parent "$parent" --arg child "$child" '
