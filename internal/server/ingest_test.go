@@ -202,7 +202,7 @@ func TestIngestValidation(t *testing.T) {
 // nothing and does not count toward CompactAfter.
 func TestIngestRefusesNoTexts(t *testing.T) {
 	calls := 0
-	srv := New(newStubBackend("only", 1, false), Config{
+	srv := New(newStubBackend(t, "only", 1, false), Config{
 		Ingester:     func([][]uint32) (string, error) { calls++; return "next", nil },
 		CompactAfter: 1,
 	})
@@ -217,7 +217,7 @@ func TestIngestRefusesNoTexts(t *testing.T) {
 }
 
 func TestIngestWithoutIngester(t *testing.T) {
-	b := newStubBackend("only", 1, false)
+	b := newStubBackend(t, "only", 1, false)
 	srv := New(b, Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -51,7 +51,7 @@ func (goldenBackend) ShardMetrics() shard.Metrics {
 // so its empty latency row is pinned too.
 func goldenServer(t *testing.T) *Server {
 	t.Helper()
-	stub := newStubBackend(`build\7"q`, 1, false)
+	stub := newStubBackend(t, `build\7"q`, 1, false)
 	srv := New(goldenBackend{stub}, Config{CacheEntries: 8, SlowlogEntries: 4})
 	m := &srv.met
 	m.inFlight.Add(2)

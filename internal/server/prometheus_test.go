@@ -354,7 +354,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 // sum. (The histogram's own edge and consistency tests live with it in
 // internal/obs.)
 func TestHistogramConcurrentConsistency(t *testing.T) {
-	srv := New(newStubBackend("b", 1, false), Config{})
+	srv := New(newStubBackend(t, "b", 1, false), Config{})
 	m := &srv.met
 	const writers, perWriter = 8, 500
 	stop := make(chan struct{})

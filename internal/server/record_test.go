@@ -382,10 +382,10 @@ func TestRecordLogLine(t *testing.T) {
 	})
 
 	t.Run("sharded", func(t *testing.T) {
-		failing := newSlowShardBackend(false, 1)
+		failing := newSlowShardBackend(t, false, 1)
 		failing.err = &shard.RemoteError{Shard: "rep0", Status: 503, Msg: "draining"}
 		rs, err := shard.NewReplicaSet("rset", []shard.ShardClient{
-			shard.NewLocal("rep0", failing), shard.NewLocal("rep1", newSlowShardBackend(false, 2)),
+			shard.NewLocal("rep0", failing), shard.NewLocal("rep1", newSlowShardBackend(t, false, 2)),
 		}, shard.ReplicaConfig{
 			HedgeDelayMin: -1, BreakerFailures: 100, Seed: 1,
 		})

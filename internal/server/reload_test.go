@@ -233,7 +233,8 @@ type stubBackend struct {
 	once    sync.Once
 }
 
-func newStubBackend(id string, matchID uint32, blocking bool) *stubBackend {
+func newStubBackend(t *testing.T, id string, matchID uint32, blocking bool) *stubBackend {
+	t.Helper()
 	b := &stubBackend{id: id, match: search.Match{TextID: matchID, EstJaccard: 1}}
 	if blocking {
 		b.entered = make(chan struct{})
@@ -262,8 +263,8 @@ func (b *stubBackend) Close() error           { b.closed.Store(true); return nil
 // and checks that Reload waits for the query to finish before closing
 // the old backend — while new queries already run on the new one.
 func TestReloadDrainsInFlight(t *testing.T) {
-	oldB := newStubBackend("old", 1, true)
-	newB := newStubBackend("new", 2, false)
+	oldB := newStubBackend(t, "old", 1, true)
+	newB := newStubBackend(t, "new", 2, false)
 	srv := New(oldB, Config{
 		CacheEntries: -1,
 		Reloader:     func() (Backend, error) { return newB, nil },
@@ -334,8 +335,8 @@ func TestReloadDrainsInFlight(t *testing.T) {
 // TestReloadFlushesCache ensures results cached against the old index
 // are not served after the swap.
 func TestReloadFlushesCache(t *testing.T) {
-	oldB := newStubBackend("old", 1, false)
-	newB := newStubBackend("new", 2, false)
+	oldB := newStubBackend(t, "old", 1, false)
+	newB := newStubBackend(t, "new", 2, false)
 	srv := New(oldB, Config{
 		CacheEntries: 64,
 		Reloader:     func() (Backend, error) { return newB, nil },
@@ -375,7 +376,7 @@ func TestReloadFlushesCache(t *testing.T) {
 }
 
 func TestReloadWithoutReloader(t *testing.T) {
-	b := newStubBackend("only", 1, false)
+	b := newStubBackend(t, "only", 1, false)
 	srv := New(b, Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -389,7 +390,7 @@ func TestReloadWithoutReloader(t *testing.T) {
 // TestReloadFailureKeepsServing: a reloader error must leave the old
 // backend serving untouched and count a failed reload.
 func TestReloadFailureKeepsServing(t *testing.T) {
-	b := newStubBackend("stable", 1, false)
+	b := newStubBackend(t, "stable", 1, false)
 	srv := New(b, Config{
 		CacheEntries: -1,
 		Reloader:     func() (Backend, error) { return nil, context.DeadlineExceeded },

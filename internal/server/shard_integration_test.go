@@ -208,7 +208,8 @@ type slowShardBackend struct {
 	err   error // when set, every search fails with it
 }
 
-func newSlowShardBackend(slow bool, matchID uint32) *slowShardBackend {
+func newSlowShardBackend(t *testing.T, slow bool, matchID uint32) *slowShardBackend {
+	t.Helper()
 	return &slowShardBackend{slow: slow, match: search.Match{TextID: matchID, Collisions: 8, EstJaccard: 1}}
 }
 
@@ -233,8 +234,8 @@ func (b *slowShardBackend) BuildID() string        { return "stub" }
 // ndss_shard_partial_results_total.
 func TestShardedServerPartialResult(t *testing.T) {
 	coord, err := shard.NewCoordinator([]shard.ShardClient{
-		shard.NewLocal("fast", newSlowShardBackend(false, 2)),
-		shard.NewLocal("slow", newSlowShardBackend(true, 0)),
+		shard.NewLocal("fast", newSlowShardBackend(t, false, 2)),
+		shard.NewLocal("slow", newSlowShardBackend(t, true, 0)),
 	}, shard.Config{ShardBudget: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -523,9 +524,9 @@ func TestShardedInvalidQuery(t *testing.T) {
 // attempts in the response stats and /debug/slowlog, and the slow-query
 // log's retry/hedge attrs.
 func TestShardedReplicaMetricsExposition(t *testing.T) {
-	failing := newSlowShardBackend(false, 1)
+	failing := newSlowShardBackend(t, false, 1)
 	failing.err = &shard.RemoteError{Shard: "rep0", Status: 503, Msg: "draining"}
-	good := newSlowShardBackend(false, 2)
+	good := newSlowShardBackend(t, false, 2)
 	rs, err := shard.NewReplicaSet("rset", []shard.ShardClient{
 		shard.NewLocal("rep0", failing), shard.NewLocal("rep1", good),
 	}, shard.ReplicaConfig{
