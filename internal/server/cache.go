@@ -11,8 +11,7 @@ import (
 )
 
 // resultCache is a mutex-guarded LRU of fully computed query results,
-// keyed by the request: its options and raw tokens (cacheKey). The
-// server never sketches a query; the engine that searches it does.
+// keyed by the request: its options and raw tokens (cacheKey).
 type resultCache struct {
 	mu  sync.Mutex
 	max int
