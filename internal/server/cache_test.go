@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -61,5 +62,41 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 	if cacheKey([]uint32{1, 2}, base) == cacheKey([]uint32{1, 2, 0}, base) {
 		t.Error("[1 2] and [1 2 0] share a cache key")
+	}
+}
+
+// TestCacheKeySketchAliasing is the regression test for the cross-length
+// aliasing bug of the sketch-keyed layout, where a variable-length field
+// sat ahead of the option words and two requests of different lengths
+// could serialize to the same bytes. The key now puts the fixed-width
+// option words first and the tokens last, so a key's first 32 bytes fix
+// the options and its length fixes the query's length. The pair below is
+// shaped like the old collision: B carries A's Theta bits as two extra
+// leading tokens and takes A's next words as its options.
+func TestCacheKeySketchAliasing(t *testing.T) {
+	const header = 4 * 8
+	tokens := []uint32{1, 2, 3}
+	optsA := search.Options{Theta: 0.75, MinLength: 7, Verify: true}
+	keyA := cacheKey(tokens, optsA)
+
+	bits := math.Float64bits(optsA.Theta)
+	tokensB := append([]uint32{uint32(bits), uint32(bits >> 32)}, tokens...)
+	optsB := search.Options{
+		Theta:     math.Float64frombits(uint64(optsA.MinLength)),
+		MinLength: 2, // A's flags word: the Verify bit
+	}
+	keyB := cacheKey(tokensB, optsB)
+	if keyA == keyB {
+		t.Fatal("distinct (query, options) pairs alias to one cache key")
+	}
+
+	for _, q := range [][]uint32{nil, {0}, tokens, tokensB} {
+		key := cacheKey(q, optsA)
+		if len(key) != header+4*len(q) {
+			t.Errorf("len(cacheKey(%v)) = %d, want %d: the option words must be fixed-width", q, len(key), header+4*len(q))
+		}
+		if key[:header] != keyA[:header] {
+			t.Errorf("the first %d bytes of cacheKey(%v) depend on the query; the option words must come first", header, q)
+		}
 	}
 }
