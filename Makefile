@@ -85,6 +85,8 @@ fuzz-smoke:
 	$(GO) test ./internal/search/ -run FuzzCollisionCount -fuzz FuzzCollisionCount -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/search/ -run FuzzSegmentedSearch -fuzz FuzzSegmentedSearch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run FuzzParseTraceparent -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/ -run FuzzDecodeRequest -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/ -run FuzzDecodeResponse -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)
 
 # CI "bench-smoke" job: one iteration of the query-path microbenchmarks
 # (internal/search/bench_test.go), of the index ones
@@ -93,7 +95,9 @@ fuzz-smoke:
 # reads in ns/posting and Open), of both window generators (the stack on reused
 # scratch and the segment tree), of the serving path
 # (internal/server/bench_test.go: one uncached /search through
-# ServeHTTP, allocs/op), of the root benchmarks behind Fig 3(d), AB1
+# ServeHTTP, allocs/op), of the query-message codec against
+# encoding/json (internal/wire: request decode, response encode and
+# decode in ns/op and allocs/op), of the root benchmarks behind Fig 3(d), AB1
 # and AB2, and ten queries per cell of the replica-tier scenario matrix
 # (internal/shard/replica_bench_test.go), so they cannot rot. Measuring
 # while you work is the same command with a real -benchtime and -count.
@@ -102,6 +106,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Build$$|BuildExternal|Append16|Compact9|ChurnCycle|ReadList$$|Open$$' -benchtime 1x ./internal/index/
 	$(GO) test -run '^$$' -bench 'ScratchGenerate|GenerateSegmentTree' -benchtime 1x ./internal/window/
 	$(GO) test -run '^$$' -bench 'ServeSearch' -benchtime 1x -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench 'WireCodec' -benchtime 1x -benchmem ./internal/wire/
 	$(GO) test -run '^$$' -bench 'ReplicaScenarios' -benchtime 10x ./internal/shard/
 	$(GO) test -run '^$$' -bench 'Fig3_PrefixLength|Ablation_PrefixFilter|Ablation_WindowGen' -benchtime 1x .
 

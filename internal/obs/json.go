@@ -30,13 +30,6 @@ func (s *Span) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &js); err != nil {
 		return err
 	}
-	*s = Span{Name: js.Name, Start: time.Duration(js.StartNS), Dur: time.Duration(js.DurNS)}
-	for _, a := range js.Attrs {
-		if s.nattrs == maxAttrs {
-			break
-		}
-		s.attrs[s.nattrs] = a
-		s.nattrs++
-	}
+	*s = NewSpan(js.Name, time.Duration(js.StartNS), time.Duration(js.DurNS), js.Attrs)
 	return nil
 }

@@ -51,6 +51,14 @@ type Span struct {
 	attrs  [maxAttrs]Attr
 }
 
+// NewSpan builds a closed span carrying attrs. Attributes beyond the
+// inline capacity are dropped, as Annotate drops them.
+func NewSpan(name string, start, dur time.Duration, attrs []Attr) Span {
+	s := Span{Name: name, Start: start, Dur: dur}
+	s.nattrs = copy(s.attrs[:], attrs)
+	return s
+}
+
 // Attrs returns the span's attributes (a view into inline storage).
 func (s *Span) Attrs() []Attr { return s.attrs[:s.nattrs] }
 

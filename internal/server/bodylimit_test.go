@@ -99,6 +99,40 @@ func TestQueryBodyLimitAnswers413(t *testing.T) {
 	}
 }
 
+// TestQueryBodyLimitAfterWholeValue: the request is the body's first
+// JSON value, so a whole value followed by padding past the cap is
+// answered, as the stream decoder always answered it; a value the cap
+// cuts short is a 413.
+func TestQueryBodyLimitAfterWholeValue(t *testing.T) {
+	_, engine, q := testFixture(t)
+	body, err := json.Marshal(wire.Request{Tokens: q, Theta: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrinkBodyLimits(t, int64(len(body))+16)
+	ts := httptest.NewServer(New(engine, Config{}))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"whole value, then padding", string(body) + strings.Repeat(" ", 4096), http.StatusOK},
+		{"value cut by the cap", strings.Repeat(" ", 32) + string(body), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/search", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: %d (%s), want %d", tc.name, resp.StatusCode, got, tc.want)
+		}
+	}
+}
+
 func TestIngestBodyLimitAnswers413(t *testing.T) {
 	shrinkBodyLimits(t, 512)
 	srv, _ := ingestFixture(t, 0)

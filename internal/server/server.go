@@ -54,6 +54,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -62,6 +63,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -608,6 +610,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// writeResponse writes a 200 query answer through the wire codec: the
+// bytes writeJSON would write, without reflection.
+func writeResponse(w http.ResponseWriter, resp *wire.Response) {
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
+	b, err := wire.AppendResponse(*bp, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		b = append(b, '\n')
+		w.Write(b)
+	}
+	*bp = b
+}
+
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
 	switch status {
 	case http.StatusBadRequest:
@@ -652,26 +669,45 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (wire.Request, error)
 	var req wire.Request
 	if r.Method == http.MethodGet {
 		q := r.URL.Query()
-		if _, err := fmt.Sscanf(q.Get("theta"), "%g", &req.Theta); err != nil {
+		theta, err := strconv.ParseFloat(q.Get("theta"), 64)
+		if err != nil {
 			return req, fmt.Errorf("theta parameter: %w", err)
 		}
+		req.Theta = theta
 		for _, part := range splitTokens(q.Get("tokens")) {
-			var tok uint32
-			if _, err := fmt.Sscanf(part, "%d", &tok); err != nil {
+			tok, err := strconv.ParseUint(part, 10, 32)
+			if err != nil {
 				return req, fmt.Errorf("bad token %q", part)
 			}
-			req.Tokens = append(req.Tokens, tok)
+			req.Tokens = append(req.Tokens, uint32(tok))
 		}
 		req.PrefixFilter = q.Get("prefix_filter") == "true" || q.Get("prefix_filter") == "1"
 		return req, nil
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
+	data, err := wire.ReadAll(*bp, http.MaxBytesReader(w, r.Body, maxQueryBodyBytes))
+	*bp = data
+	if err != nil {
+		// The body broke off, over the cap or with the connection:
+		// decode what arrived as a stream decoder would have, which
+		// answers only if a whole value came before the failure.
+		dec := json.NewDecoder(io.MultiReader(bytes.NewReader(data), errReader{err}))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&req)
+	} else {
+		err = wire.DecodeRequest(data, &req)
+	}
+	if err != nil {
 		return req, fmt.Errorf("decode request: %w", err)
 	}
 	return req, nil
 }
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 func splitTokens(s string) []string {
 	var out []string
@@ -799,7 +835,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 		if e, ok := s.cache.get(key); ok {
 			resp := e.resp
 			resp.Cached = true
-			writeJSON(w, http.StatusOK, resp)
+			writeResponse(w, &resp)
 			s.met.observe(ep, outCached, time.Since(start))
 			return
 		}
@@ -860,7 +896,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 	if tc, ok := obs.TraceFromContext(r.Context()); ok && tc.Sampled {
 		resp.Stats.Spans = st.Spans
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeResponse(w, &resp)
 }
 
 // writeQueryError answers a failed backend call and reports the outcome

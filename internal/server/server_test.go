@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -760,6 +761,46 @@ func TestServeExplainGet(t *testing.T) {
 	nan.Body.Close()
 	if nan.StatusCode != http.StatusBadRequest {
 		t.Fatalf("GET explain theta=NaN status %d, want 400", nan.StatusCode)
+	}
+}
+
+// TestServeExplainGetStrict: the GET form's numbers must parse whole.
+// A trailing byte is a 400, not a value read up to where it stops.
+func TestServeExplainGetStrict(t *testing.T) {
+	_, engine, q := testFixture(t)
+	ts := httptest.NewServer(New(engine, Config{}))
+	defer ts.Close()
+
+	toks := make([]string, len(q))
+	for i, tok := range q {
+		toks[i] = fmt.Sprint(tok)
+	}
+	valid := strings.Join(toks, ",")
+	for _, tc := range []struct {
+		name, theta, tokens string
+		want                int
+	}{
+		{"valid", "0.8", valid, http.StatusOK},
+		{"spaces between tokens", "0.8", strings.Join(toks, " "), http.StatusOK},
+		{"token with trailing bytes", "0.8", "12abc," + valid, http.StatusBadRequest},
+		{"lone token with trailing bytes", "0.8", "12abc", http.StatusBadRequest},
+		{"theta with trailing bytes", "0.8xyz", valid, http.StatusBadRequest},
+		{"theta with trailing space", "0.8 ", valid, http.StatusBadRequest},
+		{"missing theta", "", valid, http.StatusBadRequest},
+		{"token above 2^32-1", "0.8", "4294967296," + valid, http.StatusBadRequest},
+		{"negative token", "0.8", "-1," + valid, http.StatusBadRequest},
+		{"signed token", "0.8", "+12," + valid, http.StatusBadRequest},
+		{"fractional token", "0.8", "12.0," + valid, http.StatusBadRequest},
+	} {
+		v := url.Values{"theta": {tc.theta}, "tokens": {tc.tokens}}
+		resp, err := ts.Client().Get(ts.URL + "/explain?" + v.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s (theta=%q tokens=%q): status %d, want %d", tc.name, tc.theta, tc.tokens, resp.StatusCode, tc.want)
+		}
 	}
 }
 

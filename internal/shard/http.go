@@ -273,7 +273,9 @@ func setPropagationHeaders(ctx context.Context, hdr http.Header) {
 // into out. A non-200 answer becomes a *RemoteError carrying the
 // remote's error string.
 func (h *HTTPShard) post(ctx context.Context, body wire.Request, out *wire.Response) error {
-	payload, err := json.Marshal(body)
+	// The payload is not pooled: the transport may still read a body
+	// after Do returns.
+	payload, err := wire.AppendRequest(make([]byte, 0, 128+11*len(body.Tokens)), &body)
 	if err != nil {
 		return fmt.Errorf("shard %s: %w", h.base, err)
 	}
@@ -306,14 +308,17 @@ func (h *HTTPShard) post(ctx context.Context, body wire.Request, out *wire.Respo
 		}
 		return &RemoteError{Shard: h.base, Status: resp.StatusCode, Msg: msg}
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
+	data, err := wire.ReadAll(*bp, io.LimitReader(resp.Body, maxResponseBytes))
+	*bp = data
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return ctxErr
 		}
 		return fmt.Errorf("shard %s: read response: %w", h.base, err)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := wire.DecodeResponse(data, out); err != nil {
 		return fmt.Errorf("shard %s: bad response: %w", h.base, err)
 	}
 	return nil

@@ -128,6 +128,26 @@ func TestGoldenBytes(t *testing.T) {
 		if got := encode(t, tc.v); got != tc.want {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
+		// The query messages go out through the hand codec; the server
+		// adds the encoder's newline.
+		var (
+			b   []byte
+			err error
+		)
+		switch m := tc.v.(type) {
+		case Request:
+			b, err = AppendRequest(nil, &m)
+		case Response:
+			b, err = AppendResponse(nil, &m)
+		default:
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := string(b) + "\n"; got != tc.want {
+			t.Errorf("%s through the codec:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }
 

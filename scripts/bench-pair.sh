@@ -23,6 +23,10 @@
 #
 # Quartiles are Python's statistics.quantiles(n=4) (the exclusive method),
 # as in benchmark/README.md "Noise and bounds". Needs git and jq.
+#
+# Exit status: 0; 2 on a usage error; 3, after the table, when a ratio is
+# beyond its bound or a run of either commit reported correct false or
+# failed operations.
 set -euo pipefail
 
 seeds=6 first=1 workloads="" out=BENCH.jsonl
@@ -87,6 +91,7 @@ fi
 
 echo "parent ${parent:0:12}, child ${child:0:12}"
 echo
+table=$(
 echo "| workload | metric | parent median [q1–q3] | child median [q1–q3] | child/parent | bound | pairs child better |"
 echo "|---|---|---|---|---|---|---|"
 jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" \
@@ -119,8 +124,22 @@ jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" 
 	if ($3 != 0 && ($12 == "lower" ? $6 / $3 > 1 + $11 : $6 / $3 < 1 - $11)) ratio = ratio " **beyond**"
 	printf "| %s | %s | %.4g [%.4g–%.4g] | %.4g [%.4g–%.4g] | %s | %g %% | %d/%d |\n", $1, $2, $3, $4, $5, $6, $7, $8, ratio, $11 * 100, $9, $10
 }'
+)
+echo "$table"
 echo
-jq -rs --arg parent "$parent" --arg child "$child" '
+read -r runs incorrect failed < <(jq -rs --arg parent "$parent" --arg child "$child" '
 	map(select(.sha == $parent or .sha == $child))
-	| "runs: \(length), correct false: \(map(select(.correct != true)) | length), failed ops: \(map(.failed // 0) | add // 0)"
-' "$out"
+	| [length, (map(select(.correct != true)) | length), (map(.failed // 0) | add // 0)] | @tsv
+' "$out")
+echo "runs: $runs, correct false: $incorrect, failed ops: $failed"
+
+status=0
+if grep -q beyond <<<"$table"; then
+	echo "bench-pair: a ratio is beyond its bound" >&2
+	status=3
+fi
+if [ "$incorrect" != 0 ] || [ "$failed" != 0 ]; then
+	echo "bench-pair: $incorrect runs reported correct false, $failed operations failed" >&2
+	status=3
+fi
+exit $status
