@@ -427,9 +427,11 @@ func (d *decoder) key() []byte {
 	return k
 }
 
-// once marks member f of the object being read as seen. encoding/json
-// merges a repeated member into the first one, which is not worth
-// repeating here, so a repeat defers to it.
+// once marks member f of the object being read as seen. A repeated
+// scalar member is read as encoding/json reads it (the last one wins),
+// but encoding/json decodes a repeated array of objects, or an object
+// holding one, element by element into the first, which is not worth
+// repeating here: a repeat of such a member defers to encoding/json.
 func (d *decoder) once(seen *uint32, f uint) {
 	if *seen&(1<<f) != 0 {
 		d.bad = true
@@ -571,38 +573,27 @@ func (d *decoder) float() float64 {
 }
 
 func (d *decoder) request(r *Request) bool {
-	var seen uint32
 	for ok := d.first('{', '}'); ok; ok = d.more('}') {
 		switch string(d.key()) {
 		case "tokens":
-			d.once(&seen, 0)
 			r.Tokens = d.tokens()
 		case "theta":
-			d.once(&seen, 1)
 			r.Theta = d.float()
 		case "min_length":
-			d.once(&seen, 2)
 			r.MinLength = d.int()
 		case "prefix_filter":
-			d.once(&seen, 3)
 			r.PrefixFilter = d.bool()
 		case "long_list_threshold":
-			d.once(&seen, 4)
 			r.LongListThreshold = d.int()
 		case "cost_based":
-			d.once(&seen, 5)
 			r.CostBased = d.bool()
 		case "verify":
-			d.once(&seen, 6)
 			r.Verify = d.bool()
 		case "timeout_ms":
-			d.once(&seen, 7)
 			r.TimeoutMS = d.int()
 		case "n":
-			d.once(&seen, 8)
 			r.N = d.int()
 		case "floor_theta":
-			d.once(&seen, 9)
 			r.FloorTheta = d.float()
 		default:
 			d.bad = true
@@ -643,7 +634,6 @@ func (d *decoder) response(r *Response) bool {
 			d.once(&seen, 1)
 			d.stats(&r.Stats)
 		case "cached":
-			d.once(&seen, 2)
 			r.Cached = d.bool()
 		default:
 			d.bad = true
@@ -653,26 +643,19 @@ func (d *decoder) response(r *Response) bool {
 }
 
 func (d *decoder) match(m *Match) {
-	var seen uint32
 	for ok := d.first('{', '}'); ok; ok = d.more('}') {
 		switch string(d.key()) {
 		case "text_id":
-			d.once(&seen, 0)
 			m.TextID = d.uint32()
 		case "start":
-			d.once(&seen, 1)
 			m.Start = d.int32()
 		case "end":
-			d.once(&seen, 2)
 			m.End = d.int32()
 		case "collisions":
-			d.once(&seen, 3)
 			m.Collisions = d.int()
 		case "est_jaccard":
-			d.once(&seen, 4)
 			m.EstJaccard = d.float()
 		case "jaccard":
-			d.once(&seen, 5)
 			m.Jaccard = d.float()
 		default:
 			d.bad = true
@@ -685,56 +668,42 @@ func (d *decoder) stats(st *Stats) {
 	for ok := d.first('{', '}'); ok; ok = d.more('}') {
 		switch string(d.key()) {
 		case "k":
-			d.once(&seen, 0)
 			st.K = d.int()
 		case "beta":
-			d.once(&seen, 1)
 			st.Beta = d.int()
 		case "short_lists":
-			d.once(&seen, 2)
 			st.ShortLists = d.int()
 		case "long_lists":
-			d.once(&seen, 3)
 			st.LongLists = d.int()
 		case "candidates":
-			d.once(&seen, 4)
 			st.Candidates = d.int()
 		case "probed":
-			d.once(&seen, 5)
 			st.Probed = d.int()
 		case "matches":
-			d.once(&seen, 6)
 			st.Matches = d.int()
 		case "io_bytes":
-			d.once(&seen, 7)
 			st.IOBytes = d.int64()
 		case "io_time_ns":
-			d.once(&seen, 8)
 			st.IOTimeNS = d.int64()
 		case "cpu_time_ns":
-			d.once(&seen, 9)
 			st.CPUTimeNS = d.int64()
 		case "total_ns":
-			d.once(&seen, 10)
 			st.TotalNS = d.int64()
 		case "stages":
-			d.once(&seen, 11)
 			d.stages(&st.Stages)
 		case "shards_total":
-			d.once(&seen, 12)
 			st.ShardsTotal = d.int()
 		case "shards_answered":
-			d.once(&seen, 13)
 			st.ShardsAnswered = d.int()
 		case "per_shard":
-			d.once(&seen, 14)
+			d.once(&seen, 0)
 			st.PerShard = []search.ShardStats{}
 			for ok := d.first('[', ']'); ok; ok = d.more(']') {
 				st.PerShard = append(st.PerShard, search.ShardStats{})
 				d.shardStats(&st.PerShard[len(st.PerShard)-1])
 			}
 		case "spans":
-			d.once(&seen, 15)
+			d.once(&seen, 1)
 			st.Spans = []obs.Span{}
 			for ok := d.first('[', ']'); ok; ok = d.more(']') {
 				st.Spans = append(st.Spans, obs.Span{})
@@ -747,26 +716,19 @@ func (d *decoder) stats(st *Stats) {
 }
 
 func (d *decoder) stages(t *search.StageTimes) {
-	var seen uint32
 	for ok := d.first('{', '}'); ok; ok = d.more('}') {
 		switch string(d.key()) {
 		case "sketch_ns":
-			d.once(&seen, 0)
 			t.Sketch = d.duration()
 		case "plan_ns":
-			d.once(&seen, 1)
 			t.Plan = d.duration()
 		case "gather_ns":
-			d.once(&seen, 2)
 			t.Gather = d.duration()
 		case "count_ns":
-			d.once(&seen, 3)
 			t.Count = d.duration()
 		case "merge_ns":
-			d.once(&seen, 4)
 			t.Merge = d.duration()
 		case "verify_ns":
-			d.once(&seen, 5)
 			t.Verify = d.duration()
 		default:
 			d.bad = true
@@ -779,44 +741,34 @@ func (d *decoder) shardStats(s *search.ShardStats) {
 	for ok := d.first('{', '}'); ok; ok = d.more('}') {
 		switch string(d.key()) {
 		case "shard":
-			d.once(&seen, 0)
 			s.Shard = d.string()
 		case "answered":
-			d.once(&seen, 1)
 			s.Answered = d.bool()
 		case "err":
-			d.once(&seen, 2)
 			s.Err = d.string()
 		case "matches":
-			d.once(&seen, 3)
 			s.Matches = d.int()
 		case "io_bytes":
-			d.once(&seen, 4)
 			s.IOBytes = d.int64()
 		case "io_time_ns":
-			d.once(&seen, 5)
 			s.IOTime = d.duration()
 		case "total_ns":
-			d.once(&seen, 6)
 			s.Total = d.duration()
 		case "stages":
-			d.once(&seen, 7)
 			d.stages(&s.StageTimes)
 		case "span_id":
-			d.once(&seen, 8)
 			s.SpanID = d.string()
 		case "start_ns":
-			d.once(&seen, 9)
 			s.Start = d.duration()
 		case "spans":
-			d.once(&seen, 10)
+			d.once(&seen, 0)
 			s.Spans = []obs.Span{}
 			for ok := d.first('[', ']'); ok; ok = d.more(']') {
 				s.Spans = append(s.Spans, obs.Span{})
 				d.span(&s.Spans[len(s.Spans)-1])
 			}
 		case "attempts":
-			d.once(&seen, 11)
+			d.once(&seen, 1)
 			s.Attempts = []search.ShardAttempt{}
 			for ok := d.first('[', ']'); ok; ok = d.more(']') {
 				s.Attempts = append(s.Attempts, search.ShardAttempt{})
@@ -829,32 +781,23 @@ func (d *decoder) shardStats(s *search.ShardStats) {
 }
 
 func (d *decoder) attempt(a *search.ShardAttempt) {
-	var seen uint32
 	for ok := d.first('{', '}'); ok; ok = d.more('}') {
 		switch string(d.key()) {
 		case "replica":
-			d.once(&seen, 0)
 			a.Replica = d.string()
 		case "replica_idx":
-			d.once(&seen, 1)
 			a.ReplicaIdx = d.int()
 		case "attempt":
-			d.once(&seen, 2)
 			a.Attempt = d.int()
 		case "hedge":
-			d.once(&seen, 3)
 			a.Hedge = d.bool()
 		case "err":
-			d.once(&seen, 4)
 			a.Err = d.string()
 		case "span_id":
-			d.once(&seen, 5)
 			a.SpanID = d.string()
 		case "start_ns":
-			d.once(&seen, 6)
 			a.Start = d.duration()
 		case "dur_ns":
-			d.once(&seen, 7)
 			a.Dur = d.duration()
 		default:
 			d.bad = true
@@ -873,16 +816,13 @@ func (d *decoder) span(sp *obs.Span) {
 	for ok := d.first('{', '}'); ok; ok = d.more('}') {
 		switch string(d.key()) {
 		case "name":
-			d.once(&seen, 0)
 			name = d.string()
 		case "start_ns":
-			d.once(&seen, 1)
 			start = d.int64()
 		case "dur_ns":
-			d.once(&seen, 2)
 			dur = d.int64()
 		case "attrs":
-			d.once(&seen, 3)
+			d.once(&seen, 0)
 			attrs = []obs.Attr{}
 			for ok := d.first('[', ']'); ok; ok = d.more(']') {
 				attrs = append(attrs, obs.Attr{})
@@ -896,14 +836,11 @@ func (d *decoder) span(sp *obs.Span) {
 }
 
 func (d *decoder) attr(a *obs.Attr) {
-	var seen uint32
 	for ok := d.first('{', '}'); ok; ok = d.more('}') {
 		switch string(d.key()) {
 		case "key":
-			d.once(&seen, 0)
 			a.Key = d.string()
 		case "val":
-			d.once(&seen, 1)
 			a.Val = d.int64()
 		default:
 			d.bad = true

@@ -73,6 +73,7 @@ var requestSeeds = []string{
 	`null`,
 	`{"tokens":null,"theta":0.5}`,
 	`{"tokens":[1],"tokens":[2,3],"theta":0.5}`,
+	`{"tokens":[1,2,3],"theta":0.5,"theta":0.7,"tokens":[4],"verify":true,"verify":false}`,
 	`{"tokens":[1],"theta":1e2,"min_length":1e2}`,
 	`{"tokens":[-0],"theta":-0,"n":-0}`,
 	`{"tokens":[01],"theta":0.5}`,
@@ -96,6 +97,9 @@ var responseSeeds = []string{
 	`{"matches":[]}`,
 	`{"matches":null,"stats":null}`,
 	`{"matches":[{"text_id":1,"start":2}],"matches":[{"text_id":3}]}`,
+	`{"matches":[{"text_id":1,"text_id":2}],"stats":{"k":1,"stages":{"plan_ns":1},"stages":{"sketch_ns":2},"k":3}}`,
+	`{"stats":{"per_shard":[{"shard":"a"}]},"stats":{"per_shard":[{"answered":true}]}}`,
+	`{"stats":{"spans":[{"name":"a","attrs":[{"key":"k","val":1}],"attrs":[{"key":"j"}]}]}}`,
 	`{"matches":[{"text_id":1e2,"est_jaccard":1e2}]}`,
 	`{"matches":[{"text_id":-0,"start":-0,"est_jaccard":-0}]}`,
 	`{"matches":[{"text_id":01}]}`,
