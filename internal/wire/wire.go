@@ -2,7 +2,9 @@
 // once: internal/server encodes these types, shard.HTTPShard decodes
 // the same ones, so a shard leg and a public response cannot drift
 // apart. Field names and declaration order are the public format and
-// are pinned byte for byte by this package's golden test.
+// are pinned byte for byte by this package's golden test. Request and
+// Response, which cross every hop of a sharded query, also have a
+// hand-written codec (codec.go) that encoding/json is the reference for.
 //
 // wire is a leaf: it imports only search, obs and index.
 package wire
