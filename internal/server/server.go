@@ -613,16 +613,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeResponse writes a 200 query answer through the wire codec: the
 // bytes writeJSON would write, without reflection.
 func writeResponse(w http.ResponseWriter, resp *wire.Response) {
-	bp := wire.GetBuffer()
-	defer wire.PutBuffer(bp)
-	b, err := wire.AppendResponse(*bp, resp)
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	b, err := wire.AppendResponse(buf.AvailableBuffer(), resp)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	if err == nil {
-		b = append(b, '\n')
-		w.Write(b)
+		buf.Write(append(b, '\n'))
+		w.Write(buf.Bytes())
 	}
-	*bp = b
 }
 
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, msg string) {
@@ -684,10 +683,10 @@ func decodeRequest(w http.ResponseWriter, r *http.Request) (wire.Request, error)
 		req.PrefixFilter = q.Get("prefix_filter") == "true" || q.Get("prefix_filter") == "1"
 		return req, nil
 	}
-	bp := wire.GetBuffer()
-	defer wire.PutBuffer(bp)
-	data, err := wire.ReadAll(*bp, http.MaxBytesReader(w, r.Body, maxQueryBodyBytes))
-	*bp = data
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxQueryBodyBytes))
+	data := buf.Bytes()
 	if err != nil {
 		// The body broke off, over the cap or with the connection:
 		// decode what arrived as a stream decoder would have, which

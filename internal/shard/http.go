@@ -308,17 +308,15 @@ func (h *HTTPShard) post(ctx context.Context, body wire.Request, out *wire.Respo
 		}
 		return &RemoteError{Shard: h.base, Status: resp.StatusCode, Msg: msg}
 	}
-	bp := wire.GetBuffer()
-	defer wire.PutBuffer(bp)
-	data, err := wire.ReadAll(*bp, io.LimitReader(resp.Body, maxResponseBytes))
-	*bp = data
-	if err != nil {
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBytes)); err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return ctxErr
 		}
 		return fmt.Errorf("shard %s: read response: %w", h.base, err)
 	}
-	if err := wire.DecodeResponse(data, out); err != nil {
+	if err := wire.DecodeResponse(buf.Bytes(), out); err != nil {
 		return fmt.Errorf("shard %s: bad response: %w", h.base, err)
 	}
 	return nil

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"math"
 	"strconv"
 	"sync"
@@ -21,7 +20,10 @@ import (
 // once, plain numbers, bools, and ASCII strings without escapes. Any
 // other input is handed whole to encoding/json, which stays the
 // reference: every value and every error text is the one encoding/json
-// gives. Error, Plan and Health are rare and keep encoding/json.
+// gives. A response holding "per_shard" goes to encoding/json as well:
+// only a coordinator fills it, and the serving tier's hops decode only
+// leaf shards' replies.
+// Error, Plan and Health are rare and keep encoding/json.
 
 // AppendRequest appends r as json.Marshal writes it. It fails only on a
 // non-finite θ, with json.Marshal's error.
@@ -602,8 +604,13 @@ func (d *decoder) request(r *Request) bool {
 	return !d.bad
 }
 
-// tokens reads the token array into one allocation: a canonical array
-// of integers has one more element than commas before its ']'.
+// maxPresizedTokens caps the token array's first allocation, so a body
+// of commas cannot buy a large slice before its first bad element.
+const maxPresizedTokens = 1 << 12
+
+// tokens reads the token array, in one allocation up to
+// maxPresizedTokens elements: a canonical array of integers has one
+// more element than commas before its ']'.
 func (d *decoder) tokens() []uint32 {
 	n := 1
 	if !d.bad && d.peek() == '[' {
@@ -612,7 +619,7 @@ func (d *decoder) tokens() []uint32 {
 			n += bytes.Count(rest[:j], []byte{','})
 		}
 	}
-	out := make([]uint32, 0, n)
+	out := make([]uint32, 0, min(n, maxPresizedTokens))
 	for ok := d.first('[', ']'); ok; ok = d.more(']') {
 		out = append(out, d.uint32())
 	}
@@ -695,15 +702,8 @@ func (d *decoder) stats(st *Stats) {
 			st.ShardsTotal = d.int()
 		case "shards_answered":
 			st.ShardsAnswered = d.int()
-		case "per_shard":
-			d.once(&seen, 0)
-			st.PerShard = []search.ShardStats{}
-			for ok := d.first('[', ']'); ok; ok = d.more(']') {
-				st.PerShard = append(st.PerShard, search.ShardStats{})
-				d.shardStats(&st.PerShard[len(st.PerShard)-1])
-			}
 		case "spans":
-			d.once(&seen, 1)
+			d.once(&seen, 0)
 			st.Spans = []obs.Span{}
 			for ok := d.first('[', ']'); ok; ok = d.more(']') {
 				st.Spans = append(st.Spans, obs.Span{})
@@ -730,75 +730,6 @@ func (d *decoder) stages(t *search.StageTimes) {
 			t.Merge = d.duration()
 		case "verify_ns":
 			t.Verify = d.duration()
-		default:
-			d.bad = true
-		}
-	}
-}
-
-func (d *decoder) shardStats(s *search.ShardStats) {
-	var seen uint32
-	for ok := d.first('{', '}'); ok; ok = d.more('}') {
-		switch string(d.key()) {
-		case "shard":
-			s.Shard = d.string()
-		case "answered":
-			s.Answered = d.bool()
-		case "err":
-			s.Err = d.string()
-		case "matches":
-			s.Matches = d.int()
-		case "io_bytes":
-			s.IOBytes = d.int64()
-		case "io_time_ns":
-			s.IOTime = d.duration()
-		case "total_ns":
-			s.Total = d.duration()
-		case "stages":
-			d.stages(&s.StageTimes)
-		case "span_id":
-			s.SpanID = d.string()
-		case "start_ns":
-			s.Start = d.duration()
-		case "spans":
-			d.once(&seen, 0)
-			s.Spans = []obs.Span{}
-			for ok := d.first('[', ']'); ok; ok = d.more(']') {
-				s.Spans = append(s.Spans, obs.Span{})
-				d.span(&s.Spans[len(s.Spans)-1])
-			}
-		case "attempts":
-			d.once(&seen, 1)
-			s.Attempts = []search.ShardAttempt{}
-			for ok := d.first('[', ']'); ok; ok = d.more(']') {
-				s.Attempts = append(s.Attempts, search.ShardAttempt{})
-				d.attempt(&s.Attempts[len(s.Attempts)-1])
-			}
-		default:
-			d.bad = true
-		}
-	}
-}
-
-func (d *decoder) attempt(a *search.ShardAttempt) {
-	for ok := d.first('{', '}'); ok; ok = d.more('}') {
-		switch string(d.key()) {
-		case "replica":
-			a.Replica = d.string()
-		case "replica_idx":
-			a.ReplicaIdx = d.int()
-		case "attempt":
-			a.Attempt = d.int()
-		case "hedge":
-			a.Hedge = d.bool()
-		case "err":
-			a.Err = d.string()
-		case "span_id":
-			a.SpanID = d.string()
-		case "start_ns":
-			a.Start = d.duration()
-		case "dur_ns":
-			a.Dur = d.duration()
 		default:
 			d.bad = true
 		}
@@ -852,37 +783,19 @@ func (d *decoder) attr(a *obs.Attr) {
 // large body is not kept alive by the pool.
 const maxPooledBuffer = 64 << 10
 
-var buffers = sync.Pool{New: func() any { return new([]byte) }}
+var buffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// GetBuffer returns an empty byte buffer for one message body. Hand it
-// back with PutBuffer once nothing refers to its bytes.
-func GetBuffer() *[]byte {
-	bp := buffers.Get().(*[]byte)
-	*bp = (*bp)[:0]
-	return bp
+// GetBuffer returns an empty buffer for one message body. Hand it back
+// with PutBuffer once nothing refers to its bytes.
+func GetBuffer() *bytes.Buffer {
+	buf := buffers.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
 }
 
 // PutBuffer returns a buffer to the pool, keeping only small ones.
-func PutBuffer(bp *[]byte) {
-	if cap(*bp) <= maxPooledBuffer {
-		buffers.Put(bp)
-	}
-}
-
-// ReadAll appends everything r yields to dst, as io.ReadAll does into a
-// fresh slice.
-func ReadAll(dst []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
+func PutBuffer(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuffer {
+		buffers.Put(buf)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -204,14 +205,17 @@ func TestCodecFloatsAndFailures(t *testing.T) {
 	}
 }
 
-// TestCodecNoFallbackOnCanonical pins that the bodies the tier sends
-// itself never take the encoding/json path: a decode that allocates as
-// much as encoding/json's would show the fast path is not taken.
+// TestCodecNoFallbackOnCanonical pins that the bodies the serving tier
+// decodes, requests and leaf shards' replies with or without spans,
+// never take the encoding/json path: a decode that allocates as much as
+// encoding/json's would show the fast path is not taken.
 func TestCodecNoFallbackOnCanonical(t *testing.T) {
 	req := benchRequest()
 	reqBody, _ := json.Marshal(req)
 	resp := benchResponse()
 	respBody, _ := json.Marshal(resp)
+	traced := goldenResponses()[4]
+	tracedBody, _ := json.Marshal(traced)
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -219,6 +223,7 @@ func TestCodecNoFallbackOnCanonical(t *testing.T) {
 	}{
 		{"request", 1, func() { var r Request; _ = DecodeRequest(reqBody, &r) }},
 		{"response", 2, func() { var r Response; _ = DecodeResponse(respBody, &r) }},
+		{"traced response", 13, func() { var r Response; _ = DecodeResponse(tracedBody, &r) }},
 	} {
 		if got := testing.AllocsPerRun(20, tc.run); got > tc.max {
 			t.Errorf("%s decode: %v allocations, want at most %v", tc.name, got, tc.max)
@@ -305,10 +310,19 @@ func BenchmarkWireCodec(b *testing.B) {
 	})
 }
 
-func TestReadAll(t *testing.T) {
-	want := strings.Repeat("x", 10000)
-	got, err := ReadAll([]byte("pre"), strings.NewReader(want))
-	if err != nil || string(got) != "pre"+want {
-		t.Fatalf("ReadAll = %d bytes, %v", len(got), err)
+// TestCommaBodyAllocation pins that a token array of bare commas, which
+// fails at its first element, cannot size a slice by its comma count.
+func TestCommaBodyAllocation(t *testing.T) {
+	body := []byte(`{"tokens":[` + strings.Repeat(",", 1<<20) + `]}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var r Request
+	err := DecodeRequest(body, &r)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a comma-only token array decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
+		t.Errorf("decoding a %d-byte comma body allocated %d bytes, want at most %d", len(body), got, 256<<10)
 	}
 }
