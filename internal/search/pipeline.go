@@ -28,19 +28,21 @@ import (
 // Plan is one query's deferral plan, the output of the plan stage: for
 // each of the k inverted lists, whether it is read fully up front
 // (short) or deferred to per-candidate zone-map probes (long, §3.5).
+// The JSON names are the body /explain serves.
 type Plan struct {
-	// Long[fn] reports whether function fn's list is deferred.
-	Long []bool
-	// NumLong is the number of deferred lists (at most Beta-1, so the
-	// short-list filter threshold stays positive).
-	NumLong int
+	// Alpha is the short-list filter threshold Beta - NumLong (floored
+	// at 1); Beta is the required collision count ceil(K*Theta).
+	Alpha int `json:"alpha"`
+	Beta  int `json:"beta"`
 	// Cutoff is the list-length threshold applied: the index's
 	// build-time Meta().LongListCutoff (4096 unless built otherwise), or
 	// 0 when no filtering was asked.
-	Cutoff int
-	// Beta is the required collision count ceil(K*Theta); Alpha is the
-	// short-list filter threshold Beta - NumLong (floored at 1).
-	Beta, Alpha int
+	Cutoff int `json:"cutoff"`
+	// Long[fn] reports whether function fn's list is deferred.
+	Long []bool `json:"long"`
+	// NumLong is the number of deferred lists (at most Beta-1, so the
+	// short-list filter threshold stays positive).
+	NumLong int `json:"num_long"`
 }
 
 // queryCtx is the per-query execution context: scratch buffers, the

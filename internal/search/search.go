@@ -117,20 +117,21 @@ func (o Options) validate(meta index.Meta, hasSource bool) (minLen int, err erro
 // overlapping qualifying sequences in one text (the paper's Remark
 // merges overlapping near-duplicates so reports are disjoint).
 type Match struct {
-	TextID uint32
+	TextID uint32 `json:"text_id"`
 	// Start and End delimit the merged span, 0-based inclusive.
-	Start, End int32
+	Start int32 `json:"start"`
+	End   int32 `json:"end"`
 	// Collisions is the best (maximum) min-hash collision count among
 	// the merged sequences.
-	Collisions int
+	Collisions int `json:"collisions"`
 	// EstJaccard is Collisions / K, the estimated Jaccard similarity.
-	EstJaccard float64
+	EstJaccard float64 `json:"est_jaccard"`
 	// Jaccard is the exact distinct Jaccard similarity between the query
 	// and the span, filled only when Options.Verify is set.
-	Jaccard float64
+	Jaccard float64 `json:"jaccard,omitempty"`
 	// Rects holds the raw qualifying rectangles when Options.KeepRects
-	// is set.
-	Rects []Rect
+	// is set. They are never served.
+	Rects []Rect `json:"-"`
 }
 
 // NumStages is the number of pipeline stages in StageNames/StageTimes.
@@ -176,48 +177,52 @@ func (t StageTimes) Add(o StageTimes) StageTimes {
 // Stats describes one query's execution for the latency-split
 // experiments (Fig 3). IOBytes/IOTime come from the query's private
 // I/O sink, so they are exact for this query even when many queries
-// run concurrently.
+// run concurrently. The JSON names are the stats object /search
+// serves.
 type Stats struct {
-	K          int
-	Beta       int           // required collisions ceil(K*Theta)
-	ShortLists int           // lists loaded fully
-	LongLists  int           // lists deferred to zone-map probes
-	Candidates int           // texts surviving the short-list filter
-	Probed     int           // texts probed in long lists
-	Rects      int           // qualifying rectangles
-	Matches    int           // merged spans reported
-	IOBytes    int64         // bytes read from the index by this query
-	IOTime     time.Duration // time this query spent in index reads
-	CPUTime    time.Duration // Total minus IOTime
-	Total      time.Duration
+	K          int           `json:"k"`
+	Beta       int           `json:"beta"`        // required collisions ceil(K*Theta)
+	ShortLists int           `json:"short_lists"` // lists loaded fully
+	LongLists  int           `json:"long_lists"`  // lists deferred to zone-map probes
+	Candidates int           `json:"candidates"`  // texts surviving the short-list filter
+	Probed     int           `json:"probed"`      // texts probed in long lists
+	Rects      int           `json:"-"`           // qualifying rectangles; library-only, never served
+	Matches    int           `json:"matches"`     // merged spans reported
+	IOBytes    int64         `json:"io_bytes"`    // bytes read from the index by this query
+	IOTime     time.Duration `json:"io_time_ns"`  // time this query spent in index reads
+	CPUTime    time.Duration `json:"cpu_time_ns"` // Total minus IOTime
+	Total      time.Duration `json:"total_ns"`
 
 	// StageTimes decomposes Total across the pipeline stages. Always
 	// recorded; the per-stage timing costs a handful of monotonic clock
 	// reads per query.
-	StageTimes StageTimes
-	// Spans is the query's full trace (stage spans plus per-probe
-	// spans), copied out only when Options.Trace is set.
-	Spans []obs.Span
+	StageTimes StageTimes `json:"stages"`
 
 	// ShardsTotal and ShardsAnswered describe scatter–gather fan-out
 	// when the query ran through a shard coordinator: ShardsTotal shards
 	// were asked, ShardsAnswered answered within their budget. Both are
 	// zero for unsharded queries; ShardsAnswered < ShardsTotal marks a
 	// partial result.
-	ShardsTotal    int
-	ShardsAnswered int
+	ShardsTotal    int `json:"shards_total,omitempty"`
+	ShardsAnswered int `json:"shards_answered,omitempty"`
 	// PerShard attributes the query's work to each shard (mirroring
 	// IOStats.PerSegment for segments): one entry per shard in shard
 	// order, including the shards that missed their budget. Nil for
 	// unsharded queries.
-	PerShard []ShardStats
+	PerShard []ShardStats `json:"per_shard,omitempty"`
+
+	// Spans is the query's full trace (stage spans plus per-probe
+	// spans), copied out only when Options.Trace is set. A server ships
+	// it only when the request's trace context is sampled: that is how
+	// a shard hands its spans back to the coordinator.
+	Spans []obs.Span `json:"spans,omitempty"`
 
 	// Attempts is a hand-off field between a replica-set shard client
 	// and its coordinator: the client records every replica attempt the
 	// leg made (primary, retries, hedges) here, and the coordinator
 	// moves them into the leg's PerShard entry during merge. Nil
-	// everywhere else.
-	Attempts []ShardAttempt
+	// everywhere else, and never served.
+	Attempts []ShardAttempt `json:"-"`
 }
 
 // Partial reports whether this is a sharded result missing at least one

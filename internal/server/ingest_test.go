@@ -14,6 +14,7 @@ import (
 	"ndss"
 	"ndss/internal/corpus"
 	"ndss/internal/index"
+	"ndss/internal/search"
 	"ndss/internal/wire"
 )
 
@@ -57,7 +58,7 @@ func snippet(seed, n int) []uint32 {
 	return out
 }
 
-func searchMatches(t *testing.T, ts *httptest.Server, q []uint32, theta float64) []wire.Match {
+func searchMatches(t *testing.T, ts *httptest.Server, q []uint32, theta float64) []search.Match {
 	t.Helper()
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: q, Theta: theta})
 	if resp.StatusCode != http.StatusOK {

@@ -277,8 +277,8 @@ func TestSlowlogFlightRecorder(t *testing.T) {
 		if e.Stats == nil {
 			t.Fatalf("entry %d has no stats", i)
 		}
-		if e.Stats.Stages.Sketch <= 0 || e.Stats.Stages.Gather <= 0 {
-			t.Errorf("entry %d stage times not populated: %+v", i, e.Stats.Stages)
+		if e.Stats.StageTimes.Sketch <= 0 || e.Stats.StageTimes.Gather <= 0 {
+			t.Errorf("entry %d stage times not populated: %+v", i, e.Stats.StageTimes)
 		}
 		names := map[string]bool{}
 		for _, sp := range e.Spans {
@@ -494,6 +494,16 @@ func TestStatsWireFormatGolden(t *testing.T) {
 	}
 	if stageSum <= 0 {
 		t.Error("stage times all zero after an executed query")
+	}
+
+	// A miss serves an empty match list, never null.
+	miss := make([]uint32, len(q))
+	for i := range miss {
+		miss[i] = 1<<20 + uint32(i)
+	}
+	resp, body = postJSON(t, ts.Client(), ts.URL+"/search", wire.Request{Tokens: miss, Theta: 0.5})
+	if resp.StatusCode != http.StatusOK || !bytes.HasPrefix(body, []byte(`{"matches":[],"stats":{`)) {
+		t.Errorf("miss: %d %s, want 200 with \"matches\":[]", resp.StatusCode, body)
 	}
 
 	resp, body = postJSON(t, ts.Client(), ts.URL+"/explain", wire.Request{Tokens: q, Theta: 0.5})

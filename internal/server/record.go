@@ -67,10 +67,10 @@ type queryRecord struct {
 	DurationNS int64     `json:"duration_ns"`
 	Theta      float64   `json:"theta"`
 	NumTokens  int       `json:"num_tokens"`
-	// Stats is the record's own copy of the response stats, so a held
-	// record never pins the response's match list. Nil when the query
-	// failed.
-	Stats *wire.Stats `json:"stats,omitempty"`
+	// Stats is the record's own copy of the response stats, without the
+	// span list (Spans below holds it), so a held record never pins the
+	// response's match list. Nil when the query failed.
+	Stats *search.Stats `json:"stats,omitempty"`
 	// Spans is this process's own span list.
 	Spans []obs.Span `json:"spans,omitempty"`
 	// Err is why the query failed. Failed queries enter only the
@@ -82,12 +82,12 @@ type queryRecord struct {
 }
 
 // recordQuery builds the one record of a query that got past admission
-// — executed (ws set) or failed (err set) — and files it: the sampled
+// — executed (st set) or failed (err set) — and files it: the sampled
 // counter, the query's log line, and the recorder with its retention
-// counters. ws is the record's own copy of the response stats; spans is
+// counters. st is the record's own copy of the response stats; spans is
 // this process's span list. A failed query is retained as an error,
 // never as slow, and logs INFO "query" with the error.
-func (s *Server) recordQuery(r *http.Request, ep endpoint, req wire.Request, start time.Time, ws *wire.Stats, spans []obs.Span, err error) {
+func (s *Server) recordQuery(r *http.Request, ep endpoint, req wire.Request, start time.Time, st *search.Stats, spans []obs.Span, err error) {
 	ctx := r.Context()
 	tc, _ := obs.TraceFromContext(ctx)
 	rec := queryRecord{
@@ -97,7 +97,7 @@ func (s *Server) recordQuery(r *http.Request, ep endpoint, req wire.Request, sta
 		DurationNS: int64(time.Since(start)),
 		Theta:      req.Theta,
 		NumTokens:  len(req.Tokens),
-		Stats:      ws,
+		Stats:      st,
 		Spans:      spans,
 		tc:         tc,
 	}
@@ -114,10 +114,10 @@ func (s *Server) recordQuery(r *http.Request, ep endpoint, req wire.Request, sta
 		if t := s.cfg.SlowQueryThreshold; t > 0 && time.Duration(rec.DurationNS) >= t {
 			rec.reasons |= reasonSlow
 		}
-		if ws.ShardsAnswered < ws.ShardsTotal {
+		if st.Partial() {
 			rec.reasons |= reasonPartial
 		}
-		retries, hedges := countExtraAttempts(ws.PerShard)
+		retries, hedges := countExtraAttempts(st.PerShard)
 		if retries > 0 {
 			rec.reasons |= reasonRetried
 		}
@@ -176,11 +176,11 @@ func (q *queryRecord) attrs() []slog.Attr {
 	if st == nil {
 		return append(attrs, slog.String("error", q.Err))
 	}
-	d := st.Stages
+	d := st.StageTimes
 	attrs = append(attrs,
 		slog.Int("matches", st.Matches),
 		slog.Int64("io_bytes", st.IOBytes),
-		slog.Duration("io", time.Duration(st.IOTimeNS)),
+		slog.Duration("io", st.IOTime),
 		slog.Duration("sketch", d.Sketch),
 		slog.Duration("plan", d.Plan),
 		slog.Duration("gather", d.Gather),
@@ -195,7 +195,7 @@ func (q *queryRecord) attrs() []slog.Attr {
 	attrs = append(attrs,
 		slog.Int("shards_total", st.ShardsTotal),
 		slog.Int("shards_answered", st.ShardsAnswered),
-		slog.Bool("partial", st.ShardsAnswered < st.ShardsTotal),
+		slog.Bool("partial", st.Partial()),
 		slog.Int("shard_retries", retries),
 		slog.Int("shard_hedges", hedges),
 	)

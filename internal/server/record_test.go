@@ -304,6 +304,16 @@ func TestUnsampledRecordFlight(t *testing.T) {
 	if got := strings.Join(sortedKeys(body), " "); got != want {
 		t.Errorf("/debug/trace/{id} keys = %s, want %s", got, want)
 	}
+	// The record's stats are the served stats object: the span list
+	// sits beside it once, and rects and attempts are never served.
+	const wantStats = "beta candidates cpu_time_ns io_bytes io_time_ns k long_lists matches probed short_lists stages total_ns"
+	statsKeys := func(rec map[string]any) string {
+		st, _ := rec["stats"].(map[string]any)
+		return strings.Join(sortedKeys(st), " ")
+	}
+	if got := statsKeys(body); got != wantStats {
+		t.Errorf("/debug/trace/{id} stats keys = %s, want %s", got, wantStats)
+	}
 	e := decodeTrace(t, body)
 	if e.Sampled || len(e.Reasons) != 0 {
 		t.Errorf("unsampled record: sampled %v reasons %v, want neither", e.Sampled, e.Reasons)
@@ -335,7 +345,10 @@ func TestUnsampledRecordFlight(t *testing.T) {
 	}
 	want = "duration_ns endpoint num_tokens request_id spans start stats theta"
 	if len(sl.Slowest) != 1 || strings.Join(sortedKeys(sl.Slowest[0]), " ") != want {
-		t.Errorf("/debug/slowlog entries = %v, want one with keys %s", sl.Slowest, want)
+		t.Fatalf("/debug/slowlog entries = %v, want one with keys %s", sl.Slowest, want)
+	}
+	if got := statsKeys(sl.Slowest[0]); got != wantStats {
+		t.Errorf("/debug/slowlog stats keys = %s, want %s", got, wantStats)
 	}
 }
 

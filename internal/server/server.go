@@ -748,7 +748,12 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) func() {
 func (s *Server) deadline(r *http.Request, req wire.Request) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		d = time.Duration(req.TimeoutMS) * time.Millisecond
+		// Compared in milliseconds: a huge timeout_ms overflows as a
+		// Duration and would expire at once instead of being capped.
+		d = s.cfg.MaxTimeout
+		if ms := int64(req.TimeoutMS); ms <= s.cfg.MaxTimeout.Milliseconds() {
+			d = time.Duration(ms) * time.Millisecond
+		}
 	}
 	if d > s.cfg.MaxTimeout {
 		d = s.cfg.MaxTimeout
@@ -879,13 +884,17 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 	}
 	out = outOK
 	s.met.recordStats(st)
-	// One conversion serves the flight recorder, the cache and the
-	// response. It carries no span list, so a cached entry never pins
-	// one; the record keeps its own copy of the stats, so it never pins
-	// the match list.
-	resp := wire.NewResponse(matches, st)
-	ws := resp.Stats
-	s.recordQuery(r, ep, req, start, &ws, st.Spans, nil)
+	// One response serves the cache and the client. Its stats carry no
+	// span list, so a cached entry never pins one; the record keeps its
+	// own copy of those stats, so it never pins the match list nor holds
+	// its spans twice. A miss serves "matches":[], not null.
+	if matches == nil {
+		matches = []search.Match{}
+	}
+	resp := wire.Response{Matches: matches, Stats: *st}
+	resp.Stats.Spans = nil
+	rs := resp.Stats
+	s.recordQuery(r, ep, req, start, &rs, st.Spans, nil)
 	if s.cache != nil {
 		s.cache.put(&cacheEntry{key: key, resp: resp})
 	}
@@ -965,7 +974,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out = outOK
-	writeJSON(w, http.StatusOK, wire.NewPlan(plan))
+	writeJSON(w, http.StatusOK, plan)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

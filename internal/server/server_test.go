@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -364,8 +365,8 @@ func TestCacheHoldsNoSpans(t *testing.T) {
 			if e.resp.Stats.Spans != nil {
 				t.Errorf("cached entry pins %d spans", len(e.resp.Stats.Spans))
 			}
-			if e.resp.Stats.Stages.Gather <= 0 {
-				t.Errorf("cached entry lost its stage split: %+v", e.resp.Stats.Stages)
+			if e.resp.Stats.StageTimes.Gather <= 0 {
+				t.Errorf("cached entry lost its stage split: %+v", e.resp.Stats.StageTimes)
 			}
 
 			// A hit never ships spans; a sampled miss does, so compare
@@ -724,6 +725,24 @@ func TestExplainHonoursDeadline(t *testing.T) {
 	checkJSONCounters(t, ts, map[string]int64{"total": 2, "explain": 2, "timeout": 2}, 0, 0)
 }
 
+// TestServeHugeTimeoutCapped: a timeout_ms too large for a Duration is
+// capped at MaxTimeout like any other, not overflowed into a deadline
+// that has already passed.
+func TestServeHugeTimeoutCapped(t *testing.T) {
+	_, engine, q := testFixture(t)
+	ts := httptest.NewServer(New(engine, Config{CacheEntries: -1}))
+	defer ts.Close()
+
+	for _, ms := range []int{1e13, math.MaxInt64} {
+		for _, path := range []string{"/search", "/explain"} {
+			resp, body := postJSON(t, ts.Client(), ts.URL+path, wire.Request{Tokens: q, Theta: 0.5, TimeoutMS: ms})
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s timeout_ms=%d: status %d (%s), want 200", path, ms, resp.StatusCode, body)
+			}
+		}
+	}
+}
+
 func TestServeExplainGet(t *testing.T) {
 	_, engine, q := testFixture(t)
 	srv := New(engine, Config{})
@@ -836,7 +855,7 @@ func TestServeIgnoresRetiredPlanFields(t *testing.T) {
 				if err := json.Unmarshal(bodies[i], &r); err != nil {
 					t.Fatal(err)
 				}
-				r.Stats.IOTimeNS, r.Stats.CPUTimeNS, r.Stats.TotalNS, r.Stats.Stages = 0, 0, 0, search.StageTimes{}
+				r.Stats.IOTime, r.Stats.CPUTime, r.Stats.Total, r.Stats.StageTimes = 0, 0, 0, search.StageTimes{}
 				bodies[i], _ = json.Marshal(r)
 			}
 		}

@@ -135,10 +135,11 @@ func TestTraceTreeAssembly(t *testing.T) {
 	}
 
 	tc := obs.NewTraceContext(true)
-	ws := wire.NewResponse(nil, st).Stats
+	rs := *st
+	rs.Spans = nil
 	flight := assembleFlight(&queryRecord{
 		Endpoint: "search", DurationNS: int64(12 * time.Millisecond),
-		Stats: &ws, Spans: st.Spans, tc: tc,
+		Stats: &rs, Spans: st.Spans, tc: tc,
 	})
 	byID, root := flightIndex(t, flight)
 

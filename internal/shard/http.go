@@ -49,7 +49,7 @@ type HTTPOptions struct {
 }
 
 // HTTPShard is a remote shard: an ndss-serve instance spoken to over
-// the existing /search, /search/topk, /explain and /healthz contract.
+// its /search and /healthz endpoints.
 // The remote owns its index lifecycle — it hot-reloads behind its own
 // refcounted handle — and this client just re-checks /healthz for the
 // current build id.
@@ -236,10 +236,9 @@ func (h *HTTPShard) SearchContext(ctx context.Context, query []uint32, opts sear
 	if err := h.post(ctx, req, &resp); err != nil {
 		return nil, nil, err
 	}
-	matches, st := resp.Result()
-	h.ioBytes.Add(st.IOBytes)
-	h.ioTimeNS.Add(int64(st.IOTime))
-	return matches, st, nil
+	h.ioBytes.Add(resp.Stats.IOBytes)
+	h.ioTimeNS.Add(int64(resp.Stats.IOTime))
+	return resp.Matches, &resp.Stats, nil
 }
 
 // acquire takes a per-shard admission slot, waiting until one frees or

@@ -23,7 +23,8 @@ import (
 // gives. A response holding "per_shard" goes to encoding/json as well:
 // only a coordinator fills it, and the serving tier's hops decode only
 // leaf shards' replies.
-// Error, Plan and Health are rare and keep encoding/json.
+// Error and Health, and /explain's search.Plan, are rare and keep
+// encoding/json.
 
 // AppendRequest appends r as json.Marshal writes it. It fails only on a
 // non-finite θ, with json.Marshal's error.
@@ -86,7 +87,7 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-func appendMatch(dst []byte, m *Match) []byte {
+func appendMatch(dst []byte, m *search.Match) []byte {
 	dst = strconv.AppendUint(append(dst, `{"text_id":`...), uint64(m.TextID), 10)
 	dst = appendInt(dst, `,"start":`, int64(m.Start))
 	dst = appendInt(dst, `,"end":`, int64(m.End))
@@ -98,7 +99,7 @@ func appendMatch(dst []byte, m *Match) []byte {
 	return append(dst, '}')
 }
 
-func appendStats(dst []byte, st *Stats) []byte {
+func appendStats(dst []byte, st *search.Stats) []byte {
 	dst = appendInt(dst, `{"k":`, int64(st.K))
 	dst = appendInt(dst, `,"beta":`, int64(st.Beta))
 	dst = appendInt(dst, `,"short_lists":`, int64(st.ShortLists))
@@ -107,10 +108,10 @@ func appendStats(dst []byte, st *Stats) []byte {
 	dst = appendInt(dst, `,"probed":`, int64(st.Probed))
 	dst = appendInt(dst, `,"matches":`, int64(st.Matches))
 	dst = appendInt(dst, `,"io_bytes":`, st.IOBytes)
-	dst = appendInt(dst, `,"io_time_ns":`, st.IOTimeNS)
-	dst = appendInt(dst, `,"cpu_time_ns":`, st.CPUTimeNS)
-	dst = appendInt(dst, `,"total_ns":`, st.TotalNS)
-	dst = appendStages(append(dst, `,"stages":`...), &st.Stages)
+	dst = appendInt(dst, `,"io_time_ns":`, int64(st.IOTime))
+	dst = appendInt(dst, `,"cpu_time_ns":`, int64(st.CPUTime))
+	dst = appendInt(dst, `,"total_ns":`, int64(st.Total))
+	dst = appendStages(append(dst, `,"stages":`...), &st.StageTimes)
 	dst = appendIntOmit(dst, `,"shards_total":`, int64(st.ShardsTotal))
 	dst = appendIntOmit(dst, `,"shards_answered":`, int64(st.ShardsAnswered))
 	if len(st.PerShard) > 0 {
@@ -632,9 +633,9 @@ func (d *decoder) response(r *Response) bool {
 		switch string(d.key()) {
 		case "matches":
 			d.once(&seen, 0)
-			r.Matches = []Match{}
+			r.Matches = []search.Match{}
 			for ok := d.first('[', ']'); ok; ok = d.more(']') {
-				r.Matches = append(r.Matches, Match{})
+				r.Matches = append(r.Matches, search.Match{})
 				d.match(&r.Matches[len(r.Matches)-1])
 			}
 		case "stats":
@@ -649,7 +650,7 @@ func (d *decoder) response(r *Response) bool {
 	return !d.bad
 }
 
-func (d *decoder) match(m *Match) {
+func (d *decoder) match(m *search.Match) {
 	for ok := d.first('{', '}'); ok; ok = d.more('}') {
 		switch string(d.key()) {
 		case "text_id":
@@ -670,7 +671,7 @@ func (d *decoder) match(m *Match) {
 	}
 }
 
-func (d *decoder) stats(st *Stats) {
+func (d *decoder) stats(st *search.Stats) {
 	var seen uint32
 	for ok := d.first('{', '}'); ok; ok = d.more('}') {
 		switch string(d.key()) {
@@ -691,13 +692,13 @@ func (d *decoder) stats(st *Stats) {
 		case "io_bytes":
 			st.IOBytes = d.int64()
 		case "io_time_ns":
-			st.IOTimeNS = d.int64()
+			st.IOTime = d.duration()
 		case "cpu_time_ns":
-			st.CPUTimeNS = d.int64()
+			st.CPUTime = d.duration()
 		case "total_ns":
-			st.TotalNS = d.int64()
+			st.Total = d.duration()
 		case "stages":
-			d.stages(&st.Stages)
+			d.stages(&st.StageTimes)
 		case "shards_total":
 			st.ShardsTotal = d.int()
 		case "shards_answered":

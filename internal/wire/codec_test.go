@@ -46,15 +46,18 @@ func sameBytes(t *testing.T, got []byte, err error, v any) {
 	}
 }
 
+// goldenResponses are, in order, an unsharded, a cached, an empty, a
+// sharded and a sampled response, built as the server builds them: a
+// miss's matches are [] and only a sampled answer carries spans.
 func goldenResponses() []Response {
-	st, sharded := goldenStats(), goldenShardedStats()
-	sampled := NewResponse(goldenMatches()[1:], &st)
-	sampled.Stats.Spans = goldenSpans()
-	cached := NewResponse(goldenMatches(), &st)
-	cached.Cached = true
+	st, sharded, traced := goldenStats(), goldenShardedStats(), goldenStats()
+	traced.Spans = goldenSpans()
 	return []Response{
-		NewResponse(goldenMatches(), &st), cached, NewResponse(nil, &search.Stats{}),
-		NewResponse(goldenMatches(), &sharded), sampled,
+		{Matches: goldenMatches(), Stats: st},
+		{Matches: goldenMatches(), Stats: st, Cached: true},
+		{Matches: []search.Match{}},
+		{Matches: goldenMatches(), Stats: sharded},
+		{Matches: goldenMatches()[1:], Stats: traced},
 	}
 }
 
@@ -190,14 +193,14 @@ func TestCodecCarriesEveryField(t *testing.T) {
 // only encoding/json can refuse.
 func TestCodecFloatsAndFailures(t *testing.T) {
 	for _, f := range []float64{0, 1, 0.5, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, 123456789e13, -2.5e-9, 1.0 / 3} {
-		m := Response{Matches: []Match{{EstJaccard: f, Jaccard: -f}}}
+		m := Response{Matches: []search.Match{{EstJaccard: f, Jaccard: -f}}}
 		b, err := AppendResponse(nil, &m)
 		sameBytes(t, b, err, m)
 		r := Request{Theta: f, FloorTheta: f}
 		b, err = AppendRequest(nil, &r)
 		sameBytes(t, b, err, r)
 	}
-	nan := Response{Matches: []Match{{Jaccard: (func() float64 { z := 0.0; return z / z })()}}}
+	nan := Response{Matches: []search.Match{{Jaccard: (func() float64 { z := 0.0; return z / z })()}}}
 	b, err := AppendResponse([]byte("kept"), &nan)
 	sameBytes(t, nil, err, nan)
 	if string(b) != "kept" {
@@ -245,8 +248,7 @@ func benchRequest() Request {
 // benchResponse is one shard leg's answer: a planted match and the
 // stats of an unsharded search.
 func benchResponse() Response {
-	st := goldenStats()
-	return NewResponse(goldenMatches()[:1], &st)
+	return Response{Matches: goldenMatches()[:1], Stats: goldenStats()}
 }
 
 func BenchmarkWireCodec(b *testing.B) {

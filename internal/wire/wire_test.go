@@ -91,11 +91,7 @@ func encode(t *testing.T, v any) string {
 }
 
 func TestGoldenBytes(t *testing.T) {
-	st, sharded := goldenStats(), goldenShardedStats()
-	cached := NewResponse(goldenMatches(), &st)
-	cached.Cached = true
-	sampled := NewResponse(goldenMatches()[1:], &st)
-	sampled.Stats.Spans = goldenSpans()
+	responses := goldenResponses()
 	meta := goldenMeta()
 	q := []uint32{1, 2, 4000000000}
 	fullReq := NewRequest(q, search.Options{
@@ -109,13 +105,13 @@ func TestGoldenBytes(t *testing.T) {
 		v    any
 		want string
 	}{
-		{"unsharded response", NewResponse(goldenMatches(), &st), "{\"matches\":[{\"text_id\":7,\"start\":3,\"end\":66,\"collisions\":29,\"est_jaccard\":0.90625,\"jaccard\":0.875},{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000}}}\n"},
-		{"cached response", cached, "{\"matches\":[{\"text_id\":7,\"start\":3,\"end\":66,\"collisions\":29,\"est_jaccard\":0.90625,\"jaccard\":0.875},{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000}},\"cached\":true}\n"},
-		{"empty response", NewResponse(nil, &search.Stats{}), "{\"matches\":[],\"stats\":{\"k\":0,\"beta\":0,\"short_lists\":0,\"long_lists\":0,\"candidates\":0,\"probed\":0,\"matches\":0,\"io_bytes\":0,\"io_time_ns\":0,\"cpu_time_ns\":0,\"total_ns\":0,\"stages\":{\"sketch_ns\":0,\"plan_ns\":0,\"gather_ns\":0,\"count_ns\":0,\"merge_ns\":0,\"verify_ns\":0}}}\n"},
-		{"sharded response", NewResponse(goldenMatches(), &sharded), "{\"matches\":[{\"text_id\":7,\"start\":3,\"end\":66,\"collisions\":29,\"est_jaccard\":0.90625,\"jaccard\":0.875},{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000},\"shards_total\":2,\"shards_answered\":1,\"per_shard\":[{\"shard\":\"http://s0a|http://s0b\",\"answered\":true,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"total_ns\":3000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000},\"span_id\":\"00f067aa0ba902b7\",\"start_ns\":5000,\"spans\":[{\"name\":\"sketch\",\"start_ns\":0,\"dur_ns\":11000}],\"attempts\":[{\"replica\":\"http://s0a\",\"replica_idx\":0,\"attempt\":0,\"err\":\"http 503: draining\",\"span_id\":\"b7ad6b7169203331\",\"start_ns\":0,\"dur_ns\":1000000},{\"replica\":\"http://s0b\",\"replica_idx\":1,\"attempt\":1,\"start_ns\":1100000,\"dur_ns\":1900000},{\"replica\":\"http://s0a\",\"replica_idx\":0,\"attempt\":2,\"hedge\":true,\"err\":\"canceled\",\"start_ns\":2000000,\"dur_ns\":1000000}]},{\"shard\":\"dir/\\u003cs1\\u003e\\u0026x\",\"answered\":false,\"err\":\"deadline exceeded\",\"matches\":0,\"io_bytes\":0,\"io_time_ns\":0,\"total_ns\":50000000,\"stages\":{\"sketch_ns\":0,\"plan_ns\":0,\"gather_ns\":0,\"count_ns\":0,\"merge_ns\":0,\"verify_ns\":0}}]}}\n"},
-		{"sampled response", sampled, "{\"matches\":[{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000},\"spans\":[{\"name\":\"sketch\",\"start_ns\":0,\"dur_ns\":11000},{\"name\":\"gather\",\"start_ns\":13000,\"dur_ns\":300000,\"attrs\":[{\"key\":\"io_bytes\",\"val\":65536}]},{\"name\":\"probe\",\"start_ns\":320000,\"dur_ns\":9000,\"attrs\":[{\"key\":\"fn\",\"val\":3},{\"key\":\"text\",\"val\":7}]}]}}\n"},
-		{"plan", NewPlan(goldenPlan()), "{\"alpha\":24,\"beta\":26,\"cutoff\":4096,\"long\":[true,false,true],\"num_long\":2}\n"},
-		{"plan without long lists", NewPlan(&search.Plan{Beta: 16, Alpha: 16}), "{\"alpha\":16,\"beta\":16,\"cutoff\":0,\"long\":null,\"num_long\":0}\n"},
+		{"unsharded response", responses[0], "{\"matches\":[{\"text_id\":7,\"start\":3,\"end\":66,\"collisions\":29,\"est_jaccard\":0.90625,\"jaccard\":0.875},{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000}}}\n"},
+		{"cached response", responses[1], "{\"matches\":[{\"text_id\":7,\"start\":3,\"end\":66,\"collisions\":29,\"est_jaccard\":0.90625,\"jaccard\":0.875},{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000}},\"cached\":true}\n"},
+		{"empty response", responses[2], "{\"matches\":[],\"stats\":{\"k\":0,\"beta\":0,\"short_lists\":0,\"long_lists\":0,\"candidates\":0,\"probed\":0,\"matches\":0,\"io_bytes\":0,\"io_time_ns\":0,\"cpu_time_ns\":0,\"total_ns\":0,\"stages\":{\"sketch_ns\":0,\"plan_ns\":0,\"gather_ns\":0,\"count_ns\":0,\"merge_ns\":0,\"verify_ns\":0}}}\n"},
+		{"sharded response", responses[3], "{\"matches\":[{\"text_id\":7,\"start\":3,\"end\":66,\"collisions\":29,\"est_jaccard\":0.90625,\"jaccard\":0.875},{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000},\"shards_total\":2,\"shards_answered\":1,\"per_shard\":[{\"shard\":\"http://s0a|http://s0b\",\"answered\":true,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"total_ns\":3000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000},\"span_id\":\"00f067aa0ba902b7\",\"start_ns\":5000,\"spans\":[{\"name\":\"sketch\",\"start_ns\":0,\"dur_ns\":11000}],\"attempts\":[{\"replica\":\"http://s0a\",\"replica_idx\":0,\"attempt\":0,\"err\":\"http 503: draining\",\"span_id\":\"b7ad6b7169203331\",\"start_ns\":0,\"dur_ns\":1000000},{\"replica\":\"http://s0b\",\"replica_idx\":1,\"attempt\":1,\"start_ns\":1100000,\"dur_ns\":1900000},{\"replica\":\"http://s0a\",\"replica_idx\":0,\"attempt\":2,\"hedge\":true,\"err\":\"canceled\",\"start_ns\":2000000,\"dur_ns\":1000000}]},{\"shard\":\"dir/\\u003cs1\\u003e\\u0026x\",\"answered\":false,\"err\":\"deadline exceeded\",\"matches\":0,\"io_bytes\":0,\"io_time_ns\":0,\"total_ns\":50000000,\"stages\":{\"sketch_ns\":0,\"plan_ns\":0,\"gather_ns\":0,\"count_ns\":0,\"merge_ns\":0,\"verify_ns\":0}}]}}\n"},
+		{"sampled response", responses[4], "{\"matches\":[{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000},\"spans\":[{\"name\":\"sketch\",\"start_ns\":0,\"dur_ns\":11000},{\"name\":\"gather\",\"start_ns\":13000,\"dur_ns\":300000,\"attrs\":[{\"key\":\"io_bytes\",\"val\":65536}]},{\"name\":\"probe\",\"start_ns\":320000,\"dur_ns\":9000,\"attrs\":[{\"key\":\"fn\",\"val\":3},{\"key\":\"text\",\"val\":7}]}]}}\n"},
+		{"plan", goldenPlan(), "{\"alpha\":24,\"beta\":26,\"cutoff\":4096,\"long\":[true,false,true],\"num_long\":2}\n"},
+		{"plan without long lists", &search.Plan{Beta: 16, Alpha: 16}, "{\"alpha\":16,\"beta\":16,\"cutoff\":0,\"long\":null,\"num_long\":0}\n"},
 		{"health 200", Health{BuildID: "b-1f3a", Index: &meta, Status: "ok"}, "{\"build_id\":\"b-1f3a\",\"index\":{\"k\":32,\"seed\":42,\"t\":25,\"num_texts\":2000,\"total_tokens\":512000,\"zone_map_step\":64,\"long_list_cutoff\":4096},\"status\":\"ok\"}\n"},
 		{"health 503", Health{BuildID: "b-1f3a", Index: &meta, Status: "shutting_down"}, "{\"build_id\":\"b-1f3a\",\"index\":{\"k\":32,\"seed\":42,\"t\":25,\"num_texts\":2000,\"total_tokens\":512000,\"zone_map_step\":64,\"long_list_cutoff\":4096},\"status\":\"shutting_down\"}\n"},
 		{"error with request id", Error{Error: "theta must be in (0, 1], got 1.5", RequestID: "a1b2c3d4-00002a"}, "{\"error\":\"theta must be in (0, 1], got 1.5\",\"request_id\":\"a1b2c3d4-00002a\"}\n"},
@@ -151,14 +147,12 @@ func TestGoldenBytes(t *testing.T) {
 	}
 }
 
-// notOnWire lists the search-side fields that deliberately never cross
-// the wire. Every other field of the converted types must survive
-// encode → JSON → decode, so a field added to search.Stats or
-// search.Match fails here until it is either carried or listed.
+// notOnWire lists the request options that deliberately never cross
+// the wire. Every other field of Options, and every field of
+// search.Match and search.Stats not tagged json:"-", must survive
+// encode → JSON → decode through the codec, so a field added to one of
+// them fails here until it is either carried or excluded.
 var notOnWire = map[string]string{
-	"Match.Rects":       "raw rectangles are a library-only option (KeepRects)",
-	"Stats.Rects":       "the rectangle count is library-only, like the rectangles",
-	"Stats.Attempts":    "replica→coordinator hand-off, moved into PerShard before any response exists",
 	"Options.KeepRects": "rectangles are never served",
 	"Options.Trace":     "span shipping follows the traceparent header, not the body",
 }
@@ -194,34 +188,23 @@ func fill(v reflect.Value, next *int64) {
 }
 
 // checkRoundTrip compares got to the filled original field by field.
+// A field tagged json:"-" or listed in notOnWire must come back zero.
 func checkRoundTrip(t *testing.T, orig, got any) {
 	t.Helper()
 	ov, gv := reflect.ValueOf(orig), reflect.ValueOf(got)
 	typ := ov.Type()
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Name() + "." + typ.Field(i).Name
-		if _, skip := notOnWire[name]; skip {
+		if _, skip := notOnWire[name]; skip || typ.Field(i).Tag.Get("json") == "-" {
 			if !gv.Field(i).IsZero() {
-				t.Errorf("%s is listed as not on the wire but came back as %v", name, gv.Field(i))
+				t.Errorf("%s is not on the wire but came back as %v", name, gv.Field(i))
 			}
 			continue
 		}
 		if !reflect.DeepEqual(ov.Field(i).Interface(), gv.Field(i).Interface()) {
-			t.Errorf("%s did not survive the wire: sent %+v, got %+v (carry it in package wire or list it in notOnWire)",
+			t.Errorf("%s did not survive the wire: sent %+v, got %+v (carry it in the codec or tag it json:\"-\")",
 				name, ov.Field(i), gv.Field(i))
 		}
-	}
-}
-
-// viaJSON pushes v through its JSON form into out.
-func viaJSON(t *testing.T, v, out any) {
-	t.Helper()
-	data, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -236,33 +219,33 @@ func TestEveryFieldCrossesTheWire(t *testing.T) {
 		fill(reflect.ValueOf(p).Elem(), &next)
 	}
 
-	resp := NewResponse([]search.Match{m}, &st)
-	if resp.Stats.Spans != nil {
-		t.Error("NewResponse attached the span list; shipping it is the caller's (sampled-only) decision")
-	}
-	resp.Stats.Spans = st.Spans
+	// The codec writes what encoding/json writes, and reads it back.
+	resp := Response{Matches: []search.Match{m}, Stats: st}
+	b, err := AppendResponse(nil, &resp)
+	sameBytes(t, b, err, resp)
 	var back Response
-	viaJSON(t, resp, &back)
-	gotMatches, gotStats := back.Result()
-	checkRoundTrip(t, m, gotMatches[0])
-	checkRoundTrip(t, st, *gotStats)
+	if err := DecodeResponse(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	checkRoundTrip(t, m, back.Matches[0])
+	checkRoundTrip(t, st, back.Stats)
 
-	var req Request
-	viaJSON(t, NewRequest([]uint32{1}, opts), &req)
+	req := NewRequest([]uint32{1}, opts)
+	b, err = AppendRequest(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeRequest(b, &req); err != nil {
+		t.Fatal(err)
+	}
 	checkRoundTrip(t, opts, req.Options())
 	if req.N != opts.Limit {
 		t.Errorf("Limit %d crossed as n = %d", opts.Limit, req.N)
 	}
 
 	for name := range notOnWire {
-		typ, field, _ := strings.Cut(name, ".")
-		var ok bool
-		for _, v := range []any{m, st, opts} {
-			if rt := reflect.TypeOf(v); rt.Name() == typ {
-				_, ok = rt.FieldByName(field)
-			}
-		}
-		if !ok {
+		field := strings.TrimPrefix(name, "Options.")
+		if _, ok := reflect.TypeOf(opts).FieldByName(field); !ok {
 			t.Errorf("notOnWire lists %s, which no longer exists", name)
 		}
 	}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired, alternating end-to-end benchmark runs of two commits.
 #
-#   scripts/bench-pair.sh [-n SEEDS] [-s FIRST_SEED] [-w WORKLOADS] [-o FILE] PARENT [CHILD]
+#   scripts/bench-pair.sh [-n SEEDS] [-s FIRST_SEED] [-w WORKLOADS] [-o FILE] [-t] PARENT [CHILD]
 #
 # Clones PARENT and CHILD (default HEAD) of this repository into a
 # temporary directory and, for every workload and every seed, runs
@@ -15,11 +15,20 @@
 # marked "beyond") and how many pairs the child won, as a markdown table
 # built from every line of FILE for the two commits.
 #
+# With -t it then runs `benchmark/run.sh -trace 1` once per side and
+# workload (seed FIRST_SEED), appends those lines tagged trace: true, and
+# prints a second table of BENCHMARK.json's per-layer metrics, the
+# parent's median beside the child's over every traced line of FILE.
+# Traced lines never enter the end-to-end table or the exit status: a
+# traced run measures the layers, not the latency the gate reads.
+#
 #   -n SEEDS      seeds per workload (default 6); 0 prints the table only
 #   -s FIRST_SEED first seed (default 1); seeds run FIRST_SEED..+SEEDS-1
 #   -w WORKLOADS  comma-separated workloads (default: every workload in
 #                 BENCHMARK.json)
 #   -o FILE       the JSON-lines file to append to (default BENCH.jsonl)
+#   -t            add one traced run per side and workload, and the
+#                 per-layer table
 #
 # Quartiles are Python's statistics.quantiles(n=4) (the exclusive method),
 # as in benchmark/README.md "Noise and bounds". Needs git and jq.
@@ -29,18 +38,19 @@
 # failed operations.
 set -euo pipefail
 
-seeds=6 first=1 workloads="" out=BENCH.jsonl
-while getopts "n:s:w:o:" opt; do
+seeds=6 first=1 workloads="" out=BENCH.jsonl traced=0
+while getopts "n:s:w:o:t" opt; do
 	case $opt in
 	n) seeds=$OPTARG ;;
 	s) first=$OPTARG ;;
 	w) workloads=$OPTARG ;;
 	o) out=$OPTARG ;;
+	t) traced=1 ;;
 	*) sed -n '2,/^set -euo/p' "$0" | sed '$d; s/^# \{0,1\}//' >&2; exit 2 ;;
 	esac
 done
 shift $((OPTIND - 1))
-[ $# -ge 1 ] && [ $# -le 2 ] || { echo "usage: $0 [-n SEEDS] [-s FIRST_SEED] [-w WORKLOADS] [-o FILE] PARENT [CHILD]" >&2; exit 2; }
+[ $# -ge 1 ] && [ $# -le 2 ] || { echo "usage: $0 [-n SEEDS] [-s FIRST_SEED] [-w WORKLOADS] [-o FILE] [-t] PARENT [CHILD]" >&2; exit 2; }
 
 repo=$(git rev-parse --show-toplevel)
 parent=$(git -C "$repo" rev-parse --verify "$1^{commit}")
@@ -48,7 +58,7 @@ child=$(git -C "$repo" rev-parse --verify "${2:-HEAD}^{commit}")
 bench_json=$(git -C "$repo" show "$child:BENCHMARK.json")
 [ -n "$workloads" ] || workloads=$(jq -r '[.workloads[].name] | join(",")' <<<"$bench_json")
 
-if [ "$seeds" -gt 0 ]; then
+if [ "$seeds" -gt 0 ] || ((traced)); then
 	cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)
 	machine=$(jq -nc --argjson nproc "$(nproc)" --arg cpu "${cpu:-unknown}" --arg go "$(go version)" \
 		'{nproc: $nproc, cpu: $cpu, go: $go}')
@@ -65,28 +75,35 @@ if [ "$seeds" -gt 0 ]; then
 		ln -s "$tmp/gocache" "$tmp/$side/.bench_build/gocache"
 	done
 
-	run() { # side workload seed
+	run() { # side workload seed trace
 		local sha=${!1} line
-		line=$(cd "$tmp/$1" && bash benchmark/run.sh -workload "$2" -seed "$3" | tail -n 1) || true
+		line=$(cd "$tmp/$1" && bash benchmark/run.sh -workload "$2" -seed "$3" -trace "$4" | tail -n 1) || true
 		if ! jq -e 'type == "object"' >/dev/null 2>&1 <<<"$line"; then
 			line='{"correct":false,"error":"no result line"}'
 		fi
-		jq -c --arg side "$1" --arg sha "$sha" --argjson seed "$3" --arg workload "$2" --argjson machine "$machine" \
-			'. + {side: $side, sha: $sha, seed: $seed, workload: $workload, machine: $machine}' <<<"$line" >>"$out"
-		echo "$2 seed $3 $1 ${sha:0:12}: $(jq -c '{correct, failed}' <<<"$line")" >&2
+		jq -c --arg side "$1" --arg sha "$sha" --argjson seed "$3" --arg workload "$2" --argjson machine "$machine" --argjson trace "$4" \
+			'. + {side: $side, sha: $sha, seed: $seed, workload: $workload, machine: $machine} + (if $trace == 1 then {trace: true} else {} end)' \
+			<<<"$line" >>"$out"
+		echo "$2 seed $3 $1 ${sha:0:12}$( ((! $4)) || echo " traced"): $(jq -c '{correct, failed}' <<<"$line")" >&2
 	}
 
 	for w in ${workloads//,/ }; do
 		for ((s = first; s < first + seeds; s++)); do
 			if ((s % 2)); then
-				run parent "$w" "$s"
-				run child "$w" "$s"
+				run parent "$w" "$s" 0
+				run child "$w" "$s" 0
 			else
-				run child "$w" "$s"
-				run parent "$w" "$s"
+				run child "$w" "$s" 0
+				run parent "$w" "$s" 0
 			fi
 		done
 	done
+	if ((traced)); then
+		for w in ${workloads//,/ }; do
+			run parent "$w" "$first" 1
+			run child "$w" "$first" 1
+		done
+	fi
 fi
 
 echo "parent ${parent:0:12}, child ${child:0:12}"
@@ -102,7 +119,7 @@ jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" 
 		| if $n < 2 then $d[0] else
 			([1, ([($p / 4 | floor), $n - 1] | min)] | max) as $j | ($p - $j * 4) as $delta
 			| ($d[$j - 1] * (4 - $delta) + $d[$j] * $delta) / 4 end;
-	map(select(.sha == $parent or .sha == $child)) as $runs
+	map(select((.sha == $parent or .sha == $child) and .trace != true)) as $runs
 	| $workloads | split(",")[] as $w
 	| ($runs | map(select(.workload == $w))) as $wr
 	| ([$wr[] | select(.sha == $child) | .seed]) as $cs
@@ -127,8 +144,31 @@ jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" 
 )
 echo "$table"
 echo
+# The traced runs' per-layer metrics, median of each side's traced lines.
+layers=$(jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" \
+	--argjson layer "$(jq -c '.per_layer' <<<"$bench_json")" '
+	def median: sort | if length == 0 then null elif length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+	map(select((.sha == $parent or .sha == $child) and .trace == true)) as $runs
+	| $workloads | split(",")[] as $w
+	| $layer[] as $m
+	| [$runs[] | select(.workload == $w and .sha == $parent) | .metrics[$m.name].value | numbers] as $p
+	| [$runs[] | select(.workload == $w and .sha == $child) | .metrics[$m.name].value | numbers] as $c
+	| select($p != [] or $c != [])
+	| [$w, $m.name, $m.unit, ($p | median // "-"), ($c | median // "-"), ($p | length), ($c | length), $m.better] | @tsv
+' "$out" | awk -F'\t' '{
+	ratio = ($4 == "-" || $5 == "-" || $4 == 0) ? "n/a" : sprintf("%.3f", $5 / $4)
+	printf "| %s | %s | %s | %s | %s | %s | %s | %d/%d |\n", $1, $2, $3, $4 == "-" ? "-" : sprintf("%.4g", $4), $5 == "-" ? "-" : sprintf("%.4g", $5), ratio, $8, $6, $7
+}')
+if [ -n "$layers" ]; then
+	echo "Per-layer metrics of the traced runs (median of each side's traced lines):"
+	echo
+	echo "| workload | metric | unit | parent | child | child/parent | better | traced runs parent/child |"
+	echo "|---|---|---|---|---|---|---|---|"
+	echo "$layers"
+	echo
+fi
 read -r runs incorrect failed < <(jq -rs --arg parent "$parent" --arg child "$child" '
-	map(select(.sha == $parent or .sha == $child))
+	map(select((.sha == $parent or .sha == $child) and .trace != true))
 	| [length, (map(select(.correct != true)) | length), (map(.failed // 0) | add // 0)] | @tsv
 ' "$out")
 echo "runs: $runs, correct false: $incorrect, failed ops: $failed"
