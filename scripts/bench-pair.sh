@@ -156,7 +156,8 @@ layers=$(jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$wo
 	| select($p != [] or $c != [])
 	| [$w, $m.name, $m.unit, ($p | median // "-"), ($c | median // "-"), ($p | length), ($c | length), $m.better] | @tsv
 ' "$out" | awk -F'\t' '{
-	ratio = ($4 == "-" || $5 == "-" || $4 == 0) ? "n/a" : sprintf("%.3f", $5 / $4)
+	# A ratio says nothing when a side is not positive (overhead_pct can be).
+	ratio = ($4 == "-" || $5 == "-" || $4 <= 0 || $5 < 0) ? "n/a" : sprintf("%.3f", $5 / $4)
 	printf "| %s | %s | %s | %s | %s | %s | %s | %d/%d |\n", $1, $2, $3, $4 == "-" ? "-" : sprintf("%.4g", $4), $5 == "-" ? "-" : sprintf("%.4g", $5), ratio, $8, $6, $7
 }')
 if [ -n "$layers" ]; then
