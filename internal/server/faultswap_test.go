@@ -171,6 +171,39 @@ func TestIngestUnconfirmedCommitIsNotRetriable(t *testing.T) {
 	}
 }
 
+// TestIngestUnconfirmedCommitWithoutIDIsCommitted pins the one commit
+// rule for an Ingester that reports the committed build only inside its
+// *CommitUnconfirmedError and returns an empty id beside it: the texts
+// are in the index, so Ingest must swap that build in and return a
+// SwapError naming it, not the plain error that invites a re-send.
+func TestIngestUnconfirmedCommitWithoutIDIsCommitted(t *testing.T) {
+	srv, _ := ingestFixture(t, 0)
+	realIngester := srv.cfg.Ingester
+	srv.cfg.Ingester = func(texts [][]uint32) (string, error) {
+		id, err := realIngester(texts)
+		if err != nil {
+			return "", err
+		}
+		return "", &index.CommitUnconfirmedError{BuildID: id, Err: fsio.ErrInjected}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	oldID := healthzBuildID(t, ts)
+
+	_, err := srv.Ingest([][]uint32{snippet(5, 30)})
+	var swapErr *SwapError
+	var unconfirmed *index.CommitUnconfirmedError
+	if !errors.As(err, &swapErr) || !errors.As(err, &unconfirmed) {
+		t.Fatalf("Ingest error = %v, want a SwapError wrapping the CommitUnconfirmedError", err)
+	}
+	if id := unconfirmed.BuildID; swapErr.CommittedBuildID != id || id == oldID {
+		t.Fatalf("SwapError committed build = %q, want the unconfirmed commit's %q (old build %q)", swapErr.CommittedBuildID, id, oldID)
+	}
+	if id := healthzBuildID(t, ts); id != unconfirmed.BuildID {
+		t.Fatalf("healthz build id = %q, want the committed %q", id, unconfirmed.BuildID)
+	}
+}
+
 // TestIngestAppendFailureIsRetriable pins the other half of the typed
 // contract: when the append itself fails (nothing committed), the error
 // is NOT a SwapError and re-sending the same texts is safe.
@@ -268,5 +301,55 @@ func TestCompactUnconfirmedCommitSwapsIn(t *testing.T) {
 	if !errors.As(err, &swapErr) || !errors.As(err, &unconfirmed) ||
 		swapErr.Op != "compact" || swapErr.CommittedBuildID != unconfirmed.BuildID {
 		t.Fatalf("Compact error = %v, want a compact SwapError wrapping the CommitUnconfirmedError", err)
+	}
+}
+
+// TestIngestWithoutReloaderAnswersCommitted: an Ingester without a
+// Reloader commits its texts and then fails the swap with a wrapped
+// ErrNoReloader. The handler must answer the committed shape (500
+// committed_swap_failed with the build id), not the 501 that
+// ErrNoReloader means on its own, since the texts are already in the
+// index.
+func TestIngestWithoutReloaderAnswersCommitted(t *testing.T) {
+	srv, _ := ingestFixture(t, 0)
+	srv.cfg.Reloader = nil
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/ingest", ingestRequest{Texts: [][]uint32{snippet(6, 30)}})
+	var ir struct {
+		Status           string `json:"status"`
+		CommittedBuildID string `json:"committed_build_id"`
+	}
+	if err := json.Unmarshal(body, &ir); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || ir.Status != "committed_swap_failed" || ir.CommittedBuildID == "" {
+		t.Fatalf("ingest without reloader: %d %s; want 500 committed_swap_failed with the committed build id", resp.StatusCode, body)
+	}
+}
+
+// TestMutationHandlersRefuseGetAndDraining: the three mutation
+// endpoints share one preamble, 405 with Allow: POST for any other
+// method and 503 once shutdown has begun.
+func TestMutationHandlersRefuseGetAndDraining(t *testing.T) {
+	srv, _ := ingestFixture(t, 0)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	paths := []string{"/admin/reload", "/ingest", "/admin/compact"}
+	for _, p := range paths {
+		resp, err := ts.Client().Get(ts.URL + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+			t.Fatalf("GET %s: %d Allow=%q, want 405 Allow=POST", p, resp.StatusCode, resp.Header.Get("Allow"))
+		}
+	}
+	srv.BeginShutdown()
+	for _, p := range paths {
+		if resp, body := postJSON(t, ts.Client(), ts.URL+p, ingestRequest{Texts: [][]uint32{snippet(7, 30)}}); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("POST %s while draining: %d (%s), want 503", p, resp.StatusCode, body)
+		}
 	}
 }

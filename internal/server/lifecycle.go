@@ -6,14 +6,50 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 
 	"ndss/internal/index"
 	"ndss/internal/obs"
 )
 
-// ErrNoReloader is returned by Reload when the server was configured
-// without a Reloader.
-var ErrNoReloader = errors.New("server: no reloader configured")
+// ErrNoReloader, ErrNoIngester and ErrNoCompactor are returned by
+// Reload, Ingest and Compact when the server was configured without the
+// matching Config function.
+var (
+	ErrNoReloader  = errors.New("server: no reloader configured")
+	ErrNoIngester  = errors.New("server: no ingester configured")
+	ErrNoCompactor = errors.New("server: no compactor configured")
+)
+
+// SwapError reports a mutation that committed a new index build on disk
+// but did not finish cleanly: the swap to a reloaded backend failed, or
+// the commit itself could not confirm its durability. The mutation is
+// NOT safe to retry blindly: the texts (or the compaction) are already
+// part of the on-disk index under CommittedBuildID, so a re-ingest of
+// the same texts would duplicate them. The right recovery is to retry
+// the swap alone (POST /admin/reload) and confirm the reported build id
+// is serving. Unwrap exposes the underlying failure.
+type SwapError struct {
+	// Op is the mutation that committed: "ingest" or "compact".
+	Op string
+	// CommittedBuildID is the build the mutation committed on disk ("" for
+	// a compaction that committed cleanly but whose swap failed: its
+	// Compactor reports no id then).
+	CommittedBuildID string
+	// Err is the reload failure that left the old backend serving, or
+	// the commit's unconfirmed-durability error (possibly both, joined).
+	Err error
+}
+
+func (e *SwapError) Error() string {
+	if e.CommittedBuildID != "" {
+		return fmt.Sprintf("server: %s committed build %s but did not complete (do not re-run the %s; reload instead): %v",
+			e.Op, e.CommittedBuildID, e.Op, e.Err)
+	}
+	return fmt.Sprintf("server: %s committed but backend swap failed (reload instead of re-running): %v", e.Op, e.Err)
+}
+
+func (e *SwapError) Unwrap() error { return e.Err }
 
 // Reload hot-swaps the backend with zero downtime: it opens a fresh
 // backend via Config.Reloader, atomically redirects new queries to it,
@@ -61,68 +97,6 @@ func (s *Server) Reload() (oldID, newID string, err error) {
 	return prev.b.BuildID(), nb.BuildID(), nil
 }
 
-// handleReload is POST /admin/reload.
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.closing.Load() {
-		s.writeError(w, r, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	oldID, newID, err := s.Reload()
-	switch {
-	case errors.Is(err, ErrNoReloader):
-		s.writeError(w, r, http.StatusNotImplemented, ErrNoReloader.Error())
-	case err != nil:
-		s.writeError(w, r, http.StatusInternalServerError, err.Error())
-	default:
-		writeJSON(w, http.StatusOK, map[string]string{
-			"status": "reloaded", "old_build_id": oldID, "build_id": newID,
-		})
-	}
-}
-
-// ErrNoIngester is returned by Ingest when the server was configured
-// without an Ingester.
-var ErrNoIngester = errors.New("server: no ingester configured")
-
-// ErrNoCompactor is returned by Compact when the server was configured
-// without a Compactor.
-var ErrNoCompactor = errors.New("server: no compactor configured")
-
-// SwapError reports a mutation that committed a new index build on disk
-// but did not finish cleanly: the swap to a reloaded backend failed, or
-// the commit itself could not confirm its durability. The mutation is
-// NOT safe to retry blindly: the texts (or the compaction) are already
-// part of the on-disk index under CommittedBuildID, so a re-ingest of
-// the same texts would duplicate them. The right recovery is to retry
-// the swap alone (POST /admin/reload) and confirm the reported build id
-// is serving. Unwrap exposes the underlying failure.
-type SwapError struct {
-	// Op is the mutation that committed: "ingest" or "compact".
-	Op string
-	// CommittedBuildID is the build the mutation committed on disk ("" for
-	// a compaction that committed cleanly but whose swap failed: its
-	// Compactor reports no id then).
-	CommittedBuildID string
-	// Err is the reload failure that left the old backend serving, or
-	// the commit's unconfirmed-durability error (possibly both, joined).
-	Err error
-}
-
-func (e *SwapError) Error() string {
-	if e.CommittedBuildID != "" {
-		return fmt.Sprintf("server: %s committed build %s but did not complete (do not re-run the %s; reload instead): %v",
-			e.Op, e.CommittedBuildID, e.Op, e.Err)
-	}
-	return fmt.Sprintf("server: %s committed but backend swap failed (reload instead of re-running): %v", e.Op, e.Err)
-}
-
-func (e *SwapError) Unwrap() error { return e.Err }
-
 // Ingest appends texts to the index as a fresh segment and hot-swaps to
 // a backend that serves them; on return the texts are searchable. The
 // old backend keeps serving throughout — an append only writes new
@@ -139,27 +113,11 @@ func (s *Server) Ingest(texts [][]uint32) (buildID string, err error) {
 	}
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
-	committedID, err := s.cfg.Ingester(texts)
-	if err != nil && committedID == "" {
-		// Nothing committed: the append failed before its manifest
-		// rename, so retrying this exact ingest is safe.
-		return "", fmt.Errorf("server: ingest: %w", err)
+	buildID, err = s.commitAndSwap("ingest", &s.met.ingests, func() (string, error) { return s.cfg.Ingester(texts) })
+	if err == nil {
+		s.maybeAutoCompact()
 	}
-	// The texts are in the on-disk index from here on, even when err says
-	// the commit could not confirm its durability: swap them in either
-	// way, and report any failure with the committed build id and a typed
-	// error so callers don't retry the append (which would duplicate the
-	// texts) when a plain reload is what's needed.
-	_, newID, reloadErr := s.Reload()
-	if err := errors.Join(err, reloadErr); err != nil {
-		s.log.Error("ingest committed but did not complete; reload to serve it, do not re-ingest",
-			"committed_build_id", committedID, "texts", len(texts), "error", err)
-		return committedID, &SwapError{Op: "ingest", CommittedBuildID: committedID, Err: err}
-	}
-	s.met.ingests.Add(1)
-	s.log.Info("ingested texts", "texts", len(texts), "build_id", newID)
-	s.maybeAutoCompact()
-	return newID, nil
+	return buildID, err
 }
 
 // Compact merges the index's segment set into one segment (dropping
@@ -172,36 +130,43 @@ func (s *Server) Compact() (buildID string, err error) {
 	}
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
-	return s.compactLocked()
+	return s.commitAndSwap("compact", &s.met.compactions, func() (string, error) { return "", s.cfg.Compactor() })
 }
 
-func (s *Server) compactLocked() (string, error) {
-	var committedID string
-	err := s.cfg.Compactor()
-	if err != nil {
-		// A compaction whose commit landed but could not confirm its
-		// durability is live on disk: swap it in like any other.
-		var unconfirmed *index.CommitUnconfirmedError
+// commitAndSwap runs one index mutation and swaps its result in; the
+// caller holds mutateMu. The mutation committed when it returned no
+// error, a build id, or an *index.CommitUnconfirmedError (the commit
+// landed but its durability is unconfirmed); the committed id is the
+// returned one, else that error's. Nothing committed is a plain error,
+// safe to retry. Once committed, the build is swapped in either way:
+// success counts in done and returns the new build id, and any failure
+// — the mutation's error, the reload's, or both — is a *SwapError with
+// the committed id, so callers reload instead of re-running the
+// mutation (a re-ingest would duplicate its texts).
+func (s *Server) commitAndSwap(op string, done *atomic.Int64, mutate func() (string, error)) (string, error) {
+	committedID, err := mutate()
+	var unconfirmed *index.CommitUnconfirmedError
+	if err != nil && committedID == "" {
 		if !errors.As(err, &unconfirmed) {
-			return "", fmt.Errorf("server: compact: %w", err)
+			return "", fmt.Errorf("server: %s: %w", op, err)
 		}
 		committedID = unconfirmed.BuildID
 	}
 	_, newID, reloadErr := s.Reload()
 	if err := errors.Join(err, reloadErr); err != nil {
-		s.log.Error("compaction committed but did not complete; reload to serve it",
-			"committed_build_id", committedID, "error", err)
-		return committedID, &SwapError{Op: "compact", CommittedBuildID: committedID, Err: err}
+		s.log.Error("index mutation committed but did not complete; reload to serve it, do not re-run it",
+			"op", op, "committed_build_id", committedID, "error", err)
+		return committedID, &SwapError{Op: op, CommittedBuildID: committedID, Err: err}
 	}
-	s.met.compactions.Add(1)
-	s.log.Info("index compacted", "build_id", newID)
+	done.Add(1)
+	s.log.Info("index mutation committed and serving", "op", op, "build_id", newID)
 	return newID, nil
 }
 
 // maybeAutoCompact starts a background compaction when the active
 // backend's segment count exceeds Config.CompactAfter. Single-flight:
 // while one background compaction runs, further triggers are no-ops.
-// Called with mutateMu held; the goroutine re-acquires it.
+// Called with mutateMu held; the goroutine's Compact re-acquires it.
 func (s *Server) maybeAutoCompact() {
 	if s.cfg.CompactAfter <= 0 || s.cfg.Compactor == nil {
 		return
@@ -219,9 +184,7 @@ func (s *Server) maybeAutoCompact() {
 	go func() {
 		defer s.compactWG.Done()
 		defer s.compacting.Store(false)
-		s.mutateMu.Lock()
-		defer s.mutateMu.Unlock()
-		if _, err := s.compactLocked(); err != nil {
+		if _, err := s.Compact(); err != nil {
 			s.log.Error("background compaction failed", "error", err)
 		}
 	}()
@@ -237,6 +200,59 @@ func segmentCount(b Backend) int {
 	return 1
 }
 
+// mutationAllowed answers a mutation request that is not a POST (405)
+// or that arrives while the server drains (503); ok is false when it
+// did.
+func (s *Server) mutationAllowed(w http.ResponseWriter, r *http.Request) (ok bool) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
+		return false
+	}
+	if s.closing.Load() {
+		s.writeError(w, r, http.StatusServiceUnavailable, "server is shutting down")
+		return false
+	}
+	return true
+}
+
+// writeMutation answers a mutation with err's outcome, or with 200 and
+// the body ok builds when err is nil. A SwapError answers 500
+// committed_swap_failed with the committed build id, so the client's
+// retry is a reload, not a duplicate ingest or a second compaction. It
+// is tested before the 501 sentinels: an Ingester without a Reloader
+// commits and then fails its swap with a wrapped ErrNoReloader.
+func (s *Server) writeMutation(w http.ResponseWriter, r *http.Request, err error, ok func() any) {
+	var swapErr *SwapError
+	switch {
+	case errors.As(err, &swapErr):
+		s.met.internals.Add(1)
+		writeJSON(w, http.StatusInternalServerError, map[string]any{
+			"error":              swapErr.Error(),
+			"status":             "committed_swap_failed",
+			"committed_build_id": swapErr.CommittedBuildID,
+			"request_id":         obs.RequestIDFromContext(r.Context()),
+		})
+	case errors.Is(err, ErrNoReloader), errors.Is(err, ErrNoIngester), errors.Is(err, ErrNoCompactor):
+		s.writeError(w, r, http.StatusNotImplemented, err.Error())
+	case err != nil:
+		s.writeError(w, r, http.StatusInternalServerError, err.Error())
+	default:
+		writeJSON(w, http.StatusOK, ok())
+	}
+}
+
+// handleReload is POST /admin/reload.
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	if !s.mutationAllowed(w, r) {
+		return
+	}
+	oldID, newID, err := s.Reload()
+	s.writeMutation(w, r, err, func() any {
+		return map[string]string{"status": "reloaded", "old_build_id": oldID, "build_id": newID}
+	})
+}
+
 // ingestRequest is the JSON body of POST /ingest.
 type ingestRequest struct {
 	Texts [][]uint32 `json:"texts"`
@@ -244,13 +260,7 @@ type ingestRequest struct {
 
 // handleIngest is POST /ingest.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.closing.Load() {
-		s.writeError(w, r, http.StatusServiceUnavailable, "server is shutting down")
+	if !s.mutationAllowed(w, r) {
 		return
 	}
 	var req ingestRequest
@@ -274,61 +284,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	buildID, err := s.Ingest(req.Texts)
-	var swapErr *SwapError
-	switch {
-	case errors.Is(err, ErrNoIngester):
-		s.writeError(w, r, http.StatusNotImplemented, ErrNoIngester.Error())
-	case errors.As(err, &swapErr):
-		s.writeSwapError(w, r, swapErr)
-	case err != nil:
-		s.writeError(w, r, http.StatusInternalServerError, err.Error())
-	default:
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status": "ingested", "texts": len(req.Texts), "build_id": buildID,
-		})
-	}
-}
-
-// writeSwapError answers a mutation that committed but did not
-// complete: the swap or the commit's durability check failed. It tells
-// the client exactly that, with the committed build id, so its retry is
-// a reload — not a duplicate ingest or a second compaction.
-func (s *Server) writeSwapError(w http.ResponseWriter, r *http.Request, swapErr *SwapError) {
-	s.met.internals.Add(1)
-	writeJSON(w, http.StatusInternalServerError, map[string]any{
-		"error":              swapErr.Error(),
-		"status":             "committed_swap_failed",
-		"committed_build_id": swapErr.CommittedBuildID,
-		"request_id":         obs.RequestIDFromContext(r.Context()),
+	s.writeMutation(w, r, err, func() any {
+		return map[string]any{"status": "ingested", "texts": len(req.Texts), "build_id": buildID}
 	})
 }
 
 // handleCompact is POST /admin/compact.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.closing.Load() {
-		s.writeError(w, r, http.StatusServiceUnavailable, "server is shutting down")
+	if !s.mutationAllowed(w, r) {
 		return
 	}
 	buildID, err := s.Compact()
-	var swapErr *SwapError
-	switch {
-	case errors.Is(err, ErrNoCompactor):
-		s.writeError(w, r, http.StatusNotImplemented, ErrNoCompactor.Error())
-	case errors.As(err, &swapErr):
-		s.writeSwapError(w, r, swapErr)
-	case err != nil:
-		s.writeError(w, r, http.StatusInternalServerError, err.Error())
-	default:
+	s.writeMutation(w, r, err, func() any {
 		b, release := s.acquire()
-		segments := segmentCount(b)
-		release()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status": "compacted", "build_id": buildID, "segments": segments,
-		})
-	}
+		defer release()
+		return map[string]any{"status": "compacted", "build_id": buildID, "segments": segmentCount(b)}
+	})
 }

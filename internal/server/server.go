@@ -89,17 +89,20 @@ type Config struct {
 	// Nil disables hot reload (the endpoint answers 501).
 	Reloader func() (Backend, error)
 	// Ingester appends new texts to the index as a fresh segment (the
-	// POST /ingest mutation) and reports the committed build id. An
-	// error with an empty build id means nothing was committed; an error
-	// beside a build id means the texts are in the index but the commit
-	// did not finish cleanly (index.Append's contract). It runs with the
-	// old backend still serving; the server hot-swaps via Reloader once
-	// it returns, so Ingester requires Reloader. Nil disables ingest
-	// (501).
+	// POST /ingest mutation) and reports the committed build id. It
+	// committed when it returns no error, a build id beside its error,
+	// or an error that is an *index.CommitUnconfirmedError (whose
+	// BuildID names the build when no id is returned): the texts are in
+	// the index then, even if the commit did not finish cleanly
+	// (index.Append's contract). Any other error means nothing was
+	// committed. It runs with the old backend still serving; the server
+	// hot-swaps via Reloader once it returns, so Ingester requires
+	// Reloader. Nil disables ingest (501).
 	Ingester func(texts [][]uint32) (buildID string, err error)
 	// Compactor merges the index's segment set into one segment (the
-	// POST /admin/compact mutation), hot-swapped like Ingester. Nil
-	// disables compaction (501).
+	// POST /admin/compact mutation), hot-swapped like Ingester under the
+	// same commit rule: an *index.CommitUnconfirmedError means the
+	// compaction is in place. Nil disables compaction (501).
 	Compactor func() error
 	// CompactAfter triggers a background compaction after an ingest
 	// leaves the index with more than this many segments. Zero disables
