@@ -104,9 +104,8 @@ type serveConfig struct {
 	ingest       bool
 	compactAfter int
 
-	shards        string
-	shardTimeout  time.Duration
-	shardInflight int
+	shards       string
+	shardTimeout time.Duration
 
 	hedgeAfter      time.Duration
 	breakerFailures int
@@ -132,7 +131,6 @@ func main() {
 	flag.IntVar(&c.compactAfter, "compact-after", 8, "with -ingest, auto-compact once the index exceeds this many segments (0 disables)")
 	flag.StringVar(&c.shards, "shards", "", "comma-separated shard list (index directories and/or http(s):// ndss-serve URLs); serves a scatter–gather coordinator over them instead of -index. Separate interchangeable replicas of one shard with | (url1|url2)")
 	flag.DurationVar(&c.shardTimeout, "shard-timeout", 0, "per-shard deadline budget for fan-out legs; shards that miss it are skipped and the result is flagged partial (0 = request deadline only)")
-	flag.IntVar(&c.shardInflight, "shard-inflight", 0, "per-remote-shard concurrent request cap (0 = the shard package default)")
 	flag.DurationVar(&c.hedgeAfter, "hedge-after", 5*time.Millisecond, "hedge a shard leg onto another replica once the first attempt exceeds max(replica streaming P95, this floor) (0 disables)")
 	flag.IntVar(&c.breakerFailures, "breaker-failures", 5, "consecutive failures that open a replica's circuit breaker (≤ 0 selects the default)")
 	flag.DurationVar(&c.probeInterval, "probe-interval", 2*time.Second, "background replica health-probe period; a probe that reaches a replica closes its breaker and lifts a stale quarantine (≤ 0 selects the default)")
@@ -209,7 +207,6 @@ func openCoordinator(c serveConfig, logger *slog.Logger) (server.Backend, error)
 			}
 		}
 	}()
-	httpOpts := shard.HTTPOptions{MaxInFlight: c.shardInflight}
 	for _, entry := range strings.Split(c.shards, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -229,12 +226,12 @@ func openCoordinator(c serveConfig, logger *slog.Logger) (server.Backend, error)
 		}
 		for _, name := range names {
 			if strings.HasPrefix(name, "http://") || strings.HasPrefix(name, "https://") {
-				hs, err := shard.NewHTTPShard(context.Background(), name, httpOpts)
+				hs, err := shard.NewHTTPShard(context.Background(), name, shard.HTTPOptions{})
 				if err != nil {
 					if len(names) > 1 {
 						logger.Warn("replica unreachable at startup; starting quarantined until a health probe reaches it",
 							"replica", name, "error", err)
-						reps = append(reps, shard.NewHTTPShardDeferred(name, httpOpts))
+						reps = append(reps, shard.NewHTTPShardDeferred(name, shard.HTTPOptions{}))
 						continue
 					}
 					closeReps()

@@ -86,15 +86,6 @@ func NewCoordinator(clients []ShardClient, cfg Config) (*Coordinator, error) {
 	return &Coordinator{slots: slots, meta: agg, budget: cfg.ShardBudget}, nil
 }
 
-// Shards reports the shard names in fan-out (base) order.
-func (c *Coordinator) Shards() []string {
-	names := make([]string, len(c.slots))
-	for i, sl := range c.slots {
-		names[i] = sl.client.Name()
-	}
-	return names
-}
-
 // Meta returns the aggregate index metadata: the shared hash-family
 // options plus summed corpus sizes, exactly what a merged single index
 // over the same shards would report.
@@ -125,25 +116,6 @@ func (c *Coordinator) IOStats() index.IOStats {
 		out.ReadTime += st.ReadTime
 	}
 	return out
-}
-
-// CheckHealth checks every shard concurrently and returns the joined
-// errors of the unhealthy ones (nil when all are serving).
-func (c *Coordinator) CheckHealth(ctx context.Context) error {
-	errs := make([]error, len(c.slots))
-	var wg sync.WaitGroup
-	for i, sl := range c.slots {
-		wg.Add(1)
-		go func(i int, sl *shardSlot) {
-			defer wg.Done()
-			probeCtx := childTraceContext(ctx)
-			if err := sl.client.CheckHealth(probeCtx); err != nil {
-				errs[i] = fmt.Errorf("shard %s: %w", sl.client.Name(), err)
-			}
-		}(i, sl)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // Close closes every shard and returns their joined errors.
@@ -385,7 +357,3 @@ func (c *Coordinator) merge(ctx context.Context, base time.Time, results []legRe
 	st.Total = time.Since(base)
 	return out, st, nil
 }
-
-// PartialResults reports how many queries returned with at least one
-// shard unanswered since the coordinator started.
-func (c *Coordinator) PartialResults() int64 { return c.partials.Load() }

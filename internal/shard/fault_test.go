@@ -116,9 +116,6 @@ func TestPartialOnShardError(t *testing.T) {
 	if ps.Answered || !strings.Contains(ps.Err, "disk on fire") {
 		t.Fatalf("failing shard attribution = %+v", ps)
 	}
-	if c.PartialResults() != 1 {
-		t.Fatalf("PartialResults = %d, want 1", c.PartialResults())
-	}
 	m := c.ShardMetrics()
 	if m.PartialResults != 1 {
 		t.Fatalf("metrics partials = %d, want 1", m.PartialResults)
@@ -153,8 +150,8 @@ func TestPartialOnBudgetMiss(t *testing.T) {
 	if st.PerShard[1].Err != "deadline exceeded" {
 		t.Fatalf("slow shard err = %q, want %q", st.PerShard[1].Err, "deadline exceeded")
 	}
-	if c.PartialResults() != 1 {
-		t.Fatalf("PartialResults = %d, want 1", c.PartialResults())
+	if n := c.ShardMetrics().PartialResults; n != 1 {
+		t.Fatalf("metrics partials = %d, want 1", n)
 	}
 }
 

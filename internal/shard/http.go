@@ -18,11 +18,11 @@ import (
 	"ndss/internal/wire"
 )
 
-// DefaultMaxInFlight is the per-shard admission cap when HTTPOptions
-// leaves MaxInFlight zero. Legs beyond the cap queue until a slot frees
-// or the leg's budget expires, so a saturated shard degrades into
-// flagged partial results instead of connection pile-ups.
-const DefaultMaxInFlight = 64
+// maxInFlight is the per-shard admission cap. Legs beyond the cap queue
+// until a slot frees or the leg's budget expires, so a saturated shard
+// degrades into flagged partial results instead of connection pile-ups.
+// It is a package variable only so the admission test can shrink it.
+var maxInFlight = 64
 
 // maxResponseBytes bounds how much of a shard response the client will
 // read (matches the server's own request-body cap).
@@ -43,9 +43,6 @@ type HTTPOptions struct {
 	// Client issues the requests. Nil selects a client with a cloned
 	// default transport sized for fan-out (keep-alive per shard).
 	Client *http.Client
-	// MaxInFlight caps concurrent requests to this shard; zero selects
-	// DefaultMaxInFlight, negative disables admission.
-	MaxInFlight int
 }
 
 // HTTPShard is a remote shard: an ndss-serve instance spoken to over
@@ -130,18 +127,10 @@ func NewHTTPShardDeferred(baseURL string, opts HTTPOptions) *HTTPShard {
 	hc := opts.Client
 	if hc == nil {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = DefaultMaxInFlight
+		tr.MaxIdleConnsPerHost = maxInFlight
 		hc = &http.Client{Transport: tr}
 	}
-	inflight := opts.MaxInFlight
-	if inflight == 0 {
-		inflight = DefaultMaxInFlight
-	}
-	h := &HTTPShard{base: strings.TrimRight(baseURL, "/"), hc: hc}
-	if inflight > 0 {
-		h.sem = make(chan struct{}, inflight)
-	}
-	return h
+	return &HTTPShard{base: strings.TrimRight(baseURL, "/"), hc: hc, sem: make(chan struct{}, maxInFlight)}
 }
 
 // Name returns the shard's base URL.
@@ -244,9 +233,6 @@ func (h *HTTPShard) SearchContext(ctx context.Context, query []uint32, opts sear
 // acquire takes a per-shard admission slot, waiting until one frees or
 // the context expires. The returned release must be called once.
 func (h *HTTPShard) acquire(ctx context.Context) (func(), error) {
-	if h.sem == nil {
-		return func() {}, nil
-	}
 	select {
 	case h.sem <- struct{}{}:
 		return func() { <-h.sem }, nil
