@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -401,4 +402,18 @@ func TestSkipsTooShortTexts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Hashes returns every min-hash value that has an inverted list in
+// function fn, in ascending order, deduplicated across segments.
+func (ix *Index) Hashes(fn int) []uint64 {
+	if len(ix.segs) == 1 {
+		return slices.Clone(ix.segs[0].funcs[fn].hashes)
+	}
+	var all []uint64
+	for _, seg := range ix.segs {
+		all = append(all, seg.funcs[fn].hashes...)
+	}
+	slices.Sort(all)
+	return slices.Compact(all)
 }

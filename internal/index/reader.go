@@ -476,20 +476,6 @@ func (ff *funcFile) zoneOff(z zoneRef) int64 {
 // postings returns the function's total posting count.
 func (ff *funcFile) postings() int64 { return int64(ff.starts[len(ff.hashes)]) }
 
-// Hashes returns every min-hash value that has an inverted list in
-// function fn, in ascending order, deduplicated across segments.
-func (ix *Index) Hashes(fn int) []uint64 {
-	if len(ix.segs) == 1 {
-		return slices.Clone(ix.segs[0].funcs[fn].hashes)
-	}
-	var all []uint64
-	for _, seg := range ix.segs {
-		all = append(all, seg.funcs[fn].hashes...)
-	}
-	slices.Sort(all)
-	return slices.Compact(all)
-}
-
 // ListLengths returns the posting counts of every distinct list of
 // function fn, unordered. Used to pick prefix-filtering cutoffs.
 func (ix *Index) ListLengths(fn int) []int {

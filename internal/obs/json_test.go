@@ -62,9 +62,9 @@ func TestSpanJSONRoundTripAtCapacity(t *testing.T) {
 	}
 }
 
-// A trace pushed past MaxSpans drops the excess and counts the drops;
-// what remains still serializes and decodes span for span.
-func TestTraceOverflowSerializesWithDropCount(t *testing.T) {
+// A trace pushed past MaxSpans drops the excess; what remains still
+// serializes and decodes span for span.
+func TestTraceOverflowSerializes(t *testing.T) {
 	var tr Trace
 	tr.Reset()
 	const extra = 37
@@ -73,9 +73,6 @@ func TestTraceOverflowSerializesWithDropCount(t *testing.T) {
 	}
 	if tr.Len() != MaxSpans {
 		t.Fatalf("trace holds %d spans, cap is %d", tr.Len(), MaxSpans)
-	}
-	if tr.Dropped() != extra {
-		t.Fatalf("Dropped() = %d, want %d", tr.Dropped(), extra)
 	}
 	data, err := json.Marshal(tr.Snapshot(nil))
 	if err != nil {
@@ -88,10 +85,9 @@ func TestTraceOverflowSerializesWithDropCount(t *testing.T) {
 	if len(back) != MaxSpans {
 		t.Fatalf("round trip changed span count: %d", len(back))
 	}
-	// Reset clears the drop counter with the spans.
 	tr.Reset()
-	if tr.Dropped() != 0 || tr.Len() != 0 {
-		t.Fatalf("Reset left dropped=%d len=%d", tr.Dropped(), tr.Len())
+	if tr.Len() != 0 {
+		t.Fatalf("Reset left len=%d", tr.Len())
 	}
 }
 

@@ -12,8 +12,8 @@
 //   - No locks: a Trace belongs to exactly one query at a time, the
 //     same ownership discipline the pipeline's queryCtx already has.
 //   - Bounded: at most MaxSpans spans are retained per trace; beyond
-//     that Start drops the span (and counts the drop) rather than
-//     growing without limit on pathological queries.
+//     that Start drops the span rather than growing without limit on
+//     pathological queries.
 //
 // The package depends only on the standard library and is usable from
 // any layer (search pipeline, server, CLIs) without import cycles. It
@@ -84,9 +84,8 @@ const None SpanID = -1
 // is unusable; call Reset before the first Start. A Trace must not be
 // shared between goroutines without external synchronization.
 type Trace struct {
-	base    time.Time
-	spans   []Span
-	dropped int
+	base  time.Time
+	spans []Span
 }
 
 // Reset rebases the trace at now and discards recorded spans, retaining
@@ -94,14 +93,12 @@ type Trace struct {
 func (t *Trace) Reset() {
 	t.base = time.Now()
 	t.spans = t.spans[:0]
-	t.dropped = 0
 }
 
 // Start opens a named span and returns its id, or None when the trace
-// is at MaxSpans (the drop is counted).
+// is at MaxSpans.
 func (t *Trace) Start(name string) SpanID {
 	if len(t.spans) >= MaxSpans {
-		t.dropped++
 		return None
 	}
 	t.spans = append(t.spans, Span{Name: name, Start: time.Since(t.base), Dur: -1})
@@ -113,10 +110,9 @@ func (t *Trace) Start(name string) SpanID {
 // trace's own clock — concurrent fan-out legs whose goroutines must not
 // touch the trace — measure with time.Now/time.Since and record after
 // joining. Returns the span's id (for Annotate), or None when the trace
-// is at MaxSpans (the drop is counted).
+// is at MaxSpans.
 func (t *Trace) Record(name string, start, dur time.Duration) SpanID {
 	if len(t.spans) >= MaxSpans {
-		t.dropped++
 		return None
 	}
 	t.spans = append(t.spans, Span{Name: name, Start: start, Dur: dur})
@@ -146,30 +142,8 @@ func (t *Trace) Annotate(id SpanID, key string, val int64) {
 	}
 }
 
-// Len reports the number of recorded spans.
-func (t *Trace) Len() int { return len(t.spans) }
-
-// Dropped reports how many Start calls were refused by the MaxSpans cap
-// since the last Reset.
-func (t *Trace) Dropped() int { return t.dropped }
-
-// Spans returns the recorded spans as a live view, valid until the next
-// Reset. Callers that retain spans past the query must use Snapshot.
-func (t *Trace) Spans() []Span { return t.spans }
-
 // Snapshot copies the recorded spans, appending into dst (which may be
 // nil). Open spans appear with Dur -1.
 func (t *Trace) Snapshot(dst []Span) []Span {
 	return append(dst[:0], t.spans...)
-}
-
-// Dur sums the durations of all closed spans with the given name.
-func (t *Trace) Dur(name string) time.Duration {
-	var total time.Duration
-	for i := range t.spans {
-		if t.spans[i].Name == name && t.spans[i].Dur >= 0 {
-			total += t.spans[i].Dur
-		}
-	}
-	return total
 }

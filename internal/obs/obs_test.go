@@ -60,9 +60,6 @@ func TestTraceCap(t *testing.T) {
 	if tr.Len() != MaxSpans {
 		t.Fatalf("Len = %d, want %d", tr.Len(), MaxSpans)
 	}
-	if tr.Dropped() != 10 {
-		t.Fatalf("Dropped = %d, want 10", tr.Dropped())
-	}
 	// None flows through End/Annotate without effect.
 	if d := tr.End(None); d != 0 {
 		t.Fatalf("End(None) = %v", d)
@@ -70,8 +67,8 @@ func TestTraceCap(t *testing.T) {
 	tr.Annotate(None, "k", 1)
 
 	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Fatalf("after Reset: len=%d dropped=%d", tr.Len(), tr.Dropped())
+	if tr.Len() != 0 {
+		t.Fatalf("after Reset: len=%d", tr.Len())
 	}
 }
 
@@ -164,4 +161,22 @@ func BenchmarkTraceStageSpans(b *testing.B) {
 			tr.End(tr.Start(name))
 		}
 	}
+}
+
+// Len reports the number of recorded spans.
+func (t *Trace) Len() int { return len(t.spans) }
+
+// Spans returns the recorded spans as a live view, valid until the next
+// Reset. Callers that retain spans past the query must use Snapshot.
+func (t *Trace) Spans() []Span { return t.spans }
+
+// Dur sums the durations of all closed spans with the given name.
+func (t *Trace) Dur(name string) time.Duration {
+	var total time.Duration
+	for i := range t.spans {
+		if t.spans[i].Name == name && t.spans[i].Dur >= 0 {
+			total += t.spans[i].Dur
+		}
+	}
+	return total
 }

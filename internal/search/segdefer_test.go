@@ -144,10 +144,10 @@ func TestSegmentedDeferralExact(t *testing.T) {
 	}
 }
 
-// segmentHashes returns, per function, the set of hashes a standalone
-// index of c lists: exactly the lists a segment holding c's texts has,
-// since a segment is a Build of its texts.
-func segmentHashes(t *testing.T, c *corpus.Corpus, opts index.BuildOptions) []map[uint64]bool {
+// standalone opens a standalone index of c: it lists exactly the
+// hashes a segment holding c's texts lists, since a segment is a Build
+// of its texts.
+func standalone(t *testing.T, c *corpus.Corpus, opts index.BuildOptions) *index.Index {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ix")
 	if _, err := index.Build(c, dir, opts); err != nil {
@@ -157,22 +157,20 @@ func segmentHashes(t *testing.T, c *corpus.Corpus, opts index.BuildOptions) []ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ix.Close()
-	sets := make([]map[uint64]bool, opts.K)
-	for fn := range sets {
-		sets[fn] = make(map[uint64]bool)
-		for _, h := range ix.Hashes(fn) {
-			sets[fn][h] = true
-		}
-	}
-	return sets
+	t.Cleanup(func() { ix.Close() })
+	return ix
 }
 
-// present counts the functions whose sketch hash a segment lists.
-func present(sets []map[uint64]bool, sketch []uint64) int {
+// present counts the functions whose sketch hash ix lists.
+func present(t *testing.T, ix *index.Index, sketch []uint64) int {
+	t.Helper()
 	n := 0
 	for fn, h := range sketch {
-		if sets[fn][h] {
+		list, err := ix.ReadListInto(nil, fn, h, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(list) > 0 {
 			n++
 		}
 	}
@@ -199,7 +197,7 @@ func TestSegmentPigeonholeExact(t *testing.T) {
 	for len(sizes) < 21 {
 		sizes = append(sizes, 3)
 	}
-	var sets [][]map[uint64]bool
+	var segs []*index.Index
 	next := 0
 	for i, n := range sizes {
 		part := corpus.New(nil)
@@ -215,7 +213,7 @@ func TestSegmentPigeonholeExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sets = append(sets, segmentHashes(t, part, opts))
+		segs = append(segs, standalone(t, part, opts))
 	}
 	live := corpus.New(nil)
 	for id := 0; id < next; id++ {
@@ -280,7 +278,7 @@ func TestSegmentPigeonholeExact(t *testing.T) {
 			}
 			for si, sf := range segFiles {
 				reads := counted.Reads(filepath.Join(dir, sf.Name)) - before[si]
-				switch p := present(sets[si], sketch); {
+				switch p := present(t, segs[si], sketch); {
 				case float64(p)/float64(opts.K) < theta: // fewer than β hashes
 					dropped++
 					if reads != 0 {
@@ -354,7 +352,7 @@ func TestSingleSegmentBelowBeta(t *testing.T) {
 	if _, err := index.Build(c, dir, opts); err != nil {
 		t.Fatal(err)
 	}
-	sets := segmentHashes(t, c, opts)
+	listed := standalone(t, c, opts)
 	counted := &search.ReadCountFS{FS: fsio.OS}
 	ix, err := index.OpenFS(counted, dir)
 	if err != nil {
@@ -373,7 +371,7 @@ func TestSingleSegmentBelowBeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := present(sets, sketch)
+	p := present(t, listed, sketch)
 	if p == 0 || p >= opts.K {
 		t.Fatalf("degenerate query: the segment lists %d of its %d hashes", p, opts.K)
 	}
