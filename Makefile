@@ -12,7 +12,7 @@ FUZZTIME ?= 2m
 NDSS_LEAKCHECK ?= 1
 export NDSS_LEAKCHECK
 
-.PHONY: all build test race leakcheck lint vet fmt fuzz-smoke bench-smoke benchmark-check shard-suite chaos-suite ci
+.PHONY: all build test race leakcheck lint vet fmt fuzz-smoke bench-smoke benchmark-check shard-suite chaos-suite fault-injection ci
 
 all: build
 
@@ -56,6 +56,16 @@ chaos-suite:
 	$(GO) test -race -count=1 ./internal/shard/netfault/
 	$(GO) test -race -count=1 -run 'Chaos|Replica|Breaker|QuantileWindow' ./internal/shard/
 	$(GO) test -race -count=1 -run 'ReloadRace|ReplicaMetrics|ReplicaRetriesReadError|ChaosTrace' ./internal/server/
+
+# CI "fault-injection" job: the crash-safety suites under the race
+# detector — fault-injected builds, commit/recovery loops, segment
+# commit/compaction crash loops, manifest rejection, segmented reads
+# that fail, and hot-reload/live-ingest drains.
+fault-injection:
+	$(GO) test -race -count=1 ./internal/fsio/
+	$(GO) test -race -count=1 -run 'Crash|Fault|Recover|Orphan|Manifest|Legacy|Corrupt|Truncat|Writer|Segment|Compact|Tombstone|Delete|Append' ./internal/index/
+	$(GO) test -race -count=1 -run 'Segment|ReadFault' ./internal/search/
+	$(GO) test -race -count=1 -run 'Reload|Ingest|Compact' ./internal/server/
 
 # CI "lint" job: the invariant analyzers (docs/INVARIANTS.md), both
 # standalone and driven by the go command, plus their fixture tests.
@@ -118,4 +128,4 @@ benchmark-check:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
 
 # Everything a merge gate runs.
-ci: race lint shard-suite chaos-suite test bench-smoke benchmark-check
+ci: race lint shard-suite chaos-suite fault-injection test bench-smoke benchmark-check
