@@ -60,12 +60,12 @@ chaos-suite:
 # CI "fault-injection" job: the crash-safety suites under the race
 # detector — fault-injected builds, commit/recovery loops, segment
 # commit/compaction crash loops, manifest rejection, segmented reads
-# that fail, and hot-reload/live-ingest drains.
+# that fail, hot-reload/live-ingest drains, and shutdown (Server.Close).
 fault-injection:
 	$(GO) test -race -count=1 ./internal/fsio/
 	$(GO) test -race -count=1 -run 'Crash|Fault|Recover|Orphan|Manifest|Legacy|Corrupt|Truncat|Writer|Segment|Compact|Tombstone|Delete|Append' ./internal/index/
 	$(GO) test -race -count=1 -run 'Segment|ReadFault' ./internal/search/
-	$(GO) test -race -count=1 -run 'Reload|Ingest|Compact' ./internal/server/
+	$(GO) test -race -count=1 -run 'Reload|Ingest|Compact|Close' ./internal/server/
 
 # CI "lint" job: the invariant analyzers (docs/INVARIANTS.md), both
 # standalone and driven by the go command, plus their fixture tests.

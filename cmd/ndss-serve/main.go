@@ -13,8 +13,7 @@
 //	                   501 with -shards (each shard plans alone)
 //	GET  /healthz      200 while serving, 503 once shutdown begins;
 //	                   reports the active index build id
-//	GET  /metrics      Prometheus text exposition; JSON counters for
-//	                   Accept: application/json
+//	GET  /metrics      Prometheus text exposition
 //	GET  /debug/slowlog the flight recorder's stage-annotated records
 //	                   of the slowest and most recent queries
 //	GET  /debug/trace/{request_id} a held query's record with its
@@ -35,7 +34,8 @@
 // returns 429) and a per-request deadline (the request's timeout_ms
 // field, default -timeout, capped at -max-timeout). SIGINT/SIGTERM
 // starts a graceful shutdown: new work is refused while in-flight
-// queries drain.
+// queries drain; then a running background compaction finishes and the
+// serving index is closed, all within -drain.
 //
 // Observability: every request gets an X-Request-ID (client-supplied
 // ones are honored) echoed on the response and stamped on the
@@ -68,7 +68,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -308,11 +307,6 @@ func run(c serveConfig) error {
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cl, ok := backend.(io.Closer); ok {
-			_ = cl.Close() // exiting; nothing useful to do with a close error
-		}
-	}()
 
 	cache := c.cache
 	if cache == 0 {
@@ -381,6 +375,7 @@ func run(c serveConfig) error {
 	for {
 		select {
 		case err := <-errc:
+			_ = srv.Close(context.Background()) // the listen error is the one to report
 			return err
 		case s := <-sig:
 			if s == syscall.SIGHUP {
@@ -405,6 +400,11 @@ func run(c serveConfig) error {
 	}
 	if dbg != nil {
 		_ = dbg.Shutdown(ctx) // best-effort; the process is exiting either way
+	}
+	// Close waits for a running background compaction within the same
+	// allowance, then closes the backend that is serving now.
+	if err := srv.Close(ctx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
 	}
 	logger.Info("drained, exiting")
 	return nil

@@ -71,29 +71,25 @@ func searchMatches(t *testing.T, ts *httptest.Server, q []uint32, theta float64)
 	return sr.Matches
 }
 
-// indexSnapshot is the "index" object of the JSON /metrics rendering.
+// indexSnapshot is the index and mutation state /metrics reports.
 type indexSnapshot struct {
-	BuildID    string `json:"build_id"`
-	K          int    `json:"k"`
-	T          int    `json:"t"`
-	NumTexts   int    `json:"num_texts"`
-	Segments   int    `json:"segments"`
-	BytesRead  int64  `json:"bytes_read"`
-	ReadTimeNS int64  `json:"read_time_ns"`
+	BuildID                        string
+	NumTexts, Segments             int64
+	Ingests, Compactions, Reloaded int64
 }
 
-func metricsSnapshot(t *testing.T, ts *httptest.Server) (ix indexSnapshot, segs map[string]int64) {
+func metricsSnapshot(t *testing.T, ts *httptest.Server) indexSnapshot {
 	t.Helper()
-	resp := getMetricsJSON(t, ts.Client(), ts.URL)
-	defer resp.Body.Close()
-	var met struct {
-		Index    indexSnapshot    `json:"index"`
-		Segments map[string]int64 `json:"segments"`
+	samples := scrapeMetrics(t, ts)
+	info, _ := findSample(samples, "ndss_index_info", nil)
+	return indexSnapshot{
+		BuildID:     info.labels["build_id"],
+		NumTexts:    sumSamples(samples, "ndss_index_texts", nil),
+		Segments:    sumSamples(samples, "ndss_segments_total", nil),
+		Ingests:     sumSamples(samples, "ndss_ingests_total", nil),
+		Compactions: sumSamples(samples, "ndss_compactions_total", nil),
+		Reloaded:    sumSamples(samples, "ndss_reloads_total", map[string]string{"result": "ok"}),
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
-	}
-	return met.Index, met.Segments
 }
 
 func TestIngestMakesTextsSearchable(t *testing.T) {
@@ -126,9 +122,9 @@ func TestIngestMakesTextsSearchable(t *testing.T) {
 		t.Fatalf("ingested snippet matches: %+v, want text 40", ms)
 	}
 
-	ix, segs := metricsSnapshot(t, ts)
-	if ix.Segments != 2 || segs["ingests"] != 1 || segs["compactions"] != 0 {
-		t.Fatalf("after ingest: index %+v, segments %v", ix, segs)
+	ix := metricsSnapshot(t, ts)
+	if ix.Segments != 2 || ix.Ingests != 1 || ix.Compactions != 0 {
+		t.Fatalf("after ingest: %+v", ix)
 	}
 	if ix.NumTexts != 42 {
 		t.Fatalf("NumTexts after ingest = %d, want 42", ix.NumTexts)
@@ -149,9 +145,9 @@ func TestIngestMakesTextsSearchable(t *testing.T) {
 	if ms := searchMatches(t, ts, q, 0.9); len(ms) != 1 || ms[0].TextID != 40 {
 		t.Fatalf("snippet lost by compaction: %+v", ms)
 	}
-	ix, segs = metricsSnapshot(t, ts)
-	if ix.Segments != 1 || segs["compactions"] != 1 {
-		t.Fatalf("after compact: index %+v, segments %v", ix, segs)
+	ix = metricsSnapshot(t, ts)
+	if ix.Segments != 1 || ix.Compactions != 1 {
+		t.Fatalf("after compact: %+v", ix)
 	}
 
 	// The Prometheus exposition carries the segment metrics.
@@ -323,16 +319,16 @@ func TestAutoCompaction(t *testing.T) {
 	// many ingests land before it runs is timing-dependent).
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		ix, segs := metricsSnapshot(t, ts)
-		if ix.Segments <= 2 && segs["compactions"] >= 1 {
+		ix := metricsSnapshot(t, ts)
+		if ix.Segments <= 2 && ix.Compactions >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("auto-compaction never landed: index %+v, segments %v", ix, segs)
+			t.Fatalf("auto-compaction never landed: %+v", ix)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	srv.compactWG.Wait()
+	waitCompaction(srv)
 	for i := 1; i <= 3; i++ {
 		if ms := searchMatches(t, ts, snippet(i, 30), 0.9); len(ms) != 1 {
 			t.Fatalf("snippet %d lost by auto-compaction: %+v", i, ms)

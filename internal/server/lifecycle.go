@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,11 +15,12 @@ import (
 
 // ErrNoReloader, ErrNoIngester and ErrNoCompactor are returned by
 // Reload, Ingest and Compact when the server was configured without the
-// matching Config function.
+// matching Config function, and ErrClosed once Close has run.
 var (
 	ErrNoReloader  = errors.New("server: no reloader configured")
 	ErrNoIngester  = errors.New("server: no ingester configured")
 	ErrNoCompactor = errors.New("server: no compactor configured")
+	ErrClosed      = errors.New("server: closed")
 )
 
 // SwapError reports a mutation that committed a new index build on disk
@@ -65,6 +67,9 @@ func (s *Server) Reload() (oldID, newID string, err error) {
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
+	if s.isClosed() {
+		return "", "", ErrClosed
+	}
 	nb, err := s.cfg.Reloader()
 	if err != nil {
 		s.met.reloadFailures.Add(1)
@@ -113,6 +118,9 @@ func (s *Server) Ingest(texts [][]uint32) (buildID string, err error) {
 	}
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
+	if s.isClosed() {
+		return "", ErrClosed
+	}
 	buildID, err = s.commitAndSwap("ingest", &s.met.ingests, func() (string, error) { return s.cfg.Ingester(texts) })
 	if err == nil {
 		s.maybeAutoCompact()
@@ -130,6 +138,9 @@ func (s *Server) Compact() (buildID string, err error) {
 	}
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
+	if s.isClosed() {
+		return "", ErrClosed
+	}
 	return s.commitAndSwap("compact", &s.met.compactions, func() (string, error) { return "", s.cfg.Compactor() })
 }
 
@@ -165,8 +176,9 @@ func (s *Server) commitAndSwap(op string, done *atomic.Int64, mutate func() (str
 
 // maybeAutoCompact starts a background compaction when the active
 // backend's segment count exceeds Config.CompactAfter. Single-flight:
-// while one background compaction runs, further triggers are no-ops.
-// Called with mutateMu held; the goroutine's Compact re-acquires it.
+// while one background compaction runs, further triggers are no-ops,
+// and after Close none starts. Called with mutateMu held; the
+// goroutine's Compact re-acquires it.
 func (s *Server) maybeAutoCompact() {
 	if s.cfg.CompactAfter <= 0 || s.cfg.Compactor == nil {
 		return
@@ -177,17 +189,71 @@ func (s *Server) maybeAutoCompact() {
 	if segments <= s.cfg.CompactAfter {
 		return
 	}
-	if !s.compacting.CompareAndSwap(false, true) {
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
+	if s.closed || s.compactDone != nil {
 		return
 	}
-	s.compactWG.Add(1)
+	done := make(chan struct{})
+	s.compactDone = done
 	go func() {
-		defer s.compactWG.Done()
-		defer s.compacting.Store(false)
+		defer close(done)
 		if _, err := s.Compact(); err != nil {
 			s.log.Error("background compaction failed", "error", err)
 		}
+		s.lifeMu.Lock()
+		s.compactDone = nil
+		s.lifeMu.Unlock()
 	}()
+}
+
+func (s *Server) isClosed() bool {
+	s.lifeMu.Lock()
+	defer s.lifeMu.Unlock()
+	return s.closed
+}
+
+// Close ends the server for good once http.Server.Shutdown has drained
+// its requests. It begins the shutdown, refuses every later Reload,
+// Ingest and Compact (ErrClosed), waits for a running background
+// compaction until ctx ends, then drains the serving backend and closes
+// it when it is an io.Closer. Each backend is closed once: Reload closes
+// the ones it replaces, Close the last, and a second Close nothing.
+// Requests that still arrive get 503, as after BeginShutdown. An error
+// names a compaction ctx abandoned, or the backend's Close failure.
+func (s *Server) Close(ctx context.Context) error {
+	s.BeginShutdown()
+	s.lifeMu.Lock()
+	if s.closed {
+		s.lifeMu.Unlock()
+		return nil
+	}
+	s.closed = true
+	compacting := s.compactDone
+	s.lifeMu.Unlock()
+
+	var err error
+	if compacting != nil {
+		select {
+		case <-compacting:
+		case <-ctx.Done():
+			err = fmt.Errorf("server: close: abandoned the running background compaction: %w", ctx.Err())
+		}
+	}
+	// Once a Reload in progress has swapped, no other can: the handle
+	// is final. Later requests pin a fresh handle on the same backend,
+	// so the drain waits only for what was in flight.
+	s.reloadMu.Lock()
+	s.mu.Lock()
+	h := s.handle
+	s.handle = &backendHandle{b: h.b}
+	s.mu.Unlock()
+	s.reloadMu.Unlock()
+	h.wg.Wait()
+	if c, ok := h.b.(io.Closer); ok {
+		err = errors.Join(err, c.Close())
+	}
+	return err
 }
 
 // segmentCount reports how many segments back the given backend, via

@@ -48,7 +48,7 @@ var outcomeNames = [numOutcomes]string{"ok", "cached", "bad_request", "timeout",
 func (o outcome) String() string { return outcomeNames[o] }
 
 // metrics is the server's counter surface, exposed by /metrics as
-// Prometheus text exposition (default) or JSON (content negotiation).
+// Prometheus text exposition.
 // Everything is atomic; there is no lock on the request path.
 // Admitted requests are counted once, in the latency matrix; the
 // counters below also count requests turned away before admission.
@@ -122,32 +122,22 @@ func (m *metrics) recordStats(st *search.Stats) {
 	}
 }
 
-// metricRow is one value of a /metrics scrape with both renderings: an
-// exposition series (family name, type, help and labels) and a JSON
-// member (key path). A row without a name is JSON-only; a row without
-// a path is exposition-only.
+// metricRow is one exposition series of a /metrics scrape: its family
+// name, type and help, its labels and its value.
 type metricRow struct {
 	name, typ, help string
 	labels          string // k="v" pairs from labelPairs
-	// path is the JSON key path: a string names an object member, an
-	// int indexes a list.
-	path []any
-	// val is an int64, float64, string, bool, shard.BreakerState or
-	// obs.HistogramSnapshot (JSON {count, sum_ns}; exposition buckets,
-	// sum and count). A nil val declares the family, or the JSON object
-	// at path, with nothing in it yet.
+	// val is an int64, float64, bool or obs.HistogramSnapshot (buckets,
+	// sum and count). A nil val declares the family with no series yet.
 	val any
 	ns  bool // val counts nanoseconds; the exposition shows seconds
 }
 
 // series returns the family row r with one labelled value.
-func (r metricRow) series(labels string, path []any, val any) metricRow {
-	r.labels, r.path, r.val = labels, path, val
+func (r metricRow) series(labels string, val any) metricRow {
+	r.labels, r.val = labels, val
 	return r
 }
-
-// at builds a JSON key path.
-func at(keys ...any) []any { return keys }
 
 // labelPairs formats exposition labels from alternating keys and
 // values, escaping each value per the exposition format.
@@ -164,23 +154,11 @@ func labelPairs(kv ...string) string {
 
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
-// handleMetrics serves the exposition, or the JSON rendering to a
-// client that explicitly accepts application/json (scrapers send
-// text/plain or nothing).
+// handleMetrics serves the exposition, whatever the request's Accept
+// header asks for.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	rows := s.scrape()
-	if !strings.Contains(r.Header.Get("Accept"), "application/json") {
-		w.Header().Set("Content-Type", promContentType)
-		w.Write(exposition(rows))
-		return
-	}
-	body, err := metricsJSON(rows)
-	if err != nil {
-		s.writeError(w, r, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+	w.Header().Set("Content-Type", promContentType)
+	w.Write(exposition(s.scrape()))
 }
 
 // scrape pins the backend and reads every counter, histogram and gauge
@@ -194,75 +172,43 @@ func (s *Server) scrape() []metricRow {
 	requests := metricRow{name: "ndss_requests_total", typ: "counter", help: "Admitted query requests by endpoint and outcome."}
 	duration := metricRow{name: "ndss_request_duration_seconds", typ: "histogram", help: "Admitted request latency by endpoint and outcome."}
 	rows := []metricRow{
-		{name: "ndss_uptime_seconds", typ: "gauge", help: "Seconds since the server started.",
-			path: at("uptime_seconds"), val: time.Since(m.start).Seconds()},
-		{name: "ndss_in_flight_requests", typ: "gauge", help: "Query requests currently executing.",
-			path: at("in_flight"), val: m.inFlight.Load()},
+		{name: "ndss_uptime_seconds", typ: "gauge", help: "Seconds since the server started.", val: time.Since(m.start).Seconds()},
+		{name: "ndss_in_flight_requests", typ: "gauge", help: "Query requests currently executing.", val: m.inFlight.Load()},
 		requests,
 		{name: "ndss_requests_rejected_total", typ: "counter", help: "Requests rejected before admission (429 saturated).",
-			path: at("requests", "rejected"), val: m.rejected.Load()},
-		{name: "ndss_requests_refused_total", typ: "counter", help: "Requests refused while shutting down (503).",
-			path: at("requests", "refused"), val: m.refused.Load()},
+			val: m.rejected.Load()},
+		{name: "ndss_requests_refused_total", typ: "counter", help: "Requests refused while shutting down (503).", val: m.refused.Load()},
 		{name: "ndss_requests_too_large_total", typ: "counter", help: "Requests rejected for an over-limit body (413).",
-			path: at("requests", "too_large"), val: m.tooLarge.Load()},
+			val: m.tooLarge.Load()},
 		{name: "ndss_requests_bad_request_total", typ: "counter", help: "Requests answered 400 (malformed or invalid).",
-			path: at("requests", "bad_request"), val: m.badInput.Load()},
+			val: m.badInput.Load()},
 		{name: "ndss_requests_internal_error_total", typ: "counter", help: "Requests answered 500 (internal failure).",
-			path: at("requests", "internal_error"), val: m.internals.Load()},
+			val: m.internals.Load()},
 		duration,
 	}
 
 	// The latency matrix is read once. Its cells are the admitted
-	// requests: the request counts, the cache hits and the JSON
-	// "latency" object are its sums. Only cells that fired have a
-	// duration series; an endpoint without any is an empty object.
-	var all obs.HistogramSnapshot
-	var perOutcome [numOutcomes]int64
+	// requests, so the cache hits are its cached column. Only cells
+	// that fired have a duration series.
+	var hits int64
 	for e := range m.latency {
-		ep := endpointNames[e]
-		rows = append(rows, metricRow{path: at("endpoints", ep)})
-		var perEndpoint int64
 		for o := range m.latency[e] {
 			h := m.latency[e][o].Load()
-			for i, n := range h.Buckets {
-				all.Buckets[i] += n
+			if outcome(o) == outCached {
+				hits += h.Count
 			}
-			all.Count += h.Count
-			all.SumNS += h.SumNS
-			perEndpoint += h.Count
-			perOutcome[o] += h.Count
-			labels := labelPairs("endpoint", ep, "outcome", outcomeNames[o])
-			rows = append(rows, requests.series(labels, nil, h.Count))
+			labels := labelPairs("endpoint", endpointNames[e], "outcome", outcomeNames[o])
+			rows = append(rows, requests.series(labels, h.Count))
 			if h.Count > 0 {
-				rows = append(rows, duration.series(labels, at("endpoints", ep, outcomeNames[o]), h))
+				rows = append(rows, duration.series(labels, h))
 			}
 		}
-		rows = append(rows, metricRow{path: at("requests", ep), val: perEndpoint})
-	}
-	meanMS := 0.0
-	if all.Count > 0 {
-		meanMS = float64(all.SumNS) / float64(all.Count) / float64(time.Millisecond)
-	}
-	rows = append(rows, []metricRow{
-		{path: at("requests", "total"), val: all.Count},
-		{path: at("requests", "timeout"), val: perOutcome[outTimeout]},
-		{path: at("requests", "canceled"), val: perOutcome[outCanceled]},
-		{path: at("latency", "count"), val: all.Count},
-		{path: at("latency", "mean_ms"), val: meanMS},
-	}...)
-	for i, n := range all.Buckets {
-		rows = append(rows, metricRow{path: at("latency", "buckets_ms", upperBound(i, 1)), val: n})
 	}
 	stage := metricRow{name: "ndss_stage_duration_seconds", typ: "histogram", help: "Per-query pipeline stage latency (executed queries)."}
 	for i, name := range search.StageNames {
-		rows = append(rows, stage.series(labelPairs("stage", name), at("stages", name), m.stages[i].Load()))
+		rows = append(rows, stage.series(labelPairs("stage", name), m.stages[i].Load()))
 	}
 
-	hits, misses := perOutcome[outCached], m.cacheMisses.Load()
-	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
-	}
 	var cacheLen, cacheCap int64
 	if s.cache != nil {
 		cacheLen, cacheCap = int64(s.cache.len()), int64(s.cfg.CacheEntries)
@@ -273,57 +219,41 @@ func (s *Server) scrape() []metricRow {
 	buildID, meta, ios := b.BuildID(), b.Meta(), b.IOStats()
 	slowest, retained := s.rec.counts()
 	rows = append(rows, []metricRow{
-		{name: "ndss_cache_hits_total", typ: "counter", help: "Result cache hits.",
-			path: at("cache", "hits"), val: hits},
-		{name: "ndss_cache_misses_total", typ: "counter", help: "Result cache misses.",
-			path: at("cache", "misses"), val: misses},
-		{path: at("cache", "hit_rate"), val: hitRate},
-		{name: "ndss_cache_entries", typ: "gauge", help: "Result cache current entries.",
-			path: at("cache", "size"), val: cacheLen},
-		{name: "ndss_cache_capacity", typ: "gauge", help: "Result cache capacity.",
-			path: at("cache", "capacity"), val: cacheCap},
-		reloads.series(labelPairs("result", "ok"), at("reloads", "completed"), m.reloads.Load()),
-		reloads.series(labelPairs("result", "error"), at("reloads", "failed"), m.reloadFailures.Load()),
-		{name: "ndss_ingests_total", typ: "counter", help: "Successful ingest mutations (segment appends).",
-			path: at("segments", "ingests"), val: m.ingests.Load()},
+		{name: "ndss_cache_hits_total", typ: "counter", help: "Result cache hits.", val: hits},
+		{name: "ndss_cache_misses_total", typ: "counter", help: "Result cache misses.", val: m.cacheMisses.Load()},
+		{name: "ndss_cache_entries", typ: "gauge", help: "Result cache current entries.", val: cacheLen},
+		{name: "ndss_cache_capacity", typ: "gauge", help: "Result cache capacity.", val: cacheCap},
+		reloads.series(labelPairs("result", "ok"), m.reloads.Load()),
+		reloads.series(labelPairs("result", "error"), m.reloadFailures.Load()),
+		{name: "ndss_ingests_total", typ: "counter", help: "Successful ingest mutations (segment appends).", val: m.ingests.Load()},
 		{name: "ndss_compactions_total", typ: "counter", help: "Successful segment compactions (manual or automatic).",
-			path: at("segments", "compactions"), val: m.compactions.Load()},
-		{name: "ndss_query_matches_total", typ: "counter", help: "Matches returned by executed queries.",
-			path: at("query", "matches"), val: m.matches.Load()},
-		{name: "ndss_query_io_bytes_total", typ: "counter", help: "Index bytes read by executed queries.",
-			path: at("query", "io_bytes"), val: m.ioBytes.Load()},
+			val: m.compactions.Load()},
+		{name: "ndss_query_matches_total", typ: "counter", help: "Matches returned by executed queries.", val: m.matches.Load()},
+		{name: "ndss_query_io_bytes_total", typ: "counter", help: "Index bytes read by executed queries.", val: m.ioBytes.Load()},
 		{name: "ndss_query_io_seconds_total", typ: "counter", help: "Time executed queries spent in index reads.",
-			path: at("query", "io_time_ns"), val: m.ioTimeNS.Load(), ns: true},
+			val: m.ioTimeNS.Load(), ns: true},
 		{name: "ndss_query_cpu_seconds_total", typ: "counter", help: "CPU-side time of executed queries (total minus I/O).",
-			path: at("query", "cpu_time_ns"), val: m.cpuTimeNS.Load(), ns: true},
-		// The JSON index object keeps this member order.
-		{path: at("index", "build_id"), val: buildID},
-		{path: at("index", "k"), val: int64(meta.K)},
-		{path: at("index", "t"), val: int64(meta.T)},
+			val: m.cpuTimeNS.Load(), ns: true},
 		{name: "ndss_index_info", typ: "gauge", help: "Active index build (constant 1, labeled).",
 			labels: labelPairs("build_id", buildID, "k", strconv.Itoa(meta.K), "t", strconv.Itoa(meta.T)), val: int64(1)},
-		{name: "ndss_index_texts", typ: "gauge", help: "Texts in the active index.",
-			path: at("index", "num_texts"), val: int64(meta.NumTexts)},
-		{name: "ndss_segments_total", typ: "gauge", help: "Segments in the active index's manifest.",
-			path: at("index", "segments"), val: int64(segmentCount(b))},
-		{name: "ndss_index_bytes_read_total", typ: "counter", help: "Cumulative index bytes read since open.",
-			path: at("index", "bytes_read"), val: ios.BytesRead},
+		{name: "ndss_index_texts", typ: "gauge", help: "Texts in the active index.", val: int64(meta.NumTexts)},
+		{name: "ndss_segments_total", typ: "gauge", help: "Segments in the active index's manifest.", val: int64(segmentCount(b))},
+		{name: "ndss_index_bytes_read_total", typ: "counter", help: "Cumulative index bytes read since open.", val: ios.BytesRead},
 		{name: "ndss_index_read_seconds_total", typ: "counter", help: "Cumulative index read time since open.",
-			path: at("index", "read_time_ns"), val: int64(ios.ReadTime), ns: true},
+			val: int64(ios.ReadTime), ns: true},
 		{name: "ndss_slowlog_entries", typ: "gauge", help: "Traces held by the slow-query flight recorder.",
 			val: int64(slowest)},
 		// Distributed-tracing families are in every scrape, zero-valued
 		// when tracing never fired.
 		{name: "ndss_trace_sampled_requests_total", typ: "counter", help: "Executed queries whose trace was head-sampled.",
-			path: at("trace", "sampled"), val: m.traceSampled.Load()},
+			val: m.traceSampled.Load()},
 		retainedBy,
 		{name: "ndss_trace_store_entries", typ: "gauge", help: "Traces currently held by the trace store.",
 			val: int64(retained)},
-		{name: "ndss_trace_evictions_total", typ: "counter", help: "Retained traces evicted by ring capacity.",
-			path: at("trace", "evicted"), val: m.traceEvicted.Load()},
+		{name: "ndss_trace_evictions_total", typ: "counter", help: "Retained traces evicted by ring capacity.", val: m.traceEvicted.Load()},
 	}...)
 	for i, reason := range traceReasons {
-		rows = append(rows, retainedBy.series(labelPairs("reason", reason), at("trace", "retained", reason), m.traceRetained[i].Load()))
+		rows = append(rows, retainedBy.series(labelPairs("reason", reason), m.traceRetained[i].Load()))
 	}
 
 	// A sharded backend (the scatter–gather coordinator) adds its
@@ -335,20 +265,14 @@ func (s *Server) scrape() []metricRow {
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	// The JSON runtime object keeps this member order.
 	return append(rows, []metricRow{
-		{name: "go_goroutines", typ: "gauge", help: "Number of goroutines.",
-			path: at("runtime", "goroutines"), val: int64(runtime.NumGoroutine())},
-		{name: "go_memstats_heap_alloc_bytes", typ: "gauge", help: "Heap bytes allocated and in use.",
-			path: at("runtime", "heap_alloc_bytes"), val: int64(ms.HeapAlloc)},
-		{name: "go_memstats_heap_sys_bytes", typ: "gauge", help: "Heap bytes obtained from the OS.",
-			path: at("runtime", "heap_sys_bytes"), val: int64(ms.HeapSys)},
-		{name: "go_memstats_heap_objects", typ: "gauge", help: "Allocated heap objects.",
-			path: at("runtime", "heap_objects"), val: int64(ms.HeapObjects)},
+		{name: "go_goroutines", typ: "gauge", help: "Number of goroutines.", val: int64(runtime.NumGoroutine())},
+		{name: "go_memstats_heap_alloc_bytes", typ: "gauge", help: "Heap bytes allocated and in use.", val: int64(ms.HeapAlloc)},
+		{name: "go_memstats_heap_sys_bytes", typ: "gauge", help: "Heap bytes obtained from the OS.", val: int64(ms.HeapSys)},
+		{name: "go_memstats_heap_objects", typ: "gauge", help: "Allocated heap objects.", val: int64(ms.HeapObjects)},
 		{name: "go_gc_pause_seconds_total", typ: "counter", help: "Cumulative GC stop-the-world pause time.",
-			path: at("runtime", "gc_pause_total_ns"), val: int64(ms.PauseTotalNs), ns: true},
-		{name: "go_gc_cycles_total", typ: "counter", help: "Completed GC cycles.",
-			path: at("runtime", "num_gc"), val: int64(ms.NumGC)},
+			val: int64(ms.PauseTotalNs), ns: true},
+		{name: "go_gc_cycles_total", typ: "counter", help: "Completed GC cycles.", val: int64(ms.NumGC)},
 	}...)
 }
 
@@ -364,50 +288,44 @@ func shardRows(sm shard.Metrics) []metricRow {
 		requests,
 		errs,
 		{name: "ndss_shard_partial_results_total", typ: "counter", help: "Queries answered with at least one shard missing.",
-			path: at("shards", "partial_results"), val: sm.PartialResults},
+			val: sm.PartialResults},
 		latency,
 	}
-	for i, sh := range sm.Shards {
-		shardAt := func(keys ...any) []any { return append(at("shards", "shards", i), keys...) }
+	for _, sh := range sm.Shards {
 		label := labelPairs("shard", sh.Shard)
-		leg := latency.series(label, shardAt("latency"), sh.Latency)
-		if sh.Latency.Count == 0 {
-			leg.name = "" // keep the exposition compact: only shards that served
-		}
 		rows = append(rows,
-			metricRow{path: shardAt("shard"), val: sh.Shard},
-			metricRow{path: shardAt("build_id"), val: sh.BuildID},
-			requests.series(label, shardAt("requests"), sh.Requests),
-			errs.series(label, shardAt("errors"), sh.Errors),
-			leg)
+			metricRow{name: "ndss_shard_info", typ: "gauge", help: "Build each shard serves (constant 1, labeled).",
+				labels: labelPairs("shard", sh.Shard, "build_id", sh.BuildID), val: int64(1)},
+			requests.series(label, sh.Requests),
+			errs.series(label, sh.Errors))
+		if sh.Latency.Count > 0 { // keep the exposition compact: only shards that served
+			rows = append(rows, latency.series(label, sh.Latency))
+		}
 		rs := sh.ReplicaSet
 		if rs == nil {
 			continue
 		}
-		for j, r := range rs.Replicas {
-			replicaAt := func(key string) []any { return shardAt("replicas", j, key) }
+		for _, r := range rs.Replicas {
 			label := labelPairs("shard", sh.Shard, "replica", r.Replica)
 			rows = append(rows, []metricRow{
-				{path: replicaAt("replica"), val: r.Replica},
-				{path: replicaAt("build_id"), val: r.BuildID},
+				{name: "ndss_shard_replica_info", typ: "gauge", help: "Build each replica serves (constant 1, labeled).",
+					labels: labelPairs("shard", sh.Shard, "replica", r.Replica, "build_id", r.BuildID), val: int64(1)},
 				{name: "ndss_shard_replica_requests_total", typ: "counter", help: "Attempts launched at each replica (primaries, retries, hedges).",
-					labels: label, path: replicaAt("requests"), val: r.Requests},
+					labels: label, val: r.Requests},
 				{name: "ndss_shard_replica_errors_total", typ: "counter", help: "Attempts that failed at each replica (cancellations excluded).",
-					labels: label, path: replicaAt("errors"), val: r.Errors},
+					labels: label, val: r.Errors},
 				{name: "ndss_shard_retries_total", typ: "counter", help: "Retry attempts routed to each replica after a transient failure elsewhere.",
-					labels: label, path: replicaAt("retries"), val: r.Retries},
+					labels: label, val: r.Retries},
 				{name: "ndss_shard_hedges_total", typ: "counter", help: "Hedged (speculative) attempts routed to each replica.",
-					labels: label, path: replicaAt("hedges"), val: r.Hedges},
+					labels: label, val: r.Hedges},
 				{name: "ndss_shard_breaker_state", typ: "gauge", help: "Replica circuit-breaker state: 0 closed, 2 open.",
-					labels: label, path: replicaAt("breaker"), val: r.Breaker},
+					labels: label, val: int64(r.Breaker)},
 				{name: "ndss_shard_replica_quarantined", typ: "gauge", help: "1 while the replica is quarantined for a diverging build id.",
-					labels: label, path: replicaAt("quarantined"), val: r.Quarantined},
+					labels: label, val: r.Quarantined},
 			}...)
 		}
-		rows = append(rows, []metricRow{
-			{name: "ndss_shard_hedge_wins_total", typ: "counter", help: "Legs won by the hedged attempt.",
-				labels: label, path: shardAt("hedge_wins"), val: rs.HedgeWins},
-		}...)
+		rows = append(rows, metricRow{name: "ndss_shard_hedge_wins_total", typ: "counter", help: "Legs won by the hedged attempt.",
+			labels: label, val: rs.HedgeWins})
 	}
 	return rows
 }

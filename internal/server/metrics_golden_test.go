@@ -14,7 +14,7 @@ import (
 	"ndss/internal/shard"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the /metrics goldens under testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the /metrics golden under testdata/")
 
 // goldenBackend is a stub backend with fixed I/O counters, a segment
 // count and a literal shard snapshot: one plain shard and one shard
@@ -99,52 +99,34 @@ func goldenServer(t *testing.T) *Server {
 	return srv
 }
 
-// goldenMasks blank what a fixed state cannot fix: the uptime, the Go
-// runtime gauges (JSON "runtime" object, exposition go_* samples).
-var goldenMasks = []struct {
-	re   *regexp.Regexp
-	with string
-}{
-	{regexp.MustCompile(`"uptime_seconds":[^,}]*`), `"uptime_seconds":"<masked>"`},
-	{regexp.MustCompile(`"runtime":\{[^}]*\}`), `"runtime":"<masked>"`},
-	{regexp.MustCompile(`(?m)^(ndss_uptime_seconds|go_[a-z_]+) .*$`), `$1 <masked>`},
-}
+// goldenMask blanks what a fixed state cannot fix: the uptime and the
+// Go runtime gauges.
+var goldenMask = regexp.MustCompile(`(?m)^(ndss_uptime_seconds|go_[a-z_]+) .*$`)
 
-// TestMetricsGolden pins both /metrics renderings byte for byte. Run
-// with -update to rewrite testdata/metrics.{json,prom} after a
-// deliberate format change.
+// TestMetricsGolden pins the /metrics exposition byte for byte. Run
+// with -update to rewrite testdata/metrics.prom after a deliberate
+// format change.
 func TestMetricsGolden(t *testing.T) {
 	srv := goldenServer(t)
-	for _, tc := range []struct{ file, accept string }{
-		{"metrics.json", "application/json"},
-		{"metrics.prom", ""},
-	} {
-		req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-		if tc.accept != "" {
-			req.Header.Set("Accept", tc.accept)
-		}
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d", tc.file, rec.Code)
-		}
-		got := rec.Body.Bytes()
-		for _, m := range goldenMasks {
-			got = m.re.ReplaceAll(got, []byte(m.with))
-		}
-		path := filepath.Join("testdata", tc.file)
-		if *updateGolden {
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d", rec.Code)
+	}
+	parsePromExposition(t, rec.Body.String())
+	got := goldenMask.ReplaceAll(rec.Body.Bytes(), []byte(`$1 <masked>`))
+	path := filepath.Join("testdata", "metrics.prom")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != string(want) {
-			t.Errorf("%s differs from the golden (run with -update after a deliberate change)\n--- got ---\n%s", tc.file, got)
-		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("metrics.prom differs from the golden (run with -update after a deliberate change)\n--- got ---\n%s", got)
 	}
 }

@@ -56,32 +56,33 @@ func checkCells(t *testing.T, ts *httptest.Server, srv *Server, want map[string]
 	}
 }
 
-// checkJSONCounters pins the JSON /metrics "requests" block — every key,
-// zero unless named in want — and the cache hit/miss counters.
-func checkJSONCounters(t *testing.T, ts *httptest.Server, want map[string]int64, hits, misses int64) {
+// checkCounters pins the request counters of ts's /metrics — every
+// entry zero unless named in want — and the cache hit/miss counters.
+// "total", an endpoint and an outcome name sums of ndss_requests_total;
+// the other entries name the ndss_requests_<entry>_total counters.
+func checkCounters(t *testing.T, ts *httptest.Server, want map[string]int64, hits, misses int64) {
 	t.Helper()
-	resp := getMetricsJSON(t, ts.Client(), ts.URL)
-	defer resp.Body.Close()
-	var met struct {
-		Requests map[string]int64 `json:"requests"`
-		Cache    struct {
-			Hits   int64 `json:"hits"`
-			Misses int64 `json:"misses"`
-		} `json:"cache"`
+	samples := scrapeMetrics(t, ts)
+	got := map[string]int64{"total": sumSamples(samples, "ndss_requests_total", nil)}
+	for _, ep := range endpointNames {
+		got[ep] = sumSamples(samples, "ndss_requests_total", map[string]string{"endpoint": ep})
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
+	for _, out := range []string{"timeout", "canceled"} {
+		got[out] = sumSamples(samples, "ndss_requests_total", map[string]string{"outcome": out})
+	}
+	for _, c := range []string{"rejected", "refused", "bad_request", "too_large", "internal_error"} {
+		got[c] = sumSamples(samples, "ndss_requests_"+c+"_total", nil)
 	}
 	full := map[string]int64{}
-	for _, k := range []string{"total", "search", "topk", "explain", "rejected", "refused",
-		"bad_request", "too_large", "timeout", "canceled", "internal_error"} {
+	for k := range got {
 		full[k] = want[k]
 	}
-	if !reflect.DeepEqual(met.Requests, full) {
-		t.Errorf("JSON requests = %v, want %v", met.Requests, full)
+	if !reflect.DeepEqual(got, full) {
+		t.Errorf("request counters = %v, want %v", got, full)
 	}
-	if met.Cache.Hits != hits || met.Cache.Misses != misses {
-		t.Errorf("JSON cache hits/misses = %d/%d, want %d/%d", met.Cache.Hits, met.Cache.Misses, hits, misses)
+	gotHits, gotMisses := sumSamples(samples, "ndss_cache_hits_total", nil), sumSamples(samples, "ndss_cache_misses_total", nil)
+	if gotHits != hits || gotMisses != misses {
+		t.Errorf("cache hits/misses = %d/%d, want %d/%d", gotHits, gotMisses, hits, misses)
 	}
 }
 
@@ -152,7 +153,7 @@ func TestLatencyAccounting(t *testing.T) {
 		checkCells(t, ts, srv, map[string]int64{
 			"search/ok": 1, "search/cached": 1, "topk/ok": 1, "explain/ok": 1,
 		})
-		checkJSONCounters(t, ts, map[string]int64{
+		checkCounters(t, ts, map[string]int64{
 			"total": 4, "search": 2, "topk": 1, "explain": 1, "bad_request": 3,
 		}, 1, 2)
 	})
@@ -169,7 +170,7 @@ func TestLatencyAccounting(t *testing.T) {
 			t.Fatalf("status %d, want 504", resp.StatusCode)
 		}
 		checkCells(t, ts, srv, map[string]int64{"search/timeout": 1})
-		checkJSONCounters(t, ts, map[string]int64{"total": 1, "search": 1, "timeout": 1}, 0, 0)
+		checkCounters(t, ts, map[string]int64{"total": 1, "search": 1, "timeout": 1}, 0, 0)
 	})
 
 	t.Run("backend_error", func(t *testing.T) {
@@ -185,7 +186,7 @@ func TestLatencyAccounting(t *testing.T) {
 			t.Fatalf("status %d, want 500", resp.StatusCode)
 		}
 		checkCells(t, ts, srv, map[string]int64{"search/internal": 1})
-		checkJSONCounters(t, ts, map[string]int64{"total": 1, "search": 1, "internal_error": 1}, 0, 0)
+		checkCounters(t, ts, map[string]int64{"total": 1, "search": 1, "internal_error": 1}, 0, 0)
 	})
 
 	t.Run("saturated_not_observed", func(t *testing.T) {
@@ -211,7 +212,7 @@ func TestLatencyAccounting(t *testing.T) {
 		<-done
 
 		checkCells(t, ts, srv, map[string]int64{"search/ok": 1})
-		checkJSONCounters(t, ts, map[string]int64{"total": 1, "search": 1, "rejected": 1}, 0, 0)
+		checkCounters(t, ts, map[string]int64{"total": 1, "search": 1, "rejected": 1}, 0, 0)
 	})
 }
 

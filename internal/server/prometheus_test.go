@@ -220,23 +220,39 @@ func checkPromHistograms(t *testing.T, types map[string]string, samples []promSa
 	}
 }
 
+// findSample returns the first sample of name whose labels include
+// labels.
 func findSample(samples []promSample, name string, labels map[string]string) (promSample, bool) {
 	for _, s := range samples {
-		if s.name != name {
-			continue
-		}
-		match := true
-		for k, v := range labels {
-			if s.labels[k] != v {
-				match = false
-				break
-			}
-		}
-		if match {
+		if s.matches(name, labels) {
 			return s, true
 		}
 	}
 	return promSample{}, false
+}
+
+// sumSamples adds up every sample of name whose labels include labels
+// (with nil labels, the whole family).
+func sumSamples(samples []promSample, name string, labels map[string]string) int64 {
+	var sum float64
+	for _, s := range samples {
+		if s.matches(name, labels) {
+			sum += s.value
+		}
+	}
+	return int64(sum)
+}
+
+func (s promSample) matches(name string, labels map[string]string) bool {
+	if s.name != name {
+		return false
+	}
+	for k, v := range labels {
+		if s.labels[k] != v {
+			return false
+		}
+	}
+	return true
 }
 
 // TestMetricsPrometheusExposition runs a small workload and validates
@@ -333,18 +349,33 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsContentNegotiation: JSON is served only to clients that
-// ask for it; scrapers get the exposition format.
+// TestMetricsContentNegotiation: the exposition is the only rendering;
+// a client that asks for JSON gets it too.
 func TestMetricsContentNegotiation(t *testing.T) {
 	_, engine, _ := testFixture(t)
 	srv := New(engine, Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	mresp := getMetricsJSON(t, ts.Client(), ts.URL)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/json")
+	mresp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer mresp.Body.Close()
-	if ct := mresp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("JSON content type = %q", ct)
+	if ct := mresp.Header.Get("Content-Type"); ct != promContentType {
+		t.Fatalf("content type = %q, want %q", ct, promContentType)
+	}
+	raw, err := io.ReadAll(mresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := findSample(parsePromExposition(t, string(raw)), "ndss_index_info", nil); !ok {
+		t.Error("Accept: application/json scrape lacks ndss_index_info")
 	}
 }
 

@@ -106,20 +106,12 @@ func TestReloadSwapsBuild(t *testing.T) {
 	}
 
 	// Metrics report the reload and the new build.
-	mresp := getMetricsJSON(t, ts.Client(), ts.URL)
-	defer mresp.Body.Close()
-	var met struct {
-		Reloads map[string]int64 `json:"reloads"`
-		Index   indexSnapshot    `json:"index"`
+	ix := metricsSnapshot(t, ts)
+	if ix.Reloaded != 1 {
+		t.Fatalf("metrics reloads = %d, want 1", ix.Reloaded)
 	}
-	if err := json.NewDecoder(mresp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
-	}
-	if met.Reloads["completed"] != 1 {
-		t.Fatalf("metrics reloads = %v", met.Reloads)
-	}
-	if met.Index.BuildID != newID {
-		t.Fatalf("metrics build id %q, want %q", met.Index.BuildID, newID)
+	if ix.BuildID != newID {
+		t.Fatalf("metrics build id %q, want %q", ix.BuildID, newID)
 	}
 }
 
@@ -193,22 +185,18 @@ func TestMetricsScrapeDuringReload(t *testing.T) {
 	)
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func(asJSON bool) {
+		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-				if asJSON {
-					req.Header.Set("Accept", "application/json")
-				}
 				rec := httptest.NewRecorder()
-				srv.ServeHTTP(rec, req)
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 				if rec.Code != http.StatusOK {
 					t.Errorf("scrape: status %d", rec.Code)
 					return
 				}
 				scrapes.Add(1)
 			}
-		}(i%2 == 0)
+		}()
 	}
 	for i := 0; i < 200; i++ {
 		if _, _, err := srv.Reload(); err != nil {

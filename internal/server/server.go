@@ -12,10 +12,9 @@
 //	                     alone)
 //	GET  /healthz        liveness; 503 once shutdown has begun; reports
 //	                     the active index build id
-//	GET  /metrics        Prometheus text exposition (default) or the JSON
-//	                     counters for Accept: application/json: requests,
-//	                     per-endpoint and per-stage latency histograms,
-//	                     cache hit rate, Go runtime gauges
+//	GET  /metrics        Prometheus text exposition: requests, per-endpoint
+//	                     and per-stage latency histograms, cache, index,
+//	                     shard and Go runtime series
 //	GET  /debug/slowlog  the flight recorder's stage-annotated records of
 //	                     the slowest and most recent queries
 //	GET  /debug/trace/{request_id}
@@ -50,7 +49,8 @@
 // swap in a rebuilt index with zero failed requests: new queries land
 // on the new backend immediately, in-flight queries drain on the old
 // one, and only then is the old backend closed and the result cache
-// flushed.
+// flushed. Shutdown is BeginShutdown, http.Server.Shutdown, then Close,
+// which waits for a background compaction and closes the last backend.
 package server
 
 import (
@@ -167,9 +167,9 @@ func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
 func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // Server is the HTTP query service. Create with New, serve via any
-// http.Server (it implements http.Handler), and call BeginShutdown
-// before http.Server.Shutdown so health checks fail first and new
-// queries are refused while in-flight ones drain.
+// http.Server (it implements http.Handler), call BeginShutdown before
+// http.Server.Shutdown so health checks fail first and new queries are
+// refused while in-flight ones drain, and Close once Shutdown returns.
 type Server struct {
 	mu     sync.RWMutex   // guards handle swaps
 	handle *backendHandle // guarded by mu; current backend + its in-flight refcount
@@ -177,8 +177,9 @@ type Server struct {
 	reloadMu sync.Mutex // serializes Reload calls
 	mutateMu sync.Mutex // serializes index mutations (ingest/compact)
 
-	compacting atomic.Bool    // single-flight guard for auto-compaction
-	compactWG  sync.WaitGroup // tracks the background compaction goroutine
+	lifeMu      sync.Mutex
+	closed      bool          // guarded by lifeMu; set once by Close
+	compactDone chan struct{} // guarded by lifeMu; open while a background compaction runs
 
 	cfg     Config
 	sem     chan struct{}
@@ -274,7 +275,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // BeginShutdown flips the server into draining mode: /healthz reports
 // 503 (load balancers stop routing here) and new query requests are
 // refused, while requests already executing run to completion. Pair
-// with http.Server.Shutdown, which waits for the in-flight ones.
+// with http.Server.Shutdown, which waits for the in-flight ones, then
+// Close.
 func (s *Server) BeginShutdown() { s.closing.Store(true) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

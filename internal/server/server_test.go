@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -52,49 +53,39 @@ func openDB(t testing.TB, dir string, src search.TextSource) *ndss.DB {
 	return db
 }
 
-// getMetricsJSON fetches /metrics with the Accept header that selects
-// the JSON rendering (the default is Prometheus text exposition).
-func getMetricsJSON(t *testing.T, client *http.Client, baseURL string) *http.Response {
+// scrapeMetrics fetches ts's /metrics and parses it with the
+// exposition line-format checker.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) []promSample {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, baseURL+"/metrics", nil)
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", "application/json")
-	resp, err := client.Do(req)
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp
+	return parsePromExposition(t, string(raw))
 }
 
-// awaitRequests polls the JSON /metrics until its request total reaches
-// want, failing the test after five seconds. The server observes an
-// admitted request's latency, which every per-endpoint and per-outcome
-// request counter and the latency count derive from, in a deferred call
-// that runs after the response is written: a client can read its last
-// response before /metrics counts it. A test that pins those counters
-// right after a response waits here first.
+// awaitRequests polls /metrics until ndss_requests_total sums to want,
+// failing the test after five seconds. The server observes an admitted
+// request's latency, which every per-endpoint and per-outcome request
+// counter derives from, in a deferred call that runs after the response
+// is written: a client can read its last response before /metrics
+// counts it. A test that pins those counters right after a response
+// waits here first.
 func awaitRequests(t *testing.T, ts *httptest.Server, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var met struct {
-			Requests struct {
-				Total int64 `json:"total"`
-			} `json:"requests"`
-		}
-		resp := getMetricsJSON(t, ts.Client(), ts.URL)
-		err := json.NewDecoder(resp.Body).Decode(&met)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if met.Requests.Total >= want {
+		total := sumSamples(scrapeMetrics(t, ts), "ndss_requests_total", nil)
+		if total >= want {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("/metrics counts %d requests after 5s, want %d", met.Requests.Total, want)
+			t.Fatalf("/metrics counts %d requests after 5s, want %d", total, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -210,20 +201,10 @@ func TestServeCacheHit(t *testing.T) {
 		t.Fatal("different theta served from cache")
 	}
 
-	var met struct {
-		Cache struct {
-			Hits    int64   `json:"hits"`
-			Misses  int64   `json:"misses"`
-			HitRate float64 `json:"hit_rate"`
-		} `json:"cache"`
-	}
-	mresp := getMetricsJSON(t, ts.Client(), ts.URL)
-	if err := json.NewDecoder(mresp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	if met.Cache.Hits != 1 || met.Cache.Misses != 2 {
-		t.Fatalf("cache counters hits=%d misses=%d", met.Cache.Hits, met.Cache.Misses)
+	samples := scrapeMetrics(t, ts)
+	hits, misses := sumSamples(samples, "ndss_cache_hits_total", nil), sumSamples(samples, "ndss_cache_misses_total", nil)
+	if hits != 1 || misses != 2 {
+		t.Fatalf("cache counters hits=%d misses=%d", hits, misses)
 	}
 }
 
@@ -315,22 +296,11 @@ func TestServeConcurrentSearches(t *testing.T) {
 	}
 
 	awaitRequests(t, ts, 32)
-	var met struct {
-		Requests struct {
-			Total  int64 `json:"total"`
-			Search int64 `json:"search"`
-		} `json:"requests"`
-		Latency struct {
-			Count int64 `json:"count"`
-		} `json:"latency"`
-	}
-	mresp := getMetricsJSON(t, ts.Client(), ts.URL)
-	if err := json.NewDecoder(mresp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	if met.Requests.Search != 32 || met.Latency.Count != 32 {
-		t.Fatalf("metrics after 32 searches: %+v", met)
+	samples := scrapeMetrics(t, ts)
+	searches := sumSamples(samples, "ndss_requests_total", map[string]string{"endpoint": "search"})
+	observed := sumSamples(samples, "ndss_request_duration_seconds_count", nil)
+	if searches != 32 || observed != 32 {
+		t.Fatalf("metrics after 32 searches: %d search requests, %d latency observations", searches, observed)
 	}
 }
 
@@ -485,18 +455,8 @@ func TestServeDeadlineExpiry(t *testing.T) {
 	}
 
 	awaitRequests(t, ts, 1)
-	var met struct {
-		Requests struct {
-			Timeout int64 `json:"timeout"`
-		} `json:"requests"`
-	}
-	mresp := getMetricsJSON(t, ts.Client(), ts.URL)
-	if err := json.NewDecoder(mresp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	if met.Requests.Timeout != 1 {
-		t.Fatalf("timeout counter = %d, want 1", met.Requests.Timeout)
+	if n := sumSamples(scrapeMetrics(t, ts), "ndss_requests_total", map[string]string{"outcome": "timeout"}); n != 1 {
+		t.Fatalf("timeout counter = %d, want 1", n)
 	}
 }
 
@@ -643,15 +603,17 @@ func TestServeBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /search status %d, want 405", resp.StatusCode)
 	}
-	// Unknown fields rejected.
-	r2, err := ts.Client().Post(ts.URL+"/search", "application/json",
-		bytes.NewReader([]byte(`{"tokens":[1,2],"theta":0.5,"bogus":1}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field status %d, want 400", r2.StatusCode)
+	// Unknown fields rejected, the retired plan knobs among them.
+	for _, field := range []string{`"bogus":1`, `"long_list_threshold":100`, `"cost_based":true`} {
+		r2, err := ts.Client().Post(ts.URL+"/search", "application/json",
+			strings.NewReader(`{"tokens":[1,2],"theta":0.5,`+field+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2.Body.Close()
+		if r2.StatusCode != http.StatusBadRequest {
+			t.Fatalf("unknown field %s: status %d, want 400", field, r2.StatusCode)
+		}
 	}
 	// Top-k without n.
 	resp, body := postJSON(t, ts.Client(), ts.URL+"/search/topk", wire.Request{Tokens: q, Theta: 0.5})
@@ -722,7 +684,7 @@ func TestExplainHonoursDeadline(t *testing.T) {
 		}
 	}
 	checkCells(t, ts, srv, map[string]int64{"explain/timeout": 2})
-	checkJSONCounters(t, ts, map[string]int64{"total": 2, "explain": 2, "timeout": 2}, 0, 0)
+	checkCounters(t, ts, map[string]int64{"total": 2, "explain": 2, "timeout": 2}, 0, 0)
 }
 
 // TestServeHugeTimeoutCapped: a timeout_ms too large for a Duration is
@@ -819,48 +781,6 @@ func TestServeExplainGetStrict(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s (theta=%q tokens=%q): status %d, want %d", tc.name, tc.theta, tc.tokens, resp.StatusCode, tc.want)
-		}
-	}
-}
-
-// TestServeIgnoresRetiredPlanFields: long_list_threshold and cost_based
-// are accepted and ignored (the build-time cutoff alone decides
-// deferral), so a request carrying them is answered exactly like the
-// same request without them, not refused as carrying unknown fields.
-func TestServeIgnoresRetiredPlanFields(t *testing.T) {
-	_, engine, q := testFixture(t)
-	srv := New(engine, Config{CacheEntries: -1})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	for _, path := range []string{"/search", "/search/topk", "/explain"} {
-		plain := wire.Request{Tokens: q, Theta: 0.5, PrefixFilter: true}
-		if path == "/search/topk" {
-			plain.N = 3
-		}
-		retired := plain
-		retired.LongListThreshold, retired.CostBased = 1<<20, true
-		var bodies [2][]byte
-		for i, req := range []wire.Request{plain, retired} {
-			resp, body := postJSON(t, ts.Client(), ts.URL+path, req)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s: status %d (%s)", path, resp.StatusCode, body)
-			}
-			bodies[i] = body
-		}
-		if path != "/explain" {
-			// Timings differ from run to run; everything else must not.
-			for i := range bodies {
-				var r wire.Response
-				if err := json.Unmarshal(bodies[i], &r); err != nil {
-					t.Fatal(err)
-				}
-				r.Stats.IOTime, r.Stats.CPUTime, r.Stats.Total, r.Stats.StageTimes = 0, 0, 0, search.StageTimes{}
-				bodies[i], _ = json.Marshal(r)
-			}
-		}
-		if !bytes.Equal(bodies[0], bodies[1]) {
-			t.Errorf("%s: retired fields changed the answer:\nwithout %s\nwith    %s", path, bodies[0], bodies[1])
 		}
 	}
 }

@@ -180,23 +180,16 @@ func TestShardedServerMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// The JSON rendering carries the same counters.
-	jresp := getMetricsJSON(t, shardedTS.Client(), shardedTS.URL)
-	defer jresp.Body.Close()
-	var met struct {
-		Shards struct {
-			PartialResults int64 `json:"partial_results"`
-			Shards         []struct {
-				Shard    string `json:"shard"`
-				Requests int64  `json:"requests"`
-			} `json:"shards"`
-		} `json:"shards"`
+	// Each shard reports its build on the info family.
+	samples := parsePromExposition(t, text)
+	if n := sumSamples(samples, "ndss_shard_info", nil); n != 2 {
+		t.Errorf("ndss_shard_info sums to %d, want one series per shard", n)
 	}
-	if err := json.NewDecoder(jresp.Body).Decode(&met); err != nil {
-		t.Fatal(err)
+	if s, ok := findSample(samples, "ndss_shard_requests_total", map[string]string{"shard": "s0"}); !ok || s.value != 1 {
+		t.Errorf("ndss_shard_requests_total{shard=\"s0\"} = %v (present %v), want 1", s.value, ok)
 	}
-	if len(met.Shards.Shards) != 2 || met.Shards.Shards[0].Requests != 1 {
-		t.Errorf("JSON metrics shards = %+v", met.Shards)
+	if s, ok := findSample(samples, "ndss_shard_info", map[string]string{"shard": "s1"}); !ok || s.labels["build_id"] == "" {
+		t.Errorf("ndss_shard_info{shard=\"s1\"} = %+v (present %v), want a build_id label", s, ok)
 	}
 }
 

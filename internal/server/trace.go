@@ -47,10 +47,6 @@ func assembleFlight(q *queryRecord) []obs.FlightSpan {
 		return f.Spans()
 	}
 	root := f.Add("", q.tc.SpanIDString(), q.Endpoint, 0, dur)
-	if st.ShardsTotal == 0 {
-		f.Graft(root, q.Spans, 0)
-		return f.Spans()
-	}
 	for i := range st.PerShard {
 		ps := &st.PerShard[i]
 		legAttrs := []obs.Attr{{Key: "shard", Val: int64(i)}}
@@ -83,13 +79,9 @@ func assembleFlight(q *queryRecord) []obs.FlightSpan {
 		}
 		f.Graft(carrier, ps.Spans, carrierStart)
 	}
-	// The coordinator's own merge tail (its per-leg spans are already
-	// represented above, with their wire span ids).
-	for i := range q.Spans {
-		if q.Spans[i].Name == "shard_merge" {
-			f.Add(root, "", "shard_merge", q.Spans[i].Start, q.Spans[i].Dur)
-		}
-	}
+	// The backend's own spans: the engine's stages, or a coordinator's
+	// merge tail.
+	f.Graft(root, q.Spans, 0)
 	return f.Spans()
 }
 

@@ -106,7 +106,6 @@ func TestTraceTreeAssembly(t *testing.T) {
 	remote1 := tr.Snapshot(nil)
 
 	tr.Reset()
-	tr.Record("shard", time.Millisecond, 10*time.Millisecond) // coordinator leg span: ignored by assembly
 	tr.Record("shard_merge", 11*time.Millisecond, time.Millisecond)
 	coordSpans := tr.Snapshot(nil)
 

@@ -17,16 +17,6 @@ const (
 	BreakerOpen BreakerState = 2
 )
 
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	}
-	return "unknown"
-}
-
 // breaker is a consecutive-failure circuit breaker guarding one
 // replica:
 //

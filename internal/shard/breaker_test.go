@@ -43,19 +43,6 @@ func TestBreakerResetClosesFromAnyState(t *testing.T) {
 	}
 }
 
-func TestBreakerStateStrings(t *testing.T) {
-	cases := map[BreakerState]string{BreakerClosed: "closed", BreakerOpen: "open"}
-	for s, want := range cases {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
-		}
-	}
-	// The numeric values are the ndss_shard_breaker_state gauge encoding.
-	if BreakerClosed != 0 || BreakerOpen != 2 {
-		t.Error("breaker gauge encoding changed; update the /metrics docs")
-	}
-}
-
 func TestQuantileWindow(t *testing.T) {
 	var q quantileWindow
 	if q.quantile(0.95) != 0 {

@@ -325,34 +325,10 @@ func (c *Coordinator) merge(ctx context.Context, base time.Time, results []legRe
 	if st.Partial() {
 		c.partials.Add(1)
 	}
+	// The legs and their attempts are recorded once, in PerShard; the
+	// coordinator's own span is its merge tail.
 	if trace {
-		var tr obs.Trace
-		tr.Reset()
-		for i := range results {
-			r := &results[i]
-			id := tr.Record("shard", r.start, r.dur)
-			tr.Annotate(id, "shard", int64(i))
-			if r.stats != nil {
-				tr.Annotate(id, "io_bytes", r.stats.IOBytes)
-			}
-			// Extra replica attempts (retries and hedges) get their own
-			// spans, offset into the leg, so a traced slow query shows
-			// exactly where the leg's budget went.
-			for _, a := range st.PerShard[i].Attempts {
-				if a.Attempt == 0 {
-					continue
-				}
-				name := "shard_retry"
-				if a.Hedge {
-					name = "shard_hedge"
-				}
-				id := tr.Record(name, r.start+a.Start, a.Dur)
-				tr.Annotate(id, "attempt", int64(a.Attempt))
-				tr.Annotate(id, "replica", int64(a.ReplicaIdx))
-			}
-		}
-		tr.Record("shard_merge", mergeStart.Sub(base), mergeDur)
-		st.Spans = tr.Snapshot(nil)
+		st.Spans = []obs.Span{obs.NewSpan("shard_merge", mergeStart.Sub(base), mergeDur, nil)}
 	}
 	st.Total = time.Since(base)
 	return out, st, nil

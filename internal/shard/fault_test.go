@@ -223,9 +223,9 @@ func TestTopKTieOrderAcrossShards(t *testing.T) {
 	}
 }
 
-// TestPartialTraceAndStatsAggregation checks the merged stats carry the
-// summed counters of the answered shards and a shard-annotated span per
-// leg when tracing is on.
+// TestTraceAndStatsAggregation checks the merged stats carry the summed
+// counters of the answered shards, each leg once in PerShard on the
+// query's time axis, and, when tracing is on, the merge span alone.
 func TestTraceAndStatsAggregation(t *testing.T) {
 	s0 := newStubShard("s0", 10, search.Match{TextID: 1, Collisions: 5})
 	s1 := newStubShard("s1", 10, search.Match{TextID: 2, Collisions: 4})
@@ -241,19 +241,21 @@ func TestTraceAndStatsAggregation(t *testing.T) {
 	if st.K != 8 || st.Beta != 4 {
 		t.Fatalf("stats K/Beta = %d/%d, want the shards' 8/4", st.K, st.Beta)
 	}
-	shardSpans, mergeSpans := 0, 0
-	for _, sp := range st.Spans {
-		switch sp.Name {
-		case "shard":
-			shardSpans++
-		case "shard_merge":
-			mergeSpans++
-		}
-	}
-	if shardSpans != 2 || mergeSpans != 1 {
-		t.Fatalf("trace has %d shard spans and %d merge spans, want 2 and 1 (%+v)", shardSpans, mergeSpans, st.Spans)
+	if len(st.Spans) != 1 || st.Spans[0].Name != "shard_merge" {
+		t.Fatalf("coordinator spans = %+v, want the shard_merge span alone", st.Spans)
 	}
 	if st.Total <= 0 {
 		t.Fatal("merged stats carry no total time")
+	}
+	if len(st.PerShard) != 2 {
+		t.Fatalf("PerShard has %d legs, want 2", len(st.PerShard))
+	}
+	for i, ps := range st.PerShard {
+		if ps.Start < 0 || ps.Total <= 0 || ps.Start+ps.Total > st.Total {
+			t.Errorf("leg %d runs %v from %v, outside the query's %v", i, ps.Total, ps.Start, st.Total)
+		}
+		if ps.IOBytes != 100 {
+			t.Errorf("leg %d io_bytes = %d, want 100", i, ps.IOBytes)
+		}
 	}
 }

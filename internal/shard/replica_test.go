@@ -442,14 +442,14 @@ func TestReplicaSetThroughCoordinator(t *testing.T) {
 	if len(st.PerShard[1].Attempts) != 0 {
 		t.Fatalf("plain shard grew attempts: %+v", st.PerShard[1].Attempts)
 	}
-	retrySpans := 0
-	for _, sp := range st.Spans {
-		if sp.Name == "shard_retry" {
-			retrySpans++
-		}
+	// The retry is recorded once, on its leg: the second attempt, on
+	// the healthy replica, inside the leg's wall time.
+	leg := st.PerShard[0]
+	if a := leg.Attempts[1]; a.Attempt != 1 || a.Hedge || a.ReplicaIdx != 1 || a.Err != "" || a.Start+a.Dur > leg.Total {
+		t.Fatalf("retry attempt = %+v in a leg of %v, want attempt 1 winning on r1 inside the leg", a, leg.Total)
 	}
-	if retrySpans != 1 {
-		t.Fatalf("trace has %d shard_retry spans, want 1 (%+v)", retrySpans, st.Spans)
+	if leg.Start < 0 || leg.Total <= 0 || leg.Start+leg.Total > st.Total {
+		t.Fatalf("leg runs %v from %v, outside the query's %v", leg.Total, leg.Start, st.Total)
 	}
 
 	sm := c.ShardMetrics()

@@ -49,8 +49,6 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	dst = appendFloat(append(dst, `,"theta":`...), r.Theta)
 	dst = appendIntOmit(dst, `,"min_length":`, int64(r.MinLength))
 	dst = appendTrueOmit(dst, `,"prefix_filter":true`, r.PrefixFilter)
-	dst = appendIntOmit(dst, `,"long_list_threshold":`, int64(r.LongListThreshold))
-	dst = appendTrueOmit(dst, `,"cost_based":true`, r.CostBased)
 	dst = appendTrueOmit(dst, `,"verify":true`, r.Verify)
 	dst = appendIntOmit(dst, `,"timeout_ms":`, int64(r.TimeoutMS))
 	dst = appendIntOmit(dst, `,"n":`, int64(r.N))
@@ -586,10 +584,6 @@ func (d *decoder) request(r *Request) bool {
 			r.MinLength = d.int()
 		case "prefix_filter":
 			r.PrefixFilter = d.bool()
-		case "long_list_threshold":
-			r.LongListThreshold = d.int()
-		case "cost_based":
-			r.CostBased = d.bool()
 		case "verify":
 			r.Verify = d.bool()
 		case "timeout_ms":

@@ -63,7 +63,7 @@ func goldenResponses() []Response {
 
 func goldenRequests() []Request {
 	full := NewRequest([]uint32{1, 2, 4000000000}, search.Options{Theta: 0.8, MinLength: 30, PrefixFilter: true, Verify: true, Limit: 5})
-	full.LongListThreshold, full.CostBased, full.TimeoutMS, full.FloorTheta = 100, true, 250, 0.5
+	full.TimeoutMS, full.FloorTheta = 250, 0.5
 	return []Request{full, NewRequest([]uint32{1, 2}, search.Options{Theta: 0.5})}
 }
 

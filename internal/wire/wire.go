@@ -26,11 +26,7 @@ type Request struct {
 
 	MinLength    int  `json:"min_length,omitempty"`
 	PrefixFilter bool `json:"prefix_filter,omitempty"`
-	// LongListThreshold and CostBased are accepted and ignored, so the
-	// server's DisallowUnknownFields does not refuse old clients.
-	LongListThreshold int  `json:"long_list_threshold,omitempty"`
-	CostBased         bool `json:"cost_based,omitempty"`
-	Verify            bool `json:"verify,omitempty"`
+	Verify       bool `json:"verify,omitempty"`
 
 	// TimeoutMS bounds this request's execution; 0 selects the server
 	// default.

@@ -97,7 +97,6 @@ func TestGoldenBytes(t *testing.T) {
 	fullReq := NewRequest(q, search.Options{
 		Theta: 0.8, MinLength: 30, PrefixFilter: true, Verify: true, KeepRects: true, Trace: true,
 	})
-	fullReq.LongListThreshold, fullReq.CostBased = 100, true // accepted and ignored
 	fullReq.TimeoutMS, fullReq.N, fullReq.FloorTheta = 250, 5, 0.5
 
 	for _, tc := range []struct {
@@ -118,7 +117,7 @@ func TestGoldenBytes(t *testing.T) {
 		{"error without request id", Error{Error: "deadline exceeded"}, "{\"error\":\"deadline exceeded\"}\n"},
 		// The shard client marshals requests without the encoder's
 		// trailing newline.
-		{"full request", fullReq, "{\"tokens\":[1,2,4000000000],\"theta\":0.8,\"min_length\":30,\"prefix_filter\":true,\"long_list_threshold\":100,\"cost_based\":true,\"verify\":true,\"timeout_ms\":250,\"n\":5,\"floor_theta\":0.5}" + "\n"},
+		{"full request", fullReq, "{\"tokens\":[1,2,4000000000],\"theta\":0.8,\"min_length\":30,\"prefix_filter\":true,\"verify\":true,\"timeout_ms\":250,\"n\":5,\"floor_theta\":0.5}" + "\n"},
 		{"minimal request", NewRequest(q[:2], search.Options{Theta: 0.5}), "{\"tokens\":[1,2],\"theta\":0.5}" + "\n"},
 	} {
 		if got := encode(t, tc.v); got != tc.want {
