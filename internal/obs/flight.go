@@ -6,11 +6,11 @@ import (
 )
 
 // Flight assembly: one query's spans from every process it touched,
-// stitched into a single tree. The in-process Trace recorder stays
-// flat and id-free (recording must cost nanoseconds); ids and parent
-// links are attached here, after the query has completed, when the
-// serving edge grafts each leg's remote spans under the attempt that
-// carried them.
+// stitched into a single tree. The engine's span list stays flat and
+// id-free (only a traced query builds one, once, at its end); ids and
+// parent links are attached here, after the query has completed, when
+// the serving edge grafts each leg's remote spans under the attempt
+// that carried them.
 
 // FlightSpan is one node of an assembled cross-process trace tree.
 // Start is relative to the flight's root span (the query's arrival at
@@ -40,7 +40,7 @@ type Flight struct {
 // children can link to it.
 func (f *Flight) Add(parentID, spanID, name string, start, dur time.Duration, attrs ...Attr) string {
 	if spanID == "" {
-		spanID = mintSpanID()
+		spanID = mintID()
 	}
 	var as []Attr
 	if len(attrs) > 0 {
@@ -58,7 +58,7 @@ func (f *Flight) Add(parentID, spanID, name string, start, dur time.Duration, at
 }
 
 // Graft attaches a flat span list recorded by another clock domain —
-// a remote shard's Trace snapshot, or the local engine's — as children
+// a remote shard's span list, or the local engine's — as children
 // of parentID, shifting every start by offset onto the flight's time
 // axis. Names, durations, and attrs (io_bytes included) survive
 // verbatim.
@@ -75,9 +75,9 @@ func (f *Flight) Spans() []FlightSpan {
 	return f.spans
 }
 
-// mintSpanID generates a span id for spans that never crossed a
+// mintID generates a span id for spans that never crossed a
 // process boundary and therefore never needed one until assembly.
-func mintSpanID() string {
+func mintID() string {
 	var b [8]byte
 	for isZero(b[:]) {
 		fillRand(b[:])

@@ -17,13 +17,11 @@ func TestFlightAssembly(t *testing.T) {
 		t.Fatal("Add did not mint a span id")
 	}
 
-	// A remote trace snapshot: flat, id-free, on its own clock.
-	var tr Trace
-	tr.Reset()
-	tr.Record("sketch", 0, time.Millisecond)
-	id := tr.Record("gather", 2*time.Millisecond, 3*time.Millisecond)
-	tr.Annotate(id, "io_bytes", 4096)
-	remote := tr.Snapshot(nil)
+	// A remote span list: flat, id-free, on its own clock.
+	remote := []Span{
+		NewSpan("sketch", 0, time.Millisecond, nil),
+		NewSpan("gather", 2*time.Millisecond, 3*time.Millisecond, []Attr{{Key: "io_bytes", Val: 4096}}),
+	}
 
 	f.Graft(leg, remote, 10*time.Millisecond)
 

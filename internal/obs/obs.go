@@ -1,30 +1,21 @@
-// Package obs is a zero-dependency, allocation-light span recorder for
-// per-query tracing. A Trace owns a flat list of named spans with
-// monotonic start offsets and durations; the query pipeline records one
-// span per stage (and, in detailed mode, one per deferred-list probe),
-// so every query can report exactly where its time went.
+// Package obs holds the tracing vocabulary shared by every layer: Span,
+// one named, timed region of a query with inline integer attributes;
+// Flight, the cross-process tree a serving edge assembles from the
+// spans each process shipped (flight.go); the W3C trace context that
+// carries a query's trace across processes (tracectx.go); and the
+// serving tier's one latency histogram (histogram.go).
 //
-// Design constraints, in order:
-//
-//   - Cheap enough for the default query path: starting and ending a
-//     span is two time.Now calls and one in-place append into a slice
-//     the owner reuses across queries (no steady-state allocation).
-//   - No locks: a Trace belongs to exactly one query at a time, the
-//     same ownership discipline the pipeline's queryCtx already has.
-//   - Bounded: at most MaxSpans spans are retained per trace; beyond
-//     that Start drops the span rather than growing without limit on
-//     pathological queries.
+// Spans are plain values. The engine times its stages with its own
+// clock and builds a span list only for a traced query
+// (search.Options.Trace), so untraced queries write none; a span list
+// is a flat, id-free []Span, and ids and parent links are attached
+// only when a flight is assembled.
 //
 // The package depends only on the standard library and is usable from
-// any layer (search pipeline, server, CLIs) without import cycles. It
-// also holds the serving tier's one latency histogram (histogram.go).
+// any layer (search pipeline, server, CLIs) without import cycles.
 package obs
 
 import "time"
-
-// MaxSpans bounds the spans retained per trace. Stage spans are few;
-// the cap only matters for per-probe spans on adversarial queries.
-const MaxSpans = 512
 
 // Attr is one integer-valued span attribute (list lengths, byte counts,
 // text ids). Values are int64 so byte counts and durations both fit;
@@ -40,8 +31,9 @@ type Attr struct {
 // storage keeps Span a flat value with no per-span allocation.
 const maxAttrs = 2
 
-// Span is one named, timed region of a trace. Start is the offset from
-// the trace's base in monotonic time; Dur is -1 while the span is open.
+// Span is one named, timed region of a query. Start is its offset from
+// the origin of the list it belongs to (for the engine, the start of
+// the query's stage clock); Dur is its duration.
 type Span struct {
 	Name  string        `json:"name"`
 	Start time.Duration `json:"start_ns"`
@@ -51,8 +43,8 @@ type Span struct {
 	attrs  [maxAttrs]Attr
 }
 
-// NewSpan builds a closed span carrying attrs. Attributes beyond the
-// inline capacity are dropped, as Annotate drops them.
+// NewSpan builds a span carrying attrs. Attributes beyond the inline
+// capacity are dropped.
 func NewSpan(name string, start, dur time.Duration, attrs []Attr) Span {
 	s := Span{Name: name, Start: start, Dur: dur}
 	s.nattrs = copy(s.attrs[:], attrs)
@@ -70,80 +62,4 @@ func (s *Span) Attr(key string) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// SpanID identifies an open span within its trace. The zero value is
-// not valid; Start returns None when the trace is full.
-type SpanID int32
-
-// None is the SpanID returned once a trace is full. End and Annotate
-// accept it and do nothing, so callers never need to branch.
-const None SpanID = -1
-
-// Trace records spans against one monotonic base time. The zero value
-// is unusable; call Reset before the first Start. A Trace must not be
-// shared between goroutines without external synchronization.
-type Trace struct {
-	base  time.Time
-	spans []Span
-}
-
-// Reset rebases the trace at now and discards recorded spans, retaining
-// span capacity so a pooled trace records without allocating.
-func (t *Trace) Reset() {
-	t.base = time.Now()
-	t.spans = t.spans[:0]
-}
-
-// Start opens a named span and returns its id, or None when the trace
-// is at MaxSpans.
-func (t *Trace) Start(name string) SpanID {
-	if len(t.spans) >= MaxSpans {
-		return None
-	}
-	t.spans = append(t.spans, Span{Name: name, Start: time.Since(t.base), Dur: -1})
-	return SpanID(len(t.spans) - 1)
-}
-
-// Record appends an already-timed span: start is its offset from the
-// trace's base and dur its duration. Callers that time work outside the
-// trace's own clock — concurrent fan-out legs whose goroutines must not
-// touch the trace — measure with time.Now/time.Since and record after
-// joining. Returns the span's id (for Annotate), or None when the trace
-// is at MaxSpans.
-func (t *Trace) Record(name string, start, dur time.Duration) SpanID {
-	if len(t.spans) >= MaxSpans {
-		return None
-	}
-	t.spans = append(t.spans, Span{Name: name, Start: start, Dur: dur})
-	return SpanID(len(t.spans) - 1)
-}
-
-// End closes the span and returns its duration (0 for None).
-func (t *Trace) End(id SpanID) time.Duration {
-	if id == None {
-		return 0
-	}
-	sp := &t.spans[id]
-	sp.Dur = time.Since(t.base) - sp.Start
-	return sp.Dur
-}
-
-// Annotate attaches an integer attribute to an open or closed span.
-// Attributes beyond the inline capacity are silently dropped.
-func (t *Trace) Annotate(id SpanID, key string, val int64) {
-	if id == None {
-		return
-	}
-	sp := &t.spans[id]
-	if sp.nattrs < maxAttrs {
-		sp.attrs[sp.nattrs] = Attr{Key: key, Val: val}
-		sp.nattrs++
-	}
-}
-
-// Snapshot copies the recorded spans, appending into dst (which may be
-// nil). Open spans appear with Dur -1.
-func (t *Trace) Snapshot(dst []Span) []Span {
-	return append(dst[:0], t.spans...)
 }

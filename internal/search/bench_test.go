@@ -72,14 +72,24 @@ func benchSearch(b *testing.B, s *Searcher, q []uint32, opts Options, fsys *Read
 	}
 }
 
+// BenchmarkSearchHit and BenchmarkSearchMiss time the untraced query
+// and, as the traced sub-benchmark, the same query under Options.Trace:
+// the only path that builds spans.
 func BenchmarkSearchHit(b *testing.B) {
 	s, hit, _, opts := benchFixture(b)
-	benchSearch(b, s, hit, opts, nil)
+	benchSearchTraced(b, s, hit, opts)
 }
 
 func BenchmarkSearchMiss(b *testing.B) {
 	s, _, miss, opts := benchFixture(b)
-	benchSearch(b, s, miss, opts, nil)
+	benchSearchTraced(b, s, miss, opts)
+}
+
+func benchSearchTraced(b *testing.B, s *Searcher, q []uint32, opts Options) {
+	b.Run("untraced", func(b *testing.B) { benchSearch(b, s, q, opts, nil) })
+	traced := opts
+	traced.Trace = true
+	b.Run("traced", func(b *testing.B) { benchSearch(b, s, q, traced, nil) })
 }
 
 // segmentedBenchIndex builds an index shaped like ingest-churn's between
@@ -183,15 +193,26 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 	}
 	s, hit, miss, opts := benchFixture(t)
 	failing := New(failingReader{s.ix}, nil)
+	traced := opts
+	traced.Trace = true
 	for _, tc := range []struct {
 		name    string
 		s       *Searcher
 		query   []uint32
+		opts    Options
 		max     float64
 		wantErr error
-	}{{"miss", s, miss, 6, nil}, {"hit", s, hit, 12, nil}, {"failing", failing, hit, 2, errListRead}} {
+	}{
+		{"miss", s, miss, opts, 6, nil},
+		{"hit", s, hit, opts, 12, nil},
+		{"failing", failing, hit, opts, 2, errListRead},
+		// A traced query adds its one span list to the untraced
+		// query's Stats and results.
+		{"traced-miss", s, miss, traced, 2, nil},
+		{"traced-hit", s, hit, traced, 3, nil},
+	} {
 		got := testing.AllocsPerRun(50, func() {
-			if _, _, err := tc.s.Search(tc.query, opts); !errors.Is(err, tc.wantErr) {
+			if _, _, err := tc.s.Search(tc.query, tc.opts); !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
 		})

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"ndss/internal/hash"
 	"ndss/internal/index"
@@ -68,10 +69,18 @@ type queryCtx struct {
 	count    countScratch    // CollisionCount scratch
 	qual     []spanRect      // scratch for span merging
 
-	io    index.IOStats // private per-query I/O sink
-	st    *Stats
-	trace obs.Trace // per-query span recorder (pooled with the context)
+	io index.IOStats // private per-query I/O sink
+	st *Stats
+
+	base  time.Time  // when the stage clock started: the origin of span offsets
+	mark  time.Time  // the stage clock: when the running stage began
+	spans []obs.Span // traced queries only: probe spans, at most maxProbeSpans
 }
+
+// maxProbeSpans bounds the probe spans a traced query records: a hot
+// query can probe hundreds of (candidate, list) pairs. Stage spans and
+// the stage clock are not bounded by it.
+const maxProbeSpans = 512
 
 // listCursor is the unread part [pos, end) of one TextID-sorted short
 // list within the posting arena.
@@ -96,8 +105,45 @@ func (s *Searcher) acquireCtx(ctx context.Context, opts Options, minLen, beta in
 	qc.plan.Beta = beta
 	qc.st = st
 	qc.io.Reset()
-	qc.trace.Reset()
+	qc.spans = qc.spans[:0]
+	qc.base = time.Now()
+	qc.mark = qc.base
 	return qc
+}
+
+// lap ends the running stage: it returns the time since the clock's
+// last mark and moves the mark to now.
+func (qc *queryCtx) lap() time.Duration {
+	now := time.Now()
+	d := now.Sub(qc.mark)
+	qc.mark = now
+	return d
+}
+
+// traceSpans builds a traced query's span list: the six stage spans laid
+// end to end from the clock's start (the gather span carries the bytes
+// gather read), the probe spans at their real offsets, then one
+// segment_io span per segment that served bytes, at the query's end.
+func (qc *queryCtx) traceSpans(gatherBytes int64) []obs.Span {
+	spans := make([]obs.Span, 0, NumStages+len(qc.spans)+len(qc.io.PerSegment))
+	var at time.Duration
+	for i, d := range qc.st.StageTimes.Durations() {
+		var attrs []obs.Attr
+		if i == 2 { // gather
+			attrs = []obs.Attr{{Key: "io_bytes", Val: gatherBytes}}
+		}
+		spans = append(spans, obs.NewSpan(StageNames[i], at, d, attrs))
+		at += d
+	}
+	spans = append(spans, qc.spans...)
+	for i, pio := range qc.io.PerSegment {
+		if pio.BytesRead == 0 && pio.ReadTime == 0 {
+			continue
+		}
+		spans = append(spans, obs.NewSpan("segment_io", at, 0,
+			[]obs.Attr{{Key: "segment", Val: int64(i)}, {Key: "io_bytes", Val: pio.BytesRead}}))
+	}
+	return spans
 }
 
 // checkCancel is the pipeline's cancellation checkpoint: it reports the
@@ -376,27 +422,28 @@ func (s *Searcher) countText(qc *queryCtx, textID uint32, matches []Match) ([]Ma
 			if err := qc.checkCancel(); err != nil {
 				return nil, err
 			}
-			// Per-probe spans are detailed-trace only: a hot query can
-			// probe hundreds of (candidate, list) pairs, and the default
-			// path must not pay two clock reads for each.
-			probe := obs.None
-			if qc.opts.Trace {
-				probe = qc.trace.Start("probe")
-				qc.trace.Annotate(probe, "fn", int64(fn))
-				qc.trace.Annotate(probe, "text", int64(textID))
+			// Probe spans are traced-query only: the default path must
+			// not pay two clock reads for each probe.
+			var t0 time.Time
+			traced := qc.opts.Trace && len(qc.spans) < maxProbeSpans
+			if traced {
+				t0 = time.Now()
 			}
 			ws, err := s.ix.ReadRowsInto(qc.windows, &qc.rows, fn, textID, textID, &qc.io)
-			qc.trace.End(probe)
 			if err != nil {
 				return nil, err
+			}
+			if traced {
+				qc.spans = append(qc.spans, obs.NewSpan("probe", t0.Sub(qc.base), time.Since(t0),
+					[]obs.Attr{{Key: "fn", Val: int64(fn)}, {Key: "text", Val: int64(textID)}}))
 			}
 			qc.windows = ws
 		}
 		rects = qc.count.count(qc.windows, qc.plan.Beta)
 	}
-	sp := qc.trace.Start(StageNames[4]) // merge
+	qc.st.StageTimes.Count += qc.lap()
 	matches = s.mergeText(qc, textID, rects, matches)
-	qc.st.StageTimes.Merge += qc.trace.End(sp)
+	qc.st.StageTimes.Merge += qc.lap()
 	return matches, nil
 }
 

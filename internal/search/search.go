@@ -71,11 +71,10 @@ type Options struct {
 	// KeepRects retains the raw collision rectangles on each match for
 	// callers that need exact sequence enumeration.
 	KeepRects bool
-	// Trace attaches the query's full span list (stage spans plus one
-	// span per deferred-list probe) to Stats.Spans. The per-stage
-	// StageTimes decomposition is always recorded regardless; Trace only
-	// controls whether the detailed spans are copied out, which costs
-	// one allocation per query.
+	// Trace attaches the query's span list to Stats.Spans: one span per
+	// stage, one per deferred-list probe (at most 512 a query) and one
+	// per segment that served bytes. StageTimes is measured regardless;
+	// only a traced query builds spans, which costs one allocation.
 	Trace bool
 }
 
@@ -143,10 +142,13 @@ const NumStages = 6
 var StageNames = [NumStages]string{"sketch", "plan", "gather", "count", "merge", "verify"}
 
 // StageTimes is the per-stage wall-time decomposition of one query
-// through the pipeline. Count excludes the merge time spent inside
-// countText (reported separately as Merge), so the six stages sum to
-// approximately Stats.Total minus orchestration overhead. The _ns JSON
-// names are the stable wire format served by /search.
+// through the pipeline, measured by one running clock: each stage
+// boundary charges the time since the previous one to the stage that
+// just finished. Count and merge interleave per candidate text and are
+// charged at each hand-off, so the six stages are disjoint and sum to
+// Stats.Total less the query's setup (validation, context acquisition)
+// and its final Stats assembly. The _ns JSON names
+// are the stable wire format served by /search.
 type StageTimes struct {
 	Sketch time.Duration `json:"sketch_ns"`
 	Plan   time.Duration `json:"plan_ns"`
@@ -194,8 +196,8 @@ type Stats struct {
 	Total      time.Duration `json:"total_ns"`
 
 	// StageTimes decomposes Total across the pipeline stages. Always
-	// recorded; the per-stage timing costs a handful of monotonic clock
-	// reads per query.
+	// measured: one clock read per stage boundary, two per text that
+	// reaches merge (the count/merge hand-offs).
 	StageTimes StageTimes `json:"stages"`
 
 	// ShardsTotal and ShardsAnswered describe scatter–gather fan-out
@@ -211,10 +213,12 @@ type Stats struct {
 	// unsharded queries.
 	PerShard []ShardStats `json:"per_shard,omitempty"`
 
-	// Spans is the query's full trace (stage spans plus per-probe
-	// spans), copied out only when Options.Trace is set. A server ships
-	// it only when the request's trace context is sampled: that is how
-	// a shard hands its spans back to the coordinator.
+	// Spans is the query's trace, built only when Options.Trace is set:
+	// the six stage spans laid end to end from StageTimes (one each,
+	// Dur equal to its StageTimes field), the probe spans at their real
+	// offsets, and the segment_io spans. A server ships it only when the
+	// request's trace context is sampled: that is how a shard hands its
+	// spans back to the coordinator.
 	Spans []obs.Span `json:"spans,omitempty"`
 
 	// Attempts is a hand-off field between a replica-set shard client
@@ -359,68 +363,49 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 	qc := s.acquireCtx(ctx, opts, minLen, beta, st)
 	defer s.releaseCtx(qc)
 
-	sp := qc.trace.Start(StageNames[0]) // sketch
 	err = s.stageSketch(qc, query)
-	st.StageTimes.Sketch = qc.trace.End(sp)
+	st.StageTimes.Sketch = qc.lap()
 	if err != nil {
 		return nil, nil, err
 	}
-	sp = qc.trace.Start(StageNames[1]) // plan
 	s.stagePlan(qc)
-	st.StageTimes.Plan = qc.trace.End(sp)
+	st.StageTimes.Plan = qc.lap()
 	if err := qc.checkCancel(); err != nil {
 		return nil, nil, err
 	}
-	sp = qc.trace.Start(StageNames[2]) // gather
 	err = s.stageGather(qc)
-	st.StageTimes.Gather = qc.trace.End(sp)
-	qc.trace.Annotate(sp, "io_bytes", qc.io.BytesRead)
+	st.StageTimes.Gather = qc.lap()
+	gatherBytes := qc.io.BytesRead
 	if err != nil {
 		return nil, nil, err
 	}
-	// The count span covers the per-text collision counting including
-	// deferred-list probes; merge time accumulated inside countText is
-	// carved out so Count and Merge are disjoint.
-	sp = qc.trace.Start(StageNames[3]) // count
+	// Count and merge interleave per candidate text; countText laps the
+	// clock at each hand-off, so Count (probes included) and Merge are
+	// disjoint.
 	matches, err := s.stageCount(qc)
-	st.StageTimes.Count = qc.trace.End(sp) - st.StageTimes.Merge
+	st.StageTimes.Count += qc.lap()
 	if err != nil {
 		return nil, nil, err
 	}
 	if opts.Limit > 0 {
 		// Ranking is merge work: the merge stage absorbs it, and it runs
 		// before verify so only the kept matches are verified.
-		rankStart := time.Now()
 		matches = RankTopK(matches, opts.Limit)
-		st.StageTimes.Merge += time.Since(rankStart)
+		st.StageTimes.Merge += qc.lap()
 	}
-	sp = qc.trace.Start(StageNames[5]) // verify
 	if opts.Verify {
 		if err := s.stageVerify(qc, query, matches); err != nil {
 			return nil, nil, err
 		}
 	}
-	st.StageTimes.Verify = qc.trace.End(sp)
+	st.StageTimes.Verify = qc.lap()
 	st.Matches = len(matches)
 	st.IOBytes = qc.io.BytesRead
 	st.IOTime = qc.io.ReadTime
 	st.Total = time.Since(start)
 	st.CPUTime = st.Total - st.IOTime
 	if opts.Trace {
-		// Attribute the query's I/O to the segments it touched: one span
-		// per segment that served bytes, so multi-segment read skew is
-		// visible in the trace.
-		for i := range qc.io.PerSegment {
-			pio := qc.io.PerSegment[i]
-			if pio.BytesRead == 0 && pio.ReadTime == 0 {
-				continue
-			}
-			seg := qc.trace.Start("segment_io")
-			qc.trace.Annotate(seg, "segment", int64(i))
-			qc.trace.Annotate(seg, "io_bytes", pio.BytesRead)
-			qc.trace.End(seg)
-		}
-		st.Spans = qc.trace.Snapshot(nil)
+		st.Spans = qc.traceSpans(gatherBytes)
 	}
 	return matches, st, nil
 }

@@ -94,20 +94,13 @@ func flightAttr(sp obs.FlightSpan, key string) (int64, bool) {
 // the query's time axis, attrs ride along, and stage timings stay
 // monotonic, disjoint, and within their carrier.
 func TestTraceTreeAssembly(t *testing.T) {
-	var tr obs.Trace
-	tr.Reset()
-	tr.Record(search.StageNames[0], 0, time.Millisecond) // sketch
-	id := tr.Record(search.StageNames[2], time.Millisecond, 2*time.Millisecond)
-	tr.Annotate(id, "io_bytes", 4096)
-	remote0 := tr.Snapshot(nil)
-
-	tr.Reset()
-	tr.Record(search.StageNames[0], 0, 2*time.Millisecond)
-	remote1 := tr.Snapshot(nil)
-
-	tr.Reset()
-	tr.Record("shard_merge", 11*time.Millisecond, time.Millisecond)
-	coordSpans := tr.Snapshot(nil)
+	remote0 := []obs.Span{
+		obs.NewSpan(search.StageNames[0], 0, time.Millisecond, nil), // sketch
+		obs.NewSpan(search.StageNames[2], time.Millisecond, 2*time.Millisecond, // gather
+			[]obs.Attr{{Key: "io_bytes", Val: 4096}}),
+	}
+	remote1 := []obs.Span{obs.NewSpan(search.StageNames[0], 0, 2*time.Millisecond, nil)}
+	coordSpans := []obs.Span{obs.NewSpan("shard_merge", 11*time.Millisecond, time.Millisecond, nil)}
 
 	st := &search.Stats{
 		ShardsTotal:    2,
@@ -386,19 +379,19 @@ func TestChaosTraceRetryHedgeTree(t *testing.T) {
 		}
 		// The answering shard's own pipeline decomposition crossed the
 		// wire and nests under exactly the attempt that carried it.
-		stageDur := map[string]int64{}
+		stageSpans := map[string]int{}
 		var sum int64
 		for _, sp := range childrenOf(e.Spans, winner.SpanID) {
 			for _, name := range search.StageNames {
 				if sp.Name == name {
-					stageDur[name] += sp.DurNS
+					stageSpans[name]++
 					sum += sp.DurNS
 				}
 			}
 		}
 		for _, name := range search.StageNames {
-			if _, ok := stageDur[name]; !ok {
-				t.Errorf("leg %s winner lacks remote %s span", leg.SpanID, name)
+			if stageSpans[name] != 1 {
+				t.Errorf("leg %s winner carries %d remote %s spans, want 1", leg.SpanID, stageSpans[name], name)
 			}
 		}
 		if sum > leg.DurNS {

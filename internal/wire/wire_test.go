@@ -39,15 +39,11 @@ func goldenStats() search.Stats {
 }
 
 func goldenSpans() []obs.Span {
-	var tr obs.Trace
-	tr.Reset()
-	tr.Record("sketch", 0, 11*time.Microsecond)
-	id := tr.Record("gather", 13*time.Microsecond, 300*time.Microsecond)
-	tr.Annotate(id, "io_bytes", 65536)
-	id = tr.Record("probe", 320*time.Microsecond, 9*time.Microsecond)
-	tr.Annotate(id, "fn", 3)
-	tr.Annotate(id, "text", 7)
-	return tr.Snapshot(nil)
+	return []obs.Span{
+		obs.NewSpan("sketch", 0, 11*time.Microsecond, nil),
+		obs.NewSpan("gather", 13*time.Microsecond, 300*time.Microsecond, []obs.Attr{{Key: "io_bytes", Val: 65536}}),
+		obs.NewSpan("probe", 320*time.Microsecond, 9*time.Microsecond, []obs.Attr{{Key: "fn", Val: 3}, {Key: "text", Val: 7}}),
+	}
 }
 
 func goldenShardedStats() search.Stats {
