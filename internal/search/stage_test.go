@@ -36,11 +36,7 @@ func TestStageTimesRecorded(t *testing.T) {
 	}
 	// The decomposition must not exceed the measured total: stages are
 	// disjoint regions of one query.
-	var sum time.Duration
-	for _, v := range d {
-		sum += v
-	}
-	if sum > st.Total {
+	if sum := stageSum(st); sum > st.Total {
 		t.Fatalf("stage sum %v exceeds total %v", sum, st.Total)
 	}
 	// Default path: no detailed spans copied out.
@@ -51,7 +47,7 @@ func TestStageTimesRecorded(t *testing.T) {
 
 // checkStageSpans asserts that a traced query's spans hold exactly one
 // span per stage, each as long as its StageTimes field and laid end to
-// end, and no span left open; it returns the count of spans per name.
+// end, and no span negative; it returns the count of spans per name.
 func checkStageSpans(t *testing.T, st *Stats) map[string]int {
 	t.Helper()
 	if st.Spans == nil {
