@@ -84,8 +84,9 @@ func mergeSegment(fsys fsio.FS, shards []*Index, offsets []uint32, path string) 
 		return segSum{}, err
 	}
 	defer w.abort()
+	var ps []Posting // one merged list at a time, reused across functions
 	for fn := 0; fn < m.K; fn++ {
-		if err := mergeFunc(srcs, fn, w); err != nil {
+		if ps, err = mergeFunc(srcs, fn, w, ps); err != nil {
 			return segSum{}, err
 		}
 	}
@@ -158,13 +159,13 @@ func (s *mergeSource) appendList(dst []Posting) ([]Posting, error) {
 }
 
 // mergeFunc k-way merges one hash function's lists across the sources
-// into w, list by list in hash order. Memory is the longest merged list
-// plus one window per source, whatever the index size.
-func mergeFunc(srcs []mergeSource, fn int, w *segmentWriter) error {
+// into w, list by list in hash order, collecting each list in ps and
+// returning it grown for the next function. Memory is the longest
+// merged list plus one window per source, whatever the index size.
+func mergeFunc(srcs []mergeSource, fn int, w *segmentWriter, ps []Posting) ([]Posting, error) {
 	for i := range srcs {
 		srcs[i].start(fn)
 	}
-	var ps []Posting
 	for {
 		// Find the smallest pending hash across sources.
 		var cur uint64
@@ -188,7 +189,7 @@ func mergeFunc(srcs []mergeSource, fn int, w *segmentWriter) error {
 			}
 			var err error
 			if ps, err = s.appendList(ps); err != nil {
-				return err
+				return ps, err
 			}
 		}
 		// Every posting of this hash may be tombstoned; a list with no
@@ -197,10 +198,10 @@ func mergeFunc(srcs []mergeSource, fn int, w *segmentWriter) error {
 			continue
 		}
 		if err := w.addList(cur, ps); err != nil {
-			return err
+			return ps, err
 		}
 	}
-	return w.endFunc()
+	return ps, w.endFunc()
 }
 
 // Append extends an existing index at dir with new texts (ids continue

@@ -34,19 +34,17 @@ type Index struct {
 	readNanos atomic.Int64
 }
 
-// segment is one opened immutable segment file: its k function views,
-// the global text-id base its local ids are offset by, and its tombstone
-// bitmap (nil when nothing is deleted).
+// segment is one opened segment of an Index: the open file it reads,
+// which other Index values may share, and what is the Index's own — the
+// segment's name, the global text-id base its local ids are offset by,
+// its manifest meta and its tombstone bitmap (nil when nothing is
+// deleted).
 type segment struct {
-	name      string
-	path      string
-	f         fsio.File
-	size      int64
-	footerCRC uint32
-	base      uint32 // first global text id of this segment
-	meta      Meta
-	funcs     []*funcFile
-	tomb      *tombSet
+	*segFile
+	name string
+	base uint32 // first global text id of this segment
+	meta Meta
+	tomb *tombSet
 }
 
 // funcFile is the resident view of one function's inverted file inside
@@ -157,16 +155,11 @@ func OpenFS(fsys fsio.FS, dir string) (*Index, error) {
 // openSegment opens one segment file, cross-checks it against its
 // manifest record, and loads its tombstone bitmap.
 func openSegment(fsys fsio.FS, dir string, mseg ManifestSegment, base uint32) (*segment, error) {
-	seg, err := openSegmentFile(fsys, filepath.Join(dir, mseg.Name), mseg.Meta)
+	sf, err := openSharedFile(fsys, filepath.Join(dir, mseg.Name), mseg)
 	if err != nil {
 		return nil, err
 	}
-	seg.name, seg.base, seg.meta = mseg.Name, base, mseg.Meta
-	if seg.size != mseg.Size || seg.footerCRC != mseg.FooterCRC {
-		seg.close()
-		return nil, fmt.Errorf("index: %s: size %d and footer checksum %08x do not match manifest (size %d, footer %08x): file from a torn or mixed build",
-			seg.path, seg.size, seg.footerCRC, mseg.Size, mseg.FooterCRC)
-	}
+	seg := &segment{segFile: sf, name: mseg.Name, base: base, meta: mseg.Meta}
 	if mseg.Tomb != nil {
 		tomb, err := readTombstone(fsys, dir, mseg.Tomb, mseg.Meta.NumTexts)
 		if err != nil {
@@ -178,48 +171,44 @@ func openSegment(fsys fsio.FS, dir string, mseg ManifestSegment, base uint32) (*
 	return seg, nil
 }
 
-// close releases the segment file's handle.
-func (s *segment) close() error {
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f, s.funcs = nil, nil
-	return err
-}
+// close gives up the segment's hold on its file (Index.Close calls it
+// once a segment); the file's last holder closes it.
+func (s *segment) close() error { return s.release() }
 
 // openSegmentFile opens the segment file at path, whose header must
 // carry meta's K, ZoneMapStep and LongListCutoff, and loads its resident
 // function views: one open, one fstat, a read of the header and of the
-// footer, a read of each directory column and one per zone map.
-func openSegmentFile(fsys fsio.FS, path string, meta Meta) (*segment, error) {
+// footer, a read of each directory column and one per zone map. The
+// caller holds the one reference to it.
+func openSegmentFile(fsys fsio.FS, path string, meta Meta) (*segFile, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: open segment file: %w", err)
 	}
-	seg := &segment{path: path, f: f}
-	if err := seg.load(meta); err != nil {
+	sf := &segFile{path: path, f: f}
+	if err := sf.load(meta); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return seg, nil
+	openFiles.hold(sf)
+	return sf, nil
 }
 
 // read fills buf from the segment file at off.
-func (s *segment) read(buf []byte, off int64) error {
+func (s *segFile) read(buf []byte, off int64) error {
 	if _, err := s.f.ReadAt(buf, off); err != nil {
 		return &ReadError{Path: s.path, Off: off, Len: len(buf), Err: err}
 	}
 	return nil
 }
 
-func (s *segment) load(meta Meta) error {
+func (s *segFile) load(meta Meta) error {
 	k := meta.K
 	st, err := s.f.Stat()
 	if err != nil {
 		return err
 	}
-	s.size = st.Size()
+	s.info, s.size = st, st.Size()
 	footStart := s.size - footerLen(k)
 	if footStart < segHeaderLen {
 		return fmt.Errorf("index: segment file %s too small", s.path)

@@ -112,7 +112,7 @@ func TestWriterZoneMapThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer seg.close()
+	defer seg.release()
 	ff := seg.funcs[0]
 	for i, h := range ff.hashes {
 		var z zoneRef

@@ -125,7 +125,8 @@ func segmentedBenchIndex(b *testing.B, baseTexts int) (*index.Index, *corpus.Cor
 // BenchmarkFirstQueryAfterAppend times what an ingest-churn client waits
 // for after every reload: the first query of a fresh Searcher over a
 // nine-segment index (a 300-text base plus eight 16-text appends),
-// everything it computes lazily included.
+// everything it computes lazily included. Its query context comes from
+// the pool every Searcher shares, warm, as after a server reload.
 func BenchmarkFirstQueryAfterAppend(b *testing.B) {
 	ix, c, fsys := segmentedBenchIndex(b, 300)
 	hit, opts := c.Text(7)[20:84], Options{Theta: 0.8, PrefixFilter: true}

@@ -100,8 +100,8 @@ func TestSearchContextCanceledMidMerge(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	s := New(ix, nil)
-	qc := s.acquireCtx(ctx, opts, 5, 2, &Stats{K: 4, Beta: 2})
-	defer s.releaseCtx(qc)
+	qc := acquireCtx(ctx, opts, 5, 2, &Stats{K: 4, Beta: 2})
+	defer releaseCtx(qc)
 	if err := s.stageSketch(qc, text); err != nil {
 		t.Fatal(err)
 	}

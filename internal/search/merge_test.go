@@ -87,7 +87,7 @@ func TestCountMergeMatchesGrouping(t *testing.T) {
 					}
 				}
 			}
-			ref := s.acquireCtx(context.Background(), Options{}, minLen, alpha, &Stats{K: len(lists)})
+			ref := acquireCtx(context.Background(), Options{}, minLen, alpha, &Stats{K: len(lists)})
 			ref.plan.Alpha = alpha
 			var want []Match
 			wantWindows := map[uint32][]index.Posting{}
@@ -104,9 +104,9 @@ func TestCountMergeMatchesGrouping(t *testing.T) {
 				}
 				return want[i].Start < want[j].Start
 			})
-			s.releaseCtx(ref)
+			releaseCtx(ref)
 
-			qc := s.acquireCtx(context.Background(), Options{}, minLen, alpha, &Stats{K: len(lists)})
+			qc := acquireCtx(context.Background(), Options{}, minLen, alpha, &Stats{K: len(lists)})
 			qc.plan.Alpha = alpha
 			gatherLists(qc, lists)
 			gotWindows := map[uint32][]index.Posting{}
@@ -138,7 +138,7 @@ func TestCountMergeMatchesGrouping(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: matches\n%v\nreference\n%v", name, got, want)
 			}
-			s.releaseCtx(qc)
+			releaseCtx(qc)
 			accepted += len(wantWindows)
 			rejected += len(hits) - len(wantWindows)
 			matched += len(want)

@@ -9,9 +9,11 @@ package search
 // rows, the deferral plan, the posting arena with one cursor per short
 // list, the count kernels' scratch, and a private I/O stats sink the
 // index reads report into.
-// Contexts are pooled per Searcher, so steady-state queries allocate
-// little beyond their results, and because no state is shared between
-// in-flight queries, Stats.IOBytes/IOTime are exact at any concurrency.
+// Contexts come from one package-level pool shared by every Searcher,
+// so steady-state queries allocate little beyond their results — also
+// the first queries of a Searcher made for a freshly reloaded index —
+// and because no state is shared between in-flight queries,
+// Stats.IOBytes/IOTime are exact at any concurrency.
 
 import (
 	"cmp"
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"ndss/internal/hash"
@@ -94,11 +97,25 @@ type spanRect struct {
 	rect Rect
 }
 
-func (s *Searcher) acquireCtx(ctx context.Context, opts Options, minLen, beta int, st *Stats) *queryCtx {
-	qc, _ := s.ctxPool.Get().(*queryCtx)
+// ctxPool holds the idle query contexts of every Searcher. Nothing in a
+// context is tied to one index: each query resizes and refills every
+// buffer it uses, so a context warmed on one index serves another.
+var ctxPool sync.Pool // *queryCtx
+
+// acquireCtx takes a context from the pool, or a new one, and readies it
+// for one query.
+func acquireCtx(ctx context.Context, opts Options, minLen, beta int, st *Stats) *queryCtx {
+	qc, _ := ctxPool.Get().(*queryCtx)
 	if qc == nil {
 		qc = &queryCtx{}
 	}
+	qc.begin(ctx, opts, minLen, beta, st)
+	return qc
+}
+
+// begin readies qc for one query reporting into st and starts its stage
+// clock.
+func (qc *queryCtx) begin(ctx context.Context, opts Options, minLen, beta int, st *Stats) {
 	qc.ctx = ctx
 	qc.opts = opts
 	qc.minLen = minLen
@@ -108,7 +125,6 @@ func (s *Searcher) acquireCtx(ctx context.Context, opts Options, minLen, beta in
 	qc.spans = qc.spans[:0]
 	qc.base = time.Now()
 	qc.mark = qc.base
-	return qc
 }
 
 // lap ends the running stage: it returns the time since the clock's
@@ -154,14 +170,14 @@ func (qc *queryCtx) checkCancel() error {
 	return qc.ctx.Err()
 }
 
-func (s *Searcher) releaseCtx(qc *queryCtx) {
+func releaseCtx(qc *queryCtx) {
 	qc.sketch = qc.sketch[:0]
 	qc.postings = qc.postings[:0]
 	qc.windows = qc.windows[:0]
 	qc.qual = qc.qual[:0]
 	qc.st = nil
 	qc.ctx = nil
-	s.ctxPool.Put(qc)
+	ctxPool.Put(qc)
 }
 
 // stageSketch computes the query's k-mins sketch into the context.
@@ -529,8 +545,8 @@ func (s *Searcher) Explain(query []uint32, opts Options) (*Plan, error) {
 	k := meta.K
 	beta := requiredCollisions(k, opts.Theta)
 	//lint:ignore ctxflow Explain only sketches and plans; it issues no I/O to cancel
-	qc := s.acquireCtx(context.Background(), opts, minLen, beta, &Stats{K: k, Beta: beta})
-	defer s.releaseCtx(qc)
+	qc := acquireCtx(context.Background(), opts, minLen, beta, &Stats{K: k, Beta: beta})
+	defer releaseCtx(qc)
 	if err := s.stageSketch(qc, query); err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"ndss/internal/hash"
@@ -313,8 +312,6 @@ type ShardAttempt struct {
 type Searcher struct {
 	ix  IndexReader
 	src TextSource
-
-	ctxPool sync.Pool // *queryCtx
 }
 
 // New creates a Searcher. src may be nil if verification is never
@@ -360,8 +357,8 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 	k := meta.K
 	beta := requiredCollisions(k, opts.Theta)
 	st := &Stats{K: k, Beta: beta}
-	qc := s.acquireCtx(ctx, opts, minLen, beta, st)
-	defer s.releaseCtx(qc)
+	qc := acquireCtx(ctx, opts, minLen, beta, st)
+	defer releaseCtx(qc)
 
 	err = s.stageSketch(qc, query)
 	st.StageTimes.Sketch = qc.lap()

@@ -599,22 +599,32 @@ func (d *decoder) request(r *Request) bool {
 	return !d.bad
 }
 
-// maxPresizedTokens caps the token array's first allocation, so a body
-// of commas cannot buy a large slice before its first bad element.
-const maxPresizedTokens = 1 << 12
+// maxPresizedTokens and maxPresizedMatches cap the first allocation of
+// a token or match array, so a body of separators cannot buy a large
+// slice before its first bad element.
+const (
+	maxPresizedTokens  = 1 << 12
+	maxPresizedMatches = 1 << 10
+)
+
+// presize returns a first capacity for the array at the cursor: the
+// count of sep up to the array's first ']', plus extra, at most limit.
+func (d *decoder) presize(sep byte, extra, limit int) int {
+	n := extra
+	if !d.bad && d.peek() == '[' {
+		rest := d.b[d.i:]
+		if j := bytes.IndexByte(rest, ']'); j > 0 {
+			n += bytes.Count(rest[:j], []byte{sep})
+		}
+	}
+	return min(n, limit)
+}
 
 // tokens reads the token array, in one allocation up to
 // maxPresizedTokens elements: a canonical array of integers has one
 // more element than commas before its ']'.
 func (d *decoder) tokens() []uint32 {
-	n := 1
-	if !d.bad && d.peek() == '[' {
-		rest := d.b[d.i:]
-		if j := bytes.IndexByte(rest, ']'); j > 0 {
-			n += bytes.Count(rest[:j], []byte{','})
-		}
-	}
-	out := make([]uint32, 0, min(n, maxPresizedTokens))
+	out := make([]uint32, 0, d.presize(',', 1, maxPresizedTokens))
 	for ok := d.first('[', ']'); ok; ok = d.more(']') {
 		out = append(out, d.uint32())
 	}
@@ -627,7 +637,10 @@ func (d *decoder) response(r *Response) bool {
 		switch string(d.key()) {
 		case "matches":
 			d.once(&seen, 0)
-			r.Matches = []search.Match{}
+			// A served match is one flat object, so the array holds as
+			// many matches as '{' before its ']'; an empty one stays a
+			// non-nil empty list.
+			r.Matches = make([]search.Match, 0, d.presize('{', 0, maxPresizedMatches))
 			for ok := d.first('[', ']'); ok; ok = d.more(']') {
 				r.Matches = append(r.Matches, search.Match{})
 				d.match(&r.Matches[len(r.Matches)-1])
