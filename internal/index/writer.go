@@ -79,6 +79,7 @@ type segmentWriter struct {
 	longCutoff int
 	buf        []byte
 	regionCRC  uint32 // running CRC of the current function's region
+	pending    []byte // region bytes not yet in regionCRC nor handed to w
 	closed     bool
 }
 
@@ -114,6 +115,7 @@ func newSegmentWriter(fsys fsio.FS, path string, k, zoneStep, longCutoff int) (*
 		w:          bufio.NewWriterSize(f, 1<<20),
 		k:          k,
 		starts:     []uint32{0},
+		pending:    make([]byte, 0, pendingCap),
 		zoneStep:   zoneStep,
 		longCutoff: longCutoff,
 	}
@@ -177,14 +179,36 @@ func (w *segmentWriter) addList(h uint64, ps []Posting) error {
 	return nil
 }
 
+// pendingCap is how many region bytes the writer gathers before it
+// checksums them and hands them on. Most lists are a posting or two, and
+// CRC-32 takes a table-driven path over so few bytes; over a gathered
+// batch it takes the carry-less-multiply one, several times faster.
+const pendingCap = 64 << 10
+
 // write appends b to the current function's region.
 func (w *segmentWriter) write(b []byte) error {
-	if _, err := w.w.Write(b); err != nil {
+	if len(w.pending)+len(b) > pendingCap {
+		if err := w.flushPending(); err != nil {
+			return err
+		}
+	}
+	w.pos += uint64(len(b))
+	if len(b) >= pendingCap {
+		w.regionCRC = crc32.Update(w.regionCRC, crc32.IEEETable, b)
+		_, err := w.w.Write(b)
 		return err
 	}
-	w.regionCRC = crc32.Update(w.regionCRC, crc32.IEEETable, b)
-	w.pos += uint64(len(b))
+	w.pending = append(w.pending, b...)
 	return nil
+}
+
+// flushPending checksums the gathered region bytes and hands them to the
+// buffered writer.
+func (w *segmentWriter) flushPending() error {
+	w.regionCRC = crc32.Update(w.regionCRC, crc32.IEEETable, w.pending)
+	_, err := w.w.Write(w.pending)
+	w.pending = w.pending[:0]
+	return err
 }
 
 // endFunc writes the current function's directory, records its footer
@@ -211,6 +235,9 @@ func (w *segmentWriter) writeDirectory() error {
 		} else if h < prev {
 			return fmt.Errorf("index: list %x written after list %x: lists must arrive in hash order", h, prev)
 		}
+	}
+	if err := w.flushPending(); err != nil {
+		return err
 	}
 	dir := w.buf[:0]
 	for _, h := range w.hashes {
