@@ -153,8 +153,9 @@ func newLogger(format string) (*slog.Logger, error) {
 
 // openBackend opens the index directory and, when configured, attaches
 // the corpus, which the DB then owns. It is also the server's Reloader:
-// each reload opens fresh handles so the retiring backend can be closed
-// safely.
+// each reload opens a new DB, which shares the segment files the
+// retiring backend still holds and loads only the new ones; closing the
+// retiring backend releases its hold, so it can be closed safely.
 func openBackend(idxDir, corpusPath string) (*ndss.DB, error) {
 	db, err := ndss.Open(idxDir)
 	if err != nil || corpusPath == "" {

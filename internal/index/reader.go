@@ -120,6 +120,11 @@ func (e *ReadError) Unwrap() error { return e.Err }
 // with a *MixedOptionsError, a directory without a manifest with a
 // *NoManifestError. A leftover commit backup from an interrupted swap is
 // recovered first.
+//
+// A segment file another open Index of the process already loaded
+// through the same filesystem is shared, not loaded again, once a fresh
+// stat and a re-read of its footer show it is still the file the
+// manifest describes (openSharedFile).
 func Open(dir string) (*Index, error) {
 	return OpenFS(fsio.OS, dir)
 }
@@ -163,17 +168,13 @@ func openSegment(fsys fsio.FS, dir string, mseg ManifestSegment, base uint32) (*
 	if mseg.Tomb != nil {
 		tomb, err := readTombstone(fsys, dir, mseg.Tomb, mseg.Meta.NumTexts)
 		if err != nil {
-			seg.close()
+			seg.release()
 			return nil, err
 		}
 		seg.tomb = tomb
 	}
 	return seg, nil
 }
-
-// close gives up the segment's hold on its file (Index.Close calls it
-// once a segment); the file's last holder closes it.
-func (s *segment) close() error { return s.release() }
 
 // openSegmentFile opens the segment file at path, whose header must
 // carry meta's K, ZoneMapStep and LongListCutoff, and loads its resident
@@ -366,11 +367,12 @@ func (ix *Index) VerifyIntegrity() error {
 	return nil
 }
 
-// Close releases all file handles.
+// Close gives up the index's hold on its segment files: each one's
+// handle closes with the last open Index that shares it.
 func (ix *Index) Close() error {
 	var first error
 	for _, seg := range ix.segs {
-		if err := seg.close(); err != nil && first == nil {
+		if err := seg.release(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -110,7 +110,7 @@ func openSharedFile(fsys fsio.FS, path string, mseg ManifestSegment) (*segFile, 
 	if reflect.ValueOf(fsys).Comparable() {
 		key = fileKey{fsys, path, mseg.Size, mseg.FooterCRC, mseg.Meta.K, mseg.Meta.ZoneMapStep, mseg.Meta.LongListCutoff}
 		if sf := openFiles.share(key); sf != nil {
-			if sf.unchanged(fsys, mseg.Meta.K) {
+			if sf.unchanged(fsys) {
 				return sf, nil
 			}
 			sf.release()
@@ -134,12 +134,12 @@ func openSharedFile(fsys fsio.FS, path string, mseg ManifestSegment) (*segFile, 
 // unchanged reports whether path still names the file sf loaded, at its
 // loaded size, and the footer read back from it still carries the
 // checksum the load found: the file is the one its views describe.
-func (sf *segFile) unchanged(fsys fsio.FS, k int) bool {
+func (sf *segFile) unchanged(fsys fsio.FS) bool {
 	st, err := fsys.Stat(sf.path)
 	if err != nil || st.Size() != sf.size || !os.SameFile(st, sf.info) {
 		return false
 	}
-	foot := make([]byte, footerLen(k))
+	foot := make([]byte, footerLen(len(sf.funcs)))
 	if err := sf.read(foot, sf.size-int64(len(foot))); err != nil {
 		return false
 	}
