@@ -99,9 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run FuzzDecodeResponse -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)
 
 # CI "bench-smoke" job: one iteration of the query-path microbenchmarks
-# (internal/search/bench_test.go; SearchHit and SearchMiss each run an
-# untraced and a traced sub-benchmark, the traced one the only query
-# that builds spans), of the index ones
+# (internal/search/bench_test.go), of the index ones
 # (internal/index/bench_test.go: build, out-of-core build, append,
 # compact, one ingest-churn cycle's mutations in fs ops and opens, list
 # reads in ns/posting and Open), of both window generators (the stack on reused

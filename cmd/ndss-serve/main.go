@@ -42,8 +42,8 @@
 // structured access log (-log text|json). The id and a W3C
 // traceparent-style trace context are forwarded on every shard and
 // replica call, so a sharded deployment's logs and traces join across
-// processes; -trace-sample controls head-sampling of full span
-// shipping. Every query logs one line with its complete breakdown:
+// processes; -trace-sample head-samples a share of queries into the
+// flight recorder's retained view. Every query logs one line with its complete breakdown:
 // INFO "query", or WARN "slow query" past -slow-query. Profiling
 // endpoints (net/http/pprof) are off by default; -debug-addr serves
 // them on a separate listener so they are never exposed on the query
@@ -123,7 +123,7 @@ func main() {
 	flag.DurationVar(&c.drain, "drain", 30*time.Second, "shutdown drain allowance for in-flight requests")
 	flag.DurationVar(&c.slowQuery, "slow-query", 500*time.Millisecond, "log queries at least this slow at WARN (\"slow query\") and retain their trace (0 disables)")
 	flag.IntVar(&c.slowlog, "slowlog", 32, "flight recorder entries per view (slowest, recent, retained) at /debug/slowlog and /debug/trace/ (0 disables)")
-	flag.Float64Var(&c.traceSample, "trace-sample", 0, "fraction of queries head-sampled into full distributed tracing (0 never samples; slow/errored/partial/retried/hedged queries are tail-retained regardless)")
+	flag.Float64Var(&c.traceSample, "trace-sample", 0, "fraction of queries head-sampled: retained for /debug/trace with reason \"sampled\" (0 never samples; slow/errored/partial/retried/hedged queries are tail-retained regardless)")
 	flag.StringVar(&c.debugAddr, "debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	flag.StringVar(&c.logFormat, "log", "text", "log format: text or json")
 	flag.BoolVar(&c.ingest, "ingest", false, "enable POST /ingest and /admin/compact (live segment appends)")

@@ -11,17 +11,20 @@ import (
 // TestImportDirection pins the serving tier's one-way imports, search ←
 // wire ← shard ← server: no engine package (search, index, hash, obs,
 // window) reaches wire, shard or server, wire reaches neither shard nor
-// server, and shard does not reach server. It reads each package's
+// server, and shard does not reach server. Tracing stays above the
+// engine and off the wire: neither search nor wire reaches obs, so the
+// engine times its stages and the wire carries those times, never a
+// span list. It reads each package's
 // transitive dependencies (the list go list -deps prints) with -e, so an
 // inverted import is named even when it also closes a cycle.
 func TestImportDirection(t *testing.T) {
 	forbidden := map[string][]string{
-		"search": {"wire", "shard", "server"},
+		"search": {"wire", "shard", "server", "obs"},
 		"index":  {"wire", "shard", "server"},
 		"hash":   {"wire", "shard", "server"},
 		"obs":    {"wire", "shard", "server"},
 		"window": {"wire", "shard", "server"},
-		"wire":   {"shard", "server"},
+		"wire":   {"shard", "server", "obs"},
 		"shard":  {"server"},
 	}
 	args := []string{"list", "-e", "-f", "{{.ImportPath}} {{join .Deps \" \"}}"}

@@ -493,14 +493,13 @@ func (ix *Index) ListLengths(fn int) []int {
 }
 
 // readAt wraps ReadAt with I/O accounting: the index-wide cumulative
-// counters always, plus the caller's per-query sink when non-nil. seg
-// is the ordinal of the segment being read; when the sink carries a
-// PerSegment slice the read is attributed to it. The counters record
+// counters always, plus the caller's per-query sink when non-nil. The
+// counters record
 // the bytes ReadAt actually returned, so a failed or short read
 // (truncated file, I/O error) is charged for what was read, not for
 // what was asked. Failures come back as *ReadError carrying the file,
 // offset and length.
-func (ix *Index) readAt(ff *funcFile, seg int, buf []byte, off int64, sink *IOStats) error {
+func (ix *Index) readAt(ff *funcFile, buf []byte, off int64, sink *IOStats) error {
 	start := time.Now()
 	n, err := ff.f.ReadAt(buf, off)
 	elapsed := time.Since(start)
@@ -509,10 +508,6 @@ func (ix *Index) readAt(ff *funcFile, seg int, buf []byte, off int64, sink *IOSt
 	if sink != nil {
 		sink.BytesRead += int64(n)
 		sink.ReadTime += elapsed
-		if seg < len(sink.PerSegment) {
-			sink.PerSegment[seg].BytesRead += int64(n)
-			sink.PerSegment[seg].ReadTime += elapsed
-		}
 	}
 	if err == nil && n < len(buf) {
 		err = io.ErrUnexpectedEOF
@@ -552,10 +547,10 @@ func nilIfNothing(dst, out []Posting) []Posting {
 // reads the file's bytes straight into the new tail, the one copy a
 // posting makes. On a failed or short read dst comes back at its old
 // length.
-func (ix *Index) readPostings(dst []Posting, ff *funcFile, si int, off int64, n int, sink *IOStats) ([]Posting, error) {
+func (ix *Index) readPostings(dst []Posting, ff *funcFile, off int64, n int, sink *IOStats) ([]Posting, error) {
 	at := len(dst)
 	dst = slices.Grow(dst, n)[:at+n]
-	if err := ix.readAt(ff, si, bytesOf(dst[at:]), off, sink); err != nil {
+	if err := ix.readAt(ff, bytesOf(dst[at:]), off, sink); err != nil {
 		return dst[:at], err
 	}
 	if !hostLittleEndian {
@@ -564,28 +559,11 @@ func (ix *Index) readPostings(dst []Posting, ff *funcFile, si int, off int64, n 
 	return dst, nil
 }
 
-// SegmentIO is one segment's share of a read's I/O accounting.
-type SegmentIO struct {
+// IOStats is read accounting: an index's cumulative counters since
+// Open, or a caller's sink.
+type IOStats struct {
 	BytesRead int64
 	ReadTime  time.Duration
-}
-
-// IOStats is read accounting: an index's cumulative counters since
-// Open, or a caller's sink. When PerSegment is non-nil (sized by the
-// caller to the segment count), reads passing through the sink are
-// additionally attributed to the segment they touched.
-type IOStats struct {
-	BytesRead  int64
-	ReadTime   time.Duration
-	PerSegment []SegmentIO
-}
-
-// Reset zeroes the counters, keeping the PerSegment slice's capacity so
-// pooled sinks do not reallocate per query.
-func (s *IOStats) Reset() {
-	per := s.PerSegment[:0]
-	*s = IOStats{}
-	s.PerSegment = per
 }
 
 // IOStats returns cumulative I/O counters.

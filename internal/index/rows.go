@@ -184,7 +184,7 @@ func (ix *Index) readRange(dst []Posting, si int, ff *funcFile, ref rowRef, lo, 
 		}
 	}
 	at := len(dst)
-	dst, err := ix.readPostings(dst, ff, si, ref.off+int64(start)*postingSize, end-start, sink)
+	dst, err := ix.readPostings(dst, ff, ref.off+int64(start)*postingSize, end-start, sink)
 	if err != nil || whole && base == 0 && seg.tomb == nil {
 		return dst, err
 	}

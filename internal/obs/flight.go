@@ -5,18 +5,16 @@ import (
 	"time"
 )
 
-// Flight assembly: one query's spans from every process it touched,
-// stitched into a single tree. The engine's span list stays flat and
-// id-free (only a traced query builds one, once, at its end); ids and
-// parent links are attached here, after the query has completed, when
-// the serving edge grafts each leg's remote spans under the attempt
-// that carried them.
+// Flight assembly: one query's trace tree, drawn after the query has
+// completed from its record: the legs and replica attempts a
+// coordinator logged, and the stage times of this process and of every
+// answering shard, laid end to end under the span that carried them.
 
 // FlightSpan is one node of an assembled cross-process trace tree.
 // Start is relative to the flight's root span (the query's arrival at
-// the serving edge); remote spans are shifted by their carrying
-// attempt's start when grafted, so timings from different processes
-// share one axis.
+// the serving edge); a shard's stage spans are placed from their
+// carrying attempt's start, so timings from different processes share
+// one axis.
 type FlightSpan struct {
 	SpanID   string `json:"span_id"`
 	ParentID string `json:"parent_span_id,omitempty"`
@@ -55,18 +53,6 @@ func (f *Flight) Add(parentID, spanID, name string, start, dur time.Duration, at
 		Attrs:    as,
 	})
 	return spanID
-}
-
-// Graft attaches a flat span list recorded by another clock domain —
-// a remote shard's span list, or the local engine's — as children
-// of parentID, shifting every start by offset onto the flight's time
-// axis. Names, durations, and attrs (io_bytes included) survive
-// verbatim.
-func (f *Flight) Graft(parentID string, spans []Span, offset time.Duration) {
-	for i := range spans {
-		sp := &spans[i]
-		f.Add(parentID, "", sp.Name, sp.Start+offset, sp.Dur, sp.Attrs()...)
-	}
 }
 
 // Spans returns the assembled tree in insertion order (parents before

@@ -17,13 +17,12 @@ func TestFlightAssembly(t *testing.T) {
 		t.Fatal("Add did not mint a span id")
 	}
 
-	// A remote span list: flat, id-free, on its own clock.
-	remote := []Span{
-		NewSpan("sketch", 0, time.Millisecond, nil),
-		NewSpan("gather", 2*time.Millisecond, 3*time.Millisecond, []Attr{{Key: "io_bytes", Val: 4096}}),
-	}
-
-	f.Graft(leg, remote, 10*time.Millisecond)
+	// A stage span under the leg, its attrs from a slice the caller
+	// reuses afterwards.
+	attrs := []Attr{{Key: "io_bytes", Val: 4096}}
+	f.Add(leg, "", "gather", 12*time.Millisecond, 3*time.Millisecond, attrs...)
+	attrs[0].Val = 0
+	f.Add(leg, "", "sketch", 10*time.Millisecond, time.Millisecond)
 
 	spans := f.Spans()
 	if len(spans) != 4 {
@@ -50,18 +49,18 @@ func TestFlightAssembly(t *testing.T) {
 			t.Fatalf("span %q has dangling parent %q", sp.Name, sp.ParentID)
 		}
 	}
-	// Grafted spans hang off the leg, shifted onto the flight axis,
-	// with durations and attrs intact.
+	// Children hang off the leg at their own offsets, with durations
+	// and a copy of their attrs.
 	sk := byName["sketch"]
-	if sk.ParentID != leg || sk.StartNS != int64(10*time.Millisecond) || sk.DurNS != int64(time.Millisecond) {
-		t.Fatalf("sketch grafted wrong: %+v", sk)
+	if sk.ParentID != leg || sk.StartNS != int64(10*time.Millisecond) || sk.DurNS != int64(time.Millisecond) || sk.Attrs != nil {
+		t.Fatalf("sketch added wrong: %+v", sk)
 	}
 	ga := byName["gather"]
 	if ga.ParentID != leg || ga.StartNS != int64(12*time.Millisecond) {
-		t.Fatalf("gather grafted wrong: %+v", ga)
+		t.Fatalf("gather added wrong: %+v", ga)
 	}
 	if len(ga.Attrs) != 1 || ga.Attrs[0].Key != "io_bytes" || ga.Attrs[0].Val != 4096 {
-		t.Fatalf("gather lost its io_bytes attr: %+v", ga.Attrs)
+		t.Fatalf("gather's io_bytes attr aliases the caller's slice: %+v", ga.Attrs)
 	}
 }
 

@@ -33,12 +33,12 @@ const (
 
 // TraceContext identifies one query's position in a distributed
 // trace: which trace it belongs to, which span is the current parent,
-// and whether the full span list should be collected and returned
-// across process boundaries (the sampling bit). The zero value is
-// invalid — contexts come from NewTraceContext (minting a root at the
-// edge) or Child (deriving a new span id for a leg, attempt, or
-// probe). Tail-based retention does not depend on this bit: stage
-// aggregates always flow; the bit only gates full span shipping.
+// and whether the query was head-sampled (the sampling bit). The zero
+// value is invalid — contexts come from NewTraceContext (minting a
+// root at the edge) or Child (deriving a new span id for a leg,
+// attempt, or probe). The bit changes nothing a reply carries: stage
+// times always flow, and every retained record gets the same flight.
+// It is one retention reason ("sampled") beside the tail rules.
 type TraceContext struct {
 	TraceID [16]byte
 	SpanID  [8]byte

@@ -72,24 +72,14 @@ func benchSearch(b *testing.B, s *Searcher, q []uint32, opts Options, fsys *Read
 	}
 }
 
-// BenchmarkSearchHit and BenchmarkSearchMiss time the untraced query
-// and, as the traced sub-benchmark, the same query under Options.Trace:
-// the only path that builds spans.
 func BenchmarkSearchHit(b *testing.B) {
 	s, hit, _, opts := benchFixture(b)
-	benchSearchTraced(b, s, hit, opts)
+	benchSearch(b, s, hit, opts, nil)
 }
 
 func BenchmarkSearchMiss(b *testing.B) {
 	s, _, miss, opts := benchFixture(b)
-	benchSearchTraced(b, s, miss, opts)
-}
-
-func benchSearchTraced(b *testing.B, s *Searcher, q []uint32, opts Options) {
-	b.Run("untraced", func(b *testing.B) { benchSearch(b, s, q, opts, nil) })
-	traced := opts
-	traced.Trace = true
-	b.Run("traced", func(b *testing.B) { benchSearch(b, s, q, traced, nil) })
+	benchSearch(b, s, miss, opts, nil)
 }
 
 // segmentedBenchIndex builds an index shaped like ingest-churn's between
@@ -194,8 +184,6 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 	}
 	s, hit, miss, opts := benchFixture(t)
 	failing := New(failingReader{s.ix}, nil)
-	traced := opts
-	traced.Trace = true
 	for _, tc := range []struct {
 		name    string
 		s       *Searcher
@@ -207,10 +195,6 @@ func TestSearchSteadyStateAllocs(t *testing.T) {
 		{"miss", s, miss, opts, 6, nil},
 		{"hit", s, hit, opts, 12, nil},
 		{"failing", failing, hit, opts, 2, errListRead},
-		// A traced query adds its one span list to the untraced
-		// query's Stats and results.
-		{"traced-miss", s, miss, traced, 2, nil},
-		{"traced-hit", s, hit, traced, 3, nil},
 	} {
 		got := testing.AllocsPerRun(50, func() {
 			if _, _, err := tc.s.Search(tc.query, tc.opts); !errors.Is(err, tc.wantErr) {

@@ -16,7 +16,6 @@ type ctxRun struct {
 	candidates, probed    int
 	rects                 int
 	ioBytes               int64
-	segBytes              []int64 // traced queries on several segments
 }
 
 // runOnCtx runs one query's sketch → plan → gather → count stages on qc,
@@ -42,17 +41,13 @@ func runOnCtx(t *testing.T, s *Searcher, qc *queryCtx, query []uint32, opts Opti
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := ctxRun{matches: ms, shortLists: st.ShortLists, longLists: st.LongLists,
+	return ctxRun{matches: ms, shortLists: st.ShortLists, longLists: st.LongLists,
 		candidates: st.Candidates, probed: st.Probed, rects: st.Rects, ioBytes: qc.io.BytesRead}
-	for _, pio := range qc.io.PerSegment {
-		run.segBytes = append(run.segBytes, pio.BytesRead)
-	}
-	return run
 }
 
 // TestQueryCtxAlternatesSegmentSets: query contexts are shared by every
 // Searcher, so one context must serve a 9-segment index and a 1-segment
-// one in turn — traced and untraced, prefix-filtered or not — and give
+// one in turn — prefix-filtered or not — and give
 // each query exactly what a brand-new context gives it.
 func TestQueryCtxAlternatesSegmentSets(t *testing.T) {
 	const k, seed, tt = 16, 9, 5
@@ -94,7 +89,7 @@ func TestQueryCtxAlternatesSegmentSets(t *testing.T) {
 	optSet := []Options{
 		{Theta: 0.5, KeepRects: true},
 		{Theta: 0.7, PrefixFilter: true, KeepRects: true},
-		{Theta: 0.6, PrefixFilter: true, Trace: true},
+		{Theta: 0.6, PrefixFilter: true},
 	}
 	shared := &queryCtx{}
 	matched := 0

@@ -26,7 +26,6 @@ import (
 
 	"ndss/internal/hash"
 	"ndss/internal/index"
-	"ndss/internal/obs"
 )
 
 // Plan is one query's deferral plan, the output of the plan stage: for
@@ -75,15 +74,8 @@ type queryCtx struct {
 	io index.IOStats // private per-query I/O sink
 	st *Stats
 
-	base  time.Time  // when the stage clock started: the origin of span offsets
-	mark  time.Time  // the stage clock: when the running stage began
-	spans []obs.Span // traced queries only: probe spans, at most maxProbeSpans
+	mark time.Time // the stage clock: when the running stage began
 }
-
-// maxProbeSpans bounds the probe spans a traced query records: a hot
-// query can probe hundreds of (candidate, list) pairs. Stage spans and
-// the stage clock are not bounded by it.
-const maxProbeSpans = 512
 
 // listCursor is the unread part [pos, end) of one TextID-sorted short
 // list within the posting arena.
@@ -121,10 +113,8 @@ func (qc *queryCtx) begin(ctx context.Context, opts Options, minLen, beta int, s
 	qc.minLen = minLen
 	qc.plan.Beta = beta
 	qc.st = st
-	qc.io.Reset()
-	qc.spans = qc.spans[:0]
-	qc.base = time.Now()
-	qc.mark = qc.base
+	qc.io = index.IOStats{}
+	qc.mark = time.Now()
 }
 
 // lap ends the running stage: it returns the time since the clock's
@@ -134,32 +124,6 @@ func (qc *queryCtx) lap() time.Duration {
 	d := now.Sub(qc.mark)
 	qc.mark = now
 	return d
-}
-
-// traceSpans builds a traced query's span list: the six stage spans laid
-// end to end from the clock's start (the gather span carries the bytes
-// gather read), the probe spans at their real offsets, then one
-// segment_io span per segment that served bytes, at the query's end.
-func (qc *queryCtx) traceSpans(gatherBytes int64) []obs.Span {
-	spans := make([]obs.Span, 0, NumStages+len(qc.spans)+len(qc.io.PerSegment))
-	var at time.Duration
-	for i, d := range qc.st.StageTimes.Durations() {
-		var attrs []obs.Attr
-		if i == 2 { // gather
-			attrs = []obs.Attr{{Key: "io_bytes", Val: gatherBytes}}
-		}
-		spans = append(spans, obs.NewSpan(StageNames[i], at, d, attrs))
-		at += d
-	}
-	spans = append(spans, qc.spans...)
-	for i, pio := range qc.io.PerSegment {
-		if pio.BytesRead == 0 && pio.ReadTime == 0 {
-			continue
-		}
-		spans = append(spans, obs.NewSpan("segment_io", at, 0,
-			[]obs.Attr{{Key: "segment", Val: int64(i)}, {Key: "io_bytes", Val: pio.BytesRead}}))
-	}
-	return spans
 }
 
 // checkCancel is the pipeline's cancellation checkpoint: it reports the
@@ -213,15 +177,6 @@ func (s *Searcher) stagePlan(qc *queryCtx) {
 	beta := qc.plan.Beta
 
 	s.ix.ResolveRows(&qc.rows, qc.sketch)
-	// Traced queries against a multi-segment index get per-segment I/O
-	// attribution: the sink carries one slot per segment (capacity kept
-	// across the pool) and the reader charges each read to the segment
-	// it touched. Untraced or single-segment queries skip this — the
-	// sink stays slotless and the reader's fast path is unchanged.
-	if n := qc.rows.Segments(); qc.opts.Trace && n > 1 {
-		qc.io.PerSegment = slices.Grow(qc.io.PerSegment[:0], n)[:n]
-		clear(qc.io.PerSegment)
-	}
 	for si := 0; si < qc.rows.Segments(); si++ {
 		if qc.rows.Present(si) < beta {
 			qc.rows.Drop(si)
@@ -438,20 +393,9 @@ func (s *Searcher) countText(qc *queryCtx, textID uint32, matches []Match) ([]Ma
 			if err := qc.checkCancel(); err != nil {
 				return nil, err
 			}
-			// Probe spans are traced-query only: the default path must
-			// not pay two clock reads for each probe.
-			var t0 time.Time
-			traced := qc.opts.Trace && len(qc.spans) < maxProbeSpans
-			if traced {
-				t0 = time.Now()
-			}
 			ws, err := s.ix.ReadRowsInto(qc.windows, &qc.rows, fn, textID, textID, &qc.io)
 			if err != nil {
 				return nil, err
-			}
-			if traced {
-				qc.spans = append(qc.spans, obs.NewSpan("probe", t0.Sub(qc.base), time.Since(t0),
-					[]obs.Attr{{Key: "fn", Val: int64(fn)}, {Key: "text", Val: int64(textID)}}))
 			}
 			qc.windows = ws
 		}

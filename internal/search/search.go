@@ -8,7 +8,6 @@ import (
 
 	"ndss/internal/hash"
 	"ndss/internal/index"
-	"ndss/internal/obs"
 )
 
 // TextSource resolves a text id to its token sequence. *corpus.Corpus
@@ -70,11 +69,6 @@ type Options struct {
 	// KeepRects retains the raw collision rectangles on each match for
 	// callers that need exact sequence enumeration.
 	KeepRects bool
-	// Trace attaches the query's span list to Stats.Spans: one span per
-	// stage, one per deferred-list probe (at most 512 a query) and one
-	// per segment that served bytes. StageTimes is measured regardless;
-	// only a traced query builds spans, which costs one allocation.
-	Trace bool
 }
 
 // ValidationError is a query the caller got wrong (invalid Options, an
@@ -206,19 +200,10 @@ type Stats struct {
 	// partial result.
 	ShardsTotal    int `json:"shards_total,omitempty"`
 	ShardsAnswered int `json:"shards_answered,omitempty"`
-	// PerShard attributes the query's work to each shard (mirroring
-	// IOStats.PerSegment for segments): one entry per shard in shard
-	// order, including the shards that missed their budget. Nil for
-	// unsharded queries.
+	// PerShard attributes the query's work to each shard: one entry per
+	// shard in shard order, including the shards that missed their
+	// budget. Nil for unsharded queries.
 	PerShard []ShardStats `json:"per_shard,omitempty"`
-
-	// Spans is the query's trace, built only when Options.Trace is set:
-	// the six stage spans laid end to end from StageTimes (one each,
-	// Dur equal to its StageTimes field), the probe spans at their real
-	// offsets, and the segment_io spans. A server ships it only when the
-	// request's trace context is sampled: that is how a shard hands its
-	// spans back to the coordinator.
-	Spans []obs.Span `json:"spans,omitempty"`
 
 	// Attempts is a hand-off field between a replica-set shard client
 	// and its coordinator: the client records every replica attempt the
@@ -260,14 +245,8 @@ type ShardStats struct {
 	// trace context. "" otherwise.
 	SpanID string `json:"span_id,omitempty"`
 	// Start is the leg's launch offset from the fan-out start, so
-	// attempt and remote-span timings can be placed on the query's
-	// time axis.
+	// attempt and stage timings can be placed on the query's time axis.
 	Start time.Duration `json:"start_ns,omitempty"`
-	// Spans is the shard's own span list (remote: shipped back over
-	// the wire; local: copied in process), present only when the
-	// query's trace is sampled. The coordinator grafts these under the
-	// winning attempt during flight assembly.
-	Spans []obs.Span `json:"spans,omitempty"`
 	// Attempts lists every replica attempt behind this shard's answer
 	// when it is served by a replica set: the primary, plus any retries
 	// and hedges. Nil for single-replica shards.
@@ -294,8 +273,8 @@ type ShardAttempt struct {
 	Err string `json:"err,omitempty"`
 	// SpanID is the attempt's span id in the query's distributed
 	// trace. The attempt's trace context crossed the wire with the
-	// request, so the remote side's spans are children of exactly this
-	// id. "" when the request context carried no trace.
+	// request, so the remote side's record carries exactly this id as
+	// its parent. "" when the request context carried no trace.
 	SpanID string `json:"span_id,omitempty"`
 	// Start is the attempt's start offset from the leg start.
 	Start time.Duration `json:"start_ns"`
@@ -372,7 +351,6 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 	}
 	err = s.stageGather(qc)
 	st.StageTimes.Gather = qc.lap()
-	gatherBytes := qc.io.BytesRead
 	if err != nil {
 		return nil, nil, err
 	}
@@ -401,9 +379,6 @@ func (s *Searcher) SearchContext(ctx context.Context, query []uint32, opts Optio
 	st.IOTime = qc.io.ReadTime
 	st.Total = time.Since(start)
 	st.CPUTime = st.Total - st.IOTime
-	if opts.Trace {
-		st.Spans = qc.traceSpans(gatherBytes)
-	}
 	return matches, st, nil
 }
 

@@ -19,9 +19,8 @@ type resultCache struct {
 	m   map[string]*list.Element // guarded by mu
 }
 
-// cacheEntry is one cached result: the response as first served, minus
-// the span list (a hit never ships one, so the cache must not pin it).
-// Its slices are shared between the cache and every response served
+// cacheEntry is one cached result: the response as first served. Its
+// slices are shared between the cache and every response served
 // from it and must be treated as immutable.
 type cacheEntry struct {
 	key  string

@@ -12,7 +12,6 @@ import (
 // package wire's notOnWire), so the cache key need not carry them.
 var notServed = map[string]string{
 	"KeepRects": "rectangles are never served",
-	"Trace":     "the server sets it on every query; span shipping follows the traceparent header",
 }
 
 // TestCacheKeySensitivity checks that the key is exact: every served

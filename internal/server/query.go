@@ -195,10 +195,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 		return
 	}
 	opts := req.Options()
-	// The server always collects detailed spans: the flight recorder
-	// and slow-query log need them, and the copy is one small
-	// allocation per executed query.
-	opts.Trace = true
 	if opts.Theta <= 0 || opts.Theta > 1 {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Sprintf("theta must be in (0, 1], got %v", opts.Theta))
 		return
@@ -248,30 +244,21 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req wire.Req
 	})
 	if err != nil {
 		out = s.writeQueryError(w, r, err)
-		s.recordQuery(r, ep, req, start, nil, nil, err)
+		s.recordQuery(r, ep, req, start, nil, err)
 		return
 	}
 	out = outOK
 	s.met.recordStats(st)
-	// One response serves the cache and the client. Its stats carry no
-	// span list, so a cached entry never pins one; the record keeps its
-	// own copy of those stats, so it never pins the match list nor holds
-	// its spans twice. A miss serves "matches":[], not null.
+	// One response serves the cache and the client; the record keeps
+	// the backend's stats, so it never pins the match list. A miss
+	// serves "matches":[], not null.
 	if matches == nil {
 		matches = []search.Match{}
 	}
 	resp := wire.Response{Matches: matches, Stats: *st}
-	resp.Stats.Spans = nil
-	rs := resp.Stats
-	s.recordQuery(r, ep, req, start, &rs, st.Spans, nil)
+	s.recordQuery(r, ep, req, start, st, nil)
 	if s.cache != nil {
 		s.cache.put(&cacheEntry{key: key, resp: resp})
-	}
-	// Span shipping is gated on the sampling bit: a sampled query's
-	// response carries this process's full span list so the caller (a
-	// coordinator, or a person with curl) can assemble the flight.
-	if tc, ok := obs.TraceFromContext(r.Context()); ok && tc.Sampled {
-		resp.Stats.Spans = st.Spans
 	}
 	writeResponse(w, &resp)
 }

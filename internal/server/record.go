@@ -67,12 +67,10 @@ type queryRecord struct {
 	DurationNS int64     `json:"duration_ns"`
 	Theta      float64   `json:"theta"`
 	NumTokens  int       `json:"num_tokens"`
-	// Stats is the record's own copy of the response stats, without the
-	// span list (Spans below holds it), so a held record never pins the
-	// response's match list. Nil when the query failed.
+	// Stats is the backend's stats for the query, which the flight is
+	// drawn from; a held record never pins the response's match list.
+	// Nil when the query failed.
 	Stats *search.Stats `json:"stats,omitempty"`
-	// Spans is this process's own span list.
-	Spans []obs.Span `json:"spans,omitempty"`
 	// Err is why the query failed. Failed queries enter only the
 	// retained view, so no /debug/slowlog entry carries one.
 	Err string `json:"err,omitempty"`
@@ -84,10 +82,10 @@ type queryRecord struct {
 // recordQuery builds the one record of a query that got past admission
 // — executed (st set) or failed (err set) — and files it: the sampled
 // counter, the query's log line, and the recorder with its retention
-// counters. st is the record's own copy of the response stats; spans is
-// this process's span list. A failed query is retained as an error,
-// never as slow, and logs INFO "query" with the error.
-func (s *Server) recordQuery(r *http.Request, ep endpoint, req wire.Request, start time.Time, st *search.Stats, spans []obs.Span, err error) {
+// counters. st is the backend's stats for the query. A failed query is
+// retained as an error, never as slow, and logs INFO "query" with the
+// error.
+func (s *Server) recordQuery(r *http.Request, ep endpoint, req wire.Request, start time.Time, st *search.Stats, err error) {
 	ctx := r.Context()
 	tc, _ := obs.TraceFromContext(ctx)
 	rec := queryRecord{
@@ -98,7 +96,6 @@ func (s *Server) recordQuery(r *http.Request, ep endpoint, req wire.Request, sta
 		Theta:      req.Theta,
 		NumTokens:  len(req.Tokens),
 		Stats:      st,
-		Spans:      spans,
 		tc:         tc,
 	}
 	// Tail-based retention: decided here, at completion, whatever the
@@ -216,8 +213,8 @@ func (q *queryRecord) attrs() []slog.Attr {
 }
 
 // traceView is the GET /debug/trace/{request_id} body: the record with
-// its ids and reasons rendered, and its assembled cross-process flight
-// in place of its flat span list.
+// its ids and reasons rendered, and the cross-process flight drawn from
+// its stats.
 type traceView struct {
 	*queryRecord
 	TraceID string           `json:"trace_id"`

@@ -287,8 +287,9 @@ func TestRecorderRetainedRanking(t *testing.T) {
 }
 
 // TestUnsampledRecordFlight: an unsampled query with no tail reason
-// still resolves while it is in the recent view, to its root plus this
-// process's stage spans, and both debug bodies keep their fields.
+// still resolves while it is in the recent view, to its root plus the
+// six stage spans drawn from its stage times, and both debug bodies keep
+// their fields.
 func TestUnsampledRecordFlight(t *testing.T) {
 	_, engine, q := testFixture(t)
 	srv := New(engine, Config{})
@@ -304,8 +305,8 @@ func TestUnsampledRecordFlight(t *testing.T) {
 	if got := strings.Join(sortedKeys(body), " "); got != want {
 		t.Errorf("/debug/trace/{id} keys = %s, want %s", got, want)
 	}
-	// The record's stats are the served stats object: the span list
-	// sits beside it once, and rects and attempts are never served.
+	// The record's stats are the served stats object: rects and attempts
+	// are never served, and no span list sits beside them.
 	const wantStats = "beta candidates cpu_time_ns io_bytes io_time_ns k long_lists matches probed short_lists stages total_ns"
 	statsKeys := func(rec map[string]any) string {
 		st, _ := rec["stats"].(map[string]any)
@@ -322,14 +323,11 @@ func TestUnsampledRecordFlight(t *testing.T) {
 	if root.Name != "search" {
 		t.Errorf("root span %q, want the endpoint", root.Name)
 	}
-	names := map[string]bool{}
-	for _, sp := range childrenOf(e.Spans, root.SpanID) {
-		names[sp.Name] = true
+	if len(e.Spans) != 1+search.NumStages {
+		t.Errorf("flight has %d spans, want the root and its stages: %+v", len(e.Spans), e.Spans)
 	}
-	for _, stage := range []string{"sketch", "plan", "gather", "count", "verify"} {
-		if !names[stage] {
-			t.Errorf("flight lacks local %s span under the root (have %v)", stage, names)
-		}
+	if start, sum := checkStages(t, e.Spans, root.SpanID, e.Stats.StageTimes); start < 0 || start+sum > root.DurNS {
+		t.Errorf("stages [%d,%d] escape the root's [0,%d]", start, start+sum, root.DurNS)
 	}
 
 	resp, err := ts.Client().Get(ts.URL + "/debug/slowlog")
@@ -343,7 +341,7 @@ func TestUnsampledRecordFlight(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&sl); err != nil {
 		t.Fatal(err)
 	}
-	want = "duration_ns endpoint num_tokens request_id spans start stats theta"
+	want = "duration_ns endpoint num_tokens request_id start stats theta"
 	if len(sl.Slowest) != 1 || strings.Join(sortedKeys(sl.Slowest[0]), " ") != want {
 		t.Fatalf("/debug/slowlog entries = %v, want one with keys %s", sl.Slowest, want)
 	}

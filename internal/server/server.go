@@ -123,12 +123,13 @@ type Config struct {
 	// admission. Default 32; negative disables the recorder (both
 	// endpoints answer 501).
 	SlowlogEntries int
-	// TraceSampleRate head-samples queries into full distributed
-	// tracing: a sampled query's traceparent carries the sampling bit,
-	// so every shard leg ships its complete span list back for flight
-	// assembly. 0 (the default) never head-samples; tail-based
-	// retention still keeps the traces that matter. Values are clamped
-	// to [0, 1].
+	// TraceSampleRate head-samples queries: a sampled query's
+	// traceparent carries the sampling bit, and its record is retained
+	// with the reason "sampled", ranked below the tail reasons. Its
+	// flight is the one every retained record gets, drawn from the stage
+	// times every reply carries. 0 (the default) never head-samples;
+	// tail-based retention still keeps the traces that matter. Values
+	// are clamped to [0, 1].
 	TraceSampleRate float64
 }
 
@@ -339,7 +340,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSlowlog serves the flight recorder: the slowest and the most
-// recent executed queries, each with its stage-annotated trace.
+// recent executed queries, each with its stats and stage split;
+// /debug/trace/{request_id} draws one's tree.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ndss/internal/obs"
+	"ndss/internal/search"
 )
 
 // sampleTrace decides head-sampling for a root trace minted at this
@@ -23,21 +24,22 @@ func (s *Server) sampleTrace() bool {
 	return rand.Float64() < rate
 }
 
-// assembleFlight grafts one query's spans — this process's own, plus
-// whatever each shard leg shipped back — into a single tree:
+// assembleFlight draws one query's trace tree from its record: the
+// legs and replica attempts a coordinator logged, and the stage times of
+// this process and of every answering shard, each laid end to end as
+// six stage spans:
 //
 //	endpoint (root, the query's wall time)
 //	├── shard (one leg per range, at its fan-out offset)
 //	│   ├── shard_attempt / shard_retry / shard_hedge (one per replica attempt)
-//	│   │   └── sketch/plan/gather/count/merge/verify… (the winner's remote spans)
-//	└── shard_merge (the coordinator's merge tail)
+//	│   │   └── sketch/plan/gather/count/merge/verify (the winner's stage times)
+//	└── shard_merge (the coordinator's own merge time)
 //
-// For unsharded backends the engine's spans hang directly off the
-// root; a failed query is its root alone, flagged failed. Remote spans
-// keep their own durations and attrs (io_bytes included) and are
-// shifted by their carrier's start onto the query's time axis, so stage
-// durations nest within — and sum within — the leg latency that carried
-// them.
+// For unsharded backends the stage spans hang directly off the root; a
+// failed query is its root alone, flagged failed. The backend's clock
+// (the fan-out's, behind a coordinator) is placed so its Total ends
+// where the root ends. A leg's stage spans start at the attempt that
+// carried them, so they nest within, and sum within, the leg latency.
 func assembleFlight(q *queryRecord) []obs.FlightSpan {
 	var f obs.Flight
 	dur := time.Duration(q.DurationNS)
@@ -47,17 +49,24 @@ func assembleFlight(q *queryRecord) []obs.FlightSpan {
 		return f.Spans()
 	}
 	root := f.Add("", q.tc.SpanIDString(), q.Endpoint, 0, dur)
+	base := max(dur-st.Total, 0)
+	if len(st.PerShard) == 0 {
+		addStages(&f, root, base, st.StageTimes)
+		return f.Spans()
+	}
+	merge := st.StageTimes.Merge
 	for i := range st.PerShard {
 		ps := &st.PerShard[i]
 		legAttrs := []obs.Attr{{Key: "shard", Val: int64(i)}}
 		if ps.IOBytes > 0 {
 			legAttrs = append(legAttrs, obs.Attr{Key: "io_bytes", Val: ps.IOBytes})
 		}
-		leg := f.Add(root, ps.SpanID, "shard", ps.Start, ps.Total, legAttrs...)
-		// The leg's remote spans belong under the attempt that carried
+		legStart := base + ps.Start
+		leg := f.Add(root, ps.SpanID, "shard", legStart, ps.Total, legAttrs...)
+		// The leg's stage spans belong under the attempt that carried
 		// them: the winner when a replica set logged attempts, the leg
 		// itself otherwise (single-replica shards).
-		carrier, carrierStart := leg, ps.Start
+		carrier, carrierStart := leg, legStart
 		for _, a := range ps.Attempts {
 			name := "shard_attempt"
 			if a.Hedge {
@@ -72,17 +81,29 @@ func assembleFlight(q *queryRecord) []obs.FlightSpan {
 			if a.Err != "" {
 				attrs = append(attrs, obs.Attr{Key: "failed", Val: 1})
 			}
-			id := f.Add(leg, a.SpanID, name, ps.Start+a.Start, a.Dur, attrs...)
+			id := f.Add(leg, a.SpanID, name, legStart+a.Start, a.Dur, attrs...)
 			if a.Err == "" {
-				carrier, carrierStart = id, ps.Start+a.Start
+				carrier, carrierStart = id, legStart+a.Start
 			}
 		}
-		f.Graft(carrier, ps.Spans, carrierStart)
+		if ps.Answered {
+			addStages(&f, carrier, carrierStart, ps.StageTimes)
+			merge -= ps.StageTimes.Merge
+		}
 	}
-	// The backend's own spans: the engine's stages, or a coordinator's
-	// merge tail.
-	f.Graft(root, q.Spans, 0)
+	// The coordinator's merge time is what its Merge holds beyond the
+	// answering legs' own.
+	f.Add(root, "", "shard_merge", base+st.Total-merge, merge)
 	return f.Spans()
+}
+
+// addStages adds the six stage spans of t under parent, end to end from
+// at.
+func addStages(f *obs.Flight, parent string, at time.Duration, t search.StageTimes) {
+	for i, d := range t.Durations() {
+		f.Add(parent, "", search.StageNames[i], at, d)
+		at += d
+	}
 }
 
 // handleTrace serves the flight recorder by request id: GET

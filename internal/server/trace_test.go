@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"testing"
 	"time"
 
@@ -75,7 +76,62 @@ type traceEntry struct {
 	Sampled   bool             `json:"sampled"`
 	Reasons   []string         `json:"reasons"`
 	Err       string           `json:"err"`
+	Stats     *search.Stats    `json:"stats"`
 	Spans     []obs.FlightSpan `json:"spans"`
+}
+
+// checkStages asserts that parent's stage children in a flight are
+// exactly one span per stage, in stage order, each as long as its field
+// of want and laid end to end, and returns where they start and their
+// summed duration.
+func checkStages(t *testing.T, spans []obs.FlightSpan, parent string, want search.StageTimes) (start, sum int64) {
+	t.Helper()
+	var stages []obs.FlightSpan
+	for _, sp := range childrenOf(spans, parent) {
+		if slices.Contains(search.StageNames[:], sp.Name) {
+			stages = append(stages, sp)
+		}
+	}
+	if len(stages) != search.NumStages {
+		t.Fatalf("span %s has %d stage children, want %d: %+v", parent, len(stages), search.NumStages, stages)
+	}
+	d := want.Durations()
+	start = stages[0].StartNS
+	at := start
+	for i, sp := range stages {
+		if sp.Name != search.StageNames[i] || sp.DurNS != int64(d[i]) || sp.StartNS != at {
+			t.Errorf("stage %d is %s at %d for %d, want %s at %d for its stage time %d",
+				i, sp.Name, sp.StartNS, sp.DurNS, search.StageNames[i], at, d[i])
+		}
+		at += sp.DurNS
+	}
+	return start, at - start
+}
+
+// checkShardMerge asserts that the root has one shard_merge child, as
+// long as the coordinator's own merge time (its Merge beyond the
+// answering legs') and ending where the root ends.
+func checkShardMerge(t *testing.T, spans []obs.FlightSpan, root obs.FlightSpan, st *search.Stats) {
+	t.Helper()
+	own := st.StageTimes.Merge
+	for _, ps := range st.PerShard {
+		if ps.Answered {
+			own -= ps.StageTimes.Merge
+		}
+	}
+	var merges []obs.FlightSpan
+	for _, sp := range childrenOf(spans, root.SpanID) {
+		if sp.Name == "shard_merge" {
+			merges = append(merges, sp)
+		}
+	}
+	if len(merges) != 1 {
+		t.Fatalf("root has %d shard_merge children, want 1", len(merges))
+	}
+	if m := merges[0]; m.DurNS != int64(own) || m.StartNS+m.DurNS != root.DurNS {
+		t.Errorf("shard_merge at %d for %d, want the coordinator's own %d ending with the root at %d",
+			m.StartNS, m.DurNS, own, root.DurNS)
+	}
 }
 
 func flightAttr(sp obs.FlightSpan, key string) (int64, bool) {
@@ -88,140 +144,107 @@ func flightAttr(sp obs.FlightSpan, key string) (int64, bool) {
 }
 
 // TestTraceTreeAssembly drives assembleFlight with a synthetic sharded
-// stats tree — one leg with a failed primary and a winning retry, one
-// single-attempt leg — and checks the grafting rules: wire span ids
-// survive, remote spans nest under the winning attempt shifted onto
-// the query's time axis, attrs ride along, and stage timings stay
-// monotonic, disjoint, and within their carrier.
+// record — one leg with a failed primary and a winning retry, one
+// single-attempt leg, one leg that missed its budget — and checks the
+// drawing rules: wire span ids survive, the fan-out clock ends with the
+// root, each answering leg's stage times become six stage spans under
+// the winning attempt, and the coordinator's own merge time becomes the
+// shard_merge span.
 func TestTraceTreeAssembly(t *testing.T) {
-	remote0 := []obs.Span{
-		obs.NewSpan(search.StageNames[0], 0, time.Millisecond, nil), // sketch
-		obs.NewSpan(search.StageNames[2], time.Millisecond, 2*time.Millisecond, // gather
-			[]obs.Attr{{Key: "io_bytes", Val: 4096}}),
-	}
-	remote1 := []obs.Span{obs.NewSpan(search.StageNames[0], 0, 2*time.Millisecond, nil)}
-	coordSpans := []obs.Span{obs.NewSpan("shard_merge", 11*time.Millisecond, time.Millisecond, nil)}
-
+	ms := time.Millisecond
+	leg0 := search.StageTimes{Sketch: ms, Plan: ms / 2, Gather: 2 * ms, Count: ms, Merge: ms / 2}
+	leg1 := search.StageTimes{Sketch: 2 * ms, Merge: ms / 4}
+	merged := leg0.Add(leg1)
+	merged.Merge += ms // the coordinator's own merge
 	st := &search.Stats{
-		ShardsTotal:    2,
+		ShardsTotal:    3,
 		ShardsAnswered: 2,
-		Spans:          coordSpans,
+		IOBytes:        4096,
+		Total:          11 * ms,
+		StageTimes:     merged,
 		PerShard: []search.ShardStats{
 			{
-				Shard: "s0", Answered: true, IOBytes: 4096,
-				Total: 10 * time.Millisecond, SpanID: "leg0leg0leg0leg0", Start: time.Millisecond,
-				Spans: remote0,
+				Shard: "s0", Answered: true, IOBytes: 4096, StageTimes: leg0,
+				Total: 9 * ms, SpanID: "leg0leg0leg0leg0", Start: ms,
 				Attempts: []search.ShardAttempt{
 					{Replica: "r0", ReplicaIdx: 0, Attempt: 0, Err: "connection reset",
-						SpanID: "a0a0a0a0a0a0a0a0", Start: 0, Dur: 2 * time.Millisecond},
+						SpanID: "a0a0a0a0a0a0a0a0", Start: 0, Dur: 2 * ms},
 					{Replica: "r1", ReplicaIdx: 1, Attempt: 1,
-						SpanID: "a1a1a1a1a1a1a1a1", Start: 2500 * time.Microsecond, Dur: 7 * time.Millisecond},
+						SpanID: "a1a1a1a1a1a1a1a1", Start: 2500 * time.Microsecond, Dur: 6 * ms},
 				},
 			},
 			{
-				Shard: "s1", Answered: true,
-				Total: 5 * time.Millisecond, SpanID: "leg1leg1leg1leg1", Start: 2 * time.Millisecond,
-				Spans: remote1,
+				Shard: "s1", Answered: true, StageTimes: leg1,
+				Total: 5 * ms, SpanID: "leg1leg1leg1leg1", Start: 2 * ms,
 			},
+			{Shard: "s2", Err: "deadline exceeded", Total: 9 * ms, SpanID: "leg2leg2leg2leg2", Start: ms},
 		},
 	}
 
 	tc := obs.NewTraceContext(true)
-	rs := *st
-	rs.Spans = nil
-	flight := assembleFlight(&queryRecord{
-		Endpoint: "search", DurationNS: int64(12 * time.Millisecond),
-		Stats: &rs, Spans: st.Spans, tc: tc,
-	})
+	flight := assembleFlight(&queryRecord{Endpoint: "search", DurationNS: int64(12 * ms), Stats: st, tc: tc})
 	byID, root := flightIndex(t, flight)
 
-	if root.Name != "search" || root.SpanID != tc.SpanIDString() || root.DurNS != int64(12*time.Millisecond) {
+	if root.Name != "search" || root.SpanID != tc.SpanIDString() || root.DurNS != int64(12*ms) {
 		t.Fatalf("root = %+v, want search span %s over 12ms", root, tc.SpanIDString())
 	}
 
 	// The legs keep their wire ids and hang off the root at their
-	// fan-out offsets.
-	leg0, ok := byID["leg0leg0leg0leg0"]
-	if !ok || leg0.ParentID != root.SpanID || leg0.Name != "shard" || leg0.StartNS != int64(time.Millisecond) {
-		t.Fatalf("leg0 = %+v (ok=%v), want a shard child of the root at 1ms", leg0, ok)
+	// fan-out offsets, the fan-out's 11ms ending with the root's 12ms.
+	l0, ok := byID["leg0leg0leg0leg0"]
+	if !ok || l0.ParentID != root.SpanID || l0.Name != "shard" || l0.StartNS != int64(2*ms) {
+		t.Fatalf("leg0 = %+v (ok=%v), want a shard child of the root at 2ms", l0, ok)
 	}
-	if v, ok := flightAttr(leg0, "shard"); !ok || v != 0 {
+	if v, ok := flightAttr(l0, "shard"); !ok || v != 0 {
 		t.Errorf("leg0 shard attr = %d (ok=%v), want 0", v, ok)
 	}
-	if v, ok := flightAttr(leg0, "io_bytes"); !ok || v != 4096 {
+	if v, ok := flightAttr(l0, "io_bytes"); !ok || v != 4096 {
 		t.Errorf("leg0 io_bytes attr = %d (ok=%v), want 4096", v, ok)
 	}
 
 	// The failed primary and the winning retry are siblings under the
-	// leg, each with its wire id; only the failure is flagged.
+	// leg, each with its wire id; only the failure is flagged, and only
+	// the winner carries stage spans.
 	failed, ok := byID["a0a0a0a0a0a0a0a0"]
-	if !ok || failed.ParentID != leg0.SpanID || failed.Name != "shard_attempt" {
+	if !ok || failed.ParentID != l0.SpanID || failed.Name != "shard_attempt" {
 		t.Fatalf("failed attempt = %+v (ok=%v), want shard_attempt under leg0", failed, ok)
 	}
 	if v, ok := flightAttr(failed, "failed"); !ok || v != 1 {
 		t.Errorf("failed attempt lacks failed=1: %+v", failed)
 	}
+	if kids := childrenOf(flight, failed.SpanID); len(kids) != 0 {
+		t.Errorf("failed attempt carries %+v", kids)
+	}
 	winner, ok := byID["a1a1a1a1a1a1a1a1"]
-	if !ok || winner.ParentID != leg0.SpanID || winner.Name != "shard_retry" {
+	if !ok || winner.ParentID != l0.SpanID || winner.Name != "shard_retry" {
 		t.Fatalf("winning retry = %+v (ok=%v), want shard_retry under leg0", winner, ok)
 	}
 	if _, ok := flightAttr(winner, "failed"); ok {
 		t.Errorf("winning retry flagged failed: %+v", winner)
 	}
 	// Attempt starts are leg-relative on the wire, absolute in the tree.
-	if winner.StartNS != int64(3500*time.Microsecond) || winner.DurNS != int64(7*time.Millisecond) {
-		t.Errorf("winner timing = start %d dur %d, want 3.5ms/7ms", winner.StartNS, winner.DurNS)
+	if winner.StartNS != int64(4500*time.Microsecond) || winner.DurNS != int64(6*ms) {
+		t.Errorf("winner timing = start %d dur %d, want 4.5ms/6ms", winner.StartNS, winner.DurNS)
+	}
+	start, sum := checkStages(t, flight, winner.SpanID, leg0)
+	if start != winner.StartNS || sum > winner.DurNS {
+		t.Errorf("leg0 stages [%d,%d] escape the winning attempt [%d,%d]",
+			start, start+sum, winner.StartNS, winner.StartNS+winner.DurNS)
 	}
 
-	// The remote stage spans graft under the winning attempt, shifted
-	// by its absolute start, attrs intact.
-	stages := childrenOf(flight, winner.SpanID)
-	if len(stages) != 2 || stages[0].Name != "sketch" || stages[1].Name != "gather" {
-		t.Fatalf("winner's remote spans = %+v, want [sketch gather]", stages)
+	// A leg without replica attempts carries its stage spans directly.
+	l1 := byID["leg1leg1leg1leg1"]
+	if start, _ := checkStages(t, flight, l1.SpanID, leg1); start != l1.StartNS {
+		t.Errorf("leg1 stages start at %d, want the leg's %d", start, l1.StartNS)
 	}
-	if stages[0].StartNS != winner.StartNS {
-		t.Errorf("remote sketch start = %d, want the attempt's %d", stages[0].StartNS, winner.StartNS)
-	}
-	if v, ok := flightAttr(stages[1], "io_bytes"); !ok || v != 4096 {
-		t.Errorf("remote gather io_bytes = %d (ok=%v), want 4096", v, ok)
-	}
-	// Monotonic and disjoint on the shared axis, summing within the
-	// attempt that carried them.
-	var sum int64
-	for i, sp := range stages {
-		sum += sp.DurNS
-		if sp.StartNS < winner.StartNS || sp.StartNS+sp.DurNS > winner.StartNS+winner.DurNS {
-			t.Errorf("stage %s [%d,%d] escapes its attempt [%d,%d]",
-				sp.Name, sp.StartNS, sp.StartNS+sp.DurNS, winner.StartNS, winner.StartNS+winner.DurNS)
-		}
-		if i > 0 && sp.StartNS < stages[i-1].StartNS+stages[i-1].DurNS {
-			t.Errorf("stage %s overlaps its predecessor", sp.Name)
-		}
-	}
-	if sum > leg0.DurNS {
-		t.Errorf("stage durations sum to %d, above the leg's %d", sum, leg0.DurNS)
+	// A leg that did not answer has no stage times to draw.
+	if kids := childrenOf(flight, "leg2leg2leg2leg2"); len(kids) != 0 {
+		t.Errorf("unanswered leg carries %+v", kids)
 	}
 
-	// A leg without replica attempts carries its remote spans directly.
-	leg1 := byID["leg1leg1leg1leg1"]
-	kids := childrenOf(flight, leg1.SpanID)
-	if len(kids) != 1 || kids[0].Name != "sketch" || kids[0].StartNS != leg1.StartNS {
-		t.Fatalf("leg1 children = %+v, want one sketch at the leg start", kids)
-	}
-
-	// The coordinator's merge tail hangs off the root; its leg-bookkeeping
-	// spans do not reappear.
-	var merges, legSpans int
-	for _, sp := range childrenOf(flight, root.SpanID) {
-		switch sp.Name {
-		case "shard_merge":
-			merges++
-		case "shard":
-			legSpans++
-		}
-	}
-	if merges != 1 || legSpans != 2 {
-		t.Fatalf("root children have %d shard_merge and %d shard legs, want 1 and 2", merges, legSpans)
+	checkShardMerge(t, flight, root, st)
+	if n := len(childrenOf(flight, root.SpanID)); n != 4 {
+		t.Errorf("root has %d children, want 3 legs and shard_merge", n)
 	}
 }
 
@@ -230,9 +253,9 @@ func TestTraceTreeAssembly(t *testing.T) {
 // scripted connection reset forcing a retry on range 0 and scripted
 // delays forcing a hedge on range 1, with head sampling on. The
 // /debug/trace/{request_id} endpoint must return one connected tree
-// containing the failed attempt, the winning attempt, and the remote
-// per-stage spans of every answering shard, with stage durations
-// summing within their leg's latency.
+// containing the failed attempt, the winning attempt carrying the six
+// stage spans of its shard's stage times, summing within the leg's
+// latency, and the coordinator's shard_merge.
 func TestChaosTraceRetryHedgeTree(t *testing.T) {
 	c := corpus.MustSynthesize(corpus.SynthConfig{
 		NumTexts: 40, MinLength: 40, MaxLength: 120, VocabSize: 40,
@@ -335,7 +358,7 @@ func TestChaosTraceRetryHedgeTree(t *testing.T) {
 		t.Errorf("retention reasons = %v, want sampled+retried+hedged", e.Reasons)
 	}
 
-	byID, root := flightIndex(t, e.Spans)
+	_, root := flightIndex(t, e.Spans)
 	if root.Name != "search" {
 		t.Errorf("root span = %q, want the endpoint name", root.Name)
 	}
@@ -370,30 +393,20 @@ func TestChaosTraceRetryHedgeTree(t *testing.T) {
 			}
 			if _, failed := flightAttr(a, "failed"); failed {
 				sawFailed = true
-			} else if len(childrenOf(e.Spans, a.SpanID)) > 0 {
+				if kids := childrenOf(e.Spans, a.SpanID); len(kids) > 0 {
+					t.Errorf("failed attempt %s carries %+v", a.SpanID, kids)
+				}
+			} else {
 				winner = a
 			}
 		}
 		if winner.SpanID == "" {
-			t.Fatalf("leg %s has no winning attempt carrying remote spans: %+v", leg.SpanID, attempts)
+			t.Fatalf("leg %s has no winning attempt: %+v", leg.SpanID, attempts)
 		}
 		// The answering shard's own pipeline decomposition crossed the
 		// wire and nests under exactly the attempt that carried it.
-		stageSpans := map[string]int{}
-		var sum int64
-		for _, sp := range childrenOf(e.Spans, winner.SpanID) {
-			for _, name := range search.StageNames {
-				if sp.Name == name {
-					stageSpans[name]++
-					sum += sp.DurNS
-				}
-			}
-		}
-		for _, name := range search.StageNames {
-			if stageSpans[name] != 1 {
-				t.Errorf("leg %s winner carries %d remote %s spans, want 1", leg.SpanID, stageSpans[name], name)
-			}
-		}
+		i, _ := flightAttr(leg, "shard")
+		_, sum := checkStages(t, e.Spans, winner.SpanID, e.Stats.PerShard[i].StageTimes)
 		if sum > leg.DurNS {
 			t.Errorf("leg %s remote stage durations sum to %dns, above the leg's %dns", leg.SpanID, sum, leg.DurNS)
 		}
@@ -408,5 +421,98 @@ func TestChaosTraceRetryHedgeTree(t *testing.T) {
 	if !sawHedge {
 		t.Error("no hedge span in the flight; the scripted delay should force one")
 	}
-	_ = byID
+	checkShardMerge(t, e.Spans, root, e.Stats)
+}
+
+// TestTailRetainedShardedTree runs a real coordinator over two HTTP
+// shards with head sampling off: a query kept by a tail rule alone —
+// slow, then partial once a shard is gone — gets the same tree a
+// sampled one does. Under each answering leg hang six stage spans
+// whose durations are that leg's PerShard stage times and sum within
+// the leg; a leg that did not answer has none; and one shard_merge
+// span ends where the root ends.
+func TestTailRetainedShardedTree(t *testing.T) {
+	c := corpus.MustSynthesize(corpus.SynthConfig{
+		NumTexts: 40, MinLength: 40, MaxLength: 120, VocabSize: 40,
+		ZipfS: 1.3, Seed: 7, DupRate: 0.6, DupSnippetLen: 20, DupMutateProb: 0.05,
+	})
+	texts := make([][]uint32, c.NumTexts())
+	for i := range texts {
+		texts[i] = c.Text(uint32(i))
+	}
+	var remotes []*httptest.Server
+	var clients []shard.ShardClient
+	for r := 0; r < 2; r++ {
+		dir := t.TempDir()
+		cc := corpus.New(texts[r*20 : (r+1)*20])
+		if _, err := index.Build(cc, dir, index.BuildOptions{K: 8, Seed: 21, T: 5}); err != nil {
+			t.Fatal(err)
+		}
+		e := openDB(t, dir, cc)
+		t.Cleanup(func() { e.Close() })
+		remote := httptest.NewServer(New(e, Config{CacheEntries: -1}))
+		t.Cleanup(remote.Close)
+		hs, err := shard.NewHTTPShard(context.Background(), remote.URL, shard.HTTPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		remotes, clients = append(remotes, remote), append(clients, hs)
+	}
+	coord, err := shard.NewCoordinator(clients, shard.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	ts := httptest.NewServer(New(coord, Config{CacheEntries: -1, SlowQueryThreshold: time.Nanosecond}))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name     string
+		reason   string
+		answered int
+	}{
+		{"slow", "slow", 2},
+		{"partial", "partial", 1},
+	} {
+		if tc.answered == 1 {
+			remotes[1].Close()
+		}
+		id := postTraced(t, ts, obs.NewTraceContext(false), wire.Request{Tokens: texts[5][:12], Theta: 0.5}, http.StatusOK)
+		body, status := getTrace(t, ts, id)
+		if status != http.StatusOK {
+			t.Fatalf("%s: /debug/trace/%s: %d, want a retained record", tc.name, id, status)
+		}
+		e := decodeTrace(t, body)
+		if e.Sampled || !slices.Contains(e.Reasons, tc.reason) || slices.Contains(e.Reasons, "sampled") {
+			t.Fatalf("%s: sampled %v reasons %v, want tail-retained as %s alone", tc.name, e.Sampled, e.Reasons, tc.reason)
+		}
+		if e.Stats.ShardsAnswered != tc.answered {
+			t.Fatalf("%s: %d shards answered, want %d", tc.name, e.Stats.ShardsAnswered, tc.answered)
+		}
+		_, root := flightIndex(t, e.Spans)
+		answered := 0
+		for _, leg := range childrenOf(e.Spans, root.SpanID) {
+			if leg.Name != "shard" {
+				continue
+			}
+			i, _ := flightAttr(leg, "shard")
+			ps := e.Stats.PerShard[i]
+			if !ps.Answered {
+				if kids := childrenOf(e.Spans, leg.SpanID); len(kids) != 0 {
+					t.Errorf("%s: unanswered leg %d carries %+v", tc.name, i, kids)
+				}
+				continue
+			}
+			answered++
+			start, sum := checkStages(t, e.Spans, leg.SpanID, ps.StageTimes)
+			if sum <= 0 || start != leg.StartNS || sum > leg.DurNS {
+				t.Errorf("%s: leg %d stages [%d,%d] (sum %d) do not nest in the leg [%d,%d]",
+					tc.name, i, start, start+sum, sum, leg.StartNS, leg.StartNS+leg.DurNS)
+			}
+		}
+		if answered != tc.answered {
+			t.Errorf("%s: %d legs carry stages, want %d", tc.name, answered, tc.answered)
+		}
+		checkShardMerge(t, e.Spans, root, e.Stats)
+	}
 }

@@ -106,8 +106,7 @@ func (c *Coordinator) BuildID() string {
 	return fmt.Sprintf("sharded-%d-%016x", len(c.slots), h.Sum64())
 }
 
-// IOStats sums the shards' cumulative I/O counters, attributing each
-// shard's share in PerSegment-style per-shard entries.
+// IOStats sums the shards' cumulative I/O counters.
 func (c *Coordinator) IOStats() index.IOStats {
 	var out index.IOStats
 	for _, sl := range c.slots {
@@ -137,7 +136,7 @@ type legResult struct {
 	spanID  string        // the leg's span id when the query is traced
 }
 
-// childTraceContext derives a fresh child span for one unit of
+// childTraceContextID derives a fresh child span for one unit of
 // downstream work (a leg or a probe) when ctx carries a trace, and
 // returns the context to run it under plus the child's span id.
 func childTraceContextID(ctx context.Context) (context.Context, string) {
@@ -217,14 +216,14 @@ func (c *Coordinator) SearchContext(ctx context.Context, query []uint32, opts se
 		return nil, nil, search.ValidationError(fmt.Sprintf("search: Limit must not be negative, got %d", opts.Limit))
 	}
 	results, base := c.fanOut(ctx, query, opts)
-	return c.merge(ctx, base, results, opts.Trace, opts.Limit)
+	return c.merge(ctx, base, results, opts.Limit)
 }
 
 // merge assembles the fan-out legs into one globally-ordered result.
 // topN > 0 selects top-k ranking (sort by collisions, truncate);
 // topN == 0 keeps the concatenation order, which is already globally
 // sorted because shard text-id ranges are disjoint and ascending.
-func (c *Coordinator) merge(ctx context.Context, base time.Time, results []legResult, trace bool, topN int) ([]search.Match, *search.Stats, error) {
+func (c *Coordinator) merge(ctx context.Context, base time.Time, results []legResult, topN int) ([]search.Match, *search.Stats, error) {
 	answered := 0
 	var firstErr error
 	for i := range results {
@@ -256,13 +255,6 @@ func (c *Coordinator) merge(ctx context.Context, base time.Time, results []legRe
 		ShardsAnswered: answered,
 		PerShard:       make([]search.ShardStats, len(results)),
 	}
-	// The full span lists ride along only when the query's trace is
-	// sampled (or the query runs outside any trace, i.e. direct library
-	// use): stage aggregates always flow, span shipping is opt-in.
-	keepSpans := true
-	if tc, ok := obs.TraceFromContext(ctx); ok {
-		keepSpans = tc.Sampled
-	}
 	first := true
 	for i := range results {
 		r := &results[i]
@@ -274,12 +266,6 @@ func (c *Coordinator) merge(ctx context.Context, base time.Time, results []legRe
 			// recorded even when every attempt failed).
 			ps.Attempts = r.stats.Attempts
 			r.stats.Attempts = nil
-			// Same hand-off for the leg's own span list: the winning
-			// attempt's spans belong under this leg of the query tree.
-			if keepSpans {
-				ps.Spans = r.stats.Spans
-				r.stats.Spans = nil
-			}
 		}
 		if r.err != nil {
 			ps.Err = shardErrString(r.err)
@@ -324,11 +310,6 @@ func (c *Coordinator) merge(ctx context.Context, base time.Time, results []legRe
 
 	if st.Partial() {
 		c.partials.Add(1)
-	}
-	// The legs and their attempts are recorded once, in PerShard; the
-	// coordinator's own span is its merge tail.
-	if trace {
-		st.Spans = []obs.Span{obs.NewSpan("shard_merge", mergeStart.Sub(base), mergeDur, nil)}
 	}
 	st.Total = time.Since(base)
 	return out, st, nil

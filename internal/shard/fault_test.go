@@ -225,13 +225,16 @@ func TestTopKTieOrderAcrossShards(t *testing.T) {
 
 // TestTraceAndStatsAggregation checks the merged stats carry the summed
 // counters of the answered shards, each leg once in PerShard on the
-// query's time axis, and, when tracing is on, the merge span alone.
+// query's time axis, and stage times that are the legs' sums plus the
+// coordinator's own merge, the time a trace draws its shard_merge from.
 func TestTraceAndStatsAggregation(t *testing.T) {
 	s0 := newStubShard("s0", 10, search.Match{TextID: 1, Collisions: 5})
 	s1 := newStubShard("s1", 10, search.Match{TextID: 2, Collisions: 4})
+	s0.stats.StageTimes = search.StageTimes{Sketch: 1, Plan: 2, Gather: 3, Count: 4, Merge: 5, Verify: 6}
+	s1.stats.StageTimes = search.StageTimes{Sketch: 10, Plan: 20, Gather: 30, Count: 40, Merge: 50, Verify: 60}
 
 	c := stubCoordinator(t, shard.Config{}, s0, s1)
-	_, st, err := c.SearchContext(context.Background(), []uint32{1}, search.Options{Theta: 0.5, Trace: true})
+	_, st, err := c.SearchContext(context.Background(), []uint32{1}, search.Options{Theta: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +244,12 @@ func TestTraceAndStatsAggregation(t *testing.T) {
 	if st.K != 8 || st.Beta != 4 {
 		t.Fatalf("stats K/Beta = %d/%d, want the shards' 8/4", st.K, st.Beta)
 	}
-	if len(st.Spans) != 1 || st.Spans[0].Name != "shard_merge" {
-		t.Fatalf("coordinator spans = %+v, want the shard_merge span alone", st.Spans)
+	legs := s0.stats.StageTimes.Add(s1.stats.StageTimes)
+	own := st.StageTimes.Merge - legs.Merge
+	legs.Merge = st.StageTimes.Merge
+	if st.StageTimes != legs || own <= 0 || own > st.Total {
+		t.Fatalf("merged stages %+v with own merge %v, want the legs' sums plus a merge within the total %v",
+			st.StageTimes, own, st.Total)
 	}
 	if st.Total <= 0 {
 		t.Fatal("merged stats carry no total time")

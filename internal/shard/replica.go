@@ -384,8 +384,8 @@ func (r *ReplicaSet) SearchContext(ctx context.Context, query []uint32, opts sea
 	launch := func(rep *replica, hedge bool) {
 		pi := len(pendings)
 		// Every attempt — primary, retry, hedge — runs under its own
-		// child span id, so the remote side's spans (and the wire
-		// headers) identify exactly which attempt carried them.
+		// child span id, so the remote side's record (and the wire
+		// headers) identify exactly which attempt carried it.
 		actx, spanID := childTraceContextID(ctx)
 		actx, cancel := context.WithCancel(actx)
 		p := &attemptState{

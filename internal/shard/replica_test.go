@@ -424,7 +424,7 @@ func TestReplicaSetThroughCoordinator(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	got, st, err := c.SearchContext(context.Background(), []uint32{1, 2, 3}, search.Options{Theta: 0.5, Trace: true})
+	got, st, err := c.SearchContext(context.Background(), []uint32{1, 2, 3}, search.Options{Theta: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,8 +114,9 @@ func (l *Local) Close() error {
 	return nil
 }
 
-// errUnanswered wraps a shard-local failure so Stats.PerShard can carry
-// the reason a shard was skipped.
+// shardErrString renders a shard-local failure for Stats.PerShard, the
+// reason a shard was skipped: a per-shard deadline reads "deadline
+// exceeded", anything else its error text.
 func shardErrString(err error) string {
 	if err == nil {
 		return ""

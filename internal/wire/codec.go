@@ -9,7 +9,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"ndss/internal/obs"
 	"ndss/internal/search"
 )
 
@@ -22,7 +21,9 @@ import (
 // reference: every value and every error text is the one encoding/json
 // gives. A response holding "per_shard" goes to encoding/json as well:
 // only a coordinator fills it, and the serving tier's hops decode only
-// leaf shards' replies.
+// leaf shards' replies. So does one holding "spans", the span list
+// older shards send on a sampled trace: encoding/json skips the
+// unknown member, so the reply decodes as if it were not there.
 // Error and Health, and /explain's search.Plan, are rare and keep
 // encoding/json.
 
@@ -122,7 +123,6 @@ func appendStats(dst []byte, st *search.Stats) []byte {
 		}
 		dst = append(dst, ']')
 	}
-	dst = appendSpans(dst, st.Spans)
 	return append(dst, '}')
 }
 
@@ -147,7 +147,6 @@ func appendShardStats(dst []byte, s *search.ShardStats) []byte {
 	dst = appendStages(append(dst, `,"stages":`...), &s.StageTimes)
 	dst = appendStringOmit(dst, `,"span_id":`, s.SpanID)
 	dst = appendIntOmit(dst, `,"start_ns":`, int64(s.Start))
-	dst = appendSpans(dst, s.Spans)
 	if len(s.Attempts) > 0 {
 		dst = append(dst, `,"attempts":[`...)
 		for i := range s.Attempts {
@@ -168,38 +167,6 @@ func appendShardStats(dst []byte, s *search.ShardStats) []byte {
 		dst = append(dst, ']')
 	}
 	return append(dst, '}')
-}
-
-// appendSpans appends an omitempty "spans" member in obs.Span's
-// MarshalJSON form.
-func appendSpans(dst []byte, spans []obs.Span) []byte {
-	if len(spans) == 0 {
-		return dst
-	}
-	dst = append(dst, `,"spans":[`...)
-	for i := range spans {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		sp := &spans[i]
-		dst = appendString(append(dst, `{"name":`...), sp.Name)
-		dst = appendInt(dst, `,"start_ns":`, int64(sp.Start))
-		dst = appendInt(dst, `,"dur_ns":`, int64(sp.Dur))
-		if attrs := sp.Attrs(); len(attrs) > 0 {
-			dst = append(dst, `,"attrs":[`...)
-			for j, a := range attrs {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				dst = appendString(append(dst, `{"key":`...), a.Key)
-				dst = appendInt(dst, `,"val":`, a.Val)
-				dst = append(dst, '}')
-			}
-			dst = append(dst, ']')
-		}
-		dst = append(dst, '}')
-	}
-	return append(dst, ']')
 }
 
 func appendInt(dst []byte, key string, v int64) []byte {
@@ -679,7 +646,6 @@ func (d *decoder) match(m *search.Match) {
 }
 
 func (d *decoder) stats(st *search.Stats) {
-	var seen uint32
 	for ok := d.first('{', '}'); ok; ok = d.more('}') {
 		switch string(d.key()) {
 		case "k":
@@ -710,13 +676,6 @@ func (d *decoder) stats(st *search.Stats) {
 			st.ShardsTotal = d.int()
 		case "shards_answered":
 			st.ShardsAnswered = d.int()
-		case "spans":
-			d.once(&seen, 0)
-			st.Spans = []obs.Span{}
-			for ok := d.first('[', ']'); ok; ok = d.more(']') {
-				st.Spans = append(st.Spans, obs.Span{})
-				d.span(&st.Spans[len(st.Spans)-1])
-			}
 		default:
 			d.bad = true
 		}
@@ -738,49 +697,6 @@ func (d *decoder) stages(t *search.StageTimes) {
 			t.Merge = d.duration()
 		case "verify_ns":
 			t.Verify = d.duration()
-		default:
-			d.bad = true
-		}
-	}
-}
-
-// span reads obs.Span's MarshalJSON form.
-func (d *decoder) span(sp *obs.Span) {
-	var (
-		seen       uint32
-		name       string
-		start, dur int64
-		attrs      []obs.Attr
-	)
-	for ok := d.first('{', '}'); ok; ok = d.more('}') {
-		switch string(d.key()) {
-		case "name":
-			name = d.string()
-		case "start_ns":
-			start = d.int64()
-		case "dur_ns":
-			dur = d.int64()
-		case "attrs":
-			d.once(&seen, 0)
-			attrs = []obs.Attr{}
-			for ok := d.first('[', ']'); ok; ok = d.more(']') {
-				attrs = append(attrs, obs.Attr{})
-				d.attr(&attrs[len(attrs)-1])
-			}
-		default:
-			d.bad = true
-		}
-	}
-	*sp = obs.NewSpan(name, time.Duration(start), time.Duration(dur), attrs)
-}
-
-func (d *decoder) attr(a *obs.Attr) {
-	for ok := d.first('{', '}'); ok; ok = d.more('}') {
-		switch string(d.key()) {
-		case "key":
-			a.Key = d.string()
-		case "val":
-			a.Val = d.int64()
 		default:
 			d.bad = true
 		}

@@ -48,17 +48,44 @@ func sameBytes(t *testing.T, got []byte, err error, v any) {
 
 // goldenResponses are, in order, an unsharded, a cached, an empty, a
 // sharded and a sampled response, built as the server builds them: a
-// miss's matches are [] and only a sampled answer carries spans.
+// miss's matches are [], and a sampled answer is like any other.
 func goldenResponses() []Response {
-	st, sharded, traced := goldenStats(), goldenShardedStats(), goldenStats()
-	traced.Spans = goldenSpans()
+	st, sharded := goldenStats(), goldenShardedStats()
 	return []Response{
 		{Matches: goldenMatches(), Stats: st},
 		{Matches: goldenMatches(), Stats: st, Cached: true},
 		{Matches: []search.Match{}},
 		{Matches: goldenMatches(), Stats: sharded},
-		{Matches: goldenMatches()[1:], Stats: traced},
+		{Matches: goldenMatches()[1:], Stats: st},
 	}
+}
+
+// olderSpans is a span list as shards sent it before replies lost
+// theirs: each process's stage spans on a sampled trace, plus a
+// coordinator's shard_merge.
+const olderSpans = `"spans":[{"name":"sketch","start_ns":0,"dur_ns":11000},` +
+	`{"name":"gather","start_ns":13000,"dur_ns":300000,"attrs":[{"key":"io_bytes","val":65536}]},` +
+	`{"name":"probe","start_ns":320000,"dur_ns":9000,"attrs":[{"key":"fn","val":3},{"key":"text","val":7}]}]`
+
+// olderBodies pairs each golden response's body as an older shard sends
+// it on a sampled trace — "spans" closing the stats object and, in a
+// coordinator's reply, following every answered leg's start_ns — with
+// the body without them.
+func olderBodies(t testing.TB) (older, current [][]byte) {
+	for _, r := range goldenResponses() {
+		body, err := AppendResponse(nil, &r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := strings.Replace(string(body), `"start_ns":5000,`, `"start_ns":5000,`+olderSpans+`,`, 1)
+		end := strings.LastIndex(old, "}}")
+		if r.Cached {
+			end = strings.LastIndex(old, `},"cached"`)
+		}
+		old = old[:end] + "," + olderSpans + old[end:]
+		older, current = append(older, []byte(old)), append(current, body)
+	}
+	return older, current
 }
 
 func goldenRequests() []Request {
@@ -146,6 +173,10 @@ func FuzzDecodeResponse(f *testing.F) {
 	for _, s := range responseSeeds {
 		f.Add([]byte(s))
 	}
+	older, _ := olderBodies(f)
+	for _, b := range older {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got, want Response
 		err := DecodeResponse(data, &got)
@@ -208,17 +239,38 @@ func TestCodecFloatsAndFailures(t *testing.T) {
 	}
 }
 
+// TestDecodeOlderShardSpans is a mixed-version rollout: a shard of an
+// older release sends "spans" in its stats, and in every answered
+// per_shard entry of a coordinator's reply, on a sampled trace. Such a
+// reply decodes to the Response of the same body without them.
+func TestDecodeOlderShardSpans(t *testing.T) {
+	older, current := olderBodies(t)
+	for i := range older {
+		if bytes.Equal(older[i], current[i]) || bytes.Count(older[i], []byte(`"spans"`)) != 1+bytes.Count(current[i], []byte(`"span_id":"00f0`)) {
+			t.Fatalf("response %d: older body did not gain its span lists:\n%s", i, older[i])
+		}
+		var got, want Response
+		if err := DecodeResponse(older[i], &got); err != nil {
+			t.Fatalf("response %d: %v decoding\n%s", i, err, older[i])
+		}
+		if err := DecodeResponse(current[i], &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("response %d: with spans decoded\n%#v\nwithout\n%#v", i, got, want)
+		}
+	}
+}
+
 // TestCodecNoFallbackOnCanonical pins that the bodies the serving tier
-// decodes, requests and leaf shards' replies with or without spans,
-// never take the encoding/json path: a decode that allocates as much as
-// encoding/json's would show the fast path is not taken.
+// decodes, requests and leaf shards' replies, never take the
+// encoding/json path: a decode that allocates as much as encoding/json's
+// would show the fast path is not taken.
 func TestCodecNoFallbackOnCanonical(t *testing.T) {
 	req := benchRequest()
 	reqBody, _ := json.Marshal(req)
 	resp := benchResponse()
 	respBody, _ := json.Marshal(resp)
-	traced := goldenResponses()[4]
-	tracedBody, _ := json.Marshal(traced)
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -226,7 +278,6 @@ func TestCodecNoFallbackOnCanonical(t *testing.T) {
 	}{
 		{"request", 1, func() { var r Request; _ = DecodeRequest(reqBody, &r) }},
 		{"response", 2, func() { var r Response; _ = DecodeResponse(respBody, &r) }},
-		{"traced response", 13, func() { var r Response; _ = DecodeResponse(tracedBody, &r) }},
 	} {
 		if got := testing.AllocsPerRun(20, tc.run); got > tc.max {
 			t.Errorf("%s decode: %v allocations, want at most %v", tc.name, got, tc.max)

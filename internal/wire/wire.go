@@ -11,7 +11,7 @@
 // cross every hop of a sharded query, also have a hand-written codec
 // (codec.go) that encoding/json is the reference for.
 //
-// wire is a leaf: it imports only search, obs and index.
+// wire is a leaf: it imports only search and index.
 package wire
 
 import (
@@ -41,9 +41,8 @@ type Request struct {
 }
 
 // NewRequest is the request that runs query under opts on a remote
-// server's /search. KeepRects and Trace do not cross the wire:
-// rectangles are never served, and span shipping follows the
-// traceparent header.
+// server's /search. KeepRects does not cross the wire: rectangles are
+// never served.
 func NewRequest(query []uint32, opts search.Options) Request {
 	return Request{
 		Tokens:       query,
@@ -68,9 +67,7 @@ func (r Request) Options() search.Options {
 
 // Response is the 200 body of /search and /search/topk. Its matches
 // and stats are the engine's own types, which carry the served JSON
-// names; the fields they never serve are tagged json:"-". Stats.Spans
-// ships only on sampled traces, so attaching it is the server's
-// decision.
+// names; the fields they never serve are tagged json:"-".
 type Response struct {
 	Matches []search.Match `json:"matches"`
 	Stats   search.Stats   `json:"stats"`

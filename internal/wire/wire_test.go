@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ndss/internal/index"
-	"ndss/internal/obs"
 	"ndss/internal/search"
 )
 
@@ -38,14 +37,6 @@ func goldenStats() search.Stats {
 	}
 }
 
-func goldenSpans() []obs.Span {
-	return []obs.Span{
-		obs.NewSpan("sketch", 0, 11*time.Microsecond, nil),
-		obs.NewSpan("gather", 13*time.Microsecond, 300*time.Microsecond, []obs.Attr{{Key: "io_bytes", Val: 65536}}),
-		obs.NewSpan("probe", 320*time.Microsecond, 9*time.Microsecond, []obs.Attr{{Key: "fn", Val: 3}, {Key: "text", Val: 7}}),
-	}
-}
-
 func goldenShardedStats() search.Stats {
 	st := goldenStats()
 	st.ShardsTotal, st.ShardsAnswered = 2, 1
@@ -54,7 +45,6 @@ func goldenShardedStats() search.Stats {
 			Shard: "http://s0a|http://s0b", Answered: true, Matches: 2,
 			IOBytes: 65536, IOTime: 120 * time.Microsecond, Total: 3 * time.Millisecond,
 			StageTimes: st.StageTimes, SpanID: "00f067aa0ba902b7", Start: 5 * time.Microsecond,
-			Spans: goldenSpans()[:1],
 			Attempts: []search.ShardAttempt{
 				{Replica: "http://s0a", ReplicaIdx: 0, Attempt: 0, Err: "http 503: draining", SpanID: "b7ad6b7169203331", Start: 0, Dur: time.Millisecond},
 				{Replica: "http://s0b", ReplicaIdx: 1, Attempt: 1, Start: 1100 * time.Microsecond, Dur: 1900 * time.Microsecond},
@@ -91,7 +81,7 @@ func TestGoldenBytes(t *testing.T) {
 	meta := goldenMeta()
 	q := []uint32{1, 2, 4000000000}
 	fullReq := NewRequest(q, search.Options{
-		Theta: 0.8, MinLength: 30, PrefixFilter: true, Verify: true, KeepRects: true, Trace: true,
+		Theta: 0.8, MinLength: 30, PrefixFilter: true, Verify: true, KeepRects: true,
 	})
 	fullReq.TimeoutMS, fullReq.N, fullReq.FloorTheta = 250, 5, 0.5
 
@@ -103,8 +93,8 @@ func TestGoldenBytes(t *testing.T) {
 		{"unsharded response", responses[0], "{\"matches\":[{\"text_id\":7,\"start\":3,\"end\":66,\"collisions\":29,\"est_jaccard\":0.90625,\"jaccard\":0.875},{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000}}}\n"},
 		{"cached response", responses[1], "{\"matches\":[{\"text_id\":7,\"start\":3,\"end\":66,\"collisions\":29,\"est_jaccard\":0.90625,\"jaccard\":0.875},{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000}},\"cached\":true}\n"},
 		{"empty response", responses[2], "{\"matches\":[],\"stats\":{\"k\":0,\"beta\":0,\"short_lists\":0,\"long_lists\":0,\"candidates\":0,\"probed\":0,\"matches\":0,\"io_bytes\":0,\"io_time_ns\":0,\"cpu_time_ns\":0,\"total_ns\":0,\"stages\":{\"sketch_ns\":0,\"plan_ns\":0,\"gather_ns\":0,\"count_ns\":0,\"merge_ns\":0,\"verify_ns\":0}}}\n"},
-		{"sharded response", responses[3], "{\"matches\":[{\"text_id\":7,\"start\":3,\"end\":66,\"collisions\":29,\"est_jaccard\":0.90625,\"jaccard\":0.875},{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000},\"shards_total\":2,\"shards_answered\":1,\"per_shard\":[{\"shard\":\"http://s0a|http://s0b\",\"answered\":true,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"total_ns\":3000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000},\"span_id\":\"00f067aa0ba902b7\",\"start_ns\":5000,\"spans\":[{\"name\":\"sketch\",\"start_ns\":0,\"dur_ns\":11000}],\"attempts\":[{\"replica\":\"http://s0a\",\"replica_idx\":0,\"attempt\":0,\"err\":\"http 503: draining\",\"span_id\":\"b7ad6b7169203331\",\"start_ns\":0,\"dur_ns\":1000000},{\"replica\":\"http://s0b\",\"replica_idx\":1,\"attempt\":1,\"start_ns\":1100000,\"dur_ns\":1900000},{\"replica\":\"http://s0a\",\"replica_idx\":0,\"attempt\":2,\"hedge\":true,\"err\":\"canceled\",\"start_ns\":2000000,\"dur_ns\":1000000}]},{\"shard\":\"dir/\\u003cs1\\u003e\\u0026x\",\"answered\":false,\"err\":\"deadline exceeded\",\"matches\":0,\"io_bytes\":0,\"io_time_ns\":0,\"total_ns\":50000000,\"stages\":{\"sketch_ns\":0,\"plan_ns\":0,\"gather_ns\":0,\"count_ns\":0,\"merge_ns\":0,\"verify_ns\":0}}]}}\n"},
-		{"sampled response", responses[4], "{\"matches\":[{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000},\"spans\":[{\"name\":\"sketch\",\"start_ns\":0,\"dur_ns\":11000},{\"name\":\"gather\",\"start_ns\":13000,\"dur_ns\":300000,\"attrs\":[{\"key\":\"io_bytes\",\"val\":65536}]},{\"name\":\"probe\",\"start_ns\":320000,\"dur_ns\":9000,\"attrs\":[{\"key\":\"fn\",\"val\":3},{\"key\":\"text\",\"val\":7}]}]}}\n"},
+		{"sharded response", responses[3], "{\"matches\":[{\"text_id\":7,\"start\":3,\"end\":66,\"collisions\":29,\"est_jaccard\":0.90625,\"jaccard\":0.875},{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000},\"shards_total\":2,\"shards_answered\":1,\"per_shard\":[{\"shard\":\"http://s0a|http://s0b\",\"answered\":true,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"total_ns\":3000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000},\"span_id\":\"00f067aa0ba902b7\",\"start_ns\":5000,\"attempts\":[{\"replica\":\"http://s0a\",\"replica_idx\":0,\"attempt\":0,\"err\":\"http 503: draining\",\"span_id\":\"b7ad6b7169203331\",\"start_ns\":0,\"dur_ns\":1000000},{\"replica\":\"http://s0b\",\"replica_idx\":1,\"attempt\":1,\"start_ns\":1100000,\"dur_ns\":1900000},{\"replica\":\"http://s0a\",\"replica_idx\":0,\"attempt\":2,\"hedge\":true,\"err\":\"canceled\",\"start_ns\":2000000,\"dur_ns\":1000000}]},{\"shard\":\"dir/\\u003cs1\\u003e\\u0026x\",\"answered\":false,\"err\":\"deadline exceeded\",\"matches\":0,\"io_bytes\":0,\"io_time_ns\":0,\"total_ns\":50000000,\"stages\":{\"sketch_ns\":0,\"plan_ns\":0,\"gather_ns\":0,\"count_ns\":0,\"merge_ns\":0,\"verify_ns\":0}}]}}\n"},
+		{"sampled response", responses[4], "{\"matches\":[{\"text_id\":4000000000,\"start\":0,\"end\":24,\"collisions\":26,\"est_jaccard\":0.8125}],\"stats\":{\"k\":32,\"beta\":26,\"short_lists\":29,\"long_lists\":3,\"candidates\":5,\"probed\":4,\"matches\":2,\"io_bytes\":65536,\"io_time_ns\":120000,\"cpu_time_ns\":880000,\"total_ns\":1000000,\"stages\":{\"sketch_ns\":11000,\"plan_ns\":2000,\"gather_ns\":300000,\"count_ns\":600000,\"merge_ns\":40000,\"verify_ns\":47000}}}\n"},
 		{"plan", goldenPlan(), "{\"alpha\":24,\"beta\":26,\"cutoff\":4096,\"long\":[true,false,true],\"num_long\":2}\n"},
 		{"plan without long lists", &search.Plan{Beta: 16, Alpha: 16}, "{\"alpha\":16,\"beta\":16,\"cutoff\":0,\"long\":null,\"num_long\":0}\n"},
 		{"health 200", Health{BuildID: "b-1f3a", Index: &meta, Status: "ok"}, "{\"build_id\":\"b-1f3a\",\"index\":{\"k\":32,\"seed\":42,\"t\":25,\"num_texts\":2000,\"total_tokens\":512000,\"zone_map_step\":64,\"long_list_cutoff\":4096},\"status\":\"ok\"}\n"},
@@ -149,7 +139,6 @@ func TestGoldenBytes(t *testing.T) {
 // them fails here until it is either carried or excluded.
 var notOnWire = map[string]string{
 	"Options.KeepRects": "rectangles are never served",
-	"Options.Trace":     "span shipping follows the traceparent header, not the body",
 }
 
 // fill sets every settable field reachable from v to a distinct

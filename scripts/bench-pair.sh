@@ -13,7 +13,10 @@
 # BENCHMARK.json, it prints the median [q1–q3] of each side, the ratio of
 # the medians beside the metric's bound (a ratio worse than the bound is
 # marked "beyond") and how many pairs the child won, as a markdown table
-# built from every line of FILE for the two commits.
+# built from every line of FILE for the two commits. A child line pairs
+# with the parent line of the same workload and seed nearest to it in
+# FILE, each parent line once, so batches appended to one FILE against
+# the same parent each read the parent runs interleaved with them.
 #
 # With -t it then runs `benchmark/run.sh -trace 1` once per side and
 # workload (seed FIRST_SEED), appends those lines tagged trace: true, and
@@ -119,15 +122,22 @@ jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" 
 		| if $n < 2 then $d[0] else
 			([1, ([($p / 4 | floor), $n - 1] | min)] | max) as $j | ($p - $j * 4) as $delta
 			| ($d[$j - 1] * (4 - $delta) + $d[$j] * $delta) / 4 end;
-	map(select((.sha == $parent or .sha == $child) and .trace != true)) as $runs
+	to_entries | map(.value + {line: .key})
+	| map(select((.sha == $parent or .sha == $child) and .trace != true)) as $runs
 	| $workloads | split(",")[] as $w
 	| ($runs | map(select(.workload == $w))) as $wr
-	| ([$wr[] | select(.sha == $child) | .seed]) as $cs
-	| ([$wr[] | select(.sha == $parent) | .seed | select(. as $s | any($cs[]; . == $s))] | unique) as $seeds
+	# Each child line pairs with the parent line of its seed nearest to
+	# it in FILE, the run interleaved with it, and each parent line
+	# serves one pair: a second batch against the same parent reads its
+	# own parent runs.
+	| (reduce ($wr[] | select(.sha == $child)) as $c ({used: [], pairs: []};
+		. as $acc
+		| ([$wr[] | select(.sha == $parent and .seed == $c.seed and (.line as $l | any($acc.used[]; . == $l) | not))]
+		  | min_by(.line - $c.line | if . < 0 then -. else . end)) as $p
+		| if $p == null then $acc else $acc | .used += [$p.line] | .pairs += [{p: $p, c: $c}] end)
+	  | .pairs) as $lines
 	| $e2e[] as $m
-	| [$seeds[] as $s | {
-		p: ([$wr[] | select(.sha == $parent and .seed == $s) | .metrics[$m.name].value] | first),
-		c: ([$wr[] | select(.sha == $child and .seed == $s) | .metrics[$m.name].value] | first)}
+	| [$lines[] | {p: .p.metrics[$m.name].value, c: .c.metrics[$m.name].value}
 	  | select(.p != null and .c != null)] as $pairs
 	| select($pairs | length > 0)
 	| [$w, $m.name,
