@@ -494,11 +494,10 @@ func (ix *Index) ListLengths(fn int) []int {
 
 // readAt wraps ReadAt with I/O accounting: the index-wide cumulative
 // counters always, plus the caller's per-query sink when non-nil. The
-// counters record
-// the bytes ReadAt actually returned, so a failed or short read
-// (truncated file, I/O error) is charged for what was read, not for
-// what was asked. Failures come back as *ReadError carrying the file,
-// offset and length.
+// counters record the bytes ReadAt actually returned, so a failed or
+// short read (truncated file, I/O error) is charged for what was read,
+// not for what was asked. Failures come back as *ReadError carrying the
+// file, offset and length.
 func (ix *Index) readAt(ff *funcFile, buf []byte, off int64, sink *IOStats) error {
 	start := time.Now()
 	n, err := ff.f.ReadAt(buf, off)
