@@ -428,7 +428,7 @@ func TestOpenRejectsListOrder(t *testing.T) {
 func TestDecodeDirectoryPostingOverflow(t *testing.T) {
 	// A zone every 2³⁰ postings: MaxUint32 postings carry four entries.
 	second := uint64(segHeaderLen) + math.MaxUint32*postingSize
-	ok := &funcFile{path: "seg-000000", region: segHeaderLen, dirOff: second + 4*zoneEntrySize, zoneStep: 1 << 30,
+	ok := &funcFile{segFile: &segFile{path: "seg-000000"}, region: segHeaderLen, dirOff: second + 4*zoneEntrySize, zoneStep: 1 << 30,
 		hashes: []uint64{1}, starts: []uint32{0, math.MaxUint32}}
 	if entries, err := ok.decodeDirectory(0); err != nil || entries != 4 {
 		t.Fatalf("MaxUint32 postings: %d zone entries, %v", entries, err)
@@ -436,7 +436,7 @@ func TestDecodeDirectoryPostingOverflow(t *testing.T) {
 	if got := ok.postings(); got != math.MaxUint32 {
 		t.Fatalf("MaxUint32 postings decoded as %d", got)
 	}
-	over := &funcFile{path: "seg-000000", region: segHeaderLen, dirOff: second + 4*zoneEntrySize + postingSize, zoneStep: 1 << 30,
+	over := &funcFile{segFile: &segFile{path: "seg-000000"}, region: segHeaderLen, dirOff: second + 4*zoneEntrySize + postingSize, zoneStep: 1 << 30,
 		hashes: []uint64{1, 2}, starts: []uint32{0, math.MaxUint32, 0}}
 	_, err := over.decodeDirectory(0)
 	var loe *ListOrderError
@@ -456,14 +456,14 @@ func TestWriterRejectsPostingOverflow(t *testing.T) {
 	if err := w.addList(2, listOf(1)); err != nil {
 		t.Fatalf("list reaching MaxUint32 postings: %v", err)
 	}
-	pos, buffered := w.pos, w.w.Buffered()
+	pos, buffered := w.pos, len(w.out)
 	err := w.addList(3, listOf(1))
 	var poe *PostingOverflowError
 	if !errors.As(err, &poe) || poe.Path != w.path || poe.Hash != 3 || poe.Postings != math.MaxUint32+1 {
 		t.Fatalf("list past MaxUint32 postings: %v, want a *PostingOverflowError for list 3 at %d postings", err, uint64(math.MaxUint32)+1)
 	}
-	if w.pos != pos || w.w.Buffered() != buffered || len(w.hashes) != 2 {
-		t.Fatalf("refused list moved the writer: pos %d → %d, buffered %d → %d, %d lists", pos, w.pos, buffered, w.w.Buffered(), len(w.hashes))
+	if w.pos != pos || len(w.out) != buffered || len(w.hashes) != 2 {
+		t.Fatalf("refused list moved the writer: pos %d → %d, buffered %d → %d, %d lists", pos, w.pos, buffered, len(w.out), len(w.hashes))
 	}
 }
 

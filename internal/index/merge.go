@@ -134,7 +134,7 @@ func (s *mergeSource) appendList(dst []Posting) ([]Posting, error) {
 			s.buf = make([]byte, size)
 		}
 		s.win, s.winOff = s.buf[:size], off
-		if err := s.ix.readAt(s.ff, s.win, int64(off), nil); err != nil {
+		if _, err := s.ff.read(s.win, int64(off)); err != nil {
 			return dst, fmt.Errorf("index: read list %x: %w", h, err)
 		}
 	}

@@ -88,6 +88,7 @@ func TestMergeShardsOffsets(t *testing.T) {
 type readCountFS struct {
 	fsio.FS
 	reads, open, opened, readFiles atomic.Int64
+	bytes                          atomic.Int64 // returned by ReadAt
 
 	mu  sync.Mutex
 	log []readAt // guarded by mu
@@ -133,7 +134,9 @@ func (f *readCountFile) ReadAt(p []byte, off int64) (int, error) {
 	f.fs.mu.Lock()
 	f.fs.log = append(f.fs.log, readAt{f.Name(), off, len(p)})
 	f.fs.mu.Unlock()
-	return f.File.ReadAt(p, off)
+	n, err := f.File.ReadAt(p, off)
+	f.fs.bytes.Add(int64(n))
+	return n, err
 }
 
 func (f *readCountFile) Close() error {

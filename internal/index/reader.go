@@ -9,7 +9,6 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"ndss/internal/fsio"
@@ -27,11 +26,6 @@ type Index struct {
 	buildID string // of the manifest the set was opened from
 	family  *hash.Family
 	segs    []*segment
-
-	// I/O accounting for the latency-split experiments (Fig 3). Updated
-	// atomically on every read.
-	bytesRead atomic.Int64
-	readNanos atomic.Int64
 }
 
 // segment is one opened segment of an Index: the open file it reads,
@@ -58,8 +52,7 @@ type segment struct {
 // are resident too, so a per-text probe searches memory and reads one
 // block.
 type funcFile struct {
-	f         fsio.File // the segment file, shared by its k views
-	path      string
+	*segFile         // the segment file, shared by its k views
 	region    uint64 // offset of the function's first list
 	hashes    []uint64
 	starts    []uint32  // starts[i]: postings in rows before i; len(hashes)+1 entries
@@ -195,12 +188,18 @@ func openSegmentFile(fsys fsio.FS, path string, meta Meta) (*segFile, error) {
 	return sf, nil
 }
 
-// read fills buf from the segment file at off.
-func (s *segFile) read(buf []byte, off int64) error {
-	if _, err := s.f.ReadAt(buf, off); err != nil {
-		return &ReadError{Path: s.path, Off: off, Len: len(buf), Err: err}
+// read fills buf from the segment file at off and returns the bytes
+// ReadAt returned. A failed or short read (truncated file, I/O error)
+// is a *ReadError carrying the file, offset and length.
+func (s *segFile) read(buf []byte, off int64) (int, error) {
+	n, err := s.f.ReadAt(buf, off)
+	if err == nil && n < len(buf) {
+		err = io.ErrUnexpectedEOF
 	}
-	return nil
+	if err != nil {
+		return n, &ReadError{Path: s.path, Off: off, Len: len(buf), Err: err}
+	}
+	return n, nil
 }
 
 func (s *segFile) load(meta Meta) error {
@@ -215,7 +214,7 @@ func (s *segFile) load(meta Meta) error {
 		return fmt.Errorf("index: segment file %s too small", s.path)
 	}
 	var hdr [segHeaderLen]byte
-	if err := s.read(hdr[:], 0); err != nil {
+	if _, err := s.read(hdr[:], 0); err != nil {
 		return err
 	}
 	switch string(hdr[:8]) {
@@ -231,7 +230,7 @@ func (s *segFile) load(meta Meta) error {
 			s.path, fileK, step, cutoff, k, meta.ZoneMapStep, meta.LongListCutoff)
 	}
 	foot := make([]byte, footerLen(k))
-	if err := s.read(foot, footStart); err != nil {
+	if _, err := s.read(foot, footStart); err != nil {
 		return err
 	}
 	rows := foot[:len(foot)-4]
@@ -244,8 +243,7 @@ func (s *segFile) load(meta Meta) error {
 	for fn := range s.funcs {
 		row := rows[fn*footerRowLen:]
 		ff := &funcFile{
-			f:         s.f,
-			path:      s.path,
+			segFile:   s,
 			region:    region,
 			zoneStep:  step,
 			dirOff:    binary.LittleEndian.Uint64(row[0:]),
@@ -259,10 +257,10 @@ func (s *segFile) load(meta Meta) error {
 		}
 		ff.hashes, ff.starts = make([]uint64, numLists), make([]uint32, numLists+1)
 		hashBytes, startBytes := bytesOf(ff.hashes), bytesOf(ff.starts)
-		if err := s.read(hashBytes, int64(ff.dirOff)); err != nil {
+		if _, err := s.read(hashBytes, int64(ff.dirOff)); err != nil {
 			return err
 		}
-		if err := s.read(startBytes, int64(ff.dirOff)+int64(len(hashBytes))); err != nil {
+		if _, err := s.read(startBytes, int64(ff.dirOff)+int64(len(hashBytes))); err != nil {
 			return err
 		}
 		if got := crc32.Update(crc32.ChecksumIEEE(hashBytes), crc32.IEEETable, startBytes); got != dirCRC {
@@ -331,8 +329,8 @@ func (ff *funcFile) loadZones(entries uint32) error {
 	for _, z := range ff.zones {
 		tab := ff.zoneTab[z.at : z.at+z.count]
 		b, off := bytesOf(tab), ff.zoneOff(z)
-		if _, err := ff.f.ReadAt(b, off); err != nil {
-			return &ReadError{Path: ff.path, Off: off, Len: len(b), Err: err}
+		if _, err := ff.read(b, off); err != nil {
+			return err
 		}
 		if !hostLittleEndian {
 			swapColumns(nil, tab)
@@ -492,31 +490,6 @@ func (ix *Index) ListLengths(fn int) []int {
 	return out
 }
 
-// readAt wraps ReadAt with I/O accounting: the index-wide cumulative
-// counters always, plus the caller's per-query sink when non-nil. The
-// counters record the bytes ReadAt actually returned, so a failed or
-// short read (truncated file, I/O error) is charged for what was read,
-// not for what was asked. Failures come back as *ReadError carrying the
-// file, offset and length.
-func (ix *Index) readAt(ff *funcFile, buf []byte, off int64, sink *IOStats) error {
-	start := time.Now()
-	n, err := ff.f.ReadAt(buf, off)
-	elapsed := time.Since(start)
-	ix.readNanos.Add(int64(elapsed))
-	ix.bytesRead.Add(int64(n))
-	if sink != nil {
-		sink.BytesRead += int64(n)
-		sink.ReadTime += elapsed
-	}
-	if err == nil && n < len(buf) {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		return &ReadError{Path: ff.path, Off: off, Len: len(buf), Err: err}
-	}
-	return nil
-}
-
 // ReadListInto appends the postings of the list for hash h of function
 // fn to dst, with ReadRowsInto's contract: it resolves the one list in
 // every segment, none dropped, and reads each portion whole.
@@ -544,12 +517,20 @@ func nilIfNothing(dst, out []Posting) []Posting {
 
 // readPostings appends the n postings at off to dst: it grows dst and
 // reads the file's bytes straight into the new tail, the one copy a
-// posting makes. On a failed or short read dst comes back at its old
-// length.
-func (ix *Index) readPostings(dst []Posting, ff *funcFile, off int64, n int, sink *IOStats) ([]Posting, error) {
+// posting makes. It charges sink, when non-nil, the bytes ReadAt
+// returned and the time it took: on a failed or short read too, for
+// what was read, not for what was asked. On a failed or short read dst
+// comes back at its old length.
+func readPostings(dst []Posting, ff *funcFile, off int64, n int, sink *IOStats) ([]Posting, error) {
 	at := len(dst)
 	dst = slices.Grow(dst, n)[:at+n]
-	if err := ix.readAt(ff, bytesOf(dst[at:]), off, sink); err != nil {
+	start := time.Now()
+	got, err := ff.read(bytesOf(dst[at:]), off)
+	if sink != nil {
+		sink.BytesRead += int64(got)
+		sink.ReadTime += time.Since(start)
+	}
+	if err != nil {
 		return dst[:at], err
 	}
 	if !hostLittleEndian {
@@ -558,19 +539,11 @@ func (ix *Index) readPostings(dst []Posting, ff *funcFile, off int64, n int, sin
 	return dst, nil
 }
 
-// IOStats is read accounting: an index's cumulative counters since
-// Open, or a caller's sink.
+// IOStats is a caller's read sink: the bytes and time of the list reads
+// made with it.
 type IOStats struct {
 	BytesRead int64
 	ReadTime  time.Duration
-}
-
-// IOStats returns cumulative I/O counters.
-func (ix *Index) IOStats() IOStats {
-	return IOStats{
-		BytesRead: ix.bytesRead.Load(),
-		ReadTime:  time.Duration(ix.readNanos.Load()),
-	}
 }
 
 // TotalPostings returns the total number of postings (compact windows)

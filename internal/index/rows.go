@@ -125,17 +125,17 @@ func (ff *funcFile) resolve(h uint64) rowRef {
 // ReadRowsInto appends the postings of function fn's list, as resolved
 // in rows, whose global text id lies in [lo, hi] to dst and returns the
 // extended slice, recording the read's bytes and latency into sink
-// (when non-nil) in addition to the index-wide cumulative counters. It
-// is the index's one list read: [0, math.MaxUint32] reads the list
-// whole, [id, id] probes it for one text. Each segment rows keeps a
-// portion of the list in, and whose id range meets [lo, hi], costs one
-// read (readRange). Portions are concatenated in segment order with
-// text ids remapped to the global id space (the result stays sorted by
-// text id) and tombstoned postings dropped. dst may be nil; reusing it
-// across reads avoids per-list allocations: postings are read straight
-// into dst's tail, so a warm dst makes a read allocation-free. The
-// appended postings never alias index storage. On error dst comes back
-// as passed; a nil dst that gains nothing stays nil.
+// when non-nil. It is the index's one list read: [0, math.MaxUint32]
+// reads the list whole, [id, id] probes it for one text. Each segment
+// rows keeps a portion of the list in, and whose id range meets
+// [lo, hi], costs one read (readRange). Portions are concatenated in
+// segment order with text ids remapped to the global id space (the
+// result stays sorted by text id) and tombstoned postings dropped. dst
+// may be nil; reusing it across reads avoids per-list allocations:
+// postings are read straight into dst's tail, so a warm dst makes a
+// read allocation-free. The appended postings never alias index
+// storage. On error dst comes back as passed; a nil dst that gains
+// nothing stays nil.
 func (ix *Index) ReadRowsInto(dst []Posting, rows *Rows, fn int, lo, hi uint32, sink *IOStats) ([]Posting, error) {
 	out := dst
 	for si, seg := range ix.segs {
@@ -184,7 +184,7 @@ func (ix *Index) readRange(dst []Posting, si int, ff *funcFile, ref rowRef, lo, 
 		}
 	}
 	at := len(dst)
-	dst, err := ix.readPostings(dst, ff, ref.off+int64(start)*postingSize, end-start, sink)
+	dst, err := readPostings(dst, ff, ref.off+int64(start)*postingSize, end-start, sink)
 	if err != nil || whole && base == 0 && seg.tomb == nil {
 		return dst, err
 	}

@@ -140,7 +140,7 @@ func (sf *segFile) unchanged(fsys fsio.FS) bool {
 		return false
 	}
 	foot := make([]byte, footerLen(len(sf.funcs)))
-	if err := sf.read(foot, sf.size-int64(len(foot))); err != nil {
+	if _, err := sf.read(foot, sf.size-int64(len(foot))); err != nil {
 		return false
 	}
 	rows, crc := foot[:len(foot)-4], binary.LittleEndian.Uint32(foot[len(foot)-4:])

@@ -5,17 +5,21 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"ndss/internal/corpus"
+	"ndss/internal/fsio"
 )
 
 // The Into read variants must (a) return the same postings into a
 // reused dst as into a fresh one, and a probe exactly the text's share
-// of the full list, (b) append after existing dst contents, (c) record
-// exactly the same bytes/latency into the caller's sink as into the
-// index-wide counters, and (d) never alias index storage.
+// of the full list, (b) append after existing dst contents, (c) charge
+// the caller's sink exactly the bytes the filesystem returned, and (d)
+// never alias index storage.
 
-func buildSinkTestIndex(t *testing.T) (*Index, *corpus.Corpus) {
+// buildSinkTestIndex builds a small zone-mapped index and opens it
+// through a filesystem that counts the bytes its reads return.
+func buildSinkTestIndex(t *testing.T) (*Index, *readCountFS) {
 	t.Helper()
 	c := corpus.MustSynthesize(corpus.SynthConfig{
 		NumTexts: 30, MinLength: 30, MaxLength: 80, VocabSize: 25,
@@ -25,19 +29,20 @@ func buildSinkTestIndex(t *testing.T) (*Index, *corpus.Corpus) {
 	if _, err := Build(c, dir, BuildOptions{K: 4, Seed: 9, T: 5, ZoneMapStep: 4, LongListCutoff: 8}); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Open(dir)
+	counted := &readCountFS{FS: fsio.OS}
+	ix, err := OpenFS(counted, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
-	return ix, c
+	return ix, counted
 }
 
 // TestReadListIntoMatchesReadList: a read into the reused buffer a
 // query's arena is returns what a fresh read does, and charges the sink
-// what it charges the index-wide counters.
+// the bytes the filesystem returned and at most the read's wall time.
 func TestReadListIntoMatchesReadList(t *testing.T) {
-	ix, _ := buildSinkTestIndex(t)
+	ix, counted := buildSinkTestIndex(t)
 	var buf []Posting
 	for fn := 0; fn < ix.K(); fn++ {
 		for _, h := range ix.Hashes(fn) {
@@ -46,22 +51,20 @@ func TestReadListIntoMatchesReadList(t *testing.T) {
 				t.Fatal(err)
 			}
 			var sink IOStats
-			before := ix.IOStats()
+			before, start := counted.bytes.Load(), time.Now()
 			buf, err = ix.ReadListInto(buf[:0], fn, h, &sink)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after := ix.IOStats()
+			wall, returned := time.Since(start), counted.bytes.Load()-before
 			if !reflect.DeepEqual(buf, fresh) {
 				t.Fatalf("fn %d hash %x: reused-buffer read differs from a fresh one", fn, h)
 			}
-			if sink.BytesRead != after.BytesRead-before.BytesRead {
-				t.Fatalf("fn %d hash %x: sink bytes %d != counter delta %d",
-					fn, h, sink.BytesRead, after.BytesRead-before.BytesRead)
+			if sink.BytesRead != returned || returned == 0 {
+				t.Fatalf("fn %d hash %x: sink bytes %d, the filesystem returned %d", fn, h, sink.BytesRead, returned)
 			}
-			if sink.ReadTime != after.ReadTime-before.ReadTime {
-				t.Fatalf("fn %d hash %x: sink time %v != counter delta %v",
-					fn, h, sink.ReadTime, after.ReadTime-before.ReadTime)
+			if sink.ReadTime <= 0 || sink.ReadTime > wall {
+				t.Fatalf("fn %d hash %x: sink time %v outside (0, %v], the call's wall time", fn, h, sink.ReadTime, wall)
 			}
 		}
 	}
@@ -94,7 +97,7 @@ func TestReadListIntoAppends(t *testing.T) {
 // random [lo, hi] ranges — ranges straddling segment bases, over
 // tombstoned texts and past the last id — to the full read filtered to
 // the range, on every probeFixtures shape, and checks that each read
-// charges the sink what it charges the index-wide counters. It also
+// charges the sink the bytes the filesystem returned. It also
 // pins the bytes that full reads, and one-text reads of every live
 // text, cost in sum: the zone windows the reads take must not widen.
 func TestReadRowsIntoRangeMatchesAndAccounts(t *testing.T) {
@@ -106,7 +109,8 @@ func TestReadRowsIntoRangeMatchesAndAccounts(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for name, dir := range probeFixtures(t) {
-		ix, err := Open(dir)
+		counted := &readCountFS{FS: fsio.OS}
+		ix, err := OpenFS(counted, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,13 +136,13 @@ func TestReadRowsIntoRangeMatchesAndAccounts(t *testing.T) {
 		read := func(fn int, h uint64, lo, hi uint32) ([]Posting, int64) {
 			t.Helper()
 			var sink IOStats
-			before := ix.IOStats()
+			before := counted.bytes.Load()
 			got, err := ix.ReadRowsInto(nil, rowsOf(ix, h), fn, lo, hi, &sink)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if delta := ix.IOStats().BytesRead - before.BytesRead; sink.BytesRead != delta {
-				t.Fatalf("%s: fn %d hash %x [%d, %d]: sink bytes %d != counter delta %d", name, fn, h, lo, hi, sink.BytesRead, delta)
+			if returned := counted.bytes.Load() - before; sink.BytesRead != returned {
+				t.Fatalf("%s: fn %d hash %x [%d, %d]: sink bytes %d, the filesystem returned %d", name, fn, h, lo, hi, sink.BytesRead, returned)
 			}
 			return got, sink.BytesRead
 		}

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,7 +57,7 @@ type segSum struct {
 }
 
 // segmentWriter streams one segment file: the k functions in order, one
-// create, one buffered writer and one fsync for all of them. Lists must
+// create, one buffer and one fsync for all of them. Lists must
 // be added in strictly ascending hash order, the only layout Open
 // accepts; endFunc checks it before writing the function's directory,
 // so only one function's directory is ever held in memory. Every
@@ -69,7 +68,6 @@ type segmentWriter struct {
 	fs         fsio.FS
 	path       string
 	f          fsio.File
-	w          *bufio.Writer
 	k          int
 	pos        uint64
 	hashes     []uint64 // the current function's directory columns
@@ -78,8 +76,9 @@ type segmentWriter struct {
 	zoneStep   int
 	longCutoff int
 	buf        []byte
+	out        []byte // bytes not yet written to f; grows up to flushAt
 	regionCRC  uint32 // running CRC of the current function's region
-	pending    []byte // region bytes not yet in regionCRC nor handed to w
+	crcAt      int    // out[crcAt:] is region not yet in regionCRC
 	closed     bool
 }
 
@@ -112,21 +111,15 @@ func newSegmentWriter(fsys fsio.FS, path string, k, zoneStep, longCutoff int) (*
 		fs:         fsys,
 		path:       path,
 		f:          f,
-		w:          bufio.NewWriterSize(f, 1<<20),
 		k:          k,
 		starts:     []uint32{0},
-		pending:    make([]byte, 0, pendingCap),
 		zoneStep:   zoneStep,
 		longCutoff: longCutoff,
 	}
 	hdr := binary.LittleEndian.AppendUint32([]byte(segMagic), uint32(k))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(zoneStep))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(longCutoff))
-	if _, err := w.w.Write(hdr); err != nil {
-		w.abort()
-		return nil, err
-	}
-	w.pos = segHeaderLen
+	w.out, w.crcAt, w.pos = append(make([]byte, 0, 4<<10), hdr...), len(hdr), segHeaderLen
 	return w, nil
 }
 
@@ -152,8 +145,8 @@ func (w *segmentWriter) addList(h uint64, ps []Posting) error {
 		}
 	}
 	// A posting's in-memory bytes are its on-disk bytes on a
-	// little-endian host, so the list is copied once, into the buffered
-	// writer; a big-endian host encodes it field by field.
+	// little-endian host, so the list is copied once, into the writer's
+	// buffer; a big-endian host encodes it field by field.
 	data := bytesOf(ps)
 	if !hostLittleEndian {
 		data = w.buf[:0]
@@ -179,35 +172,72 @@ func (w *segmentWriter) addList(h uint64, ps []Posting) error {
 	return nil
 }
 
-// pendingCap is how many region bytes the writer gathers before it
-// checksums them and hands them on. Most lists are a posting or two, and
-// CRC-32 takes a table-driven path over so few bytes; over a gathered
-// batch it takes the carry-less-multiply one, several times faster.
-const pendingCap = 64 << 10
+// flushAt is how many bytes the writer gathers before it hands them to
+// the file in one write. Region bytes are checksummed over the same
+// gathered batches: most lists are a posting or two, and CRC-32 takes a
+// table-driven path over so few bytes; over a batch it takes the
+// carry-less-multiply one, several times faster.
+const flushAt = 1 << 20
 
 // write appends b to the current function's region.
 func (w *segmentWriter) write(b []byte) error {
-	if len(w.pending)+len(b) > pendingCap {
-		if err := w.flushPending(); err != nil {
+	w.pos += uint64(len(b))
+	return w.put(b, true)
+}
+
+// put appends b to the bytes bound for the file, writing them out each
+// time flushAt are gathered. Region bytes are checksummed before they
+// leave; bytes outside a region (directory, footer) must follow a
+// sumRegion.
+func (w *segmentWriter) put(b []byte, region bool) error {
+	for {
+		n := min(len(b), flushAt-len(w.out))
+		w.room(n)
+		w.out, b = append(w.out, b[:n]...), b[n:]
+		if len(b) == 0 {
+			break
+		}
+		if region {
+			w.sumRegion()
+		}
+		if err := w.flush(); err != nil {
 			return err
 		}
 	}
-	w.pos += uint64(len(b))
-	if len(b) >= pendingCap {
-		w.regionCRC = crc32.Update(w.regionCRC, crc32.IEEETable, b)
-		_, err := w.w.Write(b)
-		return err
+	if !region {
+		w.crcAt = len(w.out)
 	}
-	w.pending = append(w.pending, b...)
 	return nil
 }
 
-// flushPending checksums the gathered region bytes and hands them to the
-// buffered writer.
-func (w *segmentWriter) flushPending() error {
-	w.regionCRC = crc32.Update(w.regionCRC, crc32.IEEETable, w.pending)
-	_, err := w.w.Write(w.pending)
-	w.pending = w.pending[:0]
+// room makes out able to take n more bytes, growing it as bytes arrive
+// and never past flushAt, so a small segment's buffer is about its own
+// size. Until a function has ended it doubles; then it takes the size
+// the whole file projects to, with an eighth to spare, as a segment's
+// functions hold about as many bytes each.
+func (w *segmentWriter) room(n int) {
+	need := len(w.out) + n
+	if need <= cap(w.out) {
+		return
+	}
+	size := 2 * cap(w.out)
+	if done := len(w.footer) / footerRowLen; done > 0 {
+		size = max(cap(w.out)+cap(w.out)/8, int(w.pos)/done*w.k*9/8)
+	}
+	w.out = append(make([]byte, 0, min(flushAt, max(need, size))), w.out...)
+}
+
+// sumRegion folds the region bytes gathered since the last call into
+// regionCRC.
+func (w *segmentWriter) sumRegion() {
+	w.regionCRC = crc32.Update(w.regionCRC, crc32.IEEETable, w.out[w.crcAt:])
+	w.crcAt = len(w.out)
+}
+
+// flush writes the gathered bytes to the file.
+func (w *segmentWriter) flush() error {
+	_, err := w.f.Write(w.out)
+	w.out, w.crcAt = w.out[:0], 0
 	return err
 }
 
@@ -236,9 +266,7 @@ func (w *segmentWriter) writeDirectory() error {
 			return fmt.Errorf("index: list %x written after list %x: lists must arrive in hash order", h, prev)
 		}
 	}
-	if err := w.flushPending(); err != nil {
-		return err
-	}
+	w.sumRegion()
 	dir := w.buf[:0]
 	for _, h := range w.hashes {
 		dir = binary.LittleEndian.AppendUint64(dir, h)
@@ -247,7 +275,7 @@ func (w *segmentWriter) writeDirectory() error {
 		dir = binary.LittleEndian.AppendUint32(dir, s)
 	}
 	w.buf = dir
-	if _, err := w.w.Write(dir); err != nil {
+	if err := w.put(dir, false); err != nil {
 		return err
 	}
 	w.footer = binary.LittleEndian.AppendUint64(w.footer, w.pos)
@@ -272,9 +300,9 @@ func (w *segmentWriter) finish() (segSum, error) {
 	}
 	footerCRC := crc32.ChecksumIEEE(w.footer)
 	w.footer = binary.LittleEndian.AppendUint32(w.footer, footerCRC)
-	_, err := w.w.Write(w.footer)
-	if err == nil {
-		err = w.w.Flush()
+	err := w.put(w.footer, false)
+	if err == nil && len(w.out) > 0 {
+		err = w.flush()
 	}
 	if err == nil {
 		err = w.f.Sync()

@@ -33,8 +33,8 @@ func BatchStageTimes(results []BatchResult) (total StageTimes, n int) {
 //
 // Every query executes in its own pipeline context with a private I/O
 // stats sink, so each result's Stats.IOBytes/IOTime/CPUTime are exact
-// for that query at any parallelism; summed over the batch they equal
-// the index-wide IOStats delta.
+// for that query at any parallelism; summed over the batch, IOBytes is
+// every byte the batch read.
 //
 //lint:ignore ctxflow documented compatibility wrapper; cancellable callers use SearchBatchContext
 func (s *Searcher) SearchBatch(queries [][]uint32, opts Options, parallelism int) []BatchResult {

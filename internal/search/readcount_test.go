@@ -8,11 +8,11 @@ import (
 )
 
 // ReadCountFS is an fsio.FS that counts the ReadAt calls made on the
-// files it opens, per file name and in total. It is exported for the
-// external test package.
+// files it opens, per file name and in total, and the bytes those calls
+// returned. It is exported for the external test package.
 type ReadCountFS struct {
 	fsio.FS
-	total atomic.Int64
+	total, bytes atomic.Int64
 
 	mu    sync.Mutex
 	files map[string]*atomic.Int64 // guarded by mu
@@ -47,6 +47,10 @@ func (c *ReadCountFS) Reads(name string) int64 { return c.counter(name).Load() }
 // Total returns the ReadAt calls made so far on every file.
 func (c *ReadCountFS) Total() int64 { return c.total.Load() }
 
+// Bytes returns the bytes the ReadAt calls on every file have returned
+// so far: what the filesystem actually handed over.
+func (c *ReadCountFS) Bytes() int64 { return c.bytes.Load() }
+
 type readCountFile struct {
 	fsio.File
 	fs    *ReadCountFS
@@ -56,5 +60,7 @@ type readCountFile struct {
 func (f *readCountFile) ReadAt(p []byte, off int64) (int, error) {
 	f.reads.Add(1)
 	f.fs.total.Add(1)
-	return f.File.ReadAt(p, off)
+	n, err := f.File.ReadAt(p, off)
+	f.fs.bytes.Add(int64(n))
+	return n, err
 }

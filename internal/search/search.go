@@ -313,8 +313,8 @@ func (s *Searcher) Search(query []uint32, opts Options) ([]Match, *Stats, error)
 // between pipeline stages, before every list read or probe and every
 // 1024 candidate texts of the count stage's merge, so a timed-out or
 // abandoned query stops issuing I/O promptly and returns ctx.Err().
-// Work already done is still charged to the index-wide I/O counters
-// (per-query sums over successful queries remain exact).
+// A failed or cancelled query returns no Stats, so the reads it made
+// are counted nowhere.
 //
 // The query runs through the staged pipeline
 // sketch → plan → gather → count → merge → verify (see pipeline.go);

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ndss/internal/corpus"
+	"ndss/internal/fsio"
 	"ndss/internal/hash"
 	"ndss/internal/index"
 )
@@ -90,6 +91,14 @@ func matchesToSpans(ms []Match) map[uint32][]Interval {
 
 func buildTestIndex(t *testing.T, c *corpus.Corpus, k int, seed int64, tt int, zoneStep, longCutoff int) *index.Index {
 	t.Helper()
+	ix, _ := buildCountedIndex(t, c, k, seed, tt, zoneStep, longCutoff)
+	return ix
+}
+
+// buildCountedIndex is buildTestIndex opened through a ReadCountFS, the
+// ground truth for the bytes a query's sink is charged.
+func buildCountedIndex(t *testing.T, c *corpus.Corpus, k int, seed int64, tt int, zoneStep, longCutoff int) (*index.Index, *ReadCountFS) {
+	t.Helper()
 	dir := t.TempDir()
 	opts := index.BuildOptions{K: k, Seed: seed, T: tt}
 	if zoneStep > 0 {
@@ -101,12 +110,13 @@ func buildTestIndex(t *testing.T, c *corpus.Corpus, k int, seed int64, tt int, z
 	if _, err := index.Build(c, dir, opts); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := index.Open(dir)
+	counted := &ReadCountFS{FS: fsio.OS}
+	ix, err := index.OpenFS(counted, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ix.Close() })
-	return ix
+	return ix, counted
 }
 
 // smallDupCorpus builds a corpus with heavy token reuse so queries find

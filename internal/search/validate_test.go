@@ -13,7 +13,7 @@ import (
 
 func TestOptionsValidation(t *testing.T) {
 	c := smallDupCorpus(8, 20, 40, 25, 31)
-	ix := buildTestIndex(t, c, 4, 1, 5, 0, 0)
+	ix, counted := buildCountedIndex(t, c, 4, 1, 5, 0, 0)
 	withSrc := New(ix, c)
 	noSrc := New(ix, nil)
 	q := c.Text(0)[:10]
@@ -37,7 +37,7 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := ix.IOStats()
+			before := counted.Total()
 			_, _, err := tc.s.Search(q, tc.opts)
 			if err == nil {
 				t.Fatalf("opts %+v accepted", tc.opts)
@@ -45,8 +45,8 @@ func TestOptionsValidation(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			if after := ix.IOStats(); after.BytesRead != before.BytesRead || after.ReadTime != before.ReadTime {
-				t.Fatalf("rejected query performed I/O: %+v -> %+v", before, after)
+			if reads := counted.Total() - before; reads != 0 {
+				t.Fatalf("rejected query made %d reads", reads)
 			}
 		})
 	}
@@ -74,7 +74,7 @@ func TestExplainPlan(t *testing.T) {
 		NumTexts: 30, MinLength: 40, MaxLength: 90, VocabSize: 20,
 		ZipfS: 1.4, Seed: 12, DupRate: 0.5, DupSnippetLen: 20, DupMutateProb: 0.05,
 	})
-	ix := buildTestIndex(t, c, 8, 3, 5, 0, 10)
+	ix, counted := buildCountedIndex(t, c, 8, 3, 5, 0, 10)
 	s := New(ix, c)
 	q := c.Text(0)[:12]
 
@@ -108,12 +108,12 @@ func TestExplainPlan(t *testing.T) {
 	}
 
 	// The plan stage reads no posting lists.
-	before := ix.IOStats()
+	before := counted.Total()
 	if _, err := s.Explain(q, Options{Theta: 0.5, PrefixFilter: true}); err != nil {
 		t.Fatal(err)
 	}
-	if after := ix.IOStats(); after.BytesRead != before.BytesRead || after.ReadTime != before.ReadTime {
-		t.Fatalf("Explain performed I/O: %+v -> %+v", before, after)
+	if reads := counted.Total() - before; reads != 0 {
+		t.Fatalf("Explain made %d reads", reads)
 	}
 
 	// Without prefix filtering nothing is deferred.

@@ -42,10 +42,9 @@ func (b faultBackend) Explain(ctx context.Context, q []uint32, o search.Options)
 	return b.Searcher.Explain(q, o)
 }
 
-func (b faultBackend) Meta() index.Meta       { return b.ix.Meta() }
-func (b faultBackend) IOStats() index.IOStats { return b.ix.IOStats() }
-func (b faultBackend) BuildID() string        { return b.ix.BuildID() }
-func (b faultBackend) Close() error           { return b.ix.Close() }
+func (b faultBackend) Meta() index.Meta { return b.ix.Meta() }
+func (b faultBackend) BuildID() string  { return b.ix.BuildID() }
+func (b faultBackend) Close() error     { return b.ix.Close() }
 
 func TestIngestSwapFailureCommitsAndRecoversByReload(t *testing.T) {
 	c := corpus.MustSynthesize(corpus.SynthConfig{

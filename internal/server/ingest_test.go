@@ -92,6 +92,70 @@ func metricsSnapshot(t *testing.T, ts *httptest.Server) indexSnapshot {
 	}
 }
 
+// TestCountersNeverGoBackwards: an ingest swaps in a freshly opened
+// engine, and no counter of /metrics may fall across it. Every sample of
+// a family whose # TYPE is counter, and each histogram's _count and
+// _sum, must still be served afterwards at least at its earlier value.
+// The check is keyed on TYPE, not on a _total suffix:
+// ndss_segments_total is a gauge.
+func TestCountersNeverGoBackwards(t *testing.T) {
+	srv, _ := ingestFixture(t, 0)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for i := 0; i < 5; i++ {
+		q := make([]uint32, 30)
+		for j := range q {
+			q[j] = uint32(i*7+j*3) % 40 // the fixture's vocabulary
+		}
+		searchMatches(t, ts, q, 0.5)
+	}
+	awaitRequests(t, ts, 5)
+	before := scrapeCounters(t, ts)
+	if before["ndss_query_io_bytes_total{}"] == 0 {
+		t.Fatal("the queries read no index bytes; the check would be vacuous")
+	}
+
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/ingest", ingestRequest{Texts: [][]uint32{snippet(1, 30)}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %d (%s)", resp.StatusCode, body)
+	}
+	after := scrapeCounters(t, ts)
+	for key, was := range before {
+		if now, ok := after[key]; !ok || now < was {
+			t.Errorf("%s: %v before the ingest, %v after (served: %v)", key, was, now, ok)
+		}
+	}
+}
+
+// scrapeCounters returns the cumulative samples of one /metrics scrape
+// by name and labels: every sample of a counter family, and the _count
+// and _sum of every histogram.
+func scrapeCounters(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	body := scrapeBody(t, ts)
+	types := map[string]string{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
+	}
+	out := map[string]float64{}
+	for _, s := range parsePromExposition(t, body) {
+		name, _ := strings.CutSuffix(s.name, "_count")
+		if name == s.name {
+			name, _ = strings.CutSuffix(s.name, "_sum")
+		}
+		if types[s.name] == "counter" || name != s.name && types[name] == "histogram" {
+			out[s.name+"{"+s.labelsWithout("")+"}"] = s.value
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("/metrics serves no counter")
+	}
+	return out
+}
+
 func TestIngestMakesTextsSearchable(t *testing.T) {
 	srv, _ := ingestFixture(t, 0)
 	ts := httptest.NewServer(srv)

@@ -78,8 +78,8 @@ type metrics struct {
 	traceRetained [numTraceReasons]atomic.Int64
 	traceEvicted  atomic.Int64
 
-	// Aggregated per-query Stats/IOStats of executed (non-cached)
-	// searches. Exact because every query reports from its private sink.
+	// Aggregated per-query Stats of executed (non-cached) searches.
+	// Exact because every query reports from its private I/O sink.
 	matches   atomic.Int64
 	ioBytes   atomic.Int64
 	ioTimeNS  atomic.Int64
@@ -216,7 +216,7 @@ func (s *Server) scrape() []metricRow {
 	reloads := metricRow{name: "ndss_reloads_total", typ: "counter", help: "Backend hot reloads by result."}
 	retainedBy := metricRow{name: "ndss_trace_retained_total", typ: "counter",
 		help: "Traces retained in the trace store by retention reason (tail-based: decided at completion)."}
-	buildID, meta, ios := b.BuildID(), b.Meta(), b.IOStats()
+	buildID, meta := b.BuildID(), b.Meta()
 	slowest, retained := s.rec.counts()
 	rows = append(rows, []metricRow{
 		{name: "ndss_cache_hits_total", typ: "counter", help: "Result cache hits.", val: hits},
@@ -238,9 +238,6 @@ func (s *Server) scrape() []metricRow {
 			labels: labelPairs("build_id", buildID, "k", strconv.Itoa(meta.K), "t", strconv.Itoa(meta.T)), val: int64(1)},
 		{name: "ndss_index_texts", typ: "gauge", help: "Texts in the active index.", val: int64(meta.NumTexts)},
 		{name: "ndss_segments_total", typ: "gauge", help: "Segments in the active index's manifest.", val: int64(segmentCount(b))},
-		{name: "ndss_index_bytes_read_total", typ: "counter", help: "Cumulative index bytes read since open.", val: ios.BytesRead},
-		{name: "ndss_index_read_seconds_total", typ: "counter", help: "Cumulative index read time since open.",
-			val: int64(ios.ReadTime), ns: true},
 		{name: "ndss_slowlog_entries", typ: "gauge", help: "Traces held by the slow-query flight recorder.",
 			val: int64(slowest)},
 		// Distributed-tracing families are in every scrape, zero-valued

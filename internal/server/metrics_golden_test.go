@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"ndss/internal/index"
 	"ndss/internal/shard"
 )
 
@@ -21,10 +20,6 @@ var updateGolden = flag.Bool("update", false, "rewrite the /metrics golden under
 // served by a replica set.
 type goldenBackend struct {
 	*stubBackend
-}
-
-func (goldenBackend) IOStats() index.IOStats {
-	return index.IOStats{BytesRead: 123456789, ReadTime: 2500 * time.Microsecond}
 }
 
 func (goldenBackend) SegmentCount() int { return 3 }

@@ -242,10 +242,9 @@ func (b *stubBackend) SearchContext(ctx context.Context, q []uint32, o search.Op
 	return []search.Match{b.match}, &search.Stats{Matches: 1}, nil
 }
 
-func (b *stubBackend) Meta() index.Meta       { return index.Meta{K: 4, T: 2, NumTexts: 1} }
-func (b *stubBackend) IOStats() index.IOStats { return index.IOStats{} }
-func (b *stubBackend) BuildID() string        { return b.id }
-func (b *stubBackend) Close() error           { b.closed.Store(true); return nil }
+func (b *stubBackend) Meta() index.Meta { return index.Meta{K: 4, T: 2, NumTexts: 1} }
+func (b *stubBackend) BuildID() string  { return b.id }
+func (b *stubBackend) Close() error     { b.closed.Store(true); return nil }
 
 // TestReloadDrainsInFlight parks a query inside the old backend, swaps,
 // and checks that Reload waits for the query to finish before closing

@@ -57,6 +57,12 @@ func openDB(t testing.TB, dir string, src search.TextSource) *ndss.DB {
 // exposition line-format checker.
 func scrapeMetrics(t *testing.T, ts *httptest.Server) []promSample {
 	t.Helper()
+	return parsePromExposition(t, scrapeBody(t, ts))
+}
+
+// scrapeBody returns the /metrics exposition as served.
+func scrapeBody(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +72,7 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) []promSample {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return parsePromExposition(t, string(raw))
+	return string(raw)
 }
 
 // awaitRequests polls /metrics until ndss_requests_total sums to want,
@@ -371,9 +377,8 @@ func (b searcherBackend) Explain(ctx context.Context, q []uint32, o search.Optio
 	return b.Searcher.Explain(q, o)
 }
 
-func (b searcherBackend) Meta() index.Meta       { return b.ix.Meta() }
-func (b searcherBackend) IOStats() index.IOStats { return b.ix.IOStats() }
-func (b searcherBackend) BuildID() string        { return "test" }
+func (b searcherBackend) Meta() index.Meta { return b.ix.Meta() }
+func (b searcherBackend) BuildID() string  { return "test" }
 
 func slowFixture(t *testing.T, delay time.Duration) (Backend, []uint32) {
 	t.Helper()

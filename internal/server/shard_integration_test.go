@@ -217,9 +217,8 @@ func (b *slowShardBackend) SearchContext(ctx context.Context, q []uint32, o sear
 	return []search.Match{b.match}, &search.Stats{Matches: 1}, nil
 }
 
-func (b *slowShardBackend) Meta() index.Meta       { return index.Meta{K: 8, Seed: 1, T: 2, NumTexts: 5} }
-func (b *slowShardBackend) IOStats() index.IOStats { return index.IOStats{} }
-func (b *slowShardBackend) BuildID() string        { return "stub" }
+func (b *slowShardBackend) Meta() index.Meta { return index.Meta{K: 8, Seed: 1, T: 2, NumTexts: 5} }
+func (b *slowShardBackend) BuildID() string  { return "stub" }
 
 // TestShardedServerPartialResult is the acceptance check for deadline
 // partials through the whole stack: a shard missing its budget yields a

@@ -106,17 +106,6 @@ func (c *Coordinator) BuildID() string {
 	return fmt.Sprintf("sharded-%d-%016x", len(c.slots), h.Sum64())
 }
 
-// IOStats sums the shards' cumulative I/O counters.
-func (c *Coordinator) IOStats() index.IOStats {
-	var out index.IOStats
-	for _, sl := range c.slots {
-		st := sl.client.IOStats()
-		out.BytesRead += st.BytesRead
-		out.ReadTime += st.ReadTime
-	}
-	return out
-}
-
 // Close closes every shard and returns their joined errors.
 func (c *Coordinator) Close() error {
 	errs := make([]error, len(c.slots))

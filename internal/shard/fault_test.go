@@ -52,8 +52,7 @@ func (s *stubShard) BuildID() string {
 	}
 	return "stub-" + s.name
 }
-func (s *stubShard) IOStats() index.IOStats { return index.IOStats{} }
-func (s *stubShard) Close() error           { return nil }
+func (s *stubShard) Close() error { return nil }
 func (s *stubShard) CheckHealth(ctx context.Context) error {
 	s.probes.Add(1)
 	if s.down.Load() {

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ndss/internal/index"
@@ -58,9 +57,6 @@ type HTTPShard struct {
 	mu      sync.RWMutex
 	meta    index.Meta // guarded by mu
 	buildID string     // guarded by mu
-
-	ioBytes  atomic.Int64
-	ioTimeNS atomic.Int64
 }
 
 // RemoteError is a non-200 answer from a remote shard.
@@ -151,15 +147,6 @@ func (h *HTTPShard) BuildID() string {
 	return h.buildID
 }
 
-// IOStats reports the cumulative index I/O this client's queries caused
-// on the remote, as accounted by the remote's per-query stats.
-func (h *HTTPShard) IOStats() index.IOStats {
-	return index.IOStats{
-		BytesRead: h.ioBytes.Load(),
-		ReadTime:  time.Duration(h.ioTimeNS.Load()),
-	}
-}
-
 // Close releases idle connections. The remote server is not touched.
 func (h *HTTPShard) Close() error {
 	h.hc.CloseIdleConnections()
@@ -225,8 +212,6 @@ func (h *HTTPShard) SearchContext(ctx context.Context, query []uint32, opts sear
 	if err := h.post(ctx, req, &resp); err != nil {
 		return nil, nil, err
 	}
-	h.ioBytes.Add(resp.Stats.IOBytes)
-	h.ioTimeNS.Add(int64(resp.Stats.IOTime))
 	return resp.Matches, &resp.Stats, nil
 }
 

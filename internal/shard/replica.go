@@ -188,17 +188,6 @@ func (r *ReplicaSet) BuildID() string {
 	return r.groupBuild
 }
 
-// IOStats sums the replicas' cumulative I/O counters.
-func (r *ReplicaSet) IOStats() index.IOStats {
-	var out index.IOStats
-	for _, rep := range r.replicas {
-		st := rep.client.IOStats()
-		out.BytesRead += st.BytesRead
-		out.ReadTime += st.ReadTime
-	}
-	return out
-}
-
 // requarantine recomputes which replicas are safe to query: the
 // majority build id among the voting replicas (ties to the
 // lowest-index replica's build) defines the group build, and any

@@ -47,7 +47,6 @@ import (
 type Backend interface {
 	SearchContext(ctx context.Context, query []uint32, opts search.Options) ([]search.Match, *search.Stats, error)
 	Meta() index.Meta
-	IOStats() index.IOStats
 	// BuildID identifies the index build behind this backend, surfaced
 	// in /healthz and /metrics so operators can confirm a reload took.
 	BuildID() string

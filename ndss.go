@@ -190,9 +190,6 @@ func (db *DB) Explain(ctx context.Context, query []uint32, opts SearchOptions) (
 // Meta returns the opened index's metadata.
 func (db *DB) Meta() index.Meta { return db.ix.Meta() }
 
-// IOStats returns the index-wide cumulative I/O counters.
-func (db *DB) IOStats() index.IOStats { return db.ix.IOStats() }
-
 // BuildID identifies the index build this DB serves.
 func (db *DB) BuildID() string { return db.ix.BuildID() }
 

@@ -18,10 +18,11 @@
 # FILE, each parent line once, so batches appended to one FILE against
 # the same parent each read the parent runs interleaved with them.
 #
-# With -t it then runs `benchmark/run.sh -trace 1` once per side and
-# workload (seed FIRST_SEED), appends those lines tagged trace: true, and
-# prints a second table of BENCHMARK.json's per-layer metrics, the
-# parent's median beside the child's over every traced line of FILE.
+# With -t it then runs `benchmark/run.sh -trace 1` three times per side
+# and workload (seeds FIRST_SEED..FIRST_SEED+2, alternating which side
+# goes first as above), appends those lines tagged trace: true, and
+# prints a second table of BENCHMARK.json's per-layer metrics: the
+# median [q1–q3] of each side over every traced line of FILE.
 # Traced lines never enter the end-to-end table or the exit status: a
 # traced run measures the layers, not the latency the gate reads.
 #
@@ -30,7 +31,7 @@
 #   -w WORKLOADS  comma-separated workloads (default: every workload in
 #                 BENCHMARK.json)
 #   -o FILE       the JSON-lines file to append to (default BENCH.jsonl)
-#   -t            add one traced run per side and workload, and the
+#   -t            add three traced runs per side and workload, and the
 #                 per-layer table
 #
 # Quartiles are Python's statistics.quantiles(n=4) (the exclusive method),
@@ -90,38 +91,46 @@ if [ "$seeds" -gt 0 ] || ((traced)); then
 		echo "$2 seed $3 $1 ${sha:0:12}$( ((! $4)) || echo " traced"): $(jq -c '{correct, failed}' <<<"$line")" >&2
 	}
 
+	pair() { # workload seed trace: the parent first on odd seeds
+		if (($2 % 2)); then
+			run parent "$@"
+			run child "$@"
+		else
+			run child "$@"
+			run parent "$@"
+		fi
+	}
+
 	for w in ${workloads//,/ }; do
 		for ((s = first; s < first + seeds; s++)); do
-			if ((s % 2)); then
-				run parent "$w" "$s" 0
-				run child "$w" "$s" 0
-			else
-				run child "$w" "$s" 0
-				run parent "$w" "$s" 0
-			fi
+			pair "$w" "$s" 0
 		done
 	done
 	if ((traced)); then
 		for w in ${workloads//,/ }; do
-			run parent "$w" "$first" 1
-			run child "$w" "$first" 1
+			for ((s = first; s < first + 3; s++)); do
+				pair "$w" "$s" 1
+			done
 		done
 	fi
 fi
 
 echo "parent ${parent:0:12}, child ${child:0:12}"
 echo
+# Median and quartiles, shared by both tables. quartile is
+# statistics.quantiles(n=4), method="exclusive"; one value is its own
+# quartiles.
+stats='
+	def median: sort | if length == 0 then null elif length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+	def quartile($i): sort as $d | ($d | length) as $n | ($i * ($n + 1)) as $p
+		| if $n < 2 then $d[0] else
+			([1, ([($p / 4 | floor), $n - 1] | min)] | max) as $j | ($p - $j * 4) as $delta
+			| ($d[$j - 1] * (4 - $delta) + $d[$j] * $delta) / 4 end;'
 table=$(
 echo "| workload | metric | parent median [q1–q3] | child median [q1–q3] | child/parent | bound | pairs child better |"
 echo "|---|---|---|---|---|---|---|"
 jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" \
-	--argjson e2e "$(jq -c '.end_to_end' <<<"$bench_json")" '
-	def median: sort | if length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
-	# statistics.quantiles(n=4), method="exclusive"; one value is its own quartiles.
-	def quartile($i): sort as $d | ($d | length) as $n | ($i * ($n + 1)) as $p
-		| if $n < 2 then $d[0] else
-			([1, ([($p / 4 | floor), $n - 1] | min)] | max) as $j | ($p - $j * 4) as $delta
-			| ($d[$j - 1] * (4 - $delta) + $d[$j] * $delta) / 4 end;
+	--argjson e2e "$(jq -c '.end_to_end' <<<"$bench_json")" "$stats"'
 	to_entries | map(.value + {line: .key})
 	| map(select((.sha == $parent or .sha == $child) and .trace != true)) as $runs
 	| $workloads | split(",")[] as $w
@@ -154,26 +163,29 @@ jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" 
 )
 echo "$table"
 echo
-# The traced runs' per-layer metrics, median of each side's traced lines.
+# The traced runs' per-layer metrics, median [q1–q3] of each side's
+# traced lines.
 layers=$(jq -rs --arg parent "$parent" --arg child "$child" --arg workloads "$workloads" \
-	--argjson layer "$(jq -c '.per_layer' <<<"$bench_json")" '
-	def median: sort | if length == 0 then null elif length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+	--argjson layer "$(jq -c '.per_layer' <<<"$bench_json")" "$stats"'
+	def spread: if length == 0 then "-", "-", "-" else median, quartile(1), quartile(3) end;
 	map(select((.sha == $parent or .sha == $child) and .trace == true)) as $runs
 	| $workloads | split(",")[] as $w
 	| $layer[] as $m
 	| [$runs[] | select(.workload == $w and .sha == $parent) | .metrics[$m.name].value | numbers] as $p
 	| [$runs[] | select(.workload == $w and .sha == $child) | .metrics[$m.name].value | numbers] as $c
 	| select($p != [] or $c != [])
-	| [$w, $m.name, $m.unit, ($p | median // "-"), ($c | median // "-"), ($p | length), ($c | length), $m.better] | @tsv
-' "$out" | awk -F'\t' '{
+	| [$w, $m.name, $m.unit, ($p | spread), ($c | spread), ($p | length), ($c | length), $m.better] | @tsv
+' "$out" | awk -F'\t' '
+	function side(m, q1, q3) { return m == "-" ? "-" : sprintf("%.4g [%.4g–%.4g]", m, q1, q3) }
+	{
 	# A ratio says nothing when a side is not positive (overhead_pct can be).
-	ratio = ($4 == "-" || $5 == "-" || $4 <= 0 || $5 < 0) ? "n/a" : sprintf("%.3f", $5 / $4)
-	printf "| %s | %s | %s | %s | %s | %s | %s | %d/%d |\n", $1, $2, $3, $4 == "-" ? "-" : sprintf("%.4g", $4), $5 == "-" ? "-" : sprintf("%.4g", $5), ratio, $8, $6, $7
+	ratio = ($4 == "-" || $7 == "-" || $4 <= 0 || $7 < 0) ? "n/a" : sprintf("%.3f", $7 / $4)
+	printf "| %s | %s | %s | %s | %s | %s | %s | %d/%d |\n", $1, $2, $3, side($4, $5, $6), side($7, $8, $9), ratio, $12, $10, $11
 }')
 if [ -n "$layers" ]; then
-	echo "Per-layer metrics of the traced runs (median of each side's traced lines):"
+	echo "Per-layer metrics of the traced runs (median [q1–q3] of each side's traced lines):"
 	echo
-	echo "| workload | metric | unit | parent | child | child/parent | better | traced runs parent/child |"
+	echo "| workload | metric | unit | parent median [q1–q3] | child median [q1–q3] | child/parent | better | traced runs parent/child |"
 	echo "|---|---|---|---|---|---|---|---|"
 	echo "$layers"
 	echo
